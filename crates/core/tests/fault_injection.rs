@@ -22,7 +22,7 @@
 use contention::{FullAlgorithm, Params};
 use mac_sim::adversary::CrashAt;
 use mac_sim::fault::{CrashStop, Layered};
-use mac_sim::trials::run_trials;
+use mac_sim::trials::fan_out;
 use mac_sim::{CdMode, Engine, NodeId, SimConfig, SimError, StopWhen};
 
 const C: u32 = 64;
@@ -55,8 +55,10 @@ fn early_crashes_of_most_nodes_are_harmless() {
         .filter(|idx| idx % 5 != 0)
         .map(|idx| (NodeId(idx), 2))
         .collect();
-    let reports = run_trials(10, 0, |seed| {
+    let reports = fan_out(10, 0, None, |seed| {
         engine_with_crashes(500, crashes.clone(), seed, 100_000)
+            .run()
+            .unwrap_or_else(|e| panic!("seed {seed}: {e}"))
     });
     for (seed, report) in reports.iter().enumerate() {
         assert!(report.is_solved(), "seed {seed}");
@@ -85,7 +87,7 @@ fn random_crash_waves_leave_survivors_that_solve() {
     // (Crashes *during* the pipeline can legitimately wedge the cohort
     // election; that regime is covered by the staggered-wave and
     // wedge tests below.)
-    let reports = run_trials(10, 100, |seed| {
+    let reports = fan_out(10, 100, None, |seed| {
         let cfg = SimConfig::new(C)
             .seed(seed)
             .stop_when(StopWhen::Solved)
@@ -95,7 +97,7 @@ fn random_crash_waves_leave_survivors_that_solve() {
         for _ in 0..300 {
             engine.add_node(FullAlgorithm::new(Params::practical(), C, N));
         }
-        engine
+        engine.run().unwrap_or_else(|e| panic!("seed {seed}: {e}"))
     });
     for (i, report) in reports.iter().enumerate() {
         assert!(report.is_solved(), "seed {}", 100 + i);

@@ -83,6 +83,9 @@ fn parse_args() -> Result<Args, String> {
                 args.channels = value("--channels")?
                     .parse()
                     .map_err(|e| format!("--channels: {e}"))?;
+                if args.channels == 0 {
+                    return Err("--channels must be at least 1".to_string());
+                }
             }
             "--universe" | "-n" => {
                 args.universe = value("--universe")?
@@ -128,7 +131,7 @@ fn parse_args() -> Result<Args, String> {
 /// `T` seeded sessions (seed, seed+1, …) and folds every run into online
 /// summaries — constant memory however many trials are requested, and the
 /// same scheduler (and determinism contract) the experiment sweeps use.
-fn run_trials(args: &Args) {
+fn run_batch(args: &Args) {
     type Agg = (Samples, Samples, Samples, u64);
     let hub = args.metrics.then(|| MetricsHub::new(1));
     let cell = Cell::new(
@@ -199,7 +202,7 @@ fn main() {
     };
 
     if args.trials > 1 {
-        run_trials(&args);
+        run_batch(&args);
         return;
     }
 

@@ -31,8 +31,8 @@
 
 use contention::{FullAlgorithm, Params};
 use contention_harness::record::{self, validate_record};
-use mac_sim::obs::{Json, RunManifest, RunRecord};
-use mac_sim::trials::run_trials_recorded;
+use mac_sim::obs::{Json, RunManifest, RunRecord, RunRecorder};
+use mac_sim::trials::fan_out;
 use mac_sim::{Engine, MetricsSnapshot, SimConfig};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -113,15 +113,19 @@ fn cmd_record(args: &[String]) -> ExitCode {
             manifest = manifest.git_rev(rev);
         }
 
-        let pairs = run_trials_recorded(trials, seed, |s| {
+        let records = fan_out(trials, seed, None, |s| {
             let mut engine = Engine::new(SimConfig::new(channels).seed(s).max_rounds(10_000_000));
             for _ in 0..active {
                 engine.add_node(FullAlgorithm::new(Params::practical(), channels, n));
             }
+            let mut recorder = RunRecorder::new();
             engine
+                .run_observed(&mut recorder)
+                .unwrap_or_else(|e| panic!("trial with seed {s} failed: {e}"));
+            recorder.into_record(s)
         });
         let mut lines = vec![manifest.to_jsonl_line()];
-        lines.extend(pairs.iter().map(|(_, rec)| rec.to_jsonl_line()));
+        lines.extend(records.iter().map(RunRecord::to_jsonl_line));
         record::write_jsonl(&out, &lines).map_err(|e| format!("write {}: {e}", out.display()))?;
         Ok(out)
     };

@@ -13,7 +13,7 @@ use mac_sim::{Engine, SimConfig, StopWhen};
 
 use super::seed_base;
 use crate::{ExperimentReport, RunCtx};
-use mac_sim::trials::run_trials_with;
+use mac_sim::trials::fan_out;
 
 /// Probe rounds `SplitCheck` spends to locate divergence level `target` in
 /// a tree of height `h` — the recursion of Fig. 1, counted exactly.
@@ -71,9 +71,10 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
 
     // Cross-check against real executions at one configuration.
     let c = 1024u32;
-    let measured: Vec<(u32, u32, u64)> = run_trials_with(
+    let measured: Vec<(u32, u32, u64)> = fan_out(
         scale.trials(),
         seed_base("e4", u64::from(c), 0),
+        None,
         |s| {
             let cfg = SimConfig::new(c)
                 .seed(s)
@@ -82,9 +83,8 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
             let mut exec = Engine::new(cfg);
             exec.add_node(TwoActive::new(c, 1 << 20));
             exec.add_node(TwoActive::new(c, 1 << 20));
-            exec
-        },
-        |exec, _| {
+            exec.run()
+                .unwrap_or_else(|e| panic!("trial with seed {s} failed: {e}"));
             let stats: Vec<_> = exec.iter_nodes().map(TwoActive::stats).collect();
             (
                 stats[0].adopted_id.expect("renamed"),

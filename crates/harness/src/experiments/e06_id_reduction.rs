@@ -10,7 +10,7 @@ use std::collections::HashSet;
 
 use super::seed_base;
 use crate::{ExperimentReport, RunCtx, Samples};
-use mac_sim::trials::run_trials_with;
+use mac_sim::trials::fan_out;
 
 /// One trial's digest: (rounds, surviving ids).
 type Digest = (u64, Vec<u32>);
@@ -163,9 +163,10 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
     // transmitter count in that round *is* |A_r|). One bounded batch on the
     // trial layer — itself a single-cell campaign — feeding several rows.
     let (c, active) = (64u32, 200usize);
-    let trajectories: Vec<Vec<u64>> = run_trials_with(
+    let trajectories: Vec<Vec<u64>> = fan_out(
         scale.trials().min(30),
         super::seed_base("e6traj", u64::from(c), active as u64),
+        None,
         |s| {
             let cfg = SimConfig::new(c)
                 .seed(s)
@@ -176,10 +177,8 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
             for _ in 0..active {
                 exec.add_node(IdReduction::new(Params::practical(), c));
             }
-            exec
-        },
-        |_, report| {
-            report
+            exec.run()
+                .unwrap_or_else(|e| panic!("trial with seed {s} failed: {e}"))
                 .trace
                 .rounds()
                 .iter()

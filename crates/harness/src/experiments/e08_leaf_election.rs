@@ -9,7 +9,7 @@ use mac_sim::{Engine, SimConfig, StopWhen};
 
 use super::{lg, seed_base};
 use crate::{sample_distinct, ExperimentReport, RunCtx, Samples};
-use mac_sim::trials::run_trials_with;
+use mac_sim::trials::fan_out;
 
 /// One trial's digest: (rounds to solve, per-phase search rounds of the winner).
 type Digest = (u64, Vec<u64>);
@@ -57,23 +57,17 @@ fn build_engine(
     exec
 }
 
-/// Reads the digest off a finished execution.
-fn digest(exec: &Engine<LeafElection>, report: &mac_sim::RunReport) -> Digest {
-    let winner = report.leaders.first().expect("leader elected");
-    let stats = exec.node(*winner).stats();
-    (
-        report.rounds_to_solve().expect("solved"),
-        stats.search_rounds_by_phase.clone(),
-    )
-}
-
 /// One `LeafElection` execution at one seed.
 pub(crate) fn measure_one(c: u32, x: u32, seed: u64, binary: bool, occupancy: Occupancy) -> Digest {
     let mut exec = build_engine(c, x, seed, binary, occupancy);
     let report = exec
         .run()
         .unwrap_or_else(|e| panic!("trial with seed {seed} failed: {e}"));
-    digest(&exec, &report)
+    let winner = report.leaders.first().expect("leader elected");
+    (
+        report.rounds_to_solve().expect("solved"),
+        exec.node(*winner).stats().search_rounds_by_phase.clone(),
+    )
 }
 
 pub(crate) fn measure(
@@ -84,12 +78,9 @@ pub(crate) fn measure(
     binary: bool,
     occupancy: Occupancy,
 ) -> Vec<Digest> {
-    run_trials_with(
-        trials,
-        seed,
-        move |s| build_engine(c, x, s, binary, occupancy),
-        digest,
-    )
+    fan_out(trials, seed, None, |s| {
+        measure_one(c, x, s, binary, occupancy)
+    })
 }
 
 fn prev_pow2(x: u32) -> u32 {

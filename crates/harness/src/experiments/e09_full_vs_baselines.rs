@@ -17,7 +17,7 @@ use mac_sim::{CdMode, Engine, SimConfig};
 use super::seed_base;
 use crate::{cell_u64, sample_distinct, ExperimentReport, RunCtx, Samples};
 #[cfg(test)]
-use mac_sim::trials::{run_trials, run_trials_with};
+use mac_sim::trials::fan_out;
 
 /// Rounds-to-solve for one full-algorithm run.
 fn full_one(c: u32, n: u64, active: usize, seed: u64) -> u64 {
@@ -33,36 +33,12 @@ fn full_one(c: u32, n: u64, active: usize, seed: u64) -> u64 {
 
 #[cfg(test)]
 pub(crate) fn full_rounds(c: u32, n: u64, active: usize, trials: usize, seed: u64) -> Vec<u64> {
-    run_trials(trials, seed, |s| {
-        let mut exec = Engine::new(SimConfig::new(c).seed(s).max_rounds(10_000_000));
-        for _ in 0..active {
-            exec.add_node(FullAlgorithm::new(Params::practical(), c, n));
-        }
-        exec
-    })
-    .iter()
-    .map(|r| r.rounds_to_solve().expect("solved"))
-    .collect()
-}
-
-/// The solver's telemetry spine for one full-algorithm run (same engine as
-/// [`full_one`] at the same seed).
-fn full_spine_one(c: u32, n: u64, active: usize, seed: u64) -> Vec<PhaseStats> {
-    let mut exec = Engine::new(SimConfig::new(c).seed(seed).max_rounds(10_000_000));
-    for _ in 0..active {
-        exec.add_node(FullAlgorithm::new(Params::practical(), c, n));
-    }
-    let report = exec
-        .run()
-        .unwrap_or_else(|e| panic!("trial with seed {seed} failed: {e}"));
-    report
-        .solver
-        .map(|id| exec.node(id).phase_stats())
-        .unwrap_or_default()
+    fan_out(trials, seed, None, |s| full_one(c, n, active, s))
 }
 
 /// One full-algorithm run's rounds-to-solve plus its solver spine, off a
-/// single execution (E10 reads both per trial).
+/// single execution (same engine as [`full_one`] at the same seed; E10
+/// reads both per trial).
 pub(crate) fn full_one_with_spine(
     c: u32,
     n: u64,
@@ -93,23 +69,9 @@ pub(crate) fn full_solver_spines(
     trials: usize,
     seed: u64,
 ) -> Vec<Vec<PhaseStats>> {
-    run_trials_with(
-        trials,
-        seed,
-        |s| {
-            let mut exec = Engine::new(SimConfig::new(c).seed(s).max_rounds(10_000_000));
-            for _ in 0..active {
-                exec.add_node(FullAlgorithm::new(Params::practical(), c, n));
-            }
-            exec
-        },
-        |exec, report| {
-            report
-                .solver
-                .map(|id| exec.node(id).phase_stats())
-                .unwrap_or_default()
-        },
-    )
+    fan_out(trials, seed, None, |s| {
+        full_one_with_spine(c, n, active, s).1
+    })
 }
 
 /// Mean rounds the solver spent in `name` across `spines`.
@@ -387,7 +349,7 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
             SeedStream::Offset(seed_base("e9p", u64::from(c), n)),
             PhaseMix::default,
             move |seed, acc| {
-                acc.add_spine(&full_spine_one(c, n, active, seed));
+                acc.add_spine(&full_one_with_spine(c, n, active, seed).1);
             },
             move |acc| {
                 vec![

@@ -13,7 +13,7 @@ use mac_sim::{Engine, SimConfig};
 
 use super::seed_base;
 use crate::{ExperimentReport, RunCtx, Samples};
-use mac_sim::trials::run_trials;
+use mac_sim::trials::fan_out;
 
 /// One wrapped run under a wake-up schedule.
 fn wrapped_one(c: u32, n: u64, offsets: &[u64], seed: u64) -> u64 {
@@ -32,22 +32,20 @@ fn wrapped_one(c: u32, n: u64, offsets: &[u64], seed: u64) -> u64 {
 
 #[cfg(test)]
 fn wrapped_rounds(c: u32, n: u64, offsets: &[u64], trials: usize, seed: u64) -> Vec<u64> {
-    (0..trials as u64)
-        .map(|i| wrapped_one(c, n, offsets, seed.wrapping_add(i)))
-        .collect()
+    fan_out(trials, seed, None, |s| wrapped_one(c, n, offsets, s))
 }
 
 fn bare_rounds(c: u32, n: u64, active: usize, trials: usize, seed: u64) -> Vec<u64> {
-    run_trials(trials, seed, |s| {
+    fan_out(trials, seed, None, |s| {
         let mut exec = Engine::new(SimConfig::new(c).seed(s).max_rounds(1_000_000));
         for _ in 0..active {
             exec.add_node(FullAlgorithm::new(Params::practical(), c, n));
         }
-        exec
+        exec.run()
+            .unwrap_or_else(|e| panic!("trial with seed {s} failed: {e}"))
+            .rounds_to_solve()
+            .expect("solved")
     })
-    .iter()
-    .map(|r| r.rounds_to_solve().expect("solved"))
-    .collect()
 }
 
 /// Runs the experiment.

@@ -13,7 +13,7 @@ use mac_sim::{Engine, SimConfig};
 
 use super::seed_base;
 use crate::{ExperimentReport, RunCtx, Samples};
-use mac_sim::trials::run_trials;
+use mac_sim::trials::fan_out;
 
 /// One expected-time run's rounds-to-solve.
 fn expected_one(c: u32, n: u64, active: usize, seed: u64) -> u64 {
@@ -29,9 +29,7 @@ fn expected_one(c: u32, n: u64, active: usize, seed: u64) -> u64 {
 
 #[cfg(test)]
 fn expected_rounds(c: u32, n: u64, active: usize, trials: usize, seed: u64) -> Vec<u64> {
-    (0..trials as u64)
-        .map(|i| expected_one(c, n, active, seed.wrapping_add(i)))
-        .collect()
+    fan_out(trials, seed, None, |s| expected_one(c, n, active, s))
 }
 
 /// One pipeline run's rounds-to-solve.
@@ -47,16 +45,16 @@ fn full_one(c: u32, n: u64, active: usize, seed: u64) -> u64 {
 }
 
 fn willard_rounds(n: u64, active: usize, trials: usize, seed: u64) -> Vec<u64> {
-    run_trials(trials, seed, |s| {
+    fan_out(trials, seed, None, |s| {
         let mut exec = Engine::new(SimConfig::new(1).seed(s).max_rounds(1_000_000));
         for _ in 0..active {
             exec.add_node(Willard::new(n));
         }
-        exec
+        exec.run()
+            .unwrap_or_else(|e| panic!("trial with seed {s} failed: {e}"))
+            .rounds_to_solve()
+            .expect("solved")
     })
-    .iter()
-    .map(|r| r.rounds_to_solve().expect("solved"))
-    .collect()
 }
 
 /// One adaptive CD-tournament run's rounds-to-solve.

@@ -15,7 +15,7 @@ use std::collections::BTreeMap;
 
 use super::seed_base;
 use crate::{sample_distinct, ExperimentReport, RunCtx, Samples};
-use mac_sim::trials::run_trials_recorded;
+use mac_sim::trials::fan_out;
 
 /// One recorded run: rounds-to-solve plus the span-model energy counters.
 fn recorded_one<P: Protocol, F: FeedbackModel>(
@@ -199,15 +199,15 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
     // derives many rows from one record batch, so it runs on the trial
     // layer (itself a single-cell campaign) at the pipeline row's seeds —
     // deterministic on every run, including resumed ones.
-    let full_pairs = run_trials_recorded(trials, seed_base("e15f", 0, 0), |s| {
+    let full_records = fan_out(trials, seed_base("e15f", 0, 0), None, |s| {
         let mut exec = Engine::new(SimConfig::new(c).seed(s).max_rounds(1_000_000));
         for _ in 0..active {
             exec.add_node(FullAlgorithm::new(Params::practical(), c, n));
         }
-        exec
+        recorded_one(exec, s).1
     });
     let mut by_phase: BTreeMap<String, (u64, u64)> = BTreeMap::new();
-    for (_, record) in &full_pairs {
+    for record in &full_records {
         for (label, tx) in &record.phase_transmissions {
             by_phase.entry(label.clone()).or_insert((0, 0)).0 += tx;
         }
@@ -235,15 +235,12 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
         phase_table,
     );
 
-    let primary_tx: u64 = full_pairs
+    let primary_tx: u64 = full_records
         .iter()
-        .flat_map(|(_, record)| record.channels.first())
+        .flat_map(|record| record.channels.first())
         .map(|t| t.transmissions)
         .sum();
-    let all_tx: u64 = full_pairs
-        .iter()
-        .map(|(_, record)| record.transmissions)
-        .sum();
+    let all_tx: u64 = full_records.iter().map(|record| record.transmissions).sum();
     #[allow(clippy::cast_precision_loss)]
     report.note(format!(
         "Channel concentration: {:.1}% of the pipeline's transmissions land on the \
@@ -268,30 +265,27 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
 mod tests {
     use super::*;
     use crate::Scale;
-    use mac_sim::trials::run_trials;
 
     #[test]
     fn pipeline_is_more_frugal_than_descent() {
         let (c, n, active) = (64u32, 1u64 << 12, 512usize);
-        let full_tx: u64 = run_trials(8, 1, |s| {
+        let full_tx: u64 = fan_out(8, 1, None, |s| {
             let mut exec = Engine::new(SimConfig::new(c).seed(s).max_rounds(1_000_000));
             for _ in 0..active {
                 exec.add_node(FullAlgorithm::new(Params::practical(), c, n));
             }
-            exec
+            exec.run().expect("runs").metrics.transmissions
         })
         .iter()
-        .map(|r| r.metrics.transmissions)
         .sum();
-        let descent_tx: u64 = run_trials(8, 1, |s| {
+        let descent_tx: u64 = fan_out(8, 1, None, |s| {
             let mut exec = Engine::new(SimConfig::new(c).seed(s).max_rounds(1_000_000));
             for id in sample_distinct(n, active, s) {
                 exec.add_node(BinaryDescent::new(id, n));
             }
-            exec
+            exec.run().expect("runs").metrics.transmissions
         })
         .iter()
-        .map(|r| r.metrics.transmissions)
         .sum();
         assert!(
             full_tx < descent_tx,
@@ -313,12 +307,14 @@ mod tests {
         // engine's Metrics counters to the RunRecord ones: both accountings
         // run side by side here and must agree exactly, field for field.
         let (c, n, active) = (64u32, 1u64 << 12, 256usize);
-        let pairs = run_trials_recorded(6, 9, |s| {
+        let pairs = fan_out(6, 9, None, |s| {
             let mut exec = Engine::new(SimConfig::new(c).seed(s).max_rounds(1_000_000));
             for _ in 0..active {
                 exec.add_node(FullAlgorithm::new(Params::practical(), c, n));
             }
-            exec
+            let mut recorder = RunRecorder::new();
+            let report = exec.run_observed(&mut recorder).expect("runs");
+            (report, recorder.into_record(s))
         });
         for (report, record) in &pairs {
             assert_eq!(record.transmissions, report.metrics.transmissions);

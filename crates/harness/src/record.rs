@@ -868,7 +868,8 @@ mod tests {
 
     #[test]
     fn trial_records_validate() {
-        use mac_sim::trials::run_trials_recorded;
+        use mac_sim::obs::RunRecorder;
+        use mac_sim::trials::fan_out;
         use mac_sim::{Action, ChannelId, Engine, SimConfig};
         use rand::rngs::SmallRng;
 
@@ -890,12 +891,14 @@ mod tests {
             }
         }
 
-        let pairs = run_trials_recorded(3, 7, |seed| {
+        let records = fan_out(3, 7, None, |seed| {
             let mut engine = Engine::new(SimConfig::new(2).seed(seed));
             engine.add_node(Beacon);
-            engine
+            let mut recorder = RunRecorder::new();
+            engine.run_observed(&mut recorder).unwrap();
+            recorder.into_record(seed)
         });
-        for (_, record) in &pairs {
+        for record in &records {
             validate_line(&record.to_jsonl_line()).unwrap();
         }
     }

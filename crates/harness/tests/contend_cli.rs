@@ -1,0 +1,43 @@
+//! Argument validation of the `contend` binary: bad input ends in a usage
+//! error (exit code 2 and one `error:` line on stderr), never in a panic.
+
+use std::process::{Command, Output};
+
+fn contend(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_contend"))
+        .args(args)
+        .output()
+        .expect("contend runs")
+}
+
+fn assert_usage_error(args: &[&str], message: &str) {
+    let out = contend(args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+    assert_eq!(stderr.trim_end(), format!("error: {message}"), "{args:?}");
+    assert!(out.stdout.is_empty(), "{args:?} printed a result");
+}
+
+#[test]
+fn zero_channels_is_a_usage_error() {
+    assert_usage_error(&["--channels", "0"], "--channels must be at least 1");
+    assert_usage_error(
+        &["-c", "0", "--trials", "3"],
+        "--channels must be at least 1",
+    );
+}
+
+#[test]
+fn zero_trials_is_a_usage_error() {
+    assert_usage_error(&["--trials", "0"], "--trials must be at least 1");
+}
+
+#[test]
+fn one_channel_is_accepted() {
+    let out = contend(&["--channels", "1", "--active", "8"]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+}

@@ -156,6 +156,4 @@ pub use traffic::{
     run_traffic, run_traffic_dense, ArrivalProcess, ArrivalStream, BackoffMac, SlottedAloha,
     StopCause, TrafficReport, TrafficSpec,
 };
-pub use trials::{
-    guarded_verdict, run_traffic_trials, run_traffic_trials_observed, TrialVerdict, WedgeCause,
-};
+pub use trials::{guarded_verdict, TrialVerdict, WedgeCause};

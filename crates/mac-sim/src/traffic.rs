@@ -1003,4 +1003,31 @@ mod tests {
         );
         assert_eq!(reg.gauges()["traffic_backlog_peak"], report.backlog_peak);
     }
+
+    #[test]
+    fn flush_to_tallies_every_run_into_the_hub() {
+        let spec = TrafficSpec::new(ArrivalProcess::Poisson { rate: 0.4 }, 60);
+        let hub = MetricsHub::new(2);
+        let reports: Vec<_> = (0..4)
+            .map(|trial| {
+                let config = SimConfig::new(2).seed(7 + trial).max_rounds(100_000);
+                let report = run_traffic(config, CdMode::Strong, &spec, |pkt| {
+                    BackoffMac::new(2, 64, pkt)
+                })
+                .expect("traffic run");
+                report.flush_to(&hub, trial as usize);
+                report
+            })
+            .collect();
+        let snap = hub.snapshot();
+        assert_eq!(snap.registry.counter("traffic_runs_total"), 4);
+        let offered: u64 = reports.iter().map(|r| r.offered).sum();
+        let delivered: u64 = reports.iter().map(|r| r.delivered).sum();
+        assert_eq!(snap.registry.counter("traffic_offered_total"), offered);
+        assert_eq!(snap.registry.counter("traffic_delivered_total"), delivered);
+        assert_eq!(
+            snap.registry.histograms()["traffic_packet_latency_rounds"].count(),
+            delivered
+        );
+    }
 }

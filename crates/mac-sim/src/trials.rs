@@ -3,39 +3,28 @@
 //!
 //! A *trial* is one full engine run at one seed. Experiments need many of
 //! them — round-complexity curves average hundreds of runs per point — so
-//! this module spreads trials over OS threads while keeping results
-//! **deterministic in the base seed regardless of thread count**: trial `i`
+//! [`fan_out`] spreads trials over OS threads while keeping results
+//! **deterministic in the base seed regardless of worker count**: trial `i`
 //! always runs at seed `base_seed + i`, and results come back in trial
-//! order.
+//! order. The per-trial closure decides everything else — which engine to
+//! build, whether to call [`Engine::run`](crate::Engine::run),
+//! [`run_summary`](crate::Engine::run_summary) or
+//! [`run_observed`](crate::Engine::run_observed) with a sink, what to
+//! extract from the finished engine, and which hub shard to flush into.
 //!
-//! Since the campaign refactor this layer is a thin adapter: each call
-//! schedules a single-cell [`campaign`](crate::campaign) whose aggregate
-//! collects results in seed order, so the trial layer and the sweep layer
-//! share one scheduler (and one determinism contract). Multi-cell sweeps
-//! should build a [`crate::campaign::Campaign`] directly — that is what
-//! keeps the pool saturated across grid points and enables streaming
-//! aggregation, progress, and resume.
+//! [`fan_out`] is a thin adapter: it schedules a single-cell
+//! [`campaign`](crate::campaign) whose aggregate collects results in seed
+//! order, so the trial layer and the sweep layer share one scheduler (and
+//! one determinism contract). Multi-cell sweeps should build a
+//! [`crate::campaign::Campaign`] directly — that is what keeps the pool
+//! saturated across grid points and enables streaming aggregation,
+//! progress, and resume.
 //!
-//! * [`run_trials`] — the common case, collecting full [`RunReport`]s;
-//! * [`run_trials_with`] — map each finished engine through an `extract`
-//!   closure (to read final protocol state: adopted ids, survivor flags, …);
-//! * [`run_trials_summaries`] — the cheap path via [`Engine::run_summary`],
-//!   skipping the metrics/trace clones entirely;
-//! * [`run_trials_with_threads`] — explicit thread count, used by the
-//!   thread-count-invariance test;
-//! * [`run_trials_recorded`] — attach a [`RunRecorder`] per trial and get
-//!   `(report, record)` pairs for structured JSONL export.
+//! [`guarded_verdict`] is the panic-isolated single-trial classifier the
+//! fault experiments use to count wedged trials.
 
 use crate::campaign::{panic_message, Campaign, Cell, Collect, SeedStream};
-use crate::config::SimConfig;
-use crate::engine::{Engine, RunReport, RunSummary};
 use crate::error::SimError;
-use crate::feedback::FeedbackModel;
-use crate::obs::telemetry::{MetricsHub, TelemetrySink};
-use crate::obs::{RunRecord, RunRecorder};
-use crate::population::SparsePopulation;
-use crate::protocol::Protocol;
-use crate::traffic::{run_traffic, TrafficReport, TrafficSpec};
 
 /// Why a guarded trial ([`guarded_verdict`]) produced no solve.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -106,278 +95,41 @@ pub fn guarded_verdict<T>(run: impl FnOnce() -> Result<Option<T>, SimError>) -> 
     }
 }
 
-/// Runs `trials` independent executions built by `build` (which receives
-/// the trial's seed) and returns their reports in seed order.
+/// Runs `trials` seeded executions of `run` and returns their results in
+/// seed order: trial `i` runs at seed `base_seed + i`.
 ///
-/// Trials are spread over `std::thread::available_parallelism()` threads;
-/// results are deterministic regardless of thread count because each trial
-/// is fully determined by its seed.
-///
-/// # Panics
-///
-/// Panics if any trial fails (a timeout or protocol error is an experiment
-/// bug, not a data point — the panic message carries the seed for replay).
-pub fn run_trials<P, F, B>(trials: usize, base_seed: u64, build: B) -> Vec<RunReport>
-where
-    P: Protocol,
-    F: FeedbackModel,
-    B: Fn(u64) -> Engine<P, F> + Sync,
-{
-    run_trials_with(trials, base_seed, build, |_, report| report.clone())
-}
-
-/// Like [`run_trials`], but maps each finished execution through `extract`,
-/// which also receives the engine so it can inspect final protocol state
-/// (adopted ids, survivor flags, per-phase stats, …).
+/// `run` receives the trial's seed and does the whole trial — build the
+/// engine, run it, read what the caller needs, flush any sink (a hub shard
+/// index is `seed - base_seed`). Trials are spread over `workers` threads
+/// (`None`: `available_parallelism()`, the campaign default) in contiguous
+/// shards of `trials.div_ceil(workers)` seeds, so replaying a failed shard
+/// by seed range is trivial. The output never depends on the worker count:
+/// each trial is a pure function of its seed.
 ///
 /// # Panics
 ///
-/// Panics if any trial fails; the message carries the seed for replay.
-pub fn run_trials_with<P, F, B, G, T>(trials: usize, base_seed: u64, build: B, extract: G) -> Vec<T>
-where
-    P: Protocol,
-    F: FeedbackModel,
-    B: Fn(u64) -> Engine<P, F> + Sync,
-    G: Fn(&Engine<P, F>, &RunReport) -> T + Sync,
-    T: Send,
-{
-    let threads = default_threads(trials);
-    run_trials_with_threads(trials, base_seed, threads, build, extract)
-}
-
-/// Like [`run_trials`], but each trial uses the allocation-free
-/// [`Engine::run_summary`] path: no metrics or trace clones, just the
-/// [`RunSummary`] solve data. This is the right call for round-complexity
-/// sweeps that only read `solved_round`.
-///
-/// # Panics
-///
-/// Panics if any trial fails; the message carries the seed for replay.
-pub fn run_trials_summaries<P, F, B>(trials: usize, base_seed: u64, build: B) -> Vec<RunSummary>
-where
-    P: Protocol,
-    F: FeedbackModel,
-    B: Fn(u64) -> Engine<P, F> + Sync,
-{
-    single_cell(trials, base_seed, default_threads(trials), &|seed| {
-        let mut engine = build(seed);
-        engine
-            .run_summary()
-            .unwrap_or_else(|e| panic!("trial with seed {seed} failed: {e}"))
-    })
-}
-
-/// Like [`run_trials_with`] with an explicit worker-thread count.
-///
-/// Exists so tests can assert thread-count invariance; normal callers use
-/// [`run_trials_with`], which picks `available_parallelism()`.
-///
-/// # Panics
-///
-/// Panics if `threads == 0` or any trial fails.
-pub fn run_trials_with_threads<P, F, B, G, T>(
+/// Panics if `workers` is `Some(0)` or if any trial panics (a timeout or
+/// protocol error is an experiment bug, not a data point — callers panic
+/// with the seed in the message so it can be replayed).
+pub fn fan_out<T: Send>(
     trials: usize,
     base_seed: u64,
-    threads: usize,
-    build: B,
-    extract: G,
-) -> Vec<T>
-where
-    P: Protocol,
-    F: FeedbackModel,
-    B: Fn(u64) -> Engine<P, F> + Sync,
-    G: Fn(&Engine<P, F>, &RunReport) -> T + Sync,
-    T: Send,
-{
-    single_cell(trials, base_seed, threads, &|seed| {
-        let mut engine = build(seed);
-        let report = engine
-            .run()
-            .unwrap_or_else(|e| panic!("trial with seed {seed} failed: {e}"));
-        extract(&engine, &report)
-    })
-}
-
-/// Sparse-population fan-out: like [`run_trials_summaries`], but each
-/// trial's engine is instantiated from a [`SparsePopulation`] — exactly
-/// `|A|` slots over a namespace of `pop.namespace()` identities, scheduled
-/// at the population's wake rounds. `config` receives the trial seed (so
-/// the master seed varies per trial); `make` receives each member's
-/// namespace identity.
-///
-/// This is the scaling-study path: per-trial cost is a function of `|A|`,
-/// not `n`, so round-complexity curves can sweep `n` to `2^22` and beyond
-/// without the engine ever materializing the sleeping namespace.
-///
-/// # Panics
-///
-/// Panics if any trial fails; the message carries the seed for replay.
-pub fn run_sparse_trials_summaries<P: Protocol>(
-    trials: usize,
-    base_seed: u64,
-    pop: &SparsePopulation,
-    config: impl Fn(u64) -> SimConfig + Sync,
-    make: impl Fn(u64) -> P + Sync,
-) -> Vec<RunSummary> {
-    single_cell(trials, base_seed, default_threads(trials), &|seed| {
-        let mut engine = pop.engine(config(seed), &make);
-        engine
-            .run_summary()
-            .unwrap_or_else(|e| panic!("trial with seed {seed} failed: {e}"))
-    })
-}
-
-/// Traffic fan-out: `trials` independent [`run_traffic`] executions, trial
-/// `i` at seed `base_seed + i`, reports in seed order. `config` receives
-/// the trial seed (and must thread it into [`SimConfig::seed`] — the
-/// master seed is what drives both the arrival stream and the node RNGs);
-/// `feedback` builds a fresh fault stack per trial; `make` builds the
-/// protocol for each packet by arrival sequence number.
-///
-/// Like every trial-layer call, results are deterministic in the base
-/// seed regardless of worker-thread count — the property the traffic
-/// equivalence and invariance tests pin.
-///
-/// # Panics
-///
-/// Panics if any trial fails (budget exhaustion is *not* a failure — it
-/// surfaces as [`crate::traffic::StopCause::BudgetExhausted`] in the
-/// report); the message carries the seed for replay.
-pub fn run_traffic_trials<P, F>(
-    trials: usize,
-    base_seed: u64,
-    spec: &TrafficSpec,
-    config: impl Fn(u64) -> SimConfig + Sync,
-    feedback: impl Fn(u64) -> F + Sync,
-    make: impl Fn(u64) -> P + Sync,
-) -> Vec<TrafficReport>
-where
-    P: Protocol,
-    F: FeedbackModel,
-{
-    single_cell(trials, base_seed, default_threads(trials), &|seed| {
-        run_traffic(config(seed), feedback(seed), spec, &make)
-            .unwrap_or_else(|e| panic!("traffic trial with seed {seed} failed: {e}"))
-    })
-}
-
-/// Like [`run_traffic_trials`], but flushes every trial's
-/// [`TrafficReport`] into `hub` — one flush per finished trial, into the
-/// shard indexed by the trial number, mirroring [`run_trials_observed`].
-/// Reports are bit-identical to [`run_traffic_trials`] at the same seeds.
-///
-/// # Panics
-///
-/// Panics if any trial fails; the message carries the seed for replay.
-pub fn run_traffic_trials_observed<P, F>(
-    trials: usize,
-    base_seed: u64,
-    hub: &MetricsHub,
-    spec: &TrafficSpec,
-    config: impl Fn(u64) -> SimConfig + Sync,
-    feedback: impl Fn(u64) -> F + Sync,
-    make: impl Fn(u64) -> P + Sync,
-) -> Vec<TrafficReport>
-where
-    P: Protocol,
-    F: FeedbackModel,
-{
-    single_cell(trials, base_seed, default_threads(trials), &|seed| {
-        let report = run_traffic(config(seed), feedback(seed), spec, &make)
-            .unwrap_or_else(|e| panic!("traffic trial with seed {seed} failed: {e}"));
-        let trial = seed.wrapping_sub(base_seed) as usize;
-        report.flush_to(hub, trial);
-        report
-    })
-}
-
-/// Like [`run_trials`], but attaches a [`RunRecorder`] to every trial and
-/// returns `(report, record)` pairs — the structured-record path used by
-/// record-emitting experiments and the `obsdiff record` probe. Each
-/// trial's [`RunRecord`] carries its own seed.
-///
-/// # Panics
-///
-/// Panics if any trial fails; the message carries the seed for replay.
-pub fn run_trials_recorded<P, F, B>(
-    trials: usize,
-    base_seed: u64,
-    build: B,
-) -> Vec<(RunReport, RunRecord)>
-where
-    P: Protocol,
-    F: FeedbackModel,
-    B: Fn(u64) -> Engine<P, F> + Sync,
-{
-    single_cell(trials, base_seed, default_threads(trials), &|seed| {
-        let mut engine = build(seed);
-        let mut recorder = RunRecorder::new();
-        let report = engine
-            .run_observed(&mut recorder)
-            .unwrap_or_else(|e| panic!("trial with seed {seed} failed: {e}"));
-        (report, recorder.into_record(seed))
-    })
-}
-
-/// Like [`run_trials`], but every trial runs with a [`TelemetrySink`]
-/// attached and flushes its engine-layer tallies into `hub` — one flush
-/// per finished trial, into the shard indexed by the trial number, so the
-/// engine hot loop never touches the shared hub. Reports are bit-identical
-/// to [`run_trials`] at the same seeds: the sink draws no randomness and
-/// never feeds back into scheduling.
-///
-/// # Panics
-///
-/// Panics if any trial fails; the message carries the seed for replay.
-pub fn run_trials_observed<P, F, B>(
-    trials: usize,
-    base_seed: u64,
-    hub: &MetricsHub,
-    build: B,
-) -> Vec<RunReport>
-where
-    P: Protocol,
-    F: FeedbackModel,
-    B: Fn(u64) -> Engine<P, F> + Sync,
-{
-    single_cell(trials, base_seed, default_threads(trials), &|seed| {
-        let mut engine = build(seed);
-        let mut sink = TelemetrySink::new();
-        let report = engine
-            .run_observed(&mut sink)
-            .unwrap_or_else(|e| panic!("trial with seed {seed} failed: {e}"));
-        let trial = seed.wrapping_sub(base_seed) as usize;
-        sink.flush_to(hub, trial);
-        report
-    })
-}
-
-/// Default worker count: `available_parallelism()`, capped at the trial
-/// count so tiny batches don't spawn idle threads.
-fn default_threads(trials: usize) -> usize {
-    let threads = std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get);
-    threads.min(trials.max(1))
-}
-
-/// Schedules one cell on the campaign pool and returns its results in seed
-/// order. The shard size is the historical contiguous chunking
-/// (`trials.div_ceil(threads)`), so each worker's seeds stay contiguous
-/// and replaying a failed chunk by seed range is trivial.
-fn single_cell<T: Send>(
-    trials: usize,
-    base_seed: u64,
-    threads: usize,
-    run_one: &(dyn Fn(u64) -> T + Sync),
+    workers: Option<usize>,
+    run: impl Fn(u64) -> T + Sync,
 ) -> Vec<T> {
-    assert!(threads > 0, "at least one worker thread is required");
+    let workers = workers.unwrap_or_else(|| {
+        std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get)
+    });
+    assert!(workers > 0, "at least one worker thread is required");
+    let run = &run;
     let mut campaign = Campaign::new()
-        .workers(threads)
-        .shard_size(trials.div_ceil(threads).max(1));
+        .workers(workers)
+        .shard_size(trials.div_ceil(workers).max(1));
     campaign.push(Cell::new(
         trials,
         SeedStream::Offset(base_seed),
         Collect::default,
-        move |seed, acc: &mut Collect<T>| acc.0.push(run_one(seed)),
+        move |seed, acc: &mut Collect<T>| acc.0.push(run(seed)),
     ));
     campaign
         .run_collect()
@@ -392,8 +144,12 @@ mod tests {
     use super::*;
     use crate::action::{Action, Feedback};
     use crate::channel::ChannelId;
-    use crate::config::SimConfig;
-    use crate::protocol::{RoundContext, Status};
+    use crate::config::{CdMode, SimConfig};
+    use crate::engine::{Engine, RunReport};
+    use crate::obs::telemetry::{MetricsHub, TelemetrySink};
+    use crate::obs::RunRecorder;
+    use crate::protocol::{Protocol, RoundContext, Status};
+    use crate::traffic::{run_traffic, ArrivalProcess, BackoffMac, TrafficReport, TrafficSpec};
     use rand::rngs::SmallRng;
     use rand::Rng;
 
@@ -423,57 +179,84 @@ mod tests {
         engine
     }
 
+    fn solved_round(seed: u64) -> Option<u64> {
+        build(seed).run().unwrap().solved_round
+    }
+
+    fn traffic(seed: u64) -> TrafficReport {
+        let spec = TrafficSpec::new(ArrivalProcess::Poisson { rate: 0.3 }, 80);
+        let config = SimConfig::new(2).seed(seed).max_rounds(100_000);
+        run_traffic(config, CdMode::Strong, &spec, |pkt| {
+            BackoffMac::new(2, 64, pkt)
+        })
+        .unwrap()
+    }
+
+    #[test]
+    fn results_come_back_in_seed_order() {
+        let seeds = fan_out(10, 5, Some(3), |seed| seed);
+        assert_eq!(seeds, (5..15).collect::<Vec<_>>());
+        assert!(fan_out(0, 0, None, |seed| seed).is_empty());
+    }
+
+    #[test]
+    fn single_trial_works() {
+        assert_eq!(fan_out(1, 0, None, solved_round).len(), 1);
+    }
+
     #[test]
     fn trials_are_deterministic_and_seed_ordered() {
-        let a: Vec<_> = run_trials(8, 100, build)
-            .iter()
-            .map(|r| r.solved_round)
-            .collect();
-        let b: Vec<_> = run_trials(8, 100, build)
-            .iter()
-            .map(|r| r.solved_round)
-            .collect();
-        assert_eq!(a, b);
-        let c: Vec<_> = run_trials(8, 999, build)
-            .iter()
-            .map(|r| r.solved_round)
-            .collect();
-        assert_ne!(a, c);
-        // Trial i is exactly the run at seed base + i.
-        let solo = build(103).run().unwrap();
-        assert_eq!(a[3], solo.solved_round);
+        let a = fan_out(8, 100, None, solved_round);
+        assert_eq!(a, fan_out(8, 100, None, solved_round));
+        assert_ne!(a, fan_out(8, 999, None, solved_round));
+        // Trial i is exactly the solo run at seed base + i.
+        for (i, round) in a.iter().enumerate() {
+            assert_eq!(*round, solved_round(100 + i as u64), "trial {i}");
+        }
+    }
+
+    #[test]
+    fn traffic_trials_are_deterministic_and_seed_indexed() {
+        let a = fan_out(5, 300, None, traffic);
+        assert_eq!(a, fan_out(5, 300, None, traffic));
+        assert_ne!(a, fan_out(5, 301, None, traffic), "different base seed");
+        assert_eq!(a[3], traffic(303));
     }
 
     #[test]
     fn results_are_thread_count_invariant() {
-        let extract = |_: &Engine<Flip>, r: &RunReport| r.summary();
-        let one = run_trials_with_threads(13, 7, 1, build, extract);
-        for threads in [2, 3, 8, 32] {
-            let many = run_trials_with_threads(13, 7, threads, build, extract);
-            assert_eq!(one, many, "{threads} threads diverged from 1 thread");
+        let oneshot = |seed| build(seed).run().unwrap().summary();
+        let oneshot_one = fan_out(13, 7, Some(1), oneshot);
+        let traffic_one = fan_out(5, 300, Some(1), traffic);
+        for workers in [1, 2, 3, 8, 32] {
+            assert_eq!(
+                oneshot_one,
+                fan_out(13, 7, Some(workers), oneshot),
+                "one-shot trials: {workers} workers diverged from 1"
+            );
+            assert_eq!(
+                traffic_one,
+                fan_out(5, 300, Some(workers), traffic),
+                "traffic trials: {workers} workers diverged from 1"
+            );
         }
     }
 
     #[test]
     fn summaries_match_full_reports() {
-        let reports = run_trials(6, 42, build);
-        let summaries = run_trials_summaries(6, 42, build);
-        let from_reports: Vec<_> = reports.iter().map(RunReport::summary).collect();
-        assert_eq!(summaries, from_reports);
-    }
-
-    #[test]
-    fn extract_sees_final_engine_state() {
-        let lens = run_trials_with(3, 5, build, |engine, _| engine.len());
-        assert_eq!(lens, vec![4, 4, 4]);
+        let full = fan_out(6, 42, None, |seed| build(seed).run().unwrap().summary());
+        let summaries = fan_out(6, 42, None, |seed| build(seed).run_summary().unwrap());
+        assert_eq!(summaries, full);
     }
 
     #[test]
     fn recorded_trials_match_reports() {
-        let pairs = run_trials_recorded(4, 42, build);
-        let reports = run_trials(4, 42, build);
-        for ((report, record), plain) in pairs.iter().zip(&reports) {
-            assert_eq!(report.solved_round, plain.solved_round);
+        let pairs = fan_out(4, 42, None, |seed| {
+            let mut recorder = RunRecorder::new();
+            let report = build(seed).run_observed(&mut recorder).unwrap();
+            (report, recorder.into_record(seed))
+        });
+        for (report, record) in &pairs {
             assert_eq!(record.transmissions, report.metrics.transmissions);
             assert_eq!(record.listens, report.metrics.listens);
             assert_eq!(record.rounds, report.rounds_executed);
@@ -484,95 +267,21 @@ mod tests {
 
     #[test]
     fn observed_trials_match_bare_and_tally_into_the_hub() {
-        let bare: Vec<_> = run_trials(6, 42, build)
-            .iter()
-            .map(RunReport::summary)
-            .collect();
         let hub = MetricsHub::new(3);
-        let observed: Vec<_> = run_trials_observed(6, 42, &hub, build)
-            .iter()
-            .map(RunReport::summary)
-            .collect();
-        assert_eq!(bare, observed, "telemetry perturbed the runs");
+        let observed = fan_out(6, 42, None, |seed| {
+            let mut sink = TelemetrySink::new();
+            let report = build(seed).run_observed(&mut sink).unwrap();
+            sink.flush_to(&hub, (seed - 42) as usize);
+            report.summary()
+        });
+        let bare = fan_out(6, 42, None, |seed| build(seed).run().unwrap());
+        let bare_summaries: Vec<_> = bare.iter().map(RunReport::summary).collect();
+        assert_eq!(bare_summaries, observed, "telemetry perturbed the runs");
         let snap = hub.snapshot();
         assert_eq!(snap.registry.counter("engine_runs_total"), 6);
         assert_eq!(snap.registry.counter("engine_solved_total"), 6);
-        let rounds: u64 = run_trials(6, 42, build)
-            .iter()
-            .map(|r| r.rounds_executed)
-            .sum();
+        let rounds: u64 = bare.iter().map(|r| r.rounds_executed).sum();
         assert_eq!(snap.registry.counter("engine_rounds_total"), rounds);
-    }
-
-    #[test]
-    fn single_trial_works() {
-        assert_eq!(run_trials(1, 0, build).len(), 1);
-    }
-
-    #[test]
-    fn traffic_trials_are_deterministic_and_seed_indexed() {
-        use crate::config::CdMode;
-        use crate::traffic::{ArrivalProcess, BackoffMac};
-        let spec = TrafficSpec::new(ArrivalProcess::Poisson { rate: 0.3 }, 80);
-        let run = |base| {
-            run_traffic_trials(
-                5,
-                base,
-                &spec,
-                |seed| SimConfig::new(2).seed(seed).max_rounds(100_000),
-                |_| CdMode::Strong,
-                |pkt| BackoffMac::new(2, 64, pkt),
-            )
-        };
-        let a = run(300);
-        assert_eq!(a, run(300));
-        assert_ne!(a, run(301), "different base seed, different traffic");
-        // Trial i is exactly the solo run at seed base + i.
-        let solo = crate::traffic::run_traffic(
-            SimConfig::new(2).seed(303).max_rounds(100_000),
-            CdMode::Strong,
-            &spec,
-            |pkt| BackoffMac::new(2, 64, pkt),
-        )
-        .unwrap();
-        assert_eq!(a[3], solo);
-    }
-
-    #[test]
-    fn observed_traffic_trials_match_bare_and_tally_into_the_hub() {
-        use crate::config::CdMode;
-        use crate::traffic::{ArrivalProcess, BackoffMac};
-        let spec = TrafficSpec::new(ArrivalProcess::Poisson { rate: 0.4 }, 60);
-        let config = |seed| SimConfig::new(2).seed(seed).max_rounds(100_000);
-        let bare = run_traffic_trials(
-            4,
-            7,
-            &spec,
-            config,
-            |_| CdMode::Strong,
-            |pkt| BackoffMac::new(2, 64, pkt),
-        );
-        let hub = MetricsHub::new(2);
-        let observed = run_traffic_trials_observed(
-            4,
-            7,
-            &hub,
-            &spec,
-            config,
-            |_| CdMode::Strong,
-            |pkt| BackoffMac::new(2, 64, pkt),
-        );
-        assert_eq!(bare, observed, "telemetry perturbed the traffic runs");
-        let snap = hub.snapshot();
-        assert_eq!(snap.registry.counter("traffic_runs_total"), 4);
-        let offered: u64 = bare.iter().map(|r| r.offered).sum();
-        let delivered: u64 = bare.iter().map(|r| r.delivered).sum();
-        assert_eq!(snap.registry.counter("traffic_offered_total"), offered);
-        assert_eq!(snap.registry.counter("traffic_delivered_total"), delivered);
-        assert_eq!(
-            snap.registry.histograms()["traffic_packet_latency_rounds"].count(),
-            delivered
-        );
     }
 
     #[test]
@@ -635,6 +344,10 @@ mod tests {
             engine.add_node(Always);
             engine
         };
-        let _ = run_trials(2, 0, build);
+        let _ = fan_out(2, 0, None, |seed| {
+            build(seed)
+                .run()
+                .unwrap_or_else(|e| panic!("trial with seed {seed} failed: {e}"))
+        });
     }
 }

@@ -11,7 +11,7 @@
 //!   state included) is rebuilt from its own seed.
 
 use mac_sim::fault::{CrashStop, JamBudget, Layered, LossyChannel, NoisyCd};
-use mac_sim::trials::run_trials_with_threads;
+use mac_sim::trials::fan_out;
 use mac_sim::{
     Action, CdMode, ChannelId, Engine, Feedback, FeedbackModel, Metrics, NodeId, Protocol,
     RoundContext, RunReport, SimConfig, Status,
@@ -181,13 +181,13 @@ fn thread_count_does_not_change_faulted_trial_results() {
         threads: usize,
         make_feedback: &(impl Fn() -> F + Sync),
     ) -> Vec<Fingerprint> {
-        run_trials_with_threads(
-            12,
-            900,
-            threads,
-            |seed| engine_with(seed, make_feedback()),
-            |_, report| fingerprint(report),
-        )
+        fan_out(12, 900, Some(threads), |seed| {
+            fingerprint(
+                &engine_with(seed, make_feedback())
+                    .run()
+                    .expect("faulted run solves"),
+            )
+        })
     }
 
     fn check<F: FeedbackModel>(name: &str, make_feedback: impl Fn() -> F + Sync) {

@@ -22,12 +22,17 @@ const ACTIVE: usize = 1 << 14;
 const TRIALS: usize = 12;
 
 fn mean_rounds(build: impl Fn(u64) -> Engine<Box<dyn mac_sim::Protocol<Msg = u32>>> + Sync) -> f64 {
-    // The summaries path skips metrics/trace entirely — all this shootout
-    // needs is the solve round — and fans the trials out over threads.
-    let total: u64 = mac_sim::trials::run_trials_summaries(TRIALS, 0, build)
-        .iter()
-        .map(|s| s.rounds_to_solve().expect("solved"))
-        .sum();
+    // The summary path skips metrics/trace entirely — all this shootout
+    // needs is the solve round — and the trials fan out over threads.
+    let total: u64 = mac_sim::trials::fan_out(TRIALS, 0, None, |seed| {
+        build(seed)
+            .run_summary()
+            .unwrap_or_else(|e| panic!("trial with seed {seed} failed: {e}"))
+            .rounds_to_solve()
+            .expect("solved")
+    })
+    .iter()
+    .sum();
     total as f64 / TRIALS as f64
 }
 

@@ -66,41 +66,33 @@ fn node_insertion_order_defines_identity() {
 
 #[test]
 fn harness_parallel_runner_is_deterministic() {
-    use mac_sim::trials::run_trials;
-    let build = |seed: u64| {
+    use mac_sim::trials::fan_out;
+    let solved_round = |seed: u64| {
         let mut exec = Engine::new(SimConfig::new(1).seed(seed).max_rounds(100_000));
         for _ in 0..32 {
             exec.add_node(CdTournament::new());
         }
-        exec
+        exec.run().expect("runs").solved_round
     };
-    let a: Vec<Option<u64>> = run_trials(16, 5, build)
-        .iter()
-        .map(|r| r.solved_round)
-        .collect();
-    let b: Vec<Option<u64>> = run_trials(16, 5, build)
-        .iter()
-        .map(|r| r.solved_round)
-        .collect();
+    let a = fan_out(16, 5, None, solved_round);
+    let b = fan_out(16, 5, None, solved_round);
     assert_eq!(a, b, "thread scheduling leaked into results");
 }
 
 #[test]
 fn trial_results_are_thread_count_invariant() {
-    use mac_sim::trials::run_trials_with_threads;
-    let build = |seed: u64| {
+    use mac_sim::trials::fan_out;
+    let trial = |seed: u64| {
         let mut engine = Engine::new(SimConfig::new(4).seed(seed).max_rounds(100_000));
         for _ in 0..24 {
             engine.add_node(CdTournament::new());
         }
-        engine
+        let r = engine.run().expect("runs");
+        (r.summary(), r.metrics.transmissions_per_node)
     };
-    let extract = |_: &Engine<CdTournament>, r: &RunReport| {
-        (r.summary(), r.metrics.transmissions_per_node.clone())
-    };
-    let serial = run_trials_with_threads(17, 900, 1, build, extract);
+    let serial = fan_out(17, 900, Some(1), trial);
     for threads in [2, 4, 7, 16] {
-        let parallel = run_trials_with_threads(17, 900, threads, build, extract);
+        let parallel = fan_out(17, 900, Some(threads), trial);
         assert_eq!(
             serial, parallel,
             "{threads} worker threads changed trial results"

@@ -6,7 +6,7 @@ use contention::{
     TwoActive,
 };
 use contention_harness::{sample_distinct, RunCtx, Scale};
-use mac_sim::trials::run_trials_with;
+use mac_sim::trials::fan_out;
 use mac_sim::{Engine, Protocol as _, SimConfig, Status, StopWhen};
 use std::collections::HashSet;
 
@@ -146,25 +146,19 @@ fn specialist_and_generalist_agree_on_two_nodes() {
 #[test]
 fn harness_drives_core_correctly() {
     let c = 128u32;
-    let winners: Vec<u32> = run_trials_with(
-        10,
-        42,
-        |seed| {
-            let cfg = SimConfig::new(c)
-                .seed(seed)
-                .stop_when(StopWhen::AllTerminated)
-                .max_rounds(100_000);
-            let mut exec = Engine::new(cfg);
-            for id in sample_distinct(64, 20, seed) {
-                exec.add_node(LeafElection::new(c, id as u32 + 1));
-            }
-            exec
-        },
-        |exec, report| {
-            assert_eq!(report.leaders.len(), 1);
-            exec.node(report.leaders[0]).cohort_size()
-        },
-    );
+    let winners: Vec<u32> = fan_out(10, 42, None, |seed| {
+        let cfg = SimConfig::new(c)
+            .seed(seed)
+            .stop_when(StopWhen::AllTerminated)
+            .max_rounds(100_000);
+        let mut exec = Engine::new(cfg);
+        for id in sample_distinct(64, 20, seed) {
+            exec.add_node(LeafElection::new(c, id as u32 + 1));
+        }
+        let report = exec.run().expect("runs");
+        assert_eq!(report.leaders.len(), 1);
+        exec.node(report.leaders[0]).cohort_size()
+    });
     // Winners coalesced at least once in every trial (20 actives).
     assert!(winners.iter().all(|&size| size >= 2), "{winners:?}");
 }
