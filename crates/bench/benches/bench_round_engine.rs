@@ -49,8 +49,8 @@ use mac_sim::dense::DenseEngine;
 use mac_sim::obs::{Json, RunRecorder, SCHEMA_VERSION};
 use mac_sim::{
     run_traffic, Action, ArrivalProcess, BackoffMac, CdMode, ChannelId, Engine, Feedback,
-    MetricsHub, Protocol, RoundContext, SimConfig, SparsePopulation, Status, TelemetrySink,
-    TraceLevel, TrafficSpec,
+    MetricsHub, Protocol, RoundContext, SimConfig, SparsePopulation, Status, TelemetrySink, Trace,
+    TrafficSpec,
 };
 use rand::rngs::SmallRng;
 use std::hint::black_box;
@@ -142,12 +142,10 @@ fn bench_round_engine(criterion: &mut Criterion) {
             // Cycle a fixed seed set so every execution path measures the
             // exact same ensemble of runs.
             seed = (seed % 16) + 1;
-            let cfg = SimConfig::new(C)
-                .seed(seed)
-                .max_rounds(10_000_000)
-                .trace_level(TraceLevel::Channels);
-            let mut eng = engine(cfg);
-            black_box(eng.run().expect("solves").solved_round)
+            let mut eng = engine(SimConfig::new(C).seed(seed).max_rounds(10_000_000));
+            let mut trace = Trace::new();
+            let report = eng.run_observed(&mut trace).expect("solves");
+            black_box((report.solved_round, trace.len()))
         });
     });
 

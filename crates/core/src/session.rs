@@ -9,8 +9,7 @@
 //! transform.
 
 use mac_sim::{
-    CdMode, Engine, Registry, RunReport, SimConfig, SimError, SparsePopulation, StopWhen,
-    TraceLevel,
+    CdMode, Engine, EventSink, Registry, RunReport, SimConfig, SimError, SparsePopulation, StopWhen,
 };
 use std::error::Error;
 use std::fmt;
@@ -129,7 +128,7 @@ impl From<SimError> for SessionError {
 pub struct Resolution {
     /// The algorithm that ran.
     pub algorithm: &'static str,
-    /// The full simulator report (solve round, leaders, metrics, trace).
+    /// The full simulator report (solve round, leaders, metrics).
     pub report: RunReport,
     /// The solving node's per-phase telemetry spine (see
     /// [`PhaseTelemetry`]): one [`PhaseStats`] record per phase the node
@@ -217,7 +216,6 @@ pub struct Session {
     seed: u64,
     max_rounds: u64,
     run_to_completion: bool,
-    trace: bool,
     wake_offsets: Option<Vec<u64>>,
 }
 
@@ -239,7 +237,6 @@ impl Session {
             seed: 0,
             max_rounds: 10_000_000,
             run_to_completion: false,
-            trace: false,
             wake_offsets: None,
         }
     }
@@ -273,13 +270,6 @@ impl Session {
         self
     }
 
-    /// Enables channel tracing in the resulting report.
-    #[must_use]
-    pub fn trace(mut self, yes: bool) -> Self {
-        self.trace = yes;
-        self
-    }
-
     /// Staggers wake-ups with the given per-node offsets (the §3 transform
     /// is applied automatically). Length must equal the `active` count
     /// passed to [`Session::run`].
@@ -289,22 +279,13 @@ impl Session {
         self
     }
 
-    /// Builds one protocol instance for node index `idx`. Every algorithm
-    /// is boxed as [`PhaseTelemetry`] so the session can read the solver's
+    /// Builds one protocol instance for the node with namespace identity
+    /// `id` (only the id-keyed algorithms read it). Every algorithm is
+    /// boxed as [`PhaseTelemetry`] so the session can read the solver's
     /// phase spine back out of the engine after the run. Single-phase
     /// algorithms go through [`PhaseProtocol`] so their round/transmission
     /// meters tick; `FullAlgorithm` already runs on its own phase stack.
-    fn make_node(&self, idx: usize, active: usize) -> Box<dyn PhaseTelemetry> {
-        // Spread ids evenly across the universe, deterministically — the
-        // implicit-population path has no real identities to hand out.
-        let id = (idx as u64) * (self.n / active as u64).max(1);
-        self.make_node_for_id(id)
-    }
-
-    /// Like [`Session::make_node`], but for a node with an explicit
-    /// namespace identity (the [`SparsePopulation`] path, where activated
-    /// members carry real ids). Only the id-keyed algorithms read it.
-    fn make_node_for_id(&self, id: u64) -> Box<dyn PhaseTelemetry> {
+    fn make_node(&self, id: u64) -> Box<dyn PhaseTelemetry> {
         match self.algorithm {
             Algorithm::Paper(params) => Box::new(FullAlgorithm::new(params, self.channels, self.n)),
             Algorithm::SupervisedPaper(params, policy) => {
@@ -344,6 +325,21 @@ impl Session {
     /// specialist, mismatched wake-offset length, `active > n`);
     /// [`SessionError::Sim`] when the simulation itself fails (timeout).
     pub fn run(&self, active: usize) -> Result<Resolution, SessionError> {
+        self.run_observed(active, &mut ())
+    }
+
+    /// Like [`Session::run`], but streams the engine's events into `sink`
+    /// — attach a [`mac_sim::Trace`] to record every round's channel
+    /// outcomes.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Session::run`].
+    pub fn run_observed(
+        &self,
+        active: usize,
+        sink: &mut impl EventSink,
+    ) -> Result<Resolution, SessionError> {
         if active == 0 {
             return Err(SessionError::InvalidConfig("no nodes activated".into()));
         }
@@ -353,75 +349,25 @@ impl Session {
                 self.n
             )));
         }
-        if self.channels < self.algorithm.min_channels() {
-            return Err(SessionError::InvalidConfig(format!(
-                "{} needs at least {} channels, got {}",
-                self.algorithm.name(),
-                self.algorithm.min_channels(),
-                self.channels
-            )));
+        self.check_algorithm(active)?;
+        // Spread ids evenly across the universe, deterministically — this
+        // path has no real identities to hand out.
+        let stride = (self.n / active as u64).max(1);
+        let node = |idx: usize| self.make_node(idx as u64 * stride);
+        match &self.wake_offsets {
+            None => self.execute((0..active).map(|idx| (node(idx), 0)), sink),
+            Some(offsets) if offsets.len() != active => Err(SessionError::InvalidConfig(format!(
+                "{} wake offsets for {active} nodes",
+                offsets.len()
+            ))),
+            Some(offsets) => self.execute(
+                offsets
+                    .iter()
+                    .enumerate()
+                    .map(|(idx, &off)| (StaggeredStart::new(node(idx)), off)),
+                sink,
+            ),
         }
-        if self.algorithm == Algorithm::TwoActive && active != 2 {
-            return Err(SessionError::InvalidConfig(format!(
-                "two-active solves the |A| = 2 restricted case, got {active}"
-            )));
-        }
-        if let Some(offsets) = &self.wake_offsets {
-            if offsets.len() != active {
-                return Err(SessionError::InvalidConfig(format!(
-                    "{} wake offsets for {active} nodes",
-                    offsets.len()
-                )));
-            }
-        }
-
-        let cfg = SimConfig::new(self.channels)
-            .seed(self.seed)
-            .cd_mode(self.algorithm.cd_mode())
-            .max_rounds(self.max_rounds)
-            .stop_when(if self.run_to_completion {
-                StopWhen::AllTerminated
-            } else {
-                StopWhen::Solved
-            })
-            .trace_level(if self.trace {
-                TraceLevel::Channels
-            } else {
-                TraceLevel::Off
-            });
-
-        let (report, solver_phases) = match &self.wake_offsets {
-            None => {
-                let mut exec = Engine::new(cfg);
-                for idx in 0..active {
-                    exec.add_node(self.make_node(idx, active));
-                }
-                let report = exec.run()?;
-                let phases = report
-                    .solver
-                    .map(|id| exec.node(id).phase_stats())
-                    .unwrap_or_default();
-                (report, phases)
-            }
-            Some(offsets) => {
-                let mut exec = Engine::new(cfg);
-                for (idx, &off) in offsets.iter().enumerate() {
-                    exec.add_node_at(StaggeredStart::new(self.make_node(idx, active)), off);
-                }
-                let report = exec.run()?;
-                let phases = report
-                    .solver
-                    .map(|id| exec.node(id).phase_stats())
-                    .unwrap_or_default();
-                (report, phases)
-            }
-        };
-
-        Ok(Resolution {
-            algorithm: self.algorithm.name(),
-            report,
-            solver_phases,
-        })
     }
 
     /// Runs the session over an explicit [`SparsePopulation`]: the
@@ -459,6 +405,26 @@ impl Session {
                     .into(),
             ));
         }
+        self.check_algorithm(pop.len())?;
+        let members = pop.members().iter();
+        if pop.latest_wake() == 0 {
+            self.execute(members.map(|m| (self.make_node(m.virtual_id), 0)), &mut ())
+        } else {
+            // A staggered schedule: apply the §3 transform, exactly like
+            // the wake-offsets path.
+            self.execute(
+                members.map(|m| {
+                    let node = StaggeredStart::new(self.make_node(m.virtual_id));
+                    (node, m.wake_round)
+                }),
+                &mut (),
+            )
+        }
+    }
+
+    /// Rejects an algorithm that cannot run on this many channels or with
+    /// `active` nodes.
+    fn check_algorithm(&self, active: usize) -> Result<(), SessionError> {
         if self.channels < self.algorithm.min_channels() {
             return Err(SessionError::InvalidConfig(format!(
                 "{} needs at least {} channels, got {}",
@@ -467,13 +433,21 @@ impl Session {
                 self.channels
             )));
         }
-        if self.algorithm == Algorithm::TwoActive && pop.len() != 2 {
+        if self.algorithm == Algorithm::TwoActive && active != 2 {
             return Err(SessionError::InvalidConfig(format!(
-                "two-active solves the |A| = 2 restricted case, got {}",
-                pop.len()
+                "two-active solves the |A| = 2 restricted case, got {active}"
             )));
         }
+        Ok(())
+    }
 
+    /// Adds `nodes` (each with its wake round) to a fresh engine, runs it
+    /// into `sink`, and reads the solver's phase spine back out.
+    fn execute<P: PhaseTelemetry>(
+        &self,
+        nodes: impl Iterator<Item = (P, u64)>,
+        sink: &mut impl EventSink,
+    ) -> Result<Resolution, SessionError> {
         let cfg = SimConfig::new(self.channels)
             .seed(self.seed)
             .cd_mode(self.algorithm.cd_mode())
@@ -482,42 +456,16 @@ impl Session {
                 StopWhen::AllTerminated
             } else {
                 StopWhen::Solved
-            })
-            .trace_level(if self.trace {
-                TraceLevel::Channels
-            } else {
-                TraceLevel::Off
             });
-
-        let (report, solver_phases) = if pop.latest_wake() == 0 {
-            let mut exec = Engine::new(cfg);
-            for member in pop.members() {
-                exec.add_node(self.make_node_for_id(member.virtual_id));
-            }
-            let report = exec.run()?;
-            let phases = report
-                .solver
-                .map(|id| exec.node(id).phase_stats())
-                .unwrap_or_default();
-            (report, phases)
-        } else {
-            // A staggered schedule: apply the §3 transform, exactly like
-            // the wake-offsets path.
-            let mut exec = Engine::new(cfg);
-            for member in pop.members() {
-                exec.add_node_at(
-                    StaggeredStart::new(self.make_node_for_id(member.virtual_id)),
-                    member.wake_round,
-                );
-            }
-            let report = exec.run()?;
-            let phases = report
-                .solver
-                .map(|id| exec.node(id).phase_stats())
-                .unwrap_or_default();
-            (report, phases)
-        };
-
+        let mut exec = Engine::new(cfg);
+        for (node, wake_round) in nodes {
+            exec.add_node_at(node, wake_round);
+        }
+        let report = exec.run_observed(sink)?;
+        let solver_phases = report
+            .solver
+            .map(|id| exec.node(id).phase_stats())
+            .unwrap_or_default();
         Ok(Resolution {
             algorithm: self.algorithm.name(),
             report,
@@ -665,13 +613,15 @@ mod tests {
     }
 
     #[test]
-    fn trace_flag_records_channels() {
-        let res = Session::new(8, 1 << 8)
-            .trace(true)
-            .seed(1)
-            .run(10)
-            .expect("solves");
-        assert!(!res.report.trace.is_empty());
+    fn attached_trace_records_every_round() {
+        let session = Session::new(8, 1 << 8).seed(1);
+        let mut trace = mac_sim::Trace::new();
+        let res = session.run_observed(10, &mut trace).expect("solves");
+        assert_eq!(trace.len() as u64, res.report.rounds_executed);
+        let rounds: Vec<u64> = trace.rounds().iter().map(|rt| rt.round).collect();
+        assert_eq!(rounds, (0..res.report.rounds_executed).collect::<Vec<_>>());
+        // Observing changes nothing about the run itself.
+        assert_eq!(session.run(10).expect("solves").rounds(), res.rounds());
     }
 
     #[test]

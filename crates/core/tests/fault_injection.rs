@@ -15,12 +15,11 @@
 //!   `LeafElection`) can wedge the cohort protocol — the honest negative
 //!   result, measured here as a timeout rather than a wrong answer.
 //!
-//! A small `CrashAt` regression subset at the bottom keeps the legacy
-//! protocol-wrapper path (crash modelled *inside* the node rather than in
-//! the feedback stack) covered, since both styles remain public API.
+//! Two crash-at-round regressions at the bottom pin the scheduled form
+//! (`CrashStop::schedule`): every node but one dead on arrival, and 80% of
+//! nodes crashing in round 2.
 
 use contention::{FullAlgorithm, Params};
-use mac_sim::adversary::CrashAt;
 use mac_sim::fault::{CrashStop, Layered};
 use mac_sim::trials::fan_out;
 use mac_sim::{CdMode, Engine, NodeId, SimConfig, SimError, StopWhen};
@@ -192,46 +191,34 @@ fn an_assassin_only_delays_the_pipeline() {
     }
 }
 
-// --- CrashAt regression subset -----------------------------------------
+// --- Crash-at-round regressions ------------------------------------------
 //
-// The protocol-wrapper crash model predates `fault::CrashStop` and remains
-// public API; keep its core behaviours pinned.
+// A node that crashes after `k` rounds is scheduled at round `k`; a node
+// that never crashes is left out of the schedule.
 
 #[test]
 fn crash_at_wrapper_still_solves_with_survivors() {
-    let cfg = SimConfig::new(C)
-        .seed(7)
-        .stop_when(StopWhen::Solved)
-        .max_rounds(100_000);
-    let mut engine = Engine::new(cfg);
-    for idx in 0..100 {
-        let crash_after = if idx == 37 { u64::MAX } else { 0 };
-        engine.add_node(CrashAt::new(
-            FullAlgorithm::new(Params::practical(), C, N),
-            crash_after,
-        ));
-    }
-    let report = engine.run().expect("lone survivor solves");
+    let crashes = (0..100)
+        .filter(|&idx| idx != 37)
+        .map(|idx| (NodeId(idx), 0))
+        .collect();
+    let report = engine_with_crashes(100, crashes, 7, 100_000)
+        .run()
+        .expect("lone survivor solves");
     assert!(report.is_solved());
     assert_eq!(report.solver, Some(NodeId(37)));
 }
 
 #[test]
 fn crash_at_wrapper_tolerates_early_mass_crashes() {
+    let crashes: Vec<_> = (0..500)
+        .filter(|idx| idx % 5 != 0)
+        .map(|idx| (NodeId(idx), 2))
+        .collect();
     for seed in 0..3 {
-        let cfg = SimConfig::new(C)
-            .seed(seed)
-            .stop_when(StopWhen::Solved)
-            .max_rounds(100_000);
-        let mut engine = Engine::new(cfg);
-        for idx in 0..500 {
-            let crash_after = if idx % 5 == 0 { u64::MAX } else { 2 };
-            engine.add_node(CrashAt::new(
-                FullAlgorithm::new(Params::practical(), C, N),
-                crash_after,
-            ));
-        }
-        let report = engine.run().expect("survivors solve");
+        let report = engine_with_crashes(500, crashes.clone(), seed, 100_000)
+            .run()
+            .expect("survivors solve");
         assert!(report.is_solved(), "seed {seed}");
     }
 }

@@ -89,18 +89,18 @@ fn one_sided_occupancy() {
     let ids: Vec<u32> = (1..=64).collect(); // entire left subtree
     let cfg = SimConfig::new(c)
         .stop_when(StopWhen::AllTerminated)
-        .trace_level(mac_sim::TraceLevel::Channels)
         .max_rounds(100_000);
     let mut exec = Engine::new(cfg);
     for &id in &ids {
         exec.add_node(LeafElection::new(c, id));
     }
-    let report = exec.run().expect("elects");
+    let mut trace = mac_sim::Trace::new();
+    let report = exec.run_observed(&mut trace).expect("elects");
     assert_eq!(report.leaders.len(), 1);
     // Tree nodes fully inside the right half of the tree (heap indices
     // whose path starts 1->3) must never be transmitted on, except row
     // channels (leftmost per level, always in the left half) and the root.
-    for rt in report.trace.rounds() {
+    for rt in trace.rounds() {
         for oc in &rt.outcomes {
             if oc.transmitters == 0 {
                 continue;

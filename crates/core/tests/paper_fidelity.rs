@@ -2,7 +2,7 @@
 //! the paper's figures, checked against recorded channel traces.
 
 use contention::{IdReduction, LeafElection, Params, Reduce, TwoActive};
-use mac_sim::{Engine, SimConfig, StopWhen, TraceLevel};
+use mac_sim::{Engine, OutcomeKind, SimConfig, StopWhen, Trace};
 
 /// Fig. 2: `Reduce` runs exactly `2·⌈lg lg n⌉` rounds when no leader
 /// emerges, all of them on the primary channel only.
@@ -14,12 +14,12 @@ fn reduce_round_schedule_matches_figure_2() {
         let cfg = SimConfig::new(8)
             .seed(seed)
             .stop_when(StopWhen::AllTerminated)
-            .trace_level(TraceLevel::Channels)
             .max_rounds(100);
         let mut exec = Engine::new(cfg);
         exec.add_node(Reduce::new(n));
         exec.add_node(Reduce::new(n));
-        let report = exec.run().expect("terminates");
+        let mut trace = Trace::new();
+        let report = exec.run_observed(&mut trace).expect("terminates");
         // A run ends early only because a lone broadcast elected a leader;
         // otherwise it runs the exact 2·⌈lg lg n⌉ schedule.
         assert!(report.rounds_executed <= 10, "seed {seed}");
@@ -29,7 +29,7 @@ fn reduce_round_schedule_matches_figure_2() {
         } else {
             assert!(report.is_solved(), "seed {seed}: leader without solve");
         }
-        for rt in report.trace.rounds() {
+        for rt in trace.rounds() {
             for oc in &rt.outcomes {
                 assert!(oc.channel.is_primary(), "Reduce strayed to {}", oc.channel);
             }
@@ -47,14 +47,14 @@ fn id_reduction_schedule_matches_section_5_2() {
     let cfg = SimConfig::new(c)
         .seed(3)
         .stop_when(StopWhen::AllTerminated)
-        .trace_level(TraceLevel::Channels)
         .max_rounds(10_000);
     let mut exec = Engine::new(cfg);
     for _ in 0..40 {
         exec.add_node(IdReduction::new(Params::practical(), c));
     }
-    let report = exec.run().expect("terminates");
-    for rt in report.trace.rounds() {
+    let mut trace = Trace::new();
+    exec.run_observed(&mut trace).expect("terminates");
+    for rt in trace.rounds() {
         match rt.round % 3 {
             0 => {
                 // Rename round: any channel in [C/2]; everyone transmits.
@@ -92,13 +92,13 @@ fn two_active_everyone_transmits_until_renamed() {
     let cfg = SimConfig::new(c)
         .seed(5)
         .stop_when(StopWhen::AllTerminated)
-        .trace_level(TraceLevel::Channels)
         .max_rounds(10_000);
     let mut exec = Engine::new(cfg);
     exec.add_node(TwoActive::new(c, 1 << 10));
     exec.add_node(TwoActive::new(c, 1 << 10));
-    let report = exec.run().expect("terminates");
-    for rt in report.trace.rounds() {
+    let mut trace = Trace::new();
+    let report = exec.run_observed(&mut trace).expect("terminates");
+    for rt in trace.rounds() {
         let tx: usize = rt.outcomes.iter().map(|oc| oc.transmitters).sum();
         // Every round of TwoActive has both nodes transmitting, except the
         // final declaration round (1 transmitter + 1 listener).
@@ -147,14 +147,20 @@ fn staggered_start_beacons_on_odd_local_rounds() {
 
     // A lone wrapped node: listens LISTEN_ROUNDS rounds, then beacons on
     // odd steps. Its very first beacon solves the problem (lone on ch1).
-    let cfg = SimConfig::new(4)
-        .seed(2)
-        .trace_level(TraceLevel::Channels)
-        .max_rounds(100);
+    let cfg = SimConfig::new(4).seed(2).max_rounds(100);
     let mut exec = Engine::new(cfg);
     exec.add_node(StaggeredStart::new(Decay::new(16)));
-    let report = exec.run().expect("solves");
+    let mut trace = Trace::new();
+    let report = exec.run_observed(&mut trace).expect("solves");
     assert_eq!(report.solved_round, Some(LISTEN_ROUNDS));
+    let (beacon, listens) = trace.rounds().split_last().expect("traced");
+    for rt in listens {
+        assert!(rt.outcomes.iter().all(|oc| oc.transmitters == 0));
+    }
+    assert!(beacon
+        .outcomes
+        .iter()
+        .any(|oc| oc.channel.is_primary() && oc.kind == OutcomeKind::Message));
 }
 
 /// The full pipeline transitions between steps without skipping or

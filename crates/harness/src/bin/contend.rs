@@ -27,7 +27,7 @@ use contention::session::{Algorithm, Session};
 use contention::Params;
 use contention_harness::Samples;
 use mac_sim::campaign::{Campaign, Cell, SeedStream};
-use mac_sim::MetricsHub;
+use mac_sim::{MetricsHub, Trace};
 
 struct Args {
     algo: Algorithm,
@@ -91,6 +91,9 @@ fn parse_args() -> Result<Args, String> {
                 args.universe = value("--universe")?
                     .parse()
                     .map_err(|e| format!("--universe: {e}"))?;
+                if args.universe < 2 {
+                    return Err("--universe must be at least 2".to_string());
+                }
             }
             "--active" | "-k" => {
                 args.active = value("--active")?
@@ -209,10 +212,15 @@ fn main() {
     let session = Session::new(args.channels, args.universe)
         .algorithm(args.algo)
         .seed(args.seed)
-        .trace(args.trace)
         .run_to_completion(args.complete);
 
-    match session.run(args.active) {
+    let mut trace = Trace::new();
+    let result = if args.trace {
+        session.run_observed(args.active, &mut trace)
+    } else {
+        session.run(args.active)
+    };
+    match result {
         Ok(resolution) => {
             println!(
                 "{}: C={} n={} |A|={} seed={}",
@@ -248,10 +256,7 @@ fn main() {
             println!("rounds by phase: {}", phases.join(" "));
             if args.trace {
                 println!("\nactivity (S silence, M message, X collision):");
-                print!(
-                    "{}",
-                    mac_sim::render::activity_chart(&resolution.report.trace, 60)
-                );
+                print!("{}", mac_sim::render::activity_chart(&trace, 60));
             }
             if args.metrics {
                 let hub = MetricsHub::new(1);

@@ -5,7 +5,7 @@
 use contention::{IdReduction, IdReductionOutcome, Params};
 use contention_analysis::{Summary, Table};
 use mac_sim::campaign::SeedStream;
-use mac_sim::{Engine, SimConfig, StopWhen, TraceLevel};
+use mac_sim::{Engine, SimConfig, StopWhen, Trace};
 use std::collections::HashSet;
 
 use super::seed_base;
@@ -171,15 +171,15 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
             let cfg = SimConfig::new(c)
                 .seed(s)
                 .stop_when(StopWhen::AllTerminated)
-                .trace_level(TraceLevel::Channels)
                 .max_rounds(1_000_000);
             let mut exec = Engine::new(cfg);
             for _ in 0..active {
                 exec.add_node(IdReduction::new(Params::practical(), c));
             }
-            exec.run()
-                .unwrap_or_else(|e| panic!("trial with seed {s} failed: {e}"))
-                .trace
+            let mut trace = Trace::new();
+            exec.run_observed(&mut trace)
+                .unwrap_or_else(|e| panic!("trial with seed {s} failed: {e}"));
+            trace
                 .rounds()
                 .iter()
                 .filter(|rt| rt.round % 3 == 0)

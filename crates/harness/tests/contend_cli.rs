@@ -1,5 +1,6 @@
-//! Argument validation of the `contend` binary: bad input ends in a usage
-//! error (exit code 2 and one `error:` line on stderr), never in a panic.
+//! The `contend` binary end to end: bad input ends in a usage error (exit
+//! code 2 and one `error:` line on stderr), never in a panic, and `--trace`
+//! prints the run's channel-activity chart.
 
 use std::process::{Command, Output};
 
@@ -28,6 +29,14 @@ fn zero_channels_is_a_usage_error() {
 }
 
 #[test]
+fn universe_below_two_is_a_usage_error() {
+    for n in ["0", "1"] {
+        assert_usage_error(&["--universe", n], "--universe must be at least 2");
+        assert_usage_error(&["-n", n, "--trials", "3"], "--universe must be at least 2");
+    }
+}
+
+#[test]
 fn zero_trials_is_a_usage_error() {
     assert_usage_error(&["--trials", "0"], "--trials must be at least 1");
 }
@@ -39,5 +48,23 @@ fn one_channel_is_accepted() {
         out.status.success(),
         "{}",
         String::from_utf8_lossy(&out.stderr)
+    );
+}
+
+#[test]
+fn trace_prints_the_activity_chart() {
+    let out = contend(&["--channels", "4", "--active", "3", "--trace"]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.ends_with(
+            "\nactivity (S silence, M message, X collision):\n\
+             ch    1 |XSM\n   round 012\n"
+        ),
+        "stdout was:\n{stdout}"
     );
 }

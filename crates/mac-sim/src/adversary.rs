@@ -279,88 +279,6 @@ mod tests {
     }
 }
 
-/// Crash-stop fault injection: runs `inner` normally until a scheduled
-/// round, then the node falls permanently silent (classic crash-stop).
-///
-/// The contention-resolution model has no crash faults — this wrapper
-/// exists so tests can *measure* how far the paper's algorithms tolerate
-/// them anyway (knocked-out nodes are irrelevant; coordinators mid-cohort
-/// are not; see the `contention` crate's fault-injection tests).
-#[derive(Debug, Clone)]
-pub struct CrashAt<P> {
-    inner: P,
-    crash_after: u64,
-    lived: u64,
-}
-
-impl<P> CrashAt<P> {
-    /// Wraps `inner`; the node crashes after participating in
-    /// `crash_after` rounds (0 = dead on arrival).
-    #[must_use]
-    pub fn new(inner: P, crash_after: u64) -> Self {
-        CrashAt {
-            inner,
-            crash_after,
-            lived: 0,
-        }
-    }
-
-    /// Whether the crash point has been reached.
-    #[must_use]
-    pub fn crashed(&self) -> bool {
-        self.lived >= self.crash_after
-    }
-
-    /// The wrapped protocol (its state is frozen at the crash point).
-    #[must_use]
-    pub fn inner(&self) -> &P {
-        &self.inner
-    }
-}
-
-impl<P: crate::Protocol> crate::Protocol for CrashAt<P> {
-    type Msg = P::Msg;
-
-    fn on_wake(&mut self, ctx: &crate::RoundContext, rng: &mut rand::rngs::SmallRng) {
-        self.inner.on_wake(ctx, rng);
-    }
-
-    fn act(
-        &mut self,
-        ctx: &crate::RoundContext,
-        rng: &mut rand::rngs::SmallRng,
-    ) -> crate::Action<P::Msg> {
-        debug_assert!(!self.crashed(), "crashed node scheduled");
-        self.lived += 1;
-        self.inner.act(ctx, rng)
-    }
-
-    fn observe(
-        &mut self,
-        ctx: &crate::RoundContext,
-        feedback: crate::Feedback<P::Msg>,
-        rng: &mut rand::rngs::SmallRng,
-    ) {
-        self.inner.observe(ctx, feedback, rng);
-    }
-
-    fn status(&self) -> crate::Status {
-        if self.crashed() {
-            crate::Status::Inactive
-        } else {
-            self.inner.status()
-        }
-    }
-
-    fn phase(&self) -> &'static str {
-        if self.crashed() {
-            "crashed"
-        } else {
-            self.inner.phase()
-        }
-    }
-}
-
 /// A jamming adversary as a [`FeedbackModel`](crate::FeedbackModel): one channel is flooded with
 /// noise for a range of rounds, on top of a base collision-detection mode.
 ///
@@ -451,60 +369,6 @@ impl crate::FeedbackModel for JammedChannel {
         // A jam on the primary channel collides with any lone transmission
         // there. Jams elsewhere don't affect solve detection.
         !(self.jamming_now && self.target == crate::ChannelId::PRIMARY)
-    }
-}
-
-#[cfg(test)]
-mod crash_tests {
-    use super::*;
-    use crate::{
-        Action, ChannelId, Engine, Feedback, Protocol, RoundContext, SimConfig, Status, StopWhen,
-    };
-    use rand::rngs::SmallRng;
-
-    struct Chatter;
-    impl Protocol for Chatter {
-        type Msg = u32;
-        fn act(&mut self, _: &RoundContext, _: &mut SmallRng) -> Action<u32> {
-            Action::transmit(ChannelId::new(2), 0)
-        }
-        fn observe(&mut self, _: &RoundContext, _: Feedback<u32>, _: &mut SmallRng) {}
-        fn status(&self) -> Status {
-            Status::Active
-        }
-    }
-
-    #[test]
-    fn crash_silences_the_node() {
-        let cfg = SimConfig::new(2)
-            .stop_when(StopWhen::AllTerminated)
-            .max_rounds(100);
-        let mut engine = Engine::new(cfg);
-        let id = engine.add_node(CrashAt::new(Chatter, 3));
-        let report = engine.run().expect("terminates once crashed");
-        assert_eq!(report.rounds_executed, 3);
-        assert_eq!(report.metrics.transmissions, 3);
-        assert!(engine.node(id).crashed());
-    }
-
-    #[test]
-    fn dead_on_arrival_never_acts() {
-        let cfg = SimConfig::new(2)
-            .stop_when(StopWhen::AllTerminated)
-            .max_rounds(100);
-        let mut engine = Engine::new(cfg);
-        engine.add_node(CrashAt::new(Chatter, 0));
-        let report = engine.run().expect("terminates");
-        assert_eq!(report.metrics.transmissions, 0);
-    }
-
-    #[test]
-    fn uncrashed_wrapper_is_transparent() {
-        let cfg = SimConfig::new(2).max_rounds(5);
-        let mut engine = Engine::new(cfg);
-        engine.add_node(CrashAt::new(Chatter, 1_000));
-        // Chatter never terminates and never hits channel 1: timeout.
-        assert!(engine.run().is_err());
     }
 }
 

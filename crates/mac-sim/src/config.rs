@@ -1,7 +1,5 @@
 //! Simulation configuration: channel count, feedback model, stop conditions.
 
-use crate::trace::TraceLevel;
-
 /// Collision-detection capability of the radios.
 ///
 /// The paper assumes the *classical* strong definition ("both transmitters
@@ -72,8 +70,6 @@ pub struct SimConfig {
     /// [`crate::SimError::BudgetExhausted`] — an *expected outcome* that
     /// breakdown sweeps catch and count. `None` (the default) disables it.
     pub round_budget: Option<u64>,
-    /// How much per-round detail to record.
-    pub trace_level: TraceLevel,
     /// Whether the engine's built-in [`crate::Metrics`] observer records
     /// transmissions, listens, and phase rounds (on by default). Turning it
     /// off removes that bookkeeping from the hot loop; the metrics in the
@@ -93,7 +89,7 @@ pub struct SimConfig {
 
 impl SimConfig {
     /// Creates a configuration with `channels` channels and defaults:
-    /// seed 0, 1 000 000 round cap, strong CD, stop at first solve, no trace.
+    /// seed 0, 1 000 000 round cap, strong CD, stop at first solve.
     ///
     /// # Panics
     ///
@@ -108,7 +104,6 @@ impl SimConfig {
             cd_mode: CdMode::Strong,
             stop_when: StopWhen::Solved,
             round_budget: None,
-            trace_level: TraceLevel::Off,
             record_metrics: true,
             continuous_delivery: false,
         }
@@ -152,13 +147,6 @@ impl SimConfig {
         self
     }
 
-    /// Sets the trace level.
-    #[must_use]
-    pub fn trace_level(mut self, trace_level: TraceLevel) -> Self {
-        self.trace_level = trace_level;
-        self
-    }
-
     /// Enables or disables the built-in metrics observer.
     #[must_use]
     pub fn record_metrics(mut self, record_metrics: bool) -> Self {
@@ -187,15 +175,13 @@ mod tests {
             .max_rounds(10)
             .cd_mode(CdMode::None)
             .stop_when(StopWhen::AllTerminated)
-            .round_budget(7)
-            .trace_level(TraceLevel::Channels);
+            .round_budget(7);
         assert_eq!(cfg.channels, 8);
         assert_eq!(cfg.master_seed, 99);
         assert_eq!(cfg.max_rounds, 10);
         assert_eq!(cfg.cd_mode, CdMode::None);
         assert_eq!(cfg.stop_when, StopWhen::AllTerminated);
         assert_eq!(cfg.round_budget, Some(7));
-        assert_eq!(cfg.trace_level, TraceLevel::Channels);
     }
 
     #[test]

@@ -41,7 +41,6 @@ use crate::metrics::Metrics;
 use crate::protocol::{Protocol, RoundContext, Status};
 use crate::rng::derive_node_seed;
 use crate::sink::EventSink;
-use crate::trace::{Trace, TraceLevel};
 
 struct DenseSlot<P> {
     protocol: P,
@@ -57,7 +56,6 @@ pub struct DenseEngine<P: Protocol, F: FeedbackModel = CdMode> {
     feedback: F,
     nodes: Vec<DenseSlot<P>>,
     metrics: Metrics,
-    trace: Trace,
     solved_round: Option<u64>,
     solver: Option<NodeId>,
     deliveries: u64,
@@ -94,7 +92,6 @@ impl<P: Protocol, F: FeedbackModel> DenseEngine<P, F> {
             feedback,
             nodes: Vec::new(),
             metrics: Metrics::new(0),
-            trace: Trace::new(),
             solved_round: None,
             solver: None,
             deliveries: 0,
@@ -399,9 +396,8 @@ impl<P: Protocol, F: FeedbackModel> DenseEngine<P, F> {
         }
 
         // Round close-out through the observation layer.
-        let tracing = self.config.trace_level == TraceLevel::Channels;
         self.outcomes.clear();
-        if tracing || sink.wants_outcomes() {
+        if sink.wants_outcomes() {
             self.dirty.sort_unstable();
             for &ci in &self.dirty {
                 self.outcomes.push(ChannelOutcome {
@@ -414,9 +410,6 @@ impl<P: Protocol, F: FeedbackModel> DenseEngine<P, F> {
         }
         if record_metrics {
             self.metrics.on_round(round, phase, &self.outcomes);
-        }
-        if tracing {
-            self.trace.on_round(round, phase, &self.outcomes);
         }
         sink.on_round(round, phase, &self.outcomes);
 
@@ -476,9 +469,6 @@ impl<P: Protocol, F: FeedbackModel> DenseEngine<P, F> {
             if record_metrics {
                 self.metrics.on_finished(self.round);
             }
-            if tracing {
-                self.trace.on_finished(self.round);
-            }
             sink.on_finished(self.round);
         }
         Ok(if finished {
@@ -516,7 +506,6 @@ impl<P: Protocol, F: FeedbackModel> DenseEngine<P, F> {
             leaders,
             active_remaining,
             metrics: self.metrics.clone(),
-            trace: self.trace.clone(),
         }
     }
 }

@@ -13,7 +13,7 @@
 //!   decides what each node hears; the paper's collision-detection modes
 //!   ([`CdMode`]) are the default model;
 //! * **observation** ([`crate::sink`]) — [`EventSink`] observers
-//!   ([`Metrics`], [`Trace`], or anything user-supplied via
+//!   ([`Metrics`], [`crate::Trace`], or anything user-supplied via
 //!   [`Engine::run_observed`]) record what happened.
 //!
 //! # Active-set scheduling
@@ -55,7 +55,6 @@ use crate::metrics::Metrics;
 use crate::protocol::{Protocol, RoundContext, Status};
 use crate::rng::derive_node_seed;
 use crate::sink::EventSink;
-use crate::trace::{Trace, TraceLevel};
 
 /// Index of a node within an [`Engine`], assigned in insertion order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -127,11 +126,11 @@ struct NodeSlot<P> {
     state: SlotState,
 }
 
-/// The cheap result of a run: solve data only, no metrics or trace clones.
+/// The cheap result of a run: solve data only, no metrics clone.
 ///
 /// Returned by [`Engine::run_summary`]; callers that need transmission
-/// counts, phase breakdowns, leaders, or traces use [`Engine::run`] and get
-/// a full [`RunReport`].
+/// counts, phase breakdowns, or leaders use [`Engine::run`] and get a full
+/// [`RunReport`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunSummary {
     /// The first round (0-based) in which exactly one node transmitted on
@@ -177,8 +176,6 @@ pub struct RunReport {
     /// Transmission counts and per-phase round accounting (zeroed when
     /// [`SimConfig::record_metrics`] is off).
     pub metrics: Metrics,
-    /// The recorded trace, empty unless tracing was enabled.
-    pub trace: Trace,
 }
 
 impl RunReport {
@@ -221,7 +218,6 @@ pub enum StepStatus {
 /// inspection between rounds.
 struct RunState {
     metrics: Metrics,
-    trace: Trace,
     solved_round: Option<u64>,
     solver: Option<NodeId>,
     /// Packets delivered under [`SimConfig::continuous_delivery`]; stays 0
@@ -315,7 +311,6 @@ impl<P: Protocol, F: FeedbackModel> Engine<P, F> {
             nodes: Vec::new(),
             run: RunState {
                 metrics: Metrics::new(0),
-                trace: Trace::new(),
                 solved_round: None,
                 solver: None,
                 deliveries: 0,
@@ -498,7 +493,7 @@ impl<P: Protocol, F: FeedbackModel> Engine<P, F> {
     }
 
     /// Like [`Engine::run`], but returns only the cheap [`RunSummary`] —
-    /// no [`Metrics`] or [`Trace`] clones.
+    /// no [`Metrics`] clone.
     ///
     /// # Errors
     ///
@@ -509,7 +504,8 @@ impl<P: Protocol, F: FeedbackModel> Engine<P, F> {
     }
 
     /// Like [`Engine::run`], but streams events into `sink` as the run
-    /// executes (in addition to the built-in metrics/trace observers).
+    /// executes (in addition to the built-in metrics observer). Attach a
+    /// [`crate::Trace`] here to record every round's channel outcomes.
     ///
     /// # Errors
     ///
@@ -763,9 +759,8 @@ impl<P: Protocol, F: FeedbackModel> Engine<P, F> {
         // Close the round out through the observation layer. Channel
         // outcomes are built (on the reusable buffer) only if an attached
         // observer reads them.
-        let tracing = self.config.trace_level == TraceLevel::Channels;
         self.outcomes.clear();
-        if tracing || sink.wants_outcomes() {
+        if sink.wants_outcomes() {
             self.dirty.sort_unstable();
             for &ci in &self.dirty {
                 self.outcomes.push(ChannelOutcome {
@@ -778,9 +773,6 @@ impl<P: Protocol, F: FeedbackModel> Engine<P, F> {
         }
         if record_metrics {
             self.run.metrics.on_round(round, phase, &self.outcomes);
-        }
-        if tracing {
-            self.run.trace.on_round(round, phase, &self.outcomes);
         }
         sink.on_round(round, phase, &self.outcomes);
 
@@ -854,9 +846,6 @@ impl<P: Protocol, F: FeedbackModel> Engine<P, F> {
             if record_metrics {
                 self.run.metrics.on_finished(self.run.round);
             }
-            if tracing {
-                self.run.trace.on_finished(self.run.round);
-            }
             sink.on_finished(self.run.round);
         }
         Ok(if finished {
@@ -922,7 +911,6 @@ impl<P: Protocol, F: FeedbackModel> Engine<P, F> {
             leaders,
             active_remaining,
             metrics: self.run.metrics.clone(),
-            trace: self.run.trace.clone(),
         }
     }
 }
@@ -1165,16 +1153,14 @@ mod tests {
 
     #[test]
     fn trace_records_channel_outcomes() {
-        let cfg = SimConfig::new(4)
-            .max_rounds(1)
-            .trace_level(TraceLevel::Channels);
-        let mut engine = Engine::new(cfg);
+        let mut engine = Engine::new(SimConfig::new(4).max_rounds(1));
         engine.add_node(Rig::tx(ChannelId::PRIMARY, 1));
         engine.add_node(Rig::tx(ChannelId::new(3), 1));
         engine.add_node(Rig::tx(ChannelId::new(3), 2));
-        let report = engine.run().unwrap();
-        assert_eq!(report.trace.len(), 1);
-        let outcomes = &report.trace.rounds()[0].outcomes;
+        let mut trace = crate::Trace::new();
+        engine.run_observed(&mut trace).unwrap();
+        assert_eq!(trace.len(), 1);
+        let outcomes = &trace.rounds()[0].outcomes;
         assert_eq!(outcomes.len(), 2);
         assert_eq!(outcomes[0].kind, OutcomeKind::Message);
         assert_eq!(outcomes[1].kind, OutcomeKind::Collision);

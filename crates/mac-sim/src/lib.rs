@@ -151,7 +151,7 @@ pub use population::{Member, SparsePopulation};
 pub use protocol::{Protocol, RoundContext, Status};
 pub use rng::{derive_fault_seed, derive_node_seed, derive_stream_seed};
 pub use sink::EventSink;
-pub use trace::{RoundTrace, Trace, TraceLevel};
+pub use trace::{RoundTrace, Trace};
 pub use traffic::{
     run_traffic, run_traffic_dense, ArrivalProcess, ArrivalStream, BackoffMac, SlottedAloha,
     StopCause, TrafficReport, TrafficSpec,

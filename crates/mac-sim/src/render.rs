@@ -11,12 +11,38 @@
 //!
 //! `S` silence-with-listeners, `M` a delivered message, `X` a collision,
 //! `.` an untouched channel.
+//!
+//! The input is a [`Trace`] recorded by attaching it to a run as an
+//! [`crate::EventSink`]:
+//!
+//! ```
+//! use mac_sim::render::activity_chart;
+//! use mac_sim::{Action, ChannelId, Engine, Feedback, Protocol, RoundContext,
+//!               SimConfig, Status, Trace};
+//! use rand::rngs::SmallRng;
+//!
+//! struct Beacon;
+//! impl Protocol for Beacon {
+//!     type Msg = u8;
+//!     fn act(&mut self, _: &RoundContext, _: &mut SmallRng) -> Action<u8> {
+//!         Action::transmit(ChannelId::PRIMARY, 1)
+//!     }
+//!     fn observe(&mut self, _: &RoundContext, _: Feedback<u8>, _: &mut SmallRng) {}
+//!     fn status(&self) -> Status { Status::Active }
+//! }
+//!
+//! let mut engine = Engine::new(SimConfig::new(2));
+//! engine.add_node(Beacon);
+//! let mut trace = Trace::new();
+//! engine.run_observed(&mut trace)?;
+//! assert!(activity_chart(&trace, 80).contains("ch    1 |M"));
+//! # Ok::<(), mac_sim::SimError>(())
+//! ```
 
 use std::fmt::Write as _;
 
-use crate::channel::{ChannelOutcome, OutcomeKind};
-use crate::sink::EventSink;
-use crate::trace::{RoundTrace, Trace};
+use crate::channel::OutcomeKind;
+use crate::trace::Trace;
 
 /// Renders `trace` as an activity chart, showing only channels that carried
 /// any activity and at most `max_rounds` columns (from the start).
@@ -86,82 +112,11 @@ pub fn channel_utilization(trace: &Trace) -> Vec<(u32, u64, u64, u64)> {
         .collect()
 }
 
-/// An [`EventSink`] that accumulates a [`Trace`] and renders it on demand —
-/// live charting without enabling [`crate::TraceLevel::Channels`] in the
-/// configuration:
-///
-/// ```
-/// use mac_sim::render::ActivityRecorder;
-/// use mac_sim::{Action, ChannelId, Engine, Feedback, Protocol, RoundContext,
-///               SimConfig, Status};
-/// use rand::rngs::SmallRng;
-///
-/// struct Beacon;
-/// impl Protocol for Beacon {
-///     type Msg = u8;
-///     fn act(&mut self, _: &RoundContext, _: &mut SmallRng) -> Action<u8> {
-///         Action::transmit(ChannelId::PRIMARY, 1)
-///     }
-///     fn observe(&mut self, _: &RoundContext, _: Feedback<u8>, _: &mut SmallRng) {}
-///     fn status(&self) -> Status { Status::Active }
-/// }
-///
-/// let mut engine = Engine::new(SimConfig::new(2));
-/// engine.add_node(Beacon);
-/// let mut recorder = ActivityRecorder::new();
-/// engine.run_observed(&mut recorder)?;
-/// assert!(recorder.chart(80).contains("ch    1 |M"));
-/// # Ok::<(), mac_sim::SimError>(())
-/// ```
-#[derive(Debug, Default)]
-pub struct ActivityRecorder {
-    trace: Trace,
-}
-
-impl ActivityRecorder {
-    /// Creates an empty recorder.
-    #[must_use]
-    pub fn new() -> Self {
-        ActivityRecorder::default()
-    }
-
-    /// The recorded trace so far.
-    #[must_use]
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
-    /// Renders the recording via [`activity_chart`].
-    #[must_use]
-    pub fn chart(&self, max_rounds: usize) -> String {
-        activity_chart(&self.trace, max_rounds)
-    }
-
-    /// Summarizes the recording via [`channel_utilization`].
-    #[must_use]
-    pub fn utilization(&self) -> Vec<(u32, u64, u64, u64)> {
-        channel_utilization(&self.trace)
-    }
-}
-
-impl EventSink for ActivityRecorder {
-    fn on_round(&mut self, round: u64, phase: &'static str, outcomes: &[ChannelOutcome]) {
-        self.trace.push(RoundTrace {
-            round,
-            outcomes: outcomes.to_vec(),
-            phase,
-        });
-    }
-
-    fn wants_outcomes(&self) -> bool {
-        true
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::channel::ChannelId;
+    use crate::channel::{ChannelId, ChannelOutcome};
+    use crate::trace::RoundTrace;
 
     fn sample_trace() -> Trace {
         let mut t = Trace::new();
@@ -220,17 +175,5 @@ mod tests {
     fn utilization_counts() {
         let util = channel_utilization(&sample_trace());
         assert_eq!(util, vec![(1, 0, 1, 1), (3, 1, 0, 0)]);
-    }
-
-    #[test]
-    fn recorder_matches_direct_trace() {
-        let mut rec = ActivityRecorder::new();
-        for rt in sample_trace().rounds() {
-            rec.on_round(rt.round, rt.phase, &rt.outcomes);
-        }
-        assert!(rec.wants_outcomes());
-        assert_eq!(rec.trace().len(), 2);
-        assert_eq!(rec.chart(100), activity_chart(&sample_trace(), 100));
-        assert_eq!(rec.utilization(), channel_utilization(&sample_trace()));
     }
 }

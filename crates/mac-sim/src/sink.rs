@@ -1,12 +1,12 @@
 //! The observation layer: [`EventSink`], the single trait through which the
 //! round engine reports what happened.
 //!
-//! The engine core never records anything itself — it *emits* events, and
-//! observers accumulate them. [`crate::Metrics`] and [`crate::Trace`] are
-//! both implemented as sinks (the engine drives them through this trait when
-//! [`crate::SimConfig::record_metrics`] / [`crate::TraceLevel::Channels`]
-//! are enabled), and [`crate::render::ActivityRecorder`] shows how an
-//! external observer plugs in via [`crate::Engine::run_observed`].
+//! The engine core *emits* events, and observers accumulate them. A run's
+//! channel trace is recorded by attaching a [`crate::Trace`] via
+//! [`crate::Engine::run_observed`], exactly like any user-supplied sink.
+//! [`crate::Metrics`] is a sink too; the engine still keeps one built in,
+//! driven through this trait while [`crate::SimConfig::record_metrics`] is
+//! on, so that [`crate::RunReport::metrics`] is filled without a caller.
 //!
 //! All methods have no-op defaults, so a sink implements only what it cares
 //! about. `()` is the null sink.

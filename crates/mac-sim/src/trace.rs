@@ -1,20 +1,11 @@
-//! Optional per-round trace recording, for debugging and for the
-//! channel-activity visualizations in the experiment harness.
+//! Per-round channel traces, for debugging and for the channel-activity
+//! visualizations in the experiment harness. A [`Trace`] is an
+//! [`crate::EventSink`]: attach it to a run with
+//! [`crate::Engine::run_observed`] to record one [`RoundTrace`] per round.
 
 use std::fmt;
 
 use crate::channel::ChannelOutcome;
-
-/// How much detail a run records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum TraceLevel {
-    /// Record nothing (fastest; the default).
-    #[default]
-    Off,
-    /// Record, for every round, the outcome of every channel that had at
-    /// least one participant.
-    Channels,
-}
 
 /// The recorded activity of one round.
 #[derive(Debug, Clone, PartialEq, Eq)]

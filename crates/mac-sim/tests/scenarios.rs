@@ -5,7 +5,7 @@ use mac_sim::adversary::{ActivationPattern, WakeSchedule};
 use mac_sim::render::{activity_chart, channel_utilization};
 use mac_sim::{
     Action, CdMode, ChannelId, Engine, Feedback, Protocol, RoundContext, SimConfig, Status,
-    StopWhen, TraceLevel,
+    StopWhen, Trace,
 };
 use rand::rngs::SmallRng;
 
@@ -157,7 +157,6 @@ fn activation_pattern_feeds_distinct_identities() {
 fn trace_chart_reflects_execution() {
     let cfg = SimConfig::new(4)
         .stop_when(StopWhen::AllTerminated)
-        .trace_level(TraceLevel::Channels)
         .max_rounds(10);
     let mut exec = Engine::new(cfg);
     exec.add_node(Script::new(vec![
@@ -168,10 +167,11 @@ fn trace_chart_reflects_execution() {
         Action::Sleep,
         Action::transmit(ChannelId::new(2), 2),
     ]));
-    let report = exec.run().expect("finishes");
-    let chart = activity_chart(&report.trace, 50);
+    let mut trace = Trace::new();
+    exec.run_observed(&mut trace).expect("finishes");
+    let chart = activity_chart(&trace, 50);
     assert!(chart.contains("ch    2 |MX"), "chart was:\n{chart}");
-    let util = channel_utilization(&report.trace);
+    let util = channel_utilization(&trace);
     assert_eq!(util, vec![(2, 1, 1, 0)]);
 }
 

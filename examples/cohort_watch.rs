@@ -4,13 +4,13 @@
 //! cargo run --release -p contention-bench --example cohort_watch
 //! ```
 //!
-//! Runs `LeafElection` (the paper's step 3) with channel tracing enabled
+//! Runs `LeafElection` (the paper's step 3) with a channel trace attached
 //! and narrates the coalescing-cohorts dynamics: how many phases ran, how
 //! the per-phase `SplitSearch` cost shrinks as cohorts double (Lemma 16),
 //! and which cohort produced the leader.
 
 use contention::LeafElection;
-use mac_sim::{Engine, SimConfig, StopWhen, TraceLevel};
+use mac_sim::{Engine, SimConfig, StopWhen, Trace};
 
 fn main() -> Result<(), mac_sim::SimError> {
     let channels: u32 = 256; // tree with 128 leaves, height 7
@@ -27,7 +27,6 @@ fn main() -> Result<(), mac_sim::SimError> {
     let config = SimConfig::new(channels)
         .seed(1)
         .stop_when(StopWhen::AllTerminated)
-        .trace_level(TraceLevel::Channels)
         .max_rounds(10_000);
     let mut exec = Engine::new(config);
     let node_ids: Vec<_> = ids
@@ -35,7 +34,8 @@ fn main() -> Result<(), mac_sim::SimError> {
         .map(|&id| exec.add_node(LeafElection::new(channels, id)))
         .collect();
 
-    let report = exec.run()?;
+    let mut trace = Trace::new();
+    let report = exec.run_observed(&mut trace)?;
     let winner_id = report.leaders[0];
     let winner = exec.node(winner_id);
 
@@ -81,7 +81,7 @@ fn main() -> Result<(), mac_sim::SimError> {
     }
 
     println!("\nfirst 12 traced rounds (channel activity):");
-    for rt in report.trace.rounds().iter().take(12) {
+    for rt in trace.rounds().iter().take(12) {
         print!("  r{:<3} [{}]", rt.round, rt.phase);
         for oc in &rt.outcomes {
             print!("  {oc}");
@@ -90,6 +90,6 @@ fn main() -> Result<(), mac_sim::SimError> {
     }
 
     println!("\nactivity chart (S silence, M message, X collision):");
-    print!("{}", mac_sim::render::activity_chart(&report.trace, 40));
+    print!("{}", mac_sim::render::activity_chart(&trace, 40));
     Ok(())
 }

@@ -9,8 +9,8 @@
 //! (`Reduce → IdReduction → LeafElection`), and prints what happened.
 
 use contention::{FullAlgorithm, Params};
-use mac_sim::render::ActivityRecorder;
-use mac_sim::{Engine, SimConfig, StopWhen};
+use mac_sim::render::activity_chart;
+use mac_sim::{Engine, SimConfig, StopWhen, Trace};
 
 fn main() -> Result<(), mac_sim::SimError> {
     let n: u64 = 1 << 14; // universe size (max possible nodes)
@@ -29,10 +29,10 @@ fn main() -> Result<(), mac_sim::SimError> {
         exec.add_node(FullAlgorithm::new(Params::practical(), channels, n));
     }
 
-    // Attach a chart-recording observer without enabling trace storage in
-    // the engine itself — any EventSink can ride along like this.
-    let mut recorder = ActivityRecorder::new();
-    let report = exec.run_observed(&mut recorder)?;
+    // Record the channel trace by attaching a `Trace` to the run — any
+    // EventSink rides along like this.
+    let mut trace = Trace::new();
+    let report = exec.run_observed(&mut trace)?;
 
     match report.solved_round {
         Some(round) => println!("solved in round {round} (rounds to solve: {})", round + 1),
@@ -49,7 +49,7 @@ fn main() -> Result<(), mac_sim::SimError> {
     }
 
     println!("\nfirst 60 rounds of channel activity:");
-    print!("{}", recorder.chart(60));
+    print!("{}", activity_chart(&trace, 60));
 
     // The theory line this run reproduces (Theorem 4).
     let lg_n = (n as f64).log2();

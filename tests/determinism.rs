@@ -102,18 +102,18 @@ fn trial_results_are_thread_count_invariant() {
 
 #[test]
 fn trace_is_reproducible() {
-    use mac_sim::TraceLevel;
     let run = || {
         let cfg = SimConfig::new(16)
             .seed(3)
-            .trace_level(TraceLevel::Channels)
             .stop_when(StopWhen::AllTerminated)
             .max_rounds(100_000);
         let mut exec = Engine::new(cfg);
         for _ in 0..10 {
             exec.add_node(FullAlgorithm::new(Params::practical(), 16, 1 << 8));
         }
-        exec.run().expect("runs").trace
+        let mut trace = mac_sim::Trace::new();
+        exec.run_observed(&mut trace).expect("runs");
+        trace
     };
     assert_eq!(run(), run());
 }
