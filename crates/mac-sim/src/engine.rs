@@ -23,10 +23,11 @@
 //! never iterates "all nodes" per round: each node slot carries a
 //! [`SlotState`] and the round loop touches only the **live set** — a
 //! NodeId-ordered vector of the currently schedulable node indices — fed
-//! by a *wake agenda* (slots indexed by scheduled wake round, drained as
-//! the clock passes them) and drained by *retirement* (terminated or
-//! crashed slots are compacted out at the end of the round). Per-round
-//! cost is `O(|live| + dirty channels)` regardless of how many slots were
+//! by a *wake agenda* (one flat queue of `(wake round, slot)` entries in
+//! round-then-NodeId order, drained from the front as the clock passes
+//! them) and drained by *retirement* (terminated or crashed slots are
+//! compacted out at the end of the round). Per-round cost is
+//! `O(|live| + dirty channels)` regardless of how many slots were
 //! ever added; see `docs/MODEL.md` for the complexity table and
 //! [`crate::dense`] for the O(n) reference scheduler the equivalence
 //! suite pins this against.
@@ -40,7 +41,7 @@
 //! are produced by a NodeId-ordered slot scan, independent of live-set
 //! internals.
 
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 use std::fmt;
 
 use rand::rngs::SmallRng;
@@ -255,10 +256,15 @@ pub struct Engine<P: Protocol, F: FeedbackModel = CdMode> {
     /// Slots still [`SlotState::Pending`], including never-wakeable ones
     /// (a slot added with a `start_round` already in the past never fires).
     unwoken: usize,
-    /// The wake agenda: pending slot indices keyed by scheduled wake
-    /// round, drained with one `O(log W)` lookup per round instead of an
-    /// `O(n)` scan.
-    agenda: BTreeMap<u64, Vec<usize>>,
+    /// The wake agenda: `(wake round, slot index)` entries in ascending
+    /// order, drained from the front as the clock reaches them instead of
+    /// an `O(n)` scan. In-order adds append in O(1) and reuse the ring
+    /// buffer's capacity, so a traffic stream's arrivals never allocate.
+    agenda: VecDeque<(u64, usize)>,
+    /// Set when an `add_node_at` lands below the agenda's tail; the next
+    /// drain sorts the agenda once instead of every insertion shifting
+    /// entries.
+    agenda_unsorted: bool,
     /// The live set: indices of [`SlotState::Live`] slots, always sorted
     /// in NodeId order (see the module docs' ordering contract). The
     /// per-round loops iterate this instead of `nodes`.
@@ -319,7 +325,8 @@ impl<P: Protocol, F: FeedbackModel> Engine<P, F> {
             },
             latest_wake: 0,
             unwoken: 0,
-            agenda: BTreeMap::new(),
+            agenda: VecDeque::new(),
+            agenda_unsorted: false,
             live: Vec::new(),
             crashed_count: 0,
             retired_this_round: false,
@@ -355,10 +362,13 @@ impl<P: Protocol, F: FeedbackModel> Engine<P, F> {
     /// Staggered wake-ups model the harder non-simultaneous variant of the
     /// problem discussed in §3 of the paper. May also be called *mid-run*
     /// (between [`Engine::step`] calls) to inject arrivals incrementally —
-    /// the [`crate::traffic`] layer does exactly that: the new slot lands
-    /// in its agenda bucket in O(log W) without touching the live set, and
-    /// a latched stop condition is re-armed, since a population with a
-    /// pending slot is no longer all-terminated.
+    /// the [`crate::traffic`] layer does exactly that: the new slot is
+    /// appended to the wake agenda in O(1) without touching the live set
+    /// (an add below the agenda's tail instead costs one sort at the next
+    /// drain), and a latched stop condition is re-armed, since a
+    /// population with a pending slot is no longer all-terminated. A slot
+    /// whose `start_round` has already passed stays
+    /// [`SlotState::Pending`] and never wakes.
     pub fn add_node_at(&mut self, protocol: P, start_round: u64) -> NodeId {
         self.run.finished = false;
         let id = NodeId(self.nodes.len());
@@ -371,10 +381,14 @@ impl<P: Protocol, F: FeedbackModel> Engine<P, F> {
         });
         self.latest_wake = self.latest_wake.max(start_round);
         self.unwoken += 1;
-        // Nodes are added in NodeId order, so each agenda bucket stays
-        // NodeId-sorted by construction — which keeps wake-time merges
-        // into the live set cheap and order-stable.
-        self.agenda.entry(start_round).or_default().push(id.0);
+        // NodeIds only grow, so an add keeps the agenda sorted exactly
+        // when its round is not below the tail's; same-round entries stay
+        // NodeId-sorted by construction, which keeps wake-time merges into
+        // the live set cheap and order-stable.
+        if self.agenda.back().is_some_and(|&(at, _)| at > start_round) {
+            self.agenda_unsorted = true;
+        }
+        self.agenda.push_back((start_round, id.0));
         self.run.metrics.transmissions_per_node.push(0);
         id
     }
@@ -450,7 +464,7 @@ impl<P: Protocol, F: FeedbackModel> Engine<P, F> {
             SlotState::Pending => {
                 // Died before it ever woke: drop it from the wake path.
                 // Its agenda entry stays behind and is skipped (cheaply)
-                // when the bucket drains.
+                // when the agenda drains past it.
                 slot.state = to;
                 self.unwoken -= 1;
                 if to == SlotState::Crashed {
@@ -589,42 +603,51 @@ impl<P: Protocol, F: FeedbackModel> Engine<P, F> {
             self.compact_live();
         }
 
-        // Wake-ups scheduled for this round: one agenda lookup, touching
-        // only the slots that actually wake now.
+        // Wake-ups scheduled for this round, popped off the agenda's
+        // front, touching only the slots that actually wake now. Entries
+        // for rounds already past (a slot added with a stale start round)
+        // are dropped unwoken, so they can never fire late.
         if self.unwoken > 0 {
-            if let Some(batch) = self.agenda.remove(&round) {
-                let mut appended = 0usize;
-                for idx in batch {
-                    let slot = &mut self.nodes[idx];
-                    if slot.state != SlotState::Pending {
-                        continue; // crashed before it ever woke
-                    }
-                    slot.state = SlotState::Live;
-                    self.unwoken -= 1;
-                    let ctx = RoundContext {
-                        round,
-                        local_round: 0,
-                        channels: self.config.channels,
-                    };
-                    slot.protocol.on_wake(&ctx, &mut slot.rng);
-                    if slot.protocol.status().is_terminated() {
-                        // Terminated inside on_wake: park without ever
-                        // entering the live set.
-                        slot.state = SlotState::Terminated;
-                        sink.on_retired(round, NodeId(idx), SlotState::Terminated);
-                        continue;
-                    }
-                    self.live.push(idx);
-                    appended += 1;
+            if self.agenda_unsorted {
+                // Entries are unique (one per slot), so unstable is exact.
+                self.agenda.make_contiguous().sort_unstable();
+                self.agenda_unsorted = false;
+            }
+            let mut appended = 0usize;
+            while let Some(&(at, idx)) = self.agenda.front() {
+                if at > round {
+                    break;
                 }
-                // Restore the NodeId ordering contract. Agenda buckets are
-                // NodeId-sorted, so appending is already correct unless a
-                // later wake round brings in smaller ids than the tail.
-                if appended > 0 {
-                    let split = self.live.len() - appended;
-                    if split > 0 && self.live[split - 1] > self.live[split] {
-                        self.live.sort_unstable();
-                    }
+                self.agenda.pop_front();
+                let slot = &mut self.nodes[idx];
+                if at < round || slot.state != SlotState::Pending {
+                    continue; // start round already past, or crashed before it woke
+                }
+                slot.state = SlotState::Live;
+                self.unwoken -= 1;
+                let ctx = RoundContext {
+                    round,
+                    local_round: 0,
+                    channels: self.config.channels,
+                };
+                slot.protocol.on_wake(&ctx, &mut slot.rng);
+                if slot.protocol.status().is_terminated() {
+                    // Terminated inside on_wake: park without ever
+                    // entering the live set.
+                    slot.state = SlotState::Terminated;
+                    sink.on_retired(round, NodeId(idx), SlotState::Terminated);
+                    continue;
+                }
+                self.live.push(idx);
+                appended += 1;
+            }
+            // Restore the NodeId ordering contract. Each round's agenda
+            // entries are NodeId-sorted, so appending is already correct
+            // unless a later wake round brings in smaller ids than the tail.
+            if appended > 0 {
+                let split = self.live.len() - appended;
+                if split > 0 && self.live[split - 1] > self.live[split] {
+                    self.live.sort_unstable();
                 }
             }
         }

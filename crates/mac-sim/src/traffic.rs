@@ -117,8 +117,25 @@ pub struct ArrivalStream {
 impl ArrivalStream {
     /// A stream over `[0, window)` seeded from `master_seed` (salted, so
     /// it never collides with node or fault RNG streams).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a Poisson `rate` or a bursty `burst_rate` is not finite
+    /// (a NaN rate would make the Poisson sampler loop forever).
     #[must_use]
     pub fn new(process: ArrivalProcess, window: u64, master_seed: u64) -> Self {
+        match process {
+            ArrivalProcess::Poisson { rate } => {
+                assert!(rate.is_finite(), "Poisson rate must be finite, got {rate}");
+            }
+            ArrivalProcess::Bursty { burst_rate, .. } => {
+                assert!(
+                    burst_rate.is_finite(),
+                    "Bursty burst_rate must be finite, got {burst_rate}"
+                );
+            }
+            ArrivalProcess::FixedRate { .. } | ArrivalProcess::Batch { .. } => {}
+        }
         ArrivalStream {
             process,
             rng: SmallRng::seed_from_u64(derive_stream_seed(master_seed, ARRIVAL_STREAM)),
@@ -412,11 +429,14 @@ impl EventSink for DeliveryCapture {
 }
 
 /// Forces the run shape traffic needs, whatever the caller passed:
-/// continuous delivery on, and no stop at the first solve.
+/// continuous delivery on, no stop at the first solve, and no engine
+/// [`Metrics`](crate::Metrics) — a [`TrafficReport`] carries its own
+/// counts, so the engine's per-round phase bookkeeping would be discarded.
 fn traffic_config(config: SimConfig) -> SimConfig {
     config
         .continuous_delivery(true)
         .stop_when(StopWhen::AllTerminated)
+        .record_metrics(false)
 }
 
 /// Runs a traffic workload on the active-set engine.
@@ -424,7 +444,9 @@ fn traffic_config(config: SimConfig) -> SimConfig {
 /// `make` builds the protocol for the `i`-th packet (0-based arrival
 /// sequence number); its RNG is derived per node from the master seed as
 /// usual. The configuration's `stop_when` is overridden (traffic never
-/// stops on a solve) and `continuous_delivery` is forced on.
+/// stops on a solve), `continuous_delivery` is forced on, and
+/// `record_metrics` is forced off (the engine's metrics never reach the
+/// report).
 ///
 /// # Errors
 ///
@@ -432,6 +454,11 @@ fn traffic_config(config: SimConfig) -> SimConfig {
 /// and [`SimError::Timeout`] if `max_rounds` elapse before the run's own
 /// stop condition — a budget trip is *not* an error
 /// ([`StopCause::BudgetExhausted`]).
+///
+/// # Panics
+///
+/// Panics if the spec's arrival rate is not finite
+/// ([`ArrivalStream::new`]).
 pub fn run_traffic<P, F, MkP>(
     config: SimConfig,
     feedback: F,
@@ -772,6 +799,23 @@ mod tests {
         assert!(a.windows(2).all(|w| w[0].0 < w[1].0), "rounds increase");
         let c = drain(ArrivalStream::new(p, 200, 43));
         assert_ne!(a, c, "different seeds, different schedules");
+    }
+
+    #[test]
+    #[should_panic(expected = "Poisson rate must be finite")]
+    fn nan_poisson_rate_is_rejected() {
+        let _ = ArrivalStream::new(ArrivalProcess::Poisson { rate: f64::NAN }, 10, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "Bursty burst_rate must be finite")]
+    fn nan_burst_rate_is_rejected() {
+        let process = ArrivalProcess::Bursty {
+            burst_rate: f64::NAN,
+            on_to_off: 0.1,
+            off_to_on: 0.1,
+        };
+        let _ = ArrivalStream::new(process, 10, 1);
     }
 
     #[test]

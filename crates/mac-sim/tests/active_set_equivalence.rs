@@ -17,7 +17,7 @@ use mac_sim::fault::{CrashStop, JamBudget, Layered, LossyChannel, NoisyCd};
 use mac_sim::obs::{RunRecord, RunRecorder};
 use mac_sim::{
     Action, CdMode, ChannelId, Engine, Feedback, FeedbackModel, Metrics, NodeId, Protocol,
-    RoundContext, RunReport, SimConfig, Status,
+    RoundContext, RunReport, SimConfig, SlotState, Status, StopWhen,
 };
 use proptest::collection::vec as prop_vec;
 use proptest::prelude::*;
@@ -278,4 +278,88 @@ fn corner_cases_match_dense_reference() {
         run_workload(&all_dead, false),
         run_workload(&all_dead, true)
     );
+}
+
+/// Per-round scheduler view of a scripted run — round counter, live and
+/// pending counts, every slot's state — followed by the final report.
+type Transcript = (Vec<(u64, usize, usize, Vec<SlotState>)>, RunReportKey);
+
+/// Steps `$engine` for `$rounds` rounds from nodes waking at `$initial`;
+/// each `(before, wake)` in `$inject` adds a node waking in round `wake`
+/// just before round `before` executes. One macro so both engines run the
+/// exact same script (they share no trait).
+macro_rules! scripted_run {
+    ($engine:ident, $initial:expr, $inject:expr, $rounds:expr) => {{
+        let cfg = SimConfig::new(4).seed(5).stop_when(StopWhen::AllTerminated);
+        let feedback = Layered::new(NoisyCd::symmetric(0.05), CdMode::Strong);
+        let mut eng = $engine::with_feedback(cfg, feedback);
+        for &wake in $initial {
+            eng.add_node_at(Backoff::new(4), wake);
+        }
+        let mut rounds = Vec::new();
+        for round in 0..$rounds {
+            for &(before, wake) in $inject {
+                if before == round {
+                    eng.add_node_at(Backoff::new(4), wake);
+                }
+            }
+            eng.step_observed(&mut ()).unwrap();
+            let states = (0..eng.len()).map(|i| eng.slot_state(NodeId(i))).collect();
+            rounds.push((
+                eng.current_round(),
+                eng.live_len(),
+                eng.pending_len(),
+                states,
+            ));
+        }
+        let transcript: Transcript = (rounds, report_key(&eng.report()));
+        transcript
+    }};
+}
+
+/// A mid-run `add_node_at` whose start round has already passed: the slot
+/// stays `Pending` for good, counts in `pending_len`, and never acts.
+#[test]
+fn mid_run_add_with_past_start_round_never_wakes() {
+    let (rounds, report) = scripted_run!(Engine, &[0, 0], &[(4, 1)], 12);
+    assert_eq!(
+        (rounds.clone(), report.clone()),
+        scripted_run!(DenseEngine, &[0, 0], &[(4, 1)], 12)
+    );
+    for (_, _, pending, states) in &rounds[4..] {
+        assert_eq!(states[2], SlotState::Pending);
+        assert!(*pending >= 1);
+    }
+    assert_eq!(
+        report.5.transmissions_per_node[2], 0,
+        "the stale slot acted"
+    );
+}
+
+/// A mid-run injection due before an already-queued later one — the
+/// `TrafficSpec::rearm` pattern — wakes at its own round, and same-round
+/// wakes join the live set in NodeId order.
+#[test]
+fn mid_run_injection_below_queued_wake_fires_on_time() {
+    // Before round 2 queue node 2 for round 9; before round 3 queue node 3
+    // for round 5 (below the tail), node 4 for round 9, node 5 for round 5.
+    let inject: &[(u64, u64)] = &[(2, 9), (3, 5), (3, 9), (3, 5)];
+    let (rounds, report) = scripted_run!(Engine, &[0, 0], inject, 14);
+    assert_eq!(
+        (rounds.clone(), report),
+        scripted_run!(DenseEngine, &[0, 0], inject, 14)
+    );
+    // `rounds[r]` is the view after round `r` executed.
+    let (_, _, _, before) = &rounds[4];
+    let (_, _, _, at_five) = &rounds[5];
+    assert!(before[2..].iter().all(|&s| s == SlotState::Pending));
+    assert_ne!(at_five[3], SlotState::Pending, "node 3 wakes in round 5");
+    assert_ne!(at_five[5], SlotState::Pending, "node 5 wakes in round 5");
+    assert_eq!(
+        (at_five[2], at_five[4]),
+        (SlotState::Pending, SlotState::Pending)
+    );
+    let (_, _, _, at_nine) = &rounds[9];
+    assert_ne!(at_nine[2], SlotState::Pending, "node 2 wakes in round 9");
+    assert_ne!(at_nine[4], SlotState::Pending, "node 4 wakes in round 9");
 }
