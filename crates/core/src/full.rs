@@ -62,9 +62,12 @@ pub struct FullStats {
 ///
 /// A named [`NextPhase`] builder (rather than a closure) so that
 /// [`PaperStack`] is a nameable type that derives `Debug` and `Clone`.
+/// Every paper-stack node carries one, and few ever use it, so it holds
+/// only the constants `IdReduction` reads rather than all of [`Params`].
 #[derive(Debug, Clone, Copy)]
 pub struct MakeIdReduction {
-    params: Params,
+    knock_divisor: f64,
+    min_k: f64,
     channels: u32,
 }
 
@@ -72,7 +75,12 @@ impl NextPhase<()> for MakeIdReduction {
     type Phase = IdReduction;
 
     fn build(&mut self, (): ()) -> IdReduction {
-        IdReduction::new(self.params, self.channels)
+        let params = Params {
+            knock_divisor: self.knock_divisor,
+            min_k: self.min_k,
+            ..Params::practical()
+        };
+        IdReduction::new(params, self.channels)
     }
 }
 
@@ -115,11 +123,13 @@ pub struct MakePaperStack {
 impl BuildPhase for MakePaperStack {
     type Phase = PaperStack;
 
+    #[inline]
     fn build(&mut self) -> PaperStack {
         let use_fallback = self.channels < self.params.fallback_below_channels;
         Reduce::with_params(self.params, self.n)
             .and_then(MakeIdReduction {
-                params: self.params,
+                knock_divisor: self.params.knock_divisor,
+                min_k: self.params.min_k,
                 channels: self.channels,
             })
             .and_then(MakeLeafElection {
@@ -422,6 +432,18 @@ mod tests {
             assert_eq!(node.inner().restarts(), 0, "fault-free: no restarts");
             assert!(node.phase_stats().iter().all(|r| r.name != RESTART_MARKER));
         }
+    }
+
+    #[test]
+    fn paper_stack_node_stays_small() {
+        // Every anchor run (C = 64, n = 2^12, |A| = 500) builds 500 of
+        // these, and only a few ever leave `Reduce`: the later phases are
+        // boxed so the nodes that never reach them do not pay their size.
+        assert!(
+            std::mem::size_of::<FullAlgorithm>() <= 128,
+            "FullAlgorithm is {} bytes",
+            std::mem::size_of::<FullAlgorithm>()
+        );
     }
 
     #[test]

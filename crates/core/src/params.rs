@@ -67,12 +67,18 @@ impl Params {
     }
 
     /// Number of knock-out iterations `Reduce` performs for `n` possible
-    /// nodes: `reduce_factor · ⌈lg lg n⌉` (each iteration is two rounds).
+    /// nodes: `reduce_factor · ⌈lg lg n⌉` (each iteration is two rounds),
+    /// with `⌈lg lg n⌉` clamped to at least 1.
+    ///
+    /// Computed exactly in integers: `⌈lg lg n⌉` is the least `j ≥ 1` with
+    /// `n ≤ 2^(2^j)`, i.e. `⌈lg b⌉` for `b = ⌈lg n⌉`, and both ceilings
+    /// are bit lengths. `n < 2` counts as `n = 2`.
     #[must_use]
+    #[inline]
     pub fn reduce_iterations(&self, n: u64) -> u32 {
-        let lg = (n.max(2) as f64).log2();
-        let lglg = lg.log2().max(0.0);
-        self.reduce_factor * (lglg.ceil() as u32).max(1)
+        let lg = u64::BITS - (n.max(2) - 1).leading_zeros();
+        let lglg = u32::BITS - (lg - 1).leading_zeros();
+        self.reduce_factor * lglg.max(1)
     }
 }
 
@@ -116,6 +122,53 @@ mod tests {
         assert_eq!(p.reduce_iterations(256), 3);
         assert_eq!(p.reduce_iterations(1 << 16), 4);
         assert_eq!(p.reduce_iterations(u64::MAX), 6);
+    }
+
+    /// The float formula the integer `reduce_iterations` replaced, kept as
+    /// the reference it is pinned against.
+    fn reduce_iterations_by_float(p: &Params, n: u64) -> u32 {
+        let lg = (n.max(2) as f64).log2();
+        let lglg = lg.log2().max(0.0);
+        p.reduce_factor * (lglg.ceil() as u32).max(1)
+    }
+
+    #[test]
+    fn integer_reduce_iterations_match_the_float_formula_at_every_edge() {
+        let p = Params::practical();
+        let mut ns = vec![0, 1, 2, 3, u64::MAX];
+        for k in 0..64 {
+            let pow = 1u64 << k;
+            ns.extend([pow - 1, pow, pow + 1]);
+        }
+        for n in ns {
+            assert_eq!(
+                p.reduce_iterations(n),
+                reduce_iterations_by_float(&p, n),
+                "n = {n}"
+            );
+        }
+    }
+
+    #[test]
+    fn integer_reduce_iterations_match_the_float_formula_on_a_seeded_sweep() {
+        use rand::rngs::SmallRng;
+        use rand::{RngCore, SeedableRng};
+        let p = Params {
+            reduce_factor: 3,
+            ..Params::practical()
+        };
+        let mut rng = SmallRng::seed_from_u64(0x5eed);
+        for _ in 0..1_000_000 {
+            // A uniform bit length first, so small and large n are both
+            // well covered (a uniform u64 is almost always above 2^32).
+            let bits = rng.next_u64() % 65;
+            let n = rng.next_u64().checked_shr(64 - bits as u32).unwrap_or(0);
+            assert_eq!(
+                p.reduce_iterations(n),
+                reduce_iterations_by_float(&p, n),
+                "n = {n}"
+            );
+        }
     }
 
     #[test]

@@ -99,6 +99,7 @@ pub struct PhaseMeter {
 
 impl PhaseMeter {
     /// Counts one acted round (and the transmission, if the action is one).
+    #[inline]
     pub fn on_act(&mut self, action: &Action<u32>) {
         self.rounds += 1;
         if action.is_transmit() {
@@ -191,6 +192,7 @@ pub trait Phase {
     /// builds the successor phase from the completion value, and the
     /// successor starts at the next round boundary — the paper's lockstep
     /// step handoff.
+    #[inline]
     fn and_then<N>(self, next: N) -> AndThen<Self, N::Phase, N>
     where
         Self: Sized,
@@ -202,6 +204,7 @@ pub trait Phase {
     /// Branch selection at construction time: run `self` normally, or
     /// `fallback` instead when `use_fallback` is set (the paper's small-`C`
     /// escape hatch).
+    #[inline]
     fn with_fallback<Q>(self, use_fallback: bool, fallback: Q) -> WithFallback<Self, Q>
     where
         Self: Sized,
@@ -263,11 +266,17 @@ impl<I, P: Phase, F: FnMut(I) -> P> NextPhase<I> for F {
     }
 }
 
-/// Which child of a two-stage combinator is currently running.
+/// Which child of an [`AndThen`] is currently running. The successor and
+/// the first phase's archived records exist only once the first phase has
+/// completed, so they live on the heap: the nodes that never hand off pay
+/// neither their size nor an allocation.
 #[derive(Debug, Clone)]
 enum Seq<A, B> {
     First(A),
-    Second(B),
+    Second {
+        phase: Box<B>,
+        archived: Box<[PhaseStats]>,
+    },
 }
 
 /// Barrier-synchronized sequential composition of two phases (see
@@ -280,11 +289,14 @@ enum Seq<A, B> {
 /// handoff, so a chained stack is round-for-round identical to running the
 /// phases back to back by hand. If the first phase *terminates*, the
 /// second is never built.
+///
+/// The second phase and the archived records live on the heap, so an
+/// `AndThen` is the size of its first phase plus its builder, and only a
+/// node that hands off allocates (the successor and its archive, once).
 #[derive(Debug, Clone)]
 pub struct AndThen<A, B, N> {
     seq: Seq<A, B>,
     next: N,
-    archived: Vec<PhaseStats>,
     /// Whether the pre-`act` handoff check has run. A completion can only
     /// be pending at `act` time when the first phase was complete *at
     /// construction* (observe-time completions advance inside `observe`),
@@ -302,11 +314,11 @@ where
     /// Sequences `first` before whatever `next` builds from its completion
     /// value. Prefer the [`Phase::and_then`] method.
     #[must_use]
+    #[inline]
     pub fn new(first: A, next: N) -> Self {
         AndThen {
             seq: Seq::First(first),
             next,
-            archived: Vec::new(),
             primed: false,
         }
     }
@@ -315,28 +327,36 @@ where
     /// finished).
     #[must_use]
     pub fn in_second(&self) -> bool {
-        matches!(self.seq, Seq::Second(_))
+        matches!(self.seq, Seq::Second { .. })
     }
 
     /// If the first phase has completed, archive it and build the second.
     ///
     /// Called at both lifecycle edges — after `observe` (the normal
     /// barrier handoff) and before `act` (so instant phases like [`Pass`]
-    /// hand off without consuming a round).
+    /// hand off without consuming a round). Inline, because it runs on
+    /// every observe and almost always finds nothing to do.
+    #[inline]
     fn advance(&mut self) {
-        let handoff = match &self.seq {
-            Seq::First(first) => match first.outcome() {
-                Some(PhaseOutcome::Complete(value)) => Some(value),
-                _ => None,
-            },
-            Seq::Second(_) => None,
-        };
-        if let Some(value) = handoff {
-            if let Seq::First(first) = &self.seq {
-                first.collect_stats(&mut self.archived);
+        if let Seq::First(first) = &self.seq {
+            if let Some(PhaseOutcome::Complete(value)) = first.outcome() {
+                self.hand_off(value);
             }
-            self.seq = Seq::Second(self.next.build(value));
         }
+    }
+
+    /// The handoff itself, out of line: each node makes it at most once.
+    #[cold]
+    fn hand_off(&mut self, value: A::Output) {
+        let Seq::First(first) = &self.seq else {
+            return;
+        };
+        let mut archived = Vec::new();
+        first.collect_stats(&mut archived);
+        self.seq = Seq::Second {
+            phase: Box::new(self.next.build(value)),
+            archived: archived.into_boxed_slice(),
+        };
     }
 }
 
@@ -356,7 +376,7 @@ where
         }
         match &mut self.seq {
             Seq::First(first) => first.act(ctx, rng),
-            Seq::Second(second) => second.act(ctx, rng),
+            Seq::Second { phase, .. } => phase.act(ctx, rng),
         }
     }
 
@@ -364,7 +384,7 @@ where
     fn observe(&mut self, ctx: &RoundContext, feedback: Feedback<u32>, rng: &mut SmallRng) {
         match &mut self.seq {
             Seq::First(first) => first.observe(ctx, feedback, rng),
-            Seq::Second(second) => second.observe(ctx, feedback, rng),
+            Seq::Second { phase, .. } => phase.observe(ctx, feedback, rng),
         }
         self.advance();
     }
@@ -378,36 +398,38 @@ where
                 Some(PhaseOutcome::Terminated(status)) => Some(PhaseOutcome::Terminated(status)),
                 _ => None,
             },
-            Seq::Second(second) => second.outcome(),
+            Seq::Second { phase, .. } => phase.outcome(),
         }
     }
 
     fn name(&self) -> &'static str {
         match &self.seq {
             Seq::First(first) => first.name(),
-            Seq::Second(second) => second.name(),
+            Seq::Second { phase, .. } => phase.name(),
         }
     }
 
     fn label(&self) -> &'static str {
         match &self.seq {
             Seq::First(first) => first.label(),
-            Seq::Second(second) => second.label(),
+            Seq::Second { phase, .. } => phase.label(),
         }
     }
 
     fn collect_stats(&self, out: &mut Vec<PhaseStats>) {
-        out.extend_from_slice(&self.archived);
         match &self.seq {
             Seq::First(first) => first.collect_stats(out),
-            Seq::Second(second) => second.collect_stats(out),
+            Seq::Second { phase, archived } => {
+                out.extend_from_slice(archived);
+                phase.collect_stats(out);
+            }
         }
     }
 
     fn invariant_violation(&self) -> Option<&'static str> {
         match &self.seq {
             Seq::First(first) => first.invariant_violation(),
-            Seq::Second(second) => second.invariant_violation(),
+            Seq::Second { phase, .. } => phase.invariant_violation(),
         }
     }
 }
@@ -433,6 +455,7 @@ pub struct WithFallback<P, Q> {
 impl<P, Q> WithFallback<P, Q> {
     /// A stack that runs the primary arm.
     #[must_use]
+    #[inline]
     pub fn primary(primary: P) -> Self {
         WithFallback {
             arm: Arm::Primary(primary),
@@ -788,6 +811,7 @@ pub struct PhaseProtocol<P> {
 impl<P: Phase> PhaseProtocol<P> {
     /// Wraps a phase stack. Prefer the [`Phase::into_protocol`] method.
     #[must_use]
+    #[inline]
     pub fn new(phase: P) -> Self {
         let mut adapter = PhaseProtocol {
             phase,
@@ -798,6 +822,7 @@ impl<P: Phase> PhaseProtocol<P> {
     }
 
     /// Refreshes the cached status from the stack's outcome.
+    #[inline]
     fn settle(&mut self) {
         self.settled = match self.phase.outcome() {
             None => None,

@@ -67,7 +67,6 @@ pub struct Reduce {
     rounds_left_in_iteration: u8,
     transmitted: bool,
     outcome: Option<ReduceOutcome>,
-    rounds_run: u64,
     meter: PhaseMeter,
 }
 
@@ -85,6 +84,7 @@ impl Reduce {
     ///
     /// Panics if `n < 2` (the problem is defined for `n ≥ 2`).
     #[must_use]
+    #[inline]
     pub fn with_params(params: Params, n: u64) -> Self {
         assert!(n >= 2, "the model requires n >= 2, got {n}");
         Reduce {
@@ -93,7 +93,6 @@ impl Reduce {
             rounds_left_in_iteration: 2,
             transmitted: false,
             outcome: None,
-            rounds_run: 0,
             meter: PhaseMeter::default(),
         }
     }
@@ -107,7 +106,7 @@ impl Reduce {
     /// Rounds this node participated in.
     #[must_use]
     pub fn rounds_run(&self) -> u64 {
-        self.rounds_run
+        self.meter.rounds()
     }
 
     /// The total number of rounds the protocol runs when no leader emerges:
@@ -121,18 +120,21 @@ impl Reduce {
 impl Protocol for Reduce {
     type Msg = u32;
 
+    #[inline]
     fn act(&mut self, _ctx: &RoundContext, rng: &mut SmallRng) -> Action<u32> {
         debug_assert!(self.outcome.is_none(), "terminated node must not act");
-        self.rounds_run += 1;
         let p = (1.0 / self.n_hat).min(1.0);
         self.transmitted = rng.gen_bool(p);
-        if self.transmitted {
+        let action = if self.transmitted {
             Action::transmit(ChannelId::PRIMARY, 0)
         } else {
             Action::listen(ChannelId::PRIMARY)
-        }
+        };
+        self.meter.on_act(&action);
+        action
     }
 
+    #[inline]
     fn observe(&mut self, _ctx: &RoundContext, feedback: Feedback<u32>, _rng: &mut SmallRng) {
         if self.transmitted {
             if feedback.message().is_some() {
@@ -176,16 +178,17 @@ impl Protocol for Reduce {
 impl Phase for Reduce {
     type Output = ();
 
+    #[inline]
     fn act(&mut self, ctx: &RoundContext, rng: &mut SmallRng) -> Action<u32> {
-        let action = Protocol::act(self, ctx, rng);
-        self.meter.on_act(&action);
-        action
+        Protocol::act(self, ctx, rng)
     }
 
+    #[inline]
     fn observe(&mut self, ctx: &RoundContext, feedback: Feedback<u32>, rng: &mut SmallRng) {
         Protocol::observe(self, ctx, feedback, rng);
     }
 
+    #[inline]
     fn outcome(&self) -> Option<PhaseOutcome<()>> {
         match self.outcome {
             None => None,

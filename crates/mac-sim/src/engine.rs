@@ -446,9 +446,11 @@ impl<P: Protocol, F: FeedbackModel> Engine<P, F> {
     }
 
     /// The single retirement transition: every path that removes a node
-    /// from scheduling — the park path (protocol terminated) and the fault
-    /// path (crash-stop) — funnels through here, so the `SlotState`
-    /// machine and the scheduler counters can never disagree.
+    /// from scheduling — the park path (protocol terminated), the delivery
+    /// path and the fault path (crash-stop) — funnels through here, so the
+    /// `SlotState` machine and the scheduler counters can never disagree.
+    /// (The park path runs inside the feedback-delivery pass, which holds a
+    /// borrow of the engine, so it spells out the `Live` arm in place.)
     ///
     /// Retiring an already-retired slot is a no-op (fault layers may
     /// announce the same victim more than once); out-of-range ids from a
@@ -799,9 +801,25 @@ impl<P: Protocol, F: FeedbackModel> Engine<P, F> {
         }
         sink.on_round(round, phase, &self.outcomes);
 
-        // Deliver feedback. The actions buffer is moved out so the borrow
-        // checker can see it is disjoint from the node slots; it is moved
-        // back afterwards, so its capacity is reused across rounds.
+        // A delivered packet's sender is done regardless of what its
+        // protocol could observe (under weak CD a transmitter cannot tell
+        // it succeeded): the engine retires it through the same shared
+        // transition the park and fault paths use. Retired before the
+        // delivery pass, so it is reported ahead of the nodes that park
+        // there; it still observes its round like every other actor.
+        if let Some(idx) = delivered {
+            if self.retire(idx, SlotState::Terminated) {
+                sink.on_retired(round, NodeId(idx), SlotState::Terminated);
+            }
+        }
+
+        // Deliver feedback, and park each live slot whose protocol
+        // terminated on it, so it drops out of the per-round loops for
+        // good. `actions` holds exactly the live set in NodeId order, so
+        // this one pass visits every live slot once. The actions buffer is
+        // moved out so the borrow checker can see it is disjoint from the
+        // node slots; it is moved back afterwards, so its capacity is
+        // reused across rounds.
         let actions = std::mem::take(&mut self.actions);
         {
             let state = ChannelState {
@@ -819,32 +837,16 @@ impl<P: Protocol, F: FeedbackModel> Engine<P, F> {
                     channels: self.config.channels,
                 };
                 slot.protocol.observe(&ctx, feedback, &mut slot.rng);
+                // The `Live` arm of `retire`, written out because `state`
+                // borrows the engine: a live slot retires at most once.
+                if slot.state == SlotState::Live && slot.protocol.status().is_terminated() {
+                    slot.state = SlotState::Terminated;
+                    self.retired_this_round = true;
+                    sink.on_retired(round, NodeId(*idx), SlotState::Terminated);
+                }
             }
         }
         self.actions = actions;
-
-        // A delivered packet's sender is done regardless of what its
-        // protocol could observe (under weak CD a transmitter cannot tell
-        // it succeeded): the engine retires it through the same shared
-        // transition the park and fault paths use.
-        if let Some(idx) = delivered {
-            if self.retire(idx, SlotState::Terminated) {
-                sink.on_retired(round, NodeId(idx), SlotState::Terminated);
-            }
-        }
-
-        // Park: retire live slots whose protocol terminated this round, so
-        // they drop out of the per-round loops for good. This is the same
-        // shared transition the fault path uses (`retire`), keeping the
-        // `SlotState` machine single-sourced.
-        for li in 0..self.live.len() {
-            let idx = self.live[li];
-            if self.nodes[idx].protocol.status().is_terminated()
-                && self.retire(idx, SlotState::Terminated)
-            {
-                sink.on_retired(round, NodeId(idx), SlotState::Terminated);
-            }
-        }
         if self.retired_this_round {
             self.compact_live();
         }

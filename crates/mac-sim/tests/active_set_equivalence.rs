@@ -16,8 +16,8 @@ use mac_sim::dense::DenseEngine;
 use mac_sim::fault::{CrashStop, JamBudget, Layered, LossyChannel, NoisyCd};
 use mac_sim::obs::{RunRecord, RunRecorder};
 use mac_sim::{
-    Action, CdMode, ChannelId, Engine, Feedback, FeedbackModel, Metrics, NodeId, Protocol,
-    RoundContext, RunReport, SimConfig, SlotState, Status, StopWhen,
+    Action, CdMode, ChannelId, Engine, EventSink, Feedback, FeedbackModel, Metrics, NodeId,
+    Protocol, RoundContext, RunReport, SimConfig, SlotState, Status, StopWhen,
 };
 use proptest::collection::vec as prop_vec;
 use proptest::prelude::*;
@@ -362,4 +362,210 @@ fn mid_run_injection_below_queued_wake_fires_on_time() {
     let (_, _, _, at_nine) = &rounds[9];
     assert_ne!(at_nine[2], SlotState::Pending, "node 2 wakes in round 9");
     assert_ne!(at_nine[4], SlotState::Pending, "node 4 wakes in round 9");
+}
+
+/// A fully scripted node for retirement-order checks: transmits on the
+/// primary channel in round `tx` (listens otherwise) and terminates itself
+/// as `Inactive` on observing round `quit`.
+struct Scripted {
+    tx: Option<u64>,
+    quit: Option<u64>,
+    done: bool,
+}
+
+impl Scripted {
+    fn new(tx: Option<u64>, quit: Option<u64>) -> Self {
+        Scripted {
+            tx,
+            quit,
+            done: false,
+        }
+    }
+}
+
+impl Protocol for Scripted {
+    type Msg = u64;
+
+    fn act(&mut self, ctx: &RoundContext, _: &mut SmallRng) -> Action<u64> {
+        if self.tx == Some(ctx.round) {
+            Action::transmit(ChannelId::PRIMARY, ctx.round)
+        } else {
+            Action::listen(ChannelId::PRIMARY)
+        }
+    }
+
+    fn observe(&mut self, ctx: &RoundContext, _: Feedback<u64>, _: &mut SmallRng) {
+        if self.quit == Some(ctx.round) {
+            self.done = true;
+        }
+    }
+
+    fn status(&self) -> Status {
+        if self.done {
+            Status::Inactive
+        } else {
+            Status::Active
+        }
+    }
+}
+
+/// Records the retirement events and the solves of a run.
+#[derive(Default)]
+struct Retirements {
+    retired: Vec<(u64, NodeId, SlotState)>,
+    solved: Vec<(u64, NodeId)>,
+}
+
+impl EventSink for Retirements {
+    fn on_solved(&mut self, round: u64, solver: NodeId) {
+        self.solved.push((round, solver));
+    }
+
+    fn on_retired(&mut self, round: u64, node: NodeId, state: SlotState) {
+        self.retired.push((round, node, state));
+    }
+}
+
+/// Steps `$engine` for `$rounds` rounds over `$nodes` (`(start round,
+/// Scripted)` pairs) and returns the recorded events plus every slot's
+/// state after each round. A macro so both engines run the exact same
+/// script (they share no trait).
+macro_rules! retirement_run {
+    ($engine:ident, $cfg:expr, $feedback:expr, $nodes:expr, $rounds:expr) => {{
+        let mut eng = $engine::with_feedback($cfg, $feedback);
+        for (start, node) in $nodes {
+            eng.add_node_at(node, start);
+        }
+        let mut sink = Retirements::default();
+        let mut states: Vec<Vec<SlotState>> = Vec::new();
+        for _ in 0..$rounds {
+            eng.step_observed(&mut sink).unwrap();
+            states.push((0..eng.len()).map(|i| eng.slot_state(NodeId(i))).collect());
+        }
+        (sink, states)
+    }};
+}
+
+/// The retirement sequence the engine contract prescribes, rebuilt from a
+/// run's per-round slot states: within a round, crash-stop victims first
+/// (in NodeId order here, as the tests schedule them that way), then the
+/// delivered packet's sender, then the nodes that parked, in NodeId order.
+fn expected_retirements(
+    states: &[Vec<SlotState>],
+    solved: &[(u64, NodeId)],
+    continuous_delivery: bool,
+) -> Vec<(u64, NodeId, SlotState)> {
+    let mut out = Vec::new();
+    let mut before = vec![SlotState::Pending; states[0].len()];
+    for (round, after) in states.iter().enumerate() {
+        let round = round as u64;
+        let newly = |to: SlotState| -> Vec<NodeId> {
+            (0..after.len())
+                .filter(|&i| !before[i].is_retired() && after[i] == to)
+                .map(NodeId)
+                .collect()
+        };
+        let crashed = newly(SlotState::Crashed);
+        let mut terminated = newly(SlotState::Terminated);
+        out.extend(
+            crashed
+                .into_iter()
+                .map(|id| (round, id, SlotState::Crashed)),
+        );
+        let sender = solved
+            .iter()
+            .find(|&&(r, id)| continuous_delivery && r == round && terminated.contains(&id));
+        if let Some(&(_, id)) = sender {
+            terminated.retain(|&n| n != id);
+            out.push((round, id, SlotState::Terminated));
+        }
+        out.extend(
+            terminated
+                .into_iter()
+                .map(|id| (round, id, SlotState::Terminated)),
+        );
+        before.clone_from(after);
+    }
+    out
+}
+
+/// Under `continuous_delivery` the delivered packet's sender is reported
+/// retired before the nodes that park in the same round, even those with
+/// a lower NodeId — on both engines' slot states.
+#[test]
+fn delivered_sender_retires_before_same_round_parks() {
+    let cfg = || {
+        SimConfig::new(2)
+            .seed(3)
+            .continuous_delivery(true)
+            .stop_when(StopWhen::AllTerminated)
+    };
+    let nodes = || {
+        vec![
+            (0, Scripted::new(None, Some(2))),    // parks in round 2
+            (0, Scripted::new(Some(2), None)),    // delivered in round 2
+            (0, Scripted::new(None, Some(2))),    // parks in round 2
+            (1, Scripted::new(Some(4), Some(4))), // delivered and parks in round 4
+        ]
+    };
+    let (active, active_states) = retirement_run!(Engine, cfg(), CdMode::Strong, nodes(), 6);
+    let (dense, dense_states) = retirement_run!(DenseEngine, cfg(), CdMode::Strong, nodes(), 6);
+    assert_eq!(active_states, dense_states);
+    assert_eq!(active.solved, dense.solved);
+    assert_eq!(
+        active.retired,
+        expected_retirements(&dense_states, &dense.solved, true)
+    );
+    let t = SlotState::Terminated;
+    assert_eq!(
+        active.retired,
+        vec![
+            (2, NodeId(1), t),
+            (2, NodeId(0), t),
+            (2, NodeId(2), t),
+            (4, NodeId(3), t)
+        ]
+    );
+}
+
+/// Crash-stop victims — one that never woke, two live ones in the same
+/// round — are reported before that round's parks, once each.
+#[test]
+fn crash_stop_retirements_precede_parks() {
+    let cfg = || SimConfig::new(2).seed(4).stop_when(StopWhen::AllTerminated);
+    let crashes = || {
+        Layered::new(
+            CrashStop::schedule(vec![(NodeId(1), 2), (NodeId(3), 2), (NodeId(4), 0)]),
+            CdMode::Strong,
+        )
+    };
+    let nodes = || {
+        vec![
+            (0, Scripted::new(None, Some(2))), // parks in round 2
+            (0, Scripted::new(None, None)),    // crashes in round 2
+            (0, Scripted::new(None, Some(2))), // parks in round 2
+            (0, Scripted::new(None, None)),    // crashes in round 2
+            (3, Scripted::new(None, Some(3))), // crashes before it wakes
+            (0, Scripted::new(Some(1), Some(3))),
+        ]
+    };
+    let (active, active_states) = retirement_run!(Engine, cfg(), crashes(), nodes(), 5);
+    let (dense, dense_states) = retirement_run!(DenseEngine, cfg(), crashes(), nodes(), 5);
+    assert_eq!(active_states, dense_states);
+    assert_eq!(
+        active.retired,
+        expected_retirements(&dense_states, &dense.solved, false)
+    );
+    let (c, t) = (SlotState::Crashed, SlotState::Terminated);
+    assert_eq!(
+        active.retired,
+        vec![
+            (0, NodeId(4), c),
+            (2, NodeId(1), c),
+            (2, NodeId(3), c),
+            (2, NodeId(0), t),
+            (2, NodeId(2), t),
+            (3, NodeId(5), t)
+        ]
+    );
 }
