@@ -12,14 +12,16 @@
 //! Like `bench_round_engine`, this bench has a custom `main`: after the
 //! runs it exports the measurements as schema-versioned JSONL
 //! (`BENCH_campaign.json` at the workspace root — `kind: "bench"` records,
-//! diffable with `obsdiff`).
+//! diffable with `obsdiff`) and exits non-zero if the write fails.
 
 use contention::{FullAlgorithm, Params};
+use contention_harness::record;
 use criterion::{criterion_group, take_results, Criterion};
 use mac_sim::campaign::{Campaign, Cell, SeedStream};
-use mac_sim::obs::{Json, SCHEMA_VERSION};
 use mac_sim::{Engine, SimConfig};
 use std::hint::black_box;
+use std::path::Path;
+use std::process::ExitCode;
 
 const C: u32 = 16;
 const N: u64 = 1 << 12;
@@ -131,26 +133,27 @@ fn bench_campaign(criterion: &mut Criterion) {
 
 criterion_group!(benches, bench_campaign);
 
-fn main() {
+fn main() -> ExitCode {
     benches();
     // Export the measurements in the run-record JSONL schema so obsdiff
-    // (and CI) can compare bench runs the same way it compares trials.
+    // (and CI) can compare bench runs the same way it compares trials. A
+    // failed write fails the bench, so CI never trends a stale export.
     let lines: Vec<String> = take_results()
         .iter()
-        .map(|r| {
-            Json::obj(vec![
-                ("schema_version".into(), SCHEMA_VERSION.into()),
-                ("kind".into(), "bench".into()),
-                ("name".into(), r.name.as_str().into()),
-                ("mean_ns".into(), r.mean_ns.into()),
-                ("iters".into(), r.iters.into()),
-            ])
-            .render()
-        })
+        .map(|r| record::bench_record(&r.name, r.mean_ns, r.iters).render())
         .collect();
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_campaign.json");
-    match std::fs::write(out, format!("{}\n", lines.join("\n"))) {
-        Ok(()) => eprintln!("wrote {out}"),
-        Err(e) => eprintln!("cannot write {out}: {e}"),
+    let out = Path::new(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../BENCH_campaign.json"
+    ));
+    match record::write_jsonl(out, &lines) {
+        Ok(()) => {
+            eprintln!("wrote {}", out.display());
+            ExitCode::SUCCESS
+        }
+        Err(e) => {
+            eprintln!("cannot write {}: {e}", out.display());
+            ExitCode::FAILURE
+        }
     }
 }

@@ -17,8 +17,6 @@
 //!   or a fallback phase, chosen at construction time (the paper picks
 //!   [`crate::baselines::CdTournament`] when `C` is constant). Built via
 //!   [`Phase::with_fallback`].
-//! * [`Repeat`] — run freshly built instances of a phase back to back,
-//!   feeding each completion value into the next instance.
 //! * [`Bounded`] — a round-budget watchdog that retires a phase which
 //!   overstays its welcome. Built via [`Phase::bounded`].
 //! * [`Pass`] — the no-op phase; the identity for [`AndThen`].
@@ -537,130 +535,6 @@ where
     }
 }
 
-/// Runs freshly built instances of a phase back to back, feeding each
-/// completion value into the builder for the next instance.
-///
-/// Unbounded ([`Repeat::new`]), the loop only ends when an instance
-/// *terminates*. Bounded ([`Repeat::times`]), the composition completes
-/// with the final instance's value after the given number of completions.
-#[derive(Debug, Clone)]
-pub struct Repeat<P, N> {
-    current: P,
-    next: N,
-    completed: u64,
-    limit: Option<u64>,
-    archived: Vec<PhaseStats>,
-}
-
-impl<P, N> Repeat<P, N>
-where
-    P: Phase,
-    N: NextPhase<P::Output, Phase = P>,
-{
-    /// Repeats forever: every completion of the current instance seeds a
-    /// new instance; only a termination ends the loop.
-    #[must_use]
-    pub fn new(first: P, next: N) -> Self {
-        Repeat {
-            current: first,
-            next,
-            completed: 0,
-            limit: None,
-            archived: Vec::new(),
-        }
-    }
-
-    /// Repeats until `times` instances have completed (terminations still
-    /// end the loop early). The composition completes with the last
-    /// instance's value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `times == 0`.
-    #[must_use]
-    pub fn times(first: P, next: N, times: u64) -> Self {
-        assert!(times >= 1, "Repeat::times needs at least one iteration");
-        Repeat {
-            current: first,
-            next,
-            completed: 0,
-            limit: Some(times),
-            archived: Vec::new(),
-        }
-    }
-
-    /// Completed instances so far.
-    #[must_use]
-    pub fn completed(&self) -> u64 {
-        self.completed
-    }
-
-    /// Whether the current instance's completion is the composition's.
-    fn is_last(&self) -> bool {
-        self.limit.is_some_and(|limit| self.completed + 1 >= limit)
-    }
-
-    /// If the current instance completed and the loop continues, archive
-    /// it and build the next instance.
-    fn advance(&mut self) {
-        if self.is_last() {
-            return;
-        }
-        let value = match self.current.outcome() {
-            Some(PhaseOutcome::Complete(value)) => value,
-            _ => return,
-        };
-        self.current.collect_stats(&mut self.archived);
-        self.completed += 1;
-        self.current = self.next.build(value);
-    }
-}
-
-impl<P, N> Phase for Repeat<P, N>
-where
-    P: Phase,
-    N: NextPhase<P::Output, Phase = P>,
-{
-    type Output = P::Output;
-
-    fn act(&mut self, ctx: &RoundContext, rng: &mut SmallRng) -> Action<u32> {
-        self.advance();
-        self.current.act(ctx, rng)
-    }
-
-    fn observe(&mut self, ctx: &RoundContext, feedback: Feedback<u32>, rng: &mut SmallRng) {
-        self.current.observe(ctx, feedback, rng);
-        self.advance();
-    }
-
-    fn outcome(&self) -> Option<PhaseOutcome<P::Output>> {
-        match self.current.outcome() {
-            Some(PhaseOutcome::Terminated(status)) => Some(PhaseOutcome::Terminated(status)),
-            Some(PhaseOutcome::Complete(value)) if self.is_last() => {
-                Some(PhaseOutcome::Complete(value))
-            }
-            _ => None,
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        self.current.name()
-    }
-
-    fn label(&self) -> &'static str {
-        self.current.label()
-    }
-
-    fn collect_stats(&self, out: &mut Vec<PhaseStats>) {
-        out.extend_from_slice(&self.archived);
-        self.current.collect_stats(out);
-    }
-
-    fn invariant_violation(&self) -> Option<&'static str> {
-        self.current.invariant_violation()
-    }
-}
-
 /// Round-budget watchdog over a phase (see [`Phase::bounded`]).
 ///
 /// Delegates transparently until the inner phase has acted `max_rounds`
@@ -1146,34 +1020,6 @@ mod tests {
         let mut node = PhaseProtocol::new(fallback);
         step(&mut node, 9);
         assert_eq!(node.output(), Some(9));
-    }
-
-    #[test]
-    fn repeat_times_completes_with_last_value() {
-        let looped = Repeat::times(
-            Scripted::completes(2, 0),
-            |v: u32| Scripted::completes(2, v + 1),
-            3,
-        );
-        let mut node = PhaseProtocol::new(looped);
-        step(&mut node, 6);
-        assert_eq!(node.status(), Status::Inactive);
-        assert_eq!(node.output(), Some(2), "three instances: values 0, 1, 2");
-        assert_eq!(node.phase_stats().len(), 3);
-    }
-
-    #[test]
-    fn repeat_unbounded_ends_only_on_termination() {
-        let looped = Repeat::new(Scripted::completes(1, 0), |v: u32| {
-            if v >= 2 {
-                Scripted::terminates(1, Status::Leader)
-            } else {
-                Scripted::completes(1, v + 1)
-            }
-        });
-        let mut node = PhaseProtocol::new(looped);
-        step(&mut node, 4);
-        assert_eq!(node.status(), Status::Leader);
     }
 
     #[test]

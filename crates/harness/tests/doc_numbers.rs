@@ -2,8 +2,10 @@
 //!
 //! EXPERIMENTS.md's "Instrumentation tax" paragraph quotes the
 //! `run/metrics_hub` and `run/full_report` means from
-//! `BENCH_round_engine.json` and the tax derived from them. Editing either
-//! the export or the paragraph alone fails this test.
+//! `BENCH_round_engine.json` and the tax derived from them; README and
+//! DESIGN quote the `run/sparse_population` mean and its speed-up over
+//! `ab/dense_reference`. Editing either the export or a quoting paragraph
+//! alone fails these tests.
 
 use contention_harness::record::load_jsonl;
 use mac_sim::obs::Json;
@@ -40,24 +42,66 @@ fn paragraph(doc: &str, start: &str) -> String {
     body.split_whitespace().collect::<Vec<_>>().join(" ")
 }
 
+/// The committed `BENCH_round_engine.json` records.
+fn round_engine_export(root: &Path) -> Vec<Json> {
+    load_jsonl(&root.join("BENCH_round_engine.json")).expect("export loads")
+}
+
+/// Asserts that the paragraph of `file` starting with `start` contains
+/// every quote.
+fn assert_quotes(root: &Path, file: &str, start: &str, quotes: &[String]) {
+    let doc = std::fs::read_to_string(root.join(file)).unwrap_or_else(|e| panic!("{file}: {e}"));
+    let text = paragraph(&doc, start);
+    for quote in quotes {
+        assert!(
+            text.contains(quote.as_str()),
+            "{file} does not quote {quote:?}; paragraph:\n{text}"
+        );
+    }
+}
+
 #[test]
 fn instrumentation_tax_quotes_the_committed_export() {
     let root = workspace_root();
-    let records = load_jsonl(&root.join("BENCH_round_engine.json")).expect("export loads");
+    let records = round_engine_export(&root);
     let metered = mean_us(&records, "run/metrics_hub");
     let bare = mean_us(&records, "run/full_report");
     let tax = (metered - bare) / bare * 100.0;
 
-    let doc = std::fs::read_to_string(root.join("EXPERIMENTS.md")).expect("EXPERIMENTS.md");
-    let text = paragraph(&doc, "Instrumentation tax:");
-    for quote in [
-        format!("`run/metrics_hub` case in `bench_round_engine` — {metered:.1} µs/run"),
-        format!("vs {bare:.1} µs for the unmetered `run/full_report` path"),
-        format!("That is a {tax:.1} % tax"),
-    ] {
-        assert!(
-            text.contains(&quote),
-            "EXPERIMENTS.md does not quote {quote:?}; paragraph:\n{text}"
-        );
-    }
+    assert_quotes(
+        &root,
+        "EXPERIMENTS.md",
+        "Instrumentation tax:",
+        &[
+            format!("`run/metrics_hub` case in `bench_round_engine` — {metered:.1} µs/run"),
+            format!("vs {bare:.1} µs for the unmetered `run/full_report` path"),
+            format!("That is a {tax:.1} % tax"),
+        ],
+    );
+}
+
+#[test]
+fn sparse_speedup_quotes_the_committed_export() {
+    let root = workspace_root();
+    let records = round_engine_export(&root);
+    let sparse = mean_us(&records, "run/sparse_population");
+    let dense = mean_us(&records, "ab/dense_reference");
+    let speedup = dense / sparse;
+
+    assert_quotes(
+        &root,
+        "README.md",
+        "The simulator is layered:",
+        &[format!(
+            "runs in {sparse:.1} µs, {speedup:.0}× faster than the all-slots dense reference"
+        )],
+    );
+    assert_quotes(
+        &root,
+        "DESIGN.md",
+        "`benches/bench_round_engine.rs` times the execution paths",
+        &[format!(
+            "the committed export records the sparse path {speedup:.0}× faster than the dense reference"
+        )],
+    );
 }
