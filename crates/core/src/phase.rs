@@ -159,7 +159,7 @@ pub trait Phase {
     /// combinators: the name of the currently running child.
     fn name(&self) -> &'static str;
 
-    /// Fine-grained label for the engine's per-phase round accounting
+    /// Fine-grained label for the engine's per-phase event labels
     /// (e.g. [`crate::IdReduction`] reports `"id-rename"` / `"id-report"` /
     /// `"id-reduce"` here while its [`Phase::name`] stays
     /// `"id-reduction"`). Defaults to [`Phase::name`].

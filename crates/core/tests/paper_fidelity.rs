@@ -164,7 +164,8 @@ fn staggered_start_beacons_on_odd_local_rounds() {
 }
 
 /// The full pipeline transitions between steps without skipping or
-/// overlapping rounds: phase round counts sum to the execution length.
+/// overlapping rounds: each executed round carries exactly one phase
+/// label, in round order.
 #[test]
 fn full_pipeline_phase_accounting_is_complete() {
     use contention::FullAlgorithm;
@@ -176,8 +177,10 @@ fn full_pipeline_phase_accounting_is_complete() {
     for _ in 0..200 {
         exec.add_node(FullAlgorithm::new(Params::practical(), 64, 1 << 12));
     }
-    let report = exec.run().expect("solves");
-    assert_eq!(report.metrics.phases.total(), report.rounds_executed);
+    let mut trace = Trace::new();
+    let report = exec.run_observed(&mut trace).expect("solves");
+    assert_eq!(trace.len() as u64, report.rounds_executed);
+    assert!(trace.rounds().iter().zip(0..).all(|(r, i)| r.round == i));
 }
 
 /// Budgets from `contention::theory` hold on live executions.

@@ -1,7 +1,9 @@
-//! Regression test for the `PhaseBreakdown` single-representative blind
-//! spot under staggered wake-ups (the §3 transform).
+//! Regression test for the single-representative blind spot of the
+//! engine's per-round phase label under staggered wake-ups (the §3
+//! transform).
 //!
-//! The engine's per-round phase label is the phase of the lowest-indexed
+//! The engine's per-round phase label — the one every sink's `on_round`
+//! receives and a `Trace` records — is the phase of the lowest-indexed
 //! awake, active node. For the paper's globally synchronized algorithms
 //! that single representative is exact — but under staggered wake-ups it
 //! is not: a *low-indexed late waker* becomes the representative the
@@ -14,7 +16,7 @@
 use contention::wakeup::{StaggeredStart, LISTEN_ROUNDS};
 use contention::{FullAlgorithm, Params};
 use mac_sim::obs::{RunRecord, RunRecorder};
-use mac_sim::{Engine, RunReport, SimConfig, StopWhen};
+use mac_sim::{Engine, RunReport, SimConfig, StopWhen, Trace};
 
 const C: u32 = 32;
 const N: u64 = 1 << 10;
@@ -25,7 +27,7 @@ const LATE_OFFSET: u64 = 6;
 /// late wake is exactly the adversarial shape for representative-based
 /// accounting: from round `LATE_OFFSET` until it retires, node 0 is the
 /// lowest-indexed active node and stamps every round `"wakeup-listen"`.
-fn staggered_run(seed: u64) -> (RunReport, RunRecord) {
+fn staggered_run(seed: u64) -> (RunReport, Trace, RunRecord) {
     let cfg = SimConfig::new(C)
         .seed(seed)
         .stop_when(StopWhen::Solved)
@@ -36,19 +38,19 @@ fn staggered_run(seed: u64) -> (RunReport, RunRecord) {
     for _ in 0..FIRST_WAVE {
         exec.add_node_at(node(C, N), 0);
     }
-    let mut recorder = RunRecorder::new();
-    let report = exec.run_observed(&mut recorder).expect("run solves");
-    (report, recorder.into_record(seed))
+    let mut sinks = (Trace::new(), RunRecorder::new());
+    let report = exec.run_observed(&mut sinks).expect("run solves");
+    (report, sinks.0, sinks.1.into_record(seed))
 }
 
 /// A seed whose run lasts long enough for the late waker to actually wake,
 /// listen, and retire while the first wave is still mid-protocol.
-fn interesting_run() -> (RunReport, RunRecord) {
+fn interesting_run() -> (Trace, RunRecord) {
     for seed in 0..50u64 {
-        let (report, record) = staggered_run(seed);
+        let (report, trace, record) = staggered_run(seed);
         let solved = report.solved_round.expect("solved");
         if solved > LATE_OFFSET + LISTEN_ROUNDS {
-            return (report, record);
+            return (trace, record);
         }
     }
     panic!("no seed in 0..50 yields a long-enough staggered run");
@@ -56,16 +58,20 @@ fn interesting_run() -> (RunReport, RunRecord) {
 
 #[test]
 fn breakdown_mislabels_the_late_wakers_listen_window() {
-    let (report, record) = interesting_run();
+    let (trace, record) = interesting_run();
 
-    // The blind spot itself: the representative breakdown books more than
-    // one listen window's worth of rounds to "wakeup-listen" — the first
+    // The blind spot itself: the representative labels book more than one
+    // listen window's worth of rounds to "wakeup-listen" — the first
     // wave's 3 rounds plus every round node 0 spent listening, even though
     // the runners were mid-protocol during the latter.
-    let breakdown = &report.metrics.phases;
+    let listen_rounds = trace
+        .rounds()
+        .iter()
+        .filter(|r| r.phase == "wakeup-listen")
+        .count() as u64;
     assert!(
-        breakdown.rounds_in("wakeup-listen") > LISTEN_ROUNDS,
-        "representative accounting should overcount wakeup-listen: {breakdown}"
+        listen_rounds > LISTEN_ROUNDS,
+        "representative labels should overcount wakeup-listen: {listen_rounds}"
     );
 
     // The recorder sees the same run as *two* wakeup-listen spans: the
@@ -122,7 +128,7 @@ fn beacon_rounds_are_pure_transmissions() {
 #[test]
 fn recorder_accounting_is_conservative() {
     for seed in [3u64, 17, 29] {
-        let (report, record) = staggered_run(seed);
+        let (report, _, record) = staggered_run(seed);
         // Every action is attributed to exactly one phase: node-rounds sum
         // to transmissions + listens, per-phase transmissions sum to the
         // engine's total.

@@ -23,6 +23,8 @@
 //!               text exposition after the human-readable output
 //! ```
 
+use std::collections::BTreeMap;
+
 use contention::session::{Algorithm, Session};
 use contention::Params;
 use contention_harness::Samples;
@@ -215,12 +217,7 @@ fn main() {
         .run_to_completion(args.complete);
 
     let mut trace = Trace::new();
-    let result = if args.trace {
-        session.run_observed(args.active, &mut trace)
-    } else {
-        session.run(args.active)
-    };
-    match result {
+    match session.run_observed(args.active, &mut trace) {
         Ok(resolution) => {
             println!(
                 "{}: C={} n={} |A|={} seed={}",
@@ -245,13 +242,16 @@ fn main() {
                     resolution.restart_rounds()
                 );
             }
-            let mut phases: Vec<String> = resolution
-                .report
-                .metrics
-                .phases
+            let mut rounds_by_phase = BTreeMap::new();
+            for round in trace.rounds() {
+                *rounds_by_phase.entry(round.phase).or_insert(0u64) += 1;
+            }
+            let mut phases: Vec<String> = rounds_by_phase
                 .iter()
                 .map(|(p, r)| format!("{p}={r}"))
                 .collect();
+            // Sorted as `label=count` text, which orders `le-pair` before
+            // a bare `le`; the map's label order would not.
             phases.sort();
             println!("rounds by phase: {}", phases.join(" "));
             if args.trace {

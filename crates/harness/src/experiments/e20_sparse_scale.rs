@@ -2,7 +2,7 @@
 //! exists for. The namespace `n` grows from `2^12` to `2^22` while the
 //! active set stays pinned at `|A| = 500` (drawn through
 //! [`SparsePopulation`], so the engine only ever materializes 500 slots).
-//! Two things should happen, and the two sections measure one each:
+//! Two things should happen, and the table measures both:
 //!
 //! * **rounds** grow as the paper's `O(log n / log C)` bound — `n` enters
 //!   the algorithm only through its confidence target;
@@ -11,26 +11,15 @@
 //!   deterministically as protocol actions (transmissions + listens) per
 //!   executed round.
 //!
-//! A third, full-scale-only section times the same runs with a wall
-//! clock. Wall-clock numbers are machine-dependent and inherently
-//! nondeterministic, so they are excluded from quick scale on purpose:
-//! quick-scale reports are what CI byte-compares across independent runs
-//! (resume bit-identity, chaos reference matching), and every cell they
-//! contain must be a pure function of the seed. The full-scale table is
-//! for `EXPERIMENTS.md`, measured once and committed as prose. The
-//! dense-vs-active-set A/B at `n = 2^20` lives in
-//! `bench_round_engine` (`BENCH_round_engine.json`), where a wall-clock
-//! regression is actually tracked.
-
-use std::time::Instant;
+//! Host time is not measured here: the dense-vs-active-set A/B at
+//! `n = 2^20` is `bench_round_engine` (`BENCH_round_engine.json`).
 
 use contention::{FullAlgorithm, Params};
-use contention_analysis::Table;
 use mac_sim::campaign::{Aggregate, SeedStream};
 use mac_sim::{SimConfig, SparsePopulation};
 
 use super::seed_base;
-use crate::{cell_f64, ExperimentReport, RunCtx, Samples, Scale};
+use crate::{cell_f64, ExperimentReport, RunCtx, Samples};
 
 const C: u32 = 64;
 const ACTIVE: usize = 500;
@@ -137,63 +126,7 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
         ));
     }
 
-    if scale == Scale::Full {
-        report.section(
-            "Engine wall-clock vs namespace (active-set scheduler; measured once on one machine — excluded from quick scale so CI-compared records stay deterministic)",
-            wall_clock_table(&grid),
-        );
-        report.note(format!(
-            "Wall-clock cost per executed round stays flat (within noise) while n \
-             grows 1024-fold, because the engine never materializes the {}−|A| \
-             sleeping identities: per-round cost is O(|live|), and memory is \
-             O(|A|). The tracked dense-vs-active-set A/B comparison at n = 2^20 \
-             is `bench_round_engine` (ab/active_set vs ab/dense_reference in \
-             BENCH_round_engine.json).",
-            "n"
-        ));
-    }
     report
-}
-
-/// Sequentially timed runs (outside the worker pool, so timings are not
-/// inflated by scheduling contention): mean wall time per run and per
-/// executed round at each namespace size.
-fn wall_clock_table(grid: &[u32]) -> Table {
-    const TIMED_TRIALS: u64 = 40;
-    let mut table = Table::new(&["n", "runs", "wall µs/run", "wall ns/round", "vs first row"]);
-    let mut first_per_round = None;
-    for &exp in grid {
-        let n = 1u64 << exp;
-        let base = seed_base("e20w", u64::from(exp), 0);
-        let (mut total_ns, mut total_rounds) = (0u128, 0u64);
-        for i in 0..TIMED_TRIALS {
-            let seed = base.wrapping_add(i);
-            let pop = SparsePopulation::uniform(n, ACTIVE, 1, seed);
-            let mut eng = pop.engine(
-                SimConfig::new(C).seed(seed).max_rounds(1_000_000),
-                |_virtual_id| FullAlgorithm::new(Params::practical(), C, n),
-            );
-            let started = Instant::now();
-            let summary = eng
-                .run_summary()
-                .unwrap_or_else(|e| panic!("timed trial with seed {seed} failed: {e}"));
-            total_ns += started.elapsed().as_nanos();
-            total_rounds += summary.rounds_executed;
-        }
-        #[allow(clippy::cast_precision_loss)]
-        let per_run_us = total_ns as f64 / TIMED_TRIALS as f64 / 1000.0;
-        #[allow(clippy::cast_precision_loss)]
-        let per_round_ns = total_ns as f64 / total_rounds as f64;
-        let first = *first_per_round.get_or_insert(per_round_ns);
-        table.row(&[
-            &format!("2^{exp}"),
-            &TIMED_TRIALS.to_string(),
-            &format!("{per_run_us:.1}"),
-            &format!("{per_round_ns:.0}"),
-            &format!("{:.2}×", per_round_ns / first),
-        ]);
-    }
-    table
 }
 
 #[cfg(test)]
@@ -222,16 +155,6 @@ mod tests {
             );
             let _ = cell_u64(&row[3]);
         }
-    }
-
-    #[test]
-    fn quick_report_has_no_wall_clock_section() {
-        let r = run(&RunCtx::new(Scale::Quick));
-        assert_eq!(
-            r.sections.len(),
-            1,
-            "quick-scale records must stay deterministic; wall-clock is full-only"
-        );
     }
 
     #[test]

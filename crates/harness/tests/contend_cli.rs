@@ -1,6 +1,7 @@
 //! The `contend` binary end to end: bad input ends in a usage error (exit
-//! code 2 and one `error:` line on stderr), never in a panic, and `--trace`
-//! prints the run's channel-activity chart.
+//! code 2 and one `error:` line on stderr), never in a panic, `--trace`
+//! prints the run's channel-activity chart, and a run prints its rounds by
+//! phase.
 
 use std::process::{Command, Output};
 
@@ -66,5 +67,25 @@ fn trace_prints_the_activity_chart() {
              ch    1 |XSM\n   round 012\n"
         ),
         "stdout was:\n{stdout}"
+    );
+}
+
+#[test]
+fn supervised_run_prints_rounds_by_phase() {
+    let out = contend(&["--algo", "supervised"]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let line = stdout
+        .lines()
+        .find(|l| l.starts_with("rounds by phase:"))
+        .unwrap_or_else(|| panic!("no rounds-by-phase line in:\n{stdout}"));
+    assert_eq!(
+        line,
+        "rounds by phase: id-rename=1 id-report=1 le-pair=1 le-root-check=2 \
+         le-split-search=15 reduce=8"
     );
 }

@@ -347,22 +347,8 @@ impl crate::FeedbackModel for JammedChannel {
         action: &crate::Action<M>,
         state: &crate::ChannelState<'_, M>,
     ) -> crate::Feedback<M> {
-        use crate::{Action, CdMode, Feedback};
-        let (channel, transmitted) = match action {
-            Action::Transmit { channel, .. } => (*channel, true),
-            Action::Listen { channel } => (*channel, false),
-            Action::Sleep => return Feedback::Slept,
-        };
-        if self.jamming_now && channel == self.target {
-            return match self.base {
-                CdMode::Strong => Feedback::Collision,
-                CdMode::ReceiverOnly if transmitted => Feedback::TransmittedBlind,
-                CdMode::ReceiverOnly => Feedback::Collision,
-                CdMode::None if transmitted => Feedback::TransmittedBlind,
-                CdMode::None => Feedback::Silence,
-            };
-        }
-        self.base.deliver(action, state)
+        let jammed = self.jamming_now.then_some(self.target);
+        deliver_jammed(self.base, jammed, action, state)
     }
 
     fn allows_solve(&mut self, _solver: crate::NodeId) -> bool {
@@ -372,11 +358,40 @@ impl crate::FeedbackModel for JammedChannel {
     }
 }
 
+/// What the node that took `action` hears under `base` when `jammed` (if
+/// any) is flooded this round: on the jammed channel, what a collision
+/// sounds like under `base` (see [`JammedChannel`]); elsewhere, `base`'s
+/// own feedback. The one jam-feedback rule, shared by [`JammedChannel`]
+/// and [`crate::fault::JamBudget`].
+pub(crate) fn deliver_jammed<M: Clone>(
+    mut base: crate::CdMode,
+    jammed: Option<crate::ChannelId>,
+    action: &crate::Action<M>,
+    state: &crate::ChannelState<'_, M>,
+) -> crate::Feedback<M> {
+    use crate::{Action, CdMode, Feedback, FeedbackModel};
+    let (channel, transmitted) = match action {
+        Action::Transmit { channel, .. } => (*channel, true),
+        Action::Listen { channel } => (*channel, false),
+        Action::Sleep => return Feedback::Slept,
+    };
+    if jammed == Some(channel) {
+        return match base {
+            CdMode::Strong => Feedback::Collision,
+            CdMode::ReceiverOnly | CdMode::None if transmitted => Feedback::TransmittedBlind,
+            CdMode::ReceiverOnly => Feedback::Collision,
+            CdMode::None => Feedback::Silence,
+        };
+    }
+    base.deliver(action, state)
+}
+
 #[cfg(test)]
 mod jam_tests {
     use super::*;
     use crate::{
-        Action, CdMode, ChannelId, Engine, Feedback, Protocol, RoundContext, SimConfig, Status,
+        Action, CdMode, ChannelId, Engine, Feedback, FeedbackModel, Protocol, RoundContext,
+        SimConfig, Status,
     };
     use rand::rngs::SmallRng;
 
@@ -427,22 +442,39 @@ mod jam_tests {
         assert_eq!(report.solved_round, Some(3));
     }
 
+    /// A lone beacon and a listener on the primary channel, with round 0
+    /// jammed by `jammer`: what each heard in rounds 0 and 1.
+    fn jammed_round<F: FeedbackModel>(jammer: F) -> [[Feedback<u8>; 2]; 2] {
+        let mut engine = Engine::with_feedback(SimConfig::new(2).max_rounds(2), jammer);
+        let beacon = engine.add_node(Node::beacon());
+        let ear = engine.add_node(Node::ear());
+        let report = engine.run().expect("solves in round 1");
+        assert_eq!(report.solved_round, Some(1));
+        [beacon, ear].map(|id| [0, 1].map(|round| engine.node(id).heard[round].clone()))
+    }
+
     #[test]
     fn jam_sounds_like_a_collision_per_base_mode() {
-        for (mode, expect) in [
-            (CdMode::Strong, Feedback::Collision),
-            (CdMode::ReceiverOnly, Feedback::Collision),
-            (CdMode::None, Feedback::Silence),
+        use crate::fault::JamBudget;
+        // (base mode, what the lone transmitter hears, what the listener
+        // hears) in the jammed round.
+        for (mode, beacon, ear) in [
+            (CdMode::Strong, Feedback::Collision, Feedback::Collision),
+            (
+                CdMode::ReceiverOnly,
+                Feedback::TransmittedBlind,
+                Feedback::Collision,
+            ),
+            (CdMode::None, Feedback::TransmittedBlind, Feedback::Silence),
         ] {
-            let jam = JammedChannel::new(mode, ChannelId::PRIMARY, 0, 1);
-            let mut engine = Engine::with_feedback(SimConfig::new(2).max_rounds(2), jam);
-            engine.add_node(Node::beacon());
-            let ear = engine.add_node(Node::ear());
-            let report = engine.run().expect("solves in round 1");
-            assert_eq!(report.solved_round, Some(1), "mode {mode:?}");
-            assert_eq!(engine.node(ear).heard[0], expect, "mode {mode:?}");
+            let by_range = jammed_round(JammedChannel::new(mode, ChannelId::PRIMARY, 0, 1));
+            let by_budget = jammed_round(JamBudget::new(mode, 1));
+            assert_eq!(by_range, by_budget, "mode {mode:?}");
+            let [beacon_heard, ear_heard] = by_range;
+            assert_eq!(beacon_heard[0], beacon, "mode {mode:?}");
+            assert_eq!(ear_heard[0], ear, "mode {mode:?}");
             // Round 1 is un-jammed: the lone message comes through.
-            assert_eq!(engine.node(ear).heard[1], Feedback::Message(1));
+            assert_eq!(ear_heard[1], Feedback::Message(1), "mode {mode:?}");
         }
     }
 

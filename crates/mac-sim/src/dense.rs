@@ -238,8 +238,20 @@ impl<P: Protocol, F: FeedbackModel> DenseEngine<P, F> {
     /// # Errors
     ///
     /// Same as [`Engine::step`](crate::Engine::step).
-    #[allow(clippy::too_many_lines)]
     pub fn step_observed<S: EventSink>(&mut self, sink: &mut S) -> Result<StepStatus, SimError> {
+        // The built-in metrics ride along as one more sink, as in the
+        // active-set engine.
+        if !self.config.record_metrics {
+            return self.step_round(sink);
+        }
+        let mut metrics = std::mem::take(&mut self.metrics);
+        let stepped = self.step_round(&mut (&mut metrics, &mut *sink));
+        self.metrics = metrics;
+        stepped
+    }
+
+    #[allow(clippy::too_many_lines)]
+    fn step_round<S: EventSink>(&mut self, sink: &mut S) -> Result<StepStatus, SimError> {
         if self.nodes.is_empty() {
             return Err(SimError::NoNodes);
         }
@@ -255,7 +267,6 @@ impl<P: Protocol, F: FeedbackModel> DenseEngine<P, F> {
             }
         }
         let round = self.round;
-        let record_metrics = self.config.record_metrics;
         self.feedback.begin_round(round);
 
         // Fault-layer retirements, before wake-ups (same order as the
@@ -341,10 +352,6 @@ impl<P: Protocol, F: FeedbackModel> DenseEngine<P, F> {
                     } else {
                         usize::MAX
                     };
-                    if record_metrics {
-                        self.metrics
-                            .on_transmission(round, NodeId(*idx), *channel, phase);
-                    }
                     let label = if node_phases {
                         self.nodes[*idx].protocol.phase()
                     } else {
@@ -358,9 +365,6 @@ impl<P: Protocol, F: FeedbackModel> DenseEngine<P, F> {
                         self.dirty.push(ci);
                     }
                     self.rx_count[ci] += 1;
-                    if record_metrics {
-                        self.metrics.on_listen(round, NodeId(*idx), *channel, phase);
-                    }
                     let label = if node_phases {
                         self.nodes[*idx].protocol.phase()
                     } else {
@@ -407,9 +411,6 @@ impl<P: Protocol, F: FeedbackModel> DenseEngine<P, F> {
                     listeners: self.rx_count[ci] as usize,
                 });
             }
-        }
-        if record_metrics {
-            self.metrics.on_round(round, phase, &self.outcomes);
         }
         sink.on_round(round, phase, &self.outcomes);
 
@@ -466,9 +467,6 @@ impl<P: Protocol, F: FeedbackModel> DenseEngine<P, F> {
         };
         self.finished = finished;
         if finished {
-            if record_metrics {
-                self.metrics.on_finished(self.round);
-            }
             sink.on_finished(self.round);
         }
         Ok(if finished {

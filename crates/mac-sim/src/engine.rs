@@ -130,7 +130,7 @@ struct NodeSlot<P> {
 /// The cheap result of a run: solve data only, no metrics clone.
 ///
 /// Returned by [`Engine::run_summary`]; callers that need transmission
-/// counts, phase breakdowns, or leaders use [`Engine::run`] and get a full
+/// counts or leaders use [`Engine::run`] and get a full
 /// [`RunReport`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunSummary {
@@ -174,7 +174,7 @@ pub struct RunReport {
     pub leaders: Vec<NodeId>,
     /// Nodes still [`Status::Active`] when the run stopped.
     pub active_remaining: Vec<NodeId>,
-    /// Transmission counts and per-phase round accounting (zeroed when
+    /// Transmission and listen counts (zeroed when
     /// [`SimConfig::record_metrics`] is off).
     pub metrics: Metrics,
 }
@@ -566,6 +566,18 @@ impl<P: Protocol, F: FeedbackModel> Engine<P, F> {
     ///
     /// Same as [`Engine::step`].
     pub fn step_observed<S: EventSink>(&mut self, sink: &mut S) -> Result<StepStatus, SimError> {
+        // The built-in metrics are one more sink: paired with the caller's
+        // for this round while `record_metrics` is on, then put back.
+        if !self.config.record_metrics {
+            return self.step_round(sink);
+        }
+        let mut metrics = std::mem::take(&mut self.run.metrics);
+        let stepped = self.step_round(&mut (&mut metrics, &mut *sink));
+        self.run.metrics = metrics;
+        stepped
+    }
+
+    fn step_round<S: EventSink>(&mut self, sink: &mut S) -> Result<StepStatus, SimError> {
         if self.nodes.is_empty() {
             return Err(SimError::NoNodes);
         }
@@ -584,7 +596,6 @@ impl<P: Protocol, F: FeedbackModel> Engine<P, F> {
             }
         }
         let round = self.run.round;
-        let record_metrics = self.config.record_metrics;
         self.feedback.begin_round(round);
 
         // Fault-layer retirements: crash-stop models report who died so the
@@ -714,11 +725,6 @@ impl<P: Protocol, F: FeedbackModel> Engine<P, F> {
                     } else {
                         usize::MAX
                     };
-                    if record_metrics {
-                        self.run
-                            .metrics
-                            .on_transmission(round, NodeId(*idx), *channel, phase);
-                    }
                     // Per-node labels are read *after* `act`, so the label
                     // names the phase that actually produced the action
                     // (matching `PhaseMeter`'s attribution).
@@ -735,11 +741,6 @@ impl<P: Protocol, F: FeedbackModel> Engine<P, F> {
                         self.dirty.push(ci);
                     }
                     self.rx_count[ci] += 1;
-                    if record_metrics {
-                        self.run
-                            .metrics
-                            .on_listen(round, NodeId(*idx), *channel, phase);
-                    }
                     let label = if node_phases {
                         self.nodes[*idx].protocol.phase()
                     } else {
@@ -795,9 +796,6 @@ impl<P: Protocol, F: FeedbackModel> Engine<P, F> {
                     listeners: self.rx_count[ci] as usize,
                 });
             }
-        }
-        if record_metrics {
-            self.run.metrics.on_round(round, phase, &self.outcomes);
         }
         sink.on_round(round, phase, &self.outcomes);
 
@@ -868,9 +866,6 @@ impl<P: Protocol, F: FeedbackModel> Engine<P, F> {
         };
         self.run.finished = finished;
         if finished {
-            if record_metrics {
-                self.run.metrics.on_finished(self.run.round);
-            }
             sink.on_finished(self.run.round);
         }
         Ok(if finished {
@@ -1258,9 +1253,11 @@ mod tests {
             .max_rounds(10);
         let mut engine = Engine::new(cfg);
         engine.add_node(Phased { rounds: 0 });
-        let report = engine.run().unwrap();
-        assert_eq!(report.metrics.phases.rounds_in("warmup"), 2);
-        assert_eq!(report.metrics.phases.rounds_in("work"), 2);
+        let mut trace = crate::Trace::new();
+        engine.run_observed(&mut trace).unwrap();
+        let rounds_in = |label| trace.rounds().iter().filter(|r| r.phase == label).count();
+        assert_eq!(rounds_in("warmup"), 2);
+        assert_eq!(rounds_in("work"), 2);
     }
 
     #[test]
@@ -1296,7 +1293,7 @@ mod tests {
         assert_eq!(with.rounds_executed, without.rounds_executed);
         assert_eq!(with.metrics.transmissions, 1);
         assert_eq!(without.metrics.transmissions, 0);
-        assert_eq!(without.metrics.phases.total(), 0);
+        assert_eq!(without.metrics.listens, 0);
     }
 
     #[test]

@@ -620,20 +620,8 @@ impl FeedbackModel for JamBudget {
         action: &Action<M>,
         state: &ChannelState<'_, M>,
     ) -> Feedback<M> {
-        let (channel, transmitted) = match action {
-            Action::Transmit { channel, .. } => (*channel, true),
-            Action::Listen { channel } => (*channel, false),
-            Action::Sleep => return Feedback::Slept,
-        };
-        if self.jamming_now && channel == ChannelId::PRIMARY {
-            return match self.base {
-                CdMode::Strong => Feedback::Collision,
-                CdMode::ReceiverOnly | CdMode::None if transmitted => Feedback::TransmittedBlind,
-                CdMode::ReceiverOnly => Feedback::Collision,
-                CdMode::None => Feedback::Silence,
-            };
-        }
-        self.base.deliver(action, state)
+        let jammed = self.jamming_now.then_some(ChannelId::PRIMARY);
+        crate::adversary::deliver_jammed(self.base, jammed, action, state)
     }
 }
 

@@ -53,8 +53,8 @@
 //! up, in the `contention` crate's `phase` module, whose `PhaseProtocol`
 //! adapter presents any composed stack to the engine as a plain `Protocol`.
 //! The only engine-visible trace of that structure is the
-//! [`Protocol::phase`] label, which feeds per-phase round accounting in
-//! [`Metrics`].
+//! [`Protocol::phase`] label, which [`obs::RunRecorder`] turns into
+//! per-phase round and transmission counts.
 //!
 //! The [`fault`] module layers seeded fault injection over any feedback
 //! model — noisy collision detection, lossy channels, crash-stop nodes, and
@@ -145,7 +145,7 @@ pub use config::{CdMode, SimConfig, StopWhen};
 pub use engine::{Engine, NodeId, RunReport, RunSummary, SlotState, StepStatus};
 pub use error::SimError;
 pub use feedback::{ChannelState, FeedbackModel};
-pub use metrics::{Metrics, PhaseBreakdown};
+pub use metrics::Metrics;
 pub use obs::telemetry::{MetricsHub, MetricsSnapshot, PowHistogram, Registry, TelemetrySink};
 pub use population::{Member, SparsePopulation};
 pub use protocol::{Protocol, RoundContext, Status};

@@ -1,73 +1,9 @@
-//! Run metrics: round counts, transmissions (energy), per-phase breakdowns.
-
-use std::collections::BTreeMap;
-use std::fmt;
-
-/// Rounds spent in each protocol phase, keyed by the phase label of the
-/// lowest-indexed node that was still active when the round started.
-///
-/// Because the paper's algorithms are globally synchronized (every active
-/// node is in the same step of the same phase in the same round), this
-/// single-representative accounting is exact for them.
-///
-/// It is **not** exact under staggered wake-ups (the §3 transform) or
-/// heterogeneous populations: a low-indexed late waker in its listen
-/// window relabels rounds the actual runners spent mid-protocol. When
-/// nodes can be in different phases at once, use
-/// [`crate::obs::RunRecorder`], whose phase spans and
-/// [`crate::obs::RunRecord::phase_node_rounds`] attribute every action to
-/// the acting node's own phase.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PhaseBreakdown {
-    rounds: BTreeMap<&'static str, u64>,
-}
-
-impl PhaseBreakdown {
-    /// Creates an empty breakdown.
-    #[must_use]
-    pub fn new() -> Self {
-        PhaseBreakdown::default()
-    }
-
-    /// Records one round spent in `phase`.
-    pub fn record(&mut self, phase: &'static str) {
-        *self.rounds.entry(phase).or_insert(0) += 1;
-    }
-
-    /// Rounds recorded for `phase` (0 if never seen).
-    #[must_use]
-    pub fn rounds_in(&self, phase: &str) -> u64 {
-        self.rounds.get(phase).copied().unwrap_or(0)
-    }
-
-    /// Iterates `(phase, rounds)` pairs in phase-name order.
-    pub fn iter(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.rounds.iter().map(|(k, v)| (*k, *v))
-    }
-
-    /// Total rounds across all phases.
-    #[must_use]
-    pub fn total(&self) -> u64 {
-        self.rounds.values().sum()
-    }
-}
-
-impl fmt::Display for PhaseBreakdown {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut first = true;
-        for (phase, rounds) in &self.rounds {
-            if !first {
-                f.write_str(", ")?;
-            }
-            write!(f, "{phase}={rounds}")?;
-            first = false;
-        }
-        if first {
-            f.write_str("(no rounds)")?;
-        }
-        Ok(())
-    }
-}
+//! Run metrics: the TX/RX energy counts of one run.
+//!
+//! Rounds and transmissions per phase are not counted here: attach a
+//! [`crate::obs::RunRecorder`], which books every action to the acting
+//! node's own phase, or a [`crate::Trace`], whose rounds carry the
+//! engine's representative label.
 
 /// Aggregate metrics of one run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -79,10 +15,6 @@ pub struct Metrics {
     pub listens: u64,
     /// Per-node transmission counts, indexed by node id.
     pub transmissions_per_node: Vec<u64>,
-    /// Transmissions attributed to the phase the execution was in.
-    pub transmissions_by_phase: BTreeMap<&'static str, u64>,
-    /// Rounds spent per phase.
-    pub phases: PhaseBreakdown,
 }
 
 impl Metrics {
@@ -93,18 +25,15 @@ impl Metrics {
             transmissions: 0,
             listens: 0,
             transmissions_per_node: vec![0; nodes],
-            transmissions_by_phase: BTreeMap::new(),
-            phases: PhaseBreakdown::new(),
         }
     }
 
-    /// Records one transmission by node `node` during `phase`.
-    pub fn record_transmission(&mut self, node: usize, phase: &'static str) {
+    /// Records one transmission by node `node`.
+    pub fn record_transmission(&mut self, node: usize) {
         self.transmissions += 1;
         if let Some(slot) = self.transmissions_per_node.get_mut(node) {
             *slot += 1;
         }
-        *self.transmissions_by_phase.entry(phase).or_insert(0) += 1;
     }
 
     /// Records one listen action.
@@ -128,44 +57,22 @@ mod tests {
     use super::*;
 
     #[test]
-    fn phase_breakdown_counts() {
-        let mut pb = PhaseBreakdown::new();
-        pb.record("reduce");
-        pb.record("reduce");
-        pb.record("rename");
-        assert_eq!(pb.rounds_in("reduce"), 2);
-        assert_eq!(pb.rounds_in("rename"), 1);
-        assert_eq!(pb.rounds_in("absent"), 0);
-        assert_eq!(pb.total(), 3);
-        let pairs: Vec<_> = pb.iter().collect();
-        assert_eq!(pairs, vec![("reduce", 2), ("rename", 1)]);
-        assert_eq!(pb.to_string(), "reduce=2, rename=1");
-    }
-
-    #[test]
-    fn empty_breakdown_display_nonempty() {
-        assert_eq!(PhaseBreakdown::new().to_string(), "(no rounds)");
-    }
-
-    #[test]
     fn metrics_transmissions() {
         let mut m = Metrics::new(3);
-        m.record_transmission(0, "a");
-        m.record_transmission(0, "a");
-        m.record_transmission(2, "b");
+        m.record_transmission(0);
+        m.record_transmission(0);
+        m.record_transmission(2);
         m.record_listen();
         assert_eq!(m.transmissions, 3);
         assert_eq!(m.listens, 1);
         assert_eq!(m.transmissions_per_node, vec![2, 0, 1]);
         assert_eq!(m.max_transmissions_per_node(), 2);
-        assert_eq!(m.transmissions_by_phase.get("a"), Some(&2));
-        assert_eq!(m.transmissions_by_phase.get("b"), Some(&1));
     }
 
     #[test]
     fn metrics_out_of_range_node_is_ignored_in_vector() {
         let mut m = Metrics::new(1);
-        m.record_transmission(5, "a");
+        m.record_transmission(5);
         assert_eq!(m.transmissions, 1);
         assert_eq!(m.transmissions_per_node, vec![0]);
     }

@@ -16,10 +16,10 @@
 //! a round goes by without any. Under staggered wake-ups (§3 transform)
 //! different nodes are legitimately in different phases at once, so spans
 //! may **overlap** in time — each span still counts exactly the
-//! transmissions and listens its own phase produced, which is what fixes
-//! the single-representative blind spot of
-//! [`crate::PhaseBreakdown`] (see
-//! [`RunRecord::phase_node_rounds`]).
+//! transmissions and listens its own phase produced (see
+//! [`RunRecord::phase_node_rounds`]). That is the exact per-phase count;
+//! the engine's per-round label, which a [`crate::Trace`] records, is the
+//! lowest-indexed live node's phase and misattributes staggered rounds.
 //!
 //! The serialized form is versioned JSONL (see [`SCHEMA_VERSION`]): one
 //! [`RunRecord`] per trial plus one [`RunManifest`] per batch capturing

@@ -76,9 +76,11 @@ pub trait Protocol {
     fn status(&self) -> Status;
 
     /// A short label for the algorithm phase the node is currently in, used
-    /// for per-phase round accounting in reports. Default: `"main"`.
+    /// to label the events sinks receive (per-phase accounting in
+    /// [`crate::obs::RunRecorder`], the round labels of a [`crate::Trace`]).
+    /// Default: `"main"`.
     ///
-    /// This label is for *observation* (metrics, traces); it must never
+    /// This label is for *observation* (records, traces); it must never
     /// influence behavior. Composed phase stacks report their currently
     /// running child's fine-grained label here.
     fn phase(&self) -> &'static str {

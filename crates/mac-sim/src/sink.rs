@@ -4,9 +4,10 @@
 //! The engine core *emits* events, and observers accumulate them. A run's
 //! channel trace is recorded by attaching a [`crate::Trace`] via
 //! [`crate::Engine::run_observed`], exactly like any user-supplied sink.
-//! [`crate::Metrics`] is a sink too; the engine still keeps one built in,
-//! driven through this trait while [`crate::SimConfig::record_metrics`] is
-//! on, so that [`crate::RunReport::metrics`] is filled without a caller.
+//! [`crate::Metrics`] is a sink too: while
+//! [`crate::SimConfig::record_metrics`] is on, the engine pairs its
+//! built-in one with the caller's sink for each round, so that
+//! [`crate::RunReport::metrics`] is filled without a caller.
 //!
 //! All methods have no-op defaults, so a sink implements only what it cares
 //! about. `()` is the null sink.
@@ -177,23 +178,20 @@ impl<A: EventSink, B: EventSink> EventSink for (A, B) {
     }
 }
 
-/// [`Metrics`] observes transmissions, listens, and per-phase rounds. It
-/// never reads channel outcomes.
+/// [`Metrics`] counts transmissions and listens. It reads neither phase
+/// labels nor channel outcomes.
 impl EventSink for Metrics {
     fn on_transmission(
         &mut self,
         _round: u64,
         node: NodeId,
         _channel: ChannelId,
-        phase: &'static str,
+        _phase: &'static str,
     ) {
-        self.record_transmission(node.0, phase);
+        self.record_transmission(node.0);
     }
     fn on_listen(&mut self, _round: u64, _node: NodeId, _channel: ChannelId, _phase: &'static str) {
         self.record_listen();
-    }
-    fn on_round(&mut self, _round: u64, phase: &'static str, _outcomes: &[ChannelOutcome]) {
-        self.phases.record(phase);
     }
     fn wants_outcomes(&self) -> bool {
         false
@@ -287,13 +285,12 @@ mod tests {
         via_sink.on_listen(1, NodeId(0), ChannelId::PRIMARY, "a");
         via_sink.on_round(0, "a", &[]);
         via_sink.on_round(1, "b", &[]);
+        via_sink.on_finished(2);
 
         let mut direct = Metrics::new(2);
-        direct.record_transmission(0, "a");
-        direct.record_transmission(1, "b");
+        direct.record_transmission(0);
+        direct.record_transmission(1);
         direct.record_listen();
-        direct.phases.record("a");
-        direct.phases.record("b");
 
         assert_eq!(via_sink, direct);
     }

@@ -1,14 +1,18 @@
-//! Precise accounting tests for the executor's metrics: per-phase TX
-//! attribution, RX counting, and phase-round bookkeeping, all against
-//! scripted executions with known ground truth.
+//! Precise accounting tests against scripted executions with known
+//! ground truth: the engine's metrics count TX/RX energy, an attached
+//! `Trace` labels every round, and an attached `RunRecorder` books
+//! transmissions to phases.
 
+use mac_sim::obs::{RunRecord, RunRecorder};
 use mac_sim::{
-    Action, ChannelId, Engine, Feedback, Protocol, RoundContext, SimConfig, Status, StopWhen,
+    Action, ChannelId, Engine, Feedback, Protocol, RoundContext, RunReport, SimConfig, Status,
+    StopWhen, Trace,
 };
 use rand::rngs::SmallRng;
 
 /// Transmits for `tx_rounds` rounds in phase "alpha", then listens for
-/// `rx_rounds` rounds in phase "beta", then stops.
+/// `rx_rounds` rounds in phase "beta", then stops. It advances in
+/// `observe`, so its label names the same phase before and after `act`.
 struct TwoPhase {
     tx_rounds: u64,
     rx_rounds: u64,
@@ -18,14 +22,15 @@ struct TwoPhase {
 impl Protocol for TwoPhase {
     type Msg = u32;
     fn act(&mut self, _ctx: &RoundContext, _rng: &mut SmallRng) -> Action<u32> {
-        self.done_rounds += 1;
-        if self.done_rounds <= self.tx_rounds {
+        if self.done_rounds < self.tx_rounds {
             Action::transmit(ChannelId::new(2), 0)
         } else {
             Action::listen(ChannelId::new(3))
         }
     }
-    fn observe(&mut self, _ctx: &RoundContext, _fb: Feedback<u32>, _rng: &mut SmallRng) {}
+    fn observe(&mut self, _ctx: &RoundContext, _fb: Feedback<u32>, _rng: &mut SmallRng) {
+        self.done_rounds += 1;
+    }
     fn status(&self) -> Status {
         if self.done_rounds >= self.tx_rounds + self.rx_rounds {
             Status::Inactive
@@ -42,6 +47,18 @@ impl Protocol for TwoPhase {
     }
 }
 
+/// Runs `exec` to the end with a `Trace` and a `RunRecorder` attached.
+fn run_observed(exec: &mut Engine<TwoPhase>) -> (RunReport, Trace, RunRecord) {
+    let mut sinks = (Trace::new(), RunRecorder::new());
+    let report = exec.run_observed(&mut sinks).expect("finishes");
+    (report, sinks.0, sinks.1.into_record(0))
+}
+
+/// Rounds the trace labels `phase`.
+fn rounds_in(trace: &Trace, phase: &str) -> usize {
+    trace.rounds().iter().filter(|r| r.phase == phase).count()
+}
+
 #[test]
 fn per_phase_transmissions_are_attributed() {
     let cfg = SimConfig::new(4)
@@ -53,14 +70,14 @@ fn per_phase_transmissions_are_attributed() {
         rx_rounds: 2,
         done_rounds: 0,
     });
-    let report = exec.run().expect("finishes");
+    let (report, trace, record) = run_observed(&mut exec);
     assert_eq!(report.metrics.transmissions, 3);
     assert_eq!(report.metrics.listens, 2);
-    assert_eq!(report.metrics.transmissions_by_phase.get("alpha"), Some(&3));
-    assert_eq!(report.metrics.transmissions_by_phase.get("beta"), None);
-    assert_eq!(report.metrics.phases.rounds_in("alpha"), 3);
-    assert_eq!(report.metrics.phases.rounds_in("beta"), 2);
-    assert_eq!(report.metrics.phases.total(), report.rounds_executed);
+    assert_eq!(record.phase_tx("alpha"), 3);
+    assert_eq!(record.phase_tx("beta"), 0);
+    assert_eq!(rounds_in(&trace, "alpha"), 3);
+    assert_eq!(rounds_in(&trace, "beta"), 2);
+    assert_eq!(trace.len() as u64, report.rounds_executed);
 }
 
 #[test]
@@ -98,12 +115,15 @@ fn late_wakers_do_not_consume_phase_rounds_before_waking() {
         },
         4,
     );
-    let report = exec.run().expect("finishes");
+    let (report, trace, record) = run_observed(&mut exec);
     // Rounds 0..4 are idle (no awake active node), then alpha, beta.
-    assert_eq!(report.metrics.phases.rounds_in("idle"), 4);
-    assert_eq!(report.metrics.phases.rounds_in("alpha"), 1);
-    assert_eq!(report.metrics.phases.rounds_in("beta"), 1);
+    assert_eq!(rounds_in(&trace, "idle"), 4);
+    assert_eq!(rounds_in(&trace, "alpha"), 1);
+    assert_eq!(rounds_in(&trace, "beta"), 1);
     assert_eq!(report.rounds_executed, 6);
+    // No node acts while idle, so the recorder books nothing there.
+    assert_eq!(record.phase_tx("alpha"), 1);
+    assert_eq!(record.node_rounds("idle"), 0);
 }
 
 #[test]

@@ -8,6 +8,8 @@
 //! with strong collision detection, runs the three-step pipeline
 //! (`Reduce → IdReduction → LeafElection`), and prints what happened.
 
+use std::collections::BTreeMap;
+
 use contention::{FullAlgorithm, Params};
 use mac_sim::render::activity_chart;
 use mac_sim::{Engine, SimConfig, StopWhen, Trace};
@@ -43,8 +45,13 @@ fn main() -> Result<(), mac_sim::SimError> {
         "total transmissions (energy proxy): {}",
         report.metrics.transmissions
     );
+    // Each traced round carries its phase label: count rounds per label.
+    let mut rounds_per_phase = BTreeMap::new();
+    for round in trace.rounds() {
+        *rounds_per_phase.entry(round.phase).or_insert(0u64) += 1;
+    }
     println!("\nrounds per phase:");
-    for (phase, rounds) in report.metrics.phases.iter() {
+    for (phase, rounds) in rounds_per_phase {
         println!("  {phase:<16} {rounds}");
     }
 
