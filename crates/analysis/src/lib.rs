@@ -18,14 +18,12 @@
 
 pub mod balls;
 pub mod fit;
-pub mod histogram;
 pub mod stats;
 pub mod table;
 pub mod tail;
 
 pub use balls::no_lone_ball_probability;
 pub use fit::{fit_linear, fit_two_term, threshold_crossing, Fit};
-pub use histogram::Histogram;
 pub use stats::{OnlineSummary, Summary};
 pub use table::Table;
 pub use tail::exceed_fraction;

@@ -1,6 +1,5 @@
 //! Property-based tests for the analysis utilities.
 
-use contention_analysis::histogram::Histogram;
 use contention_analysis::stats::{ks_distance, OnlineSummary};
 use contention_analysis::{exceed_fraction, fit_linear, fit_two_term, Summary, Table};
 use proptest::collection::vec;
@@ -93,18 +92,6 @@ proptest! {
         prop_assert!((fit.coefficients[0] - a).abs() < 1e-6);
         prop_assert!((fit.coefficients[1] - b).abs() < 1e-6);
         prop_assert!((fit.coefficients[2] - c).abs() < 1e-6);
-    }
-
-    /// Histogram counts are conserved and tails are monotone.
-    #[test]
-    fn histogram_conservation(samples in vec(0u64..1_000_000, 1..500)) {
-        let h: Histogram = samples.iter().copied().collect();
-        prop_assert_eq!(h.count(), samples.len() as u64);
-        let bucket_total: u64 = h.iter().map(|(_, c)| c).sum::<u64>() + h.zero_count();
-        prop_assert_eq!(bucket_total, samples.len() as u64);
-        for k in 1..20usize {
-            prop_assert!(h.tail_at(k) <= h.tail_at(k - 1) + 1e-12);
-        }
     }
 
     /// Exceedance fraction is a survival function: monotone in the budget.

@@ -224,14 +224,6 @@ pub trait Phase {
         Bounded::new(self, max_rounds)
     }
 
-    /// Adapts the stack into a [`Protocol`] runnable on the engine.
-    fn into_protocol(self) -> PhaseProtocol<Self>
-    where
-        Self: Sized,
-    {
-        PhaseProtocol::new(self)
-    }
-
     /// Adapts the stack into a protocol *and* wraps it in the §3 wake-up
     /// transform, making it tolerate staggered starts at a ×2 round cost.
     fn staggered(self) -> StaggeredStart<PhaseProtocol<Self>>
@@ -319,13 +311,6 @@ where
             next,
             primed: false,
         }
-    }
-
-    /// Whether the handoff has happened (the second phase is running or
-    /// finished).
-    #[must_use]
-    pub fn in_second(&self) -> bool {
-        matches!(self.seq, Seq::Second { .. })
     }
 
     /// If the first phase has completed, archive it and build the second.
@@ -683,7 +668,7 @@ pub struct PhaseProtocol<P> {
 }
 
 impl<P: Phase> PhaseProtocol<P> {
-    /// Wraps a phase stack. Prefer the [`Phase::into_protocol`] method.
+    /// Wraps a phase stack into a [`Protocol`] runnable on the engine.
     #[must_use]
     #[inline]
     pub fn new(phase: P) -> Self {

@@ -39,9 +39,7 @@
 mod error;
 mod machine;
 pub mod max;
-pub mod prefix;
 pub mod search;
-pub mod sort;
 
 pub use error::PramError;
 pub use machine::{Machine, MemView, Processor, StepOutcome, Word, Write};

@@ -1,7 +1,6 @@
 //! Property-based and cross-program tests for the CREW PRAM substrate.
 
 use crew_pram::max::tournament_max;
-use crew_pram::prefix::prefix_sums;
 use crew_pram::search::{ideal_iterations, snir_boundary, snir_lower_bound};
 use crew_pram::{Machine, MemView, Processor, StepOutcome, Word, Write};
 use proptest::collection::vec;
@@ -12,16 +11,6 @@ proptest! {
     fn tournament_max_matches_iterator_max(values in vec(-1000i64..1000, 1..200)) {
         let report = tournament_max(&values).expect("runs");
         prop_assert_eq!(report.max, *values.iter().max().expect("nonempty"));
-    }
-
-    #[test]
-    fn prefix_sums_match_running_total(values in vec(-1000i64..1000, 1..200)) {
-        let report = prefix_sums(&values).expect("runs");
-        let mut acc = 0;
-        for (i, &v) in values.iter().enumerate() {
-            acc += v;
-            prop_assert_eq!(report.prefixes[i], acc, "index {}", i);
-        }
     }
 
     #[test]
@@ -57,9 +46,8 @@ proptest! {
     }
 }
 
-/// A composed workload: run max and prefix programs back-to-back on the
-/// same machine memory, checking that `Machine` state carries over cleanly
-/// between `run` calls.
+/// Two programs back-to-back on the same machine memory, checking that
+/// `Machine` state carries over cleanly between `run` calls.
 #[test]
 fn machine_reuse_across_programs() {
     struct Doubler {

@@ -58,7 +58,7 @@ fn main() {
     let mut record_dir: Option<PathBuf> = None;
     let mut resume = false;
     let mut workers: Option<usize> = None;
-    let mut deadline: Option<f64> = None;
+    let mut deadline: Option<Duration> = None;
     let mut self_heal: Option<u32> = None;
     let mut chaos_panic_seed: Option<u64> = None;
     let mut metrics_out: Option<PathBuf> = None;
@@ -91,8 +91,13 @@ fn main() {
                     std::process::exit(2);
                 }
             },
-            "--deadline" => match iter.next().and_then(|s| s.parse().ok()) {
-                Some(secs) if secs > 0.0 => deadline = Some(secs),
+            "--deadline" => match iter
+                .next()
+                .and_then(|s| s.parse().ok())
+                .filter(|&secs: &f64| secs > 0.0)
+                .and_then(|secs| Duration::try_from_secs_f64(secs).ok())
+            {
+                Some(timeout) => deadline = Some(timeout),
                 _ => {
                     eprintln!("--deadline needs a positive number of seconds");
                     std::process::exit(2);
@@ -139,8 +144,8 @@ fn main() {
         ctx = ctx.progress();
     }
     let token = CancelToken::new();
-    if let Some(secs) = deadline {
-        token.set_deadline(Duration::from_secs_f64(secs));
+    if let Some(timeout) = deadline {
+        token.set_deadline(timeout);
     }
     ctx = ctx.cancel_token(token);
     if chaos_panic_seed.is_some() && self_heal.is_none() {

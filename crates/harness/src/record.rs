@@ -352,49 +352,9 @@ pub fn validate_record(value: &Json) -> Result<(), String> {
             need_str("algorithm")?;
         }
         "trial" => {
-            for key in [
-                "seed",
-                "rounds",
-                "transmissions",
-                "listens",
-                "max_node_transmissions",
-                "wall_ns",
-            ] {
-                need_u64(key)?;
-            }
-            let spans = value
-                .get("spans")
-                .and_then(Json::as_arr)
-                .ok_or("trial record: missing or mistyped 'spans'")?;
-            for span in spans {
-                span.get("label")
-                    .and_then(Json::as_str)
-                    .ok_or("trial span: missing 'label'")?;
-                for key in [
-                    "start_round",
-                    "end_round",
-                    "rounds",
-                    "transmissions",
-                    "listens",
-                    "wall_ns",
-                ] {
-                    span.get(key)
-                        .and_then(Json::as_u64)
-                        .ok_or(format!("trial span: missing or mistyped '{key}'"))?;
-                }
-            }
-            let channels = value
-                .get("channels")
-                .and_then(Json::as_arr)
-                .ok_or("trial record: missing or mistyped 'channels'")?;
-            for tally in channels {
-                for key in ["channel", "silences", "messages", "collisions"] {
-                    tally
-                        .get(key)
-                        .and_then(Json::as_u64)
-                        .ok_or(format!("trial channel tally: missing or mistyped '{key}'"))?;
-                }
-            }
+            // Round-trip through the typed parser, like snapshots: every
+            // field `RunRecord::to_json` writes must be present and typed.
+            mac_sim::obs::RunRecord::from_json(value).map(|_| ())?;
         }
         "cell" => {
             need_str("experiment")?;

@@ -517,13 +517,6 @@ impl<'ctx, 'a, A: Aggregate> Sweep<'ctx, 'a, A> {
         self.renders.push((row_idx, Some(Box::new(render))));
     }
 
-    /// A row computed without trials (pure math / theory columns): always
-    /// recomputed inline, deterministic and effectively free, so it needs
-    /// no checkpoint.
-    pub fn fixed_row(&mut self, cells: Vec<String>) {
-        self.rows.push(Some(cells));
-    }
-
     /// Runs the campaign and returns the completed table.
     ///
     /// # Panics
@@ -577,11 +570,6 @@ impl<'ctx, 'a, A: Aggregate> Sweep<'ctx, 'a, A> {
             .collect();
         ctx.report_quarantined(&section, &quarantined);
         ctx.checkpoint_metrics();
-        for shard in &outcome.stuck_shards {
-            eprintln!(
-                "warning: shard {shard} of {section:?} exceeded its deadline; campaign cancelled"
-            );
-        }
         if outcome.cancelled && rows.iter().any(Option::is_none) {
             std::panic::panic_any(SweepCancelled);
         }
@@ -626,9 +614,9 @@ impl FoldedTotal {
 /// the trials known so far — interleaved cells can no longer garble the
 /// output, because the campaign reports through a single sink.
 ///
-/// When the run self-heals, the line grows a `heal: rX qY wZ` segment:
-/// `r` trials retried, `q` seeds quarantined, `w` stuck-shard watchdog
-/// firings, cumulative across every campaign the context has run.
+/// When the run self-heals, the line grows a `heal: rX qY` segment:
+/// `r` trials retried and `q` seeds quarantined, cumulative across every
+/// campaign the context has run.
 pub struct ProgressHub {
     started: Instant,
     label: Mutex<String>,
@@ -640,7 +628,6 @@ pub struct ProgressHub {
     current_done: AtomicU64,
     retries: FoldedTotal,
     quarantined: FoldedTotal,
-    stuck: FoldedTotal,
     last_print: Mutex<Instant>,
 }
 
@@ -655,7 +642,6 @@ impl ProgressHub {
             current_done: AtomicU64::new(0),
             retries: FoldedTotal::default(),
             quarantined: FoldedTotal::default(),
-            stuck: FoldedTotal::default(),
             last_print: Mutex::new(now - std::time::Duration::from_secs(1)),
         }
     }
@@ -674,20 +660,15 @@ impl ProgressHub {
         self.base_done.fetch_add(done, Ordering::Relaxed);
         self.retries.fold();
         self.quarantined.fold();
-        self.stuck.fold();
     }
 
-    /// The `heal: rX qY wZ` segment, empty while the run is healthy.
+    /// The `heal: rX qY` segment, empty while the run is healthy.
     fn heal_segment(&self) -> String {
-        let (r, q, w) = (
-            self.retries.total(),
-            self.quarantined.total(),
-            self.stuck.total(),
-        );
-        if r + q + w == 0 {
+        let (r, q) = (self.retries.total(), self.quarantined.total());
+        if r + q == 0 {
             String::new()
         } else {
-            format!("  heal: r{r} q{q} w{w}")
+            format!("  heal: r{r} q{q}")
         }
     }
 
@@ -740,10 +721,6 @@ impl ProgressSink for ProgressHub {
 
     fn on_quarantine(&self, quarantined: u64) {
         self.quarantined.observe(quarantined);
-    }
-
-    fn on_stuck(&self, stuck: u64) {
-        self.stuck.observe(stuck);
     }
 }
 
@@ -821,25 +798,6 @@ mod tests {
         for workers in [2, 3, 8] {
             assert_eq!(one, render_table(workers), "{workers} workers diverged");
         }
-    }
-
-    #[test]
-    fn fixed_rows_interleave_with_measured_rows() {
-        let ctx = RunCtx::new(Scale::Quick);
-        let mut sweep = ctx.sweep::<Samples>("mix", &["k", "v"]);
-        sweep.fixed_row(vec!["theory".into(), "1.00".into()]);
-        sweep.row(
-            5,
-            SeedStream::Offset(0),
-            Samples::default,
-            |seed, acc| acc.push(seed),
-            |acc| vec!["measured".into(), format!("{}", acc.0.count())],
-        );
-        sweep.fixed_row(vec!["theory2".into(), "2.00".into()]);
-        let table = sweep.run();
-        assert_eq!(table.rows()[0][0], "theory");
-        assert_eq!(table.rows()[1][1], "5");
-        assert_eq!(table.rows()[2][0], "theory2");
     }
 
     #[test]
@@ -1009,8 +967,7 @@ mod tests {
         assert_eq!(hub.heal_segment(), "");
         hub.on_retry(2);
         hub.on_quarantine(1);
-        hub.on_stuck(1);
-        assert_eq!(hub.heal_segment(), "  heal: r2 q1 w1");
+        assert_eq!(hub.heal_segment(), "  heal: r2 q1");
     }
 
     #[test]

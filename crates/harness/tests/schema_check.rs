@@ -111,3 +111,26 @@ fn every_quick_experiment_emits_valid_records() {
         );
     }
 }
+
+#[test]
+fn trial_without_phase_transmissions_is_rejected() {
+    let path = workspace_root().join("tests/fixtures/golden_run_record.jsonl");
+    let records = load_jsonl(&path).expect("golden fixture loads");
+    let trial = records
+        .iter()
+        .find(|r| kind(r) == "trial")
+        .expect("the fixture holds a trial");
+    let Json::Obj(fields) = trial else {
+        panic!("trial record is not an object: {trial:?}");
+    };
+    let mut fields = fields.clone();
+    let before = fields.len();
+    fields.retain(|(key, _)| key != "phase_transmissions");
+    assert_eq!(
+        fields.len(),
+        before - 1,
+        "the fixture trial carries the field"
+    );
+    let err = validate_record(&Json::Obj(fields)).expect_err("incomplete trial rejected");
+    assert!(err.contains("phase_transmissions"), "{err}");
+}

@@ -10,6 +10,8 @@
 //!   terminates promptly (no wedge);
 //! * `--resume` completes the sweep bit-identically to an uninterrupted
 //!   run, at a different worker count.
+//! * a `--deadline` that is not a positive, representable duration is a
+//!   usage error (exit 2), not a panic.
 //!
 //! Companion to `resume_bit_identity.rs`, which pins the same contract
 //! for an in-process cancel on a non-traffic experiment.
@@ -146,4 +148,20 @@ fn deadline_mid_e21_exits_three_and_resumes_bit_identically() {
     );
 
     let _ = fs::remove_dir_all(std::env::temp_dir().join("contention-traffic-cancel"));
+}
+
+#[test]
+fn deadline_outside_the_duration_range_is_a_usage_error() {
+    for secs in ["inf", "1e30", "0", "-1", "soon"] {
+        let out = repro_within(
+            Duration::from_secs(60),
+            &["--quick", "--deadline", secs, "e1"],
+        );
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "--deadline {secs}: {stderr}");
+        assert!(
+            stderr.contains("--deadline needs a positive number of seconds"),
+            "--deadline {secs}: {stderr}"
+        );
+    }
 }

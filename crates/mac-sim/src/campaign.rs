@@ -31,12 +31,10 @@
 //! success, panicking trials are retried up to a bounded attempt count,
 //! and trials that fail every attempt are **quarantined** — the sweep
 //! completes without them and reports each [`Quarantined`] trial in the
-//! [`CampaignOutcome`]. A [`Campaign::stuck_after`] watchdog additionally
-//! arms a per-shard deadline on the cancellation machinery: a shard that
-//! exceeds it is recorded in [`CampaignOutcome::stuck_shards`] and the
-//! campaign winds down cooperatively (an in-flight trial that never
-//! returns still blocks exit — kill the process; the harness
-//! checkpoint/resume layer recovers the sweep).
+//! [`CampaignOutcome`]. A trial that never returns is not healed: it
+//! blocks campaign exit, so bound a run with a [`CancelToken`] deadline,
+//! kill a wedged process, and let the harness checkpoint/resume layer
+//! recover the sweep.
 //!
 //! ```
 //! use mac_sim::campaign::{Campaign, Cell, Collect, SeedStream};
@@ -263,10 +261,11 @@ impl CancelToken {
     }
 
     /// Arms a deadline `timeout` from now; the token reports cancelled
-    /// once the deadline passes.
+    /// once the deadline passes. A deadline past the clock's range never
+    /// fires.
     pub fn set_deadline(&self, timeout: Duration) {
         let mut deadline = self.inner.deadline.lock().expect("deadline lock");
-        *deadline = Some(Instant::now() + timeout);
+        *deadline = Instant::now().checked_add(timeout);
     }
 
     /// Whether cancellation has been requested or the deadline passed.
@@ -313,11 +312,6 @@ pub trait ProgressSink: Send + Sync {
     fn on_quarantine(&self, quarantined: u64) {
         let _ = quarantined;
     }
-    /// The stuck-shard watchdog flagged a shard; `stuck` is the
-    /// cumulative count of flagged shards.
-    fn on_stuck(&self, stuck: u64) {
-        let _ = stuck;
-    }
 }
 
 /// One event in the bounded progress queue (see [`ProgressSink`]).
@@ -326,7 +320,6 @@ enum ProgressEvent {
     Cell(usize, usize),
     Retry(u64),
     Quarantine(u64),
-    Stuck(u64),
 }
 
 /// Capacity of the bounded progress queue. Deep enough that a consumer
@@ -366,9 +359,6 @@ pub struct CampaignOutcome {
     /// Trials excluded by self-healing, sorted by `(cell, trial)`. Always
     /// empty unless [`Campaign::self_heal`] was enabled.
     pub quarantined: Vec<Quarantined>,
-    /// Shard indices the [`Campaign::stuck_after`] watchdog flagged,
-    /// sorted ascending. Always empty without a watchdog.
-    pub stuck_shards: Vec<usize>,
     /// Progress events dropped because the bounded [`ProgressSink`] queue
     /// was full (the consumer could not keep up). Dropped events never
     /// stall the pool, and every delivered event carries running totals,
@@ -377,11 +367,11 @@ pub struct CampaignOutcome {
 }
 
 impl CampaignOutcome {
-    /// Whether the campaign finished without cancellation, quarantined
-    /// trials, or stuck shards.
+    /// Whether the campaign finished without cancellation or quarantined
+    /// trials.
     #[must_use]
     pub fn is_clean(&self) -> bool {
-        !self.cancelled && self.quarantined.is_empty() && self.stuck_shards.is_empty()
+        !self.cancelled && self.quarantined.is_empty()
     }
 }
 
@@ -394,7 +384,6 @@ pub struct Campaign<'a, A> {
     progress: Option<Arc<dyn ProgressSink>>,
     telemetry: Option<Arc<MetricsHub>>,
     heal_attempts: Option<u32>,
-    stuck_after: Option<Duration>,
 }
 
 /// Default trials per shard: small enough to load-balance sweeps whose
@@ -420,7 +409,6 @@ impl<'a, A: Aggregate> Campaign<'a, A> {
             progress: None,
             telemetry: None,
             heal_attempts: None,
-            stuck_after: None,
         }
     }
 
@@ -498,18 +486,6 @@ impl<'a, A: Aggregate> Campaign<'a, A> {
         self
     }
 
-    /// Arms a stuck-shard watchdog: a shard still in flight after `limit`
-    /// is recorded in [`CampaignOutcome::stuck_shards`] and the campaign
-    /// is cancelled (through the attached [`CancelToken`], or an internal
-    /// one if none was attached) so healthy workers stop claiming work.
-    /// Cooperative only: a trial that never returns still blocks campaign
-    /// exit — kill the process and resume from checkpoints.
-    #[must_use]
-    pub fn stuck_after(mut self, limit: Duration) -> Self {
-        self.stuck_after = Some(limit);
-        self
-    }
-
     /// Appends a cell; returns its index (= delivery order).
     pub fn push(&mut self, cell: Cell<'a, A>) -> usize {
         self.cells.push(cell);
@@ -555,15 +531,7 @@ impl<'a, A: Aggregate> Campaign<'a, A> {
             progress,
             telemetry,
             heal_attempts,
-            stuck_after,
         } = self;
-
-        // The watchdog needs a token to fire; make an internal one if the
-        // caller did not attach their own.
-        let cancel = match (cancel, stuck_after) {
-            (None, Some(_)) => Some(CancelToken::new()),
-            (cancel, _) => cancel,
-        };
 
         // The fixed shard decomposition: every cell's trial range cut into
         // `shard_size` chunks, queued cell-major.
@@ -626,7 +594,6 @@ impl<'a, A: Aggregate> Campaign<'a, A> {
         let trials_done = AtomicU64::new(0);
         let cells_total = cells.len();
         let quarantined: Mutex<Vec<Quarantined>> = Mutex::new(Vec::new());
-        let stuck_shards: Mutex<Vec<usize>> = Mutex::new(Vec::new());
 
         // Progress decoupling: workers enqueue events into a bounded
         // channel drained by one forwarder thread, so a slow or wedged
@@ -638,7 +605,6 @@ impl<'a, A: Aggregate> Campaign<'a, A> {
         let progress_dropped = AtomicU64::new(0);
         let retries_total = AtomicU64::new(0);
         let quarantined_total = AtomicU64::new(0);
-        let stuck_total = AtomicU64::new(0);
         let (progress_tx, forwarder) = match progress {
             Some(sink) => {
                 let (tx, rx) = sync_channel::<ProgressEvent>(PROGRESS_QUEUE_CAP);
@@ -649,7 +615,6 @@ impl<'a, A: Aggregate> Campaign<'a, A> {
                             ProgressEvent::Cell(done, total) => sink.on_cell(done, total),
                             ProgressEvent::Retry(n) => sink.on_retry(n),
                             ProgressEvent::Quarantine(n) => sink.on_quarantine(n),
-                            ProgressEvent::Stuck(n) => sink.on_stuck(n),
                         }
                     }
                 });
@@ -716,17 +681,9 @@ impl<'a, A: Aggregate> Campaign<'a, A> {
 
         let cancelled = || cancel.as_ref().is_some_and(CancelToken::is_cancelled);
 
-        // Stuck-shard watchdog state: one claim slot per worker, plus a
-        // live-worker count the watchdog thread uses to know when to exit
-        // (it must not outlive the workers, or the scope join would hang).
-        let claim_slots: Vec<Mutex<Option<(usize, Instant)>>> =
-            (0..worker_count).map(|_| Mutex::new(None)).collect();
-        let workers_alive = AtomicUsize::new(worker_count);
-
         std::thread::scope(|scope| {
-            for (worker_idx, claim_slot) in claim_slots.iter().enumerate() {
+            for worker_idx in 0..worker_count {
                 let quarantined = &quarantined;
-                let workers_alive = &workers_alive;
                 let cells = &cells;
                 let shards = &shards;
                 let next_shard = &next_shard;
@@ -750,7 +707,6 @@ impl<'a, A: Aggregate> Campaign<'a, A> {
                         let Some(shard) = shards.get(claim) else {
                             break;
                         };
-                        *claim_slot.lock().expect("claim slot") = Some((claim, Instant::now()));
                         let shard_started = Instant::now();
                         let cell = &cells[shard.cell];
                         let mut agg = (cell.make)();
@@ -813,7 +769,6 @@ impl<'a, A: Aggregate> Campaign<'a, A> {
                             local.count("campaign_trials_done_total", 1);
                             emit(ProgressEvent::Trial(done, total_trials));
                         }
-                        *claim_slot.lock().expect("claim slot") = None;
                         let shard_ns =
                             u64::try_from(shard_started.elapsed().as_nanos()).unwrap_or(u64::MAX);
                         local.count("campaign_shards_claimed_total", 1);
@@ -824,39 +779,8 @@ impl<'a, A: Aggregate> Campaign<'a, A> {
                         }
                         submit(shard.cell, shard.index, agg);
                     }
-                    *claim_slot.lock().expect("claim slot") = None;
                     if let Some(hub) = telemetry {
                         hub.absorb(worker_idx, &local);
-                    }
-                    workers_alive.fetch_sub(1, Ordering::Release);
-                });
-            }
-
-            if let Some(limit) = stuck_after {
-                let token = cancel.as_ref().expect("watchdog token").clone();
-                let claim_slots = &claim_slots;
-                let workers_alive = &workers_alive;
-                let stuck_shards = &stuck_shards;
-                let stuck_total = &stuck_total;
-                let emit = &emit;
-                scope.spawn(move || {
-                    while workers_alive.load(Ordering::Acquire) > 0 {
-                        let now = Instant::now();
-                        for slot in claim_slots {
-                            let slot = slot.lock().expect("claim slot");
-                            if let Some((shard_idx, since)) = *slot {
-                                if now.duration_since(since) >= limit {
-                                    let mut stuck = stuck_shards.lock().expect("stuck-shard lock");
-                                    if !stuck.contains(&shard_idx) {
-                                        stuck.push(shard_idx);
-                                        let n = stuck_total.fetch_add(1, Ordering::Relaxed) + 1;
-                                        emit(ProgressEvent::Stuck(n));
-                                    }
-                                    token.cancel();
-                                }
-                            }
-                        }
-                        std::thread::sleep(limit.min(Duration::from_millis(20)));
                     }
                 });
             }
@@ -884,8 +808,6 @@ impl<'a, A: Aggregate> Campaign<'a, A> {
         let delivery = delivery.into_inner().expect("delivery lock");
         let mut quarantined = quarantined.into_inner().expect("quarantine lock");
         quarantined.sort_by_key(|q| (q.cell, q.trial));
-        let mut stuck_shards = stuck_shards.into_inner().expect("stuck-shard lock");
-        stuck_shards.sort_unstable();
         let trials_attempted = trials_done.into_inner();
         let was_cancelled = cancelled();
 
@@ -918,7 +840,6 @@ impl<'a, A: Aggregate> Campaign<'a, A> {
             trials_run: trials_attempted - quarantined.len() as u64,
             cancelled: was_cancelled,
             quarantined,
-            stuck_shards,
             progress_dropped: progress_dropped.into_inner(),
         }
     }
@@ -1046,6 +967,13 @@ mod tests {
     }
 
     #[test]
+    fn deadline_past_the_clock_range_never_fires() {
+        let token = CancelToken::new();
+        token.set_deadline(Duration::MAX);
+        assert!(!token.is_cancelled());
+    }
+
+    #[test]
     fn zero_trial_cells_complete_empty() {
         let mut campaign: Campaign<Collect<u64>> = Campaign::new();
         campaign.push(Cell::new(
@@ -1077,7 +1005,6 @@ mod tests {
                 trials_run: 0,
                 cancelled: false,
                 quarantined: Vec::new(),
-                stuck_shards: Vec::new(),
                 progress_dropped: 0,
             }
         );
@@ -1157,30 +1084,6 @@ mod tests {
             .map(|c| c.0)
             .collect();
         assert_eq!(plain, healed);
-    }
-
-    #[test]
-    fn watchdog_flags_a_stuck_shard_and_cancels() {
-        let mut campaign: Campaign<Collect<u64>> = Campaign::new()
-            .shard_size(1)
-            .workers(2)
-            .stuck_after(Duration::from_millis(40));
-        campaign.push(Cell::new(
-            6,
-            SeedStream::Offset(0),
-            Collect::default,
-            |seed, acc: &mut Collect<u64>| {
-                if seed == 0 {
-                    // Slow (but finite) trial: the watchdog fires while it
-                    // runs, the campaign winds down cooperatively.
-                    std::thread::sleep(Duration::from_millis(200));
-                }
-                acc.0.push(seed);
-            },
-        ));
-        let outcome = campaign.run(|_, _| {});
-        assert!(outcome.cancelled, "watchdog cancelled the campaign");
-        assert_eq!(outcome.stuck_shards, vec![0], "shard 0 was flagged");
     }
 
     #[test]

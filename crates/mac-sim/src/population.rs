@@ -32,10 +32,10 @@
 //! assert!(engine.run().expect("a lone node solves").is_solved());
 //! ```
 //!
-//! Engine [`NodeId`]s remain dense slot indices (`0..|A|`, in activation
-//! order); the member's namespace identity is handed to the protocol
-//! factory, which is where algorithms that use ids (renaming, size
-//! estimation) pick it up.
+//! Engine [`NodeId`](crate::NodeId)s remain dense slot indices (`0..|A|`,
+//! in activation order); the member's namespace identity is handed to the
+//! protocol factory, which is where algorithms that use ids (renaming,
+//! size estimation) pick it up.
 
 use std::collections::HashSet;
 
@@ -43,16 +43,10 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::config::SimConfig;
-use crate::engine::{Engine, NodeId};
+use crate::engine::Engine;
 use crate::feedback::FeedbackModel;
 use crate::obs::RunManifest;
 use crate::protocol::Protocol;
-use crate::rng::derive_stream_seed;
-use crate::traffic::{ArrivalProcess, ArrivalStream};
-
-/// Salt separating the identity-drawing RNG of
-/// [`SparsePopulation::from_arrivals`] from the arrival stream itself.
-const ARRIVAL_ID_STREAM: u64 = 0x4944_u64; // "ID"
 
 /// One activated member of a sparse population.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -152,41 +146,6 @@ impl SparsePopulation {
         pop
     }
 
-    /// A population whose wake schedule is drawn from a traffic
-    /// [`ArrivalProcess`] over rounds `[0, window)`: every arriving packet
-    /// becomes one member with a distinct uniformly-drawn namespace
-    /// identity, waking at its arrival round. This is the bridge between
-    /// the dynamic-arrivals workload model ([`crate::traffic`]) and the
-    /// one-shot sparse-population experiments: the *same* seeded arrival
-    /// schedule can drive either a one-shot election run or a continuous
-    /// traffic run. Pure in `(namespace, process, window, seed)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `namespace == 0` or the stream produces more arrivals
-    /// than the namespace has identities.
-    #[must_use]
-    pub fn from_arrivals(namespace: u64, process: ArrivalProcess, window: u64, seed: u64) -> Self {
-        let mut stream = ArrivalStream::new(process, window, seed);
-        let mut pop = SparsePopulation::new(namespace);
-        let mut rng = SmallRng::seed_from_u64(derive_stream_seed(seed, ARRIVAL_ID_STREAM));
-        let mut chosen = HashSet::new();
-        while let Some((round, count)) = stream.next_batch() {
-            for _ in 0..count {
-                assert!(
-                    (chosen.len() as u64) < namespace,
-                    "arrival stream produced more than {namespace} members"
-                );
-                let mut virtual_id = rng.gen_range(0..namespace);
-                while !chosen.insert(virtual_id) {
-                    virtual_id = rng.gen_range(0..namespace);
-                }
-                pop = pop.activate_at(virtual_id, round);
-            }
-        }
-        pop
-    }
-
     /// The namespace size `n`.
     #[must_use]
     pub fn namespace(&self) -> u64 {
@@ -205,7 +164,8 @@ impl SparsePopulation {
         self.members.is_empty()
     }
 
-    /// The activated members, in activation (= engine [`NodeId`]) order.
+    /// The activated members, in activation (= engine
+    /// [`NodeId`](crate::NodeId)) order.
     #[must_use]
     pub fn members(&self) -> &[Member] {
         &self.members
@@ -251,15 +211,6 @@ impl SparsePopulation {
     pub fn stamp(&self, manifest: RunManifest) -> RunManifest {
         manifest.n(self.namespace).active(self.members.len() as u64)
     }
-
-    /// The engine slot id of `virtual_id`, if activated.
-    #[must_use]
-    pub fn slot_of(&self, virtual_id: u64) -> Option<NodeId> {
-        self.members
-            .iter()
-            .position(|m| m.virtual_id == virtual_id)
-            .map(NodeId)
-    }
 }
 
 #[cfg(test)]
@@ -289,51 +240,8 @@ mod tests {
     }
 
     #[test]
-    fn slot_of_maps_back_to_activation_order() {
-        let pop = SparsePopulation::new(1000).activate_at(900, 5).activate(17);
-        assert_eq!(pop.slot_of(900), Some(NodeId(0)));
-        assert_eq!(pop.slot_of(17), Some(NodeId(1)));
-        assert_eq!(pop.slot_of(3), None);
-    }
-
-    #[test]
     #[should_panic(expected = "outside namespace")]
     fn activation_outside_namespace_panics() {
         let _ = SparsePopulation::new(10).activate(10);
-    }
-
-    #[test]
-    fn from_arrivals_is_deterministic_with_distinct_ids() {
-        let process = ArrivalProcess::Poisson { rate: 0.5 };
-        let a = SparsePopulation::from_arrivals(1 << 20, process, 100, 11);
-        let b = SparsePopulation::from_arrivals(1 << 20, process, 100, 11);
-        assert_eq!(a, b);
-        assert!(!a.is_empty());
-        let mut ids: Vec<u64> = a.members().iter().map(|m| m.virtual_id).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        assert_eq!(ids.len(), a.len(), "identities must be distinct");
-        assert!(a.members().iter().all(|m| m.wake_round < 100));
-        let mut wakes: Vec<u64> = a.members().iter().map(|m| m.wake_round).collect();
-        let sorted = {
-            let mut w = wakes.clone();
-            w.sort_unstable();
-            w
-        };
-        assert_eq!(wakes, sorted, "members activate in arrival order");
-        wakes.dedup();
-        assert!(!wakes.is_empty());
-    }
-
-    #[test]
-    fn from_arrivals_matches_the_traffic_schedule() {
-        let process = ArrivalProcess::FixedRate {
-            period: 5,
-            batch: 2,
-        };
-        let pop = SparsePopulation::from_arrivals(1 << 16, process, 20, 3);
-        assert_eq!(pop.len(), 8, "4 batches of 2 in [0, 20)");
-        let wakes: Vec<u64> = pop.members().iter().map(|m| m.wake_round).collect();
-        assert_eq!(wakes, vec![0, 0, 5, 5, 10, 10, 15, 15]);
     }
 }
