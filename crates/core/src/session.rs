@@ -5,12 +5,9 @@
 //! case — *"solve contention resolution among `k` activated nodes out of
 //! `n`, on `C` channels, with algorithm X"* — including the feedback-model
 //! bookkeeping (no-collision-detection algorithms are automatically run
-//! under [`CdMode::None`]) and optional staggered wake-ups via the §3
-//! transform.
+//! under [`CdMode::None`]).
 
-use mac_sim::{
-    CdMode, Engine, EventSink, Registry, RunReport, SimConfig, SimError, SparsePopulation, StopWhen,
-};
+use mac_sim::{CdMode, Engine, EventSink, Registry, RunReport, SimConfig, SimError, StopWhen};
 use std::error::Error;
 use std::fmt;
 
@@ -21,7 +18,6 @@ use crate::params::Params;
 use crate::phase::{PhaseProtocol, PhaseStats, PhaseTelemetry};
 use crate::supervise::{RestartPolicy, RESTART_MARKER};
 use crate::two_active::TwoActive;
-use crate::wakeup::StaggeredStart;
 
 /// Which contention-resolution algorithm a [`Session`] runs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -216,7 +212,6 @@ pub struct Session {
     seed: u64,
     max_rounds: u64,
     run_to_completion: bool,
-    wake_offsets: Option<Vec<u64>>,
 }
 
 impl Session {
@@ -237,7 +232,6 @@ impl Session {
             seed: 0,
             max_rounds: 10_000_000,
             run_to_completion: false,
-            wake_offsets: None,
         }
     }
 
@@ -267,15 +261,6 @@ impl Session {
     #[must_use]
     pub fn run_to_completion(mut self, yes: bool) -> Self {
         self.run_to_completion = yes;
-        self
-    }
-
-    /// Staggers wake-ups with the given per-node offsets (the §3 transform
-    /// is applied automatically). Length must equal the `active` count
-    /// passed to [`Session::run`].
-    #[must_use]
-    pub fn wake_offsets(mut self, offsets: Vec<u64>) -> Self {
-        self.wake_offsets = Some(offsets);
         self
     }
 
@@ -322,7 +307,7 @@ impl Session {
     ///
     /// [`SessionError::InvalidConfig`] when the algorithm cannot run at this
     /// configuration (too few channels, wrong active count for the
-    /// specialist, mismatched wake-offset length, `active > n`);
+    /// specialist, `active > n`);
     /// [`SessionError::Sim`] when the simulation itself fails (timeout).
     pub fn run(&self, active: usize) -> Result<Resolution, SessionError> {
         self.run_observed(active, &mut ())
@@ -350,76 +335,32 @@ impl Session {
             )));
         }
         self.check_algorithm(active)?;
-        // Spread ids evenly across the universe, deterministically — this
-        // path has no real identities to hand out.
+        let cfg = SimConfig::new(self.channels)
+            .seed(self.seed)
+            .cd_mode(self.algorithm.cd_mode())
+            .max_rounds(self.max_rounds)
+            .stop_when(if self.run_to_completion {
+                StopWhen::AllTerminated
+            } else {
+                StopWhen::Solved
+            });
+        let mut exec = Engine::new(cfg);
+        // Spread ids evenly across the universe, deterministically — a
+        // session has no real identities to hand out.
         let stride = (self.n / active as u64).max(1);
-        let node = |idx: usize| self.make_node(idx as u64 * stride);
-        match &self.wake_offsets {
-            None => self.execute((0..active).map(|idx| (node(idx), 0)), sink),
-            Some(offsets) if offsets.len() != active => Err(SessionError::InvalidConfig(format!(
-                "{} wake offsets for {active} nodes",
-                offsets.len()
-            ))),
-            Some(offsets) => self.execute(
-                offsets
-                    .iter()
-                    .enumerate()
-                    .map(|(idx, &off)| (StaggeredStart::new(node(idx)), off)),
-                sink,
-            ),
+        for idx in 0..active as u64 {
+            exec.add_node(self.make_node(idx * stride));
         }
-    }
-
-    /// Runs the session over an explicit [`SparsePopulation`]: the
-    /// activated members' namespace identities seed the id-keyed
-    /// algorithms (binary descent, tree split) and the population's wake
-    /// schedule staggers start rounds — while the engine materializes
-    /// exactly `|A|` slots, so the session scales to namespaces of `2^20`
-    /// and beyond at constant memory in `n`.
-    ///
-    /// The population must be drawn over this session's universe
-    /// (`pop.namespace() == n`), and it replaces
-    /// [`Session::wake_offsets`] — the schedule lives in the population.
-    ///
-    /// # Errors
-    ///
-    /// [`SessionError::InvalidConfig`] under the same rules as
-    /// [`Session::run`], plus a namespace mismatch or a population
-    /// combined with explicit wake offsets;
-    /// [`SessionError::Sim`] when the simulation itself fails.
-    pub fn run_population(&self, pop: &SparsePopulation) -> Result<Resolution, SessionError> {
-        if pop.is_empty() {
-            return Err(SessionError::InvalidConfig("no nodes activated".into()));
-        }
-        if pop.namespace() != self.n {
-            return Err(SessionError::InvalidConfig(format!(
-                "population namespace {} does not match session universe {}",
-                pop.namespace(),
-                self.n
-            )));
-        }
-        if self.wake_offsets.is_some() {
-            return Err(SessionError::InvalidConfig(
-                "wake_offsets and run_population are mutually exclusive: \
-                 the population carries its own wake schedule"
-                    .into(),
-            ));
-        }
-        self.check_algorithm(pop.len())?;
-        let members = pop.members().iter();
-        if pop.latest_wake() == 0 {
-            self.execute(members.map(|m| (self.make_node(m.virtual_id), 0)), &mut ())
-        } else {
-            // A staggered schedule: apply the §3 transform, exactly like
-            // the wake-offsets path.
-            self.execute(
-                members.map(|m| {
-                    let node = StaggeredStart::new(self.make_node(m.virtual_id));
-                    (node, m.wake_round)
-                }),
-                &mut (),
-            )
-        }
+        let report = exec.run_observed(sink)?;
+        let solver_phases = report
+            .solver
+            .map(|id| exec.node(id).phase_stats())
+            .unwrap_or_default();
+        Ok(Resolution {
+            algorithm: self.algorithm.name(),
+            report,
+            solver_phases,
+        })
     }
 
     /// Rejects an algorithm that cannot run on this many channels or with
@@ -439,38 +380,6 @@ impl Session {
             )));
         }
         Ok(())
-    }
-
-    /// Adds `nodes` (each with its wake round) to a fresh engine, runs it
-    /// into `sink`, and reads the solver's phase spine back out.
-    fn execute<P: PhaseTelemetry>(
-        &self,
-        nodes: impl Iterator<Item = (P, u64)>,
-        sink: &mut impl EventSink,
-    ) -> Result<Resolution, SessionError> {
-        let cfg = SimConfig::new(self.channels)
-            .seed(self.seed)
-            .cd_mode(self.algorithm.cd_mode())
-            .max_rounds(self.max_rounds)
-            .stop_when(if self.run_to_completion {
-                StopWhen::AllTerminated
-            } else {
-                StopWhen::Solved
-            });
-        let mut exec = Engine::new(cfg);
-        for (node, wake_round) in nodes {
-            exec.add_node_at(node, wake_round);
-        }
-        let report = exec.run_observed(sink)?;
-        let solver_phases = report
-            .solver
-            .map(|id| exec.node(id).phase_stats())
-            .unwrap_or_default();
-        Ok(Resolution {
-            algorithm: self.algorithm.name(),
-            report,
-            solver_phases,
-        })
     }
 }
 
@@ -503,55 +412,6 @@ mod tests {
     }
 
     #[test]
-    fn sparse_population_resolves_over_huge_namespace() {
-        // A namespace of 2^20 identities with 60 active: the engine holds
-        // 60 slots, and the id-keyed algorithms get real namespace ids.
-        let pop = SparsePopulation::uniform(1 << 20, 60, 1, 9);
-        for algo in [
-            Algorithm::Paper(Params::practical()),
-            Algorithm::BinaryDescent,
-            Algorithm::TreeSplit,
-        ] {
-            let res = Session::new(32, 1 << 20)
-                .algorithm(algo)
-                .seed(5)
-                .run_population(&pop)
-                .unwrap_or_else(|e| panic!("{}: {e}", algo.name()));
-            assert!(res.rounds().is_some(), "{}", algo.name());
-        }
-
-        // A staggered population goes through the §3 transform.
-        let staggered = SparsePopulation::uniform(1 << 20, 20, 16, 9);
-        assert!(staggered.latest_wake() > 0);
-        let res = Session::new(32, 1 << 20)
-            .seed(6)
-            .run_population(&staggered)
-            .expect("staggered population resolves");
-        assert!(res.rounds().is_some());
-    }
-
-    #[test]
-    fn sparse_population_misuse_is_rejected() {
-        let pop = SparsePopulation::uniform(1 << 12, 10, 1, 1);
-        // Namespace mismatch.
-        assert!(matches!(
-            Session::new(8, 1 << 10).run_population(&pop),
-            Err(SessionError::InvalidConfig(_))
-        ));
-        // Population plus explicit wake offsets.
-        assert!(matches!(
-            Session::new(8, 1 << 12)
-                .wake_offsets(vec![0; 10])
-                .run_population(&pop),
-            Err(SessionError::InvalidConfig(_))
-        ));
-        // Empty population.
-        assert!(Session::new(8, 1 << 12)
-            .run_population(&SparsePopulation::new(1 << 12))
-            .is_err());
-    }
-
-    #[test]
     fn two_active_requires_exactly_two() {
         let session = Session::new(32, 1 << 10).algorithm(Algorithm::TwoActive);
         assert!(matches!(
@@ -580,25 +440,6 @@ mod tests {
             .run(10)
             .unwrap_err();
         assert!(err.to_string().contains("channels"));
-    }
-
-    #[test]
-    fn wake_offsets_must_match_active_count() {
-        let err = Session::new(32, 1 << 10)
-            .wake_offsets(vec![0, 1])
-            .run(3)
-            .unwrap_err();
-        assert!(matches!(err, SessionError::InvalidConfig(_)));
-    }
-
-    #[test]
-    fn staggered_session_solves() {
-        let res = Session::new(32, 1 << 10)
-            .seed(3)
-            .wake_offsets((0..20).map(|i| i % 3).collect())
-            .run(20)
-            .expect("solves");
-        assert!(res.rounds().is_some());
     }
 
     #[test]
@@ -657,22 +498,6 @@ mod tests {
         assert_eq!(res.solver_phases.len(), 1);
         assert_eq!(res.solver_phases[0].name, "cd-tournament");
         assert!(res.phase_rounds("cd-tournament") > 0);
-    }
-
-    #[test]
-    fn staggered_session_still_exposes_the_spine() {
-        let res = Session::new(32, 1 << 10)
-            .seed(3)
-            .wake_offsets((0..20).map(|i| i % 3).collect())
-            .run(20)
-            .expect("solves");
-        // The wake-up wrapper forwards the inner protocol's spine; listen
-        // and beacon rounds are not phase rounds, so the spine total is
-        // bounded by (not equal to) the engine total.
-        if res.report.solver.is_some() {
-            let spine_total: u64 = res.solver_phases.iter().map(|r| r.rounds).sum();
-            assert!(spine_total <= res.rounds().unwrap());
-        }
     }
 
     #[test]

@@ -305,6 +305,26 @@ mod tests {
     }
 
     #[test]
+    fn phase_stats_forward_the_inner_spine() {
+        let (c, n) = (32u32, 1u64 << 10);
+        let mut exec = Engine::new(SimConfig::new(c).seed(3).max_rounds(100_000));
+        for i in 0..20u64 {
+            let node = StaggeredStart::new(FullAlgorithm::new(Params::practical(), c, n));
+            exec.add_node_at(node, i % 3);
+        }
+        let report = exec.run().expect("run succeeds");
+        let solver = exec.node(report.solver.expect("solves"));
+        let spine = solver.phase_stats();
+        assert_eq!(spine, solver.inner().phase_stats());
+        assert_eq!(spine[0].name, "reduce");
+        // Listen and beacon rounds are not phase rounds: the spine
+        // accounts for the inner protocol's rounds only.
+        let spine_total: u64 = spine.iter().map(|r| r.rounds).sum();
+        assert_eq!(spine_total, solver.inner_rounds());
+        assert!(spine_total < report.rounds_to_solve().unwrap());
+    }
+
+    #[test]
     fn overhead_is_at_most_double_plus_constant() {
         let (c, n) = (32u32, 1u64 << 10);
         let base = {

@@ -242,10 +242,25 @@ pub struct CancelToken {
     inner: Arc<CancelInner>,
 }
 
-#[derive(Default)]
 struct CancelInner {
     flag: AtomicBool,
-    deadline: Mutex<Option<Instant>>,
+    /// The clock origin the deadline is measured from.
+    base: Instant,
+    /// The deadline in nanoseconds past `base`; [`NO_DEADLINE`] when none
+    /// is armed. An atomic, so the per-trial check takes no lock.
+    deadline_ns: AtomicU64,
+}
+
+const NO_DEADLINE: u64 = u64::MAX;
+
+impl Default for CancelInner {
+    fn default() -> Self {
+        CancelInner {
+            flag: AtomicBool::new(false),
+            base: Instant::now(),
+            deadline_ns: AtomicU64::new(NO_DEADLINE),
+        }
+    }
 }
 
 impl CancelToken {
@@ -264,8 +279,16 @@ impl CancelToken {
     /// once the deadline passes. A deadline past the clock's range never
     /// fires.
     pub fn set_deadline(&self, timeout: Duration) {
-        let mut deadline = self.inner.deadline.lock().expect("deadline lock");
-        *deadline = Instant::now().checked_add(timeout);
+        // A deadline beyond `u64` nanoseconds (~584 years) is as good as
+        // none.
+        let ns = self
+            .inner
+            .base
+            .elapsed()
+            .checked_add(timeout)
+            .and_then(|at| u64::try_from(at.as_nanos()).ok())
+            .unwrap_or(NO_DEADLINE);
+        self.inner.deadline_ns.store(ns, Ordering::Relaxed);
     }
 
     /// Whether cancellation has been requested or the deadline passed.
@@ -274,15 +297,12 @@ impl CancelToken {
         if self.inner.flag.load(Ordering::Relaxed) {
             return true;
         }
-        let deadline = self.inner.deadline.lock().expect("deadline lock");
-        match *deadline {
-            Some(at) if Instant::now() >= at => {
-                drop(deadline);
-                self.inner.flag.store(true, Ordering::Relaxed);
-                true
-            }
-            _ => false,
+        let at = self.inner.deadline_ns.load(Ordering::Relaxed);
+        if at != NO_DEADLINE && self.inner.base.elapsed().as_nanos() >= u128::from(at) {
+            self.inner.flag.store(true, Ordering::Relaxed);
+            return true;
         }
+        false
     }
 }
 

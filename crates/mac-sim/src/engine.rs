@@ -301,7 +301,7 @@ impl<P: Protocol> Engine<P> {
 
 impl<P: Protocol, F: FeedbackModel> Engine<P, F> {
     /// Creates an engine with a custom [`FeedbackModel`] (an adversarial or
-    /// noisy radio layer; see [`crate::adversary::JammedChannel`]).
+    /// noisy radio layer; see [`crate::fault`]).
     ///
     /// The model replaces the configuration's `cd_mode` entirely — it alone
     /// decides what nodes hear. The model is bound to the configuration

@@ -15,10 +15,11 @@
 //! * [`CrashStop`] — an adversary crashes up to `f` nodes at scheduled
 //!   rounds, or reactively assassinates the current lone primary-channel
 //!   transmitter mid-protocol;
-//! * [`JamBudget`] — a refinement of [`crate::adversary::JammedChannel`]:
-//!   a *reactive* jammer with a finite energy budget that it spends only on
-//!   rounds that would otherwise solve the problem (the strongest strategy
-//!   per jamming-resistance energy arguments).
+//! * [`JamBudget`] — a primary-channel jammer: either *reactive*, with a
+//!   finite energy budget that it spends only on rounds that would
+//!   otherwise solve the problem (the strongest strategy per
+//!   jamming-resistance energy arguments), or a *flood* that jams every
+//!   round.
 //!
 //! The first three are [`FaultLayer`]s, stacked over any inner model with
 //! the [`Layered`] combinator ([`JamBudget`] is a full [`FeedbackModel`]
@@ -544,38 +545,60 @@ impl FaultLayer for CrashStop {
     }
 }
 
-/// A reactive jammer with a finite energy budget, refining
-/// [`crate::adversary::JammedChannel`].
+/// A jammer on the primary channel, on top of a base [`CdMode`].
 ///
-/// Where `JammedChannel` floods a fixed round range, `JamBudget` spends its
-/// budget optimally: it jams the primary channel exactly in the rounds
-/// where a lone transmission would otherwise solve the problem, and stays
+/// [`JamBudget::new`] builds a *reactive* jammer with a finite energy
+/// budget, which it spends optimally: it jams exactly the rounds where a
+/// lone primary transmission would otherwise solve the problem, and stays
 /// silent the rest of the time. Per the standard energy argument, a budget
 /// of `B` therefore delays the solve by exactly `B` would-be-solving
 /// rounds — the strongest disruption any `B`-bounded jammer can buy.
+/// [`JamBudget::flood`] builds a jammer that floods the primary channel in
+/// every round and so vetoes every solve.
 ///
 /// In a jammed round every primary-channel participant hears what a
 /// collision sounds like under the base [`CdMode`] (the jam collided with
-/// the lone frame). `JamBudget` is a complete [`FeedbackModel`], so it can
-/// serve as the inner model of a [`Layered`] fault stack.
+/// whatever, if anything, was transmitted):
+///
+/// * [`CdMode::Strong`] — everyone hears [`Feedback::Collision`];
+/// * [`CdMode::ReceiverOnly`] — listeners hear a collision, transmitters
+///   stay blind;
+/// * [`CdMode::None`] — listeners hear silence (they cannot distinguish
+///   the jam from background), transmitters stay blind.
+///
+/// `JamBudget` is a complete [`FeedbackModel`], so it can serve as the
+/// inner model of a [`Layered`] fault stack.
 #[derive(Debug, Clone)]
 pub struct JamBudget {
     base: CdMode,
     budget: u64,
     spent: u64,
+    flood: bool,
     jamming_now: bool,
 }
 
 impl JamBudget {
-    /// A jammer that can afford to disrupt `budget` would-be-solving
-    /// rounds, on top of the `base` collision-detection mode.
+    /// A reactive jammer that can afford to disrupt `budget`
+    /// would-be-solving rounds, on top of the `base` collision-detection
+    /// mode.
     #[must_use]
     pub fn new(base: CdMode, budget: u64) -> Self {
         JamBudget {
             base,
             budget,
             spent: 0,
+            flood: false,
             jamming_now: false,
+        }
+    }
+
+    /// A jammer that floods the primary channel in every round, on top of
+    /// the `base` collision-detection mode: no run under it ever solves.
+    #[must_use]
+    pub fn flood(base: CdMode) -> Self {
+        JamBudget {
+            flood: true,
+            ..JamBudget::new(base, u64::MAX)
         }
     }
 
@@ -596,23 +619,29 @@ impl JamBudget {
     pub fn jamming(&self) -> bool {
         self.jamming_now
     }
+
+    /// Spends one unit of energy if any is left; returns whether it did.
+    fn try_spend(&mut self) -> bool {
+        let can = self.spent < self.budget;
+        if can {
+            self.spent += 1;
+        }
+        can
+    }
 }
 
 impl FeedbackModel for JamBudget {
     fn begin_round(&mut self, _round: u64) {
-        self.jamming_now = false;
+        self.jamming_now = self.flood && self.try_spend();
     }
 
     fn allows_solve(&mut self, _solver: NodeId) -> bool {
         // Called exactly when a lone primary transmission would solve the
-        // problem — the only rounds worth jamming.
-        if self.spent < self.budget {
-            self.spent += 1;
-            self.jamming_now = true;
-            false
-        } else {
-            true
+        // problem — the only rounds a reactive jammer spends energy on.
+        if !self.flood {
+            self.jamming_now = self.try_spend();
         }
+        !self.jamming_now
     }
 
     fn deliver<M: Clone>(
@@ -620,15 +649,26 @@ impl FeedbackModel for JamBudget {
         action: &Action<M>,
         state: &ChannelState<'_, M>,
     ) -> Feedback<M> {
-        let jammed = self.jamming_now.then_some(ChannelId::PRIMARY);
-        crate::adversary::deliver_jammed(self.base, jammed, action, state)
+        let (channel, transmitted) = match action {
+            Action::Transmit { channel, .. } => (*channel, true),
+            Action::Listen { channel } => (*channel, false),
+            Action::Sleep => return Feedback::Slept,
+        };
+        if !(self.jamming_now && channel == ChannelId::PRIMARY) {
+            return self.base.deliver(action, state);
+        }
+        match self.base {
+            CdMode::Strong => Feedback::Collision,
+            CdMode::ReceiverOnly | CdMode::None if transmitted => Feedback::TransmittedBlind,
+            CdMode::ReceiverOnly => Feedback::Collision,
+            CdMode::None => Feedback::Silence,
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adversary::JammedChannel;
     use crate::config::StopWhen;
     use crate::engine::Engine;
     use crate::error::SimError;
@@ -863,12 +903,52 @@ mod tests {
         assert!(!engine.feedback().jamming());
     }
 
+    /// A lone beacon and a listener on the primary channel under `jammer`,
+    /// for two rounds: the solve round, and what each node heard per round.
+    fn two_jammed_rounds(jammer: JamBudget) -> (Option<u64>, [[Feedback<u8>; 2]; 2]) {
+        let mut engine = Engine::with_feedback(SimConfig::new(2).max_rounds(2), jammer);
+        let beacon = engine.add_node(Node::beacon(ChannelId::PRIMARY));
+        let ear = engine.add_node(Node::ear(ChannelId::PRIMARY));
+        let solved = engine.run().ok().and_then(|report| report.solved_round);
+        let heard =
+            [beacon, ear].map(|id| [0, 1].map(|round| engine.node(id).heard[round].clone()));
+        (solved, heard)
+    }
+
+    #[test]
+    fn jam_sounds_like_a_collision_per_base_mode() {
+        // (base mode, what the lone transmitter hears, what the listener
+        // hears) in a jammed round.
+        for (mode, beacon, ear) in [
+            (CdMode::Strong, Feedback::Collision, Feedback::Collision),
+            (
+                CdMode::ReceiverOnly,
+                Feedback::TransmittedBlind,
+                Feedback::Collision,
+            ),
+            (CdMode::None, Feedback::TransmittedBlind, Feedback::Silence),
+        ] {
+            // The flood jams round 1 as well; a budget of 1 is spent on
+            // round 0, so the lone message comes through in round 1.
+            for (jammer, solved, ear_in_round_1) in [
+                (JamBudget::flood(mode), None, ear.clone()),
+                (JamBudget::new(mode, 1), Some(1), Feedback::Message(1)),
+            ] {
+                let (solved_round, [beacon_heard, ear_heard]) = two_jammed_rounds(jammer);
+                assert_eq!(beacon_heard[0], beacon, "mode {mode:?}");
+                assert_eq!(ear_heard[0], ear, "mode {mode:?}");
+                assert_eq!(ear_heard[1], ear_in_round_1, "mode {mode:?}");
+                assert_eq!(solved_round, solved, "mode {mode:?}");
+            }
+        }
+    }
+
     #[test]
     fn watchdog_terminates_fully_jammed_primary_channel() {
         // The acceptance-criteria scenario: a primary channel jammed for
         // every round of the run must end in BudgetExhausted, not a hang
         // (and not a bogus Timeout "experiment bug").
-        let jam = JammedChannel::new(CdMode::Strong, ChannelId::PRIMARY, 0, u64::MAX);
+        let jam = JamBudget::flood(CdMode::Strong);
         let cfg = SimConfig::new(2).max_rounds(1_000_000).round_budget(300);
         let mut engine = Engine::with_feedback(cfg, jam);
         engine.add_node(Node::beacon(ChannelId::PRIMARY));

@@ -7,7 +7,7 @@
 //! (§3) are the canonical model: [`CdMode`] implements [`FeedbackModel`]
 //! directly, and [`crate::Engine::new`] installs the one from
 //! [`crate::SimConfig::cd_mode`]. Adversarial or noisy radios plug in the
-//! same way — see [`crate::adversary::JammedChannel`] — via
+//! same way — see [`crate::fault`] — via
 //! [`crate::Engine::with_feedback`].
 
 use crate::action::{Action, Feedback};

@@ -33,7 +33,7 @@
 //!   receiver);
 //! * **feedback** — a pluggable [`FeedbackModel`] decides what each node
 //!   hears; [`CdMode`] is the default model, and adversarial radios like
-//!   [`adversary::JammedChannel`] plug in via [`Engine::with_feedback`];
+//!   [`fault::JamBudget`] plug in via [`Engine::with_feedback`];
 //! * **observation** — [`EventSink`] observers ([`Metrics`], [`Trace`], or
 //!   anything user-supplied via [`Engine::run_observed`]) record what
 //!   happened; none are required, and [`Engine::run_summary`] skips them
@@ -118,7 +118,6 @@
 #![warn(missing_docs)]
 
 mod action;
-pub mod adversary;
 pub mod campaign;
 mod channel;
 mod config;

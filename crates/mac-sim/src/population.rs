@@ -45,7 +45,6 @@ use rand::{Rng, SeedableRng};
 use crate::config::SimConfig;
 use crate::engine::Engine;
 use crate::feedback::FeedbackModel;
-use crate::obs::RunManifest;
 use crate::protocol::Protocol;
 
 /// One activated member of a sparse population.
@@ -66,49 +65,6 @@ pub struct SparsePopulation {
 }
 
 impl SparsePopulation {
-    /// An empty population over a namespace of `n` identities.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `namespace == 0`.
-    #[must_use]
-    pub fn new(namespace: u64) -> Self {
-        assert!(namespace >= 1, "namespace must be non-empty");
-        SparsePopulation {
-            namespace,
-            members: Vec::new(),
-        }
-    }
-
-    /// Activates `virtual_id` at round 0.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `virtual_id` is outside the namespace.
-    #[must_use]
-    pub fn activate(self, virtual_id: u64) -> Self {
-        self.activate_at(virtual_id, 0)
-    }
-
-    /// Activates `virtual_id` at `wake_round`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `virtual_id` is outside the namespace.
-    #[must_use]
-    pub fn activate_at(mut self, virtual_id: u64, wake_round: u64) -> Self {
-        assert!(
-            virtual_id < self.namespace,
-            "virtual id {virtual_id} outside namespace 0..{}",
-            self.namespace
-        );
-        self.members.push(Member {
-            virtual_id,
-            wake_round,
-        });
-        self
-    }
-
     /// `active` distinct identities drawn uniformly from the namespace,
     /// each waking at a seeded uniform round in `0..window` (`window == 1`
     /// is simultaneous wake-up). Pure in `(namespace, active, window,
@@ -120,12 +76,12 @@ impl SparsePopulation {
     /// `window == 0`.
     #[must_use]
     pub fn uniform(namespace: u64, active: usize, window: u64, seed: u64) -> Self {
+        assert!(namespace >= 1, "namespace must be non-empty");
         assert!(
             (active as u64) <= namespace,
             "cannot activate {active} of {namespace} identities"
         );
         assert!(window >= 1, "wake window must be positive");
-        let mut pop = SparsePopulation::new(namespace);
         let mut rng = SmallRng::seed_from_u64(seed);
         // Distinct ids by rejection: |A| ≪ n in the sparse regime, so
         // collisions are rare and this terminates fast.
@@ -135,15 +91,18 @@ impl SparsePopulation {
         }
         let mut ids: Vec<u64> = chosen.into_iter().collect();
         ids.sort_unstable();
-        for virtual_id in ids {
-            let wake_round = if window == 1 {
-                0
-            } else {
-                rng.gen_range(0..window)
-            };
-            pop = pop.activate_at(virtual_id, wake_round);
-        }
-        pop
+        let members = ids
+            .into_iter()
+            .map(|virtual_id| Member {
+                virtual_id,
+                wake_round: if window == 1 {
+                    0
+                } else {
+                    rng.gen_range(0..window)
+                },
+            })
+            .collect();
+        SparsePopulation { namespace, members }
     }
 
     /// The namespace size `n`.
@@ -169,12 +128,6 @@ impl SparsePopulation {
     #[must_use]
     pub fn members(&self) -> &[Member] {
         &self.members
-    }
-
-    /// The last wake round in the schedule (0 for an empty population).
-    #[must_use]
-    pub fn latest_wake(&self) -> u64 {
-        self.members.iter().map(|m| m.wake_round).max().unwrap_or(0)
     }
 
     /// Builds an engine holding exactly `|A|` slots, one per member, each
@@ -204,13 +157,6 @@ impl SparsePopulation {
         }
         engine
     }
-
-    /// Stamps this population's shape (`n`, `|A|`) onto a run manifest, so
-    /// campaign exports record the sparse regime they measured.
-    #[must_use]
-    pub fn stamp(&self, manifest: RunManifest) -> RunManifest {
-        manifest.n(self.namespace).active(self.members.len() as u64)
-    }
 }
 
 #[cfg(test)]
@@ -229,19 +175,11 @@ mod tests {
         sorted.dedup();
         assert_eq!(ids, sorted, "ids must be distinct and sorted");
         assert!(a.members().iter().all(|m| m.wake_round < 64));
-        assert!(a.latest_wake() < 64);
     }
 
     #[test]
     fn window_one_is_simultaneous() {
         let pop = SparsePopulation::uniform(1 << 16, 50, 1, 3);
         assert!(pop.members().iter().all(|m| m.wake_round == 0));
-        assert_eq!(pop.latest_wake(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "outside namespace")]
-    fn activation_outside_namespace_panics() {
-        let _ = SparsePopulation::new(10).activate(10);
     }
 }

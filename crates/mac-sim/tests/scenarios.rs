@@ -1,7 +1,6 @@
-//! Simulator scenario tests: heterogeneous populations, adversarial
-//! scheduling helpers, trace rendering, and feedback-model edge cases.
+//! Simulator scenario tests: heterogeneous populations, staggered
+//! wake-ups, trace rendering, and feedback-model edge cases.
 
-use mac_sim::adversary::{ActivationPattern, WakeSchedule};
 use mac_sim::render::{activity_chart, channel_utilization};
 use mac_sim::{
     Action, CdMode, ChannelId, Engine, Feedback, Protocol, RoundContext, SimConfig, Status,
@@ -131,26 +130,18 @@ fn sleepers_do_not_block_channel_resolution() {
 
 #[test]
 fn wake_schedule_drives_executor() {
-    let schedule = WakeSchedule::waves(6, 3, 5);
+    // Three waves of two nodes, five rounds apart.
+    let schedule = [0, 5, 10, 0, 5, 10];
     let cfg = SimConfig::new(2)
         .stop_when(StopWhen::AllTerminated)
         .max_rounds(100);
     let mut exec = Engine::new(cfg);
-    for off in schedule.iter() {
+    for off in schedule {
         exec.add_node_at(Script::new(vec![Action::listen(ChannelId::new(2))]), off);
     }
     let report = exec.run().expect("finishes");
     // Last wave wakes at round 10 and acts for one round.
     assert_eq!(report.rounds_executed, 11);
-}
-
-#[test]
-fn activation_pattern_feeds_distinct_identities() {
-    let ids = ActivationPattern::UniformSubset { k: 20, seed: 3 }.materialize(64);
-    let set: std::collections::HashSet<u64> = ids.iter().copied().collect();
-    assert_eq!(set.len(), 20);
-    let comb = ActivationPattern::Comb { k: 8, stride: 8 }.materialize(64);
-    assert_eq!(comb, vec![0, 8, 16, 24, 32, 40, 48, 56]);
 }
 
 #[test]

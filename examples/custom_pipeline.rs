@@ -29,9 +29,8 @@
 use contention::baselines::{CdTournament, Decay};
 use contention::phase::{Phase, PhaseProtocol, PhaseTelemetry};
 use contention::{FullAlgorithm, Params, Reduce};
-use mac_sim::adversary::JammedChannel;
-use mac_sim::fault::{Layered, NoisyCd};
-use mac_sim::{CdMode, ChannelId, Engine, FeedbackModel, Protocol, SimConfig, SimError};
+use mac_sim::fault::{JamBudget, Layered, NoisyCd};
+use mac_sim::{CdMode, Engine, FeedbackModel, Protocol, SimConfig, SimError};
 
 const N: u64 = 1 << 14;
 const CHANNELS: u32 = 32;
@@ -129,7 +128,7 @@ fn main() {
     //    retires every node first and the run ends in a clean no-solve.
     println!("\nprimary channel jammed for the whole run:");
     let config = SimConfig::new(CHANNELS).seed(SEED).round_budget(BUDGET);
-    let jammer = JammedChannel::new(CdMode::Strong, ChannelId::PRIMARY, 0, u64::MAX);
+    let jammer = JamBudget::flood(CdMode::Strong);
     let mut engine = Engine::with_feedback(config, jammer);
     for _ in 0..ACTIVE {
         engine.add_node(PhaseProtocol::new(hybrid(params, N)));
@@ -137,7 +136,7 @@ fn main() {
     report_run("hybrid vs jammer (CD fails fast)", engine);
 
     let config = SimConfig::new(CHANNELS).seed(SEED).round_budget(BUDGET);
-    let jammer = JammedChannel::new(CdMode::Strong, ChannelId::PRIMARY, 0, u64::MAX);
+    let jammer = JamBudget::flood(CdMode::Strong);
     let mut engine = Engine::with_feedback(config, jammer);
     for _ in 0..ACTIVE {
         engine.add_node(PhaseProtocol::new(Decay::new(N)));
@@ -145,7 +144,7 @@ fn main() {
     report_run("Decay (never listens) vs jammer", engine);
 
     let config = SimConfig::new(CHANNELS).seed(SEED).round_budget(BUDGET);
-    let jammer = JammedChannel::new(CdMode::Strong, ChannelId::PRIMARY, 0, u64::MAX);
+    let jammer = JamBudget::flood(CdMode::Strong);
     let mut engine = Engine::with_feedback(config, jammer);
     for _ in 0..ACTIVE {
         engine.add_node(PhaseProtocol::new(Decay::new(N).bounded(1_500)));

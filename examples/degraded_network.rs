@@ -25,9 +25,7 @@
 
 use contention::baselines::Decay;
 use contention::{FullAlgorithm, Params};
-use mac_sim::adversary::JammedChannel;
 use mac_sim::fault::{CrashStop, JamBudget, Layered, LossyChannel, NoisyCd};
-use mac_sim::ChannelId;
 use mac_sim::{CdMode, Engine, FeedbackModel, Protocol, SimConfig, SimError};
 
 const N: u64 = 1 << 14;
@@ -107,7 +105,7 @@ fn main() {
     // channel wedges it — the watchdog turns the hang into an error.
     run_on(
         "Decay vs flooded primary channel",
-        JammedChannel::new(CdMode::Strong, ChannelId::PRIMARY, 0, u64::MAX),
+        JamBudget::flood(CdMode::Strong),
         (0..ACTIVE).map(|_| Decay::new(N)).collect(),
     );
 
