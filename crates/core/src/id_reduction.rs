@@ -24,6 +24,7 @@
 //! `≥ 1 − 2^{-lg(C/2)/2}` per attempt).
 
 use mac_sim::{Action, ChannelId, Feedback, Protocol, RoundContext, Status};
+use rand::distributions::{Bernoulli, Distribution};
 use rand::rngs::SmallRng;
 use rand::Rng;
 
@@ -95,8 +96,9 @@ enum SubRound {
 pub struct IdReduction {
     /// Renaming range `[1, c_half]`.
     c_half: u32,
-    /// Inverse knock-out probability for reduction rounds.
-    k: f64,
+    /// The reduction rounds' transmit draw, at the knock-out probability
+    /// `1/k` (capped at 1).
+    knock: Bernoulli,
     sub: SubRound,
     /// Channel picked in the current rename round, kept if alone.
     candidate: Option<u32>,
@@ -114,14 +116,16 @@ impl IdReduction {
     ///
     /// # Panics
     ///
-    /// Panics if `channels < 2`.
+    /// Panics if `channels < 2`, or if `params` give a negative
+    /// knock-out constant `k`.
     #[must_use]
     pub fn new(params: Params, channels: u32) -> Self {
         assert!(channels >= 2, "IdReduction needs C >= 2, got {channels}");
         let c_eff = 1u32 << (31 - channels.leading_zeros());
         IdReduction {
             c_half: (c_eff / 2).max(1),
-            k: params.knock_k(channels),
+            knock: Bernoulli::new((1.0 / params.knock_k(channels)).min(1.0))
+                .expect("k is positive, so 1/k capped at 1 lies in [0, 1]"),
             sub: SubRound::Rename,
             candidate: None,
             transmitted: false,
@@ -175,7 +179,7 @@ impl Protocol for IdReduction {
             }
             SubRound::Reduce => {
                 self.stats.reduction_rounds += 1;
-                self.transmitted = rng.gen_bool((1.0 / self.k).min(1.0));
+                self.transmitted = self.knock.sample(rng);
                 if self.transmitted {
                     Action::transmit(ChannelId::PRIMARY, 0)
                 } else {
@@ -246,8 +250,14 @@ impl Phase for IdReduction {
         action
     }
 
-    fn observe(&mut self, ctx: &RoundContext, feedback: Feedback<u32>, rng: &mut SmallRng) {
+    fn observe(
+        &mut self,
+        ctx: &RoundContext,
+        feedback: Feedback<u32>,
+        rng: &mut SmallRng,
+    ) -> Option<PhaseOutcome<u32>> {
         Protocol::observe(self, ctx, feedback, rng);
+        Phase::outcome(self)
     }
 
     fn outcome(&self) -> Option<PhaseOutcome<u32>> {

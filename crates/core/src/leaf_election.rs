@@ -486,8 +486,14 @@ impl Phase for LeafElection {
         action
     }
 
-    fn observe(&mut self, ctx: &RoundContext, feedback: Feedback<u32>, rng: &mut SmallRng) {
+    fn observe(
+        &mut self,
+        ctx: &RoundContext,
+        feedback: Feedback<u32>,
+        rng: &mut SmallRng,
+    ) -> Option<PhaseOutcome<()>> {
         Protocol::observe(self, ctx, feedback, rng);
+        Phase::outcome(self)
     }
 
     fn outcome(&self) -> Option<PhaseOutcome<()>> {

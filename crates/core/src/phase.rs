@@ -142,6 +142,10 @@ impl PhaseMeter {
 ///   instant phases like [`Pass`]): combinators hand off at the
 ///   observe/act round boundary, which is what keeps survivors in
 ///   lockstep.
+/// * `observe` returns the outcome the round left, exactly what
+///   [`Phase::outcome`] reports right after it: combinators hand off and
+///   adapters settle on the returned value instead of probing the stack
+///   again. `outcome` serves construction-time outcomes and queries.
 pub trait Phase {
     /// The value a completed phase hands to its successor.
     type Output;
@@ -149,8 +153,15 @@ pub trait Phase {
     /// Choose this round's action. Mirrors [`Protocol::act`].
     fn act(&mut self, ctx: &RoundContext, rng: &mut SmallRng) -> Action<u32>;
 
-    /// Receive this round's feedback. Mirrors [`Protocol::observe`].
-    fn observe(&mut self, ctx: &RoundContext, feedback: Feedback<u32>, rng: &mut SmallRng);
+    /// Receive this round's feedback, and return the phase's outcome after
+    /// the round (`None` while still running). Mirrors
+    /// [`Protocol::observe`].
+    fn observe(
+        &mut self,
+        ctx: &RoundContext,
+        feedback: Feedback<u32>,
+        rng: &mut SmallRng,
+    ) -> Option<PhaseOutcome<Self::Output>>;
 
     /// How the phase ended, once it has. `None` while still running.
     fn outcome(&self) -> Option<PhaseOutcome<Self::Output>>;
@@ -289,9 +300,9 @@ pub struct AndThen<A, B, N> {
     next: N,
     /// Whether the pre-`act` handoff check has run. A completion can only
     /// be pending at `act` time when the first phase was complete *at
-    /// construction* (observe-time completions advance inside `observe`),
-    /// so after one `act` the check is dead and skipping it keeps the
-    /// steady-state path to a single `outcome()` probe per round.
+    /// construction* (observe-time completions hand off inside `observe`),
+    /// so after one `act` the check is dead and the steady-state path
+    /// never probes `outcome()`.
     primed: bool,
 }
 
@@ -313,13 +324,10 @@ where
         }
     }
 
-    /// If the first phase has completed, archive it and build the second.
-    ///
-    /// Called at both lifecycle edges — after `observe` (the normal
-    /// barrier handoff) and before `act` (so instant phases like [`Pass`]
-    /// hand off without consuming a round). Inline, because it runs on
-    /// every observe and almost always finds nothing to do.
-    #[inline]
+    /// If the first phase was complete at construction, hand off before
+    /// the first `act`, so instant phases like [`Pass`] cost no round.
+    /// (Completions inside `observe` hand off there, on the value the
+    /// first phase returns.)
     fn advance(&mut self) {
         if let Seq::First(first) = &self.seq {
             if let Some(PhaseOutcome::Complete(value)) = first.outcome() {
@@ -329,17 +337,23 @@ where
     }
 
     /// The handoff itself, out of line: each node makes it at most once.
+    /// Archives the first phase, builds the second from `value`, and
+    /// returns the second's construction-time outcome, which is the
+    /// composition's outcome from now on.
     #[cold]
-    fn hand_off(&mut self, value: A::Output) {
+    fn hand_off(&mut self, value: A::Output) -> Option<PhaseOutcome<B::Output>> {
         let Seq::First(first) = &self.seq else {
-            return;
+            unreachable!("only the first phase hands off");
         };
         let mut archived = Vec::new();
         first.collect_stats(&mut archived);
+        let phase = self.next.build(value);
+        let outcome = phase.outcome();
         self.seq = Seq::Second {
-            phase: Box::new(self.next.build(value)),
+            phase: Box::new(phase),
             archived: archived.into_boxed_slice(),
         };
+        outcome
     }
 }
 
@@ -364,12 +378,20 @@ where
     }
 
     #[inline]
-    fn observe(&mut self, ctx: &RoundContext, feedback: Feedback<u32>, rng: &mut SmallRng) {
+    fn observe(
+        &mut self,
+        ctx: &RoundContext,
+        feedback: Feedback<u32>,
+        rng: &mut SmallRng,
+    ) -> Option<PhaseOutcome<B::Output>> {
         match &mut self.seq {
-            Seq::First(first) => first.observe(ctx, feedback, rng),
+            Seq::First(first) => match first.observe(ctx, feedback, rng) {
+                None => None,
+                Some(PhaseOutcome::Terminated(status)) => Some(PhaseOutcome::Terminated(status)),
+                Some(PhaseOutcome::Complete(value)) => self.hand_off(value),
+            },
             Seq::Second { phase, .. } => phase.observe(ctx, feedback, rng),
         }
-        self.advance();
     }
 
     #[inline]
@@ -476,7 +498,12 @@ where
     }
 
     #[inline]
-    fn observe(&mut self, ctx: &RoundContext, feedback: Feedback<u32>, rng: &mut SmallRng) {
+    fn observe(
+        &mut self,
+        ctx: &RoundContext,
+        feedback: Feedback<u32>,
+        rng: &mut SmallRng,
+    ) -> Option<PhaseOutcome<T>> {
         match &mut self.arm {
             Arm::Primary(primary) => primary.observe(ctx, feedback, rng),
             Arm::Fallback(fallback) => fallback.observe(ctx, feedback, rng),
@@ -560,6 +587,15 @@ impl<P: Phase> Bounded<P> {
     pub fn expired(&self) -> bool {
         self.used >= self.budget && self.inner.outcome().is_none()
     }
+
+    /// The composition's outcome given the inner phase's: the inner
+    /// outcome if any, else the give-up once the budget is spent.
+    fn bound(&self, inner: Option<PhaseOutcome<P::Output>>) -> Option<PhaseOutcome<P::Output>> {
+        match inner {
+            None if self.used >= self.budget => Some(PhaseOutcome::Terminated(Status::Inactive)),
+            outcome => outcome,
+        }
+    }
 }
 
 impl<P: Phase> Phase for Bounded<P> {
@@ -570,16 +606,18 @@ impl<P: Phase> Phase for Bounded<P> {
         self.inner.act(ctx, rng)
     }
 
-    fn observe(&mut self, ctx: &RoundContext, feedback: Feedback<u32>, rng: &mut SmallRng) {
-        self.inner.observe(ctx, feedback, rng);
+    fn observe(
+        &mut self,
+        ctx: &RoundContext,
+        feedback: Feedback<u32>,
+        rng: &mut SmallRng,
+    ) -> Option<PhaseOutcome<P::Output>> {
+        let outcome = self.inner.observe(ctx, feedback, rng);
+        self.bound(outcome)
     }
 
     fn outcome(&self) -> Option<PhaseOutcome<P::Output>> {
-        match self.inner.outcome() {
-            Some(outcome) => Some(outcome),
-            None if self.used >= self.budget => Some(PhaseOutcome::Terminated(Status::Inactive)),
-            None => None,
-        }
+        self.bound(self.inner.outcome())
     }
 
     fn name(&self) -> &'static str {
@@ -630,7 +668,14 @@ impl<T: Clone> Phase for Pass<T> {
     }
 
     #[inline]
-    fn observe(&mut self, _ctx: &RoundContext, _feedback: Feedback<u32>, _rng: &mut SmallRng) {}
+    fn observe(
+        &mut self,
+        _ctx: &RoundContext,
+        _feedback: Feedback<u32>,
+        _rng: &mut SmallRng,
+    ) -> Option<PhaseOutcome<T>> {
+        self.outcome()
+    }
 
     #[inline]
     fn outcome(&self) -> Option<PhaseOutcome<T>> {
@@ -657,13 +702,13 @@ pub struct PhaseProtocol<P> {
     phase: P,
     /// Cached terminal status, mirroring `phase.outcome()`.
     ///
-    /// The engine reads `status()` several times per node per round (the
-    /// phase-label scan, the act-loop filter, the all-terminated check),
-    /// and on a composed stack every `outcome()` call re-walks the nested
+    /// The engine reads `status()` after every `observe`, and on a
+    /// composed stack every `outcome()` call re-walks the nested
     /// combinator chain. Outcomes only change inside `observe` (or at
-    /// construction — lifecycle contract point 2), so caching at those two
-    /// points makes `status()` a field read without changing any value the
-    /// engine can observe.
+    /// construction — lifecycle contract point 2), so the cache is set
+    /// from `outcome()` once at construction and from the value `observe`
+    /// returns after that, which makes `status()` a field read without
+    /// changing any value the engine can observe.
     settled: Option<Status>,
 }
 
@@ -672,22 +717,10 @@ impl<P: Phase> PhaseProtocol<P> {
     #[must_use]
     #[inline]
     pub fn new(phase: P) -> Self {
-        let mut adapter = PhaseProtocol {
+        PhaseProtocol {
+            settled: settled_status(phase.outcome()),
             phase,
-            settled: None,
-        };
-        adapter.settle();
-        adapter
-    }
-
-    /// Refreshes the cached status from the stack's outcome.
-    #[inline]
-    fn settle(&mut self) {
-        self.settled = match self.phase.outcome() {
-            None => None,
-            Some(PhaseOutcome::Terminated(status)) => Some(status),
-            Some(PhaseOutcome::Complete(_)) => Some(Status::Inactive),
-        };
+        }
     }
 
     /// The wrapped stack.
@@ -718,6 +751,16 @@ impl<P: Phase> PhaseProtocol<P> {
     }
 }
 
+/// The protocol status a stack's outcome maps to, `None` while it runs.
+#[inline]
+fn settled_status<T>(outcome: Option<PhaseOutcome<T>>) -> Option<Status> {
+    match outcome {
+        None => None,
+        Some(PhaseOutcome::Terminated(status)) => Some(status),
+        Some(PhaseOutcome::Complete(_)) => Some(Status::Inactive),
+    }
+}
+
 impl<P: Phase> Protocol for PhaseProtocol<P> {
     type Msg = u32;
 
@@ -734,8 +777,7 @@ impl<P: Phase> Protocol for PhaseProtocol<P> {
         if self.settled.is_some() {
             return;
         }
-        self.phase.observe(ctx, feedback, rng);
-        self.settle();
+        self.settled = settled_status(self.phase.observe(ctx, feedback, rng));
     }
 
     #[inline]
@@ -821,8 +863,9 @@ macro_rules! impl_terminal_phase {
                 ctx: &mac_sim::RoundContext,
                 feedback: mac_sim::Feedback<u32>,
                 rng: &mut rand::rngs::SmallRng,
-            ) {
+            ) -> ::std::option::Option<crate::phase::PhaseOutcome<()>> {
                 mac_sim::Protocol::observe(self, ctx, feedback, rng);
+                crate::phase::Phase::outcome(self)
             }
 
             fn outcome(&self) -> ::std::option::Option<crate::phase::PhaseOutcome<()>> {
@@ -898,8 +941,14 @@ mod tests {
             action
         }
 
-        fn observe(&mut self, _ctx: &RoundContext, _fb: Feedback<u32>, _rng: &mut SmallRng) {
+        fn observe(
+            &mut self,
+            _ctx: &RoundContext,
+            _fb: Feedback<u32>,
+            _rng: &mut SmallRng,
+        ) -> Option<PhaseOutcome<u32>> {
             self.rounds_left -= 1;
+            self.outcome()
         }
 
         fn outcome(&self) -> Option<PhaseOutcome<u32>> {

@@ -14,8 +14,8 @@
 //! channel.
 
 use mac_sim::{Action, ChannelId, Feedback, Protocol, RoundContext, Status};
+use rand::distributions::{Bernoulli, Distribution};
 use rand::rngs::SmallRng;
-use rand::Rng;
 
 use crate::params::Params;
 use crate::phase::{impl_phase_telemetry, Phase, PhaseMeter, PhaseOutcome, PhaseStats};
@@ -63,6 +63,8 @@ pub enum ReduceOutcome {
 #[derive(Debug, Clone)]
 pub struct Reduce {
     n_hat: f64,
+    /// The transmit draw at `1/n̂`, rebuilt whenever `n̂` changes.
+    draw: Bernoulli,
     iterations_left: u32,
     rounds_left_in_iteration: u8,
     transmitted: bool,
@@ -89,6 +91,7 @@ impl Reduce {
         assert!(n >= 2, "the model requires n >= 2, got {n}");
         Reduce {
             n_hat: n as f64,
+            draw: transmit_draw(n as f64),
             iterations_left: params.reduce_iterations(n),
             rounds_left_in_iteration: 2,
             transmitted: false,
@@ -117,14 +120,19 @@ impl Reduce {
     }
 }
 
+/// The transmit draw at `1/n̂`, capped at 1.
+#[inline]
+fn transmit_draw(n_hat: f64) -> Bernoulli {
+    Bernoulli::new((1.0 / n_hat).min(1.0)).expect("n̂ >= 1, so 1/n̂ lies in (0, 1]")
+}
+
 impl Protocol for Reduce {
     type Msg = u32;
 
     #[inline]
     fn act(&mut self, _ctx: &RoundContext, rng: &mut SmallRng) -> Action<u32> {
         debug_assert!(self.outcome.is_none(), "terminated node must not act");
-        let p = (1.0 / self.n_hat).min(1.0);
-        self.transmitted = rng.gen_bool(p);
+        self.transmitted = self.draw.sample(rng);
         let action = if self.transmitted {
             Action::transmit(ChannelId::PRIMARY, 0)
         } else {
@@ -153,6 +161,7 @@ impl Protocol for Reduce {
             self.iterations_left -= 1;
             self.rounds_left_in_iteration = 2;
             self.n_hat = self.n_hat.sqrt();
+            self.draw = transmit_draw(self.n_hat);
             if self.iterations_left == 0 {
                 self.outcome = Some(ReduceOutcome::Survived);
             }
@@ -184,8 +193,14 @@ impl Phase for Reduce {
     }
 
     #[inline]
-    fn observe(&mut self, ctx: &RoundContext, feedback: Feedback<u32>, rng: &mut SmallRng) {
+    fn observe(
+        &mut self,
+        ctx: &RoundContext,
+        feedback: Feedback<u32>,
+        rng: &mut SmallRng,
+    ) -> Option<PhaseOutcome<()>> {
         Protocol::observe(self, ctx, feedback, rng);
+        Phase::outcome(self)
     }
 
     #[inline]

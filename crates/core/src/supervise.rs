@@ -304,12 +304,9 @@ where
         &self.current
     }
 
-    /// Whether the running attempt is wedged: slice exhausted without an
-    /// outcome, or an invariant violation reported.
+    /// Whether the running attempt, which has no outcome, is wedged: slice
+    /// exhausted, or an invariant violation reported.
     fn wedged(&self) -> bool {
-        if self.current.outcome().is_some() {
-            return false;
-        }
         self.acted >= self.policy.slice_for(self.attempt)
             || self.current.invariant_violation().is_some()
     }
@@ -361,25 +358,32 @@ where
         self.current.act(ctx, attempt_rng)
     }
 
-    fn observe(&mut self, ctx: &RoundContext, feedback: Feedback<u32>, rng: &mut SmallRng) {
+    fn observe(
+        &mut self,
+        ctx: &RoundContext,
+        feedback: Feedback<u32>,
+        rng: &mut SmallRng,
+    ) -> Option<PhaseOutcome<P::Output>> {
         let _ = rng;
         let attempt_rng = self
             .attempt_rng
             .as_mut()
             .expect("observe follows act, which seeds the attempt stream");
-        self.current.observe(ctx, feedback, attempt_rng);
-        if self.wedged() {
-            // Classify the wedge before the restart clears attempt state:
-            // slice exhaustion takes precedence (it is the supervisor's
-            // own trigger; a violation surfacing in the same round would
-            // have fired earlier on its own).
-            if self.acted >= self.policy.slice_for(self.attempt) {
-                self.wedges_slice += 1;
-            } else {
-                self.wedges_violation += 1;
-            }
-            self.restart();
+        let outcome = self.current.observe(ctx, feedback, attempt_rng);
+        if outcome.is_some() || !self.wedged() {
+            return outcome;
         }
+        // Classify the wedge before the restart clears attempt state:
+        // slice exhaustion takes precedence (it is the supervisor's own
+        // trigger; a violation surfacing in the same round would have
+        // fired earlier on its own).
+        if self.acted >= self.policy.slice_for(self.attempt) {
+            self.wedges_slice += 1;
+        } else {
+            self.wedges_violation += 1;
+        }
+        self.restart();
+        self.outcome()
     }
 
     fn outcome(&self) -> Option<PhaseOutcome<P::Output>> {
@@ -466,10 +470,16 @@ mod tests {
             action
         }
 
-        fn observe(&mut self, _ctx: &RoundContext, _fb: Feedback<u32>, _rng: &mut SmallRng) {
+        fn observe(
+            &mut self,
+            _ctx: &RoundContext,
+            _fb: Feedback<u32>,
+            _rng: &mut SmallRng,
+        ) -> Option<PhaseOutcome<u32>> {
             if let Some(left) = &mut self.rounds_left {
                 *left -= 1;
             }
+            self.outcome()
         }
 
         fn outcome(&self) -> Option<PhaseOutcome<u32>> {
@@ -663,8 +673,14 @@ mod tests {
             fn act(&mut self, _: &RoundContext, _: &mut SmallRng) -> Action<u32> {
                 Action::Sleep
             }
-            fn observe(&mut self, _: &RoundContext, _: Feedback<u32>, _: &mut SmallRng) {
+            fn observe(
+                &mut self,
+                _: &RoundContext,
+                _: Feedback<u32>,
+                _: &mut SmallRng,
+            ) -> Option<PhaseOutcome<()>> {
                 self.done = true;
+                self.outcome()
             }
             fn outcome(&self) -> Option<PhaseOutcome<()>> {
                 self.done
@@ -722,7 +738,14 @@ mod tests {
                 self.probe.acted += 1;
                 Action::Sleep
             }
-            fn observe(&mut self, _: &RoundContext, _: Feedback<u32>, _: &mut SmallRng) {}
+            fn observe(
+                &mut self,
+                _: &RoundContext,
+                _: Feedback<u32>,
+                _: &mut SmallRng,
+            ) -> Option<PhaseOutcome<()>> {
+                None
+            }
             fn outcome(&self) -> Option<PhaseOutcome<()>> {
                 None
             }

@@ -393,6 +393,15 @@ impl<P: Protocol, F: FeedbackModel> Engine<P, F> {
         id
     }
 
+    /// Reserves room for `additional` more slots in every per-slot buffer
+    /// (`nodes`, the wake agenda and the per-node metrics), so a caller
+    /// that knows its population size builds it without regrowing them.
+    pub(crate) fn reserve_nodes(&mut self, additional: usize) {
+        self.nodes.reserve(additional);
+        self.agenda.reserve(additional);
+        self.run.metrics.transmissions_per_node.reserve(additional);
+    }
+
     /// The scheduler state of a node's slot — e.g. for debugging a run
     /// mid-flight between [`Engine::step`] calls, or for fault post-mortems
     /// (a [`SlotState::Crashed`] node's protocol was never told it died).
@@ -555,7 +564,11 @@ impl<P: Protocol, F: FeedbackModel> Engine<P, F> {
     ///
     /// * [`SimError::NoNodes`] if no node was added;
     /// * [`SimError::ChannelOutOfRange`] if a protocol picks an invalid
-    ///   channel.
+    ///   channel. Nodes act in [`NodeId`] order and each action's event is
+    ///   emitted as soon as it is counted, so by then an attached sink has
+    ///   seen the round's `on_transmission`/`on_listen` events of every
+    ///   node before the failing one (and nothing else of the round); the
+    ///   round is not completed and the clock does not advance.
     pub fn step(&mut self) -> Result<StepStatus, SimError> {
         self.step_observed(&mut ())
     }
@@ -626,6 +639,10 @@ impl<P: Protocol, F: FeedbackModel> Engine<P, F> {
                 self.agenda.make_contiguous().sort_unstable();
                 self.agenda_unsorted = false;
             }
+            // The agenda is sorted, so the entries due now are a prefix:
+            // reserve for all of them before pushing any.
+            let due = self.agenda.partition_point(|&(at, _)| at <= round);
+            self.live.reserve(due);
             let mut appended = 0usize;
             while let Some(&(at, idx)) = self.agenda.front() {
                 if at > round {
@@ -677,9 +694,21 @@ impl<P: Protocol, F: FeedbackModel> Engine<P, F> {
             .map_or("idle", |&idx| self.nodes[idx].protocol.phase());
         let node_phases = sink.wants_node_phases();
 
-        // Collect actions from the live set only — every live slot is
-        // schedulable by invariant, so no per-node status filtering.
+        // The first pass, act-and-resolve, over the live set only (every
+        // live slot is schedulable by invariant, so no per-node status
+        // filtering): act, range-check, let the fault layer filter, then
+        // count the action on its channel and emit its event at once. So a
+        // round that fails with `ChannelOutOfRange` has already emitted the
+        // events of the nodes before the failing one. First clear the
+        // channel scratch the previous round dirtied.
+        for &d in &self.dirty {
+            self.tx_count[d] = 0;
+            self.rx_count[d] = 0;
+            self.lone_act[d] = usize::MAX;
+        }
+        self.dirty.clear();
         self.actions.clear();
+        self.actions.reserve(self.live.len());
         for li in 0..self.live.len() {
             let idx = self.live[li];
             let slot = &mut self.nodes[idx];
@@ -702,18 +731,15 @@ impl<P: Protocol, F: FeedbackModel> Engine<P, F> {
             // The fault layer's physical hook: jamming/erasure models may
             // still rewrite actions (identity for clean models).
             let action = self.feedback.filter_action(NodeId(idx), action);
-            self.actions.push((idx, action));
-        }
-
-        // Resolve channels on the reusable scratch.
-        for &d in &self.dirty {
-            self.tx_count[d] = 0;
-            self.rx_count[d] = 0;
-            self.lone_act[d] = usize::MAX;
-        }
-        self.dirty.clear();
-        for (ai, (idx, action)) in self.actions.iter().enumerate() {
-            match action {
+            // Per-node labels are read *after* `act`, so the label names
+            // the phase that actually produced the action (matching
+            // `PhaseMeter`'s attribution).
+            let label = if node_phases {
+                slot.protocol.phase()
+            } else {
+                phase
+            };
+            match &action {
                 Action::Transmit { channel, .. } => {
                     let ci = channel.index();
                     if self.tx_count[ci] == 0 && self.rx_count[ci] == 0 {
@@ -721,19 +747,11 @@ impl<P: Protocol, F: FeedbackModel> Engine<P, F> {
                     }
                     self.tx_count[ci] += 1;
                     self.lone_act[ci] = if self.tx_count[ci] == 1 {
-                        ai
+                        self.actions.len()
                     } else {
                         usize::MAX
                     };
-                    // Per-node labels are read *after* `act`, so the label
-                    // names the phase that actually produced the action
-                    // (matching `PhaseMeter`'s attribution).
-                    let label = if node_phases {
-                        self.nodes[*idx].protocol.phase()
-                    } else {
-                        phase
-                    };
-                    sink.on_transmission(round, NodeId(*idx), *channel, label);
+                    sink.on_transmission(round, NodeId(idx), *channel, label);
                 }
                 Action::Listen { channel } => {
                     let ci = channel.index();
@@ -741,15 +759,11 @@ impl<P: Protocol, F: FeedbackModel> Engine<P, F> {
                         self.dirty.push(ci);
                     }
                     self.rx_count[ci] += 1;
-                    let label = if node_phases {
-                        self.nodes[*idx].protocol.phase()
-                    } else {
-                        phase
-                    };
-                    sink.on_listen(round, NodeId(*idx), *channel, label);
+                    sink.on_listen(round, NodeId(idx), *channel, label);
                 }
                 Action::Sleep => {}
             }
+            self.actions.push((idx, action));
         }
 
         // Solve detection: exactly one transmitter on the *physical*
@@ -811,13 +825,13 @@ impl<P: Protocol, F: FeedbackModel> Engine<P, F> {
             }
         }
 
-        // Deliver feedback, and park each live slot whose protocol
-        // terminated on it, so it drops out of the per-round loops for
-        // good. `actions` holds exactly the live set in NodeId order, so
-        // this one pass visits every live slot once. The actions buffer is
-        // moved out so the borrow checker can see it is disjoint from the
-        // node slots; it is moved back afterwards, so its capacity is
-        // reused across rounds.
+        // The second and last pass: deliver feedback, and park each live
+        // slot whose protocol terminated on it, so it drops out of the
+        // per-round loops for good. `actions` holds exactly the live set
+        // in NodeId order, so this pass visits every live slot once. The
+        // actions buffer is moved out so the borrow checker can see it is
+        // disjoint from the node slots; it is moved back afterwards, so
+        // its capacity is reused across rounds.
         let actions = std::mem::take(&mut self.actions);
         {
             let state = ChannelState {
@@ -902,27 +916,21 @@ impl<P: Protocol, F: FeedbackModel> Engine<P, F> {
     /// mid-run between [`Engine::step`] calls.
     #[must_use]
     pub fn report(&self) -> RunReport {
-        let leaders = self
-            .nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, slot)| slot.protocol.status() == Status::Leader)
-            .map(|(idx, _)| NodeId(idx))
-            .collect();
-        // NodeId-ordered slot scan (not live-set iteration): report order
-        // is part of the record schema and must not depend on scheduler
-        // internals. Crashed slots count as still-active — the node never
-        // terminated, the radio just lost it.
-        let active_remaining = self
-            .nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, slot)| {
-                matches!(slot.state, SlotState::Live | SlotState::Crashed)
-                    && slot.protocol.status() == Status::Active
-            })
-            .map(|(idx, _)| NodeId(idx))
-            .collect();
+        // One NodeId-ordered slot scan (not live-set iteration): report
+        // order is part of the record schema and must not depend on
+        // scheduler internals. Crashed slots count as still-active — the
+        // node never terminated, the radio just lost it.
+        let mut leaders = Vec::new();
+        let mut active_remaining = Vec::new();
+        for (idx, slot) in self.nodes.iter().enumerate() {
+            match slot.protocol.status() {
+                Status::Leader => leaders.push(NodeId(idx)),
+                Status::Active if matches!(slot.state, SlotState::Live | SlotState::Crashed) => {
+                    active_remaining.push(NodeId(idx));
+                }
+                _ => {}
+            }
+        }
 
         RunReport {
             solved_round: self.run.solved_round,
@@ -1113,7 +1121,76 @@ mod tests {
         let mut engine = Engine::new(SimConfig::new(2).max_rounds(5));
         engine.add_node(Rig::tx(ChannelId::new(3), 0));
         let err = engine.run().unwrap_err();
-        assert!(matches!(err, SimError::ChannelOutOfRange { .. }));
+        assert_eq!(
+            err,
+            SimError::ChannelOutOfRange {
+                node: NodeId(0),
+                round: 0,
+                channel: ChannelId::new(3),
+                channels: 2,
+            }
+        );
+    }
+
+    #[test]
+    fn out_of_range_round_emits_only_the_events_before_the_failing_node() {
+        #[derive(Default)]
+        struct Log(Vec<String>);
+        impl EventSink for Log {
+            fn on_transmission(
+                &mut self,
+                round: u64,
+                node: NodeId,
+                ch: ChannelId,
+                _: &'static str,
+            ) {
+                self.0.push(format!("{round}: tx {node} on {}", ch.get()));
+            }
+            fn on_listen(&mut self, round: u64, node: NodeId, ch: ChannelId, _: &'static str) {
+                self.0.push(format!("{round}: rx {node} on {}", ch.get()));
+            }
+            fn on_solved(&mut self, round: u64, solver: NodeId) {
+                self.0.push(format!("{round}: solved by {solver}"));
+            }
+            fn on_round(&mut self, round: u64, _: &'static str, _: &[ChannelOutcome]) {
+                self.0.push(format!("{round}: round"));
+            }
+            fn on_finished(&mut self, rounds: u64) {
+                self.0.push(format!("finished after {rounds}"));
+            }
+        }
+
+        let mut engine = Engine::new(SimConfig::new(2).max_rounds(5));
+        engine.add_node(Rig::tx(ChannelId::PRIMARY, 1));
+        engine.add_node(Rig::rx(ChannelId::new(2)));
+        // Wakes in round 1 and picks channel 3 of 2 there.
+        engine.add_node_at(Rig::tx(ChannelId::new(3), 0), 1);
+        engine.add_node(Rig::tx(ChannelId::PRIMARY, 2));
+        let mut log = Log::default();
+        let err = engine.run_observed(&mut log).unwrap_err();
+        assert_eq!(
+            err,
+            SimError::ChannelOutOfRange {
+                node: NodeId(2),
+                round: 1,
+                channel: ChannelId::new(3),
+                channels: 2,
+            }
+        );
+        // Round 0 completes; round 1 stops at node 2, after the events of
+        // nodes 0 and 1 and before node 3 acts or the round closes.
+        assert_eq!(
+            log.0,
+            [
+                "0: tx 0 on 1",
+                "0: rx 1 on 2",
+                "0: tx 3 on 1",
+                "0: round",
+                "1: tx 0 on 1",
+                "1: rx 1 on 2",
+            ]
+        );
+        assert_eq!(engine.current_round(), 1, "the failed round is not counted");
     }
 
     #[test]

@@ -64,6 +64,7 @@
 //! pre-fault hot loop (the identity hooks compile away), which the golden
 //! oracle in `tests/engine_oracle.rs` pins.
 
+use rand::distributions::{Bernoulli, Distribution};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -214,6 +215,9 @@ impl<L: FaultLayer, F: FeedbackModel> FeedbackModel for Layered<L, F> {
 pub struct NoisyCd {
     p_false: f64,
     p_miss: f64,
+    /// Draws at `p_false` and `p_miss`, built once at construction.
+    false_draw: Bernoulli,
+    miss_draw: Bernoulli,
     rng: SmallRng,
     flips: u64,
 }
@@ -237,6 +241,8 @@ impl NoisyCd {
         NoisyCd {
             p_false,
             p_miss,
+            false_draw: Bernoulli::new(p_false).expect("checked above"),
+            miss_draw: Bernoulli::new(p_miss).expect("checked above"),
             rng: SmallRng::seed_from_u64(0),
             flips: 0,
         }
@@ -269,11 +275,11 @@ impl FaultLayer for NoisyCd {
         _state: &ChannelState<'_, M>,
     ) -> Feedback<M> {
         match heard {
-            Feedback::Collision if self.p_miss > 0.0 && self.rng.gen_bool(self.p_miss) => {
+            Feedback::Collision if self.p_miss > 0.0 && self.miss_draw.sample(&mut self.rng) => {
                 self.flips += 1;
                 Feedback::Silence
             }
-            Feedback::Silence if self.p_false > 0.0 && self.rng.gen_bool(self.p_false) => {
+            Feedback::Silence if self.p_false > 0.0 && self.false_draw.sample(&mut self.rng) => {
                 self.flips += 1;
                 Feedback::Collision
             }
@@ -292,6 +298,8 @@ impl FaultLayer for NoisyCd {
 #[derive(Debug, Clone)]
 pub struct LossyChannel {
     p_erase: f64,
+    /// Draws at `p_erase`, built once at construction.
+    erase_draw: Bernoulli,
     erased: Vec<bool>,
     rng: SmallRng,
     erasures: u64,
@@ -314,6 +322,7 @@ impl LossyChannel {
         );
         LossyChannel {
             p_erase,
+            erase_draw: Bernoulli::new(p_erase).expect("checked above"),
             erased: Vec::new(),
             rng: SmallRng::seed_from_u64(0),
             erasures: 0,
@@ -343,7 +352,7 @@ impl FaultLayer for LossyChannel {
 
     fn begin_round(&mut self, _round: u64) {
         for e in &mut self.erased {
-            *e = self.p_erase > 0.0 && self.rng.gen_bool(self.p_erase);
+            *e = self.p_erase > 0.0 && self.erase_draw.sample(&mut self.rng);
         }
     }
 

@@ -151,6 +151,7 @@ impl SparsePopulation {
         mut make: impl FnMut(u64) -> P,
     ) -> Engine<P, F> {
         let mut engine = Engine::with_feedback(config, feedback);
+        engine.reserve_nodes(self.members.len());
         for member in &self.members {
             let id = engine.add_node_at(make(member.virtual_id), member.wake_round);
             debug_assert!(id.0 < self.members.len());
