@@ -23,14 +23,16 @@
 //! never iterates "all nodes" per round: each node slot carries a
 //! [`SlotState`] and the round loop touches only the **live set** — a
 //! NodeId-ordered vector of the currently schedulable node indices — fed
-//! by a *wake agenda* (one flat queue of `(wake round, slot)` entries in
-//! round-then-NodeId order, drained from the front as the clock passes
-//! them) and drained by *retirement* (terminated or crashed slots are
-//! compacted out at the end of the round). Per-round cost is
-//! `O(|live| + dirty channels)` regardless of how many slots were
-//! ever added; see `docs/MODEL.md` for the complexity table and
-//! [`crate::dense`] for the O(n) reference scheduler the equivalence
-//! suite pins this against.
+//! by a *wake agenda* (one flat queue of `(wake round, first slot, count)`
+//! runs in round-then-NodeId order, drained a whole run at a time from
+//! the front as the clock passes them) and drained by *retirement*
+//! (terminated or crashed slots are compacted out at the end of the
+//! round). Per-round cost is `O(|live| + dirty channels)` regardless of
+//! how many slots were ever added, and a round in which no slot is live
+//! after the wake-ups (an *idle round*) skips the act, resolve and
+//! deliver passes altogether; see `docs/MODEL.md` for the complexity
+//! table and [`crate::dense`] for the O(n) reference scheduler the
+//! equivalence suite pins this against.
 //!
 //! **Ordering contract.** The live set is kept sorted by [`NodeId`] at all
 //! times, so acting, delivery, and event-sink order are exactly the
@@ -256,11 +258,14 @@ pub struct Engine<P: Protocol, F: FeedbackModel = CdMode> {
     /// Slots still [`SlotState::Pending`], including never-wakeable ones
     /// (a slot added with a `start_round` already in the past never fires).
     unwoken: usize,
-    /// The wake agenda: `(wake round, slot index)` entries in ascending
-    /// order, drained from the front as the clock reaches them instead of
-    /// an `O(n)` scan. In-order adds append in O(1) and reuse the ring
-    /// buffer's capacity, so a traffic stream's arrivals never allocate.
-    agenda: VecDeque<(u64, usize)>,
+    /// The wake agenda: runs of consecutive slots that wake in the same
+    /// round, as `(wake round, first slot, count)` in ascending order,
+    /// drained a whole run at a time from the front as the clock reaches
+    /// them instead of an `O(n)` scan. An in-order add extends the tail
+    /// run or appends a new one in O(1), reusing the ring buffer's
+    /// capacity, so a one-shot build is one run and a traffic stream's
+    /// arrivals never allocate.
+    agenda: VecDeque<(u64, usize, usize)>,
     /// Set when an `add_node_at` lands below the agenda's tail; the next
     /// drain sorts the agenda once instead of every insertion shifting
     /// entries.
@@ -362,13 +367,14 @@ impl<P: Protocol, F: FeedbackModel> Engine<P, F> {
     /// Staggered wake-ups model the harder non-simultaneous variant of the
     /// problem discussed in §3 of the paper. May also be called *mid-run*
     /// (between [`Engine::step`] calls) to inject arrivals incrementally —
-    /// the [`crate::traffic`] layer does exactly that: the new slot is
-    /// appended to the wake agenda in O(1) without touching the live set
-    /// (an add below the agenda's tail instead costs one sort at the next
-    /// drain), and a latched stop condition is re-armed, since a
-    /// population with a pending slot is no longer all-terminated. A slot
-    /// whose `start_round` has already passed stays
-    /// [`SlotState::Pending`] and never wakes.
+    /// the [`crate::traffic`] layer does exactly that: the new slot joins
+    /// the wake agenda in O(1) without touching the live set (an add below
+    /// the agenda's tail instead costs one sort at the next drain), and a
+    /// latched stop condition is re-armed, since a population with a
+    /// pending slot is no longer all-terminated. A slot whose
+    /// `start_round` has already passed stays [`SlotState::Pending`] and
+    /// never wakes.
+    #[inline]
     pub fn add_node_at(&mut self, protocol: P, start_round: u64) -> NodeId {
         self.run.finished = false;
         let id = NodeId(self.nodes.len());
@@ -382,23 +388,32 @@ impl<P: Protocol, F: FeedbackModel> Engine<P, F> {
         self.latest_wake = self.latest_wake.max(start_round);
         self.unwoken += 1;
         // NodeIds only grow, so an add keeps the agenda sorted exactly
-        // when its round is not below the tail's; same-round entries stay
-        // NodeId-sorted by construction, which keeps wake-time merges into
-        // the live set cheap and order-stable.
-        if self.agenda.back().is_some_and(|&(at, _)| at > start_round) {
-            self.agenda_unsorted = true;
+        // when its round is not below the tail's. An add at the tail's
+        // round extends the tail run when it is the run's next slot (it
+        // always is, unless a sort moved another run to the tail), so a
+        // run holds consecutive NodeIds and same-round runs are disjoint
+        // slot ranges: sorting runs wakes slots in the same order as
+        // sorting single entries would.
+        match self.agenda.back_mut() {
+            Some((at, first, count)) if *at == start_round && *first + *count == id.0 => {
+                *count += 1;
+            }
+            tail => {
+                if tail.is_some_and(|&mut (at, _, _)| at > start_round) {
+                    self.agenda_unsorted = true;
+                }
+                self.agenda.push_back((start_round, id.0, 1));
+            }
         }
-        self.agenda.push_back((start_round, id.0));
         self.run.metrics.transmissions_per_node.push(0);
         id
     }
 
     /// Reserves room for `additional` more slots in every per-slot buffer
-    /// (`nodes`, the wake agenda and the per-node metrics), so a caller
-    /// that knows its population size builds it without regrowing them.
+    /// (`nodes` and the per-node metrics), so a caller that knows its
+    /// population size builds it without regrowing them.
     pub(crate) fn reserve_nodes(&mut self, additional: usize) {
         self.nodes.reserve(additional);
-        self.agenda.reserve(additional);
         self.run.metrics.transmissions_per_node.reserve(additional);
     }
 
@@ -474,8 +489,8 @@ impl<P: Protocol, F: FeedbackModel> Engine<P, F> {
         match slot.state {
             SlotState::Pending => {
                 // Died before it ever woke: drop it from the wake path.
-                // Its agenda entry stays behind and is skipped (cheaply)
-                // when the agenda drains past it.
+                // Its slot stays inside its agenda run and is skipped
+                // (cheaply) when the drain reaches it.
                 slot.state = to;
                 self.unwoken -= 1;
                 if to == SlotState::Crashed {
@@ -629,51 +644,53 @@ impl<P: Protocol, F: FeedbackModel> Engine<P, F> {
             self.compact_live();
         }
 
-        // Wake-ups scheduled for this round, popped off the agenda's
-        // front, touching only the slots that actually wake now. Entries
-        // for rounds already past (a slot added with a stale start round)
-        // are dropped unwoken, so they can never fire late.
+        // Wake-ups scheduled for this round: whole runs popped off the
+        // agenda's front, touching only the slots that actually wake now.
+        // A run for a round already past (slots added with a stale start
+        // round) is dropped unwoken, so it can never fire late.
         if self.unwoken > 0 {
             if self.agenda_unsorted {
-                // Entries are unique (one per slot), so unstable is exact.
+                // Runs are disjoint slot ranges, so unstable is exact.
                 self.agenda.make_contiguous().sort_unstable();
                 self.agenda_unsorted = false;
             }
-            // The agenda is sorted, so the entries due now are a prefix:
-            // reserve for all of them before pushing any.
-            let due = self.agenda.partition_point(|&(at, _)| at <= round);
-            self.live.reserve(due);
             let mut appended = 0usize;
-            while let Some(&(at, idx)) = self.agenda.front() {
+            while let Some(&(at, first, count)) = self.agenda.front() {
                 if at > round {
                     break;
                 }
                 self.agenda.pop_front();
-                let slot = &mut self.nodes[idx];
-                if at < round || slot.state != SlotState::Pending {
-                    continue; // start round already past, or crashed before it woke
+                if at < round {
+                    continue; // start round already past
                 }
-                slot.state = SlotState::Live;
-                self.unwoken -= 1;
-                let ctx = RoundContext {
-                    round,
-                    local_round: 0,
-                    channels: self.config.channels,
-                };
-                slot.protocol.on_wake(&ctx, &mut slot.rng);
-                if slot.protocol.status().is_terminated() {
-                    // Terminated inside on_wake: park without ever
-                    // entering the live set.
-                    slot.state = SlotState::Terminated;
-                    sink.on_retired(round, NodeId(idx), SlotState::Terminated);
-                    continue;
+                self.live.reserve(count);
+                for idx in first..first + count {
+                    let slot = &mut self.nodes[idx];
+                    if slot.state != SlotState::Pending {
+                        continue; // crashed before it woke
+                    }
+                    slot.state = SlotState::Live;
+                    self.unwoken -= 1;
+                    let ctx = RoundContext {
+                        round,
+                        local_round: 0,
+                        channels: self.config.channels,
+                    };
+                    slot.protocol.on_wake(&ctx, &mut slot.rng);
+                    if slot.protocol.status().is_terminated() {
+                        // Terminated inside on_wake: park without ever
+                        // entering the live set.
+                        slot.state = SlotState::Terminated;
+                        sink.on_retired(round, NodeId(idx), SlotState::Terminated);
+                        continue;
+                    }
+                    self.live.push(idx);
+                    appended += 1;
                 }
-                self.live.push(idx);
-                appended += 1;
             }
-            // Restore the NodeId ordering contract. Each round's agenda
-            // entries are NodeId-sorted, so appending is already correct
-            // unless a later wake round brings in smaller ids than the tail.
+            // Restore the NodeId ordering contract. Each round's runs are
+            // NodeId-sorted, so appending is already correct unless a
+            // later wake round brings in smaller ids than the tail.
             if appended > 0 {
                 let split = self.live.len() - appended;
                 if split > 0 && self.live[split - 1] > self.live[split] {
@@ -682,16 +699,22 @@ impl<P: Protocol, F: FeedbackModel> Engine<P, F> {
             }
         }
 
+        // The idle-round guard: with no live slot there is nothing to act,
+        // resolve or deliver, so the round only reports itself. The channel
+        // scratch the last busy round dirtied stays dirty until the next
+        // busy round resets it, before its first use.
+        if self.live.is_empty() {
+            sink.on_round(round, "idle", &[]);
+            return Ok(self.close_round(sink));
+        }
+
         // Phase accounting: the paper's algorithms keep all active nodes
         // in lockstep, so the first live node (lowest NodeId, by the
         // ordering contract) is representative. Sinks that opt into
         // per-node labels (`wants_node_phases`) get each acting node's own
         // label instead — exact under staggered wake-ups, where the
         // representative label misattributes rounds.
-        let phase = self
-            .live
-            .first()
-            .map_or("idle", |&idx| self.nodes[idx].protocol.phase());
+        let phase = self.nodes[self.live[0]].protocol.phase();
         let node_phases = sink.wants_node_phases();
 
         // The first pass, act-and-resolve, over the live set only (every
@@ -862,7 +885,12 @@ impl<P: Protocol, F: FeedbackModel> Engine<P, F> {
         if self.retired_this_round {
             self.compact_live();
         }
+        Ok(self.close_round(sink))
+    }
 
+    /// Ends the current round, busy or idle: advances the clock and checks
+    /// the stop condition.
+    fn close_round<S: EventSink>(&mut self, sink: &mut S) -> StepStatus {
         self.run.round += 1;
 
         // Stop conditions — O(1) from the scheduler's counters: no slot is
@@ -881,12 +909,10 @@ impl<P: Protocol, F: FeedbackModel> Engine<P, F> {
         self.run.finished = finished;
         if finished {
             sink.on_finished(self.run.round);
-        }
-        Ok(if finished {
             StepStatus::Finished
         } else {
             StepStatus::Running
-        })
+        }
     }
 
     /// The current round number: how many rounds have been executed so far.
@@ -947,9 +973,11 @@ impl<P: Protocol, F: FeedbackModel> Engine<P, F> {
 mod tests {
     use super::*;
     use crate::action::Feedback;
+    use crate::fault::{CrashStop, Layered};
     use crate::sink::EventSink;
 
     /// What a test node does every round.
+    #[derive(Clone, Copy)]
     enum Role {
         /// Transmit a fixed payload on a fixed channel, forever.
         Tx(ChannelId, u8),
@@ -1004,6 +1032,239 @@ mod tests {
                 _ => Status::Active,
             }
         }
+    }
+
+    /// Logs every event as one line; a round line carries its phase label
+    /// and outcome count (which is 0 for an idle round).
+    #[derive(Default)]
+    struct Log(Vec<String>);
+
+    impl EventSink for Log {
+        fn on_transmission(&mut self, round: u64, node: NodeId, ch: ChannelId, _: &'static str) {
+            self.0.push(format!("{round}: tx {node} on {}", ch.get()));
+        }
+        fn on_listen(&mut self, round: u64, node: NodeId, ch: ChannelId, _: &'static str) {
+            self.0.push(format!("{round}: rx {node} on {}", ch.get()));
+        }
+        fn on_solved(&mut self, round: u64, solver: NodeId) {
+            self.0.push(format!("{round}: solved by {solver}"));
+        }
+        fn on_round(&mut self, round: u64, phase: &'static str, outcomes: &[ChannelOutcome]) {
+            self.0.push(format!(
+                "{round}: {phase} round, {} outcomes",
+                outcomes.len()
+            ));
+        }
+        fn on_retired(&mut self, round: u64, node: NodeId, state: SlotState) {
+            self.0.push(format!("{round}: {node} {state}"));
+        }
+        fn on_finished(&mut self, rounds: u64) {
+            self.0.push(format!("finished after {rounds}"));
+        }
+    }
+
+    /// Runs a script on the engine and on the dense reference: each
+    /// `(at, start_round, role)` adds a node just before the step that
+    /// runs round `at`, and `rounds` steps run with a [`Log`] attached.
+    /// Asserts both agree (the reference reports no retirements, so on
+    /// every other event and on every slot's final state), then returns
+    /// the engine and its log.
+    fn scripted<F: FeedbackModel + Clone>(
+        config: SimConfig,
+        feedback: F,
+        adds: &[(u64, u64, Role)],
+        rounds: u64,
+    ) -> (Engine<Rig, F>, Vec<String>) {
+        let rig = |role| Rig {
+            role,
+            heard: Vec::new(),
+        };
+        let mut engine = Engine::with_feedback(config.clone(), feedback.clone());
+        let mut dense = crate::dense::DenseEngine::with_feedback(config, feedback);
+        let (mut log, mut dense_log) = (Log::default(), Log::default());
+        for round in 0..rounds {
+            for &(at, start, role) in adds {
+                if at == round {
+                    assert_eq!(
+                        engine.add_node_at(rig(role), start),
+                        dense.add_node_at(rig(role), start)
+                    );
+                }
+            }
+            engine.step_observed(&mut log).unwrap();
+            dense.step_observed(&mut dense_log).unwrap();
+        }
+        let unretired = |log: &Log| -> Vec<String> {
+            let retired = |line: &String| line.ends_with("crashed") || line.ends_with("terminated");
+            log.0
+                .iter()
+                .filter(|line| !retired(line))
+                .cloned()
+                .collect()
+        };
+        assert_eq!(unretired(&log), unretired(&dense_log));
+        for id in (0..engine.len()).map(NodeId) {
+            assert_eq!(engine.slot_state(id), dense.slot_state(id), "{id}");
+        }
+        (engine, log.0)
+    }
+
+    fn all_terminated() -> SimConfig {
+        SimConfig::new(2).stop_when(StopWhen::AllTerminated)
+    }
+
+    #[test]
+    fn a_crash_before_waking_splits_an_agenda_run() {
+        // Nodes 0..3 form one run for round 2; node 1 dies in round 0.
+        let crash = Layered::new(CrashStop::schedule(vec![(NodeId(1), 0)]), CdMode::Strong);
+        let rx = Role::Rx(ChannelId::new(2));
+        let (engine, log) = scripted(all_terminated(), crash, &[(0, 2, rx); 3], 3);
+        assert_eq!(
+            log,
+            [
+                "0: 1 crashed",
+                "0: idle round, 0 outcomes",
+                "1: idle round, 0 outcomes",
+                "2: rx 0 on 2",
+                "2: rx 2 on 2",
+                "2: main round, 1 outcomes",
+            ]
+        );
+        assert_eq!(engine.slot_state(NodeId(1)), SlotState::Crashed);
+        assert_eq!((engine.live_len(), engine.pending_len()), (2, 0));
+    }
+
+    #[test]
+    fn a_stale_run_never_wakes_and_the_next_run_still_does() {
+        let rx = Role::Rx(ChannelId::new(2));
+        // Node 0 keeps the run going; nodes 1 and 2 arrive in round 3 with
+        // start round 1 (already past) as one run, node 3 for round 3.
+        let adds = [(0, 0, rx), (3, 1, rx), (3, 1, rx), (3, 3, rx)];
+        let (engine, log) = scripted(all_terminated(), CdMode::Strong, &adds, 6);
+        assert_eq!(
+            log[6..9],
+            ["3: rx 0 on 2", "3: rx 3 on 2", "3: main round, 1 outcomes"]
+        );
+        for stale in [NodeId(1), NodeId(2)] {
+            assert_eq!(engine.slot_state(stale), SlotState::Pending);
+        }
+        assert_eq!((engine.live_len(), engine.pending_len()), (2, 2));
+    }
+
+    #[test]
+    fn adds_below_the_tail_wake_in_node_id_order() {
+        let rx = Role::Rx(ChannelId::new(2));
+        // Node 0 wakes in round 5; nodes 1 and 2 land below it, in round 1.
+        // After the drain's sort the tail run is node 0's, so node 3 (also
+        // round 5) must start a run of its own rather than extend it.
+        let adds = [(0, 5, rx), (0, 1, rx), (0, 1, rx), (2, 5, rx)];
+        let (engine, log) = scripted(all_terminated(), CdMode::Strong, &adds, 6);
+        assert_eq!(
+            log[1..4],
+            ["1: rx 1 on 2", "1: rx 2 on 2", "1: main round, 1 outcomes"]
+        );
+        assert_eq!(
+            log[log.len() - 5..],
+            [
+                "5: rx 0 on 2",
+                "5: rx 1 on 2",
+                "5: rx 2 on 2",
+                "5: rx 3 on 2",
+                "5: main round, 1 outcomes",
+            ]
+        );
+        assert_eq!((engine.live_len(), engine.pending_len()), (4, 0));
+    }
+
+    #[test]
+    fn a_node_terminating_on_wake_inside_a_run_is_parked() {
+        let adds = [
+            (0, 0, Role::Rx(ChannelId::new(2))),
+            (0, 0, Role::Quit(Status::Inactive)),
+            (0, 0, Role::Tx(ChannelId::new(2), 7)),
+        ];
+        let (engine, log) = scripted(all_terminated(), CdMode::Strong, &adds, 1);
+        assert_eq!(
+            log,
+            [
+                "0: 1 terminated",
+                "0: rx 0 on 2",
+                "0: tx 2 on 2",
+                "0: main round, 1 outcomes",
+            ]
+        );
+        assert_eq!(engine.slot_state(NodeId(1)), SlotState::Terminated);
+        assert_eq!(engine.node(NodeId(0)).heard, [Feedback::Message(7)]);
+        assert_eq!(engine.live_len(), 2);
+    }
+
+    #[test]
+    fn an_idle_round_reports_itself_and_spares_the_fault_layer() {
+        /// Strong CD that records which hooks ran in which round.
+        #[derive(Clone, Default)]
+        struct Hooks {
+            round: u64,
+            calls: Vec<(u64, &'static str)>,
+        }
+        impl FeedbackModel for Hooks {
+            fn begin_round(&mut self, round: u64) {
+                self.round = round;
+                self.calls.push((round, "begin_round"));
+            }
+            fn drain_crashed(&mut self, _out: &mut Vec<NodeId>) {
+                self.calls.push((self.round, "drain_crashed"));
+            }
+            fn filter_action<M: Clone>(&mut self, _node: NodeId, action: Action<M>) -> Action<M> {
+                self.calls.push((self.round, "filter_action"));
+                action
+            }
+            fn allows_solve(&mut self, _solver: NodeId) -> bool {
+                self.calls.push((self.round, "allows_solve"));
+                true
+            }
+            fn deliver<M: Clone>(
+                &mut self,
+                action: &Action<M>,
+                state: &ChannelState<'_, M>,
+            ) -> Feedback<M> {
+                self.calls.push((self.round, "deliver"));
+                CdMode::Strong.deliver(action, state)
+            }
+        }
+
+        // Each packet is delivered, and retired, in its wake round, so
+        // rounds 1 and 2 have nobody live.
+        let config = all_terminated().continuous_delivery(true);
+        let tx = Role::Tx(ChannelId::PRIMARY, 1);
+        let (engine, log) = scripted(config, Hooks::default(), &[(0, 0, tx), (0, 3, tx)], 5);
+        let idle: Vec<&String> = log.iter().filter(|l| l.contains("idle")).collect();
+        assert_eq!(
+            idle,
+            ["1: idle round, 0 outcomes", "2: idle round, 0 outcomes"]
+        );
+        assert_eq!(log.last().unwrap(), "finished after 4");
+        let hooks = |round| -> Vec<&str> {
+            engine
+                .feedback()
+                .calls
+                .iter()
+                .filter(|&&(r, _)| r == round)
+                .map(|&(_, hook)| hook)
+                .collect()
+        };
+        for round in [1, 2] {
+            assert_eq!(hooks(round), ["begin_round", "drain_crashed"]);
+        }
+        assert_eq!(
+            hooks(3),
+            [
+                "begin_round",
+                "drain_crashed",
+                "filter_action",
+                "allows_solve",
+                "deliver"
+            ]
+        );
     }
 
     #[test]
@@ -1134,32 +1395,6 @@ mod tests {
 
     #[test]
     fn out_of_range_round_emits_only_the_events_before_the_failing_node() {
-        #[derive(Default)]
-        struct Log(Vec<String>);
-        impl EventSink for Log {
-            fn on_transmission(
-                &mut self,
-                round: u64,
-                node: NodeId,
-                ch: ChannelId,
-                _: &'static str,
-            ) {
-                self.0.push(format!("{round}: tx {node} on {}", ch.get()));
-            }
-            fn on_listen(&mut self, round: u64, node: NodeId, ch: ChannelId, _: &'static str) {
-                self.0.push(format!("{round}: rx {node} on {}", ch.get()));
-            }
-            fn on_solved(&mut self, round: u64, solver: NodeId) {
-                self.0.push(format!("{round}: solved by {solver}"));
-            }
-            fn on_round(&mut self, round: u64, _: &'static str, _: &[ChannelOutcome]) {
-                self.0.push(format!("{round}: round"));
-            }
-            fn on_finished(&mut self, rounds: u64) {
-                self.0.push(format!("finished after {rounds}"));
-            }
-        }
-
         let mut engine = Engine::new(SimConfig::new(2).max_rounds(5));
         engine.add_node(Rig::tx(ChannelId::PRIMARY, 1));
         engine.add_node(Rig::rx(ChannelId::new(2)));
@@ -1185,7 +1420,7 @@ mod tests {
                 "0: tx 0 on 1",
                 "0: rx 1 on 2",
                 "0: tx 3 on 1",
-                "0: round",
+                "0: main round, 2 outcomes",
                 "1: tx 0 on 1",
                 "1: rx 1 on 2",
             ]

@@ -172,25 +172,30 @@ impl<L: FaultLayer, F: FeedbackModel> FeedbackModel for Layered<L, F> {
         self.layer.bind(config);
     }
 
+    #[inline]
     fn begin_round(&mut self, round: u64) {
         self.inner.begin_round(round);
         self.layer.begin_round(round);
     }
 
+    #[inline]
     fn filter_action<M: Clone>(&mut self, node: NodeId, action: Action<M>) -> Action<M> {
         let action = self.inner.filter_action(node, action);
         self.layer.filter_action(node, action)
     }
 
+    #[inline]
     fn allows_solve(&mut self, solver: NodeId) -> bool {
         self.inner.allows_solve(solver) && self.layer.allows_solve(solver)
     }
 
+    #[inline]
     fn drain_crashed(&mut self, out: &mut Vec<NodeId>) {
         self.inner.drain_crashed(out);
         self.layer.drain_crashed(out);
     }
 
+    #[inline]
     fn deliver<M: Clone>(
         &mut self,
         action: &Action<M>,

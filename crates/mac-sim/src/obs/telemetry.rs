@@ -32,6 +32,7 @@
 //! `observer_effect` suite).
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -72,6 +73,7 @@ impl PowHistogram {
     }
 
     /// Records one sample.
+    #[inline]
     pub fn record(&mut self, value: u64) {
         if self.n == 0 {
             self.min = value;
@@ -117,6 +119,7 @@ impl PowHistogram {
         }
     }
 
+    #[inline]
     fn shrink_to_cap(&mut self) {
         while self.buckets.len() > TELEMETRY_BUCKET_CAP {
             self.coarsen();
@@ -281,48 +284,45 @@ impl Registry {
     }
 
     /// Adds `delta` to the counter `name` (merge = sum).
-    pub fn count(&mut self, name: impl Into<String>, delta: u64) {
+    pub fn count(&mut self, name: &str, delta: u64) {
         if delta > 0 {
-            *self.counters.entry(name.into()).or_insert(0) += delta;
+            *slot(&mut self.counters, name) += delta;
         }
     }
 
     /// Raises the gauge `name` to `value` if larger (merge = max, so the
     /// merged value is partition-independent).
-    pub fn gauge_max(&mut self, name: impl Into<String>, value: u64) {
-        let slot = self.gauges.entry(name.into()).or_insert(0);
+    pub fn gauge_max(&mut self, name: &str, value: u64) {
+        let slot = slot(&mut self.gauges, name);
         *slot = (*slot).max(value);
     }
 
     /// Records `value` into the histogram `name`.
-    pub fn observe(&mut self, name: impl Into<String>, value: u64) {
-        self.histograms
-            .entry(name.into())
-            .or_default()
-            .record(value);
+    pub fn observe(&mut self, name: &str, value: u64) {
+        slot(&mut self.histograms, name).record(value);
     }
 
     /// Folds a whole pre-built histogram into the histogram `name` — how
     /// per-run histograms (e.g. packet latencies from
     /// [`crate::traffic::TrafficReport`]) land in a shard registry without
     /// being replayed sample by sample.
-    pub fn merge_histogram(&mut self, name: impl Into<String>, h: &PowHistogram) {
+    pub fn merge_histogram(&mut self, name: &str, h: &PowHistogram) {
         if h.count() > 0 {
-            self.histograms.entry(name.into()).or_default().merge(h);
+            slot(&mut self.histograms, name).merge(h);
         }
     }
 
     /// Folds another registry into this one.
     pub fn merge(&mut self, other: &Registry) {
         for (name, &v) in &other.counters {
-            *self.counters.entry(name.clone()).or_insert(0) += v;
+            *slot(&mut self.counters, name) += v;
         }
         for (name, &v) in &other.gauges {
-            let slot = self.gauges.entry(name.clone()).or_insert(0);
+            let slot = slot(&mut self.gauges, name);
             *slot = (*slot).max(v);
         }
         for (name, h) in &other.histograms {
-            self.histograms.entry(name.clone()).or_default().merge(h);
+            slot(&mut self.histograms, name).merge(h);
         }
     }
 
@@ -355,6 +355,16 @@ impl Registry {
     pub fn is_empty(&self) -> bool {
         self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
     }
+}
+
+/// The value under `name` in `map`, inserted as the default first if
+/// absent. The key is looked up by `&str`, so a name the map already holds
+/// costs no allocation.
+fn slot<'m, V: Default>(map: &'m mut BTreeMap<String, V>, name: &str) -> &'m mut V {
+    if !map.contains_key(name) {
+        map.insert(name.to_owned(), V::default());
+    }
+    map.get_mut(name).expect("inserted above")
 }
 
 /// The sharded hub: one [`Registry`] per worker, merged only at snapshot
@@ -651,35 +661,29 @@ impl TelemetrySink {
             "engine_retired_total{state=\"crashed\"}",
             self.retired_crashed,
         );
-        for (idx, &[silences, messages, collisions]) in self.channels.iter().enumerate() {
+        // One key buffer for every per-channel counter: a key the registry
+        // already holds is only looked up, never allocated.
+        let mut key = String::new();
+        for (idx, tallies) in self.channels.iter().enumerate() {
             let ch = idx + 1;
-            reg.count(
-                format!("engine_channel_outcomes_total{{channel=\"{ch}\",kind=\"silence\"}}"),
-                silences,
-            );
-            reg.count(
-                format!("engine_channel_outcomes_total{{channel=\"{ch}\",kind=\"message\"}}"),
-                messages,
-            );
-            reg.count(
-                format!("engine_channel_outcomes_total{{channel=\"{ch}\",kind=\"collision\"}}"),
-                collisions,
-            );
+            for (kind, &n) in ["silence", "message", "collision"].iter().zip(tallies) {
+                key.clear();
+                write!(
+                    key,
+                    "engine_channel_outcomes_total{{channel=\"{ch}\",kind=\"{kind}\"}}"
+                )
+                .expect("writing to a String cannot fail");
+                reg.count(&key, n);
+            }
         }
-        if self.acts_per_round.count() > 0 {
-            reg.histograms
-                .entry("engine_round_acts".to_string())
-                .or_default()
-                .merge(&self.acts_per_round);
-        }
+        reg.merge_histogram("engine_round_acts", &self.acts_per_round);
         *self = TelemetrySink::default();
     }
 
-    /// Flushes into hub shard `shard` in one lock acquisition.
+    /// Flushes into hub shard `shard` under its one lock acquisition,
+    /// straight into the shard's registry.
     pub fn flush_to(&mut self, hub: &MetricsHub, shard: usize) {
-        let mut local = Registry::new();
-        self.flush_into(&mut local);
-        hub.absorb(shard, &local);
+        hub.with_shard(shard, |reg| self.flush_into(reg));
     }
 }
 
@@ -818,7 +822,7 @@ mod tests {
             let mut local = Registry::new();
             local.count("campaign_trials_done_total", 1);
             local.count(
-                format!("fault_injections_total{{kind=\"k{}\"}}", i % 3),
+                &format!("fault_injections_total{{kind=\"k{}\"}}", i % 3),
                 v % 5,
             );
             local.gauge_max("campaign_queue_depth", v % 97);

@@ -37,8 +37,6 @@
 //! protocol factory, which is where algorithms that use ids (renaming,
 //! size estimation) pick it up.
 
-use std::collections::HashSet;
-
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -84,13 +82,18 @@ impl SparsePopulation {
         assert!(window >= 1, "wake window must be positive");
         let mut rng = SmallRng::seed_from_u64(seed);
         // Distinct ids by rejection: |A| ≪ n in the sparse regime, so
-        // collisions are rare and this terminates fast.
-        let mut chosen = HashSet::with_capacity(active);
-        while chosen.len() < active {
-            chosen.insert(rng.gen_range(0..namespace));
+        // collisions are rare and this terminates fast. Each batch draws
+        // exactly as many ids as are still missing, then sorts and drops
+        // repeats; a batch that completes the set has drawn only new ids,
+        // so the draws consumed (and the ids kept) are exactly those of
+        // drawing one id at a time until `active` distinct ones are seen.
+        let mut ids: Vec<u64> = Vec::with_capacity(active);
+        while ids.len() < active {
+            let missing = active - ids.len();
+            ids.extend((0..missing).map(|_| rng.gen_range(0..namespace)));
+            ids.sort_unstable();
+            ids.dedup();
         }
-        let mut ids: Vec<u64> = chosen.into_iter().collect();
-        ids.sort_unstable();
         let members = ids
             .into_iter()
             .map(|virtual_id| Member {
@@ -176,6 +179,47 @@ mod tests {
         sorted.dedup();
         assert_eq!(ids, sorted, "ids must be distinct and sorted");
         assert!(a.members().iter().all(|m| m.wake_round < 64));
+    }
+
+    /// The hashed rejection sampler `uniform` used to run: draw until
+    /// `active` distinct ids are seen, then sort them and draw wake rounds.
+    fn hashed_reference(namespace: u64, active: usize, window: u64, seed: u64) -> Vec<Member> {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut chosen = std::collections::HashSet::new();
+        while chosen.len() < active {
+            chosen.insert(rng.gen_range(0..namespace));
+        }
+        let mut ids: Vec<u64> = chosen.into_iter().collect();
+        ids.sort_unstable();
+        ids.into_iter()
+            .map(|virtual_id| Member {
+                virtual_id,
+                wake_round: if window == 1 {
+                    0
+                } else {
+                    rng.gen_range(0..window)
+                },
+            })
+            .collect()
+    }
+
+    #[test]
+    fn uniform_draws_what_a_hashed_rejection_sampler_draws() {
+        // Dense namespaces (48 of 48 or 64) force many repeats and batches;
+        // the window of 16 checks that both consume the same draws before
+        // the wake rounds.
+        for (namespace, active) in [(48, 48), (64, 48), (1 << 12, 48), (1 << 20, 48), (200, 150)] {
+            for window in [1, 16] {
+                for seed in 0..300 {
+                    let pop = SparsePopulation::uniform(namespace, active, window, seed);
+                    assert_eq!(
+                        pop.members(),
+                        hashed_reference(namespace, active, window, seed),
+                        "n = {namespace}, |A| = {active}, window = {window}, seed = {seed}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -112,6 +112,9 @@ pub struct ArrivalStream {
     next_round: u64,
     /// Bursty-source phase; sources start on.
     on: bool,
+    /// `exp(-rate)` of the Poisson (or bursty on-phase) rate: the
+    /// sampler's stopping threshold, computed once per stream.
+    poisson_limit: f64,
 }
 
 impl ArrivalStream {
@@ -124,34 +127,37 @@ impl ArrivalStream {
     /// (a NaN rate would make the Poisson sampler loop forever).
     #[must_use]
     pub fn new(process: ArrivalProcess, window: u64, master_seed: u64) -> Self {
-        match process {
+        let rate = match process {
             ArrivalProcess::Poisson { rate } => {
                 assert!(rate.is_finite(), "Poisson rate must be finite, got {rate}");
+                rate
             }
             ArrivalProcess::Bursty { burst_rate, .. } => {
                 assert!(
                     burst_rate.is_finite(),
                     "Bursty burst_rate must be finite, got {burst_rate}"
                 );
+                burst_rate
             }
-            ArrivalProcess::FixedRate { .. } | ArrivalProcess::Batch { .. } => {}
-        }
+            ArrivalProcess::FixedRate { .. } | ArrivalProcess::Batch { .. } => 0.0,
+        };
         ArrivalStream {
             process,
             rng: SmallRng::seed_from_u64(derive_stream_seed(master_seed, ARRIVAL_STREAM)),
             window,
             next_round: 0,
             on: true,
+            poisson_limit: (-rate).exp(),
         }
     }
 
-    /// Knuth's product-of-uniforms Poisson sampler; fine for the per-round
-    /// rates traffic sweeps use (λ ≲ 30).
-    fn poisson(rng: &mut SmallRng, rate: f64) -> u32 {
+    /// Knuth's product-of-uniforms Poisson sampler, stopping at
+    /// `limit = exp(-rate)`; fine for the per-round rates traffic sweeps
+    /// use (λ ≲ 30).
+    fn poisson(rng: &mut SmallRng, rate: f64, limit: f64) -> u32 {
         if rate <= 0.0 {
             return 0;
         }
-        let limit = (-rate).exp();
         let mut k = 0u32;
         let mut p = 1.0f64;
         loop {
@@ -167,14 +173,16 @@ impl ArrivalStream {
     /// rounds — [`ArrivalStream::next_batch`] does.
     fn count_at(&mut self, round: u64) -> u32 {
         match self.process {
-            ArrivalProcess::Poisson { rate } => Self::poisson(&mut self.rng, rate),
+            ArrivalProcess::Poisson { rate } => {
+                Self::poisson(&mut self.rng, rate, self.poisson_limit)
+            }
             ArrivalProcess::Bursty {
                 burst_rate,
                 on_to_off,
                 off_to_on,
             } => {
                 let count = if self.on {
-                    Self::poisson(&mut self.rng, burst_rate)
+                    Self::poisson(&mut self.rng, burst_rate, self.poisson_limit)
                 } else {
                     0
                 };
@@ -371,6 +379,7 @@ trait TrafficEngine<P: Protocol> {
 }
 
 impl<P: Protocol, F: FeedbackModel> TrafficEngine<P> for Engine<P, F> {
+    #[inline]
     fn add_node_at(&mut self, protocol: P, start_round: u64) -> NodeId {
         Engine::add_node_at(self, protocol, start_round)
     }
@@ -420,6 +429,7 @@ struct DeliveryCapture {
 }
 
 impl EventSink for DeliveryCapture {
+    #[inline]
     fn on_solved(&mut self, round: u64, solver: NodeId) {
         self.delivered.push((round, solver));
     }
@@ -714,6 +724,7 @@ impl BackoffMac {
         }
     }
 
+    #[inline]
     fn redraw(&mut self, rng: &mut SmallRng) {
         self.timer = rng.gen_range(0..self.cw);
     }
@@ -722,10 +733,12 @@ impl BackoffMac {
 impl Protocol for BackoffMac {
     type Msg = u64;
 
+    #[inline]
     fn on_wake(&mut self, _ctx: &RoundContext, rng: &mut SmallRng) {
         self.redraw(rng);
     }
 
+    #[inline]
     fn act(&mut self, _ctx: &RoundContext, rng: &mut SmallRng) -> Action<u64> {
         let _ = rng;
         if self.timer == 0 {
@@ -738,6 +751,7 @@ impl Protocol for BackoffMac {
         }
     }
 
+    #[inline]
     fn observe(&mut self, _ctx: &RoundContext, feedback: Feedback<u64>, rng: &mut SmallRng) {
         if self.transmitted {
             match feedback {
@@ -763,10 +777,12 @@ impl Protocol for BackoffMac {
         }
     }
 
+    #[inline]
     fn status(&self) -> Status {
         Status::Active
     }
 
+    #[inline]
     fn phase(&self) -> &'static str {
         "backoff"
     }
