@@ -1,21 +1,11 @@
-//! # contention-bench — host-time benches, cross-crate tests, and examples
+//! # contention-bench — cross-crate tests and examples
 //!
-//! This crate hosts the workspace-level integration tests under `/tests`,
-//! the runnable examples under `/examples`, and two Criterion bench
-//! targets. Each target exports its measurements to a committed
-//! `BENCH_*.json` at the workspace root, which CI regenerates and trends
-//! with `obsdiff`:
+//! This crate hosts the workspace-level integration tests under `/tests`
+//! and the runnable examples under `/examples`.
 //!
-//! * `bench_round_engine` — one paper-stack run (C = 64, n = 2¹²,
-//!   |A| = 500) through each execution path, and the active-set vs
-//!   dense-reference scheduler A/B in the sparse regime;
-//! * `bench_campaign` — one sweep under the campaign worker pool, a
-//!   per-cell thread spawn, and a sequential loop.
-//!
-//! The benches measure host time only. The *round counts* the paper is
-//! about are regenerated by the `repro` binary of `contention-harness`;
-//! whole-workload host time is measured by the separate `perfbench`
-//! package.
+//! The *round counts* the paper is about are regenerated by the `repro`
+//! binary of `contention-harness`; host time, end to end and layer by
+//! layer, is measured by the separate `perfbench` package.
 //!
 //! The library itself is empty.
 

@@ -42,12 +42,11 @@ pub fn two_active_budget(n: u64, c: u32) -> f64 {
 }
 
 /// Rounds `Reduce` (Fig. 2) executes when no leader emerges:
-/// `2·⌈lg lg n⌉` (two rounds per iteration). Matches
+/// `2·⌈lg lg n⌉` (two rounds per iteration), i.e.
 /// [`crate::Reduce::total_rounds`] at `reduce_factor = 1`.
 #[must_use]
 pub fn reduce_rounds(n: u64) -> u64 {
-    let lg_n = (n.max(2) as f64).log2();
-    2 * (lg_n.log2().max(0.0).ceil() as u64).max(1)
+    crate::Reduce::total_rounds(crate::Params::practical(), n)
 }
 
 /// Lemma 16's per-phase `SplitSearch` cost for phase `i` (1-based) over a
@@ -137,14 +136,9 @@ mod tests {
 
     #[test]
     fn reduce_rounds_matches_protocol() {
-        use crate::{Params, Reduce};
-        for ne in [2u32, 8, 16, 20, 32] {
-            let n = 1u64 << ne;
-            assert_eq!(
-                reduce_rounds(n),
-                Reduce::total_rounds(Params::practical(), n),
-                "n=2^{ne}"
-            );
+        // `2·⌈lg lg n⌉`, clamped to one iteration for n <= 4.
+        for (ne, rounds) in [(1u32, 2u64), (2, 2), (8, 6), (16, 8), (20, 10), (32, 10)] {
+            assert_eq!(reduce_rounds(1u64 << ne), rounds, "n=2^{ne}");
         }
     }
 

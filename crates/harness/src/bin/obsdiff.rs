@@ -14,15 +14,15 @@
 //!     compare two record files: per-phase round-count deltas, energy
 //!     deltas, and table-cell deltas are flagged beyond their thresholds
 //!     (default 0 — deterministic fields must match exactly); wall-clock
-//!     deltas are informational unless --wall-pct is given
+//!     deltas are informational unless --wall-pct is given. Each
+//!     threshold is a percentage, finite and at least 0
 //!
-//! obsdiff trend <a.jsonl> <b.jsonl> [--mean-pct P]
-//!     compare two telemetry streams (`metrics.jsonl` snapshot files
-//!     and/or `BENCH_*.json` exports): the last snapshot of each stream is
-//!     diffed metric by metric — deterministic counters and histogram
-//!     shapes must match exactly, wall-clock and scheduling-dependent
-//!     metrics are informational — and bench mean_ns moves are
-//!     informational unless --mean-pct gates them
+//! obsdiff trend <a.jsonl> <b.jsonl>
+//!     compare two telemetry streams (`metrics.jsonl` snapshot files):
+//!     the last snapshot of each stream is diffed metric by metric —
+//!     deterministic counters and histogram shapes must match exactly,
+//!     wall-clock and scheduling-dependent metrics are informational. A
+//!     side with no snapshot is flagged
 //! ```
 //!
 //! Exit codes: 0 clean, 1 flagged regressions / invalid records, 2 usage.
@@ -50,7 +50,7 @@ fn main() -> ExitCode {
                  [--log2n K] [--active A]\n       obsdiff check <file.jsonl>...\n       \
                  obsdiff diff <a.jsonl> <b.jsonl> [--round-pct P] [--energy-pct P] \
                  [--cell-pct P] [--wall-pct P]\n       \
-                 obsdiff trend <a.jsonl> <b.jsonl> [--mean-pct P]"
+                 obsdiff trend <a.jsonl> <b.jsonl>"
             );
             ExitCode::from(2)
         }
@@ -73,6 +73,18 @@ fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str) -> Result<Optio
         }
     }
     Ok(None)
+}
+
+/// A percentage threshold flag: absent, or finite and at least 0. A `NaN`,
+/// infinite or negative threshold would pass or flag every comparison, so
+/// it is a usage error.
+fn parse_pct(args: &[String], flag: &str) -> Result<Option<f64>, String> {
+    match parse_flag::<f64>(args, flag)? {
+        Some(p) if !(p.is_finite() && p >= 0.0) => {
+            Err(format!("{flag}: want a finite percentage >= 0, got {p}"))
+        }
+        pct => Ok(pct),
+    }
 }
 
 fn positionals(args: &[String]) -> Vec<&String> {
@@ -185,7 +197,6 @@ fn cmd_check(args: &[String]) -> ExitCode {
 struct RecordFile {
     trials: Vec<RunRecord>,
     cells: Vec<Json>,
-    benches: Vec<Json>,
 }
 
 fn classify(path: &Path) -> Result<RecordFile, String> {
@@ -195,7 +206,6 @@ fn classify(path: &Path) -> Result<RecordFile, String> {
         match value.get("kind").and_then(Json::as_str) {
             Some("trial") => out.trials.push(RunRecord::from_json(&value)?),
             Some("cell") => out.cells.push(value),
-            Some("bench") => out.benches.push(value),
             _ => {} // manifests carry provenance, not comparable results
         }
     }
@@ -366,60 +376,19 @@ fn diff_cells(a: &[Json], b: &[Json], args: &DiffArgs, report: &mut DiffReport) 
     }
 }
 
-fn diff_benches(a: &[Json], b: &[Json], args: &DiffArgs, report: &mut DiffReport) {
-    let name = |j: &Json| {
-        j.get("name")
-            .and_then(Json::as_str)
-            .unwrap_or("?")
-            .to_string()
-    };
-    for ba in a {
-        let Some(bb) = b.iter().find(|x| name(x) == name(ba)) else {
-            report.missing(&format!("bench {}", name(ba)), "A");
-            continue;
-        };
-        let (Some(x), Some(y)) = (
-            ba.get("mean_ns").and_then(Json::as_f64),
-            bb.get("mean_ns").and_then(Json::as_f64),
-        ) else {
-            continue;
-        };
-        // Bench means are wall-clock: never flagged without --wall-pct.
-        report.compare_wall(
-            &format!("bench {}", name(ba)),
-            x as u64,
-            y as u64,
-            args.wall_pct,
-        );
-    }
-    for bb in b {
-        if !a.iter().any(|x| name(x) == name(bb)) {
-            report.missing(&format!("bench {}", name(bb)), "B");
-        }
-    }
-}
-
 // --- trend -----------------------------------------------------------------
 
-/// Telemetry contents of one trend input: the snapshot stream (in file
-/// order) plus any bench records riding in the same file.
-#[derive(Default)]
-struct TrendFile {
-    snapshots: Vec<MetricsSnapshot>,
-    benches: Vec<Json>,
-}
-
-fn load_trend(path: &Path) -> Result<TrendFile, String> {
-    let mut out = TrendFile::default();
+/// The snapshot stream of one trend input, in file order.
+fn load_trend(path: &Path) -> Result<Vec<MetricsSnapshot>, String> {
+    let mut snapshots = Vec::new();
     for value in record::load_jsonl(path)? {
         validate_record(&value).map_err(|e| format!("{}: {e}", path.display()))?;
-        match value.get("kind").and_then(Json::as_str) {
-            Some("snapshot") => out.snapshots.push(MetricsSnapshot::from_json(&value)?),
-            Some("bench") => out.benches.push(value),
-            _ => {} // trend reads telemetry; run records belong to `diff`
+        // trend reads telemetry; run records belong to `diff`
+        if value.get("kind").and_then(Json::as_str) == Some("snapshot") {
+            snapshots.push(MetricsSnapshot::from_json(&value)?);
         }
     }
-    Ok(out)
+    Ok(snapshots)
 }
 
 /// Metrics that legitimately move run to run: wall-clock tallies, and
@@ -498,30 +467,26 @@ fn cmd_trend(args: &[String]) -> ExitCode {
         let [path_a, path_b] = pos.as_slice() else {
             return Err("trend needs exactly two telemetry files".into());
         };
-        let mean_pct: Option<f64> = parse_flag(args, "--mean-pct")?;
         let a = load_trend(Path::new(path_a.as_str()))?;
         let b = load_trend(Path::new(path_b.as_str()))?;
         println!(
-            "obsdiff trend: A={path_a} ({} snapshots, {} benches) vs B={path_b} ({}, {})",
-            a.snapshots.len(),
-            a.benches.len(),
-            b.snapshots.len(),
-            b.benches.len()
+            "obsdiff trend: A={path_a} ({} snapshots) vs B={path_b} ({})",
+            a.len(),
+            b.len()
         );
         let mut report = DiffReport { flagged: 0, ok: 0 };
-        match (a.snapshots.last(), b.snapshots.last()) {
-            (Some(sa), Some(sb)) => trend_snapshots(sa, sb, &mut report),
-            (Some(_), None) => report.missing("snapshot stream", "A"),
-            (None, Some(_)) => report.missing("snapshot stream", "B"),
-            (None, None) => {}
+        if let (Some(sa), Some(sb)) = (a.last(), b.last()) {
+            trend_snapshots(sa, sb, &mut report);
+        } else {
+            // A side without a snapshot is not a telemetry stream: wrong
+            // input, flagged even when both sides lack one.
+            for (side, stream) in [("A", &a), ("B", &b)] {
+                if stream.is_empty() {
+                    println!("FLAG snapshot stream: absent from {side}");
+                    report.flagged += 1;
+                }
+            }
         }
-        let bench_args = DiffArgs {
-            round_pct: 0.0,
-            energy_pct: 0.0,
-            cell_pct: 0.0,
-            wall_pct: mean_pct,
-        };
-        diff_benches(&a.benches, &b.benches, &bench_args, &mut report);
         println!(
             "summary: {} flagged, {} within thresholds",
             report.flagged, report.ok
@@ -552,26 +517,23 @@ fn cmd_diff(args: &[String]) -> ExitCode {
             return Err("diff needs exactly two record files".into());
         };
         let diff_args = DiffArgs {
-            round_pct: parse_flag(args, "--round-pct")?.unwrap_or(0.0),
-            energy_pct: parse_flag(args, "--energy-pct")?.unwrap_or(0.0),
-            cell_pct: parse_flag(args, "--cell-pct")?.unwrap_or(0.0),
-            wall_pct: parse_flag(args, "--wall-pct")?,
+            round_pct: parse_pct(args, "--round-pct")?.unwrap_or(0.0),
+            energy_pct: parse_pct(args, "--energy-pct")?.unwrap_or(0.0),
+            cell_pct: parse_pct(args, "--cell-pct")?.unwrap_or(0.0),
+            wall_pct: parse_pct(args, "--wall-pct")?,
         };
         let a = classify(Path::new(path_a.as_str()))?;
         let b = classify(Path::new(path_b.as_str()))?;
         println!(
-            "obsdiff: A={path_a} ({} trials, {} cells, {} benches) vs B={path_b} ({}, {}, {})",
+            "obsdiff: A={path_a} ({} trials, {} cells) vs B={path_b} ({}, {})",
             a.trials.len(),
             a.cells.len(),
-            a.benches.len(),
             b.trials.len(),
-            b.cells.len(),
-            b.benches.len()
+            b.cells.len()
         );
         let mut report = DiffReport { flagged: 0, ok: 0 };
         diff_trials(&a.trials, &b.trials, &diff_args, &mut report);
         diff_cells(&a.cells, &b.cells, &diff_args, &mut report);
-        diff_benches(&a.benches, &b.benches, &diff_args, &mut report);
         println!(
             "summary: {} flagged, {} within thresholds",
             report.flagged, report.ok

@@ -19,12 +19,13 @@
 //! small `C`) and the *completion* round (leader declared — the quantity
 //! the theorem's mechanics bound).
 
+use contention::theory::lg;
 use contention::TwoActive;
 use contention_analysis::fit_linear;
 use mac_sim::campaign::{Collect, SeedStream};
 use mac_sim::{Engine, SimConfig, StopWhen};
 
-use super::{lg, seed_base};
+use super::seed_base;
 use crate::{cell_f64, ExperimentReport, RunCtx, Samples};
 
 /// Rounds until solved (first lone primary-channel transmission) for one

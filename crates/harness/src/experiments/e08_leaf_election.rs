@@ -2,12 +2,13 @@
 //! `O(log h · log log x)` rounds (`h = lg C`, `x` starting actives), and the
 //! per-phase `SplitSearch` cost shrinks like `(1/i)·log h` as cohorts grow.
 
+use contention::theory::lg;
 use contention::LeafElection;
 use contention_analysis::Table;
 use mac_sim::campaign::SeedStream;
 use mac_sim::{Engine, SimConfig, StopWhen};
 
-use super::{lg, seed_base};
+use super::seed_base;
 use crate::{sample_distinct, ExperimentReport, RunCtx, Samples};
 use mac_sim::trials::fan_out;
 

@@ -11,8 +11,9 @@
 //!   deterministically as protocol actions (transmissions + listens) per
 //!   executed round.
 //!
-//! Host time is not measured here: the dense-vs-active-set A/B at
-//! `n = 2^20` is `bench_round_engine` (`BENCH_round_engine.json`).
+//! Host time is not measured here. The acts/round column is the exact,
+//! repeatable form of the claim, and the `active_set_equivalence` suite
+//! pins the active-set engine to the dense reference bit for bit.
 
 use contention::{FullAlgorithm, Params};
 use mac_sim::campaign::{Aggregate, SeedStream};

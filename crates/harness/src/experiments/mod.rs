@@ -24,12 +24,7 @@ pub mod e20_sparse_scale;
 pub mod e21_traffic_load;
 
 use crate::{ExperimentReport, RunCtx};
-
-/// Base-2 logarithm, as the paper's `lg`.
-#[must_use]
-pub fn lg(x: f64) -> f64 {
-    x.log2()
-}
+use contention::theory::lg;
 
 /// The tight two-node / lower-bound curve: `lg n / lg C + max(lg lg n, 1)`.
 #[must_use]

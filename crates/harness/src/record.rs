@@ -15,10 +15,9 @@
 //! 3. `kind: "cell"` lines — one per table row of the experiment report,
 //!    carrying every column as a typed value.
 //!
-//! Benches write `kind: "bench"` lines in the same schema (see
-//! `BENCH_round_engine.json`). Every line is validated by
-//! [`validate_line`], which the `schema_check` test runs over everything
-//! the suite emits.
+//! Telemetry streams write `kind: "snapshot"` lines in the same schema.
+//! Every line is validated by [`validate_line`], which the `schema_check`
+//! test runs over everything the suite emits.
 
 use std::fmt::Write as _;
 use std::fs;
@@ -232,18 +231,6 @@ pub fn quarantine_record(experiment: &str, reason: &str, detail: Vec<(String, Js
     Json::obj(fields)
 }
 
-/// A `kind: "bench"` record line.
-#[must_use]
-pub fn bench_record(name: &str, mean_ns: f64, iters: u64) -> Json {
-    Json::obj(vec![
-        ("schema_version".into(), SCHEMA_VERSION.into()),
-        ("kind".into(), "bench".into()),
-        ("name".into(), name.into()),
-        ("mean_ns".into(), mean_ns.into()),
-        ("iters".into(), iters.into()),
-    ])
-}
-
 /// Writes JSONL lines to `path`, creating parent directories. The write is
 /// atomic — body goes to a `.tmp` sibling first, then renames over `path` —
 /// so a kill mid-write leaves either the old complete file or the new one,
@@ -340,13 +327,6 @@ pub fn validate_record(value: &Json) -> Result<(), String> {
             .map(|_| ())
             .ok_or(format!("{kind} record: missing or mistyped '{key}'"))
     };
-    let need_num = |key: &str| {
-        value
-            .get(key)
-            .and_then(Json::as_f64)
-            .map(|_| ())
-            .ok_or(format!("{kind} record: missing or mistyped '{key}'"))
-    };
     match kind {
         "manifest" => {
             need_str("algorithm")?;
@@ -375,11 +355,6 @@ pub fn validate_record(value: &Json) -> Result<(), String> {
                         .ok_or("cell record: non-string entry in 'cells'")?;
                 }
             }
-        }
-        "bench" => {
-            need_str("name")?;
-            need_num("mean_ns")?;
-            need_u64("iters")?;
         }
         "quarantine" => {
             need_str("experiment")?;
@@ -796,15 +771,19 @@ mod tests {
         // v1 records are rejected wholesale: v2 only added the snapshot
         // kind, so v1 files are regenerated, not migrated.
         assert!(validate_line(
-            r#"{"schema_version":1,"kind":"bench","name":"x","mean_ns":1.5,"iters":10}"#
+            r#"{"schema_version":1,"kind":"quarantine","experiment":"e1","reason":"x"}"#
         )
         .is_err());
+        assert!(validate_line(
+            r#"{"schema_version":2,"kind":"quarantine","experiment":"e1","reason":"x"}"#
+        )
+        .is_ok());
         assert!(validate_line(r#"{"schema_version":2,"kind":"wat"}"#).is_err());
-        assert!(validate_line(r#"{"schema_version":2,"kind":"bench","name":"x"}"#).is_err());
+        // Nothing writes `bench` lines any more: the kind is unknown.
         assert!(validate_line(
             r#"{"schema_version":2,"kind":"bench","name":"x","mean_ns":1.5,"iters":10}"#
         )
-        .is_ok());
+        .is_err());
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! Three producers write run-record JSONL: `repro --record-dir` (manifest +
 //! cell records per experiment), `obsdiff record` (manifest + trial
-//! records, the committed golden fixture), and the `bench_round_engine`
-//! custom main (bench records, the committed `BENCH_round_engine.json`).
-//! This test validates each against `record::validate_record`, so a schema
+//! records, the committed golden fixture), and telemetry attached to a
+//! sweep (snapshot records, the committed golden snapshot stream). This
+//! test validates each against `record::validate_record`, so a schema
 //! drift in any producer — or in the committed artifacts — fails CI before
 //! `obsdiff` ever sees a malformed line.
 
@@ -71,18 +71,6 @@ fn schema_version_is_two() {
     // v2 added the snapshot kind; bump this (and the migration note in
     // docs/OBSERVABILITY.md) together with any future schema change.
     assert_eq!(record::SCHEMA_VERSION, 2);
-}
-
-#[test]
-fn committed_bench_export_conforms_to_schema() {
-    let path = workspace_root().join("BENCH_round_engine.json");
-    let records = load_jsonl(&path).expect("bench export loads");
-    assert!(!records.is_empty(), "bench export is non-empty");
-    assert_all_valid(&records, "BENCH_round_engine.json");
-    assert!(
-        records.iter().all(|r| kind(r) == "bench"),
-        "bench export holds only bench records"
-    );
 }
 
 #[test]

@@ -8,19 +8,13 @@
 //! node slots, so per-round cost is O(n) in the number of slots ever
 //! added, regardless of how many are live.
 //!
-//! It exists for two reasons:
-//!
-//! * **Equivalence pinning.** The property suite
-//!   (`crates/mac-sim/tests/active_set_equivalence.rs`) runs random
-//!   workloads — staggered wake schedules × CD modes × fault layers —
-//!   through both engines and asserts bit-identical [`RunReport`]s and
-//!   event streams. Any divergence between the active-set scheduler's
-//!   agenda/live-set/retirement bookkeeping and the plain-scan semantics
-//!   is a test failure, which keeps the refactored hot loop honest.
-//! * **A/B benchmarking.** `bench_round_engine` runs the same sparse
-//!   workload (n = 2²⁰ slots, |A| = 500 active) on both engines, so the
-//!   committed `BENCH_round_engine.json` records the active-set speedup
-//!   rather than asserting it.
+//! It exists for equivalence pinning. The property suite
+//! (`crates/mac-sim/tests/active_set_equivalence.rs`) runs random
+//! workloads — staggered wake schedules × CD modes × fault layers —
+//! through both engines and asserts bit-identical [`RunReport`]s and event
+//! streams. Any divergence between the active-set scheduler's
+//! agenda/live-set/retirement bookkeeping and the plain-scan semantics is
+//! a test failure, which keeps the refactored hot loop honest.
 //!
 //! The implementation deliberately duplicates the round loop instead of
 //! sharing it: a reference that reuses the optimised scheduler's code

@@ -53,7 +53,9 @@ use crate::sink::EventSink;
 /// `cell`/`bench`/`quarantine`) records; v2 adds the `kind: "snapshot"`
 /// metrics record ([`telemetry::MetricsSnapshot`]) with no field changes
 /// to the existing kinds — v1 files re-validate after regeneration only
-/// because the stamped version must match.
+/// because the stamped version must match. The harness later dropped the
+/// `bench` kind without a bump: nothing writes it, and no committed v2
+/// file holds one.
 pub const SCHEMA_VERSION: u64 = 2;
 
 /// One phase span of a recorded run: a maximal stretch of consecutive
