@@ -29,10 +29,8 @@ use crate::phase::{impl_terminal_phase, PhaseMeter};
 ///
 /// # fn main() -> Result<(), mac_sim::SimError> {
 /// let n = 1u64 << 10;
-/// let mut exec = Engine::new(SimConfig::new(1));
-/// for id in [17u64, 400, 900] {
-///     exec.add_node(BinaryDescent::new(id, n));
-/// }
+/// let mut exec = Engine::new(SimConfig::new(1))
+///     .populated([17u64, 400, 900].into_iter().map(|id| BinaryDescent::new(id, n)));
 /// let report = exec.run()?;
 /// // The smallest active id always wins.
 /// assert!(report.rounds_to_solve().unwrap() <= 11);
@@ -146,10 +144,7 @@ mod tests {
         let cfg = SimConfig::new(1)
             .stop_when(StopWhen::AllTerminated)
             .max_rounds(10_000);
-        let mut exec = Engine::new(cfg);
-        for &id in ids {
-            exec.add_node(BinaryDescent::new(id, n));
-        }
+        let mut exec = Engine::new(cfg).populated(ids.iter().map(|&id| BinaryDescent::new(id, n)));
         exec.run().expect("run succeeds")
     }
 

@@ -24,10 +24,8 @@ use crate::phase::{impl_terminal_phase, PhaseMeter};
 /// use mac_sim::{Engine, SimConfig};
 ///
 /// # fn main() -> Result<(), mac_sim::SimError> {
-/// let mut exec = Engine::new(SimConfig::new(1).seed(5));
-/// for _ in 0..100 {
-///     exec.add_node(CdTournament::new());
-/// }
+/// let mut exec = Engine::new(SimConfig::new(1).seed(5))
+///     .populated((0..100).map(|_| CdTournament::new()));
 /// assert!(exec.run()?.is_solved());
 /// # Ok(())
 /// # }
@@ -100,10 +98,7 @@ mod tests {
                 .seed(seed)
                 .stop_when(StopWhen::AllTerminated)
                 .max_rounds(10_000);
-            let mut exec = Engine::new(cfg);
-            for _ in 0..64 {
-                exec.add_node(CdTournament::new());
-            }
+            let mut exec = Engine::new(cfg).populated((0..64).map(|_| CdTournament::new()));
             let report = exec.run().expect("run succeeds");
             assert_eq!(report.leaders.len(), 1, "seed {seed}");
             assert!(report.is_solved());
@@ -116,10 +111,7 @@ mod tests {
         for (n, cap) in [(16u64, 60u64), (256, 90), (4096, 130)] {
             for seed in 0..10 {
                 let cfg = SimConfig::new(1).seed(seed).max_rounds(100_000);
-                let mut exec = Engine::new(cfg);
-                for _ in 0..n {
-                    exec.add_node(CdTournament::new());
-                }
+                let mut exec = Engine::new(cfg).populated((0..n).map(|_| CdTournament::new()));
                 let report = exec.run().expect("run succeeds");
                 let rounds = report.rounds_to_solve().unwrap();
                 assert!(rounds <= cap, "n={n} seed={seed}: {rounds} > {cap}");
@@ -130,8 +122,7 @@ mod tests {
     #[test]
     fn lone_node_wins_quickly() {
         let cfg = SimConfig::new(1).seed(0).max_rounds(200);
-        let mut exec = Engine::new(cfg);
-        exec.add_node(CdTournament::new());
+        let mut exec = Engine::new(cfg).populated([CdTournament::new()]);
         let report = exec.run().expect("run succeeds");
         assert!(report.rounds_to_solve().unwrap() <= 64);
     }

@@ -29,10 +29,7 @@ use crate::phase::{impl_terminal_phase, PhaseMeter};
 ///
 /// # fn main() -> Result<(), mac_sim::SimError> {
 /// let cfg = SimConfig::new(1).seed(3).cd_mode(CdMode::None);
-/// let mut exec = Engine::new(cfg);
-/// for _ in 0..50 {
-///     exec.add_node(Decay::new(1 << 10));
-/// }
+/// let mut exec = Engine::new(cfg).populated((0..50).map(|_| Decay::new(1 << 10)));
 /// assert!(exec.run()?.is_solved());
 /// # Ok(())
 /// # }
@@ -120,10 +117,7 @@ mod tests {
             .seed(seed)
             .cd_mode(CdMode::None)
             .max_rounds(1_000_000);
-        let mut exec = Engine::new(cfg);
-        for _ in 0..active {
-            exec.add_node(Decay::new(n));
-        }
+        let mut exec = Engine::new(cfg).populated((0..active).map(|_| Decay::new(n)));
         exec.run().expect("run succeeds").rounds_to_solve().unwrap()
     }
 

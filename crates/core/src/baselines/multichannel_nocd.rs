@@ -38,10 +38,7 @@ use crate::phase::{impl_terminal_phase, PhaseMeter};
 /// # fn main() -> Result<(), mac_sim::SimError> {
 /// let c = 16;
 /// let cfg = SimConfig::new(c).seed(9).cd_mode(CdMode::None);
-/// let mut exec = Engine::new(cfg);
-/// for _ in 0..200 {
-///     exec.add_node(MultiChannelNoCd::new(c, 1 << 10));
-/// }
+/// let mut exec = Engine::new(cfg).populated((0..200).map(|_| MultiChannelNoCd::new(c, 1 << 10)));
 /// assert!(exec.run()?.is_solved());
 /// # Ok(())
 /// # }
@@ -148,10 +145,7 @@ mod tests {
             .seed(seed)
             .cd_mode(CdMode::None)
             .max_rounds(2_000_000);
-        let mut exec = Engine::new(cfg);
-        for _ in 0..active {
-            exec.add_node(MultiChannelNoCd::new(c, n));
-        }
+        let mut exec = Engine::new(cfg).populated((0..active).map(|_| MultiChannelNoCd::new(c, n)));
         exec.run().expect("run succeeds").rounds_to_solve().unwrap()
     }
 

@@ -33,10 +33,8 @@ use crate::phase::{impl_terminal_phase, PhaseMeter};
 /// # fn main() -> Result<(), mac_sim::SimError> {
 /// let n = 64;
 /// let cfg = SimConfig::new(1).stop_when(StopWhen::AllTerminated);
-/// let mut exec = Engine::new(cfg);
-/// for id in [3u64, 17, 40, 41] {
-///     exec.add_node(TreeSplit::new(id, n));
-/// }
+/// let mut exec = Engine::new(cfg)
+///     .populated([3u64, 17, 40, 41].into_iter().map(|id| TreeSplit::new(id, n)));
 /// let report = exec.run()?;
 /// // One-shot reading: solved at the first lone slot…
 /// assert!(report.is_solved());
@@ -179,10 +177,7 @@ mod tests {
         let cfg = SimConfig::new(1)
             .stop_when(StopWhen::AllTerminated)
             .max_rounds(100_000);
-        let mut exec = Engine::new(cfg);
-        for &id in ids {
-            exec.add_node(TreeSplit::new(id, n));
-        }
+        let mut exec = Engine::new(cfg).populated(ids.iter().map(|&id| TreeSplit::new(id, n)));
         let report = exec.run().expect("resolves");
         let nodes = exec.iter_nodes().cloned().collect();
         (report, nodes)

@@ -41,10 +41,8 @@ enum Stage {
 /// use mac_sim::{Engine, SimConfig};
 ///
 /// # fn main() -> Result<(), mac_sim::SimError> {
-/// let mut exec = Engine::new(SimConfig::new(1).seed(5));
-/// for _ in 0..500 {
-///     exec.add_node(Willard::new(1 << 16));
-/// }
+/// let mut exec = Engine::new(SimConfig::new(1).seed(5))
+///     .populated((0..500).map(|_| Willard::new(1 << 16)));
 /// assert!(exec.run()?.is_solved());
 /// # Ok(())
 /// # }
@@ -187,10 +185,8 @@ mod tests {
     use mac_sim::{Engine, SimConfig, StopWhen};
 
     fn rounds_to_solve(n: u64, active: usize, seed: u64) -> u64 {
-        let mut exec = Engine::new(SimConfig::new(1).seed(seed).max_rounds(1_000_000));
-        for _ in 0..active {
-            exec.add_node(Willard::new(n));
-        }
+        let mut exec = Engine::new(SimConfig::new(1).seed(seed).max_rounds(1_000_000))
+            .populated((0..active).map(|_| Willard::new(n)));
         exec.run()
             .expect("solves")
             .rounds_to_solve()
@@ -234,10 +230,8 @@ mod tests {
             / 15.0;
         let tournament: f64 = (0..15)
             .map(|s| {
-                let mut exec = Engine::new(SimConfig::new(1).seed(s).max_rounds(1_000_000));
-                for _ in 0..active {
-                    exec.add_node(CdTournament::new());
-                }
+                let mut exec = Engine::new(SimConfig::new(1).seed(s).max_rounds(1_000_000))
+                    .populated((0..active).map(|_| CdTournament::new()));
                 exec.run()
                     .expect("solves")
                     .rounds_to_solve()
@@ -257,10 +251,7 @@ mod tests {
             .seed(9)
             .stop_when(StopWhen::AllTerminated)
             .max_rounds(1_000_000);
-        let mut exec = Engine::new(cfg);
-        for _ in 0..200 {
-            exec.add_node(Willard::new(1 << 12));
-        }
+        let mut exec = Engine::new(cfg).populated((0..200).map(|_| Willard::new(1 << 12)));
         let report = exec.run().expect("terminates");
         assert_eq!(report.leaders.len(), 1);
         assert!(report.active_remaining.is_empty());

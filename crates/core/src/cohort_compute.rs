@@ -77,12 +77,9 @@ enum Stage {
 /// let values = [13i64, -4, 99, 7, 22];
 /// let p = values.len() as u32;
 /// let cfg = SimConfig::new(16).stop_when(StopWhen::AllTerminated);
-/// let mut exec = Engine::new(cfg);
-/// for (i, &v) in values.iter().enumerate() {
-///     exec.add_node(CohortAggregate::new(
-///         ChannelId::new(2), p, i as u32 + 1, v, AggregateOp::Max,
-///     ));
-/// }
+/// let mut exec = Engine::new(cfg).populated(values.iter().enumerate().map(|(i, &v)| {
+///     CohortAggregate::new(ChannelId::new(2), p, i as u32 + 1, v, AggregateOp::Max)
+/// }));
 /// exec.run()?;
 /// for node in exec.iter_nodes() {
 ///     assert_eq!(node.result(), Some(99));
@@ -249,16 +246,12 @@ mod tests {
         let cfg = SimConfig::new(64)
             .stop_when(StopWhen::AllTerminated)
             .max_rounds(1000);
-        let mut exec = Engine::new(cfg);
-        for (i, &v) in values.iter().enumerate() {
-            exec.add_node(CohortAggregate::new(
-                ChannelId::new(2),
-                p,
-                i as u32 + 1,
-                v,
-                op,
-            ));
-        }
+        let mut exec = Engine::new(cfg).populated(
+            values
+                .iter()
+                .enumerate()
+                .map(|(i, &v)| CohortAggregate::new(ChannelId::new(2), p, i as u32 + 1, v, op)),
+        );
         let report = exec.run().expect("aggregates");
         let results = exec.iter_nodes().map(CohortAggregate::result).collect();
         (results, report.rounds_executed)
@@ -314,25 +307,20 @@ mod tests {
         let cfg = SimConfig::new(64)
             .stop_when(StopWhen::AllTerminated)
             .max_rounds(1000);
-        let mut exec = Engine::new(cfg);
-        for (i, &v) in [1i64, 9, 4].iter().enumerate() {
-            exec.add_node(CohortAggregate::new(
-                ChannelId::new(2),
-                3,
-                i as u32 + 1,
-                v,
-                AggregateOp::Max,
-            ));
-        }
-        for (i, &v) in [100i64, 50].iter().enumerate() {
-            exec.add_node(CohortAggregate::new(
-                ChannelId::new(30),
-                2,
-                i as u32 + 1,
-                v,
-                AggregateOp::Max,
-            ));
-        }
+        let cohort = |base: u32, values: &'static [i64]| {
+            values.iter().enumerate().map(move |(i, &v)| {
+                let size = values.len() as u32;
+                CohortAggregate::new(
+                    ChannelId::new(base),
+                    size,
+                    i as u32 + 1,
+                    v,
+                    AggregateOp::Max,
+                )
+            })
+        };
+        let mut exec =
+            Engine::new(cfg).populated(cohort(2, &[1, 9, 4]).chain(cohort(30, &[100, 50])));
         exec.run().expect("aggregates");
         let results: Vec<Option<i64>> = exec.iter_nodes().map(CohortAggregate::result).collect();
         assert_eq!(

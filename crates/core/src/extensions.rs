@@ -47,10 +47,8 @@ enum Step {
 ///
 /// # fn main() -> Result<(), mac_sim::SimError> {
 /// let (c, n) = (16u32, 1u64 << 12); // C >= lg n + 1 = 13
-/// let mut exec = Engine::new(SimConfig::new(c).seed(3));
-/// for _ in 0..500 {
-///     exec.add_node(ExpectedConstant::new(c, n));
-/// }
+/// let mut exec = Engine::new(SimConfig::new(c).seed(3))
+///     .populated((0..500).map(|_| ExpectedConstant::new(c, n)));
 /// let report = exec.run()?;
 /// assert!(report.rounds_to_solve().unwrap() < 1000);
 /// # Ok(())
@@ -223,10 +221,7 @@ impl_terminal_phase!(ExpectedConstant, "expected-constant");
 ///
 /// # fn main() -> Result<(), mac_sim::SimError> {
 /// let cfg = SimConfig::new(1).seed(2).stop_when(StopWhen::AllTerminated);
-/// let mut exec = Engine::new(cfg);
-/// for _ in 0..300 {
-///     exec.add_node(SizeEstimate::new(1 << 12));
-/// }
+/// let mut exec = Engine::new(cfg).populated((0..300).map(|_| SizeEstimate::new(1 << 12)));
 /// exec.run()?;
 /// let estimate = exec.iter_nodes().next().expect("has nodes").estimate().expect("done");
 /// assert!(estimate >= 16 && estimate <= 8192, "estimate {estimate} off for |A| = 300");
@@ -313,10 +308,8 @@ mod tests {
     use mac_sim::{Engine, SimConfig, StopWhen};
 
     fn rounds_to_solve(c: u32, n: u64, active: usize, seed: u64) -> u64 {
-        let mut exec = Engine::new(SimConfig::new(c).seed(seed).max_rounds(1_000_000));
-        for _ in 0..active {
-            exec.add_node(ExpectedConstant::new(c, n));
-        }
+        let mut exec = Engine::new(SimConfig::new(c).seed(seed).max_rounds(1_000_000))
+            .populated((0..active).map(|_| ExpectedConstant::new(c, n)));
         exec.run()
             .expect("solves")
             .rounds_to_solve()
@@ -355,10 +348,8 @@ mod tests {
             .seed(5)
             .stop_when(StopWhen::AllTerminated)
             .max_rounds(1_000_000);
-        let mut exec = Engine::new(cfg);
-        for _ in 0..200 {
-            exec.add_node(ExpectedConstant::new(16, 1 << 10));
-        }
+        let mut exec =
+            Engine::new(cfg).populated((0..200).map(|_| ExpectedConstant::new(16, 1 << 10)));
         let report = exec.run().expect("solves");
         assert_eq!(report.leaders.len(), 1);
         assert!(report.active_remaining.is_empty());
@@ -383,10 +374,7 @@ mod tests {
             .seed(seed)
             .stop_when(StopWhen::AllTerminated)
             .max_rounds(1000);
-        let mut exec = Engine::new(cfg);
-        for _ in 0..active {
-            exec.add_node(SizeEstimate::new(n));
-        }
+        let mut exec = Engine::new(cfg).populated((0..active).map(|_| SizeEstimate::new(n)));
         exec.run().expect("sweeps");
         exec.iter_nodes()
             .map(|e| e.estimate().expect("estimated"))
@@ -422,10 +410,7 @@ mod tests {
             .seed(0)
             .stop_when(StopWhen::AllTerminated)
             .max_rounds(100);
-        let mut exec = Engine::new(cfg);
-        for _ in 0..10 {
-            exec.add_node(SizeEstimate::new(1 << 8));
-        }
+        let mut exec = Engine::new(cfg).populated((0..10).map(|_| SizeEstimate::new(1 << 8)));
         let report = exec.run().expect("sweeps");
         assert_eq!(report.rounds_executed, 9); // lg 256 + 1
     }

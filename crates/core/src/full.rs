@@ -179,10 +179,8 @@ pub fn supervised_paper_node(
 ///
 /// # fn main() -> Result<(), mac_sim::SimError> {
 /// let (c, n) = (128u32, 1u64 << 14);
-/// let mut exec = Engine::new(SimConfig::new(c).seed(2));
-/// for _ in 0..1000 {
-///     exec.add_node(FullAlgorithm::new(Params::practical(), c, n));
-/// }
+/// let mut exec = Engine::new(SimConfig::new(c).seed(2))
+///     .populated((0..1000).map(|_| FullAlgorithm::new(Params::practical(), c, n)));
 /// assert!(exec.run()?.is_solved());
 /// # Ok(())
 /// # }
@@ -295,10 +293,8 @@ mod tests {
             .seed(seed)
             .stop_when(StopWhen::AllTerminated)
             .max_rounds(1_000_000);
-        let mut exec = Engine::new(cfg);
-        for _ in 0..active {
-            exec.add_node(FullAlgorithm::new(Params::practical(), c, n));
-        }
+        let mut exec = Engine::new(cfg)
+            .populated((0..active).map(|_| FullAlgorithm::new(Params::practical(), c, n)));
         let report = exec.run().expect("run succeeds");
         let nodes = exec.iter_nodes().cloned().collect();
         (report, nodes)
@@ -402,10 +398,8 @@ mod tests {
             .seed(4)
             .stop_when(StopWhen::AllTerminated)
             .max_rounds(1_000_000);
-        let mut exec = Engine::new(cfg);
-        for _ in 0..500 {
-            exec.add_node(FullAlgorithm::new(Params::paper(), 1 << 10, 1 << 12));
-        }
+        let mut exec = Engine::new(cfg)
+            .populated((0..500).map(|_| FullAlgorithm::new(Params::paper(), 1 << 10, 1 << 12)));
         let report = exec.run().expect("run succeeds");
         assert!(report.is_solved());
     }
@@ -417,15 +411,14 @@ mod tests {
             .seed(11)
             .stop_when(StopWhen::AllTerminated)
             .max_rounds(1_000_000);
-        let mut exec = Engine::new(cfg);
-        for _ in 0..200 {
-            exec.add_node(supervised_paper_node(
+        let mut exec = Engine::new(cfg).populated((0..200).map(|_| {
+            supervised_paper_node(
                 Params::practical(),
                 64,
                 1 << 12,
                 RestartPolicy::new(2_000, 3),
-            ));
-        }
+            )
+        }));
         let report = exec.run().expect("supervised run succeeds");
         assert!(report.is_solved());
         for node in exec.iter_nodes() {

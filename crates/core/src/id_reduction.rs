@@ -73,10 +73,8 @@ enum SubRound {
 /// # fn main() -> Result<(), mac_sim::SimError> {
 /// let c = 64;
 /// let cfg = SimConfig::new(c).seed(11).stop_when(StopWhen::AllTerminated);
-/// let mut exec = Engine::new(cfg);
-/// for _ in 0..12 {
-///     exec.add_node(IdReduction::new(Params::practical(), c));
-/// }
+/// let mut exec = Engine::new(cfg)
+///     .populated((0..12).map(|_| IdReduction::new(Params::practical(), c)));
 /// exec.run()?;
 /// let ids: Vec<u32> = exec
 ///     .iter_nodes()
@@ -300,10 +298,8 @@ mod tests {
             .seed(seed)
             .stop_when(StopWhen::AllTerminated)
             .max_rounds(100_000);
-        let mut exec = Engine::new(cfg);
-        for _ in 0..active {
-            exec.add_node(IdReduction::new(Params::practical(), c));
-        }
+        let mut exec = Engine::new(cfg)
+            .populated((0..active).map(|_| IdReduction::new(Params::practical(), c)));
         let report = exec.run().expect("run succeeds");
         let outcomes = exec.iter_nodes().map(|p| p.outcome().unwrap()).collect();
         (report, outcomes)
@@ -427,10 +423,8 @@ mod tests {
                 .seed(5)
                 .stop_when(StopWhen::AllTerminated)
                 .max_rounds(100_000);
-            let mut exec = Engine::new(cfg);
-            for _ in 0..40 {
-                exec.add_node(IdReduction::new(Params::paper(), 1 << 12));
-            }
+            let mut exec = Engine::new(cfg)
+                .populated((0..40).map(|_| IdReduction::new(Params::paper(), 1 << 12)));
             let report = exec.run().expect("run succeeds");
             let outcomes: Vec<_> = exec.iter_nodes().map(|p| p.outcome().unwrap()).collect();
             (report, outcomes)
@@ -448,10 +442,8 @@ mod tests {
             .seed(3)
             .stop_when(StopWhen::AllTerminated)
             .max_rounds(10_000);
-        let mut exec = Engine::new(cfg);
-        for _ in 0..10 {
-            exec.add_node(IdReduction::new(Params::practical(), 16));
-        }
+        let mut exec =
+            Engine::new(cfg).populated((0..10).map(|_| IdReduction::new(Params::practical(), 16)));
         exec.run().unwrap();
         for node in exec.iter_nodes() {
             let s = node.stats();

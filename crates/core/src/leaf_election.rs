@@ -92,10 +92,8 @@ enum Stage {
 /// # fn main() -> Result<(), mac_sim::SimError> {
 /// let c = 64; // tree with 32 leaves
 /// let cfg = SimConfig::new(c).stop_when(StopWhen::AllTerminated);
-/// let mut exec = Engine::new(cfg);
-/// for id in [3, 7, 20, 21, 30] {
-///     exec.add_node(LeafElection::new(c, id));
-/// }
+/// let mut exec = Engine::new(cfg)
+///     .populated([3, 7, 20, 21, 30].into_iter().map(|id| LeafElection::new(c, id)));
 /// let report = exec.run()?;
 /// assert_eq!(report.leaders.len(), 1);
 /// # Ok(())
@@ -531,10 +529,7 @@ mod tests {
         let cfg = SimConfig::new(c)
             .stop_when(StopWhen::AllTerminated)
             .max_rounds(100_000);
-        let mut exec = Engine::new(cfg);
-        for &id in ids {
-            exec.add_node(LeafElection::new(c, id));
-        }
+        let mut exec = Engine::new(cfg).populated(ids.iter().map(|&id| LeafElection::new(c, id)));
         let report = exec.run().expect("run succeeds");
         let nodes = exec.iter_nodes().cloned().collect();
         (report, nodes)

@@ -56,10 +56,8 @@
 //!
 //! # fn main() -> Result<(), mac_sim::SimError> {
 //! let (n, c, active) = (1u64 << 12, 64u32, 500usize);
-//! let mut exec = Engine::new(SimConfig::new(c).seed(7));
-//! for _ in 0..active {
-//!     exec.add_node(FullAlgorithm::new(Params::practical(), c, n));
-//! }
+//! let mut exec = Engine::new(SimConfig::new(c).seed(7))
+//!     .populated((0..active).map(|_| FullAlgorithm::new(Params::practical(), c, n)));
 //! let report = exec.run()?;
 //! println!("solved in {} rounds", report.rounds_to_solve().unwrap());
 //! # Ok(())

@@ -40,11 +40,9 @@
 //! # fn main() -> Result<(), mac_sim::SimError> {
 //! // A hybrid stack the paper never wrote down: knock the field down with
 //! // Reduce, then finish on one channel with the id-free tournament.
-//! let mut exec = Engine::new(SimConfig::new(1).seed(3));
-//! for _ in 0..200 {
-//!     let stack = Reduce::new(1 << 12).and_then(|()| CdTournament::new());
-//!     exec.add_node(PhaseProtocol::new(stack));
-//! }
+//! let mut exec = Engine::new(SimConfig::new(1).seed(3)).populated((0..200).map(|_| {
+//!     PhaseProtocol::new(Reduce::new(1 << 12).and_then(|()| CdTournament::new()))
+//! }));
 //! assert!(exec.run()?.is_solved());
 //! # Ok(())
 //! # }

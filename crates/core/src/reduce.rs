@@ -47,10 +47,8 @@ pub enum ReduceOutcome {
 /// # fn main() -> Result<(), mac_sim::SimError> {
 /// let n = 1u64 << 16;
 /// let cfg = SimConfig::new(1).seed(3).stop_when(StopWhen::AllTerminated);
-/// let mut exec = Engine::new(cfg);
-/// for _ in 0..1000 {
-///     exec.add_node(Reduce::with_params(contention::Params::practical(), n));
-/// }
+/// let mut exec = Engine::new(cfg)
+///     .populated((0..1000).map(|_| Reduce::with_params(contention::Params::practical(), n)));
 /// exec.run()?;
 /// let survivors = exec
 ///     .iter_nodes()
@@ -234,10 +232,7 @@ mod tests {
             .seed(seed)
             .stop_when(StopWhen::AllTerminated)
             .max_rounds(10_000);
-        let mut exec = Engine::new(cfg);
-        for _ in 0..active {
-            exec.add_node(Reduce::new(n));
-        }
+        let mut exec = Engine::new(cfg).populated((0..active).map(|_| Reduce::new(n)));
         let report = exec.run().expect("run succeeds");
         let outcomes = exec.iter_nodes().map(|r| r.outcome().unwrap()).collect();
         (report, outcomes)

@@ -63,11 +63,9 @@ enum Mode {
 /// # fn main() -> Result<(), mac_sim::SimError> {
 /// let (c, n, k) = (32u32, 1u64 << 10, 12usize);
 /// let cfg = SimConfig::new(c).seed(4).stop_when(StopWhen::AllTerminated);
-/// let mut exec = Engine::new(cfg);
-/// for payload in 0..k as u32 {
-///     let factory = move || FullAlgorithm::new(Params::practical(), c, n);
-///     exec.add_node(SerializeAll::new(factory, payload));
-/// }
+/// let factory = move || FullAlgorithm::new(Params::practical(), c, n);
+/// let mut exec =
+///     Engine::new(cfg).populated((0..k as u32).map(|payload| SerializeAll::new(factory, payload)));
 /// exec.run()?;
 /// let served: Vec<u32> = exec.iter_nodes().filter_map(|s| s.served_at().map(|_| s.payload())).collect();
 /// assert_eq!(served.len(), k, "every contender must be served");
@@ -250,11 +248,9 @@ mod tests {
             .seed(seed)
             .stop_when(StopWhen::AllTerminated)
             .max_rounds(10_000_000);
-        let mut exec = Engine::new(cfg);
-        for payload in 0..k as u32 {
-            let factory = move || FullAlgorithm::new(Params::practical(), c, n);
-            exec.add_node(SerializeAll::new(factory, payload));
-        }
+        let factory = move || FullAlgorithm::new(Params::practical(), c, n);
+        let mut exec = Engine::new(cfg)
+            .populated((0..k as u32).map(|payload| SerializeAll::new(factory, payload)));
         exec.run().expect("serializes");
         exec.iter_nodes().cloned().collect()
     }
@@ -308,11 +304,9 @@ mod tests {
                 .seed(9)
                 .stop_when(StopWhen::AllTerminated)
                 .max_rounds(10_000_000);
-            let mut exec = Engine::new(cfg);
-            for payload in 0..k as u32 {
-                let factory = move || FullAlgorithm::new(Params::practical(), 32, 1 << 10);
-                exec.add_node(SerializeAll::new(factory, payload));
-            }
+            let factory = move || FullAlgorithm::new(Params::practical(), 32, 1 << 10);
+            let mut exec = Engine::new(cfg)
+                .populated((0..k as u32).map(|payload| SerializeAll::new(factory, payload)));
             exec.run().expect("serializes").rounds_executed
         };
         let few = rounds(4);
@@ -331,10 +325,8 @@ mod tests {
             .seed(2)
             .stop_when(StopWhen::AllTerminated)
             .max_rounds(1_000_000);
-        let mut exec = Engine::new(cfg);
-        for payload in 0..8u32 {
-            exec.add_node(SerializeAll::new(CdTournament::new, payload));
-        }
+        let mut exec = Engine::new(cfg)
+            .populated((0..8u32).map(|payload| SerializeAll::new(CdTournament::new, payload)));
         exec.run().expect("serializes");
         let served = exec
             .iter_nodes()

@@ -344,13 +344,11 @@ impl Session {
             } else {
                 StopWhen::Solved
             });
-        let mut exec = Engine::new(cfg);
         // Spread ids evenly across the universe, deterministically — a
         // session has no real identities to hand out.
         let stride = (self.n / active as u64).max(1);
-        for idx in 0..active as u64 {
-            exec.add_node(self.make_node(idx * stride));
-        }
+        let mut exec =
+            Engine::new(cfg).populated((0..active as u64).map(|idx| self.make_node(idx * stride)));
         let report = exec.run_observed(sink)?;
         let solver_phases = report
             .solver

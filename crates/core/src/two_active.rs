@@ -72,9 +72,8 @@ enum State {
 /// # fn main() -> Result<(), mac_sim::SimError> {
 /// let c = 64;
 /// let n = 1 << 16;
-/// let mut exec = Engine::new(SimConfig::new(c).seed(1));
-/// exec.add_node(TwoActive::new(c, n));
-/// exec.add_node(TwoActive::new(c, n));
+/// let mut exec =
+///     Engine::new(SimConfig::new(c).seed(1)).populated([TwoActive::new(c, n), TwoActive::new(c, n)]);
 /// let report = exec.run()?;
 /// assert!(report.is_solved());
 /// # Ok(())
@@ -262,18 +261,20 @@ impl_terminal_phase!(TwoActive, "two-active");
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mac_sim::{Engine, SimConfig, SimError, StopWhen};
+    use mac_sim::{Engine, NodeId, SimConfig, SimError, StopWhen};
 
     fn run_pair(c: u32, n: u64, seed: u64) -> (mac_sim::RunReport, TwoActiveStats, TwoActiveStats) {
         let cfg = SimConfig::new(c)
             .seed(seed)
             .stop_when(StopWhen::AllTerminated)
             .max_rounds(100_000);
-        let mut exec = Engine::new(cfg);
-        let a = exec.add_node(TwoActive::new(c, n));
-        let b = exec.add_node(TwoActive::new(c, n));
+        let mut exec = Engine::new(cfg).populated([TwoActive::new(c, n), TwoActive::new(c, n)]);
         let report = exec.run().expect("run succeeds");
-        (report, exec.node(a).stats(), exec.node(b).stats())
+        (
+            report,
+            exec.node(NodeId(0)).stats(),
+            exec.node(NodeId(1)).stats(),
+        )
     }
 
     #[test]
@@ -384,8 +385,7 @@ mod tests {
         let cfg = SimConfig::new(8)
             .stop_when(StopWhen::AllTerminated)
             .max_rounds(1000);
-        let mut exec = Engine::new(cfg);
-        exec.add_node(TwoActive::new(8, 256));
+        let mut exec = Engine::new(cfg).populated([TwoActive::new(8, 256)]);
         let report = exec.run().expect("run succeeds");
         assert_eq!(report.leaders.len(), 1);
         assert!(report.is_solved());
@@ -428,9 +428,7 @@ mod tests {
     fn timeout_error_propagates() {
         // A one-round cap cannot accommodate the declaration round.
         let cfg = SimConfig::new(4).max_rounds(0);
-        let mut exec = Engine::new(cfg);
-        exec.add_node(TwoActive::new(4, 16));
-        exec.add_node(TwoActive::new(4, 16));
+        let mut exec = Engine::new(cfg).populated([TwoActive::new(4, 16), TwoActive::new(4, 16)]);
         assert_eq!(exec.run().unwrap_err(), SimError::Timeout { max_rounds: 0 });
     }
 }

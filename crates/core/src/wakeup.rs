@@ -328,10 +328,8 @@ mod tests {
     fn overhead_is_at_most_double_plus_constant() {
         let (c, n) = (32u32, 1u64 << 10);
         let base = {
-            let mut exec = Engine::new(SimConfig::new(c).seed(6).max_rounds(100_000));
-            for _ in 0..30 {
-                exec.add_node(FullAlgorithm::new(Params::practical(), c, n));
-            }
+            let mut exec = Engine::new(SimConfig::new(c).seed(6).max_rounds(100_000))
+                .populated((0..30).map(|_| FullAlgorithm::new(Params::practical(), c, n)));
             exec.run().unwrap().rounds_to_solve().unwrap()
         };
         let wrapped = run_with_offsets(&[0; 30], 6).rounds_to_solve().unwrap();

@@ -38,11 +38,8 @@ fn engine_with_crashes(
         .stop_when(StopWhen::Solved)
         .max_rounds(cap);
     let fault = Layered::new(CrashStop::schedule(crashes), CdMode::Strong);
-    let mut engine = Engine::with_feedback(cfg, fault);
-    for _ in 0..active {
-        engine.add_node(FullAlgorithm::new(Params::practical(), C, N));
-    }
-    engine
+    Engine::with_feedback(cfg, fault)
+        .populated((0..active).map(|_| FullAlgorithm::new(Params::practical(), C, N)))
 }
 
 #[test]
@@ -92,10 +89,8 @@ fn random_crash_waves_leave_survivors_that_solve() {
             .stop_when(StopWhen::Solved)
             .max_rounds(100_000);
         let fault = Layered::new(CrashStop::random(100, 300, 1), CdMode::Strong);
-        let mut engine = Engine::with_feedback(cfg, fault);
-        for _ in 0..300 {
-            engine.add_node(FullAlgorithm::new(Params::practical(), C, N));
-        }
+        let mut engine = Engine::with_feedback(cfg, fault)
+            .populated((0..300).map(|_| FullAlgorithm::new(Params::practical(), C, N)));
         engine.run().unwrap_or_else(|e| panic!("seed {seed}: {e}"))
     });
     for (i, report) in reports.iter().enumerate() {
@@ -139,10 +134,8 @@ fn crashing_every_cohort_coordinator_wedges_leaf_election() {
             .stop_when(StopWhen::Solved)
             .max_rounds(2_000);
         let fault = Layered::new(CrashStop::schedule(crashes), CdMode::Strong);
-        let mut engine = Engine::with_feedback(cfg, fault);
-        for _ in 0..300 {
-            engine.add_node(FullAlgorithm::new(Params::practical(), 256, N));
-        }
+        let mut engine = Engine::with_feedback(cfg, fault)
+            .populated((0..300).map(|_| FullAlgorithm::new(Params::practical(), 256, N)));
         engine.run()
     });
     match result {
@@ -171,10 +164,8 @@ fn an_assassin_only_delays_the_pipeline() {
             .stop_when(StopWhen::Solved)
             .max_rounds(100_000);
         let fault = Layered::new(CrashStop::assassin(2), CdMode::Strong);
-        let mut engine = Engine::with_feedback(cfg, fault);
-        for _ in 0..50 {
-            engine.add_node(FullAlgorithm::new(Params::practical(), C, N));
-        }
+        let mut engine = Engine::with_feedback(cfg, fault)
+            .populated((0..50).map(|_| FullAlgorithm::new(Params::practical(), C, N)));
         match engine.run() {
             Ok(report) => {
                 if let Some(solver) = report.solver {

@@ -9,10 +9,7 @@ fn run(c: u32, ids: &[u32]) -> (RunReport, Vec<LeafElection>) {
     let cfg = SimConfig::new(c)
         .stop_when(StopWhen::AllTerminated)
         .max_rounds(100_000);
-    let mut exec = Engine::new(cfg);
-    for &id in ids {
-        exec.add_node(LeafElection::new(c, id));
-    }
+    let mut exec = Engine::new(cfg).populated(ids.iter().map(|&id| LeafElection::new(c, id)));
     let report = exec.run().expect("elects");
     let nodes = exec.iter_nodes().cloned().collect();
     (report, nodes)
@@ -83,10 +80,7 @@ fn one_sided_occupancy() {
     let cfg = SimConfig::new(c)
         .stop_when(StopWhen::AllTerminated)
         .max_rounds(100_000);
-    let mut exec = Engine::new(cfg);
-    for &id in &ids {
-        exec.add_node(LeafElection::new(c, id));
-    }
+    let mut exec = Engine::new(cfg).populated(ids.iter().map(|&id| LeafElection::new(c, id)));
     let mut trace = mac_sim::Trace::new();
     let report = exec.run_observed(&mut trace).expect("elects");
     assert_eq!(report.leaders.len(), 1);

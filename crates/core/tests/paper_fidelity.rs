@@ -15,9 +15,7 @@ fn reduce_round_schedule_matches_figure_2() {
             .seed(seed)
             .stop_when(StopWhen::AllTerminated)
             .max_rounds(100);
-        let mut exec = Engine::new(cfg);
-        exec.add_node(Reduce::new(n));
-        exec.add_node(Reduce::new(n));
+        let mut exec = Engine::new(cfg).populated([Reduce::new(n), Reduce::new(n)]);
         let mut trace = Trace::new();
         let report = exec.run_observed(&mut trace).expect("terminates");
         // A run ends early only because a lone broadcast elected a leader;
@@ -48,10 +46,8 @@ fn id_reduction_schedule_matches_section_5_2() {
         .seed(3)
         .stop_when(StopWhen::AllTerminated)
         .max_rounds(10_000);
-    let mut exec = Engine::new(cfg);
-    for _ in 0..40 {
-        exec.add_node(IdReduction::new(Params::practical(), c));
-    }
+    let mut exec =
+        Engine::new(cfg).populated((0..40).map(|_| IdReduction::new(Params::practical(), c)));
     let mut trace = Trace::new();
     exec.run_observed(&mut trace).expect("terminates");
     for rt in trace.rounds() {
@@ -93,9 +89,8 @@ fn two_active_everyone_transmits_until_renamed() {
         .seed(5)
         .stop_when(StopWhen::AllTerminated)
         .max_rounds(10_000);
-    let mut exec = Engine::new(cfg);
-    exec.add_node(TwoActive::new(c, 1 << 10));
-    exec.add_node(TwoActive::new(c, 1 << 10));
+    let mut exec =
+        Engine::new(cfg).populated([TwoActive::new(c, 1 << 10), TwoActive::new(c, 1 << 10)]);
     let mut trace = Trace::new();
     let report = exec.run_observed(&mut trace).expect("terminates");
     for rt in trace.rounds() {
@@ -119,10 +114,7 @@ fn split_search_iterations_cost_exactly_five_rounds() {
         .seed(7)
         .stop_when(StopWhen::AllTerminated)
         .max_rounds(100_000);
-    let mut exec = Engine::new(cfg);
-    for id in 1..=64u32 {
-        exec.add_node(LeafElection::new(c, id));
-    }
+    let mut exec = Engine::new(cfg).populated((1..=64u32).map(|id| LeafElection::new(c, id)));
     let report = exec.run().expect("elects");
     assert_eq!(report.leaders.len(), 1);
     for node in exec.iter_nodes() {
@@ -148,8 +140,7 @@ fn staggered_start_beacons_on_odd_local_rounds() {
     // A lone wrapped node: listens LISTEN_ROUNDS rounds, then beacons on
     // odd steps. Its very first beacon solves the problem (lone on ch1).
     let cfg = SimConfig::new(4).seed(2).max_rounds(100);
-    let mut exec = Engine::new(cfg);
-    exec.add_node(StaggeredStart::new(Decay::new(16)));
+    let mut exec = Engine::new(cfg).populated([StaggeredStart::new(Decay::new(16))]);
     let mut trace = Trace::new();
     let report = exec.run_observed(&mut trace).expect("solves");
     assert_eq!(report.solved_round, Some(LISTEN_ROUNDS));
@@ -173,10 +164,8 @@ fn full_pipeline_phase_accounting_is_complete() {
         .seed(11)
         .stop_when(StopWhen::AllTerminated)
         .max_rounds(100_000);
-    let mut exec = Engine::new(cfg);
-    for _ in 0..200 {
-        exec.add_node(FullAlgorithm::new(Params::practical(), 64, 1 << 12));
-    }
+    let mut exec = Engine::new(cfg)
+        .populated((0..200).map(|_| FullAlgorithm::new(Params::practical(), 64, 1 << 12)));
     let mut trace = Trace::new();
     let report = exec.run_observed(&mut trace).expect("solves");
     assert_eq!(trace.len() as u64, report.rounds_executed);
@@ -195,9 +184,7 @@ fn theory_budgets_hold_end_to_end() {
                 .seed(seed)
                 .stop_when(StopWhen::AllTerminated)
                 .max_rounds(100_000);
-            let mut exec = Engine::new(cfg);
-            exec.add_node(TwoActive::new(c, n));
-            exec.add_node(TwoActive::new(c, n));
+            let mut exec = Engine::new(cfg).populated([TwoActive::new(c, n), TwoActive::new(c, n)]);
             let report = exec.run().expect("solves");
             let budget = theory::two_active_budget(n, c);
             assert!(
@@ -213,10 +200,7 @@ fn theory_budgets_hold_end_to_end() {
             .seed(3)
             .stop_when(StopWhen::AllTerminated)
             .max_rounds(100_000);
-        let mut exec = Engine::new(cfg);
-        for id in 1..=x {
-            exec.add_node(LeafElection::new(c, id));
-        }
+        let mut exec = Engine::new(cfg).populated((1..=x).map(|id| LeafElection::new(c, id)));
         let report = exec.run().expect("elects");
         let h = (c / 2).trailing_zeros();
         let budget = theory::leaf_election_budget(h, x);

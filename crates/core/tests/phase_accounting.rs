@@ -17,10 +17,8 @@ fn solve(c: u32, n: u64, active: usize, seed: u64) -> (u64, NodeId, Engine<FullA
         .seed(seed)
         .stop_when(StopWhen::Solved)
         .max_rounds(1_000_000);
-    let mut exec = Engine::new(cfg);
-    for _ in 0..active {
-        exec.add_node(FullAlgorithm::new(Params::practical(), c, n));
-    }
+    let mut exec = Engine::new(cfg)
+        .populated((0..active).map(|_| FullAlgorithm::new(Params::practical(), c, n)));
     let report = exec.run().expect("run solves");
     let rounds = report.rounds_to_solve().expect("solved");
     let solver = report.solver.expect("solved runs name a solver");

@@ -52,10 +52,7 @@ where
     PhaseProtocol<P>: Protocol + PhaseTelemetry,
 {
     let cfg = SimConfig::new(c).seed(seed).cd_mode(mode).max_rounds(3_000);
-    let mut exec = Engine::new(cfg);
-    for _ in 0..count {
-        exec.add_node(PhaseProtocol::new(build()));
-    }
+    let mut exec = Engine::new(cfg).populated((0..count).map(|_| PhaseProtocol::new(build())));
     let report = match exec.run() {
         Ok(report) => report,
         // Weak CD modes may time out by design; the partial run is still a
@@ -150,10 +147,8 @@ where
     F: FnMut() -> P,
 {
     let base = {
-        let mut exec = Engine::new(SimConfig::new(c).seed(seed).max_rounds(20_000));
-        for _ in 0..count {
-            exec.add_node(PhaseProtocol::new(build()));
-        }
+        let mut exec = Engine::new(SimConfig::new(c).seed(seed).max_rounds(20_000))
+            .populated((0..count).map(|_| PhaseProtocol::new(build())));
         exec.run().ok()?.rounds_to_solve()?
     };
     let wrapped = {
@@ -287,10 +282,8 @@ where
         .seed(seed)
         .stop_when(mac_sim::StopWhen::AllTerminated)
         .max_rounds(2_000);
-    let mut exec = Engine::new(cfg);
-    for _ in 0..count {
-        exec.add_node(PhaseProtocol::new(checked(&tally, build(&tally))));
-    }
+    let mut exec = Engine::new(cfg)
+        .populated((0..count).map(|_| PhaseProtocol::new(checked(&tally, build(&tally)))));
     match exec.run() {
         Ok(_) | Err(SimError::Timeout { .. }) => {}
         Err(e) => panic!("unexpected simulation error: {e}"),

@@ -22,10 +22,7 @@ fn interval_traces(c: u32, ids: &[u32]) -> Vec<Vec<(u32, u32, u32)>> {
         .seed(0)
         .stop_when(StopWhen::AllTerminated)
         .max_rounds(100_000);
-    let mut exec = Engine::new(cfg);
-    for &id in ids {
-        exec.add_node(LeafElection::new(c, id));
-    }
+    let mut exec = Engine::new(cfg).populated(ids.iter().map(|&id| LeafElection::new(c, id)));
     let mut searches: Vec<Vec<(u32, u32, u32)>> = Vec::new();
     let mut last: Option<(u32, u32, u32)> = None;
     loop {

@@ -57,10 +57,7 @@ fn stepped_audit(c: u32, ids: &[u32], seed: u64) {
         .seed(seed)
         .stop_when(StopWhen::AllTerminated)
         .max_rounds(10_000);
-    let mut exec = Engine::new(cfg);
-    for &id in ids {
-        exec.add_node(LeafElection::new(c, id));
-    }
+    let mut exec = Engine::new(cfg).populated(ids.iter().map(|&id| LeafElection::new(c, id)));
     let mut rounds = 0u64;
     loop {
         let status = exec.step().expect("steps");
@@ -124,10 +121,8 @@ fn binary_search_ablation_preserves_property_11() {
         .seed(1)
         .stop_when(StopWhen::AllTerminated)
         .max_rounds(10_000);
-    let mut exec = Engine::new(cfg);
-    for id in 1..=64u32 {
-        exec.add_node(LeafElection::with_binary_search(256, id));
-    }
+    let mut exec =
+        Engine::new(cfg).populated((1..=64u32).map(|id| LeafElection::with_binary_search(256, id)));
     loop {
         let status = exec.step().expect("steps");
         let active: Vec<&LeafElection> = exec

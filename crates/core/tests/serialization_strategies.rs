@@ -11,10 +11,7 @@ fn tree_split_drain(n: u64, ids: &[u64]) -> u64 {
     let cfg = SimConfig::new(1)
         .stop_when(StopWhen::AllTerminated)
         .max_rounds(10_000_000);
-    let mut exec = Engine::new(cfg);
-    for &id in ids {
-        exec.add_node(TreeSplit::new(id, n));
-    }
+    let mut exec = Engine::new(cfg).populated(ids.iter().map(|&id| TreeSplit::new(id, n)));
     let report = exec.run().expect("drains");
     assert!(exec.iter_nodes().all(|t| t.served_at().is_some()));
     report.rounds_executed

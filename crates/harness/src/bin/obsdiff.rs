@@ -25,11 +25,13 @@
 //!     side with no snapshot is flagged
 //! ```
 //!
-//! Exit codes: 0 clean, 1 flagged regressions / invalid records, 2 usage.
+//! Exit codes: 0 clean, 1 flagged regressions / unreadable files / invalid
+//! records, 2 usage (a wrong argument count, an unknown or malformed flag).
 //!
 //! See `docs/OBSERVABILITY.md` for the schema and the CI wiring.
 
 use contention::{FullAlgorithm, Params};
+use contention_harness::experiments::observe_trial;
 use contention_harness::record::{self, validate_record};
 use mac_sim::obs::{Json, RunManifest, RunRecord, RunRecorder};
 use mac_sim::trials::fan_out;
@@ -87,24 +89,63 @@ fn parse_pct(args: &[String], flag: &str) -> Result<Option<f64>, String> {
     }
 }
 
-fn positionals(args: &[String]) -> Vec<&String> {
+/// The positional arguments of `args`, for a subcommand that accepts the
+/// value-taking `flags`. Any other `--` argument is a usage error, so a
+/// misspelt threshold cannot silently fall back to its default.
+fn positionals<'a>(args: &'a [String], flags: &[&str]) -> Result<Vec<&'a String>, String> {
     let mut out = Vec::new();
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         if arg.starts_with("--") {
+            if !flags.contains(&arg.as_str()) {
+                return Err(format!("unknown flag {arg}"));
+            }
             let _ = iter.next(); // every flag takes one value
         } else {
             out.push(arg);
         }
     }
-    out
+    Ok(out)
+}
+
+/// Why a comparison stopped early: a usage error exits 2; an input that
+/// cannot be read or holds an invalid record exits 1, as under `check`.
+enum Failure {
+    Usage(String),
+    Invalid(String),
+}
+
+impl From<String> for Failure {
+    fn from(e: String) -> Self {
+        Failure::Usage(e)
+    }
+}
+
+/// The exit code of `diff`/`trend`: 0 clean, 1 flagged or invalid input,
+/// 2 usage.
+fn comparison_exit(cmd: &str, outcome: Result<usize, Failure>) -> ExitCode {
+    match outcome {
+        Ok(0) => ExitCode::SUCCESS,
+        Ok(_) => ExitCode::FAILURE,
+        Err(Failure::Invalid(e)) => {
+            eprintln!("obsdiff {cmd}: {e}");
+            ExitCode::FAILURE
+        }
+        Err(Failure::Usage(e)) => {
+            eprintln!("obsdiff {cmd}: {e}");
+            ExitCode::from(2)
+        }
+    }
 }
 
 // --- record ----------------------------------------------------------------
 
 fn cmd_record(args: &[String]) -> ExitCode {
     let run = || -> Result<PathBuf, String> {
-        let pos = positionals(args);
+        let pos = positionals(
+            args,
+            &["--trials", "--seed", "--channels", "--log2n", "--active"],
+        )?;
         let out = pos.first().ok_or("record needs an output path")?;
         let out = PathBuf::from(out);
         let trials: usize = parse_flag(args, "--trials")?.unwrap_or(5);
@@ -126,14 +167,12 @@ fn cmd_record(args: &[String]) -> ExitCode {
         }
 
         let records = fan_out(trials, seed, None, |s| {
-            let mut engine = Engine::new(SimConfig::new(channels).seed(s).max_rounds(10_000_000));
-            for _ in 0..active {
-                engine.add_node(FullAlgorithm::new(Params::practical(), channels, n));
-            }
+            let mut engine = Engine::new(SimConfig::new(channels).seed(s).max_rounds(10_000_000))
+                .populated(
+                    (0..active).map(|_| FullAlgorithm::new(Params::practical(), channels, n)),
+                );
             let mut recorder = RunRecorder::new();
-            engine
-                .run_observed(&mut recorder)
-                .unwrap_or_else(|e| panic!("trial with seed {s} failed: {e}"));
+            observe_trial(&mut engine, &mut recorder);
             recorder.into_record(s)
         });
         let mut lines = vec![manifest.to_jsonl_line()];
@@ -156,7 +195,13 @@ fn cmd_record(args: &[String]) -> ExitCode {
 // --- check -----------------------------------------------------------------
 
 fn cmd_check(args: &[String]) -> ExitCode {
-    let files = positionals(args);
+    let files = match positionals(args, &[]) {
+        Ok(files) => files,
+        Err(e) => {
+            eprintln!("obsdiff check: {e}");
+            return ExitCode::from(2);
+        }
+    };
     if files.is_empty() {
         eprintln!("obsdiff check: no files given");
         return ExitCode::from(2);
@@ -462,13 +507,15 @@ fn trend_snapshots(a: &MetricsSnapshot, b: &MetricsSnapshot, report: &mut DiffRe
 }
 
 fn cmd_trend(args: &[String]) -> ExitCode {
-    let run = || -> Result<usize, String> {
-        let pos = positionals(args);
+    let run = || -> Result<usize, Failure> {
+        let pos = positionals(args, &[])?;
         let [path_a, path_b] = pos.as_slice() else {
-            return Err("trend needs exactly two telemetry files".into());
+            return Err(Failure::Usage(
+                "trend needs exactly two telemetry files".into(),
+            ));
         };
-        let a = load_trend(Path::new(path_a.as_str()))?;
-        let b = load_trend(Path::new(path_b.as_str()))?;
+        let a = load_trend(Path::new(path_a.as_str())).map_err(Failure::Invalid)?;
+        let b = load_trend(Path::new(path_b.as_str())).map_err(Failure::Invalid)?;
         println!(
             "obsdiff trend: A={path_a} ({} snapshots) vs B={path_b} ({})",
             a.len(),
@@ -493,14 +540,7 @@ fn cmd_trend(args: &[String]) -> ExitCode {
         );
         Ok(report.flagged)
     };
-    match run() {
-        Ok(0) => ExitCode::SUCCESS,
-        Ok(_) => ExitCode::FAILURE,
-        Err(e) => {
-            eprintln!("obsdiff trend: {e}");
-            ExitCode::from(2)
-        }
-    }
+    comparison_exit("trend", run())
 }
 
 struct DiffArgs {
@@ -511,10 +551,13 @@ struct DiffArgs {
 }
 
 fn cmd_diff(args: &[String]) -> ExitCode {
-    let run = || -> Result<usize, String> {
-        let pos = positionals(args);
+    let run = || -> Result<usize, Failure> {
+        let pos = positionals(
+            args,
+            &["--round-pct", "--energy-pct", "--cell-pct", "--wall-pct"],
+        )?;
         let [path_a, path_b] = pos.as_slice() else {
-            return Err("diff needs exactly two record files".into());
+            return Err(Failure::Usage("diff needs exactly two record files".into()));
         };
         let diff_args = DiffArgs {
             round_pct: parse_pct(args, "--round-pct")?.unwrap_or(0.0),
@@ -522,8 +565,8 @@ fn cmd_diff(args: &[String]) -> ExitCode {
             cell_pct: parse_pct(args, "--cell-pct")?.unwrap_or(0.0),
             wall_pct: parse_pct(args, "--wall-pct")?,
         };
-        let a = classify(Path::new(path_a.as_str()))?;
-        let b = classify(Path::new(path_b.as_str()))?;
+        let a = classify(Path::new(path_a.as_str())).map_err(Failure::Invalid)?;
+        let b = classify(Path::new(path_b.as_str())).map_err(Failure::Invalid)?;
         println!(
             "obsdiff: A={path_a} ({} trials, {} cells) vs B={path_b} ({}, {})",
             a.trials.len(),
@@ -540,12 +583,5 @@ fn cmd_diff(args: &[String]) -> ExitCode {
         );
         Ok(report.flagged)
     };
-    match run() {
-        Ok(0) => ExitCode::SUCCESS,
-        Ok(_) => ExitCode::FAILURE,
-        Err(e) => {
-            eprintln!("obsdiff diff: {e}");
-            ExitCode::from(2)
-        }
-    }
+    comparison_exit("diff", run())
 }

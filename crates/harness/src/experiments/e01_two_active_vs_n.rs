@@ -25,19 +25,17 @@ use contention_analysis::fit_linear;
 use mac_sim::campaign::{Collect, SeedStream};
 use mac_sim::{Engine, SimConfig, StopWhen};
 
-use super::seed_base;
+use super::{run_trial, seed_base};
 use crate::{cell_f64, ExperimentReport, RunCtx, Samples};
 
 /// Rounds until solved (first lone primary-channel transmission) for one
 /// seed.
 pub(crate) fn solve_rounds(c: u32, n: u64, seed: u64) -> u64 {
-    let mut exec = Engine::new(SimConfig::new(c).seed(seed).max_rounds(1_000_000));
-    exec.add_node(TwoActive::new(c, n));
-    exec.add_node(TwoActive::new(c, n));
-    let report = exec
-        .run()
-        .unwrap_or_else(|e| panic!("trial with seed {seed} failed: {e}"));
-    report.rounds_to_solve().expect("TwoActive always solves")
+    let mut exec = Engine::new(SimConfig::new(c).seed(seed).max_rounds(1_000_000))
+        .populated([TwoActive::new(c, n), TwoActive::new(c, n)]);
+    run_trial(&mut exec)
+        .rounds_to_solve()
+        .expect("TwoActive always solves")
 }
 
 /// Rounds until the algorithm *completes* (winner declared, loser retired)
@@ -47,12 +45,8 @@ pub(crate) fn completion_rounds(c: u32, n: u64, seed: u64) -> u64 {
         .seed(seed)
         .stop_when(StopWhen::AllTerminated)
         .max_rounds(1_000_000);
-    let mut exec = Engine::new(cfg);
-    exec.add_node(TwoActive::new(c, n));
-    exec.add_node(TwoActive::new(c, n));
-    exec.run()
-        .unwrap_or_else(|e| panic!("trial with seed {seed} failed: {e}"))
-        .rounds_executed
+    let mut exec = Engine::new(cfg).populated([TwoActive::new(c, n), TwoActive::new(c, n)]);
+    run_trial(&mut exec).rounds_executed
 }
 
 /// Rounds until solved, over `trials` consecutive seeds from `seed`.

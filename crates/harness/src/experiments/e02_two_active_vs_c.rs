@@ -14,7 +14,7 @@ use mac_sim::campaign::SeedStream;
 use mac_sim::{Engine, SimConfig, StopWhen};
 
 use super::e01_two_active_vs_n::{completion_rounds, solve_rounds, whp_budget};
-use super::seed_base;
+use super::{run_trial, seed_base};
 use crate::{ExperimentReport, RunCtx, Samples};
 
 /// Search (SplitCheck) rounds of one run, from protocol stats.
@@ -23,11 +23,8 @@ fn search_rounds_one(c: u32, n: u64, seed: u64) -> u64 {
         .seed(seed)
         .stop_when(StopWhen::AllTerminated)
         .max_rounds(1_000_000);
-    let mut exec = Engine::new(cfg);
-    exec.add_node(TwoActive::new(c, n));
-    exec.add_node(TwoActive::new(c, n));
-    exec.run()
-        .unwrap_or_else(|e| panic!("trial with seed {seed} failed: {e}"));
+    let mut exec = Engine::new(cfg).populated([TwoActive::new(c, n), TwoActive::new(c, n)]);
+    run_trial(&mut exec);
     let stats = exec.iter_nodes().next().expect("has nodes").stats();
     stats.search_rounds
 }

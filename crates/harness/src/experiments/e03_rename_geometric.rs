@@ -15,7 +15,7 @@ use mac_sim::{Engine, SimConfig, StopWhen};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use super::seed_base;
+use super::{run_trial, seed_base};
 use crate::{ExperimentReport, RunCtx, Samples};
 
 /// Direct Monte-Carlo of the renaming race: rounds until two uniform picks
@@ -132,11 +132,9 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
                     .seed(seed)
                     .stop_when(StopWhen::AllTerminated)
                     .max_rounds(100_000);
-                let mut exec = Engine::new(cfg);
-                exec.add_node(TwoActive::new(c, n));
-                exec.add_node(TwoActive::new(c, n));
-                exec.run()
-                    .unwrap_or_else(|e| panic!("trial with seed {seed} failed: {e}"));
+                let mut exec =
+                    Engine::new(cfg).populated([TwoActive::new(c, n), TwoActive::new(c, n)]);
+                run_trial(&mut exec);
                 acc.push(
                     exec.iter_nodes()
                         .next()

@@ -11,7 +11,7 @@ use contention::TwoActive;
 use contention_analysis::Table;
 use mac_sim::{Engine, SimConfig, StopWhen};
 
-use super::seed_base;
+use super::{run_trial, seed_base};
 use crate::{ExperimentReport, RunCtx};
 use mac_sim::trials::fan_out;
 
@@ -80,11 +80,9 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
                 .seed(s)
                 .stop_when(StopWhen::AllTerminated)
                 .max_rounds(100_000);
-            let mut exec = Engine::new(cfg);
-            exec.add_node(TwoActive::new(c, 1 << 20));
-            exec.add_node(TwoActive::new(c, 1 << 20));
-            exec.run()
-                .unwrap_or_else(|e| panic!("trial with seed {s} failed: {e}"));
+            let mut exec = Engine::new(cfg)
+                .populated([TwoActive::new(c, 1 << 20), TwoActive::new(c, 1 << 20)]);
+            run_trial(&mut exec);
             let stats: Vec<_> = exec.iter_nodes().map(TwoActive::stats).collect();
             (
                 stats[0].adopted_id.expect("renamed"),

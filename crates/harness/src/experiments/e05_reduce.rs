@@ -5,7 +5,7 @@ use contention::{Params, Reduce, ReduceOutcome};
 use mac_sim::campaign::SeedStream;
 use mac_sim::{Engine, SimConfig, StopWhen};
 
-use super::seed_base;
+use super::{run_trial, seed_base};
 use crate::{ExperimentReport, RunCtx, Samples};
 
 /// One trial's survivor count plus a leader flag for `(n, active)`.
@@ -14,12 +14,8 @@ pub(crate) fn survivors_one(n: u64, active: usize, seed: u64) -> (usize, bool) {
         .seed(seed)
         .stop_when(StopWhen::AllTerminated)
         .max_rounds(100_000);
-    let mut exec = Engine::new(cfg);
-    for _ in 0..active {
-        exec.add_node(Reduce::new(n));
-    }
-    exec.run()
-        .unwrap_or_else(|e| panic!("trial with seed {seed} failed: {e}"));
+    let mut exec = Engine::new(cfg).populated((0..active).map(|_| Reduce::new(n)));
+    run_trial(&mut exec);
     let mut survived = 0usize;
     let mut leader = false;
     for node in exec.iter_nodes() {

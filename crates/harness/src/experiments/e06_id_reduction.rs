@@ -8,7 +8,7 @@ use mac_sim::campaign::SeedStream;
 use mac_sim::{Engine, SimConfig, StopWhen, Trace};
 use std::collections::HashSet;
 
-use super::seed_base;
+use super::{observe_trial, run_trial, seed_base};
 use crate::{ExperimentReport, RunCtx, Samples};
 use mac_sim::trials::fan_out;
 
@@ -21,13 +21,8 @@ fn measure_one(c: u32, active: usize, params: Params, seed: u64) -> Digest {
         .seed(seed)
         .stop_when(StopWhen::AllTerminated)
         .max_rounds(1_000_000);
-    let mut exec = Engine::new(cfg);
-    for _ in 0..active {
-        exec.add_node(IdReduction::new(params, c));
-    }
-    let report = exec
-        .run()
-        .unwrap_or_else(|e| panic!("trial with seed {seed} failed: {e}"));
+    let mut exec = Engine::new(cfg).populated((0..active).map(|_| IdReduction::new(params, c)));
+    let report = run_trial(&mut exec);
     let ids: Vec<u32> = exec
         .iter_nodes()
         .filter_map(|p| match p.outcome().expect("terminated") {
@@ -172,13 +167,10 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
                 .seed(s)
                 .stop_when(StopWhen::AllTerminated)
                 .max_rounds(1_000_000);
-            let mut exec = Engine::new(cfg);
-            for _ in 0..active {
-                exec.add_node(IdReduction::new(Params::practical(), c));
-            }
+            let mut exec = Engine::new(cfg)
+                .populated((0..active).map(|_| IdReduction::new(Params::practical(), c)));
             let mut trace = Trace::new();
-            exec.run_observed(&mut trace)
-                .unwrap_or_else(|e| panic!("trial with seed {s} failed: {e}"));
+            observe_trial(&mut exec, &mut trace);
             trace
                 .rounds()
                 .iter()

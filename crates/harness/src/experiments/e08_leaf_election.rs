@@ -8,7 +8,7 @@ use contention_analysis::Table;
 use mac_sim::campaign::SeedStream;
 use mac_sim::{Engine, SimConfig, StopWhen};
 
-use super::seed_base;
+use super::{run_trial, seed_base};
 use crate::{sample_distinct, ExperimentReport, RunCtx, Samples};
 use mac_sim::trials::fan_out;
 
@@ -27,19 +27,12 @@ pub(crate) enum Occupancy {
     Dense,
 }
 
-/// Builds the `LeafElection` engine for one `(c, x, seed)` configuration.
-fn build_engine(
-    c: u32,
-    x: u32,
-    seed: u64,
-    binary: bool,
-    occupancy: Occupancy,
-) -> Engine<LeafElection> {
+/// One `LeafElection` execution at one seed.
+pub(crate) fn measure_one(c: u32, x: u32, seed: u64, binary: bool, occupancy: Occupancy) -> Digest {
     let cfg = SimConfig::new(c)
         .seed(seed)
         .stop_when(StopWhen::AllTerminated)
         .max_rounds(1_000_000);
-    let mut exec = Engine::new(cfg);
     let leaves = u64::from(prev_pow2(c) / 2);
     let ids: Vec<u32> = match occupancy {
         Occupancy::Random => sample_distinct(leaves, x as usize, seed ^ 0xE8)
@@ -48,22 +41,14 @@ fn build_engine(
             .collect(),
         Occupancy::Dense => (1..=x).collect(),
     };
-    for id in ids {
-        exec.add_node(if binary {
+    let mut exec = Engine::new(cfg).populated(ids.into_iter().map(|id| {
+        if binary {
             LeafElection::with_binary_search(c, id)
         } else {
             LeafElection::new(c, id)
-        });
-    }
-    exec
-}
-
-/// One `LeafElection` execution at one seed.
-pub(crate) fn measure_one(c: u32, x: u32, seed: u64, binary: bool, occupancy: Occupancy) -> Digest {
-    let mut exec = build_engine(c, x, seed, binary, occupancy);
-    let report = exec
-        .run()
-        .unwrap_or_else(|e| panic!("trial with seed {seed} failed: {e}"));
+        }
+    }));
+    let report = run_trial(&mut exec);
     let winner = report.leaders.first().expect("leader elected");
     (
         report.rounds_to_solve().expect("solved"),

@@ -14,30 +14,18 @@ use contention::{FullAlgorithm, Params};
 use mac_sim::campaign::{Aggregate, SeedStream};
 use mac_sim::{CdMode, Engine, SimConfig};
 
-use super::seed_base;
+use super::{paper_rounds, run_trial, seed_base};
 use crate::{cell_u64, sample_distinct, ExperimentReport, RunCtx, Samples};
 #[cfg(test)]
 use mac_sim::trials::fan_out;
 
-/// Rounds-to-solve for one full-algorithm run.
-fn full_one(c: u32, n: u64, active: usize, seed: u64) -> u64 {
-    let mut exec = Engine::new(SimConfig::new(c).seed(seed).max_rounds(10_000_000));
-    for _ in 0..active {
-        exec.add_node(FullAlgorithm::new(Params::practical(), c, n));
-    }
-    exec.run()
-        .unwrap_or_else(|e| panic!("trial with seed {seed} failed: {e}"))
-        .rounds_to_solve()
-        .expect("solved")
-}
-
 #[cfg(test)]
 pub(crate) fn full_rounds(c: u32, n: u64, active: usize, trials: usize, seed: u64) -> Vec<u64> {
-    fan_out(trials, seed, None, |s| full_one(c, n, active, s))
+    fan_out(trials, seed, None, |s| paper_rounds(c, n, active, s))
 }
 
 /// One full-algorithm run's rounds-to-solve plus its solver spine, off a
-/// single execution (same engine as [`full_one`] at the same seed; E10
+/// single execution (same engine as [`paper_rounds`] at the same seed; E10
 /// reads both per trial).
 pub(crate) fn full_one_with_spine(
     c: u32,
@@ -45,13 +33,9 @@ pub(crate) fn full_one_with_spine(
     active: usize,
     seed: u64,
 ) -> (u64, Vec<PhaseStats>) {
-    let mut exec = Engine::new(SimConfig::new(c).seed(seed).max_rounds(10_000_000));
-    for _ in 0..active {
-        exec.add_node(FullAlgorithm::new(Params::practical(), c, n));
-    }
-    let report = exec
-        .run()
-        .unwrap_or_else(|e| panic!("trial with seed {seed} failed: {e}"));
+    let mut exec = Engine::new(SimConfig::new(c).seed(seed).max_rounds(10_000_000))
+        .populated((0..active).map(|_| FullAlgorithm::new(Params::practical(), c, n)));
+    let report = run_trial(&mut exec);
     let spine = report
         .solver
         .map(|id| exec.node(id).phase_stats())
@@ -89,14 +73,12 @@ pub(crate) fn mean_phase_rounds(spines: &[Vec<PhaseStats>], name: &str) -> f64 {
 
 /// Rounds-to-solve for one binary-descent run.
 fn descent_one(c: u32, n: u64, active: usize, seed: u64) -> u64 {
-    let mut exec = Engine::new(SimConfig::new(c).seed(seed).max_rounds(10_000_000));
-    for id in sample_distinct(n, active, seed ^ 0x9D) {
-        exec.add_node(BinaryDescent::new(id, n));
-    }
-    exec.run()
-        .unwrap_or_else(|e| panic!("trial with seed {seed} failed: {e}"))
-        .rounds_to_solve()
-        .expect("solved")
+    let mut exec = Engine::new(SimConfig::new(c).seed(seed).max_rounds(10_000_000)).populated(
+        sample_distinct(n, active, seed ^ 0x9D)
+            .into_iter()
+            .map(|id| BinaryDescent::new(id, n)),
+    );
+    run_trial(&mut exec).rounds_to_solve().expect("solved")
 }
 
 #[cfg(test)]
@@ -112,14 +94,8 @@ fn decay_one(c: u32, n: u64, active: usize, seed: u64) -> u64 {
         .seed(seed)
         .cd_mode(CdMode::None)
         .max_rounds(10_000_000);
-    let mut exec = Engine::new(cfg);
-    for _ in 0..active {
-        exec.add_node(Decay::new(n));
-    }
-    exec.run()
-        .unwrap_or_else(|e| panic!("trial with seed {seed} failed: {e}"))
-        .rounds_to_solve()
-        .expect("solved")
+    let mut exec = Engine::new(cfg).populated((0..active).map(|_| Decay::new(n)));
+    run_trial(&mut exec).rounds_to_solve().expect("solved")
 }
 
 #[cfg(test)]
@@ -135,14 +111,8 @@ fn nocd_one(c: u32, n: u64, active: usize, seed: u64) -> u64 {
         .seed(seed)
         .cd_mode(CdMode::None)
         .max_rounds(10_000_000);
-    let mut exec = Engine::new(cfg);
-    for _ in 0..active {
-        exec.add_node(MultiChannelNoCd::new(c, n));
-    }
-    exec.run()
-        .unwrap_or_else(|e| panic!("trial with seed {seed} failed: {e}"))
-        .rounds_to_solve()
-        .expect("solved")
+    let mut exec = Engine::new(cfg).populated((0..active).map(|_| MultiChannelNoCd::new(c, n)));
+    run_trial(&mut exec).rounds_to_solve().expect("solved")
 }
 
 #[cfg(test)]
@@ -153,15 +123,10 @@ pub(crate) fn nocd_rounds(c: u32, n: u64, active: usize, trials: usize, seed: u6
 }
 
 /// Rounds-to-solve for one adaptive CD-tournament run.
-fn tournament_one(c: u32, active: usize, seed: u64) -> u64 {
-    let mut exec = Engine::new(SimConfig::new(c).seed(seed).max_rounds(10_000_000));
-    for _ in 0..active {
-        exec.add_node(CdTournament::new());
-    }
-    exec.run()
-        .unwrap_or_else(|e| panic!("trial with seed {seed} failed: {e}"))
-        .rounds_to_solve()
-        .expect("solved")
+pub(crate) fn tournament_one(c: u32, active: usize, seed: u64) -> u64 {
+    let mut exec = Engine::new(SimConfig::new(c).seed(seed).max_rounds(10_000_000))
+        .populated((0..active).map(|_| CdTournament::new()));
+    run_trial(&mut exec).rounds_to_solve().expect("solved")
 }
 
 /// Streaming per-row state for the solver phase-breakdown table.
@@ -245,7 +210,7 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
                 SeedStream::Offset(0),
                 <(Samples, Samples, Samples, Samples)>::default,
                 move |i, acc| {
-                    acc.0.push(full_one(c, n, active, fb.wrapping_add(i)));
+                    acc.0.push(paper_rounds(c, n, active, fb.wrapping_add(i)));
                     acc.1.push(descent_one(c, n, active, db.wrapping_add(i)));
                     acc.2.push(decay_one(c, n, active, yb.wrapping_add(i)));
                     acc.3.push(nocd_one(c, n, active, mb.wrapping_add(i)));
@@ -307,7 +272,7 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
             SeedStream::Offset(0),
             <(Samples, Samples)>::default,
             move |i, acc| {
-                acc.0.push(full_one(c, n, a, fb.wrapping_add(i)));
+                acc.0.push(paper_rounds(c, n, a, fb.wrapping_add(i)));
                 acc.1.push(tournament_one(c, a, tb.wrapping_add(i)));
             },
             move |(full, tour)| {

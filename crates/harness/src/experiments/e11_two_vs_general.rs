@@ -9,20 +9,8 @@ use mac_sim::campaign::SeedStream;
 use mac_sim::{Engine, SimConfig, StopWhen};
 
 use super::e01_two_active_vs_n::completion_rounds as two_active_one;
-use super::seed_base;
+use super::{run_trial, seed_base};
 use crate::{ExperimentReport, RunCtx, Samples};
-
-fn general_engine(c: u32, n: u64, s: u64) -> Engine<FullAlgorithm> {
-    let cfg = SimConfig::new(c)
-        .seed(s)
-        .stop_when(StopWhen::AllTerminated)
-        .max_rounds(1_000_000);
-    let mut exec = Engine::new(cfg);
-    for _ in 0..2 {
-        exec.add_node(FullAlgorithm::new(Params::practical(), c, n));
-    }
-    exec
-}
 
 /// One general-pipeline run: completion rounds (all nodes terminated,
 /// matching the specialist's metric and immune to lucky early lone
@@ -30,10 +18,13 @@ fn general_engine(c: u32, n: u64, s: u64) -> Engine<FullAlgorithm> {
 /// off its phase-telemetry spine — the "fixed scaffolding" share the
 /// specialist never pays.
 fn general_one(c: u32, n: u64, seed: u64) -> (u64, u64) {
-    let mut exec = general_engine(c, n, seed);
-    let report = exec
-        .run()
-        .unwrap_or_else(|e| panic!("trial with seed {seed} failed: {e}"));
+    let cfg = SimConfig::new(c)
+        .seed(seed)
+        .stop_when(StopWhen::AllTerminated)
+        .max_rounds(1_000_000);
+    let mut exec =
+        Engine::new(cfg).populated((0..2).map(|_| FullAlgorithm::new(Params::practical(), c, n)));
+    let report = run_trial(&mut exec);
     let reduce = report
         .solver
         .map(|id| {

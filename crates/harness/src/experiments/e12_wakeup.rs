@@ -11,7 +11,7 @@ use contention_analysis::Summary;
 use mac_sim::campaign::SeedStream;
 use mac_sim::{Engine, SimConfig};
 
-use super::seed_base;
+use super::{paper_rounds, run_trial, seed_base};
 use crate::{ExperimentReport, RunCtx, Samples};
 use mac_sim::trials::fan_out;
 
@@ -24,10 +24,7 @@ fn wrapped_one(c: u32, n: u64, offsets: &[u64], seed: u64) -> u64 {
             off,
         );
     }
-    exec.run()
-        .unwrap_or_else(|e| panic!("trial with seed {seed} failed: {e}"))
-        .rounds_to_solve()
-        .expect("solved")
+    run_trial(&mut exec).rounds_to_solve().expect("solved")
 }
 
 #[cfg(test)]
@@ -36,16 +33,7 @@ fn wrapped_rounds(c: u32, n: u64, offsets: &[u64], trials: usize, seed: u64) -> 
 }
 
 fn bare_rounds(c: u32, n: u64, active: usize, trials: usize, seed: u64) -> Vec<u64> {
-    fan_out(trials, seed, None, |s| {
-        let mut exec = Engine::new(SimConfig::new(c).seed(s).max_rounds(1_000_000));
-        for _ in 0..active {
-            exec.add_node(FullAlgorithm::new(Params::practical(), c, n));
-        }
-        exec.run()
-            .unwrap_or_else(|e| panic!("trial with seed {s} failed: {e}"))
-            .rounds_to_solve()
-            .expect("solved")
-    })
+    fan_out(trials, seed, None, |s| paper_rounds(c, n, active, s))
 }
 
 /// Runs the experiment.

@@ -4,27 +4,22 @@
 //! tail than the w.h.p.-optimal pipeline. This experiment charts both the
 //! flattening of the mean as `C` grows and the expected-vs-tail trade-off.
 
-use contention::baselines::{CdTournament, Willard};
+use contention::baselines::Willard;
 use contention::extensions::ExpectedConstant;
-use contention::{FullAlgorithm, Params};
 use contention_analysis::Summary;
 use mac_sim::campaign::SeedStream;
 use mac_sim::{Engine, SimConfig};
 
-use super::seed_base;
+use super::e09_full_vs_baselines::tournament_one;
+use super::{paper_rounds, run_trial, seed_base};
 use crate::{ExperimentReport, RunCtx, Samples};
 use mac_sim::trials::fan_out;
 
 /// One expected-time run's rounds-to-solve.
 fn expected_one(c: u32, n: u64, active: usize, seed: u64) -> u64 {
-    let mut exec = Engine::new(SimConfig::new(c).seed(seed).max_rounds(1_000_000));
-    for _ in 0..active {
-        exec.add_node(ExpectedConstant::new(c, n));
-    }
-    exec.run()
-        .unwrap_or_else(|e| panic!("trial with seed {seed} failed: {e}"))
-        .rounds_to_solve()
-        .expect("solved")
+    let mut exec = Engine::new(SimConfig::new(c).seed(seed).max_rounds(1_000_000))
+        .populated((0..active).map(|_| ExpectedConstant::new(c, n)));
+    run_trial(&mut exec).rounds_to_solve().expect("solved")
 }
 
 #[cfg(test)]
@@ -32,41 +27,12 @@ fn expected_rounds(c: u32, n: u64, active: usize, trials: usize, seed: u64) -> V
     fan_out(trials, seed, None, |s| expected_one(c, n, active, s))
 }
 
-/// One pipeline run's rounds-to-solve.
-fn full_one(c: u32, n: u64, active: usize, seed: u64) -> u64 {
-    let mut exec = Engine::new(SimConfig::new(c).seed(seed).max_rounds(1_000_000));
-    for _ in 0..active {
-        exec.add_node(FullAlgorithm::new(Params::practical(), c, n));
-    }
-    exec.run()
-        .unwrap_or_else(|e| panic!("trial with seed {seed} failed: {e}"))
-        .rounds_to_solve()
-        .expect("solved")
-}
-
 fn willard_rounds(n: u64, active: usize, trials: usize, seed: u64) -> Vec<u64> {
     fan_out(trials, seed, None, |s| {
-        let mut exec = Engine::new(SimConfig::new(1).seed(s).max_rounds(1_000_000));
-        for _ in 0..active {
-            exec.add_node(Willard::new(n));
-        }
-        exec.run()
-            .unwrap_or_else(|e| panic!("trial with seed {s} failed: {e}"))
-            .rounds_to_solve()
-            .expect("solved")
+        let mut exec = Engine::new(SimConfig::new(1).seed(s).max_rounds(1_000_000))
+            .populated((0..active).map(|_| Willard::new(n)));
+        run_trial(&mut exec).rounds_to_solve().expect("solved")
     })
-}
-
-/// One adaptive CD-tournament run's rounds-to-solve.
-fn tournament_one(c: u32, active: usize, seed: u64) -> u64 {
-    let mut exec = Engine::new(SimConfig::new(c).seed(seed).max_rounds(1_000_000));
-    for _ in 0..active {
-        exec.add_node(CdTournament::new());
-    }
-    exec.run()
-        .unwrap_or_else(|e| panic!("trial with seed {seed} failed: {e}"))
-        .rounds_to_solve()
-        .expect("solved")
 }
 
 /// Runs the experiment.
@@ -108,7 +74,7 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
             <(Samples, Samples, Samples)>::default,
             move |i, acc| {
                 acc.0.push(expected_one(c, n, active, xb.wrapping_add(i)));
-                acc.1.push(full_one(c, n, active, fb.wrapping_add(i)));
+                acc.1.push(paper_rounds(c, n, active, fb.wrapping_add(i)));
                 acc.2.push(tournament_one(c, active, tb.wrapping_add(i)));
             },
             move |(xc, full, tour)| {

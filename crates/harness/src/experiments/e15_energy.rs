@@ -13,22 +13,17 @@ use mac_sim::obs::{RunRecord, RunRecorder};
 use mac_sim::{CdMode, Engine, FeedbackModel, Protocol, SimConfig};
 use std::collections::BTreeMap;
 
-use super::seed_base;
+use super::{observe_trial, seed_base};
 use crate::{sample_distinct, ExperimentReport, RunCtx, Samples};
 use mac_sim::trials::fan_out;
 
 /// One recorded run: rounds-to-solve plus the span-model energy counters.
-fn recorded_one<P: Protocol, F: FeedbackModel>(
-    mut exec: Engine<P, F>,
-    seed: u64,
-) -> (u64, RunRecord) {
+fn recorded_one<P: Protocol, F: FeedbackModel>(mut exec: Engine<P, F>) -> (u64, RunRecord) {
     let mut recorder = RunRecorder::new();
-    let report = exec
-        .run_observed(&mut recorder)
-        .unwrap_or_else(|e| panic!("trial with seed {seed} failed: {e}"));
+    let report = observe_trial(&mut exec, &mut recorder);
     (
         report.rounds_to_solve().expect("solved"),
-        recorder.into_record(seed),
+        recorder.into_record(exec.config().master_seed),
     )
 }
 
@@ -116,11 +111,10 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
         "this paper (pipeline)",
         "e15f",
         Box::new(move |s| {
-            let mut exec = Engine::new(SimConfig::new(c).seed(s).max_rounds(1_000_000));
-            for _ in 0..active {
-                exec.add_node(FullAlgorithm::new(Params::practical(), c, n));
-            }
-            recorded_one(exec, s)
+            recorded_one(
+                Engine::new(SimConfig::new(c).seed(s).max_rounds(1_000_000))
+                    .populated((0..active).map(|_| FullAlgorithm::new(Params::practical(), c, n))),
+            )
         }),
     );
     energy_row(
@@ -128,11 +122,10 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
         "expected-O(1)",
         "e15x",
         Box::new(move |s| {
-            let mut exec = Engine::new(SimConfig::new(c).seed(s).max_rounds(1_000_000));
-            for _ in 0..active {
-                exec.add_node(ExpectedConstant::new(c, n));
-            }
-            recorded_one(exec, s)
+            recorded_one(
+                Engine::new(SimConfig::new(c).seed(s).max_rounds(1_000_000))
+                    .populated((0..active).map(|_| ExpectedConstant::new(c, n))),
+            )
         }),
     );
     energy_row(
@@ -140,11 +133,10 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
         "CD tournament",
         "e15t",
         Box::new(move |s| {
-            let mut exec = Engine::new(SimConfig::new(c).seed(s).max_rounds(1_000_000));
-            for _ in 0..active {
-                exec.add_node(CdTournament::new());
-            }
-            recorded_one(exec, s)
+            recorded_one(
+                Engine::new(SimConfig::new(c).seed(s).max_rounds(1_000_000))
+                    .populated((0..active).map(|_| CdTournament::new())),
+            )
         }),
     );
     energy_row(
@@ -152,11 +144,13 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
         "binary descent",
         "e15d",
         Box::new(move |s| {
-            let mut exec = Engine::new(SimConfig::new(c).seed(s).max_rounds(1_000_000));
-            for id in sample_distinct(n, active, s ^ 0x15) {
-                exec.add_node(BinaryDescent::new(id, n));
-            }
-            recorded_one(exec, s)
+            recorded_one(
+                Engine::new(SimConfig::new(c).seed(s).max_rounds(1_000_000)).populated(
+                    sample_distinct(n, active, s ^ 0x15)
+                        .into_iter()
+                        .map(|id| BinaryDescent::new(id, n)),
+                ),
+            )
         }),
     );
     energy_row(
@@ -168,11 +162,7 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
                 .seed(s)
                 .cd_mode(CdMode::None)
                 .max_rounds(1_000_000);
-            let mut exec = Engine::new(cfg);
-            for _ in 0..active {
-                exec.add_node(Decay::new(n));
-            }
-            recorded_one(exec, s)
+            recorded_one(Engine::new(cfg).populated((0..active).map(|_| Decay::new(n))))
         }),
     );
     energy_row(
@@ -184,11 +174,9 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
                 .seed(s)
                 .cd_mode(CdMode::None)
                 .max_rounds(1_000_000);
-            let mut exec = Engine::new(cfg);
-            for _ in 0..active {
-                exec.add_node(MultiChannelNoCd::new(c, n));
-            }
-            recorded_one(exec, s)
+            recorded_one(
+                Engine::new(cfg).populated((0..active).map(|_| MultiChannelNoCd::new(c, n))),
+            )
         }),
     );
     report.section(caption, sweep.run());
@@ -200,11 +188,11 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
     // layer (itself a single-cell campaign) at the pipeline row's seeds —
     // deterministic on every run, including resumed ones.
     let full_records = fan_out(trials, seed_base("e15f", 0, 0), None, |s| {
-        let mut exec = Engine::new(SimConfig::new(c).seed(s).max_rounds(1_000_000));
-        for _ in 0..active {
-            exec.add_node(FullAlgorithm::new(Params::practical(), c, n));
-        }
-        recorded_one(exec, s).1
+        recorded_one(
+            Engine::new(SimConfig::new(c).seed(s).max_rounds(1_000_000))
+                .populated((0..active).map(|_| FullAlgorithm::new(Params::practical(), c, n))),
+        )
+        .1
     });
     let mut by_phase: BTreeMap<String, (u64, u64)> = BTreeMap::new();
     for record in &full_records {
@@ -270,19 +258,18 @@ mod tests {
     fn pipeline_is_more_frugal_than_descent() {
         let (c, n, active) = (64u32, 1u64 << 12, 512usize);
         let full_tx: u64 = fan_out(8, 1, None, |s| {
-            let mut exec = Engine::new(SimConfig::new(c).seed(s).max_rounds(1_000_000));
-            for _ in 0..active {
-                exec.add_node(FullAlgorithm::new(Params::practical(), c, n));
-            }
+            let mut exec = Engine::new(SimConfig::new(c).seed(s).max_rounds(1_000_000))
+                .populated((0..active).map(|_| FullAlgorithm::new(Params::practical(), c, n)));
             exec.run().expect("runs").metrics.transmissions
         })
         .iter()
         .sum();
         let descent_tx: u64 = fan_out(8, 1, None, |s| {
-            let mut exec = Engine::new(SimConfig::new(c).seed(s).max_rounds(1_000_000));
-            for id in sample_distinct(n, active, s) {
-                exec.add_node(BinaryDescent::new(id, n));
-            }
+            let mut exec = Engine::new(SimConfig::new(c).seed(s).max_rounds(1_000_000)).populated(
+                sample_distinct(n, active, s)
+                    .into_iter()
+                    .map(|id| BinaryDescent::new(id, n)),
+            );
             exec.run().expect("runs").metrics.transmissions
         })
         .iter()
@@ -308,10 +295,8 @@ mod tests {
         // run side by side here and must agree exactly, field for field.
         let (c, n, active) = (64u32, 1u64 << 12, 256usize);
         let pairs = fan_out(6, 9, None, |s| {
-            let mut exec = Engine::new(SimConfig::new(c).seed(s).max_rounds(1_000_000));
-            for _ in 0..active {
-                exec.add_node(FullAlgorithm::new(Params::practical(), c, n));
-            }
+            let mut exec = Engine::new(SimConfig::new(c).seed(s).max_rounds(1_000_000))
+                .populated((0..active).map(|_| FullAlgorithm::new(Params::practical(), c, n)));
             let mut recorder = RunRecorder::new();
             let report = exec.run_observed(&mut recorder).expect("runs");
             (report, recorder.into_record(s))

@@ -20,31 +20,45 @@ struct Cell {
 
 /// One (mode, seed) execution: `Some(rounds)` when it solved, `None` on a
 /// timeout (a stall, under the weaker feedback models).
-fn solve_one<P, F>(mode: CdMode, seed: u64, cap: u64, build: F) -> Option<u64>
-where
-    P: Protocol,
-    F: Fn(u64, &mut Engine<P>),
-{
+fn solve_one<P: Protocol>(
+    mode: CdMode,
+    seed: u64,
+    cap: u64,
+    nodes: impl IntoIterator<Item = P>,
+) -> Option<u64> {
     let cfg = SimConfig::new(64).seed(seed).cd_mode(mode).max_rounds(cap);
-    let mut exec = Engine::new(cfg);
-    build(seed, &mut exec);
-    match exec.run() {
+    match Engine::new(cfg).populated(nodes).run() {
         Ok(report) => report.rounds_to_solve(),
         Err(SimError::Timeout { .. }) => None,
         Err(e) => panic!("unexpected simulation error: {e}"),
     }
 }
 
-#[cfg(test)]
-fn run_cell<P, F>(mode: CdMode, trials: usize, cap: u64, build: F) -> Cell
+/// Adds one seed's outcome under every CD mode to a row's counters.
+fn tally_modes<I>(acc: &mut ModeAgg, seed: u64, cap: u64, nodes: impl Fn() -> I)
 where
-    P: Protocol,
-    F: Fn(u64, &mut Engine<P>),
+    I: IntoIterator,
+    I::Item: Protocol,
+{
+    let slots = [&mut acc.0, &mut acc.1, &mut acc.2];
+    for (mode, slot) in MODES.iter().zip(slots) {
+        if let Some(r) = solve_one(*mode, seed, cap, nodes()) {
+            slot.0 += 1;
+            slot.1 += r;
+        }
+    }
+}
+
+#[cfg(test)]
+fn run_cell<I>(mode: CdMode, trials: usize, cap: u64, nodes: impl Fn() -> I) -> Cell
+where
+    I: IntoIterator,
+    I::Item: Protocol,
 {
     let mut solved = 0usize;
     let mut total_rounds = 0u64;
     for seed in 0..trials as u64 {
-        if let Some(r) = solve_one(mode, seed, cap, &build) {
+        if let Some(r) = solve_one(mode, seed, cap, nodes()) {
             solved += 1;
             total_rounds += r;
         }
@@ -93,18 +107,9 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
         SeedStream::Offset(0),
         ModeAgg::default,
         move |seed, acc| {
-            let build = |_: u64, exec: &mut Engine<FullAlgorithm>| {
-                for _ in 0..active {
-                    exec.add_node(FullAlgorithm::new(Params::practical(), 64, n));
-                }
-            };
-            let slots = [&mut acc.0, &mut acc.1, &mut acc.2];
-            for (mode, slot) in MODES.iter().zip(slots) {
-                if let Some(r) = solve_one(*mode, seed, cap, build) {
-                    slot.0 += 1;
-                    slot.1 += r;
-                }
-            }
+            tally_modes(acc, seed, cap, || {
+                (0..active).map(|_| FullAlgorithm::new(Params::practical(), 64, n))
+            });
         },
         move |acc| render_row("this paper (pipeline)", &acc, trials),
     );
@@ -113,17 +118,9 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
         SeedStream::Offset(0),
         ModeAgg::default,
         move |seed, acc| {
-            let build = |_: u64, exec: &mut Engine<TwoActive>| {
-                exec.add_node(TwoActive::new(64, n));
-                exec.add_node(TwoActive::new(64, n));
-            };
-            let slots = [&mut acc.0, &mut acc.1, &mut acc.2];
-            for (mode, slot) in MODES.iter().zip(slots) {
-                if let Some(r) = solve_one(*mode, seed, cap, build) {
-                    slot.0 += 1;
-                    slot.1 += r;
-                }
-            }
+            tally_modes(acc, seed, cap, || {
+                [TwoActive::new(64, n), TwoActive::new(64, n)]
+            });
         },
         move |acc| render_row("TwoActive (|A| = 2)", &acc, trials),
     );
@@ -132,18 +129,7 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
         SeedStream::Offset(0),
         ModeAgg::default,
         move |seed, acc| {
-            let build = |_: u64, exec: &mut Engine<CdTournament>| {
-                for _ in 0..active {
-                    exec.add_node(CdTournament::new());
-                }
-            };
-            let slots = [&mut acc.0, &mut acc.1, &mut acc.2];
-            for (mode, slot) in MODES.iter().zip(slots) {
-                if let Some(r) = solve_one(*mode, seed, cap, build) {
-                    slot.0 += 1;
-                    slot.1 += r;
-                }
-            }
+            tally_modes(acc, seed, cap, || (0..active).map(|_| CdTournament::new()));
         },
         move |acc| render_row("CD tournament", &acc, trials),
     );
@@ -153,18 +139,7 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
         SeedStream::Offset(0),
         ModeAgg::default,
         move |seed, acc| {
-            let build = |_: u64, exec: &mut Engine<Decay>| {
-                for _ in 0..active {
-                    exec.add_node(Decay::new(n));
-                }
-            };
-            let slots = [&mut acc.0, &mut acc.1, &mut acc.2];
-            for (mode, slot) in MODES.iter().zip(slots) {
-                if let Some(r) = solve_one(*mode, seed, cap, build) {
-                    slot.0 += 1;
-                    slot.1 += r;
-                }
-            }
+            tally_modes(acc, seed, cap, || (0..active).map(|_| Decay::new(n)));
         },
         move |acc| render_row("decay (designed for no CD)", &acc, trials),
     );
@@ -203,19 +178,16 @@ mod tests {
 
     #[test]
     fn strong_cd_column_always_solves() {
-        let cell = run_cell(CdMode::Strong, 8, 3_000, |_, exec| {
-            for _ in 0..100 {
-                exec.add_node(FullAlgorithm::new(Params::practical(), 64, 1 << 12));
-            }
+        let cell = run_cell(CdMode::Strong, 8, 3_000, || {
+            (0..100).map(|_| FullAlgorithm::new(Params::practical(), 64, 1 << 12))
         });
         assert_eq!(cell.solved, cell.trials);
     }
 
     #[test]
     fn two_active_stalls_without_transmitter_cd() {
-        let cell = run_cell(CdMode::ReceiverOnly, 6, 1_000, |_, exec| {
-            exec.add_node(TwoActive::new(64, 1 << 12));
-            exec.add_node(TwoActive::new(64, 1 << 12));
+        let cell = run_cell(CdMode::ReceiverOnly, 6, 1_000, || {
+            [TwoActive::new(64, 1 << 12), TwoActive::new(64, 1 << 12)]
         });
         // Renaming cannot advance; any "solve" would be a freak lone
         // transmission, which with both nodes transmitting every round on
@@ -232,11 +204,7 @@ mod tests {
     #[test]
     fn decay_is_mode_insensitive() {
         for mode in [CdMode::Strong, CdMode::ReceiverOnly, CdMode::None] {
-            let cell = run_cell(mode, 6, 100_000, |_, exec| {
-                for _ in 0..100 {
-                    exec.add_node(Decay::new(1 << 12));
-                }
-            });
+            let cell = run_cell(mode, 6, 100_000, || (0..100).map(|_| Decay::new(1 << 12)));
             assert_eq!(cell.solved, cell.trials, "mode {mode:?}");
         }
     }

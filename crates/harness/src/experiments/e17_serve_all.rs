@@ -16,25 +16,28 @@ use contention::baselines::{CdTournament, TreeSplit};
 use contention::serialize::SerializeAll;
 use contention::{FullAlgorithm, Params};
 use mac_sim::campaign::SeedStream;
-use mac_sim::{Engine, SimConfig, StopWhen};
+use mac_sim::{Engine, Protocol, SimConfig, StopWhen};
 
-use super::seed_base;
+use super::{run_trial, seed_base};
 use crate::{ExperimentReport, RunCtx, Samples};
 
-/// One pipeline-serializer drain of a `k`-packet burst.
-fn pipeline_drain_one(c: u32, n: u64, k: usize, seed: u64) -> u64 {
+/// Rounds until every node of one drain on `c` channels has terminated.
+fn drain_rounds<P: Protocol>(c: u32, seed: u64, nodes: impl IntoIterator<Item = P>) -> u64 {
     let cfg = SimConfig::new(c)
         .seed(seed)
         .stop_when(StopWhen::AllTerminated)
         .max_rounds(10_000_000);
-    let mut exec = Engine::new(cfg);
-    for payload in 0..k as u32 {
-        let factory = move || FullAlgorithm::new(Params::practical(), c, n);
-        exec.add_node(SerializeAll::new(factory, payload));
-    }
-    exec.run()
-        .unwrap_or_else(|e| panic!("trial with seed {seed} failed: {e}"))
-        .rounds_executed
+    run_trial(&mut Engine::new(cfg).populated(nodes)).rounds_executed
+}
+
+/// One pipeline-serializer drain of a `k`-packet burst.
+fn pipeline_drain_one(c: u32, n: u64, k: usize, seed: u64) -> u64 {
+    let factory = move || FullAlgorithm::new(Params::practical(), c, n);
+    drain_rounds(
+        c,
+        seed,
+        (0..k as u32).map(|payload| SerializeAll::new(factory, payload)),
+    )
 }
 
 #[cfg(test)]
@@ -46,17 +49,11 @@ fn pipeline_drain(c: u32, n: u64, k: usize, trials: usize, seed: u64) -> Vec<u64
 
 /// One tournament-serializer drain.
 fn tournament_drain_one(k: usize, seed: u64) -> u64 {
-    let cfg = SimConfig::new(1)
-        .seed(seed)
-        .stop_when(StopWhen::AllTerminated)
-        .max_rounds(10_000_000);
-    let mut exec = Engine::new(cfg);
-    for payload in 0..k as u32 {
-        exec.add_node(SerializeAll::new(CdTournament::new, payload));
-    }
-    exec.run()
-        .unwrap_or_else(|e| panic!("trial with seed {seed} failed: {e}"))
-        .rounds_executed
+    drain_rounds(
+        1,
+        seed,
+        (0..k as u32).map(|payload| SerializeAll::new(CdTournament::new, payload)),
+    )
 }
 
 #[cfg(test)]
@@ -71,17 +68,13 @@ fn tournament_drain(k: usize, trials: usize, seed: u64) -> Vec<u64> {
 /// one probe); random placement is the fair workload for the
 /// O(k·log(n/k)) claim.
 fn tree_split_drain_one(n: u64, k: usize, seed: u64) -> u64 {
-    let cfg = SimConfig::new(1)
-        .seed(seed)
-        .stop_when(StopWhen::AllTerminated)
-        .max_rounds(10_000_000);
-    let mut exec = Engine::new(cfg);
-    for id in crate::sample_distinct(n, k, seed ^ 0x17) {
-        exec.add_node(TreeSplit::new(id, n));
-    }
-    exec.run()
-        .unwrap_or_else(|e| panic!("trial with seed {seed} failed: {e}"))
-        .rounds_executed
+    drain_rounds(
+        1,
+        seed,
+        crate::sample_distinct(n, k, seed ^ 0x17)
+            .into_iter()
+            .map(|id| TreeSplit::new(id, n)),
+    )
 }
 
 #[cfg(test)]

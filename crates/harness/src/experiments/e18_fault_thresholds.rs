@@ -98,11 +98,10 @@ where
 {
     let cfg = SimConfig::new(C).seed(seed).round_budget(BUDGET);
     let verdict = guarded_verdict(|| {
-        let mut engine = Engine::with_feedback(cfg, feedback);
-        for node in nodes {
-            engine.add_node(node);
-        }
-        engine.run_summary().map(|s| s.rounds_to_solve())
+        Engine::with_feedback(cfg, feedback)
+            .populated(nodes)
+            .run_summary()
+            .map(|s| s.rounds_to_solve())
     });
     match verdict {
         TrialVerdict::Solved(rounds) => Some(rounds),
@@ -137,10 +136,8 @@ fn pipeline_profile_one(p: f64, seed: u64) -> Option<Vec<PhaseStats>> {
     let cfg = SimConfig::new(C).seed(seed).round_budget(BUDGET);
     let verdict = guarded_verdict(|| {
         let mut engine =
-            Engine::with_feedback(cfg, Layered::new(NoisyCd::symmetric(p), CdMode::Strong));
-        for _ in 0..ACTIVE {
-            engine.add_node(FullAlgorithm::new(Params::practical(), C, N));
-        }
+            Engine::with_feedback(cfg, Layered::new(NoisyCd::symmetric(p), CdMode::Strong))
+                .populated((0..ACTIVE).map(|_| FullAlgorithm::new(Params::practical(), C, N)));
         engine
             .run()
             .map(|report| report.solver.map(|id| engine.node(id).phase_stats()))
@@ -497,11 +494,9 @@ mod tests {
     {
         let cfg = SimConfig::new(C).seed(seed).round_budget(BUDGET);
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut engine = Engine::with_feedback(cfg, feedback);
-            for node in nodes {
-                engine.add_node(node);
-            }
-            engine.run_summary()
+            Engine::with_feedback(cfg, feedback)
+                .populated(nodes)
+                .run_summary()
         }));
         match outcome {
             Ok(Ok(summary)) => summary.rounds_to_solve(),

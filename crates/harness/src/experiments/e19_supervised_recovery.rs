@@ -61,11 +61,10 @@ struct SolvedTrial {
 fn unsupervised_one<FM: FeedbackModel>(seed: u64, feedback: FM) -> Option<u64> {
     let cfg = SimConfig::new(C).seed(seed).round_budget(BUDGET);
     let verdict = guarded_verdict(|| {
-        let mut engine = Engine::with_feedback(cfg, feedback);
-        for _ in 0..ACTIVE {
-            engine.add_node(FullAlgorithm::new(Params::practical(), C, N));
-        }
-        engine.run_summary().map(|s| s.rounds_to_solve())
+        Engine::with_feedback(cfg, feedback)
+            .populated((0..ACTIVE).map(|_| FullAlgorithm::new(Params::practical(), C, N)))
+            .run_summary()
+            .map(|s| s.rounds_to_solve())
     });
     match verdict {
         TrialVerdict::Solved(rounds) => Some(rounds),
@@ -79,10 +78,9 @@ fn unsupervised_one<FM: FeedbackModel>(seed: u64, feedback: FM) -> Option<u64> {
 fn supervised_one<FM: FeedbackModel>(seed: u64, feedback: FM) -> Option<SolvedTrial> {
     let cfg = SimConfig::new(C).seed(seed).round_budget(BUDGET);
     let verdict = guarded_verdict(|| {
-        let mut engine = Engine::with_feedback(cfg, feedback);
-        for _ in 0..ACTIVE {
-            engine.add_node(supervised_paper_node(Params::practical(), C, N, policy()));
-        }
+        let mut engine = Engine::with_feedback(cfg, feedback).populated(
+            (0..ACTIVE).map(|_| supervised_paper_node(Params::practical(), C, N, policy())),
+        );
         engine.run().map(|report| {
             report.solver.and_then(|id| {
                 let restarts = engine

@@ -19,7 +19,7 @@ use contention::{FullAlgorithm, Params};
 use mac_sim::campaign::{Aggregate, SeedStream};
 use mac_sim::{SimConfig, SparsePopulation};
 
-use super::seed_base;
+use super::{run_trial, seed_base};
 use crate::{cell_f64, ExperimentReport, RunCtx, Samples};
 
 const C: u32 = 64;
@@ -34,9 +34,7 @@ fn one_run(n: u64, seed: u64) -> (u64, u64) {
         SimConfig::new(C).seed(seed).max_rounds(1_000_000),
         |_virtual_id| FullAlgorithm::new(Params::practical(), C, n),
     );
-    let report = eng
-        .run()
-        .unwrap_or_else(|e| panic!("trial with seed {seed} failed: {e}"));
+    let report = run_trial(&mut eng);
     let rounds = report.rounds_to_solve().expect("solved");
     let acts = report.metrics.transmissions + report.metrics.listens;
     (rounds, acts)

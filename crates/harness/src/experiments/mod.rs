@@ -25,6 +25,47 @@ pub mod e21_traffic_load;
 
 use crate::{ExperimentReport, RunCtx};
 use contention::theory::lg;
+use contention::{FullAlgorithm, Params};
+use mac_sim::{Engine, EventSink, FeedbackModel, Protocol, RunReport, SimConfig};
+
+/// Runs one trial's engine to its stop condition.
+///
+/// # Panics
+///
+/// Panics, naming the engine's master seed, if the run fails.
+pub(crate) fn run_trial<P: Protocol, F: FeedbackModel>(engine: &mut Engine<P, F>) -> RunReport {
+    observe_trial(engine, &mut ())
+}
+
+/// Runs one trial's engine to its stop condition, streaming the run's
+/// events into `sink`.
+///
+/// # Panics
+///
+/// Panics, naming the engine's master seed, if the run fails.
+pub fn observe_trial<P: Protocol, F: FeedbackModel, S: EventSink>(
+    engine: &mut Engine<P, F>,
+    sink: &mut S,
+) -> RunReport {
+    let seed = engine.config().master_seed;
+    engine
+        .run_observed(sink)
+        .unwrap_or_else(|e| panic!("trial with seed {seed} failed: {e}"))
+}
+
+/// Rounds-to-solve for one paper-stack trial: `active` simultaneous
+/// [`FullAlgorithm`] nodes over namespace `n` on `c` channels, strong CD,
+/// capped at 10 M rounds.
+///
+/// # Panics
+///
+/// Panics if the run fails or ends unsolved.
+#[must_use]
+pub(crate) fn paper_rounds(c: u32, n: u64, active: usize, seed: u64) -> u64 {
+    let mut engine = Engine::new(SimConfig::new(c).seed(seed).max_rounds(10_000_000))
+        .populated((0..active).map(|_| FullAlgorithm::new(Params::practical(), c, n)));
+    run_trial(&mut engine).rounds_to_solve().expect("solved")
+}
 
 /// The tight two-node / lower-bound curve: `lg n / lg C + max(lg lg n, 1)`.
 #[must_use]

@@ -831,8 +831,7 @@ mod tests {
         }
 
         let records = fan_out(3, 7, None, |seed| {
-            let mut engine = Engine::new(SimConfig::new(2).seed(seed));
-            engine.add_node(Beacon);
+            let mut engine = Engine::new(SimConfig::new(2).seed(seed)).populated([Beacon]);
             let mut recorder = RunRecorder::new();
             engine.run_observed(&mut recorder).unwrap();
             recorder.into_record(seed)

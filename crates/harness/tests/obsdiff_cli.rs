@@ -120,3 +120,53 @@ fn check_rejects_the_bench_kind() {
     let _ = std::fs::remove_file(&bench);
     assert_eq!(code, 1);
 }
+
+#[test]
+fn unknown_flags_are_usage_errors() {
+    let (golden, shifted) = (golden(), golden_plus_five_rounds("misspelt.jsonl"));
+    let (code, stdout) = obsdiff(&[
+        "diff",
+        path_str(&golden),
+        path_str(&shifted),
+        "--round-pc",
+        "50",
+    ]);
+    assert_eq!(code, 2, "{stdout}");
+    let (code, stdout) = obsdiff(&["trend", path_str(&golden), path_str(&shifted), "--x", "1"]);
+    assert_eq!(code, 2, "{stdout}");
+    let (code, _) = obsdiff(&["check", path_str(&golden), "--strict", "1"]);
+    assert_eq!(code, 2);
+    let (code, stdout) = obsdiff(&[
+        "diff",
+        path_str(&golden),
+        path_str(&shifted),
+        "--round-pct",
+        "1000",
+    ]);
+    let _ = std::fs::remove_file(&shifted);
+    assert_eq!(code, 0, "the spelt-out flag is accepted: {stdout}");
+}
+
+#[test]
+fn diff_and_trend_exit_1_on_an_invalid_record() {
+    let golden = golden();
+    let first = std::fs::read_to_string(&golden)
+        .expect("golden fixture reads")
+        .lines()
+        .next()
+        .expect("golden fixture has a manifest")
+        .to_string();
+    let invalid = temp_file(
+        "invalid.jsonl",
+        &format!(
+            "{first}\n{{\"schema_version\":2,\"kind\":\"bench\",\"name\":\"x\",\"mean_ns\":1.5,\"iters\":10}}\n"
+        ),
+    );
+    let (check, _) = obsdiff(&["check", path_str(&invalid)]);
+    let (diff, diff_out) = obsdiff(&["diff", path_str(&golden), path_str(&invalid)]);
+    let (trend, trend_out) = obsdiff(&["trend", path_str(&invalid), path_str(&golden)]);
+    let _ = std::fs::remove_file(&invalid);
+    assert_eq!(check, 1);
+    assert_eq!(diff, 1, "{diff_out}");
+    assert_eq!(trend, 1, "{trend_out}");
+}

@@ -345,6 +345,25 @@ impl<P: Protocol, F: FeedbackModel> Engine<P, F> {
         }
     }
 
+    /// Adds every protocol of `nodes` as a node that wakes in round 0, in
+    /// iteration order, and returns the engine: the one-shot trial's
+    /// population in one expression, after [`Engine::new`] or
+    /// [`Engine::with_feedback`].
+    ///
+    /// NodeIds, per-node seeds and wake rounds are exactly those of an
+    /// [`Engine::add_node`] loop over the same protocols; every per-slot
+    /// buffer is sized once from the iterator's `size_hint` first. See the
+    /// [crate-level documentation](crate) for an example.
+    #[must_use]
+    pub fn populated(mut self, nodes: impl IntoIterator<Item = P>) -> Self {
+        let nodes = nodes.into_iter();
+        self.reserve_nodes(nodes.size_hint().0);
+        for protocol in nodes {
+            self.add_node(protocol);
+        }
+        self
+    }
+
     /// The configuration this engine runs with.
     #[must_use]
     pub fn config(&self) -> &SimConfig {
@@ -1434,6 +1453,102 @@ mod tests {
         assert_eq!(engine.run().unwrap_err(), SimError::NoNodes);
         assert!(engine.is_empty());
         assert_eq!(engine.len(), 0);
+    }
+
+    /// Transmits with probability `p` on a random channel, else listens on
+    /// one; a listener that hears a message retires, and a transmitter
+    /// that hears its own leads. Nodes with different `p` make NodeId
+    /// order observable.
+    struct Coin {
+        p: f64,
+        sent: bool,
+        status: Status,
+    }
+
+    impl Protocol for Coin {
+        type Msg = u8;
+        fn act(&mut self, ctx: &RoundContext, rng: &mut SmallRng) -> Action<u8> {
+            use rand::Rng;
+            let channel = ChannelId::new(rng.gen_range(1..=ctx.channels));
+            self.sent = rng.gen_bool(self.p);
+            if self.sent {
+                Action::transmit(channel, 0)
+            } else {
+                Action::listen(channel)
+            }
+        }
+        fn observe(&mut self, _ctx: &RoundContext, fb: Feedback<u8>, _rng: &mut SmallRng) {
+            if let Feedback::Message(_) = fb {
+                self.status = if self.sent {
+                    Status::Leader
+                } else {
+                    Status::Inactive
+                };
+            }
+        }
+        fn status(&self) -> Status {
+            self.status
+        }
+    }
+
+    /// Builds each seed's engine twice from `build` — populated, and by an
+    /// `add_node` loop — and asserts the two run alike: same report, same
+    /// slot state for every node. Returns how many slots retired over all
+    /// seeds, so a caller can see the runs were not trivial.
+    fn populated_matches_add_node_loop<F: FeedbackModel>(
+        build: impl Fn(SimConfig) -> Engine<Coin, F>,
+    ) -> usize {
+        let coins = || {
+            (0..24).map(|i| Coin {
+                p: f64::from(i % 4 + 1) / 8.0,
+                sent: false,
+                status: Status::Active,
+            })
+        };
+        let mut retired = 0;
+        for seed in 0..8 {
+            let config = SimConfig::new(4).seed(seed).max_rounds(10_000);
+            let mut looped = build(config.clone());
+            for coin in coins() {
+                looped.add_node(coin);
+            }
+            let mut populated = build(config).populated(coins());
+            let (a, b) = (looped.run().unwrap(), populated.run().unwrap());
+            assert_eq!(a.solved_round, b.solved_round, "seed {seed}");
+            assert_eq!(a.solver, b.solver, "seed {seed}");
+            assert_eq!(a.rounds_executed, b.rounds_executed, "seed {seed}");
+            assert_eq!(a.leaders, b.leaders, "seed {seed}");
+            assert_eq!(a.active_remaining, b.active_remaining, "seed {seed}");
+            assert_eq!(a.metrics, b.metrics, "seed {seed}");
+            assert_eq!(looped.len(), populated.len());
+            for id in (0..looped.len()).map(NodeId) {
+                assert_eq!(
+                    looped.slot_state(id),
+                    populated.slot_state(id),
+                    "seed {seed}, {id}"
+                );
+                retired += usize::from(looped.slot_state(id).is_retired());
+            }
+        }
+        retired
+    }
+
+    #[test]
+    fn populated_matches_an_add_node_loop() {
+        assert!(populated_matches_add_node_loop(Engine::new) > 0);
+        let lossy = |config| {
+            Engine::with_feedback(
+                config,
+                Layered::new(crate::fault::LossyChannel::new(0.1), CdMode::Strong),
+            )
+        };
+        assert!(populated_matches_add_node_loop(lossy) > 0);
+    }
+
+    #[test]
+    fn populated_with_no_nodes_is_still_an_error() {
+        let mut engine: Engine<Rig> = Engine::new(SimConfig::new(2)).populated(std::iter::empty());
+        assert_eq!(engine.run().unwrap_err(), SimError::NoNodes);
     }
 
     #[test]

@@ -874,10 +874,8 @@ mod tests {
         let build = |seed: u64| {
             let crash = Layered::new(CrashStop::random(3, 8, 5), CdMode::Strong);
             let cfg = SimConfig::new(2).seed(seed).round_budget(20);
-            let mut engine = Engine::with_feedback(cfg, crash);
-            for _ in 0..8 {
-                engine.add_node(Node::beacon(ChannelId::new(2)));
-            }
+            let mut engine = Engine::with_feedback(cfg, crash)
+                .populated((0..8).map(|_| Node::beacon(ChannelId::new(2))));
             let _ = engine.run();
             let layer = engine.feedback().layer().clone();
             (0..8).map(|i| layer.crashed(NodeId(i))).collect::<Vec<_>>()

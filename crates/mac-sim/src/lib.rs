@@ -104,10 +104,8 @@
 //!
 //! # fn main() -> Result<(), mac_sim::SimError> {
 //! let config = SimConfig::new(4).seed(7).max_rounds(10_000);
-//! let mut engine = Engine::new(config);
-//! for _ in 0..2 {
-//!     engine.add_node(Half { status: Status::Active, sent: false });
-//! }
+//! let mut engine = Engine::new(config)
+//!     .populated((0..2).map(|_| Half { status: Status::Active, sent: false }));
 //! let report = engine.run()?;
 //! assert!(report.solved_round.is_some());
 //! # Ok(())

@@ -172,11 +172,7 @@ mod tests {
     }
 
     fn build(seed: u64) -> Engine<Flip> {
-        let mut engine = Engine::new(SimConfig::new(1).seed(seed).max_rounds(10_000));
-        for _ in 0..4 {
-            engine.add_node(Flip);
-        }
-        engine
+        Engine::new(SimConfig::new(1).seed(seed).max_rounds(10_000)).populated((0..4).map(|_| Flip))
     }
 
     fn solved_round(seed: u64) -> Option<u64> {

@@ -87,11 +87,7 @@ fn fingerprint(report: &RunReport) -> Fingerprint {
 
 fn engine_with<F: FeedbackModel>(seed: u64, feedback: F) -> Engine<Backoff, F> {
     let cfg = SimConfig::new(8).seed(seed).max_rounds(50_000);
-    let mut engine = Engine::with_feedback(cfg, feedback);
-    for _ in 0..6 {
-        engine.add_node(Backoff::new());
-    }
-    engine
+    Engine::with_feedback(cfg, feedback).populated((0..6).map(|_| Backoff::new()))
 }
 
 /// Runs every fault model's engine builder through `check`, so each test

@@ -85,14 +85,11 @@ fn per_node_counts_sum_to_total() {
     let cfg = SimConfig::new(4)
         .stop_when(StopWhen::AllTerminated)
         .max_rounds(100);
-    let mut exec = Engine::new(cfg);
-    for i in 0..5u64 {
-        exec.add_node(TwoPhase {
-            tx_rounds: i,
-            rx_rounds: 1,
-            done_rounds: 0,
-        });
-    }
+    let mut exec = Engine::new(cfg).populated((0..5u64).map(|i| TwoPhase {
+        tx_rounds: i,
+        rx_rounds: 1,
+        done_rounds: 0,
+    }));
     let report = exec.run().expect("finishes");
     let total: u64 = report.metrics.transmissions_per_node.iter().sum();
     assert_eq!(total, report.metrics.transmissions);

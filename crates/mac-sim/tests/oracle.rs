@@ -129,14 +129,11 @@ fn run_executor(
         .cd_mode(cd)
         .stop_when(StopWhen::AllTerminated)
         .max_rounds(10_000);
-    let mut exec = Engine::new(cfg);
-    for script in scripts {
-        exec.add_node(Scripted {
-            script: script.clone(),
-            cursor: 0,
-            heard: Vec::new(),
-        });
-    }
+    let mut exec = Engine::new(cfg).populated(scripts.iter().map(|script| Scripted {
+        script: script.clone(),
+        cursor: 0,
+        heard: Vec::new(),
+    }));
     let report = exec.run().expect("scripts terminate");
     let heard = exec.iter_nodes().map(|n| n.heard.clone()).collect();
     (heard, report.solved_round, report.metrics.transmissions)

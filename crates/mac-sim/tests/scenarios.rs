@@ -90,13 +90,9 @@ fn three_transmitters_still_one_collision() {
     let cfg = SimConfig::new(2)
         .stop_when(StopWhen::AllTerminated)
         .max_rounds(10);
-    let mut exec = Engine::new(cfg);
-    for payload in 0..3 {
-        exec.add_node(Script::new(vec![Action::transmit(
-            ChannelId::new(2),
-            payload,
-        )]));
-    }
+    let mut exec = Engine::new(cfg).populated(
+        (0..3).map(|payload| Script::new(vec![Action::transmit(ChannelId::new(2), payload)])),
+    );
     let rx = exec.add_node(Script::new(vec![Action::listen(ChannelId::new(2))]));
     let report = exec.run().expect("finishes");
     assert_eq!(exec.node(rx).heard[0], Feedback::Collision);
@@ -107,11 +103,9 @@ fn three_transmitters_still_one_collision() {
 fn solve_detection_ignores_listeners_on_primary() {
     // One transmitter + many listeners on channel 1 is still a solve.
     let cfg = SimConfig::new(2).max_rounds(10);
-    let mut exec = Engine::new(cfg);
-    exec.add_node(Script::new(vec![Action::transmit(ChannelId::PRIMARY, 1)]));
-    for _ in 0..5 {
-        exec.add_node(Script::new(vec![Action::listen(ChannelId::PRIMARY)]));
-    }
+    let tx = Script::new(vec![Action::transmit(ChannelId::PRIMARY, 1)]);
+    let listeners = (0..5).map(|_| Script::new(vec![Action::listen(ChannelId::PRIMARY)]));
+    let mut exec = Engine::new(cfg).populated(std::iter::once(tx).chain(listeners));
     let report = exec.run().expect("finishes");
     assert_eq!(report.solved_round, Some(0));
 }
@@ -207,8 +201,7 @@ fn boxed_heterogeneous_population() {
 #[test]
 fn max_rounds_zero_times_out_immediately() {
     let cfg = SimConfig::new(2).max_rounds(0);
-    let mut exec = Engine::new(cfg);
-    exec.add_node(Script::new(vec![Action::Sleep]));
+    let mut exec = Engine::new(cfg).populated([Script::new(vec![Action::Sleep])]);
     assert!(matches!(exec.run(), Err(mac_sim::SimError::Timeout { .. })));
 }
 
@@ -251,8 +244,8 @@ fn stepping_matches_run_exactly() {
 #[test]
 fn step_is_idempotent_after_finish() {
     let cfg = SimConfig::new(2).max_rounds(100);
-    let mut exec = Engine::new(cfg);
-    exec.add_node(Script::new(vec![Action::transmit(ChannelId::PRIMARY, 0)]));
+    let mut exec =
+        Engine::new(cfg).populated([Script::new(vec![Action::transmit(ChannelId::PRIMARY, 0)])]);
     assert_eq!(exec.step().expect("steps"), mac_sim::StepStatus::Finished);
     let before = exec.current_round();
     assert_eq!(exec.step().expect("steps"), mac_sim::StepStatus::Finished);

@@ -27,10 +27,7 @@ fn estimate(active: usize, seed: u64) -> (u64, u64) {
         .seed(seed)
         .stop_when(StopWhen::AllTerminated)
         .max_rounds(1000);
-    let mut exec = Engine::new(cfg);
-    for _ in 0..active {
-        exec.add_node(SizeEstimate::new(N));
-    }
+    let mut exec = Engine::new(cfg).populated((0..active).map(|_| SizeEstimate::new(N)));
     let report = exec.run().expect("sweep finishes");
     let estimate = exec
         .iter_nodes()

@@ -13,7 +13,7 @@
 use contention::baselines::{BinaryDescent, Decay, MultiChannelNoCd};
 use contention::{FullAlgorithm, Params};
 use contention_analysis::Table;
-use mac_sim::{CdMode, Engine, SimConfig};
+use mac_sim::{CdMode, Engine, Protocol, SimConfig};
 
 const N: u64 = 1 << 14;
 // Dense activation (|A| = n): the adversarial case the worst-case bounds
@@ -21,7 +21,7 @@ const N: u64 = 1 << 14;
 const ACTIVE: usize = 1 << 14;
 const TRIALS: usize = 12;
 
-fn mean_rounds(build: impl Fn(u64) -> Engine<Box<dyn mac_sim::Protocol<Msg = u32>>> + Sync) -> f64 {
+fn mean_rounds<P: Protocol>(build: impl Fn(u64) -> Engine<P> + Sync) -> f64 {
     // The summary path skips metrics/trace entirely — all this shootout
     // needs is the solve round — and the trials fan out over threads.
     let total: u64 = mac_sim::trials::fan_out(TRIALS, 0, None, |seed| {
@@ -49,42 +49,26 @@ fn main() {
 
     for c in [1u32, 8, 64, 512] {
         let full = mean_rounds(|seed| {
-            let mut exec = Engine::new(SimConfig::new(c).seed(seed).max_rounds(10_000_000));
-            for _ in 0..ACTIVE {
-                exec.add_node(Box::new(FullAlgorithm::new(Params::practical(), c, N)) as _);
-            }
-            exec
+            Engine::new(SimConfig::new(c).seed(seed).max_rounds(10_000_000))
+                .populated((0..ACTIVE).map(|_| FullAlgorithm::new(Params::practical(), c, N)))
         });
         let descent = mean_rounds(|seed| {
-            let mut exec = Engine::new(SimConfig::new(c).seed(seed).max_rounds(10_000_000));
-            for i in 0..ACTIVE {
-                // Spread ids evenly over the universe.
-                let id = (i as u64) * (N / ACTIVE as u64);
-                exec.add_node(Box::new(BinaryDescent::new(id, N)) as _);
-            }
-            exec
+            // Spread ids evenly over the universe.
+            let stride = N / ACTIVE as u64;
+            Engine::new(SimConfig::new(c).seed(seed).max_rounds(10_000_000))
+                .populated((0..ACTIVE as u64).map(|i| BinaryDescent::new(i * stride, N)))
         });
-        let decay = mean_rounds(|seed| {
-            let cfg = SimConfig::new(c)
+        let no_cd = |seed| {
+            SimConfig::new(c)
                 .seed(seed)
                 .cd_mode(CdMode::None)
-                .max_rounds(10_000_000);
-            let mut exec = Engine::new(cfg);
-            for _ in 0..ACTIVE {
-                exec.add_node(Box::new(Decay::new(N)) as _);
-            }
-            exec
+                .max_rounds(10_000_000)
+        };
+        let decay = mean_rounds(|seed| {
+            Engine::new(no_cd(seed)).populated((0..ACTIVE).map(|_| Decay::new(N)))
         });
         let nocd = mean_rounds(|seed| {
-            let cfg = SimConfig::new(c)
-                .seed(seed)
-                .cd_mode(CdMode::None)
-                .max_rounds(10_000_000);
-            let mut exec = Engine::new(cfg);
-            for _ in 0..ACTIVE {
-                exec.add_node(Box::new(MultiChannelNoCd::new(c, N)) as _);
-            }
-            exec
+            Engine::new(no_cd(seed)).populated((0..ACTIVE).map(|_| MultiChannelNoCd::new(c, N)))
         });
         table.row_owned(vec![
             c.to_string(),

@@ -75,16 +75,10 @@ fn main() -> Result<(), mac_sim::SimError> {
             .seed(12)
             .stop_when(StopWhen::AllTerminated)
             .max_rounds(100);
-        let mut exec = Engine::new(cfg);
-        for &(cid, leaf) in &roster {
-            exec.add_node(CohortAggregate::new(
-                ChannelId::new(2),
-                p,
-                cid,
-                value(leaf),
-                op,
-            ));
-        }
+        let mut exec =
+            Engine::new(cfg).populated(roster.iter().map(|&(cid, leaf)| {
+                CohortAggregate::new(ChannelId::new(2), p, cid, value(leaf), op)
+            }));
         let agg_report = exec.run()?;
         let result = exec
             .iter_nodes()

@@ -74,10 +74,8 @@ fn main() {
 
     // 1. The hybrid stack on the paper's clean strong-CD channel, with the
     //    solver's telemetry spine showing where its rounds went.
-    let mut engine = Engine::new(SimConfig::new(CHANNELS).seed(SEED).round_budget(BUDGET));
-    for _ in 0..ACTIVE {
-        engine.add_node(PhaseProtocol::new(hybrid(params, N)));
-    }
+    let mut engine = Engine::new(SimConfig::new(CHANNELS).seed(SEED).round_budget(BUDGET))
+        .populated((0..ACTIVE).map(|_| PhaseProtocol::new(hybrid(params, N))));
     let report = engine.run().expect("clean run solves");
     let rounds = report.rounds_to_solve().expect("solved");
     println!(
@@ -95,17 +93,17 @@ fn main() {
 
     // Its two ingredients, for scale: the paper's full pipeline and the
     // tournament alone (which pays lg |A| with the whole field contending).
-    let mut full = Engine::new(SimConfig::new(CHANNELS).seed(SEED).round_budget(BUDGET));
-    for _ in 0..ACTIVE {
-        full.add_node(FullAlgorithm::new(params, CHANNELS, N));
-    }
-    report_run("full paper pipeline", full);
+    report_run(
+        "full paper pipeline",
+        Engine::new(SimConfig::new(CHANNELS).seed(SEED).round_budget(BUDGET))
+            .populated((0..ACTIVE).map(|_| FullAlgorithm::new(params, CHANNELS, N))),
+    );
 
-    let mut alone = Engine::new(SimConfig::new(CHANNELS).seed(SEED).round_budget(BUDGET));
-    for _ in 0..ACTIVE {
-        alone.add_node(PhaseProtocol::new(CdTournament::new()));
-    }
-    report_run("CdTournament alone", alone);
+    report_run(
+        "CdTournament alone",
+        Engine::new(SimConfig::new(CHANNELS).seed(SEED).round_budget(BUDGET))
+            .populated((0..ACTIVE).map(|_| PhaseProtocol::new(CdTournament::new()))),
+    );
 
     // 2. The same stack under fault::Layered collision-detection noise: a
     //    flipped observation can cost rounds, but modest noise is survivable.
@@ -113,11 +111,11 @@ fn main() {
     for noise in [0.02, 0.10] {
         let config = SimConfig::new(CHANNELS).seed(SEED).round_budget(BUDGET);
         let feedback = Layered::new(NoisyCd::symmetric(noise), CdMode::Strong);
-        let mut engine = Engine::with_feedback(config, feedback);
-        for _ in 0..ACTIVE {
-            engine.add_node(PhaseProtocol::new(hybrid(params, N)));
-        }
-        report_run(&format!("hybrid, {:.0}% CD noise", noise * 100.0), engine);
+        report_run(
+            &format!("hybrid, {:.0}% CD noise", noise * 100.0),
+            Engine::with_feedback(config, feedback)
+                .populated((0..ACTIVE).map(|_| PhaseProtocol::new(hybrid(params, N)))),
+        );
     }
 
     // 3. The `bounded` watchdog. A jammer owning the primary channel for
@@ -129,27 +127,27 @@ fn main() {
     println!("\nprimary channel jammed for the whole run:");
     let config = SimConfig::new(CHANNELS).seed(SEED).round_budget(BUDGET);
     let jammer = JamBudget::flood(CdMode::Strong);
-    let mut engine = Engine::with_feedback(config, jammer);
-    for _ in 0..ACTIVE {
-        engine.add_node(PhaseProtocol::new(hybrid(params, N)));
-    }
-    report_run("hybrid vs jammer (CD fails fast)", engine);
+    report_run(
+        "hybrid vs jammer (CD fails fast)",
+        Engine::with_feedback(config, jammer)
+            .populated((0..ACTIVE).map(|_| PhaseProtocol::new(hybrid(params, N)))),
+    );
 
     let config = SimConfig::new(CHANNELS).seed(SEED).round_budget(BUDGET);
     let jammer = JamBudget::flood(CdMode::Strong);
-    let mut engine = Engine::with_feedback(config, jammer);
-    for _ in 0..ACTIVE {
-        engine.add_node(PhaseProtocol::new(Decay::new(N)));
-    }
-    report_run("Decay (never listens) vs jammer", engine);
+    report_run(
+        "Decay (never listens) vs jammer",
+        Engine::with_feedback(config, jammer)
+            .populated((0..ACTIVE).map(|_| PhaseProtocol::new(Decay::new(N)))),
+    );
 
     let config = SimConfig::new(CHANNELS).seed(SEED).round_budget(BUDGET);
     let jammer = JamBudget::flood(CdMode::Strong);
-    let mut engine = Engine::with_feedback(config, jammer);
-    for _ in 0..ACTIVE {
-        engine.add_node(PhaseProtocol::new(Decay::new(N).bounded(1_500)));
-    }
-    report_run("Decay.bounded(1500) vs jammer", engine);
+    report_run(
+        "Decay.bounded(1500) vs jammer",
+        Engine::with_feedback(config, jammer)
+            .populated((0..ACTIVE).map(|_| PhaseProtocol::new(Decay::new(N).bounded(1_500)))),
+    );
 
     // 4. The §3 wake-up combinator over the whole hybrid: `staggered()`
     //    wraps any composed stack, tolerating adversarial wake offsets at

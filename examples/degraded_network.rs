@@ -42,10 +42,7 @@ fn fleet() -> Vec<FullAlgorithm> {
 
 fn run_on<P: Protocol, F: FeedbackModel>(label: &str, feedback: F, nodes: Vec<P>) {
     let config = SimConfig::new(CHANNELS).seed(SEED).round_budget(BUDGET);
-    let mut engine = Engine::with_feedback(config, feedback);
-    for node in nodes {
-        engine.add_node(node);
-    }
+    let mut engine = Engine::with_feedback(config, feedback).populated(nodes);
     match engine.run() {
         Ok(report) => match report.rounds_to_solve() {
             Some(rounds) => println!(

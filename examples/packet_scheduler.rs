@@ -31,11 +31,9 @@ fn drain_with_pipeline(c: u32, seed: u64) -> (u64, Vec<(u32, u64)>) {
         .seed(seed)
         .stop_when(StopWhen::AllTerminated)
         .max_rounds(1_000_000);
-    let mut exec = Engine::new(cfg);
-    for payload in 0..K as u32 {
-        let factory = move || FullAlgorithm::new(Params::practical(), c, N);
-        exec.add_node(SerializeAll::new(factory, payload));
-    }
+    let factory = move || FullAlgorithm::new(Params::practical(), c, N);
+    let mut exec = Engine::new(cfg)
+        .populated((0..K as u32).map(|payload| SerializeAll::new(factory, payload)));
     let report = exec.run().expect("drains");
     let mut deliveries: Vec<(u32, u64)> = exec
         .iter_nodes()
@@ -50,10 +48,8 @@ fn drain_with_tournament(seed: u64) -> u64 {
         .seed(seed)
         .stop_when(StopWhen::AllTerminated)
         .max_rounds(1_000_000);
-    let mut exec = Engine::new(cfg);
-    for payload in 0..K as u32 {
-        exec.add_node(SerializeAll::new(CdTournament::new, payload));
-    }
+    let mut exec = Engine::new(cfg)
+        .populated((0..K as u32).map(|payload| SerializeAll::new(CdTournament::new, payload)));
     exec.run().expect("drains").rounds_executed
 }
 

@@ -26,10 +26,8 @@ fn main() -> Result<(), mac_sim::SimError> {
         .seed(seed)
         .stop_when(StopWhen::AllTerminated)
         .max_rounds(100_000);
-    let mut exec = Engine::new(config);
-    for _ in 0..active {
-        exec.add_node(FullAlgorithm::new(Params::practical(), channels, n));
-    }
+    let mut exec = Engine::new(config)
+        .populated((0..active).map(|_| FullAlgorithm::new(Params::practical(), channels, n)));
 
     // Record the channel trace by attaching a `Trace` to the run — any
     // EventSink rides along like this.

@@ -46,10 +46,8 @@ fn policy() -> RestartPolicy {
 /// Runs the unsupervised pipeline once; reports solve or wedge.
 fn unsupervised<F: FeedbackModel>(label: &str, feedback: F) {
     let config = SimConfig::new(CHANNELS).seed(SEED).round_budget(BUDGET);
-    let mut engine = Engine::with_feedback(config, feedback);
-    for _ in 0..ACTIVE {
-        engine.add_node(FullAlgorithm::new(Params::practical(), CHANNELS, N));
-    }
+    let mut engine = Engine::with_feedback(config, feedback)
+        .populated((0..ACTIVE).map(|_| FullAlgorithm::new(Params::practical(), CHANNELS, N)));
     match engine.run() {
         Ok(report) => match report.rounds_to_solve() {
             Some(rounds) => println!("  {label:<42} solved in {rounds} rounds"),
@@ -66,15 +64,9 @@ fn unsupervised<F: FeedbackModel>(label: &str, feedback: F) {
 /// restart count read off its telemetry spine) or wedge.
 fn supervised<F: FeedbackModel>(label: &str, feedback: F) {
     let config = SimConfig::new(CHANNELS).seed(SEED).round_budget(BUDGET);
-    let mut engine = Engine::with_feedback(config, feedback);
-    for _ in 0..ACTIVE {
-        engine.add_node(supervised_paper_node(
-            Params::practical(),
-            CHANNELS,
-            N,
-            policy(),
-        ));
-    }
+    let mut engine = Engine::with_feedback(config, feedback).populated(
+        (0..ACTIVE).map(|_| supervised_paper_node(Params::practical(), CHANNELS, N, policy())),
+    );
     match engine.run() {
         Ok(report) => match (report.solver, report.solved_round) {
             (Some(id), Some(rounds)) => {

@@ -11,10 +11,8 @@ fn run_full(seed: u64, c: u32, n: u64, active: usize) -> RunReport {
         .seed(seed)
         .stop_when(StopWhen::AllTerminated)
         .max_rounds(1_000_000);
-    let mut exec = Engine::new(cfg);
-    for _ in 0..active {
-        exec.add_node(FullAlgorithm::new(Params::practical(), c, n));
-    }
+    let mut exec = Engine::new(cfg)
+        .populated((0..active).map(|_| FullAlgorithm::new(Params::practical(), c, n)));
     exec.run().expect("runs")
 }
 
@@ -54,10 +52,7 @@ fn node_insertion_order_defines_identity() {
             .seed(seed)
             .stop_when(StopWhen::AllTerminated)
             .max_rounds(100_000);
-        let mut exec = Engine::new(cfg);
-        exec.add_node(TwoActive::new(8, 256));
-        exec.add_node(TwoActive::new(8, 256));
-        exec
+        Engine::new(cfg).populated([TwoActive::new(8, 256), TwoActive::new(8, 256)])
     };
     let w1 = build(7).run().expect("runs").leaders;
     let w2 = build(7).run().expect("runs").leaders;
@@ -68,10 +63,8 @@ fn node_insertion_order_defines_identity() {
 fn harness_parallel_runner_is_deterministic() {
     use mac_sim::trials::fan_out;
     let solved_round = |seed: u64| {
-        let mut exec = Engine::new(SimConfig::new(1).seed(seed).max_rounds(100_000));
-        for _ in 0..32 {
-            exec.add_node(CdTournament::new());
-        }
+        let mut exec = Engine::new(SimConfig::new(1).seed(seed).max_rounds(100_000))
+            .populated((0..32).map(|_| CdTournament::new()));
         exec.run().expect("runs").solved_round
     };
     let a = fan_out(16, 5, None, solved_round);
@@ -83,10 +76,8 @@ fn harness_parallel_runner_is_deterministic() {
 fn trial_results_are_thread_count_invariant() {
     use mac_sim::trials::fan_out;
     let trial = |seed: u64| {
-        let mut engine = Engine::new(SimConfig::new(4).seed(seed).max_rounds(100_000));
-        for _ in 0..24 {
-            engine.add_node(CdTournament::new());
-        }
+        let mut engine = Engine::new(SimConfig::new(4).seed(seed).max_rounds(100_000))
+            .populated((0..24).map(|_| CdTournament::new()));
         let r = engine.run().expect("runs");
         (r.summary(), r.metrics.transmissions_per_node)
     };
@@ -107,10 +98,8 @@ fn trace_is_reproducible() {
             .seed(3)
             .stop_when(StopWhen::AllTerminated)
             .max_rounds(100_000);
-        let mut exec = Engine::new(cfg);
-        for _ in 0..10 {
-            exec.add_node(FullAlgorithm::new(Params::practical(), 16, 1 << 8));
-        }
+        let mut exec = Engine::new(cfg)
+            .populated((0..10).map(|_| FullAlgorithm::new(Params::practical(), 16, 1 << 8)));
         let mut trace = mac_sim::Trace::new();
         exec.run_observed(&mut trace).expect("runs");
         trace

@@ -16,9 +16,8 @@ fn two_active_requires_strong_cd() {
         .seed(1)
         .cd_mode(CdMode::ReceiverOnly)
         .max_rounds(2_000);
-    let mut exec = Engine::new(cfg);
-    exec.add_node(TwoActive::new(16, 1 << 10));
-    exec.add_node(TwoActive::new(16, 1 << 10));
+    let mut exec =
+        Engine::new(cfg).populated([TwoActive::new(16, 1 << 10), TwoActive::new(16, 1 << 10)]);
     match exec.run() {
         Err(SimError::Timeout { .. }) => {}
         Ok(report) => {
@@ -44,10 +43,8 @@ fn full_algorithm_never_self_elects_without_strong_cd() {
         .cd_mode(CdMode::ReceiverOnly)
         .stop_when(StopWhen::Solved)
         .max_rounds(3_000);
-    let mut exec = Engine::new(cfg);
-    for _ in 0..50 {
-        exec.add_node(FullAlgorithm::new(Params::practical(), 64, 1 << 10));
-    }
+    let mut exec = Engine::new(cfg)
+        .populated((0..50).map(|_| FullAlgorithm::new(Params::practical(), 64, 1 << 10)));
     // The run may luck into a lone primary transmission (solving the
     // one-shot problem) or time out; either way, no leader self-elects.
     let leaders = match exec.run() {
@@ -66,10 +63,7 @@ fn decay_is_cd_free() {
         .seed(3)
         .cd_mode(CdMode::None)
         .max_rounds(100_000);
-    let mut exec = Engine::new(cfg);
-    for _ in 0..64 {
-        exec.add_node(Decay::new(1 << 10));
-    }
+    let mut exec = Engine::new(cfg).populated((0..64).map(|_| Decay::new(1 << 10)));
     assert!(exec.run().expect("solves").is_solved());
 }
 
@@ -80,10 +74,11 @@ fn binary_descent_is_seed_independent() {
     let rounds: Vec<u64> = (0..5)
         .map(|seed| {
             let cfg = SimConfig::new(1).seed(seed).max_rounds(10_000);
-            let mut exec = Engine::new(cfg);
-            for id in [5u64, 99, 731, 1000] {
-                exec.add_node(BinaryDescent::new(id, 1 << 10));
-            }
+            let mut exec = Engine::new(cfg).populated(
+                [5u64, 99, 731, 1000]
+                    .into_iter()
+                    .map(|id| BinaryDescent::new(id, 1 << 10)),
+            );
             exec.run()
                 .expect("solves")
                 .rounds_to_solve()

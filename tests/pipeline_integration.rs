@@ -25,10 +25,8 @@ fn full_pipeline_grid() {
             .seed(99)
             .stop_when(StopWhen::AllTerminated)
             .max_rounds(1_000_000);
-        let mut exec = Engine::new(cfg);
-        for _ in 0..active {
-            exec.add_node(FullAlgorithm::new(Params::practical(), c, n));
-        }
+        let mut exec = Engine::new(cfg)
+            .populated((0..active).map(|_| FullAlgorithm::new(Params::practical(), c, n)));
         let report = exec.run().expect("pipeline runs");
         assert!(report.is_solved(), "C={c} n={n} |A|={active}");
         assert!(report.leaders.len() <= 1, "C={c}: {:?}", report.leaders);
@@ -53,10 +51,7 @@ fn step_contracts_chain_manually() {
             .seed(seed)
             .stop_when(StopWhen::AllTerminated)
             .max_rounds(10_000);
-        let mut exec = Engine::new(cfg);
-        for _ in 0..active {
-            exec.add_node(Reduce::new(n));
-        }
+        let mut exec = Engine::new(cfg).populated((0..active).map(|_| Reduce::new(n)));
         let report = exec.run().expect("reduce runs");
         let survived = exec
             .iter_nodes()
@@ -80,10 +75,8 @@ fn step_contracts_chain_manually() {
         .seed(6)
         .stop_when(StopWhen::AllTerminated)
         .max_rounds(100_000);
-    let mut exec = Engine::new(cfg);
-    for _ in 0..survivors {
-        exec.add_node(IdReduction::new(Params::practical(), c));
-    }
+    let mut exec = Engine::new(cfg)
+        .populated((0..survivors).map(|_| IdReduction::new(Params::practical(), c)));
     exec.run().expect("id reduction runs");
     let ids: Vec<u32> = exec
         .iter_nodes()
@@ -102,10 +95,7 @@ fn step_contracts_chain_manually() {
         .seed(7)
         .stop_when(StopWhen::AllTerminated)
         .max_rounds(100_000);
-    let mut exec = Engine::new(cfg);
-    for &id in &ids {
-        exec.add_node(LeafElection::new(c, id));
-    }
+    let mut exec = Engine::new(cfg).populated(ids.iter().map(|&id| LeafElection::new(c, id)));
     let report = exec.run().expect("leaf election runs");
     assert_eq!(report.leaders.len(), 1);
     assert!(report.is_solved());
@@ -123,14 +113,14 @@ fn specialist_and_generalist_agree_on_two_nodes() {
                 .stop_when(StopWhen::AllTerminated)
                 .max_rounds(1_000_000);
             let leaders = if use_specialist {
-                let mut exec = Engine::new(cfg);
-                exec.add_node(TwoActive::new(c, n));
-                exec.add_node(TwoActive::new(c, n));
+                let mut exec =
+                    Engine::new(cfg).populated([TwoActive::new(c, n), TwoActive::new(c, n)]);
                 exec.run().expect("runs").leaders.len()
             } else {
-                let mut exec = Engine::new(cfg);
-                exec.add_node(FullAlgorithm::new(Params::practical(), c, n));
-                exec.add_node(FullAlgorithm::new(Params::practical(), c, n));
+                let mut exec = Engine::new(cfg).populated([
+                    FullAlgorithm::new(Params::practical(), c, n),
+                    FullAlgorithm::new(Params::practical(), c, n),
+                ]);
                 exec.run().expect("runs").leaders.len()
             };
             assert!(
@@ -151,10 +141,11 @@ fn harness_drives_core_correctly() {
             .seed(seed)
             .stop_when(StopWhen::AllTerminated)
             .max_rounds(100_000);
-        let mut exec = Engine::new(cfg);
-        for id in sample_distinct(64, 20, seed) {
-            exec.add_node(LeafElection::new(c, id as u32 + 1));
-        }
+        let mut exec = Engine::new(cfg).populated(
+            sample_distinct(64, 20, seed)
+                .into_iter()
+                .map(|id| LeafElection::new(c, id as u32 + 1)),
+        );
         let report = exec.run().expect("runs");
         assert_eq!(report.leaders.len(), 1);
         exec.node(report.leaders[0]).cohort_size()
@@ -186,10 +177,8 @@ fn leader_report_matches_node_status() {
         .seed(3)
         .stop_when(StopWhen::AllTerminated)
         .max_rounds(100_000);
-    let mut exec = Engine::new(cfg);
-    for _ in 0..100 {
-        exec.add_node(FullAlgorithm::new(Params::practical(), 32, 1 << 10));
-    }
+    let mut exec = Engine::new(cfg)
+        .populated((0..100).map(|_| FullAlgorithm::new(Params::practical(), 32, 1 << 10)));
     let report = exec.run().expect("runs");
     let by_status: Vec<usize> = exec
         .iter_nodes()

@@ -100,11 +100,8 @@ proptest! {
             .seed(seed)
             .stop_when(StopWhen::AllTerminated)
             .max_rounds(1_000_000);
-        let mut exec = Engine::new(cfg);
         let ordered: Vec<u32> = ids.iter().copied().collect();
-        for &id in &ordered {
-            exec.add_node(LeafElection::new(c, id));
-        }
+        let mut exec = Engine::new(cfg).populated(ordered.iter().map(|&id| LeafElection::new(c, id)));
         let report = exec.run().expect("elects");
         prop_assert_eq!(report.leaders.len(), 1);
         let winner_idx = report.leaders[0].0;
@@ -131,10 +128,8 @@ proptest! {
             .seed(seed)
             .stop_when(StopWhen::AllTerminated)
             .max_rounds(1_000_000);
-        let mut exec = Engine::new(cfg);
-        for _ in 0..active {
-            exec.add_node(IdReduction::new(Params::practical(), c));
-        }
+        let mut exec =
+            Engine::new(cfg).populated((0..active).map(|_| IdReduction::new(Params::practical(), c)));
         exec.run().expect("terminates");
         let ids: Vec<u32> = exec
             .iter_nodes()
@@ -162,10 +157,7 @@ proptest! {
             .seed(seed)
             .stop_when(StopWhen::AllTerminated)
             .max_rounds(100_000);
-        let mut exec = Engine::new(cfg);
-        for _ in 0..active {
-            exec.add_node(Reduce::new(n));
-        }
+        let mut exec = Engine::new(cfg).populated((0..active).map(|_| Reduce::new(n)));
         exec.run().expect("terminates");
         let mut survivors = 0usize;
         let mut leaders = 0usize;
@@ -195,10 +187,8 @@ proptest! {
             .seed(seed)
             .stop_when(StopWhen::AllTerminated)
             .max_rounds(1_000_000);
-        let mut exec = Engine::new(cfg);
-        for _ in 0..active {
-            exec.add_node(FullAlgorithm::new(Params::practical(), c, n));
-        }
+        let mut exec = Engine::new(cfg)
+            .populated((0..active).map(|_| FullAlgorithm::new(Params::practical(), c, n)));
         let report = exec.run().expect("solves");
         prop_assert!(report.is_solved());
         prop_assert!(report.leaders.len() <= 1);
@@ -222,16 +212,10 @@ proptest! {
             (AggregateOp::Count, values.len() as i64),
         ] {
             let cfg = SimConfig::new(64).stop_when(StopWhen::AllTerminated).max_rounds(1000);
-            let mut exec = Engine::new(cfg);
-            for (i, &v) in values.iter().enumerate() {
-                exec.add_node(CohortAggregate::new(
-                    ChannelId::new(2),
-                    values.len() as u32,
-                    i as u32 + 1,
-                    v,
-                    op,
-                ));
-            }
+            let p = values.len() as u32;
+            let mut exec = Engine::new(cfg).populated(values.iter().enumerate().map(|(i, &v)| {
+                CohortAggregate::new(ChannelId::new(2), p, i as u32 + 1, v, op)
+            }));
             exec.run().expect("aggregates");
             for node in exec.iter_nodes() {
                 prop_assert_eq!(node.result(), Some(want));
