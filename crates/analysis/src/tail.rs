@@ -90,20 +90,6 @@ fn binomial_cdf(k: usize, n: usize, p: f64) -> f64 {
     ln_sum.exp()
 }
 
-/// The geometric-distribution check used by experiment E3: given per-trial
-/// success probability `p`, the probability of still running after `t`
-/// attempts is `(1-p)^t`. Returns that reference tail for comparison with
-/// the empirical one.
-///
-/// # Panics
-///
-/// Panics unless `0 < p <= 1`.
-#[must_use]
-pub fn geometric_tail(p: f64, t: u32) -> f64 {
-    assert!(p > 0.0 && p <= 1.0, "p must be a probability in (0, 1]");
-    (1.0 - p).powi(t as i32)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -165,21 +151,8 @@ mod tests {
     }
 
     #[test]
-    fn geometric_tail_values() {
-        assert!((geometric_tail(0.5, 1) - 0.5).abs() < 1e-12);
-        assert!((geometric_tail(0.5, 10) - 1.0 / 1024.0).abs() < 1e-12);
-        assert_eq!(geometric_tail(1.0, 5), 0.0);
-    }
-
-    #[test]
     #[should_panic(expected = "no samples")]
     fn empty_samples_panic() {
         let _ = exceed_fraction(&[], 1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "probability")]
-    fn bad_probability_panics() {
-        let _ = geometric_tail(0.0, 1);
     }
 }

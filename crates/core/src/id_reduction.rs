@@ -30,6 +30,7 @@ use rand::Rng;
 
 use crate::params::Params;
 use crate::phase::{impl_phase_telemetry, Phase, PhaseMeter, PhaseOutcome, PhaseStats};
+use crate::tree::ChannelTree;
 
 /// How a node's participation in `IdReduction` ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -109,8 +110,9 @@ pub struct IdReduction {
 impl IdReduction {
     /// Creates an `IdReduction` node for `channels` channels.
     ///
-    /// The renaming range is `[C'/2]` where `C'` is the largest power of two
-    /// `≤ channels` (the paper assumes `C` is a power of two).
+    /// The renaming range is `[C'/2]`, the leaves of
+    /// [`ChannelTree::for_election`] (`C'` is the largest power of two
+    /// `≤ channels`; the paper assumes `C` is a power of two).
     ///
     /// # Panics
     ///
@@ -119,9 +121,8 @@ impl IdReduction {
     #[must_use]
     pub fn new(params: Params, channels: u32) -> Self {
         assert!(channels >= 2, "IdReduction needs C >= 2, got {channels}");
-        let c_eff = 1u32 << (31 - channels.leading_zeros());
         IdReduction {
-            c_half: (c_eff / 2).max(1),
+            c_half: ChannelTree::for_election(channels).leaves(),
             knock: Bernoulli::new((1.0 / params.knock_k(channels)).min(1.0))
                 .expect("k is positive, so 1/k capped at 1 lies in [0, 1]"),
             sub: SubRound::Rename,

@@ -123,9 +123,9 @@ pub struct LeafElection {
 }
 
 impl LeafElection {
-    /// Creates a node with unique id `id` on a channel tree sized for
-    /// `channels` channels (`C'/2` leaves, `C'` = largest power of two
-    /// `≤ channels`).
+    /// Creates a node with unique id `id` on the channel tree sized for
+    /// `channels` channels, [`ChannelTree::for_election`] (`C'/2` leaves,
+    /// `C'` = largest power of two `≤ channels`).
     ///
     /// # Panics
     ///
@@ -133,9 +133,7 @@ impl LeafElection {
     #[must_use]
     pub fn new(channels: u32, id: u32) -> Self {
         assert!(channels >= 2, "LeafElection needs C >= 2, got {channels}");
-        let c_eff = 1u32 << (31 - channels.leading_zeros());
-        let leaves = (c_eff / 2).max(1);
-        let tree = ChannelTree::new(leaves);
+        let tree = ChannelTree::for_election(channels);
         let leaf = tree.leaf(id);
         LeafElection {
             tree,

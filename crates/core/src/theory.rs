@@ -1,14 +1,62 @@
-//! Closed-form round budgets from the paper's analysis.
+//! Closed-form round budgets and shape curves from the paper's analysis.
 //!
 //! These are the *concrete* (constant-carrying) versions of the paper's
-//! asymptotic bounds, used by tests and the experiment harness to check
-//! that executions stay inside their theorems. Each function documents the
+//! asymptotic bounds. This module is the one place they are computed; the
+//! channel geometry they assume (`C'` = largest power of two `≤ C`, and the
+//! election tree's height) comes from [`crate::tree`], the same functions
+//! the protocols size themselves with. Each function documents the
 //! constants it commits to and the claim it instantiates.
+//!
+//! Callers:
+//!
+//! * the experiment harness — E1 and E2 report [`two_active_budget`] and
+//!   E1 its [`log_c_n`] term; E3 compares against [`rename_tail`]; E4
+//!   against [`split_check_budget`]; E8 reports [`split_search_budget`] and
+//!   [`leaf_election_shape`] and its tests bound runs by
+//!   [`leaf_election_budget`]; E10 divides by [`lower_bound_curve`] and
+//!   quotes [`upper_bound_gap`]; E20 normalizes by [`log_c_n`];
+//! * the `paper_fidelity` tests, which hold live executions to
+//!   [`two_active_budget`] and [`leaf_election_budget`].
+//!
+//! [`full_budget`] and [`reduce_rounds`] are checked by this module's own
+//! tests only.
+
+use crate::tree::{effective_channels, ChannelTree};
 
 /// `lg x` (base-2 logarithm), the paper's notation.
 #[must_use]
 pub fn lg(x: f64) -> f64 {
     x.log2()
+}
+
+/// `log_C n = lg n / lg C`: the renaming term of Theorem 1 and of the lower
+/// bound.
+#[must_use]
+pub fn log_c_n(n: u64, c: u32) -> f64 {
+    lg(n as f64) / lg(f64::from(c))
+}
+
+/// The tight two-node / lower-bound curve `lg n / lg C + max(lg lg n, 1)`:
+/// Theorem 1's shape, and the `Ω(log n / log C + log log n)` lower bound of
+/// \[Newport 2014\] with its constants set to one.
+#[must_use]
+pub fn lower_bound_curve(n: u64, c: u32) -> f64 {
+    log_c_n(n, c.max(2)) + lg(lg(n as f64)).max(1.0)
+}
+
+/// `max(lg lg lg n, 1)`: the factor by which Theorem 4's upper bound
+/// exceeds the lower bound.
+#[must_use]
+pub fn upper_bound_gap(n: u64) -> f64 {
+    lg(lg(lg(n as f64))).max(1.0)
+}
+
+/// Lemma 2's tail: the probability that both nodes of `TwoActive`'s
+/// renaming race still share a channel after `t` rounds, `C^{-t}`.
+#[must_use]
+pub fn rename_tail(c: u32, t: u32) -> f64 {
+    #[allow(clippy::cast_possible_wrap)]
+    f64::from(c).powi(-(t as i32))
 }
 
 /// The probes `SplitCheck` (Fig. 1) needs for a tree of height `h`:
@@ -24,10 +72,13 @@ pub fn split_check_budget(h: u32) -> u32 {
     (f64::from(h)).log2().ceil() as u32 + 1
 }
 
-/// A concrete w.h.p. budget for `TwoActive` (Theorem 1): `2·log_C n`
+/// A concrete w.h.p. budget for `TwoActive` (Theorem 1): `2·log_C' n`
 /// renaming rounds (failure probability `n^{-2}`, by Lemma 2 run at
-/// constant `c = 2`), plus the deterministic search and the declaration
-/// round.
+/// constant `c = 2`), plus the deterministic search
+/// ([`split_check_budget`] over the tree of height `lg C'`) and the
+/// declaration round. `C'` is the channel count `TwoActive::new` uses: the
+/// largest power of two `≤ min(C, n)`, so the budget stops falling at
+/// `C = n`.
 ///
 /// # Panics
 ///
@@ -36,9 +87,17 @@ pub fn split_check_budget(h: u32) -> u32 {
 pub fn two_active_budget(n: u64, c: u32) -> f64 {
     assert!(c >= 2, "TwoActive needs C >= 2");
     assert!(n >= 2, "the model requires n >= 2");
-    let c_eff = f64::from(prev_power_of_two(c.min(n.min(u64::from(u32::MAX)) as u32)));
-    let h = lg(c_eff).max(1.0);
-    2.0 * lg(n as f64) / lg(c_eff) + (h.log2().ceil() + 1.0).max(1.0) + 1.0
+    let c_eff = two_active_channels(n, c);
+    2.0 * lg(n as f64) / lg(f64::from(c_eff))
+        + f64::from(split_check_budget(c_eff.trailing_zeros()))
+        + 1.0
+}
+
+/// The channels `TwoActive` uses for `c` channels and id space `n`:
+/// `C'` of `min(C, n)` ("for the case where C > n, we use only the first n
+/// channels").
+fn two_active_channels(n: u64, c: u32) -> u32 {
+    effective_channels(c.min(n.min(u64::from(u32::MAX)) as u32))
 }
 
 /// Rounds `Reduce` (Fig. 2) executes when no leader emerges:
@@ -50,18 +109,30 @@ pub fn reduce_rounds(n: u64) -> u64 {
 }
 
 /// Lemma 16's per-phase `SplitSearch` cost for phase `i` (1-based) over a
-/// tree of height `h`: `5·⌈log_{p+1} h⌉` rounds with `p = 2^{i-1}`, plus
-/// the root-check and pairing rounds of the enclosing phase.
+/// tree of height `h`: `5·⌈log_{p+1} h⌉` rounds (at least 5) with
+/// `p = 2^{i-1}`, the cohort size in that phase.
+///
+/// # Panics
+///
+/// Panics if `i == 0` or `h == 0`.
+#[must_use]
+pub fn split_search_budget(h: u32, i: u32) -> f64 {
+    assert!(i >= 1, "phases are 1-based");
+    assert!(h >= 1, "tree height must be >= 1");
+    let p = f64::from(1u32 << (i - 1).min(30));
+    5.0 * (f64::from(h).ln() / (p + 1.0).ln()).ceil().max(1.0)
+}
+
+/// The budget of `LeafElection`'s phase `i` (1-based) over a tree of height
+/// `h`: [`split_search_budget`] plus the root-check and pairing rounds of
+/// the enclosing phase.
 ///
 /// # Panics
 ///
 /// Panics if `i == 0` or `h == 0`.
 #[must_use]
 pub fn leaf_election_phase_budget(h: u32, i: u32) -> f64 {
-    assert!(i >= 1, "phases are 1-based");
-    assert!(h >= 1, "tree height must be >= 1");
-    let p = f64::from(1u32 << (i - 1).min(30));
-    5.0 * (f64::from(h).ln() / (p + 1.0).ln()).ceil().max(1.0) + 2.0
+    split_search_budget(h, i) + 2.0
 }
 
 /// Theorem 17's total budget for `LeafElection` from `x` starting actives
@@ -81,6 +152,13 @@ pub fn leaf_election_budget(h: u32, x: u32) -> f64 {
         + 1.0
 }
 
+/// Theorem 17's shape `lg h · lg lg x` for `LeafElection`, each factor
+/// floored at 1 (and `lg x` at 2) so small trees and cohorts stay positive.
+#[must_use]
+pub fn leaf_election_shape(h: u32, x: u32) -> f64 {
+    lg(f64::from(h)).max(1.0) * lg(lg(f64::from(x.max(2))).max(2.0)).max(1.0)
+}
+
 /// A concrete end-to-end budget for the general algorithm (Theorem 4):
 /// `Reduce`'s fixed rounds, an `IdReduction` allowance of `6·log_C n + 6`
 /// rounds (Theorem 6 at small constants), and the `LeafElection` budget for
@@ -96,19 +174,13 @@ pub fn leaf_election_budget(h: u32, x: u32) -> f64 {
 pub fn full_budget(n: u64, c: u32) -> f64 {
     assert!(c >= 2, "budget defined for C >= 2");
     assert!(n >= 2, "the model requires n >= 2");
-    let c_eff = prev_power_of_two(c);
-    let leaves = (c_eff / 2).max(1);
-    let h = leaves.trailing_zeros().max(1);
-    let x = (12.0 * lg(n as f64)).min(f64::from(leaves)).max(1.0) as u32;
+    let tree = ChannelTree::for_election(c);
+    let h = tree.height().max(1);
+    let x = (12.0 * lg(n as f64)).min(f64::from(tree.leaves())).max(1.0) as u32;
     reduce_rounds(n) as f64
-        + 6.0 * lg(n as f64) / lg(f64::from(c_eff.max(2))).max(1.0)
+        + 6.0 * lg(n as f64) / lg(f64::from(effective_channels(c))).max(1.0)
         + 6.0
         + leaf_election_budget(h, x)
-}
-
-fn prev_power_of_two(x: u32) -> u32 {
-    debug_assert!(x >= 1);
-    1 << (31 - x.leading_zeros())
 }
 
 #[cfg(test)]
@@ -132,6 +204,35 @@ mod tests {
         let capped = two_active_budget(1 << 10, 1 << 20);
         let at_n = two_active_budget(1 << 10, 1 << 10);
         assert!((capped - at_n).abs() < 1e-9);
+    }
+
+    #[test]
+    fn two_active_budget_table_values() {
+        assert!((two_active_budget(1 << 12, 2) - 26.0).abs() < 1e-9);
+        assert_eq!(format!("{:.2}", two_active_budget(1 << 8, 64)), "7.67");
+        assert!((two_active_budget(1 << 8, 1024) - 7.0).abs() < 1e-9);
+        assert!((two_active_budget(1 << 12, 1 << 14) - 8.0).abs() < 1e-9);
+        assert_eq!(format!("{:.1}", two_active_budget(1 << 20, 1 << 14)), "8.9");
+    }
+
+    #[test]
+    fn two_active_budget_uses_the_protocols_channels() {
+        for n in [1u64 << 4, 1 << 8, 1 << 20] {
+            for ce in 1..=16 {
+                let c = 1u32 << ce;
+                assert_eq!(
+                    crate::TwoActive::new(c, n).effective_channels(),
+                    two_active_channels(n, c),
+                    "C={c} n={n}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn theory_curves_are_monotone_sensibly() {
+        assert!(lower_bound_curve(1 << 20, 4) > lower_bound_curve(1 << 10, 4));
+        assert!(lower_bound_curve(1 << 20, 1024) < lower_bound_curve(1 << 20, 4));
     }
 
     #[test]

@@ -125,6 +125,19 @@ pub fn row_channel(level: u32) -> ChannelId {
     ChannelId::new(1 << level)
 }
 
+/// The channels a protocol actually uses out of `channels`: `C'`, the
+/// largest power of two `≤ channels` (the paper assumes `C` is a power of
+/// two; every protocol and budget rounds down to it).
+///
+/// # Panics
+///
+/// Panics if `channels == 0`.
+#[must_use]
+pub fn effective_channels(channels: u32) -> u32 {
+    assert!(channels >= 1, "need at least one channel");
+    1 << channels.ilog2()
+}
+
 /// A complete binary tree over a power-of-two number of leaves, with leaves
 /// labelled `1..=leaves`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -150,6 +163,15 @@ impl ChannelTree {
             leaves,
             height: leaves.trailing_zeros(),
         }
+    }
+
+    /// The tree `LeafElection` (§5.3) runs on with `channels` channels:
+    /// `C'/2` leaves (at least one) of height `lg(C'/2)`, `C'` being
+    /// [`effective_channels`]. Its `C'−1` nodes fit on the `C'` channels,
+    /// and `IdReduction` renames into its leaves.
+    #[must_use]
+    pub fn for_election(channels: u32) -> Self {
+        ChannelTree::new((effective_channels(channels) / 2).max(1))
     }
 
     /// Number of leaves.
@@ -342,6 +364,23 @@ mod tests {
         assert_eq!(tree.height(), 0);
         assert_eq!(tree.leaf(1), tree.root());
         assert_eq!(tree.node_count(), 1);
+    }
+
+    #[test]
+    fn effective_channels_rounds_down_to_a_power_of_two() {
+        for (c, want) in [
+            (1u32, 1u32),
+            (3, 2),
+            (64, 64),
+            (100, 64),
+            (u32::MAX, 1 << 31),
+        ] {
+            assert_eq!(effective_channels(c), want, "C={c}");
+        }
+        for (c, leaves, height) in [(2u32, 1u32, 0u32), (3, 1, 0), (4, 2, 1), (100, 32, 5)] {
+            let tree = ChannelTree::for_election(c);
+            assert_eq!((tree.leaves(), tree.height()), (leaves, height), "C={c}");
+        }
     }
 
     #[test]

@@ -28,7 +28,7 @@ use rand::rngs::SmallRng;
 use rand::Rng;
 
 use crate::phase::{impl_terminal_phase, PhaseMeter};
-use crate::tree::ChannelTree;
+use crate::tree::{effective_channels, ChannelTree};
 
 /// Per-step round counts, exposed for experiments E1–E4.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -107,9 +107,8 @@ impl TwoActive {
             usable >= 2,
             "TwoActive needs at least 2 usable channels (C={channels}, n={n})"
         );
-        let c_eff = prev_power_of_two(usable as u32);
         TwoActive {
-            tree: ChannelTree::new(c_eff),
+            tree: ChannelTree::new(effective_channels(usable as u32)),
             state: State::Rename,
             status: Status::Active,
             id: 0,
@@ -153,12 +152,6 @@ impl TwoActive {
                 .ancestor_at_level(level)
                 .is_left_child()
     }
-}
-
-/// The largest power of two `≤ x`.
-fn prev_power_of_two(x: u32) -> u32 {
-    debug_assert!(x >= 1);
-    1 << (31 - x.leading_zeros())
 }
 
 impl Protocol for TwoActive {

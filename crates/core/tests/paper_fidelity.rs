@@ -202,7 +202,7 @@ fn theory_budgets_hold_end_to_end() {
             .max_rounds(100_000);
         let mut exec = Engine::new(cfg).populated((1..=x).map(|id| LeafElection::new(c, id)));
         let report = exec.run().expect("elects");
-        let h = (c / 2).trailing_zeros();
+        let h = contention::tree::ChannelTree::for_election(c).height();
         let budget = theory::leaf_election_budget(h, x);
         assert!(
             (report.rounds_executed as f64) <= budget,

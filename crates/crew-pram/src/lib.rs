@@ -38,7 +38,6 @@
 
 mod error;
 mod machine;
-pub mod max;
 pub mod search;
 
 pub use error::PramError;

@@ -1,18 +1,11 @@
 //! Property-based and cross-program tests for the CREW PRAM substrate.
 
-use crew_pram::max::tournament_max;
 use crew_pram::search::{ideal_iterations, snir_boundary, snir_lower_bound};
 use crew_pram::{Machine, MemView, Processor, StepOutcome, Word, Write};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
 proptest! {
-    #[test]
-    fn tournament_max_matches_iterator_max(values in vec(-1000i64..1000, 1..200)) {
-        let report = tournament_max(&values).expect("runs");
-        prop_assert_eq!(report.max, *values.iter().max().expect("nonempty"));
-    }
-
     #[test]
     fn lower_bound_matches_partition_point(
         mut sorted in vec(-500i64..500, 0..150),

@@ -10,16 +10,16 @@
 //! 1. the completion-time distribution is `(geometric rename) +
 //!    (⌈lg lg C⌉ search) + 1`, with the rename tail decaying as `C^{-t}`
 //!    (experiment E3 measures that tail directly); and
-//! 2. the concrete w.h.p. budget `2·log_C n + (⌈lg lg C⌉+1) + 1` is
-//!    essentially never exceeded — the exceedance probability is `≤ n^{-2}`,
-//!    far below measurement resolution.
+//! 2. the concrete w.h.p. budget `contention::theory::two_active_budget`
+//!    is essentially never exceeded — the exceedance probability is
+//!    `≤ n^{-2}`, far below measurement resolution.
 //!
 //! We report both the *solve* round (the problem definition: first lone
 //! transmission on channel 1, which can happen "by luck" during renaming at
 //! small `C`) and the *completion* round (leader declared — the quantity
 //! the theorem's mechanics bound).
 
-use contention::theory::lg;
+use contention::theory::{log_c_n, two_active_budget};
 use contention::TwoActive;
 use contention_analysis::fit_linear;
 use mac_sim::campaign::{Collect, SeedStream};
@@ -66,16 +66,6 @@ pub(crate) fn measure_completion(c: u32, n: u64, trials: usize, seed: u64) -> Ve
         .collect()
 }
 
-/// The concrete w.h.p. round budget implied by Theorem 1's mechanics:
-/// `2·log_C n` rename rounds (failure probability `n^{-2}`), the
-/// deterministic `⌈lg lg C⌉ + 1` search rounds, and the declaration round.
-#[must_use]
-pub fn whp_budget(n: u64, c: u32) -> f64 {
-    let c = f64::from(c.max(2));
-    let search = (c.log2().log2().ceil() + 1.0).max(1.0);
-    2.0 * lg(n as f64) / lg(c) + search + 1.0
-}
-
 /// Runs the experiment.
 #[must_use]
 pub fn run(ctx: &RunCtx) -> ExperimentReport {
@@ -105,7 +95,7 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
     for &c in &cs {
         for &ne in &n_exps {
             let n = 1u64 << ne;
-            let budget = whp_budget(n, c);
+            let budget = two_active_budget(n, c);
             let solve_base = seed_base("e1s", u64::from(c), n);
             let complete_base = seed_base("e1c", u64::from(c), n);
             sweep.row(
@@ -170,7 +160,7 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
             },
             move |acc| {
                 let q = acc.0[0];
-                let theory = 1000f64.log2() / f64::from(ce);
+                let theory = log_c_n(1000, c);
                 vec![c.to_string(), q.to_string(), format!("{theory:.1}")]
             },
         );
@@ -212,7 +202,7 @@ mod tests {
         for (c, ne) in [(4u32, 10u32), (64, 14), (1024, 18), (2, 8)] {
             let n = 1u64 << ne;
             let completed = measure_completion(c, n, 20, 7);
-            let budget = whp_budget(n, c);
+            let budget = two_active_budget(n, c);
             for r in &completed {
                 assert!(
                     (*r as f64) <= budget,

@@ -1,19 +1,21 @@
 //! **E2** — Theorem 1, the `C` axis. Two effects superpose:
 //!
-//! * the *w.h.p. budget* `2·log_C n + ⌈lg lg C⌉ + 2` falls as `1/lg C`
-//!   until the additive `lg lg` term takes over — the crossover the lower
-//!   bound of \[14\] says must exist;
+//! * the *w.h.p. budget* (`contention::theory::two_active_budget`) falls
+//!   as `1/lg C` until the additive `lg lg` term takes over — the
+//!   crossover the lower bound of \[14\] says must exist — and stops at
+//!   `C = n`, beyond which `TwoActive` uses only `n` channels;
 //! * the *typical* completion is `≈ C/(C−1) + ⌈lg lg C⌉ + 2` rounds: more
 //!   channels make the rename step certain in one round but grow the
 //!   deterministic search by `lg lg C`. Channels buy **confidence**, not
 //!   typical speed — which is exactly why the lower bound's `log n/log C`
 //!   term is a high-probability statement.
 
+use contention::theory::two_active_budget;
 use contention::TwoActive;
 use mac_sim::campaign::SeedStream;
 use mac_sim::{Engine, SimConfig, StopWhen};
 
-use super::e01_two_active_vs_n::{completion_rounds, solve_rounds, whp_budget};
+use super::e01_two_active_vs_n::{completion_rounds, solve_rounds};
 use super::{run_trial, seed_base};
 use crate::{ExperimentReport, RunCtx, Samples};
 
@@ -65,7 +67,7 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
     for &n in &ns {
         for &ce in &c_exps {
             let c = 1u32 << ce;
-            let budget = whp_budget(n, c);
+            let budget = two_active_budget(n, c);
             let solve_base = seed_base("e2s", u64::from(c), n);
             let complete_base = seed_base("e2c", u64::from(c), n);
             let search_base = seed_base("e2x", u64::from(c), n);
@@ -123,9 +125,9 @@ mod tests {
     #[test]
     fn budget_shape_falls_then_flattens() {
         let n = 1u64 << 20;
-        let b2 = whp_budget(n, 2);
-        let b256 = whp_budget(n, 256);
-        let b16k = whp_budget(n, 1 << 14);
+        let b2 = two_active_budget(n, 2);
+        let b256 = two_active_budget(n, 256);
+        let b16k = two_active_budget(n, 1 << 14);
         assert!(b256 < b2 / 2.0, "budget must fall steeply: {b2} -> {b256}");
         assert!(
             (b256 - b16k).abs() < 0.6 * b256,
@@ -140,7 +142,7 @@ mod tests {
         for ce in [1u32, 4, 8, 12] {
             let c = 1u32 << ce;
             let completed = measure_completion(c, n, 20, 11);
-            let budget = whp_budget(n, c);
+            let budget = two_active_budget(n, c);
             for r in &completed {
                 assert!((*r as f64) <= budget, "C={c}: {r} > {budget}");
             }

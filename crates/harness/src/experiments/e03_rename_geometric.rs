@@ -7,6 +7,7 @@
 //! direct Monte-Carlo of the channel-picking race (more trials, cleaner
 //! tails).
 
+use contention::theory::rename_tail;
 use contention::TwoActive;
 use contention_analysis::exceed_fraction;
 use contention_analysis::stats::ks_distance;
@@ -67,8 +68,7 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
                     acc.0.push(exceed_fraction(&samples, f64::from(t)));
                 },
                 move |acc| {
-                    #[allow(clippy::cast_possible_wrap)]
-                    let theory = f64::from(c).powi(-(t as i32));
+                    let theory = rename_tail(c, t);
                     vec![
                         c.to_string(),
                         t.to_string(),
@@ -101,9 +101,9 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
                         i
                     })
                     .collect();
-                let q = 1.0 / f64::from(c); // per-round collision probability
-                #[allow(clippy::cast_possible_truncation, clippy::cast_possible_wrap)]
-                acc.0.push(ks_distance(&ints, |k| 1.0 - q.powi(k as i32)));
+                #[allow(clippy::cast_possible_truncation)]
+                acc.0
+                    .push(ks_distance(&ints, |k| 1.0 - rename_tail(c, k as u32)));
             },
             move |acc| {
                 vec![
@@ -176,7 +176,7 @@ mod tests {
             .collect();
         for t in 1..=2u32 {
             let measured = exceed_fraction(&samples, f64::from(t));
-            let theory = f64::from(c).powi(-(t as i32));
+            let theory = rename_tail(c, t);
             assert!(
                 (measured - theory).abs() < 0.01,
                 "t={t}: {measured} vs {theory}"
@@ -205,8 +205,8 @@ mod tests {
         let samples: Vec<u64> = (0..30_000)
             .map(|_| u64::from(race_rounds(c, &mut rng)))
             .collect();
-        let q = 1.0 / f64::from(c);
-        let d = contention_analysis::stats::ks_distance(&samples, |k| 1.0 - q.powi(k as i32));
+        let d =
+            contention_analysis::stats::ks_distance(&samples, |k| 1.0 - rename_tail(c, k as u32));
         assert!(d < 0.01, "KS distance {d} too large for the predicted law");
     }
 }

@@ -6,6 +6,7 @@
 //! divergence level `L`; we enumerate it exhaustively for every `L` and
 //! cross-check against real protocol executions.
 
+use contention::theory::split_check_budget;
 use contention::tree::ChannelTree;
 use contention::TwoActive;
 use contention_analysis::Table;
@@ -56,9 +57,9 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
         "budget ⌈lg h⌉+1",
     ]);
     for &c in &cs {
-        let h = c.trailing_zeros();
+        let h = ChannelTree::new(c).height();
         let probes: Vec<u32> = (1..=h).map(|t| split_check_probes(h, t)).collect();
-        let budget = (f64::from(h)).log2().ceil() as u32 + 1;
+        let budget = split_check_budget(h);
         table.row_owned(vec![
             c.to_string(),
             h.to_string(),
@@ -116,7 +117,7 @@ mod tests {
     #[test]
     fn probe_count_is_within_lg_h_plus_one() {
         for h in 1..=20u32 {
-            let budget = (f64::from(h)).log2().ceil() as u32 + 1;
+            let budget = split_check_budget(h);
             for target in 1..=h {
                 let p = split_check_probes(h, target);
                 assert!(p <= budget, "h={h} target={target}: {p} > {budget}");

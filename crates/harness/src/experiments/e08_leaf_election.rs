@@ -2,7 +2,8 @@
 //! `O(log h · log log x)` rounds (`h = lg C`, `x` starting actives), and the
 //! per-phase `SplitSearch` cost shrinks like `(1/i)·log h` as cohorts grow.
 
-use contention::theory::lg;
+use contention::theory::{leaf_election_shape, split_search_budget};
+use contention::tree::ChannelTree;
 use contention::LeafElection;
 use contention_analysis::Table;
 use mac_sim::campaign::SeedStream;
@@ -33,7 +34,7 @@ pub(crate) fn measure_one(c: u32, x: u32, seed: u64, binary: bool, occupancy: Oc
         .seed(seed)
         .stop_when(StopWhen::AllTerminated)
         .max_rounds(1_000_000);
-    let leaves = u64::from(prev_pow2(c) / 2);
+    let leaves = u64::from(ChannelTree::for_election(c).leaves());
     let ids: Vec<u32> = match occupancy {
         Occupancy::Random => sample_distinct(leaves, x as usize, seed ^ 0xE8)
             .into_iter()
@@ -69,10 +70,6 @@ pub(crate) fn measure(
     })
 }
 
-fn prev_pow2(x: u32) -> u32 {
-    1 << (31 - x.leading_zeros())
-}
-
 /// Runs the experiment.
 #[must_use]
 pub fn run(ctx: &RunCtx) -> ExperimentReport {
@@ -98,9 +95,10 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
         ],
     );
     for &c in &cs {
-        let h = (prev_pow2(c) / 2).trailing_zeros();
+        let tree = ChannelTree::for_election(c);
+        let h = tree.height();
         for &x in &xs {
-            if x > prev_pow2(c) / 2 {
+            if x > tree.leaves() {
                 continue;
             }
             sweep.row(
@@ -112,8 +110,7 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
                 },
                 move |acc| {
                     let rounds = acc.0.finish();
-                    let theory =
-                        (lg(f64::from(h)).max(1.0)) * lg(lg(f64::from(x.max(2))).max(2.0)).max(1.0);
+                    let theory = leaf_election_shape(h, x);
                     vec![
                         c.to_string(),
                         h.to_string(),
@@ -151,7 +148,7 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
         "search rounds mean",
         "Lemma 16: 5·⌈log_(p+1) h⌉",
     ]);
-    let h = (prev_pow2(c) / 2).trailing_zeros();
+    let h = ChannelTree::for_election(c).height();
     for i in 0..max_phases {
         let vals: Vec<u64> = data.iter().filter_map(|d| d.1.get(i).copied()).collect();
         if vals.is_empty() {
@@ -159,8 +156,8 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
         }
         let mean = vals.iter().sum::<u64>() as f64 / vals.len() as f64;
         let p = 1u64 << i;
-        #[allow(clippy::cast_precision_loss)]
-        let lemma = 5.0 * (f64::from(h).ln() / ((p + 1) as f64).ln()).ceil().max(1.0);
+        #[allow(clippy::cast_possible_truncation)]
+        let lemma = split_search_budget(h, i as u32 + 1);
         phase_table.row_owned(vec![
             (i + 1).to_string(),
             p.to_string(),
@@ -196,13 +193,8 @@ mod tests {
     fn rounds_fit_theorem_17() {
         for (c, x) in [(64u32, 16u32), (1024, 64)] {
             let data = measure(c, x, 8, 3, false, Occupancy::Random);
-            let h = f64::from((prev_pow2(c) / 2).trailing_zeros());
-            // Concrete budget: per-phase 5*ceil(log_{p+1} h) + 2, summed.
-            let mut budget = 2.0;
-            for i in 0..=(f64::from(x).log2().ceil() as u32) {
-                let p = f64::from(1u32 << i);
-                budget += 5.0 * (h.ln() / (p + 1.0).ln()).ceil().max(1.0) + 2.0;
-            }
+            let h = ChannelTree::for_election(c).height();
+            let budget = contention::theory::leaf_election_budget(h, x);
             for (rounds, _) in &data {
                 assert!(
                     (*rounds as f64) <= budget,

@@ -4,10 +4,11 @@
 //! `measured / (lg n/lg C + lg lg n)` must stay bounded over the whole
 //! `(n, C)` grid — no drift as either parameter grows.
 
+use contention::theory::{lower_bound_curve, upper_bound_gap};
 use mac_sim::campaign::SeedStream;
 
 use super::e09_full_vs_baselines::full_one_with_spine;
-use super::{seed_base, theory_two_active};
+use super::seed_base;
 use crate::{cell_f64, ExperimentReport, RunCtx, Samples};
 
 /// Runs the experiment.
@@ -53,7 +54,7 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
                 },
                 move |(rounds, in_reduce)| {
                     let mean = rounds.0.finish().mean;
-                    let bound = theory_two_active(n, c);
+                    let bound = lower_bound_curve(n, c);
                     #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
                     let ne = (n as f64).log2() as u32;
                     #[allow(clippy::cast_precision_loss)]
@@ -91,7 +92,7 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
         "Ratios span [{min:.2}, {max:.2}] across the grid — a bounded constant band \
          (the paper's upper bound is a log log log n factor above the lower bound, \
          which at these n is ≤ {:.1} and absorbed into the band).",
-        (((1u64 << 18) as f64).log2().log2().log2()).max(1.0)
+        upper_bound_gap(1 << 18)
     ));
     report
 }
@@ -108,7 +109,7 @@ mod tests {
         for (n, c) in [(1u64 << 10, 32u32), (1 << 14, 32), (1 << 18, 512)] {
             let rounds = full_rounds(c, n, 128, 8, 4);
             let mean = rounds.iter().sum::<u64>() as f64 / rounds.len() as f64;
-            ratios.push(mean / theory_two_active(n, c));
+            ratios.push(mean / lower_bound_curve(n, c));
         }
         let max = ratios.iter().cloned().fold(f64::MIN, f64::max);
         assert!(max < 12.0, "ratio drifted: {ratios:?}");

@@ -15,6 +15,7 @@
 //! repeatable form of the claim, and the `active_set_equivalence` suite
 //! pins the active-set engine to the dense reference bit for bit.
 
+use contention::theory::log_c_n;
 use contention::{FullAlgorithm, Params};
 use mac_sim::campaign::{Aggregate, SeedStream};
 use mac_sim::{SimConfig, SparsePopulation};
@@ -52,11 +53,6 @@ impl Aggregate for ScaleAgg {
         self.rounds.merge(other.rounds);
         self.acts.merge(other.acts);
     }
-}
-
-/// The theory denominator `lg n / lg C` for the normalization column.
-fn lg_ratio(exp: u32) -> f64 {
-    f64::from(exp) / f64::from(C.ilog2())
 }
 
 /// Runs the experiment.
@@ -101,7 +97,7 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
                     format!("{:.1}", rounds.mean),
                     format!("{:.0}", rounds.p95),
                     format!("{:.0}", rounds.max),
-                    format!("{:.2}", rounds.mean / lg_ratio(exp)),
+                    format!("{:.2}", rounds.mean / log_c_n(n, C)),
                     format!("{:.1}", acts.mean / rounds.mean),
                 ]
             },

@@ -24,7 +24,6 @@ pub mod e20_sparse_scale;
 pub mod e21_traffic_load;
 
 use crate::{ExperimentReport, RunCtx};
-use contention::theory::lg;
 use contention::{FullAlgorithm, Params};
 use mac_sim::{Engine, EventSink, FeedbackModel, Protocol, RunReport, SimConfig};
 
@@ -65,20 +64,6 @@ pub(crate) fn paper_rounds(c: u32, n: u64, active: usize, seed: u64) -> u64 {
     let mut engine = Engine::new(SimConfig::new(c).seed(seed).max_rounds(10_000_000))
         .populated((0..active).map(|_| FullAlgorithm::new(Params::practical(), c, n)));
     run_trial(&mut engine).rounds_to_solve().expect("solved")
-}
-
-/// The tight two-node / lower-bound curve: `lg n / lg C + max(lg lg n, 1)`.
-#[must_use]
-pub fn theory_two_active(n: u64, c: u32) -> f64 {
-    lg(n as f64) / lg(f64::from(c.max(2))) + lg(lg(n as f64)).max(1.0)
-}
-
-/// The general-algorithm curve of Theorem 4:
-/// `lg n / lg C + lg lg n · max(lg lg lg n, 1)`.
-#[must_use]
-pub fn theory_general(n: u64, c: u32) -> f64 {
-    let lglg = lg(lg(n as f64)).max(1.0);
-    lg(n as f64) / lg(f64::from(c.max(2))) + lglg * lg(lglg).max(1.0)
 }
 
 /// A deterministic per-configuration seed base so that sweep points use
@@ -204,13 +189,6 @@ pub fn by_id(id: &str) -> Option<fn(&RunCtx) -> ExperimentReport> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn theory_curves_are_monotone_sensibly() {
-        assert!(theory_two_active(1 << 20, 4) > theory_two_active(1 << 10, 4));
-        assert!(theory_two_active(1 << 20, 1024) < theory_two_active(1 << 20, 4));
-        assert!(theory_general(1 << 20, 4) >= theory_two_active(1 << 20, 4));
-    }
 
     #[test]
     fn seed_bases_differ() {

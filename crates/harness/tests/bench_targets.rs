@@ -1,9 +1,11 @@
-//! Every example is one CI runs.
+//! CI runs exactly the examples there are.
 //!
 //! An example that no CI step runs still has to be migrated on every API
 //! change, yet nothing notices when it rots. So every `[[example]]` in
 //! `crates/bench/Cargo.toml` must be run by a CI
-//! `cargo run … --example <name>` line.
+//! `cargo run … --example <name>` line, and every such line must name an
+//! `[[example]]` (a line left behind by a deleted example fails only in
+//! CI otherwise).
 
 use std::path::{Path, PathBuf};
 
@@ -31,16 +33,16 @@ fn examples(manifest: &str) -> Vec<String> {
     names
 }
 
-/// Whether some line of `ci` is a `cargo run` with `--example <name>`.
-fn ci_runs_example(ci: &str, name: &str) -> bool {
-    ci.lines().any(|line| {
-        line.contains("cargo run")
-            && line
-                .split_whitespace()
+/// The example named by every `cargo run … --example <name>` line of `ci`.
+fn ci_examples(ci: &str) -> Vec<&str> {
+    ci.lines()
+        .filter(|line| line.contains("cargo run"))
+        .filter_map(|line| {
+            line.split_whitespace()
                 .skip_while(|word| *word != "--example")
                 .nth(1)
-                == Some(name)
-    })
+        })
+        .collect()
 }
 
 #[test]
@@ -49,12 +51,30 @@ fn every_example_is_run_by_ci() {
     let examples = examples(&read(&root, "crates/bench/Cargo.toml"));
     assert!(!examples.is_empty(), "no [[example]] targets found");
     let ci = read(&root, ".github/workflows/ci.yml");
+    let run = ci_examples(&ci);
     let unrun: Vec<&String> = examples
         .iter()
-        .filter(|name| !ci_runs_example(&ci, name))
+        .filter(|name| !run.contains(&name.as_str()))
         .collect();
     assert!(
         unrun.is_empty(),
         "examples that no CI `cargo run … --example` line runs: {unrun:?}"
+    );
+}
+
+#[test]
+fn every_ci_example_exists() {
+    let root = workspace_root();
+    let examples = examples(&read(&root, "crates/bench/Cargo.toml"));
+    let ci = read(&root, ".github/workflows/ci.yml");
+    let run = ci_examples(&ci);
+    assert!(!run.is_empty(), "no CI `cargo run … --example` lines found");
+    let missing: Vec<&str> = run
+        .into_iter()
+        .filter(|name| !examples.iter().any(|e| e == name))
+        .collect();
+    assert!(
+        missing.is_empty(),
+        "CI runs examples with no [[example]] in crates/bench/Cargo.toml: {missing:?}"
     );
 }

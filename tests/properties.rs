@@ -199,30 +199,6 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Cohort aggregation agrees with plain folds for every operator,
-    /// cohort size, and value set.
-    #[test]
-    fn cohort_aggregate_matches_fold(values in vec(-1_000i64..1_000, 1..40)) {
-        use contention::cohort_compute::{AggregateOp, CohortAggregate};
-        use mac_sim::ChannelId;
-        for (op, want) in [
-            (AggregateOp::Max, *values.iter().max().expect("nonempty")),
-            (AggregateOp::Min, *values.iter().min().expect("nonempty")),
-            (AggregateOp::Sum, values.iter().sum::<i64>()),
-            (AggregateOp::Count, values.len() as i64),
-        ] {
-            let cfg = SimConfig::new(64).stop_when(StopWhen::AllTerminated).max_rounds(1000);
-            let p = values.len() as u32;
-            let mut exec = Engine::new(cfg).populated(values.iter().enumerate().map(|(i, &v)| {
-                CohortAggregate::new(ChannelId::new(2), p, i as u32 + 1, v, op)
-            }));
-            exec.run().expect("aggregates");
-            for node in exec.iter_nodes() {
-                prop_assert_eq!(node.result(), Some(want));
-            }
-        }
-    }
-
     /// The serializer serves every contender exactly once, under any
     /// contender count and seed.
     #[test]
