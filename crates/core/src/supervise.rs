@@ -67,13 +67,12 @@ pub const RESTART_MARKER: &str = "restart";
 /// When and how often a [`Supervised`] stack restarts.
 ///
 /// Attempt `k` (zero-based) gets a round-budget *slice* of
-/// `slice · backoff^k` acted rounds (saturating, optionally capped by
-/// [`RestartPolicy::slice_cap`]); exhausting the slice without an outcome
-/// counts as a wedge and triggers a restart, up to `max_attempts` attempts
-/// in total. The exponential backoff mirrors classic supervisor trees:
-/// later attempts get more room, so a protocol that is merely slow under
-/// heavy noise still finishes, while a hard wedge is abandoned quickly at
-/// first.
+/// `slice · backoff^k` acted rounds (saturating); exhausting the slice
+/// without an outcome counts as a wedge and triggers a restart, up to
+/// `max_attempts` attempts in total. The exponential backoff mirrors
+/// classic supervisor trees: later attempts get more room, so a protocol
+/// that is merely slow under heavy noise still finishes, while a hard
+/// wedge is abandoned quickly at first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RestartPolicy {
     /// Round-budget slice of the first attempt.
@@ -84,13 +83,11 @@ pub struct RestartPolicy {
     /// attempt wedges, the supervised stack gives up and terminates
     /// [`Status::Inactive`].
     pub max_attempts: u32,
-    /// Optional ceiling on any single attempt's slice.
-    pub slice_cap: Option<u64>,
 }
 
 impl RestartPolicy {
     /// A policy with the given first-attempt slice and attempt count,
-    /// doubling the slice after each restart (backoff 2, no cap).
+    /// doubling the slice after each restart (backoff 2).
     ///
     /// # Panics
     ///
@@ -106,7 +103,6 @@ impl RestartPolicy {
             slice,
             backoff: 2,
             max_attempts,
-            slice_cap: None,
         }
     }
 
@@ -122,31 +118,15 @@ impl RestartPolicy {
         self
     }
 
-    /// Caps every attempt's slice at `cap` rounds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cap == 0`.
-    #[must_use]
-    pub fn slice_cap(mut self, cap: u64) -> Self {
-        assert!(cap >= 1, "slice cap must be positive");
-        self.slice_cap = Some(cap);
-        self
-    }
-
     /// The round slice of attempt `attempt` (zero-based):
-    /// `slice · backoff^attempt`, saturating, capped by
-    /// [`RestartPolicy::slice_cap`].
+    /// `slice · backoff^attempt`, saturating.
     #[must_use]
     pub fn slice_for(&self, attempt: u32) -> u64 {
         let mut slice = self.slice;
         for _ in 0..attempt {
             slice = slice.saturating_mul(self.backoff);
         }
-        match self.slice_cap {
-            Some(cap) => slice.min(cap),
-            None => slice,
-        }
+        slice
     }
 
     /// Total acted rounds the policy can consume across all attempts —
@@ -527,9 +507,6 @@ mod tests {
         assert_eq!(p.slice_for(2), 40);
         assert_eq!(p.slice_for(3), 80);
         assert_eq!(p.total_rounds(), 150);
-        let capped = RestartPolicy::new(10, 4).slice_cap(25);
-        assert_eq!(capped.slice_for(2), 25);
-        assert_eq!(capped.total_rounds(), 10 + 20 + 25 + 25);
         let flat = RestartPolicy::new(10, 3).backoff(1);
         assert_eq!(flat.slice_for(2), 10);
         assert_eq!(flat.total_rounds(), 30);

@@ -16,7 +16,9 @@
 //!   [`leaf_election_budget`]; E10 divides by [`lower_bound_curve`] and
 //!   quotes [`upper_bound_gap`]; E20 normalizes by [`log_c_n`];
 //! * the `paper_fidelity` tests, which hold live executions to
-//!   [`two_active_budget`] and [`leaf_election_budget`].
+//!   [`two_active_budget`] and [`leaf_election_budget`];
+//! * the `quickstart` example, which prints [`upper_bound_curve`] beside
+//!   its measured rounds.
 //!
 //! [`full_budget`] and [`reduce_rounds`] are checked by this module's own
 //! tests only.
@@ -49,6 +51,14 @@ pub fn lower_bound_curve(n: u64, c: u32) -> f64 {
 #[must_use]
 pub fn upper_bound_gap(n: u64) -> f64 {
     lg(lg(lg(n as f64))).max(1.0)
+}
+
+/// Theorem 4's upper-bound curve `lg n / lg C + lg lg n · max(lg lg lg n, 1)`:
+/// the lower bound's terms with its `lg lg n` widened by
+/// [`upper_bound_gap`].
+#[must_use]
+pub fn upper_bound_curve(n: u64, c: u32) -> f64 {
+    log_c_n(n, c) + lg(lg(n as f64)) * upper_bound_gap(n)
 }
 
 /// Lemma 2's tail: the probability that both nodes of `TwoActive`'s
@@ -233,6 +243,18 @@ mod tests {
     fn theory_curves_are_monotone_sensibly() {
         assert!(lower_bound_curve(1 << 20, 4) > lower_bound_curve(1 << 10, 4));
         assert!(lower_bound_curve(1 << 20, 1024) < lower_bound_curve(1 << 20, 4));
+    }
+
+    #[test]
+    fn upper_bound_curve_widens_the_lower_bound() {
+        for (n, c) in [(1u64 << 10, 4u32), (1 << 14, 128), (1 << 20, 1024)] {
+            let gap = upper_bound_curve(n, c) - lower_bound_curve(n, c);
+            let lglg = lg(lg(n as f64));
+            assert!(
+                (gap - lglg * (upper_bound_gap(n) - 1.0)).abs() < 1e-9,
+                "n={n} C={c}"
+            );
+        }
     }
 
     #[test]

@@ -15,138 +15,185 @@
 //! fault-wedged protocol terminates with a structured
 //! [`mac_sim::SimError::BudgetExhausted`] that is counted as "unsolved"
 //! rather than hanging the sweep.
+//!
+//! E19 builds its tables from this module's parts: the fault engine, the
+//! pipeline trial, the per-level aggregate and the one row and cell
+//! renderer, so both experiments print the same unit in the same form.
 
 use contention::baselines::{CdTournament, Decay};
 use contention::phase::{PhaseStats, PhaseTelemetry};
 use contention::{FullAlgorithm, Params, TwoActive};
 use contention_analysis::threshold_crossing;
-use mac_sim::campaign::{Aggregate, SeedStream};
+use mac_sim::campaign::{Aggregate, Collect, SeedStream};
 use mac_sim::fault::{CrashStop, JamBudget, Layered, LossyChannel, NoisyCd};
-use mac_sim::{guarded_verdict, CdMode, Engine, FeedbackModel, Protocol, SimConfig, TrialVerdict};
+use mac_sim::{CdMode, Engine, FeedbackModel, Protocol, SimConfig};
 
 use super::e09_full_vs_baselines::mean_phase_rounds;
-use super::seed_base;
-use crate::{ExperimentReport, RunCtx};
+use super::{run_faulted_trial, seed_base};
+use crate::{ExperimentReport, RunCtx, Scale, Sweep};
 
 /// Channels, contender universe, and active-set size for every sweep.
-const C: u32 = 64;
-const N: u64 = 1 << 12;
-const ACTIVE: usize = 96;
+pub(crate) const C: u32 = 64;
+pub(crate) const N: u64 = 1 << 12;
+pub(crate) const ACTIVE: usize = 96;
 /// Watchdog: a run that executes this many rounds is counted as unsolved.
-const BUDGET: u64 = 1_000;
+pub(crate) const BUDGET: u64 = 1_000;
 /// Crashes land uniformly in the first `CRASH_WINDOW` rounds.
 const CRASH_WINDOW: u64 = 50;
 
-/// Outcomes of one (algorithm, fault level) cell across trials.
-struct Cell {
-    trials: usize,
-    /// Rounds-to-solve of the trials that solved.
-    rounds: Vec<u64>,
-}
-
-impl Cell {
-    fn success(&self) -> f64 {
-        self.rounds.len() as f64 / self.trials as f64
-    }
-
-    fn median(&self) -> Option<u64> {
-        if self.rounds.is_empty() {
-            return None;
-        }
-        let mut sorted = self.rounds.clone();
-        sorted.sort_unstable();
-        Some(sorted[sorted.len() / 2])
-    }
-
-    fn render(&self) -> String {
-        match self.median() {
-            Some(med) => format!("{:.0}% ({med}r)", 100.0 * self.success()),
-            None => "dead".to_string(),
-        }
+/// Trials per fault level (E19 runs the same count).
+#[must_use]
+pub fn trials(scale: Scale) -> usize {
+    match scale {
+        Scale::Quick => 8,
+        Scale::Full => 40,
     }
 }
 
-/// One streamed table row: the solved-trial rounds of every fault level of
-/// one algorithm. Shards merge by element-wise concatenation in seed order,
-/// so the per-level vectors are identical whatever the worker count.
-struct FaultCells {
-    rounds: Vec<Vec<u64>>,
+/// The engine of every fault trial: `nodes` on `C` channels under
+/// `feedback`, seeded at `seed` and watched by the `BUDGET`-round
+/// watchdog.
+pub(crate) fn fault_engine<P: Protocol, FM: FeedbackModel>(
+    seed: u64,
+    feedback: FM,
+    nodes: Vec<P>,
+) -> Engine<P, FM> {
+    Engine::with_feedback(SimConfig::new(C).seed(seed).round_budget(BUDGET), feedback)
+        .populated(nodes)
 }
 
-impl Aggregate for FaultCells {
+/// Rounds to solve of one seeded fault trial, or `None` if the faults
+/// wedged it (see [`run_faulted_trial`]).
+pub(crate) fn run_one<P, FM>(seed: u64, feedback: FM, nodes: Vec<P>) -> Option<u64>
+where
+    P: Protocol,
+    FM: FeedbackModel,
+{
+    run_faulted_trial(|| fault_engine(seed, feedback, nodes), |rounds, _| rounds)
+}
+
+/// The solved-trial rounds of every fault level of one table row. Shards
+/// merge by element-wise concatenation in seed order, so the per-level
+/// vectors are identical whatever the worker count.
+pub(crate) struct LevelRounds(Vec<Vec<u64>>);
+
+impl Aggregate for LevelRounds {
     fn merge(&mut self, other: Self) {
-        for (mine, theirs) in self.rounds.iter_mut().zip(other.rounds) {
+        for (mine, theirs) in self.0.iter_mut().zip(other.0) {
             mine.extend(theirs);
         }
     }
 }
 
-/// One seeded engine under one fault model, with budget exhaustion and
-/// timeouts counted as unsolved.
-///
-/// The paper's protocols carry `debug_assert!`s encoding clean-channel
-/// invariants ("colliding cohorts cannot sit at the root", …); injected
-/// faults legitimately violate those, so in debug builds a tripped
-/// assertion is caught and counted as a wedged (unsolved) trial — the same
-/// verdict the round budget delivers in release builds. All of that
-/// classification lives in [`mac_sim::guarded_verdict`], the one accounting
-/// path shared with the campaign layer's quarantine reports and E19.
-fn run_one<P, FM>(seed: u64, feedback: FM, nodes: Vec<P>) -> Option<u64>
-where
-    P: Protocol,
-    FM: FeedbackModel,
-{
-    let cfg = SimConfig::new(C).seed(seed).round_budget(BUDGET);
-    let verdict = guarded_verdict(|| {
-        Engine::with_feedback(cfg, feedback)
-            .populated(nodes)
-            .run_summary()
-            .map(|s| s.rounds_to_solve())
-    });
-    match verdict {
-        TrialVerdict::Solved(rounds) => Some(rounds),
-        TrialVerdict::Wedged(_) => None,
-        TrialVerdict::Failed(e) => panic!("unexpected simulation error: {e}"),
+/// The fraction of `trials` that solved.
+#[allow(clippy::cast_precision_loss)]
+pub(crate) fn success(trials: usize, solved: usize) -> f64 {
+    solved as f64 / trials.max(1) as f64
+}
+
+/// The median of the solved trials' rounds (the upper one of an even
+/// count), `None` if none solved.
+pub(crate) fn median(rounds: &[u64]) -> Option<u64> {
+    let mut sorted = rounds.to_vec();
+    sorted.sort_unstable();
+    sorted.get(sorted.len() / 2).copied()
+}
+
+/// One fault level's cell: `"NN% (Mr)"`, success and median rounds to
+/// solve, or `"dead"` when no trial solved.
+fn level_cell(trials: usize, rounds: &[u64]) -> String {
+    match median(rounds) {
+        Some(med) => format!("{:.0}% ({med}r)", 100.0 * success(trials, rounds.len())),
+        None => "dead".to_string(),
     }
 }
 
-/// Sequential cell used by the unit tests: `trials` seeded engines with a
-/// fresh fault model and population each.
+/// The row's last cell: the interpolated fault level at which success
+/// crosses 50%.
+fn threshold_cell(levels: &[f64], success: &[f64]) -> String {
+    match threshold_crossing(levels, success, 0.5) {
+        Some(x) => format!("~{x:.3}"),
+        None if success.first().copied().unwrap_or(0.0) < 0.5 => "below at 0".to_string(),
+        None => "none in range".to_string(),
+    }
+}
+
+/// Starts a fault-level table: an algorithm column, one column per level
+/// label, and the interpolated 50%-success breakdown threshold.
+pub(crate) fn level_sweep<'c>(
+    ctx: &'c RunCtx,
+    caption: &str,
+    labels: impl IntoIterator<Item = String>,
+) -> Sweep<'c, 'static, LevelRounds> {
+    let mut headers = vec!["algorithm".to_string()];
+    headers.extend(labels);
+    headers.push("50% breakdown".to_string());
+    let header_refs: Vec<&str> = headers.iter().map(String::as_str).collect();
+    ctx.sweep(caption, &header_refs)
+}
+
+/// Streams one row of a fault-level table: `trial(seed, j)` runs trial `i`
+/// of level `j` at `seed = seed_base(tag, kind, j) + i` and returns its
+/// rounds to solve, `None` for a wedge. Rows sharing a `tag` and `kind`
+/// face the same seeded fault pattern at each `(level, trial)`.
+pub(crate) fn level_row(
+    sweep: &mut Sweep<LevelRounds>,
+    name: &'static str,
+    tag: &'static str,
+    kind: u64,
+    trials: usize,
+    levels: &[f64],
+    trial: impl Fn(u64, usize) -> Option<u64> + Send + Sync + 'static,
+) {
+    let levels = levels.to_vec();
+    let n_levels = levels.len();
+    sweep.row(
+        trials,
+        SeedStream::Offset(0),
+        move || LevelRounds(vec![Vec::new(); n_levels]),
+        move |i, acc| {
+            for (j, cell) in acc.0.iter_mut().enumerate() {
+                let seed = seed_base(tag, kind, j as u64).wrapping_add(i);
+                cell.extend(trial(seed, j));
+            }
+        },
+        move |acc| {
+            let mut row = vec![name.to_string()];
+            row.extend(acc.0.iter().map(|rounds| level_cell(trials, rounds)));
+            let success: Vec<f64> = acc.0.iter().map(|r| success(trials, r.len())).collect();
+            row.push(threshold_cell(&levels, &success));
+            row
+        },
+    );
+}
+
+/// Solved-trial rounds of `trials` seeded engines with a fresh fault model
+/// and population each (sequential form, used by the tests).
 #[cfg(test)]
 fn run_cell<P, FM>(
     trials: usize,
     base_seed: u64,
     make_feedback: impl Fn() -> FM,
     make_nodes: &impl Fn() -> Vec<P>,
-) -> Cell
+) -> Vec<u64>
 where
     P: Protocol,
     FM: FeedbackModel,
 {
-    let rounds = (0..trials as u64)
+    (0..trials as u64)
         .filter_map(|t| run_one(base_seed.wrapping_add(t), make_feedback(), make_nodes()))
-        .collect();
-    Cell { trials, rounds }
+        .collect()
 }
 
 /// One pipeline run under symmetric CD-noise `p`: `Some(spine)` when it
-/// solved with an elected solver, read through the same
+/// solved, the solver's spine read through the same
 /// [`contention::phase::PhaseTelemetry`] API the sessions and E9–E11 use.
 fn pipeline_profile_one(p: f64, seed: u64) -> Option<Vec<PhaseStats>> {
-    let cfg = SimConfig::new(C).seed(seed).round_budget(BUDGET);
-    let verdict = guarded_verdict(|| {
-        let mut engine =
-            Engine::with_feedback(cfg, Layered::new(NoisyCd::symmetric(p), CdMode::Strong))
-                .populated((0..ACTIVE).map(|_| FullAlgorithm::new(Params::practical(), C, N)));
-        engine
-            .run()
-            .map(|report| report.solver.map(|id| engine.node(id).phase_stats()))
-    });
-    match verdict {
-        TrialVerdict::Solved(spine) => Some(spine),
-        TrialVerdict::Wedged(_) => None,
-        TrialVerdict::Failed(e) => panic!("unexpected simulation error: {e}"),
-    }
+    let noise = Layered::new(NoisyCd::symmetric(p), CdMode::Strong);
+    run_faulted_trial(
+        || fault_engine(seed, noise, pipeline_nodes()),
+        |_, solver| solver.phase_stats(),
+    )
 }
 
 /// Success rate and solver spines under CD-noise `p` (sequential form,
@@ -156,9 +203,7 @@ fn pipeline_phase_profile(p: f64, trials: usize, base_seed: u64) -> (f64, Vec<Ve
     let spines: Vec<Vec<PhaseStats>> = (0..trials as u64)
         .filter_map(|t| pipeline_profile_one(p, base_seed.wrapping_add(t)))
         .collect();
-    #[allow(clippy::cast_precision_loss)]
-    let success = spines.len() as f64 / trials.max(1) as f64;
-    (success, spines)
+    (success(trials, spines.len()), spines)
 }
 
 /// Fault levels shared by every algorithm in one run of the experiment.
@@ -167,27 +212,22 @@ struct Grids {
     loss_ps: Vec<f64>,
     crash_fracs: Vec<f64>,
     jam_budgets: Vec<u64>,
-    trials: usize,
 }
 
 impl Grids {
-    fn for_scale(scale: crate::Scale) -> Self {
+    fn for_scale(scale: Scale) -> Self {
         Grids {
             noise_ps: scale.thin(&[0.0, 0.1, 0.25, 0.5, 0.75, 1.0]),
             loss_ps: scale.thin(&[0.0, 0.1, 0.25, 0.5, 0.75, 0.95]),
             crash_fracs: scale.thin(&[0.0, 0.25, 0.5, 0.9]),
             jam_budgets: scale.thin(&[0, 4, 16, 64]),
-            trials: match scale {
-                crate::Scale::Quick => 8,
-                crate::Scale::Full => 40,
-            },
         }
     }
 }
 
 /// Node factories, one per algorithm row — plain `fn`s so the same factory
 /// can be reused across all four fault sweeps.
-fn pipeline_nodes() -> Vec<FullAlgorithm> {
+pub(crate) fn pipeline_nodes() -> Vec<FullAlgorithm> {
     (0..ACTIVE)
         .map(|_| FullAlgorithm::new(Params::practical(), C, N))
         .collect()
@@ -205,73 +245,25 @@ fn decay_nodes() -> Vec<Decay> {
     (0..ACTIVE).map(|_| Decay::new(N)).collect()
 }
 
-/// Headers for one fault-kind table: algorithm, a column per fault level,
-/// plus the interpolated 50%-success breakdown threshold.
-fn fault_headers(levels: &[f64], level_label: impl Fn(f64) -> String) -> Vec<String> {
-    let mut headers: Vec<String> = vec!["algorithm".to_string()];
-    headers.extend(levels.iter().map(|&l| level_label(l)));
-    headers.push("50% breakdown".to_string());
-    headers
-}
-
-/// Streams one algorithm's row of a fault-kind sweep: trial `i` of level
-/// `j` runs at `seed_base(tag, kind, j) + i` — the historical seeding,
-/// expressed through the campaign's index stream.
-#[allow(clippy::too_many_arguments)]
-fn fault_row<P, FM>(
-    sweep: &mut crate::Sweep<FaultCells>,
-    name: &'static str,
-    tag: &'static str,
-    kind: u64,
-    trials: usize,
-    levels: &[f64],
+/// One algorithm's per-(seed, level) trial: a fresh population from
+/// `make_nodes` under `feedback(level, population size)`.
+fn algorithm_trial<P, FM>(
     feedback: impl Fn(usize, usize) -> FM + Send + Sync + 'static,
     make_nodes: fn() -> Vec<P>,
-) where
+) -> impl Fn(u64, usize) -> Option<u64> + Send + Sync + 'static
+where
     P: Protocol + 'static,
     FM: FeedbackModel + 'static,
 {
-    let n_levels = levels.len();
-    let levels = levels.to_vec();
-    let node_count = make_nodes().len();
-    sweep.row(
-        trials,
-        SeedStream::Offset(0),
-        move || FaultCells {
-            rounds: vec![Vec::new(); n_levels],
-        },
-        move |i, acc| {
-            for (j, cell) in acc.rounds.iter_mut().enumerate() {
-                let seed = seed_base(tag, kind, j as u64).wrapping_add(i);
-                if let Some(r) = run_one(seed, feedback(j, node_count), make_nodes()) {
-                    cell.push(r);
-                }
-            }
-        },
-        move |acc| {
-            let mut row = vec![name.to_string()];
-            let mut success = Vec::with_capacity(acc.rounds.len());
-            for rounds in &acc.rounds {
-                let cell = Cell {
-                    trials,
-                    rounds: rounds.clone(),
-                };
-                success.push(cell.success());
-                row.push(cell.render());
-            }
-            row.push(match threshold_crossing(&levels, &success, 0.5) {
-                Some(x) => format!("~{x:.3}"),
-                None if success.first().copied().unwrap_or(0.0) < 0.5 => "below at 0".to_string(),
-                None => "none in range".to_string(),
-            });
-            row
-        },
-    );
+    move |seed, j| {
+        let nodes = make_nodes();
+        run_one(seed, feedback(j, nodes.len()), nodes)
+    }
 }
 
 /// Adds all four algorithm rows of one fault-kind sweep.
 fn fault_section<FM>(
-    sweep: &mut crate::Sweep<FaultCells>,
+    sweep: &mut Sweep<LevelRounds>,
     kind: u64,
     trials: usize,
     levels: &[f64],
@@ -279,60 +271,31 @@ fn fault_section<FM>(
 ) where
     FM: FeedbackModel + 'static,
 {
-    fault_row(
-        sweep,
-        "this paper (pipeline)",
-        "e18full",
-        kind,
-        trials,
-        levels,
-        feedback.clone(),
-        pipeline_nodes,
-    );
-    fault_row(
-        sweep,
-        "TwoActive (|A| = 2)",
-        "e18two",
-        kind,
-        trials,
-        levels,
-        feedback.clone(),
-        two_active_nodes,
-    );
-    fault_row(
-        sweep,
-        "CD tournament",
-        "e18cdt",
-        kind,
-        trials,
-        levels,
-        feedback.clone(),
-        tournament_nodes,
-    );
-    fault_row(
-        sweep,
-        "decay (no-CD baseline)",
-        "e18dec",
-        kind,
-        trials,
-        levels,
-        feedback,
-        decay_nodes,
-    );
-}
-
-/// Per-row streamed aggregate for the phase-profile table: solved count
-/// plus the solver spines of the solved trials.
-#[derive(Default)]
-struct PhaseProf {
-    solved: u64,
-    spines: Vec<Vec<PhaseStats>>,
-}
-
-impl Aggregate for PhaseProf {
-    fn merge(&mut self, other: Self) {
-        self.solved += other.solved;
-        self.spines.extend(other.spines);
+    type Trial = Box<dyn Fn(u64, usize) -> Option<u64> + Send + Sync>;
+    let rows: [(&str, &str, Trial); 4] = [
+        (
+            "this paper (pipeline)",
+            "e18full",
+            Box::new(algorithm_trial(feedback.clone(), pipeline_nodes)),
+        ),
+        (
+            "TwoActive (|A| = 2)",
+            "e18two",
+            Box::new(algorithm_trial(feedback.clone(), two_active_nodes)),
+        ),
+        (
+            "CD tournament",
+            "e18cdt",
+            Box::new(algorithm_trial(feedback.clone(), tournament_nodes)),
+        ),
+        (
+            "decay (no-CD baseline)",
+            "e18dec",
+            Box::new(algorithm_trial(feedback, decay_nodes)),
+        ),
+    ];
+    for (name, tag, trial) in rows {
+        level_row(sweep, name, tag, kind, trials, levels, trial);
     }
 }
 
@@ -344,15 +307,14 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
         "Fault-injection breakdown thresholds: how much channel abuse each algorithm survives",
     );
     let grids = Grids::for_scale(ctx.scale);
-    let trials = grids.trials;
+    let trials = trials(ctx.scale);
 
     let caption_noise = format!(
         "Noisy collision detection: success (median rounds) by symmetric flip probability \
          (C = {C}, |A| = {ACTIVE}, budget {BUDGET} rounds, {trials} trials)"
     );
-    let headers = fault_headers(&grids.noise_ps, |p| format!("p = {p}"));
-    let header_refs: Vec<&str> = headers.iter().map(String::as_str).collect();
-    let mut sweep = ctx.sweep::<FaultCells>(&caption_noise, &header_refs);
+    let labels = grids.noise_ps.iter().map(|p| format!("p = {p}"));
+    let mut sweep = level_sweep(ctx, &caption_noise, labels);
     let ps = grids.noise_ps.clone();
     fault_section(&mut sweep, 1, trials, &grids.noise_ps, move |j, _| {
         Layered::new(NoisyCd::symmetric(ps[j]), CdMode::Strong)
@@ -361,9 +323,8 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
 
     let caption_loss =
         "Lossy channel: success (median rounds) by per-channel erasure probability".to_string();
-    let headers = fault_headers(&grids.loss_ps, |p| format!("p = {p}"));
-    let header_refs: Vec<&str> = headers.iter().map(String::as_str).collect();
-    let mut sweep = ctx.sweep::<FaultCells>(&caption_loss, &header_refs);
+    let labels = grids.loss_ps.iter().map(|p| format!("p = {p}"));
+    let mut sweep = level_sweep(ctx, &caption_loss, labels);
     let ps = grids.loss_ps.clone();
     fault_section(&mut sweep, 2, trials, &grids.loss_ps, move |j, _| {
         Layered::new(LossyChannel::new(ps[j]), CdMode::Strong)
@@ -374,9 +335,11 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
         "Crash-stop: success (median rounds) by fraction of nodes crashed in the first \
          {CRASH_WINDOW} rounds"
     );
-    let headers = fault_headers(&grids.crash_fracs, |f| format!("{:.0}% crash", 100.0 * f));
-    let header_refs: Vec<&str> = headers.iter().map(String::as_str).collect();
-    let mut sweep = ctx.sweep::<FaultCells>(&caption_crash, &header_refs);
+    let labels = grids
+        .crash_fracs
+        .iter()
+        .map(|f| format!("{:.0}% crash", 100.0 * f));
+    let mut sweep = level_sweep(ctx, &caption_crash, labels);
     let fracs = grids.crash_fracs.clone();
     fault_section(
         &mut sweep,
@@ -397,9 +360,8 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
         .to_string();
     #[allow(clippy::cast_precision_loss)]
     let jam_levels: Vec<f64> = grids.jam_budgets.iter().map(|&b| b as f64).collect();
-    let headers = fault_headers(&jam_levels, |b| format!("B = {b:.0}"));
-    let header_refs: Vec<&str> = headers.iter().map(String::as_str).collect();
-    let mut sweep = ctx.sweep::<FaultCells>(&caption_jam, &header_refs);
+    let labels = grids.jam_budgets.iter().map(|b| format!("B = {b}"));
+    let mut sweep = level_sweep(ctx, &caption_jam, labels);
     let budgets = grids.jam_budgets.clone();
     fault_section(&mut sweep, 4, trials, &jam_levels, move |j, _| {
         JamBudget::new(CdMode::Strong, budgets[j])
@@ -412,7 +374,7 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
     let caption_prof = "Pipeline phase profile under CD noise: mean solver rounds per phase \
                         (solved trials only)"
         .to_string();
-    let mut profile = ctx.sweep::<PhaseProf>(
+    let mut profile = ctx.sweep::<Collect<Vec<PhaseStats>>>(
         &caption_prof,
         &[
             "noise p",
@@ -427,25 +389,18 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
         profile.row(
             trials,
             SeedStream::Offset(seed_base("e18prof", 5, i as u64)),
-            PhaseProf::default,
-            move |seed, acc| {
-                if let Some(spine) = pipeline_profile_one(p, seed) {
-                    acc.solved += 1;
-                    acc.spines.push(spine);
-                }
-            },
-            move |acc| {
-                let total: u64 = acc.spines.iter().flatten().map(|r| r.rounds).sum();
+            Collect::default,
+            move |seed, acc| acc.0.extend(pipeline_profile_one(p, seed)),
+            move |Collect(spines)| {
+                let total: u64 = spines.iter().flatten().map(|r| r.rounds).sum();
                 #[allow(clippy::cast_precision_loss)]
-                let success = acc.solved as f64 / trials.max(1) as f64;
-                #[allow(clippy::cast_precision_loss)]
-                let mean_total = total as f64 / acc.spines.len().max(1) as f64;
+                let mean_total = total as f64 / spines.len().max(1) as f64;
                 vec![
                     format!("{p}"),
-                    format!("{:.0}%", 100.0 * success),
-                    format!("{:.1}", mean_phase_rounds(&acc.spines, "reduce")),
-                    format!("{:.1}", mean_phase_rounds(&acc.spines, "id-reduction")),
-                    format!("{:.1}", mean_phase_rounds(&acc.spines, "leaf-election")),
+                    format!("{:.0}%", 100.0 * success(trials, spines.len())),
+                    format!("{:.1}", mean_phase_rounds(&spines, "reduce")),
+                    format!("{:.1}", mean_phase_rounds(&spines, "id-reduction")),
+                    format!("{:.1}", mean_phase_rounds(&spines, "leaf-election")),
                     format!("{mean_total:.1}"),
                 ]
             },
@@ -484,8 +439,8 @@ mod tests {
     use mac_sim::SimError;
 
     /// The ad-hoc `catch_unwind` + error match this experiment carried
-    /// before `mac_sim::guarded_verdict` existed — kept verbatim here so
-    /// the parity test below can assert the shared helper counts wedged
+    /// before the shared wedge verdict existed — kept verbatim here so the
+    /// parity test below can assert `run_faulted_trial` counts wedged
     /// trials exactly the way the legacy inline accounting did.
     fn legacy_run_one<P, FM>(seed: u64, feedback: FM, nodes: Vec<P>) -> Option<u64>
     where
@@ -549,25 +504,25 @@ mod tests {
     fn fault_free_column_solves() {
         // p = 0 noise over strong CD must behave exactly like the clean
         // engine: the paper's pipeline solves every trial.
-        let cell = run_cell(
+        let rounds = run_cell(
             6,
             seed_base("e18t", 0, 0),
             || Layered::new(NoisyCd::symmetric(0.0), CdMode::Strong),
             &pipeline_nodes,
         );
-        assert_eq!(cell.rounds.len(), cell.trials);
+        assert_eq!(rounds.len(), 6);
     }
 
     #[test]
     fn total_loss_kills_everything() {
-        let cell = run_cell(
+        let rounds = run_cell(
             4,
             seed_base("e18t", 1, 0),
             || Layered::new(LossyChannel::new(1.0), CdMode::Strong),
             &two_active_nodes,
         );
-        assert_eq!(cell.rounds.len(), 0);
-        assert_eq!(cell.render(), "dead");
+        assert_eq!(rounds.len(), 0);
+        assert_eq!(level_cell(4, &rounds), "dead");
     }
 
     #[test]
@@ -585,8 +540,8 @@ mod tests {
             || JamBudget::new(CdMode::Strong, 16),
             &make,
         );
-        let clean_med = clean.median().expect("clean runs solve");
-        if let Some(jam_med) = jammed.median() {
+        let clean_med = median(&clean).expect("clean runs solve");
+        if let Some(jam_med) = median(&jammed) {
             // 16 would-be-solving rounds are vetoed before one can land, so
             // any solved jammed run needs at least 17 lone-transmission
             // rounds — strictly more than the clean run's handful.

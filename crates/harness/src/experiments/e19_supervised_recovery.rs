@@ -20,29 +20,25 @@
 //! machinery — the tables measure both the rescue and its limit, and the
 //! anatomy table prices recovery in rounds and restarts.
 
-use contention::phase::PhaseTelemetry;
+use contention::phase::{PhaseProtocol, PhaseTelemetry};
 use contention::supervise::RESTART_MARKER;
-use contention::{supervised_paper_node, FullAlgorithm, Params, RestartPolicy};
-use contention_analysis::threshold_crossing;
-use mac_sim::campaign::{Aggregate, SeedStream};
-use mac_sim::fault::{Layered, NoisyCd};
-use mac_sim::{guarded_verdict, CdMode, Engine, FeedbackModel, SimConfig, TrialVerdict};
+use contention::{supervised_paper_node, Params, RestartPolicy, SupervisedPaperStack};
+use mac_sim::campaign::{Collect, SeedStream};
+use mac_sim::fault::{JamBudget, Layered, NoisyCd};
+use mac_sim::{CdMode, FeedbackModel};
 
-use super::seed_base;
-use crate::{ExperimentReport, RunCtx};
+use super::e18_fault_thresholds::{
+    fault_engine, level_row, level_sweep, median, pipeline_nodes, run_one, success, trials, ACTIVE,
+    BUDGET, C, N,
+};
+use super::{run_faulted_trial, seed_base};
+use crate::{ExperimentReport, RunCtx, Scale};
 
-/// Channels, contender universe, and active-set size: identical to E18 so
-/// the unsupervised column reproduces its regime.
-const C: u32 = 64;
-const N: u64 = 1 << 12;
-const ACTIVE: usize = 96;
-/// The total engine round budget — the same for both algorithms, so the
-/// supervisor gets no extra rounds, only a different spending schedule.
-const BUDGET: u64 = 1_000;
 /// Supervision slices: `ATTEMPTS` equal slices of `SLICE` rounds exactly
-/// tile `BUDGET`. Constant slices (backoff 1) keep the budgets identical;
-/// exponential backoff is available via [`RestartPolicy::backoff`] and is
-/// exercised by the core unit tests.
+/// tile E18's `BUDGET`, so the supervisor gets no extra rounds, only a
+/// different spending schedule. Constant slices (backoff 1) keep the
+/// budgets identical; exponential backoff is available via
+/// [`RestartPolicy::backoff`] and is exercised by the core unit tests.
 const SLICE: u64 = 250;
 const ATTEMPTS: u32 = 4;
 
@@ -57,54 +53,32 @@ struct SolvedTrial {
     restarts: u64,
 }
 
-/// One unsupervised pipeline run: `Some(rounds)` on a solve.
-fn unsupervised_one<FM: FeedbackModel>(seed: u64, feedback: FM) -> Option<u64> {
-    let cfg = SimConfig::new(C).seed(seed).round_budget(BUDGET);
-    let verdict = guarded_verdict(|| {
-        Engine::with_feedback(cfg, feedback)
-            .populated((0..ACTIVE).map(|_| FullAlgorithm::new(Params::practical(), C, N)))
-            .run_summary()
-            .map(|s| s.rounds_to_solve())
-    });
-    match verdict {
-        TrialVerdict::Solved(rounds) => Some(rounds),
-        TrialVerdict::Wedged(_) => None,
-        TrialVerdict::Failed(e) => panic!("unexpected simulation error: {e}"),
-    }
+/// E18's pipeline population, each node under the supervisor.
+fn supervised_nodes() -> Vec<PhaseProtocol<SupervisedPaperStack>> {
+    (0..ACTIVE)
+        .map(|_| supervised_paper_node(Params::practical(), C, N, policy()))
+        .collect()
 }
 
 /// One supervised pipeline run, reading the solver's restart count off its
 /// telemetry spine (each restart archives a [`RESTART_MARKER`] record).
 fn supervised_one<FM: FeedbackModel>(seed: u64, feedback: FM) -> Option<SolvedTrial> {
-    let cfg = SimConfig::new(C).seed(seed).round_budget(BUDGET);
-    let verdict = guarded_verdict(|| {
-        let mut engine = Engine::with_feedback(cfg, feedback).populated(
-            (0..ACTIVE).map(|_| supervised_paper_node(Params::practical(), C, N, policy())),
-        );
-        engine.run().map(|report| {
-            report.solver.and_then(|id| {
-                let restarts = engine
-                    .node(id)
-                    .phase_stats()
-                    .iter()
-                    .filter(|s| s.name == RESTART_MARKER)
-                    .count() as u64;
-                report
-                    .solved_round
-                    .map(|rounds| SolvedTrial { rounds, restarts })
-            })
-        })
-    });
-    match verdict {
-        TrialVerdict::Solved(trial) => Some(trial),
-        TrialVerdict::Wedged(_) => None,
-        TrialVerdict::Failed(e) => panic!("unexpected simulation error: {e}"),
-    }
+    run_faulted_trial(
+        || fault_engine(seed, feedback, supervised_nodes()),
+        |rounds, solver| SolvedTrial {
+            rounds,
+            restarts: solver
+                .phase_stats()
+                .iter()
+                .filter(|s| s.name == RESTART_MARKER)
+                .count() as u64,
+        },
+    )
 }
 
 /// The noise grid: E18's points plus extra density around its unsupervised
 /// 50% breakdown (~0.625 at full scale) and beyond.
-fn noise_grid(scale: crate::Scale) -> Vec<f64> {
+fn noise_grid(scale: Scale) -> Vec<f64> {
     scale.thin(&[0.0, 0.25, 0.5, 0.6, 0.7, 0.75, 0.85])
 }
 
@@ -112,116 +86,8 @@ fn noise_grid(scale: crate::Scale) -> Vec<f64> {
 /// unsupervised 50% breakdown at ~7 vetoes (dead by 16); supervision moves
 /// it past 16, with its own cliff near 24 where the jammer outlasts all
 /// `ATTEMPTS` restarts.
-fn jam_grid(scale: crate::Scale) -> Vec<u64> {
+fn jam_grid(scale: Scale) -> Vec<u64> {
     scale.thin(&[0, 4, 8, 12, 16, 20, 24, 32])
-}
-
-fn trials_for(scale: crate::Scale) -> usize {
-    match scale {
-        crate::Scale::Quick => 8,
-        crate::Scale::Full => 40,
-    }
-}
-
-/// Per-row aggregate of the threshold tables: solved rounds per fault
-/// level; shards merge by element-wise concatenation in seed order.
-struct LevelCells {
-    rounds: Vec<Vec<u64>>,
-}
-
-impl Aggregate for LevelCells {
-    fn merge(&mut self, other: Self) {
-        for (mine, theirs) in self.rounds.iter_mut().zip(other.rounds) {
-            mine.extend(theirs);
-        }
-    }
-}
-
-/// Per-level aggregate of the anatomy table.
-#[derive(Default)]
-struct Anatomy {
-    rounds: Vec<u64>,
-    restarts: Vec<u64>,
-}
-
-impl Aggregate for Anatomy {
-    fn merge(&mut self, other: Self) {
-        self.rounds.extend(other.rounds);
-        self.restarts.extend(other.restarts);
-    }
-}
-
-fn render_level(trials: usize, rounds: &[u64]) -> (f64, String) {
-    #[allow(clippy::cast_precision_loss)]
-    let success = rounds.len() as f64 / trials as f64;
-    let rendered = if rounds.is_empty() {
-        "dead".to_string()
-    } else {
-        let mut sorted = rounds.to_vec();
-        sorted.sort_unstable();
-        format!("{:.0}% ({}r)", 100.0 * success, sorted[sorted.len() / 2])
-    };
-    (success, rendered)
-}
-
-fn threshold_cell(levels: &[f64], success: &[f64]) -> String {
-    match threshold_crossing(levels, success, 0.5) {
-        Some(x) => format!("~{x:.3}"),
-        None if success.first().copied().unwrap_or(0.0) < 0.5 => "below at 0".to_string(),
-        None => "none in range".to_string(),
-    }
-}
-
-/// Streams one algorithm's row of a threshold table: trial `i` of level
-/// `j` runs at `seed_base(tag, kind, j) + i`. Both rows of a table use the
-/// same `tag`/`kind`, so the supervised and unsupervised runs at one
-/// `(level, trial)` face the same seeded fault pattern.
-#[allow(clippy::too_many_arguments)]
-fn threshold_row<FM>(
-    sweep: &mut crate::Sweep<LevelCells>,
-    name: &'static str,
-    tag: &'static str,
-    kind: u64,
-    trials: usize,
-    levels: &[f64],
-    feedback: impl Fn(usize) -> FM + Send + Sync + 'static,
-    supervised: bool,
-) where
-    FM: FeedbackModel + 'static,
-{
-    let n_levels = levels.len();
-    let levels = levels.to_vec();
-    sweep.row(
-        trials,
-        SeedStream::Offset(0),
-        move || LevelCells {
-            rounds: vec![Vec::new(); n_levels],
-        },
-        move |i, acc| {
-            for (j, cell) in acc.rounds.iter_mut().enumerate() {
-                let seed = seed_base(tag, kind, j as u64).wrapping_add(i);
-                let solved = if supervised {
-                    supervised_one(seed, feedback(j)).map(|t| t.rounds)
-                } else {
-                    unsupervised_one(seed, feedback(j))
-                };
-                if let Some(r) = solved {
-                    cell.push(r);
-                }
-            }
-        },
-        move |acc| {
-            let mut row = vec![name.to_string()];
-            let mut success = Vec::with_capacity(acc.rounds.len());
-            for rounds in &acc.rounds {
-                let (s, rendered) = render_level(trials, rounds);
-                success.push(s);
-                row.push(rendered);
-            }
-            row.push(threshold_cell(&levels, &success));
-            row
-        },
-    );
 }
 
 /// Runs the experiment.
@@ -231,7 +97,7 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
         "E19",
         "Supervised recovery: restart-with-backoff pushes the breakdown thresholds out",
     );
-    let trials = trials_for(ctx.scale);
+    let trials = trials(ctx.scale);
     let noise_ps = noise_grid(ctx.scale);
 
     let caption_noise = format!(
@@ -239,32 +105,28 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
          supervised splits it into {ATTEMPTS} clean-restart slices of {SLICE} rounds \
          (C = {C}, |A| = {ACTIVE}, {trials} trials)"
     );
-    let mut headers: Vec<String> = vec!["algorithm".into()];
-    headers.extend(noise_ps.iter().map(|p| format!("p = {p}")));
-    headers.push("50% breakdown".into());
-    let header_refs: Vec<&str> = headers.iter().map(String::as_str).collect();
-    let mut sweep = ctx.sweep::<LevelCells>(&caption_noise, &header_refs);
+    let labels = noise_ps.iter().map(|p| format!("p = {p}"));
+    let mut sweep = level_sweep(ctx, &caption_noise, labels);
     let ps = noise_ps.clone();
-    threshold_row(
+    let noise = move |j: usize| Layered::new(NoisyCd::symmetric(ps[j]), CdMode::Strong);
+    let fb = noise.clone();
+    level_row(
         &mut sweep,
         "pipeline (unsupervised)",
         "e19noise",
         1,
         trials,
         &noise_ps,
-        move |j| Layered::new(NoisyCd::symmetric(ps[j]), CdMode::Strong),
-        false,
+        move |seed, j| run_one(seed, fb(j), pipeline_nodes()),
     );
-    let ps = noise_ps.clone();
-    threshold_row(
+    level_row(
         &mut sweep,
         "pipeline (supervised)",
         "e19noise",
         1,
         trials,
         &noise_ps,
-        move |j| Layered::new(NoisyCd::symmetric(ps[j]), CdMode::Strong),
-        true,
+        move |seed, j| supervised_one(seed, noise(j)).map(|t| t.rounds),
     );
     report.section(caption_noise, sweep.run());
 
@@ -275,32 +137,28 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
                        would-be-solving rounds. Each attempt it kills drains its budget, so \
                        a restart faces a cleaner channel than the attempt it replaces"
         .to_string();
-    let mut headers: Vec<String> = vec!["algorithm".into()];
-    headers.extend(jam_budgets.iter().map(|b| format!("B = {b}")));
-    headers.push("50% breakdown".into());
-    let header_refs: Vec<&str> = headers.iter().map(String::as_str).collect();
-    let mut sweep = ctx.sweep::<LevelCells>(&caption_jam, &header_refs);
+    let labels = jam_budgets.iter().map(|b| format!("B = {b}"));
+    let mut sweep = level_sweep(ctx, &caption_jam, labels);
     let budgets = jam_budgets.clone();
-    threshold_row(
+    let jam = move |j: usize| JamBudget::new(CdMode::Strong, budgets[j]);
+    let fb = jam.clone();
+    level_row(
         &mut sweep,
         "pipeline (unsupervised)",
         "e19jam",
         2,
         trials,
         &jam_levels,
-        move |j| mac_sim::fault::JamBudget::new(CdMode::Strong, budgets[j]),
-        false,
+        move |seed, j| run_one(seed, fb(j), pipeline_nodes()),
     );
-    let budgets = jam_budgets.clone();
-    threshold_row(
+    level_row(
         &mut sweep,
         "pipeline (supervised)",
         "e19jam",
         2,
         trials,
         &jam_levels,
-        move |j| mac_sim::fault::JamBudget::new(CdMode::Strong, budgets[j]),
-        true,
+        move |seed, j| supervised_one(seed, jam(j)).map(|t| t.rounds),
     );
     report.section(caption_jam, sweep.run());
 
@@ -311,7 +169,7 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
                            rounds include restart overhead, restarts read off the solver's \
                            telemetry spine"
         .to_string();
-    let mut anatomy = ctx.sweep::<Anatomy>(
+    let mut anatomy = ctx.sweep::<Collect<SolvedTrial>>(
         &caption_anatomy,
         &[
             "jam budget B",
@@ -324,36 +182,24 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
         anatomy.row(
             trials,
             SeedStream::Offset(seed_base("e19anat", 3, i as u64)),
-            Anatomy::default,
+            Collect::default,
             move |seed, acc| {
-                if let Some(trial) =
-                    supervised_one(seed, mac_sim::fault::JamBudget::new(CdMode::Strong, b))
-                {
-                    acc.rounds.push(trial.rounds);
-                    acc.restarts.push(trial.restarts);
-                }
+                acc.0
+                    .extend(supervised_one(seed, JamBudget::new(CdMode::Strong, b)))
             },
-            move |acc| {
-                let (success, _) = render_level(trials, &acc.rounds);
-                let median = if acc.rounds.is_empty() {
-                    "-".to_string()
-                } else {
-                    let mut sorted = acc.rounds.clone();
-                    sorted.sort_unstable();
-                    format!("{}", sorted[sorted.len() / 2])
-                };
+            move |Collect(solved)| {
+                let rounds: Vec<u64> = solved.iter().map(|t| t.rounds).collect();
+                let median = median(&rounds).map_or("-".to_string(), |m| m.to_string());
                 #[allow(clippy::cast_precision_loss)]
-                let mean_restarts = if acc.restarts.is_empty() {
+                let mean_restarts = if solved.is_empty() {
                     "-".to_string()
                 } else {
-                    format!(
-                        "{:.2}",
-                        acc.restarts.iter().sum::<u64>() as f64 / acc.restarts.len() as f64
-                    )
+                    let restarts: u64 = solved.iter().map(|t| t.restarts).sum();
+                    format!("{:.2}", restarts as f64 / solved.len() as f64)
                 };
                 vec![
                     format!("{b}"),
-                    format!("{:.0}%", 100.0 * success),
+                    format!("{:.0}%", 100.0 * success(trials, solved.len())),
                     median,
                     mean_restarts,
                 ]
@@ -411,6 +257,23 @@ mod tests {
     }
 
     #[test]
+    fn supervised_rounds_are_rounds_to_solve() {
+        // The fault tables count every solve in `rounds_to_solve()`; the
+        // supervised trial must read the same unit as a run by hand.
+        for t in 0..3u64 {
+            let seed = seed_base("e19t", 2, t);
+            let clean = || Layered::new(NoisyCd::symmetric(0.0), CdMode::Strong);
+            let by_hand = fault_engine(seed, clean(), supervised_nodes())
+                .run_summary()
+                .expect("a fault-free run succeeds")
+                .rounds_to_solve();
+            assert!(by_hand.is_some(), "fault-free run solves");
+            let trial = supervised_one(seed, clean()).map(|t| t.rounds);
+            assert_eq!(trial, by_hand, "trial {t}");
+        }
+    }
+
+    #[test]
     fn supervised_solves_whp_past_the_unsupervised_jam_threshold() {
         // B = 8 vetoes sits strictly beyond E18's unsupervised 50% jam
         // breakdown (~7, dead well before 16): single-shot runs wedge
@@ -424,12 +287,10 @@ mod tests {
         let mut restarts = 0u64;
         for t in 0..trials {
             let seed = seed_base("e19t", 1, t);
-            if unsupervised_one(seed, mac_sim::fault::JamBudget::new(CdMode::Strong, b)).is_some() {
+            if run_one(seed, JamBudget::new(CdMode::Strong, b), pipeline_nodes()).is_some() {
                 unsup += 1;
             }
-            if let Some(trial) =
-                supervised_one(seed, mac_sim::fault::JamBudget::new(CdMode::Strong, b))
-            {
+            if let Some(trial) = supervised_one(seed, JamBudget::new(CdMode::Strong, b)) {
                 sup += 1;
                 restarts += trial.restarts;
             }

@@ -25,7 +25,7 @@ pub mod e21_traffic_load;
 
 use crate::{ExperimentReport, RunCtx};
 use contention::{FullAlgorithm, Params};
-use mac_sim::{Engine, EventSink, FeedbackModel, Protocol, RunReport, SimConfig};
+use mac_sim::{Engine, EventSink, FeedbackModel, Protocol, RunReport, SimConfig, SimError};
 
 /// Runs one trial's engine to its stop condition.
 ///
@@ -50,6 +50,40 @@ pub fn observe_trial<P: Protocol, F: FeedbackModel, S: EventSink>(
     engine
         .run_observed(sink)
         .unwrap_or_else(|e| panic!("trial with seed {seed} failed: {e}"))
+}
+
+/// Runs one trial under injected faults: `Some(read(rounds, solver))` when
+/// it solves, `None` when the faults wedged it.
+///
+/// `rounds` is the run's `rounds_to_solve()`, the one round count of every
+/// fault table, and `solver` the node that solved. A wedge is a run that
+/// ends unsolved, exhausts its round budget, times out, or panics: the
+/// paper's protocols carry `debug_assert!`s encoding clean-channel
+/// invariants that injected faults legitimately violate, so in debug
+/// builds a tripped assertion counts exactly as the round budget does in
+/// release builds. The engine is built and read inside the panic guard.
+///
+/// # Panics
+///
+/// Panics, naming the engine's master seed, on any other simulation error
+/// (an experiment bug, not a data point).
+pub(crate) fn run_faulted_trial<P: Protocol, F: FeedbackModel, T>(
+    build: impl FnOnce() -> Engine<P, F>,
+    read: impl FnOnce(u64, &P) -> T,
+) -> Option<T> {
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let mut engine = build();
+        let solved = engine.run_summary().map(|summary| {
+            let rounds = summary.rounds_to_solve()?;
+            Some(read(rounds, engine.node(summary.solver?)))
+        });
+        (engine.config().master_seed, solved)
+    }));
+    match outcome {
+        Ok((_, Ok(solved))) => solved,
+        Ok((_, Err(SimError::BudgetExhausted { .. } | SimError::Timeout { .. }))) | Err(_) => None,
+        Ok((seed, Err(e))) => panic!("trial with seed {seed} failed: {e}"),
+    }
 }
 
 /// Rounds-to-solve for one paper-stack trial: `active` simultaneous
@@ -189,6 +223,84 @@ pub fn by_id(id: &str) -> Option<fn(&RunCtx) -> ExperimentReport> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mac_sim::{Action, ChannelId, Feedback, RoundContext, Status};
+    use rand::rngs::SmallRng;
+
+    /// A node with one fixed behaviour, for steering a run to each outcome.
+    #[derive(Clone, Copy)]
+    enum Scripted {
+        /// Transmits on the primary channel every round.
+        Transmit,
+        /// Terminates inactive at once.
+        Quit,
+        /// Panics on its first act, like a tripped protocol assertion.
+        Panic,
+    }
+
+    impl Protocol for Scripted {
+        type Msg = ();
+        fn act(&mut self, ctx: &RoundContext, _rng: &mut SmallRng) -> Action<()> {
+            match self {
+                Scripted::Panic => panic!("invariant broke at round {}", ctx.round),
+                _ => Action::transmit(ChannelId::PRIMARY, ()),
+            }
+        }
+        fn observe(&mut self, _ctx: &RoundContext, _fb: Feedback<()>, _rng: &mut SmallRng) {}
+        fn status(&self) -> Status {
+            match self {
+                Scripted::Quit => Status::Inactive,
+                _ => Status::Active,
+            }
+        }
+    }
+
+    fn faulted(config: SimConfig, nodes: &[Scripted]) -> Option<u64> {
+        run_faulted_trial(
+            || Engine::new(config).populated(nodes.iter().copied()),
+            |rounds, _| rounds,
+        )
+    }
+
+    #[test]
+    fn faulted_trial_classifies_all_outcomes() {
+        let config = || SimConfig::new(1).seed(3);
+        // A lone transmitter solves in round 0: one round to solve.
+        assert_eq!(faulted(config(), &[Scripted::Transmit]), Some(1));
+        // Everyone quits: the run ends unsolved.
+        assert_eq!(faulted(config(), &[Scripted::Quit]), None);
+        // Two transmitters collide until the watchdog or the cap fires.
+        let collide = [Scripted::Transmit, Scripted::Transmit];
+        assert_eq!(faulted(config().round_budget(50), &collide), None);
+        assert_eq!(faulted(config().max_rounds(9), &collide), None);
+        // Run by hand, the wedged runs end the way the comments say.
+        let by_hand = |config: SimConfig, nodes: &[Scripted]| {
+            let summary = Engine::new(config)
+                .populated(nodes.iter().copied())
+                .run_summary();
+            summary.map(|s| s.solved_round)
+        };
+        assert_eq!(by_hand(config(), &[Scripted::Quit]), Ok(None));
+        assert!(matches!(
+            by_hand(config().round_budget(50), &collide),
+            Err(SimError::BudgetExhausted { .. })
+        ));
+        assert_eq!(
+            by_hand(config().max_rounds(9), &collide),
+            Err(SimError::Timeout { max_rounds: 9 })
+        );
+    }
+
+    #[test]
+    fn faulted_trial_isolates_panics() {
+        // A tripped protocol assertion is a wedge, not a crash of the sweep.
+        assert_eq!(faulted(SimConfig::new(1).seed(3), &[Scripted::Panic]), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "trial with seed 3 failed")]
+    fn faulted_trial_panics_on_other_errors() {
+        let _ = faulted(SimConfig::new(1).seed(3), &[]);
+    }
 
     #[test]
     fn seed_bases_differ() {

@@ -477,16 +477,6 @@ pub struct Sweep<'ctx, 'a, A: Aggregate> {
 }
 
 impl<'ctx, 'a, A: Aggregate> Sweep<'ctx, 'a, A> {
-    /// Overrides the trials-per-shard granularity for this sweep. The
-    /// decomposition is a pure function of `(trials, shard_size)`, so this
-    /// changes load-balancing — never results (for associative aggregates)
-    /// or merge order.
-    #[must_use]
-    pub fn shard_size(mut self, shard_size: usize) -> Self {
-        self.campaign = self.campaign.shard_size(shard_size);
-        self
-    }
-
     /// Declares the next table row: `trials` trials over `seeds`, folded
     /// into the aggregate built by `make` via `run`, rendered to table
     /// cells by `render` once the row's last shard merges.

@@ -6,6 +6,10 @@
 //! `cargo run … --example <name>` line, and every such line must name an
 //! `[[example]]` (a line left behind by a deleted example fails only in
 //! CI otherwise).
+//!
+//! The chaos job's poisoned seed must likewise stay a seed that
+//! `repro --quick` runs; otherwise a refactor that moves it fails only in
+//! CI.
 
 use std::path::{Path, PathBuf};
 
@@ -76,5 +80,38 @@ fn every_ci_example_exists() {
     assert!(
         missing.is_empty(),
         "CI runs examples with no [[example]] in crates/bench/Cargo.toml: {missing:?}"
+    );
+}
+
+/// The value of the `POISON_SEED` env entry in `ci`.
+fn poison_seed(ci: &str) -> u64 {
+    ci.lines()
+        .find_map(|line| line.trim().strip_prefix("POISON_SEED: "))
+        .map(|value| {
+            value
+                .trim_matches('"')
+                .parse()
+                .expect("POISON_SEED is a u64")
+        })
+        .expect("ci.yml sets POISON_SEED")
+}
+
+#[test]
+fn chaos_poison_seed_is_a_quick_e19_anatomy_trial() {
+    use contention_harness::experiments::{e18_fault_thresholds, seed_base};
+    use contention_harness::Scale;
+    let ci = read(&workspace_root(), ".github/workflows/ci.yml");
+    // Trial 2 of the anatomy table's second row (B = 8 at quick scale).
+    let trial = 2;
+    assert_eq!(
+        poison_seed(&ci),
+        seed_base("e19anat", 3, 1) + trial,
+        "POISON_SEED no longer names E19's anatomy trial"
+    );
+    // E19 runs E18's trial count per level.
+    let quick_trials = e18_fault_thresholds::trials(Scale::Quick) as u64;
+    assert!(
+        trial < quick_trials,
+        "trial {trial} is outside E19's {quick_trials} quick trials"
     );
 }

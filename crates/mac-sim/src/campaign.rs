@@ -307,7 +307,7 @@ impl CancelToken {
 }
 
 /// Receives campaign progress events. Implementations throttle and render;
-/// the pool just reports every completed trial and cell.
+/// the pool just reports every completed trial, retry and quarantine.
 ///
 /// Events are forwarded through a **bounded** queue on a dedicated
 /// thread: a slow implementation can never stall the worker pool. When
@@ -318,10 +318,6 @@ impl CancelToken {
 pub trait ProgressSink: Send + Sync {
     /// `done` of `total` trials have completed (across all cells).
     fn on_trial(&self, done: u64, total: u64);
-    /// `done` of `total` cells have been delivered.
-    fn on_cell(&self, done: usize, total: usize) {
-        let _ = (done, total);
-    }
     /// Self-healing re-attempted a panicked trial; `retries` is the
     /// cumulative retry count for the campaign.
     fn on_retry(&self, retries: u64) {
@@ -337,7 +333,6 @@ pub trait ProgressSink: Send + Sync {
 /// One event in the bounded progress queue (see [`ProgressSink`]).
 enum ProgressEvent {
     Trial(u64, u64),
-    Cell(usize, usize),
     Retry(u64),
     Quarantine(u64),
 }
@@ -596,18 +591,16 @@ impl<'a, A: Aggregate> Campaign<'a, A> {
             })
             .collect();
 
-        // In-cell-order delivery state.
+        // In-cell-order delivery state: cells `0..next_cell` are delivered.
         struct Delivery<A, F> {
             next_cell: usize,
             ready: BTreeMap<usize, A>,
             on_cell: F,
-            delivered: usize,
         }
         let delivery = Mutex::new(Delivery {
             next_cell: 0,
             ready: BTreeMap::new(),
             on_cell,
-            delivered: 0,
         });
 
         let next_shard = AtomicUsize::new(0);
@@ -632,7 +625,6 @@ impl<'a, A: Aggregate> Campaign<'a, A> {
                     while let Ok(event) = rx.recv() {
                         match event {
                             ProgressEvent::Trial(done, total) => sink.on_trial(done, total),
-                            ProgressEvent::Cell(done, total) => sink.on_cell(done, total),
                             ProgressEvent::Retry(n) => sink.on_retry(n),
                             ProgressEvent::Quarantine(n) => sink.on_quarantine(n),
                         }
@@ -660,8 +652,6 @@ impl<'a, A: Aggregate> Campaign<'a, A> {
                 };
                 (delivery.on_cell)(cell, acc);
                 delivery.next_cell += 1;
-                delivery.delivered += 1;
-                emit(ProgressEvent::Cell(delivery.delivered, cells_total));
             }
         };
 
@@ -843,7 +833,7 @@ impl<'a, A: Aggregate> Campaign<'a, A> {
                 "campaign_queue_depth",
                 shards.len().saturating_sub(next_shard.into_inner()) as u64,
             );
-            tail.count("campaign_cells_delivered_total", delivery.delivered as u64);
+            tail.count("campaign_cells_delivered_total", delivery.next_cell as u64);
             tail.count(
                 "campaign_progress_dropped_total",
                 progress_dropped.load(Ordering::Relaxed),
@@ -856,7 +846,7 @@ impl<'a, A: Aggregate> Campaign<'a, A> {
 
         CampaignOutcome {
             cells_total,
-            cells_delivered: delivery.delivered,
+            cells_delivered: delivery.next_cell,
             trials_run: trials_attempted - quarantined.len() as u64,
             cancelled: was_cancelled,
             quarantined,
@@ -1151,25 +1141,18 @@ mod tests {
     fn progress_reports_every_trial_and_cell() {
         struct CountSink {
             trials: AtomicU64,
-            cells: AtomicUsize,
         }
         impl ProgressSink for CountSink {
             fn on_trial(&self, _done: u64, total: u64) {
                 assert_eq!(total, 12);
                 self.trials.fetch_add(1, Ordering::Relaxed);
             }
-            fn on_cell(&self, _done: usize, total: usize) {
-                assert_eq!(total, 3);
-                self.cells.fetch_add(1, Ordering::Relaxed);
-            }
         }
         let sink = Arc::new(CountSink {
             trials: AtomicU64::new(0),
-            cells: AtomicUsize::new(0),
         });
         let outcome = sum_campaign(3, 4).progress(sink.clone()).run(|_, _| {});
         assert_eq!(sink.trials.load(Ordering::Relaxed), 12);
-        assert_eq!(sink.cells.load(Ordering::Relaxed), 3);
         assert_eq!(outcome.progress_dropped, 0, "fast consumer drops nothing");
     }
 

@@ -153,4 +153,3 @@ pub use traffic::{
     run_traffic, run_traffic_dense, ArrivalProcess, ArrivalStream, BackoffMac, SlottedAloha,
     StopCause, TrafficReport, TrafficSpec,
 };
-pub use trials::{guarded_verdict, TrialVerdict, WedgeCause};

@@ -19,81 +19,8 @@
 //! [`crate::campaign::Campaign`] directly — that is what keeps the pool
 //! saturated across grid points and enables streaming aggregation,
 //! progress, and resume.
-//!
-//! [`guarded_verdict`] is the panic-isolated single-trial classifier the
-//! fault experiments use to count wedged trials.
 
-use crate::campaign::{panic_message, Campaign, Cell, Collect, SeedStream};
-use crate::error::SimError;
-
-/// Why a guarded trial ([`guarded_verdict`]) produced no solve.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WedgeCause {
-    /// The run finished inside its budget but never solved.
-    Unsolved,
-    /// The engine's [`crate::SimConfig::round_budget`] watchdog fired.
-    BudgetExhausted,
-    /// The engine's max-rounds cap fired.
-    Timeout,
-    /// The trial panicked — e.g. a `debug_assert!` encoding a
-    /// clean-channel invariant tripped under injected faults. The message
-    /// is rendered by [`panic_message`], the same helper campaign
-    /// quarantine reports use.
-    Panicked(String),
-}
-
-/// Verdict of one guarded (panic-isolated) trial run — the single
-/// accounting path for "did this faulted trial wedge?", shared by the
-/// fault experiments (E18/E19) and aligned with the campaign layer's
-/// quarantine accounting.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TrialVerdict<T> {
-    /// The trial solved; `T` is whatever the closure extracted.
-    Solved(T),
-    /// The trial wedged: no solve, for the given cause.
-    Wedged(WedgeCause),
-    /// The simulation failed in a way that is *not* a fault-induced wedge
-    /// (e.g. [`SimError::NoNodes`]) — an experiment bug, surfaced
-    /// distinctly so callers can fail loudly instead of undercounting.
-    Failed(SimError),
-}
-
-impl<T> TrialVerdict<T> {
-    /// The solved value, if the trial solved.
-    pub fn solved(self) -> Option<T> {
-        match self {
-            TrialVerdict::Solved(value) => Some(value),
-            _ => None,
-        }
-    }
-
-    /// Whether the trial wedged (any [`WedgeCause`]).
-    #[must_use]
-    pub fn is_wedged(&self) -> bool {
-        matches!(self, TrialVerdict::Wedged(_))
-    }
-}
-
-/// Runs one trial under panic isolation and classifies the outcome.
-///
-/// `run` executes the engine and returns `Ok(Some(value))` on a solve,
-/// `Ok(None)` when the run finished without solving, or the engine error.
-/// Panics (tripped debug assertions under faults), budget exhaustion, and
-/// timeouts all map to [`TrialVerdict::Wedged`] — the same verdict, so
-/// wedged-trial counts do not depend on whether a fault wedges the
-/// protocol loudly (assertion) or quietly (budget).
-pub fn guarded_verdict<T>(run: impl FnOnce() -> Result<Option<T>, SimError>) -> TrialVerdict<T> {
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)) {
-        Ok(Ok(Some(value))) => TrialVerdict::Solved(value),
-        Ok(Ok(None)) => TrialVerdict::Wedged(WedgeCause::Unsolved),
-        Ok(Err(SimError::BudgetExhausted { .. })) => {
-            TrialVerdict::Wedged(WedgeCause::BudgetExhausted)
-        }
-        Ok(Err(SimError::Timeout { .. })) => TrialVerdict::Wedged(WedgeCause::Timeout),
-        Ok(Err(e)) => TrialVerdict::Failed(e),
-        Err(payload) => TrialVerdict::Wedged(WedgeCause::Panicked(panic_message(payload.as_ref()))),
-    }
-}
+use crate::campaign::{Campaign, Cell, Collect, SeedStream};
 
 /// Runs `trials` seeded executions of `run` and returns their results in
 /// seed order: trial `i` runs at seed `base_seed + i`.
@@ -278,43 +205,6 @@ mod tests {
         assert_eq!(snap.registry.counter("engine_solved_total"), 6);
         let rounds: u64 = bare.iter().map(|r| r.rounds_executed).sum();
         assert_eq!(snap.registry.counter("engine_rounds_total"), rounds);
-    }
-
-    #[test]
-    fn guarded_verdict_classifies_all_outcomes() {
-        assert_eq!(guarded_verdict(|| Ok(Some(7u64))), TrialVerdict::Solved(7));
-        assert_eq!(
-            guarded_verdict::<u64>(|| Ok(None)),
-            TrialVerdict::Wedged(WedgeCause::Unsolved)
-        );
-        assert_eq!(
-            guarded_verdict::<u64>(|| Err(SimError::BudgetExhausted {
-                budget: 500,
-                solved: false,
-            })),
-            TrialVerdict::Wedged(WedgeCause::BudgetExhausted)
-        );
-        assert_eq!(
-            guarded_verdict::<u64>(|| Err(SimError::Timeout { max_rounds: 9 })),
-            TrialVerdict::Wedged(WedgeCause::Timeout)
-        );
-        assert_eq!(
-            guarded_verdict::<u64>(|| Err(SimError::NoNodes)),
-            TrialVerdict::Failed(SimError::NoNodes)
-        );
-    }
-
-    #[test]
-    fn guarded_verdict_isolates_panics_with_message() {
-        let verdict = guarded_verdict::<u64>(|| panic!("invariant broke at round {}", 42));
-        match &verdict {
-            TrialVerdict::Wedged(WedgeCause::Panicked(msg)) => {
-                assert!(msg.contains("invariant broke at round 42"), "{msg}");
-            }
-            other => panic!("expected a panicked wedge, got {other:?}"),
-        }
-        assert!(verdict.is_wedged());
-        assert_eq!(verdict.solved(), None);
     }
 
     // The seed-carrying message is printed by the worker thread; the scope

@@ -10,7 +10,7 @@
 
 use std::collections::BTreeMap;
 
-use contention::{FullAlgorithm, Params};
+use contention::{theory, FullAlgorithm, Params};
 use mac_sim::render::activity_chart;
 use mac_sim::{Engine, SimConfig, StopWhen, Trace};
 
@@ -57,10 +57,9 @@ fn main() -> Result<(), mac_sim::SimError> {
     print!("{}", activity_chart(&trace, 60));
 
     // The theory line this run reproduces (Theorem 4).
-    let lg_n = (n as f64).log2();
-    let theory = lg_n / f64::from(channels).log2() + lg_n.log2() * lg_n.log2().log2().max(1.0);
+    let curve = theory::upper_bound_curve(n, channels);
     println!(
-        "\nTheorem 4 curve (lg n/lg C + lglg n·lglglg n) = {theory:.1}; measured {} rounds",
+        "\nTheorem 4 curve (lg n/lg C + lglg n·lglglg n) = {curve:.1}; measured {} rounds",
         report.rounds_to_solve().unwrap_or(0)
     );
     Ok(())
