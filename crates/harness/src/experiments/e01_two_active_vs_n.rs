@@ -49,23 +49,6 @@ pub(crate) fn completion_rounds(c: u32, n: u64, seed: u64) -> u64 {
     run_trial(&mut exec).rounds_executed
 }
 
-/// Rounds until solved, over `trials` consecutive seeds from `seed`.
-/// Test/cross-experiment helper; the report path streams instead.
-#[cfg(test)]
-pub(crate) fn measure(c: u32, n: u64, trials: usize, seed: u64) -> Vec<u64> {
-    (0..trials as u64)
-        .map(|i| solve_rounds(c, n, seed.wrapping_add(i)))
-        .collect()
-}
-
-/// Completion rounds over `trials` consecutive seeds from `seed`.
-#[cfg(test)]
-pub(crate) fn measure_completion(c: u32, n: u64, trials: usize, seed: u64) -> Vec<u64> {
-    (0..trials as u64)
-        .map(|i| completion_rounds(c, n, seed.wrapping_add(i)))
-        .collect()
-}
-
 /// Runs the experiment.
 #[must_use]
 pub fn run(ctx: &RunCtx) -> ExperimentReport {
@@ -199,9 +182,10 @@ mod tests {
 
     #[test]
     fn completion_never_exceeds_whp_budget() {
+        let ctx = RunCtx::new(Scale::Quick);
         for (c, ne) in [(4u32, 10u32), (64, 14), (1024, 18), (2, 8)] {
             let n = 1u64 << ne;
-            let completed = measure_completion(c, n, 20, 7);
+            let completed = ctx.trials("completion", 20, 7, |s| completion_rounds(c, n, s));
             let budget = two_active_budget(n, c);
             for r in &completed {
                 assert!(
@@ -216,8 +200,9 @@ mod tests {
     fn solve_is_never_later_than_completion_distribution() {
         // Solve can only be earlier (lucky lone transmissions during rename).
         let (c, n) = (8u32, 1u64 << 12);
-        let solved = measure(c, n, 20, 3);
-        let completed = measure_completion(c, n, 20, 3);
+        let ctx = RunCtx::new(Scale::Quick);
+        let solved = ctx.trials("solve", 20, 3, |s| solve_rounds(c, n, s));
+        let completed = ctx.trials("completion", 20, 3, |s| completion_rounds(c, n, s));
         let mean = |v: &[u64]| v.iter().sum::<u64>() as f64 / v.len() as f64;
         assert!(mean(&solved) <= mean(&completed) + 1e-9);
     }
@@ -226,8 +211,9 @@ mod tests {
     fn completion_mean_is_n_free() {
         // The distribution must not depend on n (only the budget does).
         let c = 64u32;
-        let small = measure_completion(c, 1 << 8, 40, 5);
-        let large = measure_completion(c, 1 << 20, 40, 5);
+        let ctx = RunCtx::new(Scale::Quick);
+        let small = ctx.trials("small n", 40, 5, |s| completion_rounds(c, 1 << 8, s));
+        let large = ctx.trials("large n", 40, 5, |s| completion_rounds(c, 1 << 20, s));
         let mean = |v: &[u64]| v.iter().sum::<u64>() as f64 / v.len() as f64;
         assert!(
             (mean(&small) - mean(&large)).abs() < 2.0,

@@ -31,15 +31,6 @@ fn search_rounds_one(c: u32, n: u64, seed: u64) -> u64 {
     stats.search_rounds
 }
 
-/// Mean search rounds over `trials` consecutive seeds. Test helper.
-#[cfg(test)]
-pub(crate) fn mean_search_rounds(c: u32, n: u64, trials: usize, seed: u64) -> f64 {
-    let rounds: Vec<u64> = (0..trials as u64)
-        .map(|i| search_rounds_one(c, n, seed.wrapping_add(i)))
-        .collect();
-    rounds.iter().sum::<u64>() as f64 / rounds.len() as f64
-}
-
 /// Runs the experiment.
 #[must_use]
 pub fn run(ctx: &RunCtx) -> ExperimentReport {
@@ -137,11 +128,11 @@ mod tests {
 
     #[test]
     fn completion_stays_within_budget_across_c() {
-        use super::super::e01_two_active_vs_n::measure_completion;
         let n = 1u64 << 16;
+        let ctx = RunCtx::new(Scale::Quick);
         for ce in [1u32, 4, 8, 12] {
             let c = 1u32 << ce;
-            let completed = measure_completion(c, n, 20, 11);
+            let completed = ctx.trials("completion", 20, 11, |s| completion_rounds(c, n, s));
             let budget = two_active_budget(n, c);
             for r in &completed {
                 assert!((*r as f64) <= budget, "C={c}: {r} > {budget}");
@@ -152,8 +143,13 @@ mod tests {
     #[test]
     fn search_rounds_grow_like_lglg_c() {
         let n = 1u64 << 16;
-        let narrow = mean_search_rounds(4, n, 15, 2);
-        let wide = mean_search_rounds(1 << 12, n, 15, 2);
+        let ctx = RunCtx::new(Scale::Quick);
+        let mean_search_rounds = |c: u32| {
+            let rounds = ctx.trials("search", 15, 2, |s| search_rounds_one(c, n, s));
+            rounds.iter().sum::<u64>() as f64 / rounds.len() as f64
+        };
+        let narrow = mean_search_rounds(4);
+        let wide = mean_search_rounds(1 << 12);
         assert!(wide > narrow, "search must grow with C: {narrow} vs {wide}");
         assert!(wide <= 5.0, "but only as lg lg C: got {wide}");
     }

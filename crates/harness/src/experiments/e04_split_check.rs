@@ -14,7 +14,6 @@ use mac_sim::{Engine, SimConfig, StopWhen};
 
 use super::{run_trial, seed_base};
 use crate::{ExperimentReport, RunCtx};
-use mac_sim::trials::fan_out;
 
 /// Probe rounds `SplitCheck` spends to locate divergence level `target` in
 /// a tree of height `h` — the recursion of Fig. 1, counted exactly.
@@ -38,8 +37,8 @@ pub fn split_check_probes(h: u32, target: u32) -> u32 {
 
 /// Runs the experiment.
 ///
-/// The probe table is pure math (no trials); the protocol cross-check runs
-/// on the trial layer, which is itself a single-cell campaign.
+/// The probe table is pure math (no trials); the protocol cross-check is
+/// a [`RunCtx::trials`] batch.
 #[must_use]
 pub fn run(ctx: &RunCtx) -> ExperimentReport {
     let scale = ctx.scale;
@@ -72,10 +71,10 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
 
     // Cross-check against real executions at one configuration.
     let c = 1024u32;
-    let measured: Vec<(u32, u32, u64)> = fan_out(
+    let measured: Vec<(u32, u32, u64)> = ctx.trials(
+        "Protocol cross-check",
         scale.trials(),
         seed_base("e4", u64::from(c), 0),
-        None,
         |s| {
             let cfg = SimConfig::new(c)
                 .seed(s)

@@ -28,15 +28,6 @@ pub(crate) fn survivors_one(n: u64, active: usize, seed: u64) -> (usize, bool) {
     (survived, leader)
 }
 
-/// Survivor counts (plus a leader flag) across consecutive seeds. Test
-/// helper; the report path streams.
-#[cfg(test)]
-pub(crate) fn survivors(n: u64, active: usize, trials: usize, seed: u64) -> Vec<(usize, bool)> {
-    (0..trials as u64)
-        .map(|i| survivors_one(n, active, seed.wrapping_add(i)))
-        .collect()
-}
-
 /// Runs the experiment.
 #[must_use]
 pub fn run(ctx: &RunCtx) -> ExperimentReport {
@@ -128,8 +119,9 @@ mod tests {
     #[test]
     fn survivors_bounded_and_nonzero() {
         let n = 1u64 << 12;
+        let ctx = RunCtx::new(Scale::Quick);
         for (active, seed) in [(4096usize, 1u64), (64, 2), (12, 3)] {
-            let data = survivors(n, active, 10, seed);
+            let data = ctx.trials("survivors", 10, seed, |s| survivors_one(n, active, s));
             for (i, &(s, leader)) in data.iter().enumerate() {
                 assert!(
                     s >= 1 || leader,

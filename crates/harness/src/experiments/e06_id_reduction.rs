@@ -10,7 +10,6 @@ use std::collections::HashSet;
 
 use super::{observe_trial, run_trial, seed_base};
 use crate::{ExperimentReport, RunCtx, Samples};
-use mac_sim::trials::fan_out;
 
 /// One trial's digest: (rounds, surviving ids).
 type Digest = (u64, Vec<u32>);
@@ -31,19 +30,6 @@ fn measure_one(c: u32, active: usize, params: Params, seed: u64) -> Digest {
         })
         .collect();
     (report.rounds_executed, ids)
-}
-
-#[cfg(test)]
-pub(crate) fn measure(
-    c: u32,
-    active: usize,
-    params: Params,
-    trials: usize,
-    seed: u64,
-) -> Vec<Digest> {
-    (0..trials as u64)
-        .map(|i| measure_one(c, active, params, seed.wrapping_add(i)))
-        .collect()
 }
 
 /// Streaming per-row state for the invariant table.
@@ -155,13 +141,13 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
 
     // Lemma 7's dynamics: the active-set trajectory, read off the traces
     // (in a rename round every active node transmits, so the total
-    // transmitter count in that round *is* |A_r|). One bounded batch on the
-    // trial layer — itself a single-cell campaign — feeding several rows.
+    // transmitter count in that round *is* |A_r|). One bounded batch
+    // feeding several rows.
     let (c, active) = (64u32, 200usize);
-    let trajectories: Vec<Vec<u64>> = fan_out(
+    let trajectories: Vec<Vec<u64>> = ctx.trials(
+        "Active-set trajectory",
         scale.trials().min(30),
         super::seed_base("e6traj", u64::from(c), active as u64),
-        None,
         |s| {
             let cfg = SimConfig::new(c)
                 .seed(s)
@@ -220,8 +206,11 @@ mod tests {
 
     #[test]
     fn invariants_hold_at_every_point() {
+        let ctx = RunCtx::new(Scale::Quick);
         for (c, active) in [(16u32, 24usize), (256, 200), (4096, 24)] {
-            let data = measure(c, active, Params::practical(), 8, 5);
+            let data = ctx.trials("invariants", 8, 5, |s| {
+                measure_one(c, active, Params::practical(), s)
+            });
             for (rounds, ids) in &data {
                 assert!(*rounds >= 1);
                 assert!(!ids.is_empty(), "C={c} |A|={active}: nobody renamed");
@@ -234,8 +223,11 @@ mod tests {
 
     #[test]
     fn rounds_decrease_with_channels() {
+        let ctx = RunCtx::new(Scale::Quick);
         let mean = |c: u32| {
-            let data = measure(c, 64, Params::practical(), 15, 9);
+            let data = ctx.trials("rounds", 15, 9, |s| {
+                measure_one(c, 64, Params::practical(), s)
+            });
             data.iter().map(|d| d.0).sum::<u64>() as f64 / data.len() as f64
         };
         let narrow = mean(16);

@@ -11,7 +11,6 @@ use mac_sim::{Engine, SimConfig, StopWhen};
 
 use super::{run_trial, seed_base};
 use crate::{sample_distinct, ExperimentReport, RunCtx, Samples};
-use mac_sim::trials::fan_out;
 
 /// One trial's digest: (rounds to solve, per-phase search rounds of the winner).
 type Digest = (u64, Vec<u64>);
@@ -55,19 +54,6 @@ pub(crate) fn measure_one(c: u32, x: u32, seed: u64, binary: bool, occupancy: Oc
         report.rounds_to_solve().expect("solved"),
         exec.node(*winner).stats().search_rounds_by_phase.clone(),
     )
-}
-
-pub(crate) fn measure(
-    c: u32,
-    x: u32,
-    trials: usize,
-    seed: u64,
-    binary: bool,
-    occupancy: Occupancy,
-) -> Vec<Digest> {
-    fan_out(trials, seed, None, |s| {
-        measure_one(c, x, s, binary, occupancy)
-    })
 }
 
 /// Runs the experiment.
@@ -130,16 +116,13 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
     // Dense occupancy so that every phase pairs every cohort: the regime the
     // per-phase bound describes (random-sparse runs end in 2-4 phases
     // because unpaired cohorts retire — see the note below). Several rows
-    // derive from one bounded trace batch, so this section stays on the
-    // trial layer (itself a single-cell campaign).
+    // derive from one bounded batch.
     let (c, x) = (1u32 << 14, 512u32);
-    let data = measure(
-        c,
-        x,
+    let data: Vec<Digest> = ctx.trials(
+        "Per-phase SplitSearch cost",
         scale.trials().min(30),
         seed_base("e8p", u64::from(c), u64::from(x)),
-        false,
-        Occupancy::Dense,
+        |s| measure_one(c, x, s, false, Occupancy::Dense),
     );
     let max_phases = data.iter().map(|d| d.1.len()).max().unwrap_or(0);
     let mut phase_table = Table::new(&[
@@ -191,8 +174,11 @@ mod tests {
 
     #[test]
     fn rounds_fit_theorem_17() {
+        let ctx = RunCtx::new(Scale::Quick);
         for (c, x) in [(64u32, 16u32), (1024, 64)] {
-            let data = measure(c, x, 8, 3, false, Occupancy::Random);
+            let data = ctx.trials("rounds", 8, 3, |s| {
+                measure_one(c, x, s, false, Occupancy::Random)
+            });
             let h = ChannelTree::for_election(c).height();
             let budget = contention::theory::leaf_election_budget(h, x);
             for (rounds, _) in &data {
@@ -206,7 +192,9 @@ mod tests {
 
     #[test]
     fn per_phase_cost_shrinks() {
-        let data = measure(1 << 12, 128, 6, 1, false, Occupancy::Dense);
+        let data = RunCtx::new(Scale::Quick).trials("phases", 6, 1, |s| {
+            measure_one(1 << 12, 128, s, false, Occupancy::Dense)
+        });
         for (_, phases) in &data {
             if phases.len() >= 3 {
                 assert!(

@@ -16,13 +16,6 @@ use mac_sim::{CdMode, Engine, SimConfig};
 
 use super::{paper_rounds, run_trial, seed_base};
 use crate::{cell_u64, sample_distinct, ExperimentReport, RunCtx, Samples};
-#[cfg(test)]
-use mac_sim::trials::fan_out;
-
-#[cfg(test)]
-pub(crate) fn full_rounds(c: u32, n: u64, active: usize, trials: usize, seed: u64) -> Vec<u64> {
-    fan_out(trials, seed, None, |s| paper_rounds(c, n, active, s))
-}
 
 /// One full-algorithm run's rounds-to-solve plus its solver spine, off a
 /// single execution (same engine as [`paper_rounds`] at the same seed; E10
@@ -41,21 +34,6 @@ pub(crate) fn full_one_with_spine(
         .map(|id| exec.node(id).phase_stats())
         .unwrap_or_default();
     (report.rounds_to_solve().expect("solved"), spine)
-}
-
-/// The solver's per-phase telemetry spine for each trial of the full
-/// algorithm (same engines as [`full_rounds`] at the same seed).
-#[cfg(test)]
-pub(crate) fn full_solver_spines(
-    c: u32,
-    n: u64,
-    active: usize,
-    trials: usize,
-    seed: u64,
-) -> Vec<Vec<PhaseStats>> {
-    fan_out(trials, seed, None, |s| {
-        full_one_with_spine(c, n, active, s).1
-    })
 }
 
 /// Mean rounds the solver spent in `name` across `spines`.
@@ -81,13 +59,6 @@ fn descent_one(c: u32, n: u64, active: usize, seed: u64) -> u64 {
     run_trial(&mut exec).rounds_to_solve().expect("solved")
 }
 
-#[cfg(test)]
-pub(crate) fn descent_rounds(c: u32, n: u64, active: usize, trials: usize, seed: u64) -> Vec<u64> {
-    (0..trials as u64)
-        .map(|i| descent_one(c, n, active, seed.wrapping_add(i)))
-        .collect()
-}
-
 /// Rounds-to-solve for one decay (no CD) run.
 fn decay_one(c: u32, n: u64, active: usize, seed: u64) -> u64 {
     let cfg = SimConfig::new(c)
@@ -98,13 +69,6 @@ fn decay_one(c: u32, n: u64, active: usize, seed: u64) -> u64 {
     run_trial(&mut exec).rounds_to_solve().expect("solved")
 }
 
-#[cfg(test)]
-pub(crate) fn decay_rounds(c: u32, n: u64, active: usize, trials: usize, seed: u64) -> Vec<u64> {
-    (0..trials as u64)
-        .map(|i| decay_one(c, n, active, seed.wrapping_add(i)))
-        .collect()
-}
-
 /// Rounds-to-solve for one multi-channel no-CD run.
 fn nocd_one(c: u32, n: u64, active: usize, seed: u64) -> u64 {
     let cfg = SimConfig::new(c)
@@ -113,13 +77,6 @@ fn nocd_one(c: u32, n: u64, active: usize, seed: u64) -> u64 {
         .max_rounds(10_000_000);
     let mut exec = Engine::new(cfg).populated((0..active).map(|_| MultiChannelNoCd::new(c, n)));
     run_trial(&mut exec).rounds_to_solve().expect("solved")
-}
-
-#[cfg(test)]
-pub(crate) fn nocd_rounds(c: u32, n: u64, active: usize, trials: usize, seed: u64) -> Vec<u64> {
-    (0..trials as u64)
-        .map(|i| nocd_one(c, n, active, seed.wrapping_add(i)))
-        .collect()
 }
 
 /// Rounds-to-solve for one adaptive CD-tournament run.
@@ -361,15 +318,17 @@ mod tests {
     use super::*;
     use crate::Scale;
 
-    fn mean(v: &[u64]) -> f64 {
+    /// Mean of `trial` over `trials` seeds from `seed`, as one batch.
+    fn mean(trials: usize, seed: u64, trial: impl Fn(u64) -> u64 + Sync) -> f64 {
+        let v = RunCtx::new(Scale::Quick).trials("mean", trials, seed, trial);
         v.iter().sum::<u64>() as f64 / v.len() as f64
     }
 
     #[test]
     fn cd_beats_no_cd_on_one_channel() {
         let (n, a) = (1u64 << 14, 128usize);
-        let cd = mean(&descent_rounds(1, n, a, 8, 1));
-        let no_cd = mean(&decay_rounds(1, n, a, 8, 1));
+        let cd = mean(8, 1, |s| descent_one(1, n, a, s));
+        let no_cd = mean(8, 1, |s| decay_one(1, n, a, s));
         assert!(
             cd < no_cd,
             "collision detection must win on one channel: {cd} vs {no_cd}"
@@ -380,8 +339,8 @@ mod tests {
     fn full_beats_descent_with_many_channels() {
         // The paper's point: with C large, log n/log C + lglg·lglglg beats log n.
         let (n, a) = (1u64 << 18, 256usize);
-        let full = mean(&full_rounds(2048, n, a, 10, 2));
-        let descent = mean(&descent_rounds(2048, n, a, 10, 2));
+        let full = mean(10, 2, |s| paper_rounds(2048, n, a, s));
+        let descent = mean(10, 2, |s| descent_one(2048, n, a, s));
         assert!(
             full < descent,
             "at C=2048, n=2^18 the paper's algorithm must win: {full} vs {descent}"
@@ -395,9 +354,9 @@ mod tests {
         // a confidence-tail effect (see DESIGN.md §4). Sanity: the
         // multi-channel variant stays within a small factor of plain decay.
         let (n, a) = (1u64 << 14, 512usize);
-        let decay = mean(&decay_rounds(1, n, a, 8, 3));
+        let decay = mean(8, 3, |s| decay_one(1, n, a, s));
         for c in [1u32, 16, 64] {
-            let nocd = mean(&nocd_rounds(c, n, a, 8, 3));
+            let nocd = mean(8, 3, |s| nocd_one(c, n, a, s));
             assert!(
                 nocd <= 4.0 * decay + 20.0,
                 "C={c}: no-CD multi ({nocd}) far outside decay envelope ({decay})"
@@ -417,8 +376,9 @@ mod tests {
         // Same seed → same trials: each solver spine must sum to exactly
         // that trial's rounds-to-solve (the solver acts in every round).
         let (c, n, a) = (64u32, 1u64 << 12, 256usize);
-        let rounds = full_rounds(c, n, a, 6, 11);
-        let spines = full_solver_spines(c, n, a, 6, 11);
+        let ctx = RunCtx::new(Scale::Quick);
+        let rounds = ctx.trials("rounds", 6, 11, |s| paper_rounds(c, n, a, s));
+        let spines = ctx.trials("spines", 6, 11, |s| full_one_with_spine(c, n, a, s).1);
         assert_eq!(rounds.len(), spines.len());
         for (r, spine) in rounds.iter().zip(&spines) {
             let total: u64 = spine.iter().map(|p| p.rounds).sum();
@@ -432,7 +392,9 @@ mod tests {
 
     #[test]
     fn fallback_spines_are_tournament_shaped() {
-        let spines = full_solver_spines(4, 1 << 10, 128, 4, 21);
+        let spines = RunCtx::new(Scale::Quick).trials("spines", 4, 21, |s| {
+            full_one_with_spine(4, 1 << 10, 128, s).1
+        });
         for spine in &spines {
             assert_eq!(spine.len(), 1);
             assert_eq!(spine[0].name, "cd-tournament");

@@ -99,15 +99,16 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
 
 #[cfg(test)]
 mod tests {
-    use super::super::e09_full_vs_baselines::full_rounds;
+    use super::super::paper_rounds;
     use super::*;
     use crate::Scale;
 
     #[test]
     fn ratio_band_is_bounded() {
+        let ctx = RunCtx::new(Scale::Quick);
         let mut ratios = Vec::new();
         for (n, c) in [(1u64 << 10, 32u32), (1 << 14, 32), (1 << 18, 512)] {
-            let rounds = full_rounds(c, n, 128, 8, 4);
+            let rounds = ctx.trials("ratio", 8, 4, |s| paper_rounds(c, n, 128, s));
             let mean = rounds.iter().sum::<u64>() as f64 / rounds.len() as f64;
             ratios.push(mean / lower_bound_curve(n, c));
         }

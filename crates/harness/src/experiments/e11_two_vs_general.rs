@@ -39,21 +39,6 @@ fn general_one(c: u32, n: u64, seed: u64) -> (u64, u64) {
     (report.rounds_executed, reduce)
 }
 
-#[cfg(test)]
-fn general_rounds(c: u32, n: u64, trials: usize, seed: u64) -> Vec<u64> {
-    (0..trials as u64)
-        .map(|i| general_one(c, n, seed.wrapping_add(i)).0)
-        .collect()
-}
-
-#[cfg(test)]
-fn general_reduce_rounds(c: u32, n: u64, trials: usize, seed: u64) -> f64 {
-    let total: u64 = (0..trials as u64)
-        .map(|i| general_one(c, n, seed.wrapping_add(i)).1)
-        .sum();
-    total as f64 / trials.max(1) as f64
-}
-
 /// Runs the experiment.
 #[must_use]
 pub fn run(ctx: &RunCtx) -> ExperimentReport {
@@ -122,15 +107,15 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
 
 #[cfg(test)]
 mod tests {
-    use super::super::e01_two_active_vs_n::measure_completion as two_active_rounds;
     use super::*;
     use crate::Scale;
 
     #[test]
     fn specialist_beats_generalist() {
         let (c, n) = (64u32, 1u64 << 16);
-        let two = two_active_rounds(c, n, 15, 1);
-        let gen = general_rounds(c, n, 15, 1);
+        let ctx = RunCtx::new(Scale::Quick);
+        let two = ctx.trials("two", 15, 1, |s| two_active_one(c, n, s));
+        let gen = ctx.trials("general", 15, 1, |s| general_one(c, n, s).0);
         let mean = |v: &[u64]| v.iter().sum::<u64>() as f64 / v.len() as f64;
         assert!(
             mean(&two) <= mean(&gen),
@@ -143,9 +128,9 @@ mod tests {
     #[test]
     fn reduce_overhead_is_within_the_total() {
         let (c, n) = (64u32, 1u64 << 16);
-        let total = general_rounds(c, n, 10, 3);
-        let mean_total = total.iter().sum::<u64>() as f64 / total.len() as f64;
-        let reduce = general_reduce_rounds(c, n, 10, 3);
+        let runs = RunCtx::new(Scale::Quick).trials("general", 10, 3, |s| general_one(c, n, s));
+        let mean_total = runs.iter().map(|r| r.0).sum::<u64>() as f64 / runs.len() as f64;
+        let reduce = runs.iter().map(|r| r.1).sum::<u64>() as f64 / runs.len() as f64;
         assert!(reduce > 0.0, "the pipeline always enters Reduce");
         assert!(
             reduce <= mean_total,
@@ -156,8 +141,15 @@ mod tests {
     #[test]
     fn both_always_solve() {
         let (c, n) = (1024u32, 1u64 << 12);
-        assert_eq!(two_active_rounds(c, n, 10, 2).len(), 10);
-        assert_eq!(general_rounds(c, n, 10, 2).len(), 10);
+        let ctx = RunCtx::new(Scale::Quick);
+        assert_eq!(
+            ctx.trials("two", 10, 2, |s| two_active_one(c, n, s)).len(),
+            10
+        );
+        assert_eq!(
+            ctx.trials("general", 10, 2, |s| general_one(c, n, s)).len(),
+            10
+        );
     }
 
     #[test]

@@ -13,7 +13,6 @@ use mac_sim::{Engine, SimConfig};
 
 use super::{paper_rounds, run_trial, seed_base};
 use crate::{ExperimentReport, RunCtx, Samples};
-use mac_sim::trials::fan_out;
 
 /// One wrapped run under a wake-up schedule.
 fn wrapped_one(c: u32, n: u64, offsets: &[u64], seed: u64) -> u64 {
@@ -25,15 +24,6 @@ fn wrapped_one(c: u32, n: u64, offsets: &[u64], seed: u64) -> u64 {
         );
     }
     run_trial(&mut exec).rounds_to_solve().expect("solved")
-}
-
-#[cfg(test)]
-fn wrapped_rounds(c: u32, n: u64, offsets: &[u64], trials: usize, seed: u64) -> Vec<u64> {
-    fan_out(trials, seed, None, |s| wrapped_one(c, n, offsets, s))
-}
-
-fn bare_rounds(c: u32, n: u64, active: usize, trials: usize, seed: u64) -> Vec<u64> {
-    fan_out(trials, seed, None, |s| paper_rounds(c, n, active, s))
 }
 
 /// Runs the experiment.
@@ -67,7 +57,10 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
 
     // The unwrapped baseline is a deterministic batch (same seeds on every
     // run and on resume); the per-schedule rows stream through the sweep.
-    let base = Summary::from_u64(&bare_rounds(c, n, active, trials, seed_base("e12b", 0, 0)));
+    let base = ctx.trials("baseline", trials, seed_base("e12b", 0, 0), |s| {
+        paper_rounds(c, n, active, s)
+    });
+    let base = Summary::from_u64(&base);
     let k = 2 * LISTEN_ROUNDS + 4;
     let caption = "Wrapped full algorithm under adversarial wake-ups";
     let mut sweep = ctx.sweep::<Samples>(
@@ -122,10 +115,11 @@ mod tests {
     #[test]
     fn adversarial_offsets_all_solve_within_double() {
         let (c, n, active) = (32u32, 1u64 << 10, 24usize);
-        let base = bare_rounds(c, n, active, 10, 1);
+        let ctx = RunCtx::new(Scale::Quick);
+        let base = ctx.trials("base", 10, 1, |s| paper_rounds(c, n, active, s));
         let base_mean = base.iter().sum::<u64>() as f64 / base.len() as f64;
         let offsets: Vec<u64> = (0..active as u64).map(|i| i % 2).collect();
-        let wrapped = wrapped_rounds(c, n, &offsets, 10, 2);
+        let wrapped = ctx.trials("wrapped", 10, 2, |s| wrapped_one(c, n, &offsets, s));
         for r in wrapped {
             assert!(
                 (r as f64) <= 2.0 * base_mean * 2.5 + 20.0,

@@ -11,25 +11,11 @@
 //! and neither search strategy dominates (that regime is reported too, as
 //! a second table, because it is an honest finding about the technique).
 
-#[cfg(test)]
-use contention_analysis::Summary;
 use mac_sim::campaign::SeedStream;
 
-#[cfg(test)]
-use super::e08_leaf_election::measure;
 use super::e08_leaf_election::{measure_one, Occupancy};
 use super::seed_base;
 use crate::{cell_f64, ExperimentReport, RunCtx, Samples};
-
-#[cfg(test)]
-fn mean_rounds(c: u32, x: u32, trials: usize, seed: u64, binary: bool, occ: Occupancy) -> Summary {
-    Summary::from_u64(
-        &measure(c, x, trials, seed, binary, occ)
-            .iter()
-            .map(|d| d.0)
-            .collect::<Vec<_>>(),
-    )
-}
 
 /// Renders one ablation row off its paired aggregates.
 fn ablation_cells(x: u32, cohort: &Samples, binary: &Samples) -> Vec<String> {
@@ -139,12 +125,22 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
 mod tests {
     use super::*;
     use crate::Scale;
+    use contention_analysis::Summary;
+
+    /// Mean rounds to elect over 8 dense trials at seeds `11..19`.
+    fn dense_mean(ctx: &RunCtx, c: u32, x: u32, binary: bool) -> f64 {
+        let rounds = ctx.trials("dense", 8, 11, |s| {
+            measure_one(c, x, s, binary, Occupancy::Dense).0
+        });
+        Summary::from_u64(&rounds).mean
+    }
 
     #[test]
     fn cohort_search_beats_binary_when_dense() {
         let c = 1u32 << 14;
-        let cohort = mean_rounds(c, 512, 8, 11, false, Occupancy::Dense).mean;
-        let binary = mean_rounds(c, 512, 8, 11, true, Occupancy::Dense).mean;
+        let ctx = RunCtx::new(Scale::Quick);
+        let cohort = dense_mean(&ctx, c, 512, false);
+        let binary = dense_mean(&ctx, c, 512, true);
         assert!(
             cohort < binary,
             "cohorts must accelerate the dense search: {cohort} vs {binary}"
@@ -153,18 +149,21 @@ mod tests {
 
     #[test]
     fn both_variants_always_elect() {
-        // measure() panics if no leader emerges, so surviving is the test.
-        let _ = measure(1 << 10, 64, 5, 1, true, Occupancy::Dense);
-        let _ = measure(1 << 10, 64, 5, 1, false, Occupancy::Random);
+        // measure_one() panics if no leader emerges, so surviving is the test.
+        let ctx = RunCtx::new(Scale::Quick);
+        let _ = ctx.trials("dense", 5, 1, |s| {
+            measure_one(1 << 10, 64, s, true, Occupancy::Dense)
+        });
+        let _ = ctx.trials("random", 5, 1, |s| {
+            measure_one(1 << 10, 64, s, false, Occupancy::Random)
+        });
     }
 
     #[test]
     fn speedup_grows_with_x_when_dense() {
         let c = 1u32 << 14;
-        let ratio = |x: u32| {
-            mean_rounds(c, x, 8, 11, true, Occupancy::Dense).mean
-                / mean_rounds(c, x, 8, 11, false, Occupancy::Dense).mean
-        };
+        let ctx = RunCtx::new(Scale::Quick);
+        let ratio = |x: u32| dense_mean(&ctx, c, x, true) / dense_mean(&ctx, c, x, false);
         let small = ratio(4);
         let large = ratio(4096);
         assert!(

@@ -13,26 +13,12 @@ use mac_sim::{Engine, SimConfig};
 use super::e09_full_vs_baselines::tournament_one;
 use super::{paper_rounds, run_trial, seed_base};
 use crate::{ExperimentReport, RunCtx, Samples};
-use mac_sim::trials::fan_out;
 
 /// One expected-time run's rounds-to-solve.
 fn expected_one(c: u32, n: u64, active: usize, seed: u64) -> u64 {
     let mut exec = Engine::new(SimConfig::new(c).seed(seed).max_rounds(1_000_000))
         .populated((0..active).map(|_| ExpectedConstant::new(c, n)));
     run_trial(&mut exec).rounds_to_solve().expect("solved")
-}
-
-#[cfg(test)]
-fn expected_rounds(c: u32, n: u64, active: usize, trials: usize, seed: u64) -> Vec<u64> {
-    fan_out(trials, seed, None, |s| expected_one(c, n, active, s))
-}
-
-fn willard_rounds(n: u64, active: usize, trials: usize, seed: u64) -> Vec<u64> {
-    fan_out(trials, seed, None, |s| {
-        let mut exec = Engine::new(SimConfig::new(1).seed(s).max_rounds(1_000_000))
-            .populated((0..active).map(|_| Willard::new(n)));
-        run_trial(&mut exec).rounds_to_solve().expect("solved")
-    })
 }
 
 /// Runs the experiment.
@@ -50,7 +36,12 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
     // Mean vs C: the expected-time algorithm flattens once C >= lg n. The
     // single-channel expected-time classic (Willard, the paper's ref [5])
     // anchors the comparison — a deterministic batch shared by every row.
-    let willard = Summary::from_u64(&willard_rounds(n, active, trials, seed_base("e14w", 0, n)));
+    let willard = ctx.trials("Willard baseline", trials, seed_base("e14w", 0, n), |s| {
+        let mut exec = Engine::new(SimConfig::new(1).seed(s).max_rounds(1_000_000))
+            .populated((0..active).map(|_| Willard::new(n)));
+        run_trial(&mut exec).rounds_to_solve().expect("solved")
+    });
+    let willard = Summary::from_u64(&willard);
     let caption = format!("Mean rounds, n = 2^16, |A| = {active}");
     let mut sweep = ctx.sweep::<(Samples, Samples, Samples)>(
         &caption,
@@ -142,8 +133,9 @@ mod tests {
     #[test]
     fn expected_time_flattens_with_channels() {
         let n = 1u64 << 16;
+        let ctx = RunCtx::new(Scale::Quick);
         let mean = |c: u32| {
-            let v = expected_rounds(c, n, 512, 15, 3);
+            let v = ctx.trials("mean", 15, 3, |s| expected_one(c, n, 512, s));
             v.iter().sum::<u64>() as f64 / v.len() as f64
         };
         let narrow = mean(2);
@@ -155,8 +147,9 @@ mod tests {
     #[test]
     fn mean_is_density_independent_at_log_n_channels() {
         let n = 1u64 << 16;
+        let ctx = RunCtx::new(Scale::Quick);
         let mean = |a: usize| {
-            let v = expected_rounds(18, n, a, 15, 5);
+            let v = ctx.trials("mean", 15, 5, |s| expected_one(18, n, a, s));
             v.iter().sum::<u64>() as f64 / v.len() as f64
         };
         let sparse = mean(2);

@@ -15,7 +15,6 @@ use std::collections::BTreeMap;
 
 use super::{observe_trial, seed_base};
 use crate::{sample_distinct, ExperimentReport, RunCtx, Samples};
-use mac_sim::trials::fan_out;
 
 /// One recorded run: rounds-to-solve plus the span-model energy counters.
 fn recorded_one<P: Protocol, F: FeedbackModel>(mut exec: Engine<P, F>) -> (u64, RunRecord) {
@@ -184,10 +183,9 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
     // Where the pipeline's energy actually goes: the recorder attributes
     // every transmission and acting round to the acting node's own phase,
     // so this breakdown stays exact even when phases overlap. This table
-    // derives many rows from one record batch, so it runs on the trial
-    // layer (itself a single-cell campaign) at the pipeline row's seeds —
-    // deterministic on every run, including resumed ones.
-    let full_records = fan_out(trials, seed_base("e15f", 0, 0), None, |s| {
+    // derives many rows from one record batch at the pipeline row's seeds,
+    // recomputed identically on every run, including resumed ones.
+    let full_records = ctx.trials("energy by phase", trials, seed_base("e15f", 0, 0), |s| {
         recorded_one(
             Engine::new(SimConfig::new(c).seed(s).max_rounds(1_000_000))
                 .populated((0..active).map(|_| FullAlgorithm::new(Params::practical(), c, n))),
@@ -209,12 +207,15 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
         "mean node-rounds",
         "tx per node-round",
     ]);
+    // Per record, not per trial: a quarantined trial leaves no record.
+    #[allow(clippy::cast_precision_loss)]
+    let records = full_records.len().max(1) as f64;
     for (label, (tx, rounds)) in &by_phase {
         #[allow(clippy::cast_precision_loss)]
         phase_table.row_owned(vec![
             label.clone(),
-            format!("{:.1}", *tx as f64 / trials as f64),
-            format!("{:.1}", *rounds as f64 / trials as f64),
+            format!("{:.1}", *tx as f64 / records),
+            format!("{:.1}", *rounds as f64 / records),
             format!("{:.4}", *tx as f64 / (*rounds).max(1) as f64),
         ]);
     }
@@ -257,23 +258,21 @@ mod tests {
     #[test]
     fn pipeline_is_more_frugal_than_descent() {
         let (c, n, active) = (64u32, 1u64 << 12, 512usize);
-        let full_tx: u64 = fan_out(8, 1, None, |s| {
+        let ctx = RunCtx::new(Scale::Quick);
+        let full = ctx.trials("pipeline", 8, 1, |s| {
             let mut exec = Engine::new(SimConfig::new(c).seed(s).max_rounds(1_000_000))
                 .populated((0..active).map(|_| FullAlgorithm::new(Params::practical(), c, n)));
             exec.run().expect("runs").metrics.transmissions
-        })
-        .iter()
-        .sum();
-        let descent_tx: u64 = fan_out(8, 1, None, |s| {
+        });
+        let descent = ctx.trials("descent", 8, 1, |s| {
             let mut exec = Engine::new(SimConfig::new(c).seed(s).max_rounds(1_000_000)).populated(
                 sample_distinct(n, active, s)
                     .into_iter()
                     .map(|id| BinaryDescent::new(id, n)),
             );
             exec.run().expect("runs").metrics.transmissions
-        })
-        .iter()
-        .sum();
+        });
+        let (full_tx, descent_tx) = (full.iter().sum::<u64>(), descent.iter().sum::<u64>());
         assert!(
             full_tx < descent_tx,
             "pipeline should out-frugal descent: {full_tx} vs {descent_tx}"
@@ -294,7 +293,7 @@ mod tests {
         // engine's Metrics counters to the RunRecord ones: both accountings
         // run side by side here and must agree exactly, field for field.
         let (c, n, active) = (64u32, 1u64 << 12, 256usize);
-        let pairs = fan_out(6, 9, None, |s| {
+        let pairs = RunCtx::new(Scale::Quick).trials("records", 6, 9, |s| {
             let mut exec = Engine::new(SimConfig::new(c).seed(s).max_rounds(1_000_000))
                 .populated((0..active).map(|_| FullAlgorithm::new(Params::practical(), c, n)));
             let mut recorder = RunRecorder::new();

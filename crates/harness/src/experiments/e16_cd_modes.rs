@@ -11,13 +11,6 @@ use mac_sim::{CdMode, Engine, Protocol, SimConfig, SimError};
 
 use crate::{ExperimentReport, RunCtx};
 
-/// Result of running one (algorithm, mode) cell across trials.
-struct Cell {
-    solved: usize,
-    trials: usize,
-    mean_rounds: Option<f64>,
-}
-
 /// One (mode, seed) execution: `Some(rounds)` when it solved, `None` on a
 /// timeout (a stall, under the weaker feedback models).
 fn solve_one<P: Protocol>(
@@ -46,35 +39,6 @@ where
             slot.0 += 1;
             slot.1 += r;
         }
-    }
-}
-
-#[cfg(test)]
-fn run_cell<I>(mode: CdMode, trials: usize, cap: u64, nodes: impl Fn() -> I) -> Cell
-where
-    I: IntoIterator,
-    I::Item: Protocol,
-{
-    let mut solved = 0usize;
-    let mut total_rounds = 0u64;
-    for seed in 0..trials as u64 {
-        if let Some(r) = solve_one(mode, seed, cap, nodes()) {
-            solved += 1;
-            total_rounds += r;
-        }
-    }
-    Cell {
-        solved,
-        trials,
-        mean_rounds: (solved > 0).then(|| total_rounds as f64 / solved as f64),
-    }
-}
-
-fn render(cell: &Cell) -> String {
-    match cell.mean_rounds {
-        Some(mean) if cell.solved == cell.trials => format!("{mean:.1} rounds"),
-        Some(mean) => format!("{}/{} solved ({mean:.1}r)", cell.solved, cell.trials),
-        None => "stuck".to_string(),
     }
 }
 
@@ -160,13 +124,13 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
 fn render_row(name: &str, acc: &ModeAgg, trials: usize) -> Vec<String> {
     let mut cells = vec![name.to_string()];
     for (solved, total_rounds) in [acc.0, acc.1, acc.2] {
-        #[allow(clippy::cast_possible_truncation)]
-        let cell = Cell {
-            solved: solved as usize,
-            trials,
-            mean_rounds: (solved > 0).then(|| total_rounds as f64 / solved as f64),
-        };
-        cells.push(render(&cell));
+        #[allow(clippy::cast_precision_loss)]
+        let mean = total_rounds as f64 / solved.max(1) as f64;
+        cells.push(match solved {
+            0 => "stuck".to_string(),
+            s if s == trials as u64 => format!("{mean:.1} rounds"),
+            s => format!("{s}/{trials} solved ({mean:.1}r)"),
+        });
     }
     cells
 }
@@ -178,22 +142,26 @@ mod tests {
 
     #[test]
     fn strong_cd_column_always_solves() {
-        let cell = run_cell(CdMode::Strong, 8, 3_000, || {
-            (0..100).map(|_| FullAlgorithm::new(Params::practical(), 64, 1 << 12))
+        let runs = RunCtx::new(Scale::Quick).trials("strong", 8, 0, |seed| {
+            let nodes = (0..100).map(|_| FullAlgorithm::new(Params::practical(), 64, 1 << 12));
+            solve_one(CdMode::Strong, seed, 3_000, nodes)
         });
-        assert_eq!(cell.solved, cell.trials);
+        assert!(runs.iter().all(Option::is_some), "{runs:?}");
     }
 
     #[test]
     fn two_active_stalls_without_transmitter_cd() {
-        let cell = run_cell(CdMode::ReceiverOnly, 6, 1_000, || {
-            [TwoActive::new(64, 1 << 12), TwoActive::new(64, 1 << 12)]
+        let runs = RunCtx::new(Scale::Quick).trials("receiver-only", 6, 0, |seed| {
+            let nodes = [TwoActive::new(64, 1 << 12), TwoActive::new(64, 1 << 12)];
+            solve_one(CdMode::ReceiverOnly, seed, 1_000, nodes)
         });
         // Renaming cannot advance; any "solve" would be a freak lone
         // transmission, which with both nodes transmitting every round on
         // 64 channels does happen — but never by clean termination. Expect
         // dramatically degraded behavior versus strong CD's ~5 rounds.
-        if let Some(mean) = cell.mean_rounds {
+        let solved: Vec<u64> = runs.into_iter().flatten().collect();
+        if !solved.is_empty() {
+            let mean = solved.iter().sum::<u64>() as f64 / solved.len() as f64;
             assert!(
                 mean > 1.0,
                 "receiver-only CD should not look healthy: {mean}"
@@ -203,9 +171,12 @@ mod tests {
 
     #[test]
     fn decay_is_mode_insensitive() {
+        let ctx = RunCtx::new(Scale::Quick);
         for mode in [CdMode::Strong, CdMode::ReceiverOnly, CdMode::None] {
-            let cell = run_cell(mode, 6, 100_000, || (0..100).map(|_| Decay::new(1 << 12)));
-            assert_eq!(cell.solved, cell.trials, "mode {mode:?}");
+            let runs = ctx.trials("decay", 6, 0, |seed| {
+                solve_one(mode, seed, 100_000, (0..100).map(|_| Decay::new(1 << 12)))
+            });
+            assert!(runs.iter().all(Option::is_some), "mode {mode:?}");
         }
     }
 

@@ -40,13 +40,6 @@ fn pipeline_drain_one(c: u32, n: u64, k: usize, seed: u64) -> u64 {
     )
 }
 
-#[cfg(test)]
-fn pipeline_drain(c: u32, n: u64, k: usize, trials: usize, seed: u64) -> Vec<u64> {
-    (0..trials as u64)
-        .map(|i| pipeline_drain_one(c, n, k, seed.wrapping_add(i)))
-        .collect()
-}
-
 /// One tournament-serializer drain.
 fn tournament_drain_one(k: usize, seed: u64) -> u64 {
     drain_rounds(
@@ -54,13 +47,6 @@ fn tournament_drain_one(k: usize, seed: u64) -> u64 {
         seed,
         (0..k as u32).map(|payload| SerializeAll::new(CdTournament::new, payload)),
     )
-}
-
-#[cfg(test)]
-fn tournament_drain(k: usize, trials: usize, seed: u64) -> Vec<u64> {
-    (0..trials as u64)
-        .map(|i| tournament_drain_one(k, seed.wrapping_add(i)))
-        .collect()
 }
 
 /// One deterministic tree-split drain. Random id placement: evenly spaced
@@ -75,13 +61,6 @@ fn tree_split_drain_one(n: u64, k: usize, seed: u64) -> u64 {
             .into_iter()
             .map(|id| TreeSplit::new(id, n)),
     )
-}
-
-#[cfg(test)]
-fn tree_split_drain(n: u64, k: usize, trials: usize, seed: u64) -> Vec<u64> {
-    (0..trials as u64)
-        .map(|i| tree_split_drain_one(n, k, seed.wrapping_add(i)))
-        .collect()
 }
 
 /// Runs the experiment.
@@ -160,15 +139,24 @@ mod tests {
     fn all_three_strategies_drain() {
         let n = 1u64 << 10;
         let k = 32usize;
-        assert!(!pipeline_drain(16, n, k, 2, 1).is_empty());
-        assert!(!tournament_drain(k, 2, 1).is_empty());
-        assert!(!tree_split_drain(n, k, 2, 1).is_empty());
+        let ctx = RunCtx::new(Scale::Quick);
+        assert!(!ctx
+            .trials("pipeline", 2, 1, |s| pipeline_drain_one(16, n, k, s))
+            .is_empty());
+        assert!(!ctx
+            .trials("tournament", 2, 1, |s| tournament_drain_one(k, s))
+            .is_empty());
+        assert!(!ctx
+            .trials("tree split", 2, 1, |s| tree_split_drain_one(n, k, s))
+            .is_empty());
     }
 
     #[test]
     fn tree_split_flat_per_packet_when_dense() {
         let n = 1u64 << 10;
-        let dense = tree_split_drain(n, 1024, 1, 0)[0] as f64 / 1024.0;
+        let drain =
+            RunCtx::new(Scale::Quick).trials("dense", 1, 0, |s| tree_split_drain_one(n, 1024, s));
+        let dense = drain[0] as f64 / 1024.0;
         assert!(
             dense <= 3.0,
             "dense tree split should be ~2 rounds/packet: {dense}"

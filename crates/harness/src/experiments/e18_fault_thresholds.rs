@@ -167,24 +167,6 @@ pub(crate) fn level_row(
     );
 }
 
-/// Solved-trial rounds of `trials` seeded engines with a fresh fault model
-/// and population each (sequential form, used by the tests).
-#[cfg(test)]
-fn run_cell<P, FM>(
-    trials: usize,
-    base_seed: u64,
-    make_feedback: impl Fn() -> FM,
-    make_nodes: &impl Fn() -> Vec<P>,
-) -> Vec<u64>
-where
-    P: Protocol,
-    FM: FeedbackModel,
-{
-    (0..trials as u64)
-        .filter_map(|t| run_one(base_seed.wrapping_add(t), make_feedback(), make_nodes()))
-        .collect()
-}
-
 /// One pipeline run under symmetric CD-noise `p`: `Some(spine)` when it
 /// solved, the solver's spine read through the same
 /// [`contention::phase::PhaseTelemetry`] API the sessions and E9–E11 use.
@@ -194,16 +176,6 @@ fn pipeline_profile_one(p: f64, seed: u64) -> Option<Vec<PhaseStats>> {
         || fault_engine(seed, noise, pipeline_nodes()),
         |_, solver| solver.phase_stats(),
     )
-}
-
-/// Success rate and solver spines under CD-noise `p` (sequential form,
-/// used by the tests).
-#[cfg(test)]
-fn pipeline_phase_profile(p: f64, trials: usize, base_seed: u64) -> (f64, Vec<Vec<PhaseStats>>) {
-    let spines: Vec<Vec<PhaseStats>> = (0..trials as u64)
-        .filter_map(|t| pipeline_profile_one(p, base_seed.wrapping_add(t)))
-        .collect();
-    (success(trials, spines.len()), spines)
 }
 
 /// Fault levels shared by every algorithm in one run of the experiment.
@@ -438,6 +410,20 @@ mod tests {
     use crate::Scale;
     use mac_sim::SimError;
 
+    /// What `trial` returns for the solved trials among `trials` seeds
+    /// from `base_seed`, in seed order.
+    fn solved<T: Send>(
+        trials: usize,
+        base_seed: u64,
+        trial: impl Fn(u64) -> Option<T> + Sync,
+    ) -> Vec<T> {
+        RunCtx::new(Scale::Quick)
+            .trials("solved", trials, base_seed, trial)
+            .into_iter()
+            .flatten()
+            .collect()
+    }
+
     /// The ad-hoc `catch_unwind` + error match this experiment carried
     /// before the shared wedge verdict existed — kept verbatim here so the
     /// parity test below can assert `run_faulted_trial` counts wedged
@@ -504,42 +490,39 @@ mod tests {
     fn fault_free_column_solves() {
         // p = 0 noise over strong CD must behave exactly like the clean
         // engine: the paper's pipeline solves every trial.
-        let rounds = run_cell(
-            6,
-            seed_base("e18t", 0, 0),
-            || Layered::new(NoisyCd::symmetric(0.0), CdMode::Strong),
-            &pipeline_nodes,
-        );
+        let rounds = solved(6, seed_base("e18t", 0, 0), |s| {
+            run_one(
+                s,
+                Layered::new(NoisyCd::symmetric(0.0), CdMode::Strong),
+                pipeline_nodes(),
+            )
+        });
         assert_eq!(rounds.len(), 6);
     }
 
     #[test]
     fn total_loss_kills_everything() {
-        let rounds = run_cell(
-            4,
-            seed_base("e18t", 1, 0),
-            || Layered::new(LossyChannel::new(1.0), CdMode::Strong),
-            &two_active_nodes,
-        );
+        let rounds = solved(4, seed_base("e18t", 1, 0), |s| {
+            run_one(
+                s,
+                Layered::new(LossyChannel::new(1.0), CdMode::Strong),
+                two_active_nodes(),
+            )
+        });
         assert_eq!(rounds.len(), 0);
         assert_eq!(level_cell(4, &rounds), "dead");
     }
 
     #[test]
     fn jam_budget_inflates_rounds() {
-        let make = || (0..32).map(|_| CdTournament::new()).collect::<Vec<_>>();
-        let clean = run_cell(
-            6,
-            seed_base("e18t", 2, 0),
-            || JamBudget::new(CdMode::Strong, 0),
-            &make,
-        );
-        let jammed = run_cell(
-            6,
-            seed_base("e18t", 2, 0),
-            || JamBudget::new(CdMode::Strong, 16),
-            &make,
-        );
+        let jam = |budget: u64| {
+            solved(6, seed_base("e18t", 2, 0), |s| {
+                let nodes = (0..32).map(|_| CdTournament::new()).collect();
+                run_one(s, JamBudget::new(CdMode::Strong, budget), nodes)
+            })
+        };
+        let clean = jam(0);
+        let jammed = jam(16);
         let clean_med = median(&clean).expect("clean runs solve");
         if let Some(jam_med) = median(&jammed) {
             // 16 would-be-solving rounds are vetoed before one can land, so
@@ -565,7 +548,8 @@ mod tests {
 
     #[test]
     fn clean_phase_profile_is_pipeline_shaped() {
-        let (success, spines) = pipeline_phase_profile(0.0, 5, seed_base("e18t", 5, 0));
+        let spines = solved(5, seed_base("e18t", 5, 0), |s| pipeline_profile_one(0.0, s));
+        let success = success(5, spines.len());
         assert!((success - 1.0).abs() < f64::EPSILON, "p = 0 always solves");
         assert_eq!(spines.len(), 5);
         for spine in &spines {

@@ -303,6 +303,39 @@ mod tests {
     }
 
     #[test]
+    fn cancelled_context_stops_every_batch_experiment() {
+        // Each of these runs a `RunCtx::trials` batch; E4 runs nothing else.
+        for id in ["e4", "e6", "e8", "e12", "e14", "e15"] {
+            let token = mac_sim::campaign::CancelToken::new();
+            token.cancel();
+            let ctx = RunCtx::new(crate::Scale::Quick).cancel_token(token);
+            let outcome =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_one(id, &ctx)));
+            let payload = outcome
+                .err()
+                .unwrap_or_else(|| panic!("{id} ran to completion"));
+            assert!(
+                payload.downcast_ref::<crate::SweepCancelled>().is_some(),
+                "{id} did not stop with SweepCancelled"
+            );
+        }
+    }
+
+    #[test]
+    fn batches_report_their_trials_to_the_metrics_hub() {
+        let hub = std::sync::Arc::new(mac_sim::MetricsHub::new(2));
+        let ctx = RunCtx::new(crate::Scale::Quick)
+            .workers(2)
+            .metrics_hub(hub.clone());
+        let _ = run_one("e4", &ctx);
+        let trials = hub
+            .snapshot()
+            .registry
+            .counter("campaign_trials_done_total");
+        assert_eq!(trials, crate::Scale::Quick.trials() as u64);
+    }
+
+    #[test]
     fn seed_bases_differ() {
         assert_ne!(seed_base("a", 1, 2), seed_base("a", 2, 1));
         assert_ne!(seed_base("a", 1, 2), seed_base("b", 1, 2));

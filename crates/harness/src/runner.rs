@@ -9,7 +9,10 @@
 //! [`mac_sim::campaign::Campaign`] worker pool. Results stream into
 //! aggregates (no `Vec<RunReport>` accumulation), finished rows are
 //! checkpointed to disk as they complete, and rows already present in a
-//! resumed record store are replayed without running a single trial.
+//! resumed record store are replayed without running a single trial. A
+//! measurement that needs every sample instead of a table row runs as a
+//! batch, [`RunCtx::trials`]: one campaign cell under the same scheduling
+//! knobs, recomputed rather than replayed on resume.
 //!
 //! Determinism contract: the campaign layer merges shard aggregates in a
 //! fixed order, so a sweep's rendered rows are bit-identical for every
@@ -25,8 +28,8 @@ use std::time::Instant;
 
 use contention_analysis::Table;
 use mac_sim::campaign::{
-    Aggregate, Campaign, CancelToken, Cell, ProgressSink, Quarantined, SeedStream,
-    DEFAULT_SHARD_SIZE,
+    Aggregate, Campaign, CampaignOutcome, CancelToken, Cell, Collect, ProgressSink, Quarantined,
+    SeedStream, DEFAULT_SHARD_SIZE,
 };
 use mac_sim::obs::Json;
 use mac_sim::MetricsHub;
@@ -113,10 +116,11 @@ pub fn cell_u64(cell: &str) -> u64 {
         .unwrap_or_else(|_| panic!("table cell {cell:?} is not an unsigned integer"))
 }
 
-/// Panic payload thrown by [`Sweep::run`] when its campaign is cancelled
-/// (deadline or explicit token) before every row completed. The rows that
-/// did complete are already checkpointed in the record store; `repro`
-/// catches this payload, reports how to resume, and exits cleanly.
+/// Panic payload thrown by [`Sweep::run`] and [`RunCtx::trials`] when
+/// their campaign is cancelled (deadline or explicit token) before every
+/// row or trial completed. The rows that did complete are already
+/// checkpointed in the record store; `repro` catches this payload, reports
+/// how to resume, and exits cleanly.
 #[derive(Debug, Clone, Copy)]
 pub struct SweepCancelled;
 
@@ -253,10 +257,95 @@ impl RunCtx {
             ctx: self,
             section: section.into(),
             headers: headers.iter().map(|&h| h.to_string()).collect(),
-            campaign: Campaign::new().shard_size(default_shard_size(self.scale)),
+            cells: Vec::new(),
             rows: Vec::new(),
             renders: Vec::new(),
         }
+    }
+
+    /// Runs one batch of `trials` seeded trials, trial `i` at seed
+    /// `base_seed + i`, and returns their results in seed order: the run
+    /// path for measurements that need every sample rather than a table
+    /// row. The batch is a single [`Collect`] campaign cell scheduled like
+    /// a sweep's (same workers, cancellation, self-healing, progress,
+    /// telemetry and chaos seed), so its output never depends on the worker
+    /// count. It writes no checkpoint rows: a resumed run recomputes it.
+    ///
+    /// # Panics
+    ///
+    /// Panics with [`SweepCancelled`] if the context's cancellation token
+    /// fired before the batch completed; propagates trial panics. Under
+    /// self-healing a quarantined trial is left out of the result and
+    /// reported as row 0 of `section`.
+    pub fn trials<T: Send>(
+        &self,
+        section: &str,
+        trials: usize,
+        base_seed: u64,
+        run: impl Fn(u64) -> T + Sync,
+    ) -> Vec<T> {
+        let run = &run;
+        let cell = CellSpec {
+            trials,
+            seeds: SeedStream::Offset(base_seed),
+            make: Box::new(Collect::default),
+            run: Box::new(move |seed, acc: &mut Collect<T>| acc.0.push(run(seed))),
+        };
+        let mut results = None;
+        let outcome = self.run_campaign(vec![cell], |_, acc| results = Some(acc.0));
+        let quarantined: Vec<(usize, &Quarantined)> =
+            outcome.quarantined.iter().map(|q| (0, q)).collect();
+        self.report_quarantined(section, &quarantined);
+        results.unwrap_or_else(|| std::panic::panic_any(SweepCancelled))
+    }
+
+    /// Schedules `cells` as one campaign under this context: its worker
+    /// count, cancellation token, self-healing, progress hub and metrics
+    /// hub, with the chaos seed injected into every trial. Each finished
+    /// cell's aggregate streams to `on_cell`, in cell order.
+    fn run_campaign<'a, A: Aggregate>(
+        &self,
+        cells: Vec<CellSpec<'a, A>>,
+        on_cell: impl FnMut(usize, A) + Send,
+    ) -> CampaignOutcome {
+        let mut campaign = Campaign::new()
+            .shard_size(default_shard_size(self.scale))
+            .cancel_token(self.cancel.clone());
+        if let Some(workers) = self.workers {
+            campaign = campaign.workers(workers);
+        }
+        if let Some(attempts) = self.heal_attempts {
+            campaign = campaign.self_heal(attempts);
+        }
+        if let Some(hub) = &self.hub {
+            campaign = campaign.progress(hub.clone());
+        }
+        if let Some(hub) = &self.metrics {
+            campaign = campaign.telemetry(hub.clone());
+        }
+        let chaos = self.chaos_panic_seed;
+        for cell in cells {
+            let run = cell.run;
+            campaign.push(Cell::new(
+                cell.trials,
+                cell.seeds,
+                cell.make,
+                move |seed, acc: &mut A| {
+                    if chaos == Some(seed) {
+                        panic!("chaos: injected panic at seed {seed}");
+                    }
+                    run(seed, acc);
+                },
+            ));
+        }
+        if let Some(hub) = &self.hub {
+            hub.begin_campaign(campaign.total_trials());
+        }
+        let outcome = campaign.run(on_cell);
+        if let Some(hub) = &self.hub {
+            hub.end_campaign();
+        }
+        outcome
     }
 
     /// Marks the start of experiment `id` (registry form, `"e9"`): loads
@@ -461,6 +550,16 @@ fn default_shard_size(scale: Scale) -> usize {
 }
 
 type RenderFn<'a, A> = Box<dyn FnOnce(A) -> Vec<String> + Send + 'a>;
+type TrialFn<'a, A> = Box<dyn Fn(u64, &mut A) + Send + Sync + 'a>;
+
+/// One declared campaign cell, before [`RunCtx::run_campaign`] schedules
+/// it: a trial count, a seed stream, and the aggregate and trial closures.
+struct CellSpec<'a, A> {
+    trials: usize,
+    seeds: SeedStream,
+    make: Box<dyn Fn() -> A + Send + Sync + 'a>,
+    run: TrialFn<'a, A>,
+}
 
 /// One table's worth of measurements, scheduled as a single campaign.
 ///
@@ -471,7 +570,7 @@ pub struct Sweep<'ctx, 'a, A: Aggregate> {
     ctx: &'ctx RunCtx,
     section: String,
     headers: Vec<String>,
-    campaign: Campaign<'a, A>,
+    cells: Vec<CellSpec<'a, A>>,
     rows: Vec<Option<Vec<String>>>,
     renders: Vec<(usize, Option<RenderFn<'a, A>>)>,
 }
@@ -494,16 +593,12 @@ impl<'ctx, 'a, A: Aggregate> Sweep<'ctx, 'a, A> {
             return;
         }
         self.rows.push(None);
-        let chaos = self.ctx.chaos_panic_seed;
-        let cell = self
-            .campaign
-            .push(Cell::new(trials, seeds, make, move |seed, acc: &mut A| {
-                if chaos == Some(seed) {
-                    panic!("chaos: injected panic at seed {seed}");
-                }
-                run(seed, acc);
-            }));
-        debug_assert_eq!(cell, self.renders.len());
+        self.cells.push(CellSpec {
+            trials,
+            seeds,
+            make: Box::new(make),
+            run: Box::new(run),
+        });
         self.renders.push((row_idx, Some(Box::new(render))));
     }
 
@@ -520,29 +615,11 @@ impl<'ctx, 'a, A: Aggregate> Sweep<'ctx, 'a, A> {
             ctx,
             section,
             headers,
-            campaign,
-            rows,
-            renders,
+            cells,
+            mut rows,
+            mut renders,
         } = self;
-        if let Some(hub) = &ctx.hub {
-            hub.begin_campaign(campaign.total_trials());
-        }
-        let mut campaign = campaign.cancel_token(ctx.cancel.clone());
-        if let Some(workers) = ctx.workers {
-            campaign = campaign.workers(workers);
-        }
-        if let Some(attempts) = ctx.heal_attempts {
-            campaign = campaign.self_heal(attempts);
-        }
-        if let Some(hub) = &ctx.hub {
-            campaign = campaign.progress(hub.clone());
-        }
-        if let Some(hub) = &ctx.metrics {
-            campaign = campaign.telemetry(hub.clone());
-        }
-        let mut rows = rows;
-        let mut renders = renders;
-        let outcome = campaign.run(|cell, acc| {
+        let outcome = ctx.run_campaign(cells, |cell, acc| {
             let (row_idx, render) = &mut renders[cell];
             let row_idx = *row_idx;
             let render = render.take().expect("each cell delivers once");
@@ -550,9 +627,6 @@ impl<'ctx, 'a, A: Aggregate> Sweep<'ctx, 'a, A> {
             ctx.record_row(&section, &headers, row_idx, &cells);
             rows[row_idx] = Some(cells);
         });
-        if let Some(hub) = &ctx.hub {
-            hub.end_campaign();
-        }
         let quarantined: Vec<(usize, &Quarantined)> = outcome
             .quarantined
             .iter()
@@ -938,6 +1012,29 @@ mod tests {
         assert_eq!(last.registry.counter("campaign_trials_done_total"), 16);
         assert!(!ctx.is_degraded());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn batch_returns_seed_ordered_results_for_every_worker_count() {
+        for workers in [1, 2, 3] {
+            let ctx = RunCtx::new(Scale::Quick).workers(workers);
+            assert_eq!(
+                ctx.trials("batch", 10, 5, |seed| seed),
+                (5..15).collect::<Vec<u64>>(),
+                "{workers} workers"
+            );
+        }
+        assert!(RunCtx::new(Scale::Quick)
+            .trials("empty", 0, 5, |seed| seed)
+            .is_empty());
+    }
+
+    #[test]
+    fn batch_quarantines_the_chaos_seed() {
+        let ctx = RunCtx::new(Scale::Quick).self_heal(2).chaos_panic_seed(105);
+        let seeds = ctx.trials("chaos", 10, 100, |seed| seed);
+        let expected: Vec<u64> = (100..110).filter(|&seed| seed != 105).collect();
+        assert_eq!(seeds, expected);
     }
 
     #[test]

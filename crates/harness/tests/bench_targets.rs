@@ -10,6 +10,10 @@
 //! The chaos job's poisoned seed must likewise stay a seed that
 //! `repro --quick` runs; otherwise a refactor that moves it fails only in
 //! CI.
+//!
+//! Experiments run their trials through the run context alone: a direct
+//! `mac_sim::trials` fan-out would ignore `repro`'s worker count,
+//! deadline, self-healing, progress and metrics.
 
 use std::path::{Path, PathBuf};
 
@@ -113,5 +117,23 @@ fn chaos_poison_seed_is_a_quick_e19_anatomy_trial() {
     assert!(
         trial < quick_trials,
         "trial {trial} is outside E19's {quick_trials} quick trials"
+    );
+}
+
+#[test]
+fn experiments_run_trials_only_through_the_run_context() {
+    let dir = workspace_root().join("crates/harness/src/experiments");
+    let mut offenders = Vec::new();
+    for entry in std::fs::read_dir(&dir).expect("experiments directory") {
+        let path = entry.expect("directory entry").path();
+        let source = std::fs::read_to_string(&path).expect("experiment source");
+        if source.contains("fan_out") {
+            offenders.push(path.file_name().expect("file name").to_owned());
+        }
+    }
+    offenders.sort();
+    assert!(
+        offenders.is_empty(),
+        "experiments bypass RunCtx::trials with fan_out: {offenders:?}"
     );
 }

@@ -65,11 +65,9 @@ use crate::obs::telemetry::{MetricsHub, PowHistogram, Registry};
 use crate::rng::derive_stream_seed;
 
 /// Extracts a human-readable message from a panic payload (the `Box<dyn
-/// Any>` that [`std::panic::catch_unwind`] returns). The shared helper
-/// behind campaign quarantine reports and the harness's wedged-trial
-/// accounting, so every layer renders panics the same way.
-#[must_use]
-pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+/// Any>` that [`std::panic::catch_unwind`] returns), for the
+/// [`Quarantined::error`] of a self-healing campaign.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&'static str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -855,8 +853,8 @@ impl<'a, A: Aggregate> Campaign<'a, A> {
     }
 
     /// Runs the campaign and collects every cell's aggregate in cell
-    /// order. Convenience for callers without streaming needs (tests,
-    /// benches, the trial layer).
+    /// order. Convenience for callers without streaming needs (tests and
+    /// the trial layer).
     ///
     /// # Panics
     ///

@@ -71,7 +71,7 @@ pub struct SimConfig {
     /// breakdown sweeps catch and count. `None` (the default) disables it.
     pub round_budget: Option<u64>,
     /// Whether the engine's built-in [`crate::Metrics`] observer records
-    /// transmissions, listens, and phase rounds (on by default). Turning it
+    /// transmissions and listens (on by default). Turning it
     /// off removes that bookkeeping from the hot loop; the metrics in the
     /// final [`crate::RunReport`] stay zeroed.
     pub record_metrics: bool,

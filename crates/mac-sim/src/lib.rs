@@ -136,7 +136,7 @@ pub mod traffic;
 pub mod trials;
 
 pub use action::{Action, Feedback};
-pub use campaign::{panic_message, CampaignOutcome, Quarantined};
+pub use campaign::{CampaignOutcome, Quarantined};
 pub use channel::{ChannelId, ChannelOutcome, OutcomeKind};
 pub use config::{CdMode, SimConfig, StopWhen};
 pub use engine::{Engine, NodeId, RunReport, RunSummary, SlotState, StepStatus};

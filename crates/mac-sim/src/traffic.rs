@@ -441,7 +441,8 @@ impl EventSink for DeliveryCapture {
 /// Forces the run shape traffic needs, whatever the caller passed:
 /// continuous delivery on, no stop at the first solve, and no engine
 /// [`Metrics`](crate::Metrics) — a [`TrafficReport`] carries its own
-/// counts, so the engine's per-round phase bookkeeping would be discarded.
+/// counts, so the engine's per-node transmission and listen counts would
+/// be discarded.
 fn traffic_config(config: SimConfig) -> SimConfig {
     config
         .continuous_delivery(true)

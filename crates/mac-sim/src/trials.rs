@@ -1,5 +1,7 @@
-//! The trial layer: multi-seed execution fan-out, shared by experiments,
-//! benches, and tests.
+//! The trial layer: multi-seed execution fan-out for the workspace tests,
+//! the examples and `obsdiff record`. The harness's experiments run their
+//! batches through its run context instead, which schedules the same
+//! single-cell campaign under the run's worker count and cancellation.
 //!
 //! A *trial* is one full engine run at one seed. Experiments need many of
 //! them — round-complexity curves average hundreds of runs per point — so
