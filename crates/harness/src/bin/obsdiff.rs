@@ -436,10 +436,9 @@ fn load_trend(path: &Path) -> Result<Vec<MetricsSnapshot>, String> {
     Ok(snapshots)
 }
 
-/// Metrics that legitimately move run to run: wall-clock tallies, and
-/// scheduling artifacts of worker timing (drop counts, queue depth).
+/// Metrics that legitimately move run to run: wall-clock tallies.
 fn is_machine_dependent(name: &str) -> bool {
-    name.contains("_ns") || name == "campaign_progress_dropped_total"
+    name.contains("_ns")
 }
 
 fn trend_snapshots(a: &MetricsSnapshot, b: &MetricsSnapshot, report: &mut DiffReport) {

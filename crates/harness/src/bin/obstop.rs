@@ -181,10 +181,9 @@ fn render(snap: &MetricsSnapshot, stream_len: usize, rate: Option<f64>, source: 
     }
     let _ = writeln!(
         out,
-        "heal       retried {}  quarantined {}  events dropped {}",
+        "heal       retried {}  quarantined {}",
         counter("campaign_trials_retried_total"),
         counter("campaign_trials_quarantined_total"),
-        counter("campaign_progress_dropped_total"),
     );
     // Everything the summary lines above did not consume, grouped so the
     // engine/session/fault layers read as their own blocks.
@@ -194,7 +193,6 @@ fn render(snap: &MetricsSnapshot, stream_len: usize, rate: Option<f64>, source: 
         "campaign_shards_claimed_total",
         "campaign_trials_retried_total",
         "campaign_trials_quarantined_total",
-        "campaign_progress_dropped_total",
         "campaign_worker_busy_ns_total",
     ];
     let rest: Vec<(&String, &u64)> = reg

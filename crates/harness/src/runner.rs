@@ -22,14 +22,15 @@
 //! the rendered row strings (via [`cell_f64`]/[`cell_u64`]), not from
 //! transient sample vectors.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use contention_analysis::Table;
 use mac_sim::campaign::{
-    Aggregate, Campaign, CampaignOutcome, CancelToken, Cell, Collect, ProgressSink, Quarantined,
-    SeedStream, DEFAULT_SHARD_SIZE,
+    Aggregate, Campaign, CampaignOutcome, CampaignProgress, CancelToken, Cell, Collect,
+    Quarantined, SeedStream, DEFAULT_SHARD_SIZE,
 };
 use mac_sim::obs::Json;
 use mac_sim::MetricsHub;
@@ -131,7 +132,7 @@ pub struct RunCtx {
     pub scale: Scale,
     workers: Option<usize>,
     cancel: CancelToken,
-    hub: Option<Arc<ProgressHub>>,
+    hub: Option<ProgressHub>,
     metrics: Option<Arc<MetricsHub>>,
     store: Option<Mutex<RecordStore>>,
     /// Self-healing: retry panicking trials up to this many attempts, then
@@ -181,16 +182,17 @@ impl RunCtx {
         self
     }
 
-    /// Attaches a throttled stderr progress line with a whole-sweep ETA.
+    /// Attaches a stderr progress line with a whole-sweep ETA, redrawn
+    /// every 200 ms while a campaign runs.
     #[must_use]
     pub fn progress(mut self) -> Self {
-        self.hub = Some(Arc::new(ProgressHub::new()));
+        self.hub = Some(ProgressHub::new());
         self
     }
 
-    /// Attaches a live metrics hub: every sweep's campaign streams its
-    /// scheduler counters into the hub's per-worker shards, and when a
-    /// record store is also attached, each finished sweep appends one
+    /// Attaches a live metrics hub: every campaign (sweep or batch) streams
+    /// its scheduler counters into the hub's per-worker shards, and when a
+    /// record store is also attached, each finished campaign appends one
     /// `kind: "snapshot"` record to `metrics.jsonl` in the record
     /// directory. The hub observes — it never feeds back into scheduling
     /// or trial RNG, so an attached run is bit-identical to a bare one.
@@ -269,7 +271,8 @@ impl RunCtx {
     /// row. The batch is a single [`Collect`] campaign cell scheduled like
     /// a sweep's (same workers, cancellation, self-healing, progress,
     /// telemetry and chaos seed), so its output never depends on the worker
-    /// count. It writes no checkpoint rows: a resumed run recomputes it.
+    /// count. Like a sweep it appends a metrics snapshot, but it writes no
+    /// checkpoint rows: a resumed run recomputes it.
     ///
     /// # Panics
     ///
@@ -302,7 +305,8 @@ impl RunCtx {
     /// Schedules `cells` as one campaign under this context: its worker
     /// count, cancellation token, self-healing, progress hub and metrics
     /// hub, with the chaos seed injected into every trial. Each finished
-    /// cell's aggregate streams to `on_cell`, in cell order.
+    /// cell's aggregate streams to `on_cell`, in cell order; once the
+    /// campaign returns, one metrics snapshot is checkpointed.
     fn run_campaign<'a, A: Aggregate>(
         &self,
         cells: Vec<CellSpec<'a, A>>,
@@ -316,9 +320,6 @@ impl RunCtx {
         }
         if let Some(attempts) = self.heal_attempts {
             campaign = campaign.self_heal(attempts);
-        }
-        if let Some(hub) = &self.hub {
-            campaign = campaign.progress(hub.clone());
         }
         if let Some(hub) = &self.metrics {
             campaign = campaign.telemetry(hub.clone());
@@ -338,13 +339,11 @@ impl RunCtx {
                 },
             ));
         }
-        if let Some(hub) = &self.hub {
-            hub.begin_campaign(campaign.total_trials());
-        }
-        let outcome = campaign.run(on_cell);
-        if let Some(hub) = &self.hub {
-            hub.end_campaign();
-        }
+        let outcome = match &self.hub {
+            Some(hub) => hub.tick_beside(|| campaign.progress(hub.counts.clone()).run(on_cell)),
+            None => campaign.run(on_cell),
+        };
+        self.checkpoint_metrics();
         outcome
     }
 
@@ -448,9 +447,9 @@ impl RunCtx {
 
     /// Appends one metrics snapshot to the record store's side stream
     /// (`metrics.jsonl`), when both a hub and a store are attached. Called
-    /// at the end of every sweep, so the stream records the hub's
-    /// evolution sweep by sweep and a resumed run can replay its metric
-    /// history.
+    /// at the end of every campaign, so the stream records the hub's
+    /// evolution campaign by campaign and a resumed run can replay its
+    /// metric history.
     fn checkpoint_metrics(&self) {
         let (Some(hub), Some(store)) = (&self.metrics, &self.store) else {
             return;
@@ -633,7 +632,6 @@ impl<'ctx, 'a, A: Aggregate> Sweep<'ctx, 'a, A> {
             .map(|q| (renders[q.cell].0, q))
             .collect();
         ctx.report_quarantined(&section, &quarantined);
-        ctx.checkpoint_metrics();
         if outcome.cancelled && rows.iter().any(Option::is_none) {
             std::panic::panic_any(SweepCancelled);
         }
@@ -648,35 +646,15 @@ impl<'ctx, 'a, A: Aggregate> Sweep<'ctx, 'a, A> {
     }
 }
 
-/// A campaign-scoped running total folded into a run-wide base when the
-/// campaign ends. Progress events carry per-campaign running totals (so a
-/// dropped event costs granularity, never accuracy), which makes the
-/// live update a `fetch_max`, not an increment.
-#[derive(Default)]
-struct FoldedTotal {
-    base: AtomicU64,
-    current: AtomicU64,
-}
+/// How often the progress line is redrawn while a campaign runs.
+const TICK: Duration = Duration::from_millis(200);
 
-impl FoldedTotal {
-    fn observe(&self, running_total: u64) {
-        self.current.fetch_max(running_total, Ordering::Relaxed);
-    }
-
-    fn fold(&self) {
-        let n = self.current.swap(0, Ordering::Relaxed);
-        self.base.fetch_add(n, Ordering::Relaxed);
-    }
-
-    fn total(&self) -> u64 {
-        self.base.load(Ordering::Relaxed) + self.current.load(Ordering::Relaxed)
-    }
-}
-
-/// The unified progress channel: one throttled stderr line covering every
-/// campaign the context runs, with a cumulative trial rate and an ETA for
-/// the trials known so far — interleaved cells can no longer garble the
-/// output, because the campaign reports through a single sink.
+/// The unified progress channel: one stderr line covering every campaign
+/// the context runs, with a cumulative trial rate and an ETA for the
+/// trials known so far. Every campaign bumps the same
+/// [`CampaignProgress`] counters, so totals accumulate across campaigns,
+/// and a ticker thread beside the running campaign redraws the line —
+/// nothing sits on the worker pool's path.
 ///
 /// When the run self-heals, the line grows a `heal: rX qY` segment:
 /// `r` trials retried and `q` seeds quarantined, cumulative across every
@@ -684,29 +662,15 @@ impl FoldedTotal {
 pub struct ProgressHub {
     started: Instant,
     label: Mutex<String>,
-    /// Trials completed by campaigns that already finished.
-    base_done: AtomicU64,
-    /// Trials in all campaigns seen so far (finished + current).
-    total_known: AtomicU64,
-    /// Trials completed in the current campaign.
-    current_done: AtomicU64,
-    retries: FoldedTotal,
-    quarantined: FoldedTotal,
-    last_print: Mutex<Instant>,
+    counts: Arc<CampaignProgress>,
 }
 
 impl ProgressHub {
     fn new() -> Self {
-        let now = Instant::now();
         ProgressHub {
-            started: now,
+            started: Instant::now(),
             label: Mutex::new(String::new()),
-            base_done: AtomicU64::new(0),
-            total_known: AtomicU64::new(0),
-            current_done: AtomicU64::new(0),
-            retries: FoldedTotal::default(),
-            quarantined: FoldedTotal::default(),
-            last_print: Mutex::new(now - std::time::Duration::from_secs(1)),
+            counts: Arc::default(),
         }
     }
 
@@ -714,21 +678,31 @@ impl ProgressHub {
         *self.label.lock().expect("label lock") = label.to_string();
     }
 
-    fn begin_campaign(&self, total: u64) {
-        self.total_known.fetch_add(total, Ordering::Relaxed);
-        self.current_done.store(0, Ordering::Relaxed);
-    }
-
-    fn end_campaign(&self) {
-        let done = self.current_done.swap(0, Ordering::Relaxed);
-        self.base_done.fetch_add(done, Ordering::Relaxed);
-        self.retries.fold();
-        self.quarantined.fold();
+    /// Runs `work` beside a scoped ticker thread that redraws the line
+    /// every [`TICK`] until `work` returns. A panic in `work` stops the
+    /// ticker too before it propagates: the scope joins the ticker first,
+    /// so a ticker left running would hang the unwind.
+    fn tick_beside<R>(&self, work: impl FnOnce() -> R) -> R {
+        let finished = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            let ticker = scope.spawn(|| loop {
+                std::thread::park_timeout(TICK);
+                if finished.load(Ordering::Relaxed) {
+                    break;
+                }
+                self.print_line();
+            });
+            let result = catch_unwind(AssertUnwindSafe(work));
+            finished.store(true, Ordering::Relaxed);
+            ticker.thread().unpark();
+            result
+        })
+        .unwrap_or_else(|payload| resume_unwind(payload))
     }
 
     /// The `heal: rX qY` segment, empty while the run is healthy.
     fn heal_segment(&self) -> String {
-        let (r, q) = (self.retries.total(), self.quarantined.total());
+        let (r, q) = (self.counts.retried(), self.counts.quarantined());
         if r + q == 0 {
             String::new()
         } else {
@@ -737,7 +711,7 @@ impl ProgressHub {
     }
 
     fn finish(&self) {
-        let done = self.base_done.load(Ordering::Relaxed);
+        let done = self.counts.done();
         let elapsed = self.started.elapsed().as_secs_f64();
         #[allow(clippy::cast_precision_loss)]
         let rate = done as f64 / elapsed.max(1e-9);
@@ -746,9 +720,7 @@ impl ProgressHub {
     }
 
     fn print_line(&self) {
-        let done =
-            self.base_done.load(Ordering::Relaxed) + self.current_done.load(Ordering::Relaxed);
-        let total = self.total_known.load(Ordering::Relaxed);
+        let (done, total) = (self.counts.done(), self.counts.total());
         let label = self.label.lock().expect("label lock").clone();
         let elapsed = self.started.elapsed().as_secs_f64();
         #[allow(clippy::cast_precision_loss)]
@@ -761,30 +733,6 @@ impl ProgressHub {
         };
         let heal = self.heal_segment();
         eprint!("\r  {label}: {done}/{total} trials  {rate:.0}/s  ETA {eta:.0}s{heal}   ");
-    }
-}
-
-impl ProgressSink for ProgressHub {
-    fn on_trial(&self, done: u64, _total: u64) {
-        self.current_done.store(done, Ordering::Relaxed);
-        // Throttle: at most ~5 updates a second, whoever wins the lock.
-        let Ok(mut last) = self.last_print.try_lock() else {
-            return;
-        };
-        if last.elapsed().as_millis() < 200 {
-            return;
-        }
-        *last = Instant::now();
-        drop(last);
-        self.print_line();
-    }
-
-    fn on_retry(&self, retries: u64) {
-        self.retries.observe(retries);
-    }
-
-    fn on_quarantine(&self, quarantined: u64) {
-        self.quarantined.observe(quarantined);
     }
 }
 
@@ -1038,23 +986,16 @@ mod tests {
     }
 
     #[test]
-    fn folded_totals_accumulate_across_campaigns() {
-        let t = FoldedTotal::default();
-        t.observe(3);
-        t.observe(2); // a late event with a smaller running total is a no-op
-        assert_eq!(t.total(), 3);
-        t.fold();
-        t.observe(4);
-        assert_eq!(t.total(), 7);
-    }
-
-    #[test]
     fn progress_hub_renders_heal_state_only_when_unhealthy() {
-        let hub = ProgressHub::new();
+        let ctx = RunCtx::new(Scale::Quick)
+            .progress()
+            .self_heal(2)
+            .chaos_panic_seed(105);
+        let hub = ctx.hub.as_ref().expect("progress attached");
         assert_eq!(hub.heal_segment(), "");
-        hub.on_retry(2);
-        hub.on_quarantine(1);
-        assert_eq!(hub.heal_segment(), "  heal: r2 q1");
+        let _ = ctx.trials("chaos", 10, 100, |seed| seed);
+        assert_eq!((hub.counts.done(), hub.counts.total()), (10, 10));
+        assert_eq!(hub.heal_segment(), "  heal: r1 q1");
     }
 
     #[test]

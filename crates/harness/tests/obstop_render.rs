@@ -18,7 +18,7 @@ const GOLDEN_FRAME: &str = "\
 obstop — tests/fixtures/golden_snapshot.jsonl  (snapshot #4, 5 in stream)
 campaign   trials 160  cells 20  shards 40  queue 0  workers 2
            ETA — (queue × mean shard wall)
-heal       retried 0  quarantined 0  events dropped 0
+heal       retried 0  quarantined 0
 counters
   campaign_worker_busy_ns_total                731.2ms
 histograms

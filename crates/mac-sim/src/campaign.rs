@@ -19,8 +19,8 @@
 //! Cooperative cancellation rides on a [`CancelToken`] (flag or deadline),
 //! checked between trials: a cancelled campaign stops claiming work,
 //! delivers the in-order prefix of completed cells, and reports how far it
-//! got. Progress streams through a [`ProgressSink`], giving one ETA for the
-//! whole sweep instead of a garbled line per cell.
+//! got. Progress is counted in a shared [`CampaignProgress`], giving one ETA
+//! for the whole sweep instead of a garbled line per cell.
 //!
 //! ## Self-healing
 //!
@@ -57,7 +57,6 @@
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::sync_channel;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -304,41 +303,44 @@ impl CancelToken {
     }
 }
 
-/// Receives campaign progress events. Implementations throttle and render;
-/// the pool just reports every completed trial, retry and quarantine.
-///
-/// Events are forwarded through a **bounded** queue on a dedicated
-/// thread: a slow implementation can never stall the worker pool. When
-/// the queue is full, events are dropped (and counted in
-/// [`CampaignOutcome::progress_dropped`]); every event therefore carries
-/// a running total rather than a delta, so the latest delivered event is
-/// always an accurate picture regardless of drops.
-pub trait ProgressSink: Send + Sync {
-    /// `done` of `total` trials have completed (across all cells).
-    fn on_trial(&self, done: u64, total: u64);
-    /// Self-healing re-attempted a panicked trial; `retries` is the
-    /// cumulative retry count for the campaign.
-    fn on_retry(&self, retries: u64) {
-        let _ = retries;
-    }
-    /// A trial failed every self-healing attempt; `quarantined` is the
-    /// cumulative quarantine count for the campaign.
-    fn on_quarantine(&self, quarantined: u64) {
-        let _ = quarantined;
-    }
+/// Live progress counters: trials scheduled, trials finished, retries and
+/// quarantines. Workers bump them with relaxed atomic adds as trials
+/// finish, and a reader polls them on its own schedule, so nothing on the
+/// worker path ever waits for the reader. Campaigns that share one
+/// `CampaignProgress` accumulate into it.
+#[derive(Debug, Default)]
+pub struct CampaignProgress {
+    total: AtomicU64,
+    done: AtomicU64,
+    retried: AtomicU64,
+    quarantined: AtomicU64,
 }
 
-/// One event in the bounded progress queue (see [`ProgressSink`]).
-enum ProgressEvent {
-    Trial(u64, u64),
-    Retry(u64),
-    Quarantine(u64),
-}
+impl CampaignProgress {
+    /// Trials in every campaign started so far.
+    #[must_use]
+    pub fn total(&self) -> u64 {
+        self.total.load(Ordering::Relaxed)
+    }
 
-/// Capacity of the bounded progress queue. Deep enough that a consumer
-/// keeping up with a normal sweep never drops an event; shallow enough
-/// that a wedged consumer costs bounded memory and zero worker stalls.
-const PROGRESS_QUEUE_CAP: usize = 1024;
+    /// Trials finished so far, quarantined ones included.
+    #[must_use]
+    pub fn done(&self) -> u64 {
+        self.done.load(Ordering::Relaxed)
+    }
+
+    /// Panicked trial attempts that self-healing re-ran.
+    #[must_use]
+    pub fn retried(&self) -> u64 {
+        self.retried.load(Ordering::Relaxed)
+    }
+
+    /// Trials that failed every self-healing attempt.
+    #[must_use]
+    pub fn quarantined(&self) -> u64 {
+        self.quarantined.load(Ordering::Relaxed)
+    }
+}
 
 /// One trial that failed every self-healing attempt and was excluded from
 /// its cell's aggregate (see [`Campaign::self_heal`]).
@@ -372,11 +374,6 @@ pub struct CampaignOutcome {
     /// Trials excluded by self-healing, sorted by `(cell, trial)`. Always
     /// empty unless [`Campaign::self_heal`] was enabled.
     pub quarantined: Vec<Quarantined>,
-    /// Progress events dropped because the bounded [`ProgressSink`] queue
-    /// was full (the consumer could not keep up). Dropped events never
-    /// stall the pool, and every delivered event carries running totals,
-    /// so drops cost display granularity only — never accuracy.
-    pub progress_dropped: u64,
 }
 
 impl CampaignOutcome {
@@ -394,7 +391,7 @@ pub struct Campaign<'a, A> {
     shard_size: usize,
     workers: Option<usize>,
     cancel: Option<CancelToken>,
-    progress: Option<Arc<dyn ProgressSink>>,
+    progress: Option<Arc<CampaignProgress>>,
     telemetry: Option<Arc<MetricsHub>>,
     heal_attempts: Option<u32>,
 }
@@ -458,20 +455,21 @@ impl<'a, A: Aggregate> Campaign<'a, A> {
         self
     }
 
-    /// Attaches a progress sink.
+    /// Attaches progress counters: the campaign adds its trial count to
+    /// the total when it starts and bumps the others as trials finish.
     #[must_use]
-    pub fn progress(mut self, sink: Arc<dyn ProgressSink>) -> Self {
-        self.progress = Some(sink);
+    pub fn progress(mut self, progress: Arc<CampaignProgress>) -> Self {
+        self.progress = Some(progress);
         self
     }
 
     /// Attaches a metrics hub. Each worker tallies into a private
     /// [`Registry`] and absorbs it into the hub's shard for its worker
     /// index when it exits, so the hot trial loop never takes a shared
-    /// lock; scheduler-level gauges (worker count, queue depth, dropped
-    /// progress events) land in shard 0 after the pool drains. Purely
-    /// observational: trial seeds, shard decomposition, and aggregates
-    /// are bit-identical with or without a hub attached.
+    /// lock; scheduler-level gauges (worker count, queue depth) land in
+    /// shard 0 after the pool drains. Purely observational: trial seeds,
+    /// shard decomposition, and aggregates are bit-identical with or
+    /// without a hub attached.
     #[must_use]
     pub fn telemetry(mut self, hub: Arc<MetricsHub>) -> Self {
         self.telemetry = Some(hub);
@@ -515,12 +513,6 @@ impl<'a, A: Aggregate> Campaign<'a, A> {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.cells.is_empty()
-    }
-
-    /// Total trials across all cells.
-    #[must_use]
-    pub fn total_trials(&self) -> u64 {
-        self.cells.iter().map(|c| c.trials as u64).sum()
     }
 
     /// Runs the campaign: spawns the pool once, streams every finished
@@ -606,39 +598,10 @@ impl<'a, A: Aggregate> Campaign<'a, A> {
         let cells_total = cells.len();
         let quarantined: Mutex<Vec<Quarantined>> = Mutex::new(Vec::new());
 
-        // Progress decoupling: workers enqueue events into a bounded
-        // channel drained by one forwarder thread, so a slow or wedged
-        // sink can never stall the pool. `try_send` failures are counted,
-        // not retried — every event carries running totals, so the next
-        // delivered event heals the gap. The forwarder is a plain
-        // (unscoped) thread: the `Arc<dyn ProgressSink>` moves into it,
-        // and it exits when the sender side drops after the pool joins.
-        let progress_dropped = AtomicU64::new(0);
-        let retries_total = AtomicU64::new(0);
-        let quarantined_total = AtomicU64::new(0);
-        let (progress_tx, forwarder) = match progress {
-            Some(sink) => {
-                let (tx, rx) = sync_channel::<ProgressEvent>(PROGRESS_QUEUE_CAP);
-                let handle = std::thread::spawn(move || {
-                    while let Ok(event) = rx.recv() {
-                        match event {
-                            ProgressEvent::Trial(done, total) => sink.on_trial(done, total),
-                            ProgressEvent::Retry(n) => sink.on_retry(n),
-                            ProgressEvent::Quarantine(n) => sink.on_quarantine(n),
-                        }
-                    }
-                });
-                (Some(tx), Some(handle))
-            }
-            None => (None, None),
-        };
-        let emit = |event: ProgressEvent| {
-            if let Some(tx) = &progress_tx {
-                if tx.try_send(event).is_err() {
-                    progress_dropped.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        };
+        let progress = progress.as_deref();
+        if let Some(progress) = progress {
+            progress.total.fetch_add(total_trials, Ordering::Relaxed);
+        }
 
         let deliver = |cell_idx: usize, acc: A| {
             let mut delivery = delivery.lock().expect("delivery lock");
@@ -696,10 +659,7 @@ impl<'a, A: Aggregate> Campaign<'a, A> {
                 let shards = &shards;
                 let next_shard = &next_shard;
                 let trials_done = &trials_done;
-                let retries_total = &retries_total;
-                let quarantined_total = &quarantined_total;
                 let telemetry = &telemetry;
-                let emit = &emit;
                 let submit = &submit;
                 let cancelled = &cancelled;
                 scope.spawn(move || {
@@ -707,6 +667,7 @@ impl<'a, A: Aggregate> Campaign<'a, A> {
                     // once, at worker exit, so the trial loop stays
                     // lock-free with respect to other workers.
                     let mut local = Registry::new();
+                    let mut attempted = 0u64;
                     loop {
                         if cancelled() {
                             break;
@@ -755,27 +716,31 @@ impl<'a, A: Aggregate> Campaign<'a, A> {
                                                         error: panic_message(payload.as_ref()),
                                                     },
                                                 );
-                                                let n = quarantined_total
-                                                    .fetch_add(1, Ordering::Relaxed)
-                                                    + 1;
-                                                emit(ProgressEvent::Quarantine(n));
+                                                if let Some(progress) = progress {
+                                                    progress
+                                                        .quarantined
+                                                        .fetch_add(1, Ordering::Relaxed);
+                                                }
                                                 local.count("campaign_trials_quarantined_total", 1);
                                                 break;
                                             }
                                             Err(_) => {
-                                                let n = retries_total
-                                                    .fetch_add(1, Ordering::Relaxed)
-                                                    + 1;
-                                                emit(ProgressEvent::Retry(n));
+                                                if let Some(progress) = progress {
+                                                    progress
+                                                        .retried
+                                                        .fetch_add(1, Ordering::Relaxed);
+                                                }
                                                 local.count("campaign_trials_retried_total", 1);
                                             }
                                         }
                                     }
                                 }
                             }
-                            let done = trials_done.fetch_add(1, Ordering::Relaxed) + 1;
+                            attempted += 1;
+                            if let Some(progress) = progress {
+                                progress.done.fetch_add(1, Ordering::Relaxed);
+                            }
                             local.count("campaign_trials_done_total", 1);
-                            emit(ProgressEvent::Trial(done, total_trials));
                         }
                         let shard_ns =
                             u64::try_from(shard_started.elapsed().as_nanos()).unwrap_or(u64::MAX);
@@ -787,31 +752,13 @@ impl<'a, A: Aggregate> Campaign<'a, A> {
                         }
                         submit(shard.cell, shard.index, agg);
                     }
+                    trials_done.fetch_add(attempted, Ordering::Relaxed);
                     if let Some(hub) = telemetry {
                         hub.absorb(worker_idx, &local);
                     }
                 });
             }
         });
-
-        // Close the progress queue and drain it: dropping the sender ends
-        // the forwarder's `recv` loop after the in-flight backlog is
-        // delivered. If overflow dropped any live events, send one final
-        // *blocking* trial event first — the pool is already done, so
-        // waiting on the consumer here costs nothing — so the sink always
-        // converges on the true totals.
-        if progress_dropped.load(Ordering::Relaxed) > 0 {
-            if let Some(tx) = &progress_tx {
-                let _ = tx.send(ProgressEvent::Trial(
-                    trials_done.load(Ordering::Relaxed),
-                    total_trials,
-                ));
-            }
-        }
-        drop(progress_tx);
-        if let Some(handle) = forwarder {
-            let _ = handle.join();
-        }
 
         let delivery = delivery.into_inner().expect("delivery lock");
         let mut quarantined = quarantined.into_inner().expect("quarantine lock");
@@ -832,10 +779,6 @@ impl<'a, A: Aggregate> Campaign<'a, A> {
                 shards.len().saturating_sub(next_shard.into_inner()) as u64,
             );
             tail.count("campaign_cells_delivered_total", delivery.next_cell as u64);
-            tail.count(
-                "campaign_progress_dropped_total",
-                progress_dropped.load(Ordering::Relaxed),
-            );
             if was_cancelled {
                 tail.count("campaign_cancelled_total", 1);
             }
@@ -848,7 +791,6 @@ impl<'a, A: Aggregate> Campaign<'a, A> {
             trials_run: trials_attempted - quarantined.len() as u64,
             cancelled: was_cancelled,
             quarantined,
-            progress_dropped: progress_dropped.into_inner(),
         }
     }
 
@@ -1013,7 +955,6 @@ mod tests {
                 trials_run: 0,
                 cancelled: false,
                 quarantined: Vec::new(),
-                progress_dropped: 0,
             }
         );
         assert!(outcome.is_clean());
@@ -1137,94 +1078,32 @@ mod tests {
 
     #[test]
     fn progress_reports_every_trial_and_cell() {
-        struct CountSink {
-            trials: AtomicU64,
-        }
-        impl ProgressSink for CountSink {
-            fn on_trial(&self, _done: u64, total: u64) {
-                assert_eq!(total, 12);
-                self.trials.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        let sink = Arc::new(CountSink {
-            trials: AtomicU64::new(0),
-        });
-        let outcome = sum_campaign(3, 4).progress(sink.clone()).run(|_, _| {});
-        assert_eq!(sink.trials.load(Ordering::Relaxed), 12);
-        assert_eq!(outcome.progress_dropped, 0, "fast consumer drops nothing");
-    }
-
-    #[test]
-    fn slow_progress_consumer_drops_events_without_stalling_the_pool() {
-        // A sink that takes ~1ms per event against thousands of
-        // near-instant trials: the bounded queue must overflow (drops
-        // counted, workers never blocked) and the campaign must finish
-        // far sooner than a synchronous delivery of every event would
-        // allow. Running totals mean the final delivered trial event
-        // still reflects true progress.
-        struct SlowSink {
-            events: AtomicU64,
-            last_done: AtomicU64,
-        }
-        impl ProgressSink for SlowSink {
-            fn on_trial(&self, done: u64, _total: u64) {
-                std::thread::sleep(Duration::from_millis(1));
-                self.events.fetch_add(1, Ordering::Relaxed);
-                self.last_done.fetch_max(done, Ordering::Relaxed);
-            }
-        }
-        let sink = Arc::new(SlowSink {
-            events: AtomicU64::new(0),
-            last_done: AtomicU64::new(0),
-        });
-        let trials = 4000usize;
-        let mut campaign: Campaign<u64> = Campaign::new().shard_size(16).workers(4);
-        campaign.push(Cell::new(
-            trials,
-            SeedStream::Offset(0),
-            || 0u64,
-            |seed, acc| {
-                *acc += seed;
-            },
-        ));
-        let outcome = campaign.progress(sink.clone()).run(|_, _| {});
-        assert_eq!(outcome.trials_run, trials as u64, "no trial was lost");
-        assert!(
-            outcome.progress_dropped > 0,
-            "a 1ms/event consumer against {trials} instant trials must overflow the queue"
-        );
-        let delivered = sink.events.load(Ordering::Relaxed);
-        assert!(
-            delivered as usize + outcome.progress_dropped as usize >= trials,
-            "delivered {delivered} + dropped {} < emitted {trials}",
-            outcome.progress_dropped
-        );
-        assert_eq!(
-            sink.last_done.load(Ordering::Relaxed),
-            trials as u64,
-            "the final trial event survives the post-pool drain"
-        );
+        // Every delivered cell's trials are already counted as done, and
+        // the total covers the whole campaign from the first delivery on.
+        let progress = Arc::new(CampaignProgress::default());
+        let mut cells = 0u64;
+        let outcome = sum_campaign(3, 4)
+            .workers(2)
+            .progress(progress.clone())
+            .run(|_, _| {
+                cells += 1;
+                assert_eq!(progress.total(), 12);
+                assert!(progress.done() >= 4 * cells);
+            });
+        assert_eq!(cells, 3);
+        assert_eq!(outcome.trials_run, 12);
+        assert_eq!((progress.done(), progress.total()), (12, 12));
+        assert_eq!((progress.retried(), progress.quarantined()), (0, 0));
     }
 
     #[test]
     fn progress_reports_retries_quarantines_and_running_totals() {
-        struct HealSink {
-            retries: AtomicU64,
-            quarantines: AtomicU64,
-        }
-        impl ProgressSink for HealSink {
-            fn on_trial(&self, _done: u64, _total: u64) {}
-            fn on_retry(&self, retries: u64) {
-                self.retries.fetch_max(retries, Ordering::Relaxed);
-            }
-            fn on_quarantine(&self, quarantined: u64) {
-                self.quarantines.fetch_max(quarantined, Ordering::Relaxed);
-            }
-        }
-        let sink = Arc::new(HealSink {
-            retries: AtomicU64::new(0),
-            quarantines: AtomicU64::new(0),
-        });
+        let progress = Arc::new(CampaignProgress::default());
+        sum_campaign(3, 4).progress(progress.clone()).run(|_, _| {});
+        assert_eq!((progress.done(), progress.total()), (12, 12));
+
+        // Seed 3 fails both attempts: attempt 1 is a retry, attempt 2
+        // quarantines. The counters accumulate across both campaigns.
         let mut campaign: Campaign<Collect<u64>> = Campaign::new().self_heal(2);
         campaign.push(Cell::new(
             6,
@@ -1235,12 +1114,10 @@ mod tests {
                 acc.0.push(seed);
             },
         ));
-        let outcome = campaign.progress(sink.clone()).run(|_, _| {});
+        let outcome = campaign.progress(progress.clone()).run(|_, _| {});
         assert_eq!(outcome.quarantined.len(), 1);
-        // Seed 3 fails both attempts: attempt 1 is a retry, attempt 2
-        // quarantines. Events carry cumulative totals.
-        assert_eq!(sink.retries.load(Ordering::Relaxed), 1);
-        assert_eq!(sink.quarantines.load(Ordering::Relaxed), 1);
+        assert_eq!((progress.done(), progress.total()), (18, 18));
+        assert_eq!((progress.retried(), progress.quarantined()), (1, 1));
     }
 
     #[test]
@@ -1258,7 +1135,6 @@ mod tests {
         assert_eq!(reg.counter("campaign_cells_delivered_total"), 3);
         // 3 cells × ceil(17/4) = 15 shards, all claimed exactly once.
         assert_eq!(reg.counter("campaign_shards_claimed_total"), 15);
-        assert_eq!(reg.counter("campaign_progress_dropped_total"), 0);
         assert_eq!(reg.gauges().get("campaign_workers"), Some(&4));
         assert_eq!(reg.gauges().get("campaign_cells_total"), Some(&3));
         assert_eq!(reg.gauges().get("campaign_shards_total"), Some(&15));

@@ -303,9 +303,8 @@ impl Registry {
     }
 
     /// Folds a whole pre-built histogram into the histogram `name` — how
-    /// per-run histograms (e.g. packet latencies from
-    /// [`crate::traffic::TrafficReport`]) land in a shard registry without
-    /// being replayed sample by sample.
+    /// per-run histograms (e.g. [`TelemetrySink`]'s acts per round) land in
+    /// a shard registry without being replayed sample by sample.
     pub fn merge_histogram(&mut self, name: &str, h: &PowHistogram) {
         if h.count() > 0 {
             slot(&mut self.histograms, name).merge(h);

@@ -22,8 +22,7 @@
 //!
 //! The result is a [`TrafficReport`]: delivered / offered / dropped
 //! counts, backlog peak and mean, and a [`PowHistogram`] of per-packet
-//! latencies ready for the telemetry hub
-//! ([`TrafficReport::flush_to`]).
+//! latencies.
 //!
 //! Determinism contract: a traffic run is a pure function of
 //! (configuration, spec, master seed). The same driver runs on the
@@ -43,7 +42,7 @@ use crate::dense::DenseEngine;
 use crate::engine::{Engine, NodeId, SlotState, StepStatus};
 use crate::error::SimError;
 use crate::feedback::FeedbackModel;
-use crate::obs::telemetry::{MetricsHub, PowHistogram, Registry};
+use crate::obs::telemetry::PowHistogram;
 use crate::protocol::{Protocol, RoundContext, Status};
 use crate::rng::derive_stream_seed;
 use crate::sink::EventSink;
@@ -343,24 +342,6 @@ impl TrafficReport {
     #[must_use]
     pub fn latency_quantile(&self, q: f64) -> u64 {
         self.latency.quantile(q)
-    }
-
-    /// Tallies this run into a telemetry registry: `traffic_*` counters,
-    /// backlog gauges (max-merged), and the packet-latency histogram.
-    pub fn flush_into(&self, reg: &mut Registry) {
-        reg.count("traffic_runs_total", 1);
-        reg.count("traffic_offered_total", self.offered);
-        reg.count("traffic_delivered_total", self.delivered);
-        reg.count("traffic_dropped_total", self.dropped);
-        reg.count("traffic_rounds_total", self.rounds);
-        reg.gauge_max("traffic_backlog_peak", self.backlog_peak);
-        reg.gauge_max("traffic_backlog_final", self.backlog_final);
-        reg.merge_histogram("traffic_packet_latency_rounds", &self.latency);
-    }
-
-    /// Like [`TrafficReport::flush_into`], directly into a hub shard.
-    pub fn flush_to(&self, hub: &MetricsHub, shard: usize) {
-        hub.with_shard(shard, |reg| self.flush_into(reg));
     }
 }
 
@@ -1043,52 +1024,6 @@ mod tests {
         assert!(
             report.latency.min() >= 1,
             "latency counts the delivery round"
-        );
-    }
-
-    #[test]
-    fn flush_into_registry_exports_traffic_metrics() {
-        let spec = TrafficSpec::new(ArrivalProcess::Poisson { rate: 0.3 }, 100);
-        let report = run_traffic(cfg(10), CdMode::Strong, &spec, |pkt| {
-            BackoffMac::new(2, 64, pkt)
-        })
-        .expect("traffic run");
-        let mut reg = Registry::new();
-        report.flush_into(&mut reg);
-        assert_eq!(reg.counter("traffic_offered_total"), report.offered);
-        assert_eq!(reg.counter("traffic_delivered_total"), report.delivered);
-        assert_eq!(reg.counter("traffic_rounds_total"), report.rounds);
-        assert_eq!(
-            reg.histograms()["traffic_packet_latency_rounds"].count(),
-            report.delivered
-        );
-        assert_eq!(reg.gauges()["traffic_backlog_peak"], report.backlog_peak);
-    }
-
-    #[test]
-    fn flush_to_tallies_every_run_into_the_hub() {
-        let spec = TrafficSpec::new(ArrivalProcess::Poisson { rate: 0.4 }, 60);
-        let hub = MetricsHub::new(2);
-        let reports: Vec<_> = (0..4)
-            .map(|trial| {
-                let config = SimConfig::new(2).seed(7 + trial).max_rounds(100_000);
-                let report = run_traffic(config, CdMode::Strong, &spec, |pkt| {
-                    BackoffMac::new(2, 64, pkt)
-                })
-                .expect("traffic run");
-                report.flush_to(&hub, trial as usize);
-                report
-            })
-            .collect();
-        let snap = hub.snapshot();
-        assert_eq!(snap.registry.counter("traffic_runs_total"), 4);
-        let offered: u64 = reports.iter().map(|r| r.offered).sum();
-        let delivered: u64 = reports.iter().map(|r| r.delivered).sum();
-        assert_eq!(snap.registry.counter("traffic_offered_total"), offered);
-        assert_eq!(snap.registry.counter("traffic_delivered_total"), delivered);
-        assert_eq!(
-            snap.registry.histograms()["traffic_packet_latency_rounds"].count(),
-            delivered
         );
     }
 }
