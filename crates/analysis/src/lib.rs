@@ -2,8 +2,8 @@
 //!
 //! Small, dependency-light building blocks used by the experiment harness:
 //!
-//! * [`stats`] — summaries of round-count samples (mean, percentiles,
-//!   normal-approximation confidence intervals);
+//! * [`stats`] — the Kolmogorov–Smirnov distance of a round-count sample
+//!   from a predicted law (cell summaries are the harness's `Samples`);
 //! * [`fit`] — least-squares fits of measured rounds against the paper's
 //!   theory curves (e.g. `a·(lg n / lg C) + b·lg lg n + c`), used to check
 //!   *shape*, not absolute constants;
@@ -24,6 +24,5 @@ pub mod tail;
 
 pub use balls::no_lone_ball_probability;
 pub use fit::{fit_linear, fit_two_term, threshold_crossing, Fit};
-pub use stats::{OnlineSummary, Summary};
 pub use table::Table;
 pub use tail::exceed_fraction;

@@ -1,542 +1,8 @@
-//! Sample summaries for round-count distributions.
+//! Goodness of fit for round-count distributions.
 //!
-//! Two forms:
-//!
-//! * [`Summary::from_samples`] / [`Summary::from_u64`] — batch summaries of
-//!   a materialized sample vector;
-//! * [`OnlineSummary`] — the streaming/mergeable form used by the campaign
-//!   layer: O(1)-ish memory per cell, and a [`OnlineSummary::merge`] that
-//!   is exactly associative, so aggregating shards in any grouping yields
-//!   bit-identical results.
-
-use std::collections::BTreeMap;
-use std::fmt;
-
-/// Summary statistics of a sample of measurements.
-///
-/// ```
-/// use contention_analysis::Summary;
-///
-/// let s = Summary::from_samples(&[1.0, 2.0, 3.0, 4.0, 100.0]);
-/// assert_eq!(s.n, 5);
-/// assert_eq!(s.median, 3.0);
-/// assert_eq!(s.min, 1.0);
-/// assert_eq!(s.max, 100.0);
-/// assert!((s.mean - 22.0).abs() < 1e-9);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Summary {
-    /// Number of samples.
-    pub n: usize,
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Sample standard deviation (n−1 denominator; 0 for n ≤ 1).
-    pub std_dev: f64,
-    /// Minimum.
-    pub min: f64,
-    /// Median (50th percentile, linear interpolation).
-    pub median: f64,
-    /// 95th percentile.
-    pub p95: f64,
-    /// Maximum.
-    pub max: f64,
-}
-
-impl Summary {
-    /// Computes a summary of `samples`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `samples` is empty or contains NaN.
-    #[must_use]
-    pub fn from_samples(samples: &[f64]) -> Self {
-        assert!(!samples.is_empty(), "cannot summarize an empty sample");
-        assert!(
-            samples.iter().all(|x| !x.is_nan()),
-            "samples must not contain NaN"
-        );
-        let n = samples.len();
-        let mean = samples.iter().sum::<f64>() / n as f64;
-        let var = if n > 1 {
-            samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (n - 1) as f64
-        } else {
-            0.0
-        };
-        let mut sorted = samples.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
-        Summary {
-            n,
-            mean,
-            std_dev: var.sqrt(),
-            min: sorted[0],
-            median: percentile_sorted(&sorted, 50.0),
-            p95: percentile_sorted(&sorted, 95.0),
-            max: sorted[n - 1],
-        }
-    }
-
-    /// Convenience constructor from integer samples (round counts).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `samples` is empty.
-    #[must_use]
-    pub fn from_u64(samples: &[u64]) -> Self {
-        let float: Vec<f64> = samples.iter().map(|&x| x as f64).collect();
-        Summary::from_samples(&float)
-    }
-
-    /// Half-width of the normal-approximation 95% confidence interval for
-    /// the mean (`1.96·σ/√n`).
-    #[must_use]
-    pub fn ci95_half_width(&self) -> f64 {
-        if self.n <= 1 {
-            0.0
-        } else {
-            1.96 * self.std_dev / (self.n as f64).sqrt()
-        }
-    }
-}
-
-impl fmt::Display for Summary {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "mean {:.2} ± {:.2} (median {:.1}, p95 {:.1}, range {:.0}–{:.0}, n={})",
-            self.mean,
-            self.ci95_half_width(),
-            self.median,
-            self.p95,
-            self.min,
-            self.max,
-            self.n
-        )
-    }
-}
-
-/// A streaming, mergeable summary of `u64` samples (round counts).
-///
-/// Unlike textbook Welford accumulation, the moments are kept as *exact*
-/// integer sums (`u128` Σx and Σx²), so [`OnlineSummary::merge`] is exactly
-/// associative and commutative: any shard decomposition of a sample, merged
-/// in any grouping, produces bit-identical statistics. That is the property
-/// the campaign layer's thread-count-invariance contract rests on —
-/// floating-point Welford merges would drift in the last ulp depending on
-/// the merge tree.
-///
-/// Quantiles come from a bucketed histogram with power-of-two bucket
-/// widths: buckets start at width 1 (exact values) and the width doubles
-/// whenever the number of distinct buckets would exceed a fixed cap. The
-/// final bucketing depends only on the full multiset of samples, not on
-/// insertion or merge order: the histogram at width `2^s` is always exactly
-/// the width-`2^s` bucketing of everything pushed so far, and the final
-/// width is the smallest that fits the cap. Round-count distributions
-/// almost always stay at width 1, where quantiles are bit-identical to
-/// [`Summary::from_u64`].
-///
-/// ```
-/// use contention_analysis::stats::OnlineSummary;
-///
-/// let mut a = OnlineSummary::new();
-/// let mut b = OnlineSummary::new();
-/// for x in [1u64, 2, 3] { a.push(x); }
-/// for x in [4u64, 100] { b.push(x); }
-/// a.merge(b);
-/// let s = a.finish();
-/// assert_eq!(s.n, 5);
-/// assert_eq!(s.median, 3.0);
-/// assert_eq!(s.max, 100.0);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OnlineSummary {
-    n: u64,
-    sum: u128,
-    sum_sq: u128,
-    min: u64,
-    max: u64,
-    /// Bucket width is `2^shift`; keys are bucket indices (`value >> shift`).
-    shift: u32,
-    buckets: BTreeMap<u64, u64>,
-}
-
-/// Distinct-bucket cap of the [`OnlineSummary`] histogram. Round-count
-/// samples with at most this many distinct values keep width-1 buckets,
-/// i.e. exact quantiles.
-pub const ONLINE_SUMMARY_BUCKET_CAP: usize = 4096;
-
-impl OnlineSummary {
-    /// Creates an empty summary.
-    #[must_use]
-    pub fn new() -> Self {
-        OnlineSummary {
-            n: 0,
-            sum: 0,
-            sum_sq: 0,
-            min: u64::MAX,
-            max: 0,
-            shift: 0,
-            buckets: BTreeMap::new(),
-        }
-    }
-
-    /// Records one sample.
-    pub fn push(&mut self, sample: u64) {
-        self.n += 1;
-        self.sum = self.sum.saturating_add(u128::from(sample));
-        self.sum_sq = self
-            .sum_sq
-            .saturating_add(u128::from(sample) * u128::from(sample));
-        self.min = self.min.min(sample);
-        self.max = self.max.max(sample);
-        *self.buckets.entry(sample >> self.shift).or_insert(0) += 1;
-        self.shrink_to_cap();
-    }
-
-    /// Records every sample of a slice.
-    pub fn extend_from(&mut self, samples: &[u64]) {
-        for &s in samples {
-            self.push(s);
-        }
-    }
-
-    /// Folds `other` into `self`. Exactly associative and commutative: the
-    /// result depends only on the union multiset of samples.
-    pub fn merge(&mut self, other: OnlineSummary) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = other;
-            return;
-        }
-        self.n += other.n;
-        self.sum = self.sum.saturating_add(other.sum);
-        self.sum_sq = self.sum_sq.saturating_add(other.sum_sq);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        // Align both histograms to the coarser width, then combine.
-        let shift = self.shift.max(other.shift);
-        self.rebucket(shift);
-        for (bucket, count) in other.buckets {
-            *self
-                .buckets
-                .entry(bucket >> (shift - other.shift))
-                .or_insert(0) += count;
-        }
-        self.shrink_to_cap();
-    }
-
-    /// Number of samples recorded so far.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Whether quantiles are exact: true while the bucket width is 1
-    /// (at most [`ONLINE_SUMMARY_BUCKET_CAP`] distinct sample values).
-    #[must_use]
-    pub fn is_exact(&self) -> bool {
-        self.shift == 0
-    }
-
-    /// Iterates `(bucket_floor_value, count)` in ascending value order.
-    /// While [`Self::is_exact`], the floors are the exact sample values —
-    /// the full empirical distribution, as needed by e.g. KS tests.
-    pub fn value_counts(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        let shift = self.shift;
-        self.buckets.iter().map(move |(&b, &c)| (b << shift, c))
-    }
-
-    /// Exact count of samples `>= threshold`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the histogram has collapsed past width 1 **and** the
-    /// threshold falls strictly inside a bucket, where the exact count is
-    /// no longer recoverable.
-    #[must_use]
-    pub fn count_ge(&self, threshold: u64) -> u64 {
-        assert!(
-            threshold.trailing_zeros() >= self.shift || threshold >> self.shift == 0,
-            "threshold {threshold} is not aligned to the bucket width 2^{}",
-            self.shift
-        );
-        let first = threshold >> self.shift;
-        self.buckets.range(first..).map(|(_, &c)| c).sum()
-    }
-
-    /// Converts the accumulated state into a [`Summary`].
-    ///
-    /// The mean is exact; the standard deviation comes from the exact
-    /// integer moments; quantiles interpolate over the histogram exactly
-    /// as [`Summary::from_u64`] interpolates over the sorted sample (and
-    /// are bit-identical to it while [`Self::is_exact`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if no samples were recorded.
-    #[must_use]
-    #[allow(clippy::cast_precision_loss)]
-    pub fn finish(&self) -> Summary {
-        assert!(self.n > 0, "cannot summarize an empty sample");
-        let n = self.n;
-        let mean = self.sum as f64 / n as f64;
-        let std_dev = if n > 1 {
-            // n·Σx² − (Σx)² = n(n−1)·s², exactly, in integers.
-            let num = u128::from(n) * self.sum_sq - self.sum * self.sum;
-            (num as f64 / (n as f64 * (n - 1) as f64)).sqrt()
-        } else {
-            0.0
-        };
-        Summary {
-            n: usize::try_from(n).unwrap_or(usize::MAX),
-            mean,
-            std_dev,
-            min: self.min as f64,
-            median: self.percentile(50.0),
-            p95: self.percentile(95.0),
-            max: self.max as f64,
-        }
-    }
-
-    /// Percentile with the same linear interpolation over order statistics
-    /// as [`Summary`]; bucket floors stand in for sample values (exact
-    /// while [`Self::is_exact`]).
-    #[must_use]
-    #[allow(clippy::cast_precision_loss)]
-    pub fn percentile(&self, pct: f64) -> f64 {
-        assert!(self.n > 0, "cannot take a percentile of an empty sample");
-        if self.n == 1 {
-            return (self.min >> self.shift << self.shift) as f64;
-        }
-        let rank = pct / 100.0 * (self.n - 1) as f64;
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-        let lo = rank.floor() as u64;
-        let hi = lo + u64::from(rank.fract() > 0.0);
-        let frac = rank - lo as f64;
-        let (mut lo_val, mut hi_val) = (None, None);
-        let mut cumulative = 0u64;
-        for (value, count) in self.value_counts() {
-            cumulative += count;
-            if lo_val.is_none() && cumulative > lo {
-                lo_val = Some(value as f64);
-            }
-            if cumulative > hi {
-                hi_val = Some(value as f64);
-                break;
-            }
-        }
-        let lo_val = lo_val.expect("rank below sample count");
-        let hi_val = hi_val.unwrap_or(self.max as f64);
-        lo_val * (1.0 - frac) + hi_val * frac
-    }
-
-    /// Doubles the bucket width until the distinct-bucket count fits the
-    /// cap. The resulting state is the canonical bucketing of the full
-    /// multiset at the smallest admissible width.
-    fn shrink_to_cap(&mut self) {
-        while self.buckets.len() > ONLINE_SUMMARY_BUCKET_CAP {
-            self.rebucket(self.shift + 1);
-        }
-    }
-
-    /// Re-buckets the histogram to width `2^shift` (must be ≥ current).
-    fn rebucket(&mut self, shift: u32) {
-        if shift == self.shift {
-            return;
-        }
-        let delta = shift - self.shift;
-        let mut coarse: BTreeMap<u64, u64> = BTreeMap::new();
-        for (&bucket, &count) in &self.buckets {
-            *coarse.entry(bucket >> delta).or_insert(0) += count;
-        }
-        self.buckets = coarse;
-        self.shift = shift;
-    }
-}
-
-impl Default for OnlineSummary {
-    fn default() -> Self {
-        OnlineSummary::new()
-    }
-}
-
-impl FromIterator<u64> for OnlineSummary {
-    fn from_iter<T: IntoIterator<Item = u64>>(iter: T) -> Self {
-        let mut s = OnlineSummary::new();
-        for x in iter {
-            s.push(x);
-        }
-        s
-    }
-}
-
-/// Percentile of an already-sorted slice, with linear interpolation between
-/// order statistics (the "exclusive" scheme used by numpy's default).
-fn percentile_sorted(sorted: &[f64], pct: f64) -> f64 {
-    debug_assert!((0.0..=100.0).contains(&pct));
-    if sorted.len() == 1 {
-        return sorted[0];
-    }
-    let rank = pct / 100.0 * (sorted.len() - 1) as f64;
-    let lo = rank.floor() as usize;
-    let hi = rank.ceil() as usize;
-    let frac = rank - lo as f64;
-    sorted[lo] * (1.0 - frac) + sorted[hi] * frac
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn basic_summary() {
-        let s = Summary::from_samples(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]);
-        assert!((s.mean - 5.0).abs() < 1e-12);
-        assert!((s.std_dev - 2.138).abs() < 1e-3);
-        assert_eq!(s.min, 2.0);
-        assert_eq!(s.max, 9.0);
-        assert!((s.median - 4.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn single_sample() {
-        let s = Summary::from_samples(&[42.0]);
-        assert_eq!(s.mean, 42.0);
-        assert_eq!(s.std_dev, 0.0);
-        assert_eq!(s.median, 42.0);
-        assert_eq!(s.p95, 42.0);
-        assert_eq!(s.ci95_half_width(), 0.0);
-    }
-
-    #[test]
-    fn from_u64_roundtrip() {
-        let s = Summary::from_u64(&[1, 2, 3]);
-        assert_eq!(s.mean, 2.0);
-        assert_eq!(s.n, 3);
-    }
-
-    #[test]
-    fn percentiles_interpolate() {
-        let sorted: Vec<f64> = (0..=100).map(f64::from).collect();
-        assert!((percentile_sorted(&sorted, 95.0) - 95.0).abs() < 1e-9);
-        assert!((percentile_sorted(&sorted, 50.0) - 50.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn ci_shrinks_with_n() {
-        let small = Summary::from_samples(&[1.0, 2.0, 3.0, 4.0]);
-        let many: Vec<f64> = (0..400).map(|i| f64::from(i % 4) + 1.0).collect();
-        let big = Summary::from_samples(&many);
-        assert!(big.ci95_half_width() < small.ci95_half_width());
-    }
-
-    #[test]
-    #[should_panic(expected = "empty")]
-    fn empty_sample_panics() {
-        let _ = Summary::from_samples(&[]);
-    }
-
-    #[test]
-    #[should_panic(expected = "NaN")]
-    fn nan_sample_panics() {
-        let _ = Summary::from_samples(&[1.0, f64::NAN]);
-    }
-
-    #[test]
-    fn display_is_informative() {
-        let s = Summary::from_samples(&[1.0, 2.0, 3.0]);
-        let text = s.to_string();
-        assert!(text.contains("mean 2.00"));
-        assert!(text.contains("n=3"));
-    }
-
-    #[test]
-    fn online_matches_batch_bit_for_bit_while_exact() {
-        // Quantiles, min, max, and mean must be *bit-identical* to the
-        // batch path while the histogram is at width 1.
-        let samples: Vec<u64> = (0..500).map(|i| (i * i * 2654435761u64) % 1000).collect();
-        let online: OnlineSummary = samples.iter().copied().collect();
-        assert!(online.is_exact());
-        let s = online.finish();
-        let batch = Summary::from_u64(&samples);
-        assert_eq!(s.n, batch.n);
-        assert_eq!(s.mean.to_bits(), batch.mean.to_bits());
-        assert_eq!(s.min.to_bits(), batch.min.to_bits());
-        assert_eq!(s.median.to_bits(), batch.median.to_bits());
-        assert_eq!(s.p95.to_bits(), batch.p95.to_bits());
-        assert_eq!(s.max.to_bits(), batch.max.to_bits());
-        // The exact-moment std_dev agrees with the two-pass one to high
-        // relative precision (not necessarily the last bit).
-        assert!((s.std_dev - batch.std_dev).abs() <= 1e-9 * batch.std_dev.max(1.0));
-    }
-
-    #[test]
-    fn online_merge_is_order_independent() {
-        let samples: Vec<u64> = (0..1000).map(|i| i * 37 % 541).collect();
-        let whole: OnlineSummary = samples.iter().copied().collect();
-        // Arbitrary split, merged in the reverse grouping.
-        let (a, b) = samples.split_at(123);
-        let (b1, b2) = b.split_at(400);
-        let mut right: OnlineSummary = b2.iter().copied().collect();
-        let mid: OnlineSummary = b1.iter().copied().collect();
-        let left: OnlineSummary = a.iter().copied().collect();
-        right.merge(mid);
-        let mut acc = left;
-        acc.merge(right);
-        assert_eq!(acc, whole);
-    }
-
-    #[test]
-    fn online_collapses_past_the_bucket_cap_canonically() {
-        // More distinct values than the cap forces width doubling; the
-        // final state must not depend on insertion order.
-        let n = (ONLINE_SUMMARY_BUCKET_CAP * 3) as u64;
-        let ascending: OnlineSummary = (0..n).collect();
-        let descending: OnlineSummary = (0..n).rev().collect();
-        assert_eq!(ascending, descending);
-        assert!(!ascending.is_exact());
-        let s = ascending.finish();
-        assert_eq!(s.min, 0.0);
-        assert_eq!(s.max, (n - 1) as f64);
-        // Bucketed quantiles stay within a bucket width of the truth.
-        let width = (ONLINE_SUMMARY_BUCKET_CAP as f64).recip() * n as f64 * 2.0;
-        assert!((s.median - (n - 1) as f64 / 2.0).abs() <= width);
-    }
-
-    #[test]
-    fn online_count_ge_is_exact_at_width_one() {
-        let online: OnlineSummary = [1u64, 5, 5, 9, 20].into_iter().collect();
-        assert_eq!(online.count_ge(0), 5);
-        assert_eq!(online.count_ge(5), 4);
-        assert_eq!(online.count_ge(6), 2);
-        assert_eq!(online.count_ge(21), 0);
-    }
-
-    #[test]
-    fn online_value_counts_expose_the_distribution() {
-        let online: OnlineSummary = [3u64, 3, 7].into_iter().collect();
-        let pairs: Vec<_> = online.value_counts().collect();
-        assert_eq!(pairs, vec![(3, 2), (7, 1)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "empty")]
-    fn online_empty_finish_panics() {
-        let _ = OnlineSummary::new().finish();
-    }
-
-    #[test]
-    fn online_single_sample() {
-        let mut o = OnlineSummary::new();
-        o.push(42);
-        let s = o.finish();
-        assert_eq!(s.n, 1);
-        assert_eq!(s.mean, 42.0);
-        assert_eq!(s.std_dev, 0.0);
-        assert_eq!(s.median, 42.0);
-    }
-}
+//! Cell summaries (mean, percentiles, extremes) live with the experiment
+//! harness as `contention_harness::Samples`; this module keeps the
+//! whole-sample test the experiments run against a predicted law.
 
 /// The Kolmogorov–Smirnov distance between an integer-valued sample and a
 /// reference CDF: `max_k |F_empirical(k) − F(k)|` over `k` from 0 to the

@@ -17,8 +17,6 @@
 //!   or a fallback phase, chosen at construction time (the paper picks
 //!   [`crate::baselines::CdTournament`] when `C` is constant). Built via
 //!   [`Phase::with_fallback`].
-//! * [`Bounded`] — a round-budget watchdog that retires a phase which
-//!   overstays its welcome. Built via [`Phase::bounded`].
 //! * [`Pass`] — the no-op phase; the identity for [`AndThen`].
 //!
 //! A composed stack runs on the unmodified [`mac_sim::Engine`] through the
@@ -222,15 +220,6 @@ pub trait Phase {
         } else {
             WithFallback::primary(self)
         }
-    }
-
-    /// Watchdog: give up (terminate [`Status::Inactive`]) if the phase has
-    /// not produced an outcome after `max_rounds` acted rounds.
-    fn bounded(self, max_rounds: u64) -> Bounded<Self>
-    where
-        Self: Sized,
-    {
-        Bounded::new(self, max_rounds)
     }
 
     /// Adapts the stack into a protocol *and* wraps it in the §3 wake-up
@@ -542,96 +531,6 @@ where
             Arm::Primary(primary) => primary.invariant_violation(),
             Arm::Fallback(fallback) => fallback.invariant_violation(),
         }
-    }
-}
-
-/// Round-budget watchdog over a phase (see [`Phase::bounded`]).
-///
-/// Delegates transparently until the inner phase has acted `max_rounds`
-/// times without producing an outcome; from then on the composition is
-/// `Terminated(Inactive)` — the node gives up. Inside an [`AndThen`], the
-/// give-up ends the whole stack, exactly like any other termination.
-#[derive(Debug, Clone)]
-pub struct Bounded<P> {
-    inner: P,
-    budget: u64,
-    used: u64,
-}
-
-impl<P: Phase> Bounded<P> {
-    /// Caps `inner` at `max_rounds` acted rounds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_rounds == 0` (the phase could never act).
-    #[must_use]
-    pub fn new(inner: P, max_rounds: u64) -> Self {
-        assert!(max_rounds >= 1, "Bounded needs a positive round budget");
-        Bounded {
-            inner,
-            budget: max_rounds,
-            used: 0,
-        }
-    }
-
-    /// The wrapped phase.
-    #[must_use]
-    pub fn inner(&self) -> &P {
-        &self.inner
-    }
-
-    /// Whether the budget ran out before the inner phase finished.
-    #[must_use]
-    pub fn expired(&self) -> bool {
-        self.used >= self.budget && self.inner.outcome().is_none()
-    }
-
-    /// The composition's outcome given the inner phase's: the inner
-    /// outcome if any, else the give-up once the budget is spent.
-    fn bound(&self, inner: Option<PhaseOutcome<P::Output>>) -> Option<PhaseOutcome<P::Output>> {
-        match inner {
-            None if self.used >= self.budget => Some(PhaseOutcome::Terminated(Status::Inactive)),
-            outcome => outcome,
-        }
-    }
-}
-
-impl<P: Phase> Phase for Bounded<P> {
-    type Output = P::Output;
-
-    fn act(&mut self, ctx: &RoundContext, rng: &mut SmallRng) -> Action<u32> {
-        self.used += 1;
-        self.inner.act(ctx, rng)
-    }
-
-    fn observe(
-        &mut self,
-        ctx: &RoundContext,
-        feedback: Feedback<u32>,
-        rng: &mut SmallRng,
-    ) -> Option<PhaseOutcome<P::Output>> {
-        let outcome = self.inner.observe(ctx, feedback, rng);
-        self.bound(outcome)
-    }
-
-    fn outcome(&self) -> Option<PhaseOutcome<P::Output>> {
-        self.bound(self.inner.outcome())
-    }
-
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-
-    fn label(&self) -> &'static str {
-        self.inner.label()
-    }
-
-    fn collect_stats(&self, out: &mut Vec<PhaseStats>) {
-        self.inner.collect_stats(out);
-    }
-
-    fn invariant_violation(&self) -> Option<&'static str> {
-        self.inner.invariant_violation()
     }
 }
 
@@ -1052,31 +951,6 @@ mod tests {
         let mut node = PhaseProtocol::new(fallback);
         step(&mut node, 9);
         assert_eq!(node.output(), Some(9));
-    }
-
-    #[test]
-    fn bounded_gives_up_at_budget() {
-        let mut node = PhaseProtocol::new(Scripted::completes(10, 1).bounded(3));
-        step(&mut node, 3);
-        assert_eq!(node.status(), Status::Inactive);
-        assert!(node.inner().expired());
-        // Settled nodes sleep.
-        let (ctx, mut rng) = (ctx(), rng());
-        assert!(matches!(node.act(&ctx, &mut rng), Action::Sleep));
-    }
-
-    #[test]
-    fn bounded_is_transparent_under_budget() {
-        let mut node = PhaseProtocol::new(Scripted::completes(2, 4).bounded(10));
-        step(&mut node, 2);
-        assert_eq!(node.output(), Some(4));
-        assert!(!node.inner().expired());
-    }
-
-    #[test]
-    #[should_panic(expected = "positive round budget")]
-    fn bounded_rejects_zero_budget() {
-        let _ = Scripted::completes(1, 1).bounded(0);
     }
 
     #[test]

@@ -168,7 +168,7 @@ impl<P: Phase, F: FnMut() -> P> BuildPhase for F {
 /// the stack from a clean state (fresh instance from the builder, fresh
 /// derived RNG stream) until the policy's attempts are exhausted, at which
 /// point the composition terminates [`Status::Inactive`] (the node gives
-/// up, exactly like [`crate::phase::Bounded`]).
+/// up). A one-attempt policy is a plain round-budget watchdog.
 ///
 /// Genuine outcomes pass through untouched: a stack that *completes* or
 /// legitimately *terminates* (e.g. a [`crate::full::PaperStack`] loser

@@ -12,8 +12,8 @@
 //! * **`observe` returns the outcome `outcome()` reports** — the value a
 //!   phase hands back from `observe` is what combinators hand off on and
 //!   what `PhaseProtocol` settles on, so after every `observe`, at every
-//!   level of generated stacks (with `Pass` splices, `Bounded` expiry and
-//!   `Supervised` restarts), it must equal a fresh `outcome()` probe.
+//!   level of generated stacks (with `Pass` splices and `Supervised`
+//!   restarts), it must equal a fresh `outcome()` probe.
 //! * **`staggered()` costs at most ×2 + constant** — wrapping an arbitrary
 //!   composed stack in the §3 wake-up transform solves within
 //!   `2·T + 2·LISTEN_ROUNDS + 2` rounds of the unwrapped stack's `T`, for
@@ -173,19 +173,14 @@ proptest! {
         seed in any::<u64>(),
         count in 2usize..25,
         c_idx in 0usize..3,
-        stack_idx in 0usize..3,
+        stack_idx in 0usize..2,
     ) {
         let c = [8u32, 16, 32][c_idx];
         let params = Params::practical();
         let measured = match stack_idx {
             0 => bare_and_staggered(c, seed, count, CdTournament::new),
-            1 => bare_and_staggered(c, seed, count, || {
-                Reduce::with_params(params, N).and_then(|()| CdTournament::new())
-            }),
             _ => bare_and_staggered(c, seed, count, || {
-                Reduce::with_params(params, N)
-                    .and_then(|()| CdTournament::new())
-                    .bounded(10_000)
+                Reduce::with_params(params, N).and_then(|()| CdTournament::new())
             }),
         };
         if let Some((base, wrapped)) = measured {
@@ -312,14 +307,13 @@ proptest! {
     /// After every `observe`, at every wrapped level, the returned outcome
     /// is the probed one — through `Pass` splices (prefix and infix, so
     /// handoffs land on a successor that is complete at construction),
-    /// `Bounded` expiry, `Supervised` restarts and give-ups, and the
-    /// paper stack itself.
+    /// `Supervised` restarts and give-ups, and the paper stack itself.
     #[test]
     fn observe_returns_the_probed_outcome(
         seed in any::<u64>(),
         count in 2usize..40,
         c_idx in 0usize..3,
-        stack_idx in 0usize..6,
+        stack_idx in 0usize..5,
         budget in 1u64..12,
         attempts in 1u32..4,
     ) {
@@ -337,11 +331,6 @@ proptest! {
                     .and_then({ let t = t.clone(); move |()| checked(&t, Reduce::with_params(params, N)) })
             }),
             2 => run_checked(c, seed, count, |t| {
-                checked(t, Reduce::with_params(params, N).bounded(budget))
-                    .and_then({ let t = t.clone(); move |()| checked(&t, CdTournament::new().bounded(budget)) })
-                    .bounded(2 * budget)
-            }),
-            3 => run_checked(c, seed, count, |t| {
                 let inner = t.clone();
                 Supervised::new(
                     move || {
@@ -351,7 +340,7 @@ proptest! {
                     RestartPolicy::new(budget, attempts),
                 )
             }),
-            4 => run_checked(c, seed, count, |_| {
+            3 => run_checked(c, seed, count, |_| {
                 MakePaperStack { params, channels: c, n: N }.build()
             }),
             _ => run_checked(c, seed, count, |t| {

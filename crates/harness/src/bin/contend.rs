@@ -181,16 +181,17 @@ fn run_batch(args: &Args) {
     );
     println!("solved: {solved}/{}", args.trials);
     if solved > 0 {
-        let r = rounds.0.finish();
         println!(
             "rounds to solve: mean {:.1}, p95 {:.1}, max {:.0}",
-            r.mean, r.p95, r.max
+            rounds.mean(),
+            rounds.percentile(95.0),
+            rounds.max()
         );
     }
     println!(
         "energy per trial: mean {:.1} transmissions, mean {:.1} listens",
-        tx.0.finish().mean,
-        rx.0.finish().mean
+        tx.mean(),
+        rx.mean()
     );
     if let Some(hub) = &hub {
         print!("\n{}", hub.snapshot().render_prometheus());

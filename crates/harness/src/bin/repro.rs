@@ -43,7 +43,7 @@
 //! the record dir the moment they finish. See docs/CAMPAIGNS.md.
 
 use contention_harness::{experiments, RecordStore, RunCtx, Scale, SweepCancelled};
-use mac_sim::campaign::CancelToken;
+use mac_sim::campaign::{CancelToken, WORKER_THREAD_PREFIX};
 use mac_sim::MetricsHub;
 use std::io::Write as _;
 use std::path::PathBuf;
@@ -201,11 +201,27 @@ fn main() {
 
     // A deadline expiry unwinds out of the sweep with a `SweepCancelled`
     // payload; it is expected control flow, so silence the default hook's
-    // backtrace chatter for exactly that payload.
+    // backtrace chatter for exactly that payload. Under self-healing, a
+    // trial panic on a campaign worker is caught and retried or
+    // quarantined, so it gets one line — on a fresh line, clear of the
+    // redrawn progress line — instead of a full report.
     let default_hook = std::panic::take_hook();
+    let healing = self_heal.is_some();
     std::panic::set_hook(Box::new(move |info| {
-        if info.payload().downcast_ref::<SweepCancelled>().is_none() {
-            default_hook(info);
+        if info.payload().downcast_ref::<SweepCancelled>().is_some() {
+            return;
+        }
+        let thread = std::thread::current();
+        match thread.name() {
+            Some(name) if healing && name.starts_with(WORKER_THREAD_PREFIX) => {
+                let location = info
+                    .location()
+                    .map_or(String::new(), |l| format!(" at {l}"));
+                let message = info.payload_as_str().unwrap_or("non-string panic payload");
+                let fresh_line = if progress { "\n" } else { "" };
+                eprintln!("{fresh_line}thread '{name}' panicked{location}: {message}");
+            }
+            _ => default_hook(info),
         }
     }));
 

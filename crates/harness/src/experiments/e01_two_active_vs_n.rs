@@ -95,14 +95,12 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
                     }
                 },
                 move |(solved, completed, over)| {
-                    let s = solved.0.finish();
-                    let cm = completed.0.finish();
                     vec![
                         c.to_string(),
                         format!("2^{ne}"),
-                        format!("{:.2}", s.mean),
-                        format!("{:.2}", cm.mean),
-                        format!("{:.0}", cm.max),
+                        format!("{:.2}", solved.mean()),
+                        format!("{:.2}", completed.mean()),
+                        format!("{:.0}", completed.max()),
                         format!("{budget:.1}"),
                         over.to_string(),
                     ]

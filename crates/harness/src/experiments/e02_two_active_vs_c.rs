@@ -86,9 +86,9 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
                     vec![
                         format!("2^{n_exp}"),
                         c.to_string(),
-                        format!("{:.2}", solved.0.finish().mean),
-                        format!("{:.2}", completed.0.finish().mean),
-                        format!("{:.2}", search.0.finish().mean),
+                        format!("{:.2}", solved.mean()),
+                        format!("{:.2}", completed.mean()),
+                        format!("{:.2}", search.mean()),
                         format!("{budget:.1}"),
                         over.to_string(),
                     ]

@@ -147,7 +147,7 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
                 let theory = f64::from(c) / f64::from(c - 1);
                 vec![
                     c.to_string(),
-                    format!("{:.3}", acc.0.finish().mean),
+                    format!("{:.3}", acc.mean()),
                     format!("{theory:.3}"),
                 ]
             },

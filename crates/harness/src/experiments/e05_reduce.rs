@@ -80,15 +80,14 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
                     }
                 },
                 move |(counts, leaders, wiped)| {
-                    let s = counts.0.finish();
                     let rounds = Reduce::total_rounds(Params::practical(), n);
                     vec![
                         format!("2^{ne}"),
                         format!("{label} = {active}"),
                         rounds.to_string(),
-                        format!("{:.1}", s.mean),
-                        format!("{:.0}", s.p95),
-                        format!("{:.0}", s.max),
+                        format!("{:.1}", counts.mean()),
+                        format!("{:.0}", counts.percentile(95.0)),
+                        format!("{:.0}", counts.max()),
                         format!("{:.0}", 12.0 * lg_n),
                         format!("{leaders}/{trials}"),
                         wiped.to_string(),

@@ -3,7 +3,7 @@
 //! at most `C/2` survivors with distinct ids from `[C/2]`.
 
 use contention::{IdReduction, IdReductionOutcome, Params};
-use contention_analysis::{Summary, Table};
+use contention_analysis::Table;
 use mac_sim::campaign::SeedStream;
 use mac_sim::{Engine, SimConfig, StopWhen, Trace};
 use std::collections::HashSet;
@@ -98,13 +98,13 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
                     let within = acc.not_within == 0;
                     let unique = acc.not_unique == 0;
                     assert!(within && unique, "C={c} |A|={active}: invariant violated");
-                    let rounds = acc.rounds.0.finish();
+                    let rounds = &acc.rounds;
                     vec![
                         c.to_string(),
                         active.to_string(),
-                        format!("{:.1}", rounds.mean),
-                        format!("{:.0}", rounds.p95),
-                        format!("{:.1}", acc.survivors.0.finish().mean),
+                        format!("{:.1}", rounds.mean()),
+                        format!("{:.0}", rounds.percentile(95.0)),
+                        format!("{:.1}", acc.survivors.mean()),
                         "yes".to_string(),
                         "yes".to_string(),
                     ]
@@ -128,13 +128,7 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
             move |seed, acc| {
                 acc.push(measure_one(c, 24, Params::paper(), seed).0);
             },
-            move |acc| {
-                vec![
-                    c.to_string(),
-                    "24".into(),
-                    format!("{:.1}", acc.0.finish().mean),
-                ]
-            },
+            move |acc| vec![c.to_string(), "24".into(), format!("{:.1}", acc.mean())],
         );
     }
     report.section(caption_paper, paper_sweep.run());
@@ -168,15 +162,14 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
     let mut traj_table = Table::new(&["rename attempt", "|A| mean", "|A| max", "target C/6"]);
     let attempts = trajectories.iter().map(Vec::len).max().unwrap_or(0);
     for i in 0..attempts.min(8) {
-        let vals: Vec<u64> = trajectories
+        let s: Samples = trajectories
             .iter()
             .filter_map(|t| t.get(i).copied())
             .collect();
-        let s = Summary::from_u64(&vals);
         traj_table.row_owned(vec![
             (i + 1).to_string(),
-            format!("{:.1}", s.mean),
-            format!("{:.0}", s.max),
+            format!("{:.1}", s.mean()),
+            format!("{:.0}", s.max()),
             format!("{:.1}", f64::from(c) / 6.0),
         ]);
     }

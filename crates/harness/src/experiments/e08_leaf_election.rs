@@ -94,17 +94,16 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
                 move |seed, acc| {
                     acc.push(measure_one(c, x, seed, false, Occupancy::Random).0);
                 },
-                move |acc| {
-                    let rounds = acc.0.finish();
+                move |rounds| {
                     let theory = leaf_election_shape(h, x);
                     vec![
                         c.to_string(),
                         h.to_string(),
                         x.to_string(),
-                        format!("{:.1}", rounds.mean),
-                        format!("{:.0}", rounds.max),
+                        format!("{:.1}", rounds.mean()),
+                        format!("{:.0}", rounds.max()),
                         format!("{theory:.1}"),
-                        format!("{:.1}", rounds.mean / theory),
+                        format!("{:.1}", rounds.mean() / theory),
                     ]
                 },
             );

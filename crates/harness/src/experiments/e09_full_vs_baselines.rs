@@ -174,10 +174,10 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
                 },
                 move |(full, descent, decay, nocd)| {
                     let entries = [
-                        ("this paper", full.0.finish().mean),
-                        ("descent", descent.0.finish().mean),
-                        ("decay", decay.0.finish().mean),
-                        ("multi-nocd", nocd.0.finish().mean),
+                        ("this paper", full.mean()),
+                        ("descent", descent.mean()),
+                        ("decay", decay.mean()),
+                        ("multi-nocd", nocd.mean()),
                     ];
                     let winner = entries
                         .iter()
@@ -235,8 +235,8 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
             move |(full, tour)| {
                 vec![
                     a.to_string(),
-                    format!("{:.1}", full.0.finish().mean),
-                    format!("{:.1}", tour.0.finish().mean),
+                    format!("{:.1}", full.mean()),
+                    format!("{:.1}", tour.mean()),
                 ]
             },
         );

@@ -53,7 +53,7 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
                     }
                 },
                 move |(rounds, in_reduce)| {
-                    let mean = rounds.0.finish().mean;
+                    let mean = rounds.mean();
                     let bound = lower_bound_curve(n, c);
                     #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
                     let ne = (n as f64).log2() as u32;

@@ -76,8 +76,8 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
                     acc.2 += reduce;
                 },
                 move |(two, gen, reduce_total)| {
-                    let two_mean = two.0.finish().mean;
-                    let gen_mean = gen.0.finish().mean;
+                    let two_mean = two.mean();
+                    let gen_mean = gen.mean();
                     #[allow(clippy::cast_precision_loss)]
                     let reduce = reduce_total as f64 / trials.max(1) as f64;
                     vec![

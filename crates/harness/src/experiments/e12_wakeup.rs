@@ -7,7 +7,6 @@
 
 use contention::wakeup::{StaggeredStart, LISTEN_ROUNDS};
 use contention::{FullAlgorithm, Params};
-use contention_analysis::Summary;
 use mac_sim::campaign::SeedStream;
 use mac_sim::{Engine, SimConfig};
 
@@ -60,7 +59,7 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
     let base = ctx.trials("baseline", trials, seed_base("e12b", 0, 0), |s| {
         paper_rounds(c, n, active, s)
     });
-    let base = Summary::from_u64(&base);
+    let base_mean = base.into_iter().collect::<Samples>().mean();
     let k = 2 * LISTEN_ROUNDS + 4;
     let caption = "Wrapped full algorithm under adversarial wake-ups";
     let mut sweep = ctx.sweep::<Samples>(
@@ -74,7 +73,6 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
         ],
     );
     for (idx, (name, offsets)) in schedules.into_iter().enumerate() {
-        let base_mean = base.mean;
         sweep.row(
             trials,
             SeedStream::Offset(seed_base("e12", idx as u64, 0)),
@@ -82,16 +80,15 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
             move |seed, acc| {
                 acc.push(wrapped_one(c, n, &offsets, seed));
             },
-            move |acc| {
-                let rounds = acc.0.finish();
+            move |rounds| {
                 #[allow(clippy::cast_precision_loss)]
                 let cap = 2.0 * base_mean + k as f64;
                 vec![
                     name.to_string(),
-                    format!("{:.1}", rounds.mean),
-                    format!("{:.0}", rounds.max),
+                    format!("{:.1}", rounds.mean()),
+                    format!("{:.0}", rounds.max()),
                     format!("{base_mean:.1}"),
-                    format!("{:.2}", rounds.mean / cap),
+                    format!("{:.2}", rounds.mean() / cap),
                 ]
             },
         );

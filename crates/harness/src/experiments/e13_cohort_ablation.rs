@@ -19,8 +19,8 @@ use crate::{cell_f64, ExperimentReport, RunCtx, Samples};
 
 /// Renders one ablation row off its paired aggregates.
 fn ablation_cells(x: u32, cohort: &Samples, binary: &Samples) -> Vec<String> {
-    let cohort = cohort.0.finish().mean;
-    let binary = binary.0.finish().mean;
+    let cohort = cohort.mean();
+    let binary = binary.mean();
     vec![
         x.to_string(),
         format!("{cohort:.1}"),
@@ -125,14 +125,13 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
 mod tests {
     use super::*;
     use crate::Scale;
-    use contention_analysis::Summary;
 
     /// Mean rounds to elect over 8 dense trials at seeds `11..19`.
     fn dense_mean(ctx: &RunCtx, c: u32, x: u32, binary: bool) -> f64 {
         let rounds = ctx.trials("dense", 8, 11, |s| {
             measure_one(c, x, s, binary, Occupancy::Dense).0
         });
-        Summary::from_u64(&rounds).mean
+        rounds.into_iter().collect::<Samples>().mean()
     }
 
     #[test]

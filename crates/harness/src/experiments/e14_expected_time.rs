@@ -6,7 +6,6 @@
 
 use contention::baselines::Willard;
 use contention::extensions::ExpectedConstant;
-use contention_analysis::Summary;
 use mac_sim::campaign::SeedStream;
 use mac_sim::{Engine, SimConfig};
 
@@ -41,7 +40,7 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
             .populated((0..active).map(|_| Willard::new(n)));
         run_trial(&mut exec).rounds_to_solve().expect("solved")
     });
-    let willard = Summary::from_u64(&willard);
+    let willard_mean = willard.into_iter().collect::<Samples>().mean();
     let caption = format!("Mean rounds, n = 2^16, |A| = {active}");
     let mut sweep = ctx.sweep::<(Samples, Samples, Samples)>(
         &caption,
@@ -58,7 +57,6 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
         let xb = seed_base("e14x", u64::from(c), n);
         let fb = seed_base("e14f", u64::from(c), n);
         let tb = seed_base("e14t", u64::from(c), n);
-        let willard_mean = willard.mean;
         sweep.row(
             trials,
             SeedStream::Offset(0),
@@ -71,9 +69,9 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
             move |(xc, full, tour)| {
                 vec![
                     c.to_string(),
-                    format!("{:.1}", xc.0.finish().mean),
-                    format!("{:.1}", full.0.finish().mean),
-                    format!("{:.1}", tour.0.finish().mean),
+                    format!("{:.1}", xc.mean()),
+                    format!("{:.1}", full.mean()),
+                    format!("{:.1}", tour.mean()),
                     format!("{willard_mean:.1}"),
                 ]
             },
@@ -94,13 +92,12 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
             move |seed, acc| {
                 acc.push(expected_one(c, n, a, seed));
             },
-            move |acc| {
-                let xc = acc.0.finish();
+            move |xc| {
                 vec![
                     a.to_string(),
-                    format!("{:.1}", xc.mean),
-                    format!("{:.1}", xc.p95),
-                    format!("{:.0}", xc.max),
+                    format!("{:.1}", xc.mean()),
+                    format!("{:.1}", xc.percentile(95.0)),
+                    format!("{:.0}", xc.max()),
                 ]
             },
         );

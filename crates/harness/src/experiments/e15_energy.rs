@@ -93,14 +93,14 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
                 },
                 move |acc| {
                     #[allow(clippy::cast_precision_loss)]
-                    let per_node = acc.total_tx.0.finish().mean / active as f64;
+                    let per_node = acc.total_tx.mean() / active as f64;
                     vec![
                         name.to_string(),
-                        format!("{:.1}", acc.rounds.0.finish().mean),
-                        format!("{:.0}", acc.total_tx.0.finish().mean),
+                        format!("{:.1}", acc.rounds.mean()),
+                        format!("{:.0}", acc.total_tx.mean()),
                         format!("{per_node:.2}"),
-                        format!("{:.1}", acc.peak_tx.0.finish().mean),
-                        format!("{:.0}", acc.rx.0.finish().mean),
+                        format!("{:.1}", acc.peak_tx.mean()),
+                        format!("{:.0}", acc.rx.mean()),
                     ]
                 },
             );

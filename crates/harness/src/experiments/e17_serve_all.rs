@@ -105,7 +105,7 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
             },
             move |(pipeline, tournament, tree)| {
                 #[allow(clippy::cast_precision_loss)]
-                let per = |s: &Samples| s.0.finish().mean / k as f64;
+                let per = |s: &Samples| s.mean() / k as f64;
                 #[allow(clippy::cast_precision_loss)]
                 let density = k as f64 / n as f64;
                 vec![

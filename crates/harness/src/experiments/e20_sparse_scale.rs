@@ -90,15 +90,14 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
                 acc.acts.push(acts);
             },
             move |acc| {
-                let rounds = acc.rounds.0.finish();
-                let acts = acc.acts.0.finish();
+                let (rounds, acts) = (&acc.rounds, &acc.acts);
                 vec![
                     format!("2^{exp}"),
-                    format!("{:.1}", rounds.mean),
-                    format!("{:.0}", rounds.p95),
-                    format!("{:.0}", rounds.max),
-                    format!("{:.2}", rounds.mean / log_c_n(n, C)),
-                    format!("{:.1}", acts.mean / rounds.mean),
+                    format!("{:.1}", rounds.mean()),
+                    format!("{:.0}", rounds.percentile(95.0)),
+                    format!("{:.0}", rounds.max()),
+                    format!("{:.2}", rounds.mean() / log_c_n(n, C)),
+                    format!("{:.1}", acts.mean() / rounds.mean()),
                 ]
             },
         );

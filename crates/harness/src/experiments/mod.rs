@@ -120,9 +120,9 @@ pub fn seed_base(tag: &str, a: u64, b: u64) -> u64 {
 /// token fires mid-run, and on record-store I/O errors.
 #[must_use]
 pub fn run_all(ctx: &RunCtx) -> Vec<ExperimentReport> {
-    list()
+    REGISTRY
         .iter()
-        .map(|(id, _)| run_one(id, ctx).expect("registry ids resolve"))
+        .map(|(id, _, _)| run_one(id, ctx).expect("registry ids resolve"))
         .collect()
 }
 
@@ -137,87 +137,68 @@ pub fn run_all(ctx: &RunCtx) -> Vec<ExperimentReport> {
 /// token fires mid-run, and on record-store I/O errors.
 #[must_use]
 pub fn run_one(id: &str, ctx: &RunCtx) -> Option<ExperimentReport> {
-    let runner = by_id(id)?;
-    let canonical = canonical_id(id)?;
+    let &(canonical, run, _) = entry(id)?;
     ctx.begin_experiment(canonical);
-    let report = runner(ctx);
+    let report = run(ctx);
     ctx.finish_experiment(&report);
     Some(report)
+}
+
+/// An experiment's entry point.
+type Runner = fn(&RunCtx) -> ExperimentReport;
+
+/// The registry: every experiment's id, runner and one-line title, in
+/// order. Experiment `eN` is entry `N − 1`.
+#[rustfmt::skip]
+static REGISTRY: [(&str, Runner, &str); 21] = [
+    ("e1",  e01_two_active_vs_n::run,     "TwoActive vs n (Theorem 1)"),
+    ("e2",  e02_two_active_vs_c::run,     "TwoActive vs C (Theorem 1 crossover)"),
+    ("e3",  e03_rename_geometric::run,    "Renaming race tail (Lemma 2)"),
+    ("e4",  e04_split_check::run,         "SplitCheck probe count (Lemma 3)"),
+    ("e5",  e05_reduce::run,              "Reduce survivor counts (Theorem 5)"),
+    ("e6",  e06_id_reduction::run,        "IdReduction (Theorem 6, Lemmas 7-10)"),
+    ("e7",  e07_balls_in_bins::run,       "Balls-in-bins (Lemma 9)"),
+    ("e8",  e08_leaf_election::run,       "LeafElection (Theorem 17, Lemma 16)"),
+    ("e9",  e09_full_vs_baselines::run,   "Full algorithm vs baselines (Theorem 4)"),
+    ("e10", e10_lower_bound_ratio::run,   "Lower-bound ratio (optimality)"),
+    ("e11", e11_two_vs_general::run,      "TwoActive vs general on |A| = 2"),
+    ("e12", e12_wakeup::run,              "Wake-up transform (section 3)"),
+    ("e13", e13_cohort_ablation::run,     "Coalescing-cohorts ablation"),
+    ("e14", e14_expected_time::run,       "Expected-O(1) with ~lg n channels (section 6)"),
+    ("e15", e15_energy::run,              "Transmission energy"),
+    ("e16", e16_cd_modes::run,            "Collision-detection model matrix"),
+    ("e17", e17_serve_all::run,           "Serving all contenders (conflict resolution)"),
+    ("e18", e18_fault_thresholds::run,    "Fault-injection breakdown thresholds"),
+    ("e19", e19_supervised_recovery::run, "Supervised recovery beyond the breakdown thresholds"),
+    ("e20", e20_sparse_scale::run,        "Sparse-scale curve: namespace 2^12..2^22 at fixed |A|"),
+    ("e21", e21_traffic_load::run,        "Dynamic-arrivals traffic: throughput and latency vs offered load"),
+];
+
+/// The registry entry for any accepted id spelling (`"E07"`, `"e7"`).
+fn entry(id: &str) -> Option<&'static (&'static str, Runner, &'static str)> {
+    let norm = id.trim().to_lowercase();
+    let norm = norm.strip_prefix('e').unwrap_or(&norm);
+    let number: usize = norm.trim_start_matches('0').parse().ok()?;
+    REGISTRY.get(number.checked_sub(1)?)
 }
 
 /// Normalizes any accepted id spelling (`"E07"`, `"e7"`) to the registry
 /// form (`"e7"`), which doubles as the record-file stem.
 #[must_use]
 pub fn canonical_id(id: &str) -> Option<&'static str> {
-    let norm = id.trim().to_lowercase();
-    let norm = norm.strip_prefix('e').unwrap_or(&norm);
-    let number: usize = norm.trim_start_matches('0').parse().ok()?;
-    list().get(number.checked_sub(1)?).map(|(id, _)| *id)
+    entry(id).map(|&(id, _, _)| id)
 }
 
 /// All experiment ids with their one-line titles, in order.
 #[must_use]
 pub fn list() -> Vec<(&'static str, &'static str)> {
-    vec![
-        ("e1", "TwoActive vs n (Theorem 1)"),
-        ("e2", "TwoActive vs C (Theorem 1 crossover)"),
-        ("e3", "Renaming race tail (Lemma 2)"),
-        ("e4", "SplitCheck probe count (Lemma 3)"),
-        ("e5", "Reduce survivor counts (Theorem 5)"),
-        ("e6", "IdReduction (Theorem 6, Lemmas 7-10)"),
-        ("e7", "Balls-in-bins (Lemma 9)"),
-        ("e8", "LeafElection (Theorem 17, Lemma 16)"),
-        ("e9", "Full algorithm vs baselines (Theorem 4)"),
-        ("e10", "Lower-bound ratio (optimality)"),
-        ("e11", "TwoActive vs general on |A| = 2"),
-        ("e12", "Wake-up transform (section 3)"),
-        ("e13", "Coalescing-cohorts ablation"),
-        ("e14", "Expected-O(1) with ~lg n channels (section 6)"),
-        ("e15", "Transmission energy"),
-        ("e16", "Collision-detection model matrix"),
-        ("e17", "Serving all contenders (conflict resolution)"),
-        ("e18", "Fault-injection breakdown thresholds"),
-        ("e19", "Supervised recovery beyond the breakdown thresholds"),
-        (
-            "e20",
-            "Sparse-scale curve: namespace 2^12..2^22 at fixed |A|",
-        ),
-        (
-            "e21",
-            "Dynamic-arrivals traffic: throughput and latency vs offered load",
-        ),
-    ]
+    REGISTRY.iter().map(|&(id, _, title)| (id, title)).collect()
 }
 
 /// Looks up a single experiment runner by id (`"e1"`, `"E07"`, …).
 #[must_use]
-pub fn by_id(id: &str) -> Option<fn(&RunCtx) -> ExperimentReport> {
-    let norm = id.trim().to_lowercase();
-    let norm = norm.strip_prefix('e').unwrap_or(&norm);
-    match norm.trim_start_matches('0') {
-        "1" => Some(e01_two_active_vs_n::run),
-        "2" => Some(e02_two_active_vs_c::run),
-        "3" => Some(e03_rename_geometric::run),
-        "4" => Some(e04_split_check::run),
-        "5" => Some(e05_reduce::run),
-        "6" => Some(e06_id_reduction::run),
-        "7" => Some(e07_balls_in_bins::run),
-        "8" => Some(e08_leaf_election::run),
-        "9" => Some(e09_full_vs_baselines::run),
-        "10" => Some(e10_lower_bound_ratio::run),
-        "11" => Some(e11_two_vs_general::run),
-        "12" => Some(e12_wakeup::run),
-        "13" => Some(e13_cohort_ablation::run),
-        "14" => Some(e14_expected_time::run),
-        "15" => Some(e15_energy::run),
-        "16" => Some(e16_cd_modes::run),
-        "17" => Some(e17_serve_all::run),
-        "18" => Some(e18_fault_thresholds::run),
-        "19" => Some(e19_supervised_recovery::run),
-        "20" => Some(e20_sparse_scale::run),
-        "21" => Some(e21_traffic_load::run),
-        _ => None,
-    }
+pub fn by_id(id: &str) -> Option<Runner> {
+    entry(id).map(|&(_, run, _)| run)
 }
 
 #[cfg(test)]

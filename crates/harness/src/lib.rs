@@ -41,10 +41,10 @@ pub mod record;
 mod report;
 mod runner;
 mod scale;
+mod stats;
 
 pub use record::RecordStore;
 pub use report::{ExperimentReport, Section};
-pub use runner::{
-    cell_f64, cell_u64, sample_distinct, ProgressHub, RunCtx, Samples, Sweep, SweepCancelled,
-};
+pub use runner::{cell_f64, cell_u64, sample_distinct, ProgressHub, RunCtx, Sweep, SweepCancelled};
 pub use scale::Scale;
+pub use stats::Samples;

@@ -67,27 +67,6 @@ pub fn sample_distinct(universe: u64, count: usize, seed: u64) -> Vec<u64> {
     out
 }
 
-/// An [`contention_analysis::OnlineSummary`] wrapped as a campaign
-/// [`Aggregate`]: the standard streamed replacement for collecting a
-/// sample vector and batch-summarising it. Memory per cell is `O(1)` in
-/// the trial count, and the merge is exactly associative, so shard splits
-/// never change the result.
-#[derive(Debug, Clone, Default)]
-pub struct Samples(pub contention_analysis::OnlineSummary);
-
-impl Samples {
-    /// Folds one sample in.
-    pub fn push(&mut self, sample: u64) {
-        self.0.push(sample);
-    }
-}
-
-impl Aggregate for Samples {
-    fn merge(&mut self, other: Self) {
-        self.0.merge(other.0);
-    }
-}
-
 /// Parses a rendered table cell back to `f64`, tolerating a trailing `%`.
 ///
 /// Notes must be derived from rendered cells (not transient samples) so
@@ -739,6 +718,7 @@ impl ProgressHub {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Samples;
 
     #[test]
     fn sample_distinct_is_distinct_and_in_range() {
@@ -774,7 +754,7 @@ mod tests {
                 SeedStream::Offset(100 * k),
                 Samples::default,
                 move |seed, acc| acc.push(seed % (k + 1)),
-                move |acc| vec![k.to_string(), format!("{:.2}", acc.0.finish().mean)],
+                move |acc| vec![k.to_string(), format!("{:.2}", acc.mean())],
             );
         }
         let table = sweep.run();
@@ -794,12 +774,11 @@ mod tests {
                     SeedStream::Derived(k),
                     Samples::default,
                     move |seed, acc| acc.push(seed.wrapping_mul(k) % 1000),
-                    move |acc| {
-                        let s = acc.0.finish();
+                    move |s| {
                         vec![
                             k.to_string(),
-                            format!("{:.3}", s.mean),
-                            format!("{:.3}", s.p95),
+                            format!("{:.3}", s.mean()),
+                            format!("{:.3}", s.percentile(95.0)),
                         ]
                     },
                 );
@@ -822,7 +801,7 @@ mod tests {
                 SeedStream::Offset(100 * (k + 1)),
                 Samples::default,
                 move |seed, acc| acc.push(seed),
-                move |acc| vec![k.to_string(), acc.0.count().to_string()],
+                move |acc| vec![k.to_string(), acc.count().to_string()],
             );
         }
         let table = sweep.run();
@@ -845,7 +824,7 @@ mod tests {
             SeedStream::Offset(100),
             Samples::default,
             |seed, acc| acc.push(seed),
-            |acc| vec![acc.0.count().to_string()],
+            |acc| vec![acc.count().to_string()],
         );
         let _ = sweep.run();
     }
@@ -861,9 +840,11 @@ mod tests {
                 SeedStream::Derived(7),
                 Samples::default,
                 |seed, acc| acc.push(seed % 977),
-                |acc| {
-                    let s = acc.0.finish();
-                    vec![format!("{:.6}", s.mean), format!("{:.6}", s.p95)]
+                |s| {
+                    vec![
+                        format!("{:.6}", s.mean()),
+                        format!("{:.6}", s.percentile(95.0)),
+                    ]
                 },
             );
             format!("{}", sweep.run())
@@ -888,7 +869,7 @@ mod tests {
             SeedStream::Offset(0),
             Samples::default,
             |seed, acc| acc.push(seed),
-            |acc| vec![acc.0.count().to_string()],
+            |acc| vec![acc.count().to_string()],
         );
         let table = sweep.run();
         assert_eq!(table.rows()[0][0], "5", "compute must survive degradation");
@@ -909,7 +890,7 @@ mod tests {
                     SeedStream::Derived(k),
                     Samples::default,
                     move |seed, acc| acc.push(seed.wrapping_mul(k) % 503),
-                    move |acc| vec![k.to_string(), format!("{:.4}", acc.0.finish().mean)],
+                    move |acc| vec![k.to_string(), format!("{:.4}", acc.mean())],
                 );
             }
             format!("{}", sweep.run())
@@ -945,7 +926,7 @@ mod tests {
                 SeedStream::Offset(100 * pass),
                 Samples::default,
                 |seed, acc| acc.push(seed),
-                |acc| vec![acc.0.count().to_string()],
+                |acc| vec![acc.count().to_string()],
             );
             let _ = sweep.run();
         }

@@ -14,6 +14,9 @@
 //! Experiments run their trials through the run context alone: a direct
 //! `mac_sim::trials` fan-out would ignore `repro`'s worker count,
 //! deadline, self-healing, progress and metrics.
+//!
+//! perfbench's lock file must record exactly the dependencies of the
+//! workspace crates it builds, or its `--locked` build fails only in CI.
 
 use std::path::{Path, PathBuf};
 
@@ -136,4 +139,84 @@ fn experiments_run_trials_only_through_the_run_context() {
         offenders.is_empty(),
         "experiments bypass RunCtx::trials with fan_out: {offenders:?}"
     );
+}
+
+/// The lines of the `[header]` table of a TOML file, up to the next table.
+fn table<'a>(toml: &'a str, header: &str) -> Vec<&'a str> {
+    toml.lines()
+        .map(str::trim)
+        .skip_while(|line| *line != header)
+        .skip(1)
+        .take_while(|line| !line.starts_with('['))
+        .filter(|line| !line.is_empty() && !line.starts_with('#'))
+        .collect()
+}
+
+/// The package name and sorted `[dependencies]` names of a crate manifest.
+fn manifest_dependencies(manifest: &str) -> (String, Vec<String>) {
+    let name = table(manifest, "[package]")
+        .into_iter()
+        .find_map(|line| line.strip_prefix("name = "))
+        .expect("manifest names its package")
+        .trim_matches('"')
+        .to_owned();
+    let mut deps: Vec<String> = table(manifest, "[dependencies]")
+        .into_iter()
+        .map(|line| {
+            let end = line.find(['.', ' ', '=']).unwrap_or(line.len());
+            line[..end].to_owned()
+        })
+        .collect();
+    deps.sort();
+    (name, deps)
+}
+
+/// The sorted dependency names a `Cargo.lock` records for `package`.
+fn locked_dependencies(lock: &str, package: &str) -> Vec<String> {
+    let header = format!("name = \"{package}\"");
+    let entry: Vec<&str> = lock
+        .lines()
+        .skip_while(|line| *line != header)
+        .take_while(|line| *line != "[[package]]")
+        .collect();
+    assert!(
+        !entry.is_empty(),
+        "perfbench/Cargo.lock lists no package {package}"
+    );
+    let mut deps: Vec<String> = entry
+        .into_iter()
+        .skip_while(|line| *line != "dependencies = [")
+        .skip(1)
+        .take_while(|line| *line != "]")
+        .map(|line| {
+            let dep = line.trim().trim_end_matches(',').trim_matches('"');
+            dep.split(' ').next().unwrap_or(dep).to_owned()
+        })
+        .collect();
+    deps.sort();
+    deps
+}
+
+/// perfbench builds with `--locked` against its own `perfbench/Cargo.lock`,
+/// which records every workspace crate it builds with that crate's
+/// dependency names. Adding or removing a `[dependencies]` entry in one of
+/// those crates makes the benchmark build fail ("cannot update the lock
+/// file"), and the lock file belongs to the benchmark, so it changes only
+/// with a benchmark change. That is why the harness keeps its `crew-pram`
+/// dependency although no harness code uses it: dropping it would break
+/// the benchmark build. Without this test only CI's `perf-smoke` job
+/// notices such a drift.
+#[test]
+fn perfbench_lock_matches_each_crates_dependencies() {
+    let root = workspace_root();
+    let lock = read(&root, "perfbench/Cargo.lock");
+    for dir in ["core", "analysis", "harness", "crew-pram", "mac-sim"] {
+        let (package, deps) =
+            manifest_dependencies(&read(&root, &format!("crates/{dir}/Cargo.toml")));
+        assert_eq!(
+            locked_dependencies(&lock, &package),
+            deps,
+            "perfbench/Cargo.lock and crates/{dir}/Cargo.toml disagree on {package}'s dependencies"
+        );
+    }
 }

@@ -5,7 +5,8 @@
 //!   cross-check) still leaves a `metrics.jsonl` whose last snapshot
 //!   agrees with the `--metrics-out` exposition.
 //! * `--progress` under self-healing ends stderr with the run's summary
-//!   line, heal segment included.
+//!   line, heal segment included, and each caught trial panic prints one
+//!   line (no backtrace) instead of the default panic report.
 
 use std::fs;
 use std::path::PathBuf;
@@ -20,6 +21,7 @@ use mac_sim::MetricsSnapshot;
 fn repro(args: &[&str]) -> Output {
     let output = Command::new(env!("CARGO_BIN_EXE_repro"))
         .args(args)
+        .env("RUST_BACKTRACE", "1")
         .output()
         .expect("repro runs");
     assert!(
@@ -80,6 +82,21 @@ fn progress_line_ends_with_the_heal_summary() {
         "e4",
     ]);
     let stderr = String::from_utf8_lossy(&output.stderr);
+    // Two attempts at the poisoned seed, one line each, even with
+    // backtraces requested.
+    assert!(!stderr.contains("stack backtrace"), "{stderr}");
+    let panic_lines: Vec<&str> = stderr
+        .lines()
+        .filter(|line| line.contains("panicked at"))
+        .collect();
+    assert_eq!(panic_lines.len(), 2, "{stderr}");
+    assert!(
+        panic_lines
+            .iter()
+            .all(|line| line.starts_with("thread 'campaign-worker-")
+                && line.ends_with(&format!("chaos: injected panic at seed {seed}"))),
+        "{stderr}"
+    );
     let last = stderr
         .rsplit(['\n', '\r'])
         .map(str::trim)

@@ -63,6 +63,10 @@ use std::time::{Duration, Instant};
 use crate::obs::telemetry::{MetricsHub, PowHistogram, Registry};
 use crate::rng::derive_stream_seed;
 
+/// Name prefix of campaign worker threads (`campaign-worker-0`, …), so a
+/// panic hook can tell a trial panic on a worker from any other panic.
+pub const WORKER_THREAD_PREFIX: &str = "campaign-worker-";
+
 /// Extracts a human-readable message from a panic payload (the `Box<dyn
 /// Any>` that [`std::panic::catch_unwind`] returns), for the
 /// [`Quarantined::error`] of a self-healing campaign.
@@ -662,7 +666,9 @@ impl<'a, A: Aggregate> Campaign<'a, A> {
                 let telemetry = &telemetry;
                 let submit = &submit;
                 let cancelled = &cancelled;
-                scope.spawn(move || {
+                let worker =
+                    std::thread::Builder::new().name(format!("{WORKER_THREAD_PREFIX}{worker_idx}"));
+                let spawned = worker.spawn_scoped(scope, move || {
                     // Worker-private tallies; absorbed into the hub only
                     // once, at worker exit, so the trial loop stays
                     // lock-free with respect to other workers.
@@ -757,6 +763,7 @@ impl<'a, A: Aggregate> Campaign<'a, A> {
                         hub.absorb(worker_idx, &local);
                     }
                 });
+                spawned.expect("spawn a campaign worker thread");
             }
         });
 

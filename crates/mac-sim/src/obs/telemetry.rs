@@ -20,11 +20,10 @@
 //! Every merge operation is associative and commutative over exact
 //! integers, and the merged registry is held in `BTreeMap`s, so **a
 //! snapshot merged from k worker shards renders byte-identically for any
-//! k and any partition of the same events** — the same mergeability
-//! contract `contention_analysis::OnlineSummary` pins for cell
-//! aggregates, re-stated here for the metrics plane (this crate sits
-//! below the analysis crate and cannot depend on it, so the power-of-two
-//! bucket scheme is deliberately mirrored, not imported).
+//! k and any partition of the same events**. The harness's
+//! `contention_harness::Samples` cell aggregate is the same
+//! [`PowHistogram`] at a 4096-bucket cap, so experiment cells and the
+//! metrics plane share one bucket scheme and one mergeability contract.
 //!
 //! Observer-effect freedom: nothing in this module touches an engine,
 //! node, or RNG — sinks only read the event stream — so a run with the
@@ -41,22 +40,26 @@ use crate::channel::{ChannelId, ChannelOutcome, OutcomeKind};
 use crate::engine::{NodeId, SlotState};
 use crate::sink::EventSink;
 
-/// Maximum distinct buckets a [`PowHistogram`] keeps before doubling its
-/// bucket width. Smaller than the analysis-layer cap (4096): telemetry
-/// histograms are rendered live and shipped in every snapshot line.
+/// The default distinct-bucket cap of a [`PowHistogram`]: the cap of
+/// every telemetry histogram. Smaller than the 4096 cap of the harness's
+/// `Samples` cell aggregate, which keeps experiment quantiles exact:
+/// telemetry histograms are rendered live and shipped in every snapshot
+/// line.
 pub const TELEMETRY_BUCKET_CAP: usize = 512;
 
-/// A power-of-two-bucket histogram over `u64` samples.
+/// A power-of-two-bucket histogram over `u64` samples, keeping at most
+/// `CAP` distinct buckets.
 ///
-/// Mirrors the `OnlineSummary` bucket contract from the analysis crate:
-/// bucket `b` at width shift `s` covers values `[b << s, (b+1) << s)`;
-/// when the bucket count exceeds [`TELEMETRY_BUCKET_CAP`] the width
-/// doubles (`s += 1`) and buckets pairwise-collapse. Merging aligns both
-/// operands to the coarser shift and adds counts, so merge is exactly
-/// associative and commutative: any partition of the same samples over
-/// any number of shards produces the same histogram.
+/// Bucket `b` at width shift `s` covers values `[b << s, (b+1) << s)`;
+/// when the bucket count exceeds `CAP` the width doubles (`s += 1`) and
+/// buckets pairwise-collapse, so the state is always the width-`2^s`
+/// bucketing of every sample recorded, at the smallest width that fits
+/// the cap. Merging aligns both operands to the coarser shift and adds
+/// counts, so merge is exactly associative and commutative: any
+/// partition of the same samples over any number of shards produces the
+/// same histogram. Telemetry uses the default [`TELEMETRY_BUCKET_CAP`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PowHistogram {
+pub struct PowHistogram<const CAP: usize = TELEMETRY_BUCKET_CAP> {
     n: u64,
     sum: u64,
     min: u64,
@@ -66,12 +69,14 @@ pub struct PowHistogram {
 }
 
 impl PowHistogram {
-    /// An empty histogram at the finest bucket width.
+    /// An empty telemetry histogram at the finest bucket width.
     #[must_use]
     pub fn new() -> Self {
         PowHistogram::default()
     }
+}
 
+impl<const CAP: usize> PowHistogram<CAP> {
     /// Records one sample.
     #[inline]
     pub fn record(&mut self, value: u64) {
@@ -89,7 +94,7 @@ impl PowHistogram {
     }
 
     /// Folds `other` into `self`. Exactly associative and commutative.
-    pub fn merge(&mut self, other: &PowHistogram) {
+    pub fn merge(&mut self, other: &Self) {
         if other.n == 0 {
             return;
         }
@@ -121,7 +126,7 @@ impl PowHistogram {
 
     #[inline]
     fn shrink_to_cap(&mut self) {
-        while self.buckets.len() > TELEMETRY_BUCKET_CAP {
+        while self.buckets.len() > CAP {
             self.coarsen();
         }
     }
@@ -227,7 +232,7 @@ impl PowHistogram {
         ])
     }
 
-    fn from_json(value: &Json) -> Result<PowHistogram, String> {
+    fn from_json(value: &Json) -> Result<Self, String> {
         let field = |key: &str| {
             value
                 .get(key)
@@ -251,7 +256,7 @@ impl PowHistogram {
                 }
             })
             .collect::<Result<BTreeMap<u64, u64>, String>>()?;
-        Ok(PowHistogram {
+        Ok(Self {
             n,
             sum: field("sum")?,
             min: if n == 0 { 0 } else { field("min")? },
@@ -798,6 +803,47 @@ mod tests {
             }
             assert_eq!(merged, whole, "partition into {parts} shards diverged");
         }
+    }
+
+    fn filled<const CAP: usize>(values: impl IntoIterator<Item = u64>) -> PowHistogram<CAP> {
+        let mut h = PowHistogram::<CAP>::default();
+        for v in values {
+            h.record(v);
+        }
+        h
+    }
+
+    /// Shard merges of `samples()` equal the sequential fold, and `CAP`
+    /// distinct values fit while `CAP + 1` coarsen.
+    fn assert_cap_contract<const CAP: usize>() {
+        let all = samples();
+        let whole: PowHistogram<CAP> = filled(all.iter().copied());
+        for parts in [2usize, 3, 7] {
+            let mut merged = PowHistogram::<CAP>::default();
+            for first in 0..parts {
+                merged.merge(&filled(all.iter().copied().skip(first).step_by(parts)));
+            }
+            assert_eq!(merged, whole, "cap {CAP}: {parts} shards diverged");
+        }
+        let cap = CAP as u64;
+        assert_eq!(
+            filled::<CAP>(0..cap).shift(),
+            0,
+            "cap {CAP} coarsened early"
+        );
+        let over = filled::<CAP>(0..=cap);
+        assert_eq!(over.shift(), 1, "cap {CAP} did not coarsen");
+        assert!(over.buckets().len() <= CAP);
+    }
+
+    #[test]
+    fn each_cap_merges_exactly_and_coarsens_at_its_own_cap() {
+        assert_cap_contract::<TELEMETRY_BUCKET_CAP>();
+        assert_cap_contract::<4096>();
+        // The same 4000 samples: the telemetry cap coarsens, the
+        // experiment-cell cap keeps them exact.
+        assert!(filled::<TELEMETRY_BUCKET_CAP>(samples()).shift() > 0);
+        assert_eq!(filled::<4096>(samples()).shift(), 0);
     }
 
     #[test]

@@ -21,14 +21,14 @@
 //!
 //! The example then stresses the same stack on faulted radios (the
 //! `mac_sim::fault` layers): symmetric collision-detection noise via
-//! `fault::Layered`, a `bounded` watchdog that turns a jam-wedged stack
-//! into a clean give-up, and the §3 wake-up combinator (`staggered`) over
+//! `fault::Layered`, a one-attempt `Supervised` watchdog that turns a
+//! jam-wedged stack into a clean give-up, and the §3 wake-up combinator (`staggered`) over
 //! the whole hybrid — phases compose with the fault and wake-up machinery
 //! with no engine changes.
 
 use contention::baselines::{CdTournament, Decay};
 use contention::phase::{Phase, PhaseProtocol, PhaseTelemetry};
-use contention::{FullAlgorithm, Params, Reduce};
+use contention::{FullAlgorithm, Params, Reduce, RestartPolicy, Supervised};
 use mac_sim::fault::{JamBudget, Layered, NoisyCd};
 use mac_sim::{CdMode, Engine, FeedbackModel, Protocol, SimConfig, SimError};
 
@@ -118,12 +118,13 @@ fn main() {
         );
     }
 
-    // 3. The `bounded` watchdog. A jammer owning the primary channel for
+    // 3. The round watchdog. A jammer owning the primary channel for
     //    the whole run fails the CD-driven stacks *fast* (every listener
     //    hears collisions and knocks itself out — a clean give-up). The
-    //    protocol that wedges is `Decay`, which never listens: unbounded,
-    //    it spins until the engine's round budget fires; `bounded(1500)`
-    //    retires every node first and the run ends in a clean no-solve.
+    //    protocol that wedges is `Decay`, which never listens: unwatched,
+    //    it spins until the engine's round budget fires; a `Supervised`
+    //    stack with one 1500-round attempt retires every node first and
+    //    the run ends in a clean no-solve.
     println!("\nprimary channel jammed for the whole run:");
     let config = SimConfig::new(CHANNELS).seed(SEED).round_budget(BUDGET);
     let jammer = JamBudget::flood(CdMode::Strong);
@@ -144,9 +145,13 @@ fn main() {
     let config = SimConfig::new(CHANNELS).seed(SEED).round_budget(BUDGET);
     let jammer = JamBudget::flood(CdMode::Strong);
     report_run(
-        "Decay.bounded(1500) vs jammer",
-        Engine::with_feedback(config, jammer)
-            .populated((0..ACTIVE).map(|_| PhaseProtocol::new(Decay::new(N).bounded(1_500)))),
+        "Decay, one 1500-round supervised attempt, vs jammer",
+        Engine::with_feedback(config, jammer).populated((0..ACTIVE).map(|_| {
+            PhaseProtocol::new(Supervised::new(
+                || Decay::new(N),
+                RestartPolicy::new(1_500, 1),
+            ))
+        })),
     );
 
     // 4. The §3 wake-up combinator over the whole hybrid: `staggered()`
