@@ -30,8 +30,8 @@
 //! hub attached is bit-identical to a bare run (pinned by the
 //! `observer_effect` suite).
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -594,6 +594,14 @@ impl MetricsSnapshot {
     }
 }
 
+thread_local! {
+    /// The `engine_channel_outcomes_total` keys of channels 1, 2, …, as
+    /// `[silence, message, collision]`: formatted once per thread, when a
+    /// flush first sees the channel, so every later flush only looks its
+    /// keys up.
+    static CHANNEL_KEYS: RefCell<Vec<[String; 3]>> = const { RefCell::new(Vec::new()) };
+}
+
 /// An [`EventSink`] that tallies engine activity for the hub.
 ///
 /// All accumulation happens in plain local fields — no locks, no
@@ -665,21 +673,19 @@ impl TelemetrySink {
             "engine_retired_total{state=\"crashed\"}",
             self.retired_crashed,
         );
-        // One key buffer for every per-channel counter: a key the registry
-        // already holds is only looked up, never allocated.
-        let mut key = String::new();
-        for (idx, tallies) in self.channels.iter().enumerate() {
-            let ch = idx + 1;
-            for (kind, &n) in ["silence", "message", "collision"].iter().zip(tallies) {
-                key.clear();
-                write!(
-                    key,
-                    "engine_channel_outcomes_total{{channel=\"{ch}\",kind=\"{kind}\"}}"
-                )
-                .expect("writing to a String cannot fail");
-                reg.count(&key, n);
+        CHANNEL_KEYS.with_borrow_mut(|keys| {
+            while keys.len() < self.channels.len() {
+                let ch = keys.len() + 1;
+                keys.push(["silence", "message", "collision"].map(|kind| {
+                    format!("engine_channel_outcomes_total{{channel=\"{ch}\",kind=\"{kind}\"}}")
+                }));
             }
-        }
+            for (keys, tallies) in keys.iter().zip(&self.channels) {
+                for (key, &n) in keys.iter().zip(tallies) {
+                    reg.count(key, n);
+                }
+            }
+        });
         reg.merge_histogram("engine_round_acts", &self.acts_per_round);
         *self = TelemetrySink::default();
     }
@@ -992,5 +998,30 @@ mod tests {
         );
         // The sink reset on flush.
         assert_eq!(sink.rounds(), 0);
+    }
+
+    #[test]
+    fn flushes_of_every_width_count_under_the_formatted_keys() {
+        let mut reg = Registry::new();
+        for width in [2, 3, 1] {
+            let mut sink = TelemetrySink::new();
+            sink.channels = (1..=width).map(|ch| [ch, 10 * ch, 100 * ch]).collect();
+            sink.flush_into(&mut reg);
+        }
+        let mut want = BTreeMap::new();
+        for (ch, flushes) in [(1, 3), (2, 2), (3, 1)] {
+            for (kind, unit) in [("silence", 1), ("message", 10), ("collision", 100)] {
+                let key =
+                    format!("engine_channel_outcomes_total{{channel=\"{ch}\",kind=\"{kind}\"}}");
+                want.insert(key, unit * ch * flushes);
+            }
+        }
+        let got: BTreeMap<String, u64> = reg
+            .counters()
+            .iter()
+            .filter(|(name, _)| name.starts_with("engine_channel_outcomes_total"))
+            .map(|(name, &n)| (name.clone(), n))
+            .collect();
+        assert_eq!(got, want);
     }
 }
