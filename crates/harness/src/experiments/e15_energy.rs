@@ -9,27 +9,17 @@ use contention::baselines::{BinaryDescent, CdTournament, Decay, MultiChannelNoCd
 use contention::extensions::ExpectedConstant;
 use contention::{FullAlgorithm, Params};
 use mac_sim::campaign::{Aggregate, SeedStream};
-use mac_sim::obs::{RunRecord, RunRecorder};
-use mac_sim::{CdMode, Engine, FeedbackModel, Protocol, SimConfig};
+use mac_sim::obs::RunRecorder;
+use mac_sim::{CdMode, Engine, RunReport, SimConfig};
 use std::collections::BTreeMap;
 
-use super::{observe_trial, seed_base};
+use super::{observe_trial, run_trial, seed_base};
 use crate::{sample_distinct, ExperimentReport, RunCtx, Samples};
 
-/// One recorded run: rounds-to-solve plus the span-model energy counters.
-fn recorded_one<P: Protocol, F: FeedbackModel>(mut exec: Engine<P, F>) -> (u64, RunRecord) {
-    let mut recorder = RunRecorder::new();
-    let report = observe_trial(&mut exec, &mut recorder);
-    (
-        report.rounds_to_solve().expect("solved"),
-        recorder.into_record(exec.config().master_seed),
-    )
-}
-
-/// Streaming energy digest for one algorithm row, fed from the structured
-/// [`RunRecord`] counters (the span-model recorder), not the legacy
-/// `Metrics` fields; the `recorded_energy_matches_legacy_metrics` test
-/// below pins the two accountings to each other exactly.
+/// Streaming energy digest for one algorithm row, fed from the run's
+/// [`mac_sim::Metrics`], the authoritative TX/RX energy count. A
+/// [`mac_sim::obs::RunRecord`] carries the same totals; the
+/// `recorded_energy_matches_legacy_metrics` test below pins the two equal.
 #[derive(Default)]
 struct EnergyAgg {
     rounds: Samples,
@@ -39,11 +29,12 @@ struct EnergyAgg {
 }
 
 impl EnergyAgg {
-    fn push(&mut self, rounds: u64, record: &RunRecord) {
-        self.rounds.push(rounds);
-        self.total_tx.push(record.transmissions);
-        self.peak_tx.push(record.max_node_transmissions);
-        self.rx.push(record.listens);
+    fn push(&mut self, report: &RunReport) {
+        self.rounds.push(report.rounds_to_solve().expect("solved"));
+        self.total_tx.push(report.metrics.transmissions);
+        self.peak_tx
+            .push(report.metrics.max_transmissions_per_node());
+        self.rx.push(report.metrics.listens);
     }
 }
 
@@ -78,40 +69,36 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
             "total rx mean",
         ],
     );
-    let energy_row =
-        |sweep: &mut crate::Sweep<EnergyAgg>,
-         name: &'static str,
-         tag: &'static str,
-         run_one: Box<dyn Fn(u64) -> (u64, RunRecord) + Send + Sync>| {
-            sweep.row(
-                trials,
-                SeedStream::Offset(seed_base(tag, 0, 0)),
-                EnergyAgg::default,
-                move |seed, acc| {
-                    let (rounds, record) = run_one(seed);
-                    acc.push(rounds, &record);
-                },
-                move |acc| {
-                    #[allow(clippy::cast_precision_loss)]
-                    let per_node = acc.total_tx.mean() / active as f64;
-                    vec![
-                        name.to_string(),
-                        format!("{:.1}", acc.rounds.mean()),
-                        format!("{:.0}", acc.total_tx.mean()),
-                        format!("{per_node:.2}"),
-                        format!("{:.1}", acc.peak_tx.mean()),
-                        format!("{:.0}", acc.rx.mean()),
-                    ]
-                },
-            );
-        };
+    let energy_row = |sweep: &mut crate::Sweep<EnergyAgg>,
+                      name: &'static str,
+                      tag: &'static str,
+                      run_one: Box<dyn Fn(u64) -> RunReport + Send + Sync>| {
+        sweep.row(
+            trials,
+            SeedStream::Offset(seed_base(tag, 0, 0)),
+            EnergyAgg::default,
+            move |seed, acc| acc.push(&run_one(seed)),
+            move |acc| {
+                #[allow(clippy::cast_precision_loss)]
+                let per_node = acc.total_tx.mean() / active as f64;
+                vec![
+                    name.to_string(),
+                    format!("{:.1}", acc.rounds.mean()),
+                    format!("{:.0}", acc.total_tx.mean()),
+                    format!("{per_node:.2}"),
+                    format!("{:.1}", acc.peak_tx.mean()),
+                    format!("{:.0}", acc.rx.mean()),
+                ]
+            },
+        );
+    };
     energy_row(
         &mut sweep,
         "this paper (pipeline)",
         "e15f",
         Box::new(move |s| {
-            recorded_one(
-                Engine::new(SimConfig::new(c).seed(s).max_rounds(1_000_000))
+            run_trial(
+                &mut Engine::new(SimConfig::new(c).seed(s).max_rounds(1_000_000))
                     .populated((0..active).map(|_| FullAlgorithm::new(Params::practical(), c, n))),
             )
         }),
@@ -121,8 +108,8 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
         "expected-O(1)",
         "e15x",
         Box::new(move |s| {
-            recorded_one(
-                Engine::new(SimConfig::new(c).seed(s).max_rounds(1_000_000))
+            run_trial(
+                &mut Engine::new(SimConfig::new(c).seed(s).max_rounds(1_000_000))
                     .populated((0..active).map(|_| ExpectedConstant::new(c, n))),
             )
         }),
@@ -132,8 +119,8 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
         "CD tournament",
         "e15t",
         Box::new(move |s| {
-            recorded_one(
-                Engine::new(SimConfig::new(c).seed(s).max_rounds(1_000_000))
+            run_trial(
+                &mut Engine::new(SimConfig::new(c).seed(s).max_rounds(1_000_000))
                     .populated((0..active).map(|_| CdTournament::new())),
             )
         }),
@@ -143,8 +130,8 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
         "binary descent",
         "e15d",
         Box::new(move |s| {
-            recorded_one(
-                Engine::new(SimConfig::new(c).seed(s).max_rounds(1_000_000)).populated(
+            run_trial(
+                &mut Engine::new(SimConfig::new(c).seed(s).max_rounds(1_000_000)).populated(
                     sample_distinct(n, active, s ^ 0x15)
                         .into_iter()
                         .map(|id| BinaryDescent::new(id, n)),
@@ -161,7 +148,7 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
                 .seed(s)
                 .cd_mode(CdMode::None)
                 .max_rounds(1_000_000);
-            recorded_one(Engine::new(cfg).populated((0..active).map(|_| Decay::new(n))))
+            run_trial(&mut Engine::new(cfg).populated((0..active).map(|_| Decay::new(n))))
         }),
     );
     energy_row(
@@ -173,8 +160,8 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
                 .seed(s)
                 .cd_mode(CdMode::None)
                 .max_rounds(1_000_000);
-            recorded_one(
-                Engine::new(cfg).populated((0..active).map(|_| MultiChannelNoCd::new(c, n))),
+            run_trial(
+                &mut Engine::new(cfg).populated((0..active).map(|_| MultiChannelNoCd::new(c, n))),
             )
         }),
     );
@@ -186,11 +173,13 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
     // derives many rows from one record batch at the pipeline row's seeds,
     // recomputed identically on every run, including resumed ones.
     let full_records = ctx.trials("energy by phase", trials, seed_base("e15f", 0, 0), |s| {
-        recorded_one(
-            Engine::new(SimConfig::new(c).seed(s).max_rounds(1_000_000))
+        let mut recorder = RunRecorder::new();
+        observe_trial(
+            &mut Engine::new(SimConfig::new(c).seed(s).max_rounds(1_000_000))
                 .populated((0..active).map(|_| FullAlgorithm::new(Params::practical(), c, n))),
-        )
-        .1
+            &mut recorder,
+        );
+        recorder.into_record(s)
     });
     let mut by_phase: BTreeMap<String, (u64, u64)> = BTreeMap::new();
     for record in &full_records {
@@ -289,9 +278,10 @@ mod tests {
 
     #[test]
     fn recorded_energy_matches_legacy_metrics() {
-        // One-commit overlap while the energy experiment migrates from the
-        // engine's Metrics counters to the RunRecord ones: both accountings
-        // run side by side here and must agree exactly, field for field.
+        // The main table reads energy from the engine's Metrics, the
+        // per-phase table and channel note from a RunRecord: both
+        // accountings run side by side here and must agree exactly, field
+        // for field.
         let (c, n, active) = (64u32, 1u64 << 12, 256usize);
         let pairs = RunCtx::new(Scale::Quick).trials("records", 6, 9, |s| {
             let mut exec = Engine::new(SimConfig::new(c).seed(s).max_rounds(1_000_000))

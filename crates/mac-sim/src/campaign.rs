@@ -365,28 +365,14 @@ pub struct Quarantined {
 /// What a finished (or cancelled) campaign reports.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CampaignOutcome {
-    /// Cells in the campaign.
-    pub cells_total: usize,
     /// Cells delivered to the callback — always the in-order prefix
     /// `0..cells_delivered`.
     pub cells_delivered: usize,
-    /// Trials that ran to completion and contributed to an aggregate
-    /// (quarantined trials are not counted).
-    pub trials_run: u64,
     /// Whether the campaign stopped on a [`CancelToken`].
     pub cancelled: bool,
     /// Trials excluded by self-healing, sorted by `(cell, trial)`. Always
     /// empty unless [`Campaign::self_heal`] was enabled.
     pub quarantined: Vec<Quarantined>,
-}
-
-impl CampaignOutcome {
-    /// Whether the campaign finished without cancellation or quarantined
-    /// trials.
-    #[must_use]
-    pub fn is_clean(&self) -> bool {
-        !self.cancelled && self.quarantined.is_empty()
-    }
 }
 
 /// A sweep scheduled as one unit: cells × trials, one worker pool.
@@ -598,8 +584,6 @@ impl<'a, A: Aggregate> Campaign<'a, A> {
         });
 
         let next_shard = AtomicUsize::new(0);
-        let trials_done = AtomicU64::new(0);
-        let cells_total = cells.len();
         let quarantined: Mutex<Vec<Quarantined>> = Mutex::new(Vec::new());
 
         let progress = progress.as_deref();
@@ -662,7 +646,6 @@ impl<'a, A: Aggregate> Campaign<'a, A> {
                 let cells = &cells;
                 let shards = &shards;
                 let next_shard = &next_shard;
-                let trials_done = &trials_done;
                 let telemetry = &telemetry;
                 let submit = &submit;
                 let cancelled = &cancelled;
@@ -673,7 +656,6 @@ impl<'a, A: Aggregate> Campaign<'a, A> {
                     // once, at worker exit, so the trial loop stays
                     // lock-free with respect to other workers.
                     let mut local = Registry::new();
-                    let mut attempted = 0u64;
                     loop {
                         if cancelled() {
                             break;
@@ -742,7 +724,6 @@ impl<'a, A: Aggregate> Campaign<'a, A> {
                                     }
                                 }
                             }
-                            attempted += 1;
                             if let Some(progress) = progress {
                                 progress.done.fetch_add(1, Ordering::Relaxed);
                             }
@@ -758,7 +739,6 @@ impl<'a, A: Aggregate> Campaign<'a, A> {
                         }
                         submit(shard.cell, shard.index, agg);
                     }
-                    trials_done.fetch_add(attempted, Ordering::Relaxed);
                     if let Some(hub) = telemetry {
                         hub.absorb(worker_idx, &local);
                     }
@@ -770,7 +750,6 @@ impl<'a, A: Aggregate> Campaign<'a, A> {
         let delivery = delivery.into_inner().expect("delivery lock");
         let mut quarantined = quarantined.into_inner().expect("quarantine lock");
         quarantined.sort_by_key(|q| (q.cell, q.trial));
-        let trials_attempted = trials_done.into_inner();
         let was_cancelled = cancelled();
 
         // Scheduler-level tallies that only exist once per campaign land
@@ -779,7 +758,7 @@ impl<'a, A: Aggregate> Campaign<'a, A> {
         if let Some(hub) = &telemetry {
             let mut tail = Registry::new();
             tail.gauge_max("campaign_workers", worker_count as u64);
-            tail.gauge_max("campaign_cells_total", cells_total as u64);
+            tail.gauge_max("campaign_cells_total", cells.len() as u64);
             tail.gauge_max("campaign_shards_total", shards.len() as u64);
             tail.gauge_max(
                 "campaign_queue_depth",
@@ -793,9 +772,7 @@ impl<'a, A: Aggregate> Campaign<'a, A> {
         }
 
         CampaignOutcome {
-            cells_total,
             cells_delivered: delivery.next_cell,
-            trials_run: trials_attempted - quarantined.len() as u64,
             cancelled: was_cancelled,
             quarantined,
         }
@@ -865,7 +842,6 @@ mod tests {
         });
         assert_eq!(order, vec![0, 1, 2, 3, 4]);
         assert_eq!(outcome.cells_delivered, 5);
-        assert_eq!(outcome.trials_run, 100);
         assert!(!outcome.cancelled);
     }
 
@@ -957,14 +933,11 @@ mod tests {
         assert_eq!(
             outcome,
             CampaignOutcome {
-                cells_total: 0,
                 cells_delivered: 0,
-                trials_run: 0,
                 cancelled: false,
                 quarantined: Vec::new(),
             }
         );
-        assert!(outcome.is_clean());
         // run_collect on an empty campaign is an empty vector.
         let campaign: Campaign<Collect<u64>> = Campaign::new();
         assert!(campaign.run_collect().is_empty());
@@ -989,8 +962,7 @@ mod tests {
         let outcome = campaign.run(|cell, acc| rows.push((cell, acc.0)));
         assert_eq!(outcome.cells_delivered, 2, "sweep completes");
         assert!(!outcome.cancelled);
-        assert_eq!(outcome.trials_run, 19, "one trial quarantined");
-        assert_eq!(outcome.quarantined.len(), 1);
+        assert_eq!(outcome.quarantined.len(), 1, "one trial quarantined");
         let q = &outcome.quarantined[0];
         assert_eq!((q.cell, q.trial, q.seed, q.attempts), (0, 5, poison, 2));
         assert!(q.error.contains("poisoned seed 1005"), "{}", q.error);
@@ -1020,7 +992,6 @@ mod tests {
         let mut rows = Vec::new();
         let outcome = campaign.run(|_, acc| rows.push(acc.0));
         assert!(outcome.quarantined.is_empty(), "retry healed the trial");
-        assert_eq!(outcome.trials_run, 4);
         assert_eq!(rows, vec![vec![0, 1, 2, 3]]);
     }
 
@@ -1089,7 +1060,7 @@ mod tests {
         // the total covers the whole campaign from the first delivery on.
         let progress = Arc::new(CampaignProgress::default());
         let mut cells = 0u64;
-        let outcome = sum_campaign(3, 4)
+        sum_campaign(3, 4)
             .workers(2)
             .progress(progress.clone())
             .run(|_, _| {
@@ -1098,7 +1069,6 @@ mod tests {
                 assert!(progress.done() >= 4 * cells);
             });
         assert_eq!(cells, 3);
-        assert_eq!(outcome.trials_run, 12);
         assert_eq!((progress.done(), progress.total()), (12, 12));
         assert_eq!((progress.retried(), progress.quarantined()), (0, 0));
     }
@@ -1130,12 +1100,11 @@ mod tests {
     #[test]
     fn telemetry_hub_tallies_scheduler_counters() {
         let hub = Arc::new(MetricsHub::new(4));
-        let outcome = sum_campaign(3, 17)
+        sum_campaign(3, 17)
             .shard_size(4)
             .workers(4)
             .telemetry(hub.clone())
             .run(|_, _| {});
-        assert_eq!(outcome.trials_run, 51);
         let snap = hub.snapshot();
         let reg = &snap.registry;
         assert_eq!(reg.counter("campaign_trials_done_total"), 51);
@@ -1170,6 +1139,6 @@ mod tests {
             .run(|cell, acc| observed.push((cell, acc.0)));
         let observed: Vec<Vec<u64>> = observed.into_iter().map(|(_, v)| v).collect();
         assert_eq!(bare, observed, "hub attachment perturbed results");
-        assert!(outcome.is_clean());
+        assert!(!outcome.cancelled && outcome.quarantined.is_empty());
     }
 }

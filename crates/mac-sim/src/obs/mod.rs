@@ -41,7 +41,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use crate::channel::{ChannelId, ChannelOutcome, OutcomeKind};
+use crate::channel::{ChannelId, ChannelOutcome};
 use crate::config::SimConfig;
 use crate::engine::NodeId;
 use crate::sink::EventSink;
@@ -81,7 +81,9 @@ pub struct PhaseSpan {
 /// Per-channel outcome tallies over a whole run.
 ///
 /// Only rounds in which the channel had at least one participant are
-/// counted (an idle channel generates no outcome).
+/// counted (an idle channel generates no outcome). A run has one row per
+/// channel up to the highest channel that saw a participant, so a channel
+/// below it that never did keeps an all-zero row.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ChannelTally {
     /// 1-based channel number.
@@ -437,14 +439,10 @@ pub struct RunRecorder {
     open: Vec<OpenSpan>,
     closed: Vec<PhaseSpan>,
     node_tx: Vec<u64>,
-    channels: Vec<ChannelTally>,
     phase_node_rounds: BTreeMap<&'static str, u64>,
     phase_transmissions: BTreeMap<&'static str, u64>,
-    transmissions: u64,
-    listens: u64,
-    rounds: u64,
-    solved_round: Option<u64>,
-    solver: Option<u64>,
+    /// The run's rounds, actions, solve and channel rows.
+    tally: TelemetrySink,
     wall_ns: Option<u64>,
 }
 
@@ -464,14 +462,9 @@ impl RunRecorder {
             open: Vec::new(),
             closed: Vec::new(),
             node_tx: Vec::new(),
-            channels: Vec::new(),
             phase_node_rounds: BTreeMap::new(),
             phase_transmissions: BTreeMap::new(),
-            transmissions: 0,
-            listens: 0,
-            rounds: 0,
-            solved_round: None,
-            solver: None,
+            tally: TelemetrySink::new(),
             wall_ns: None,
         }
     }
@@ -481,19 +474,6 @@ impl RunRecorder {
             self.node_tx.resize(node + 1, 0);
         }
         self.node_tx[node] += 1;
-    }
-
-    fn channel_tally(&mut self, channel: u32) -> &mut ChannelTally {
-        let idx = channel.saturating_sub(1) as usize;
-        if self.channels.len() <= idx {
-            self.channels.resize_with(idx + 1, ChannelTally::default);
-            for (i, t) in self.channels.iter_mut().enumerate() {
-                if t.channel == 0 {
-                    t.channel = i as u32 + 1;
-                }
-            }
-        }
-        &mut self.channels[idx]
     }
 
     fn close_stale_spans(&mut self, round: u64) {
@@ -523,21 +503,21 @@ impl RunRecorder {
         });
         let mut spans = self.closed;
         spans.sort_by(|a, b| (a.start_round, &a.label).cmp(&(b.start_round, &b.label)));
-        // Channels that never carried activity keep all-zero tallies but
-        // only exist up to the highest channel that did; drop trailing
-        // zero-channel placeholders that were never initialized.
-        let channels = self
-            .channels
-            .into_iter()
-            .filter(|t| t.channel != 0)
-            .collect();
+        let TelemetrySink {
+            rounds,
+            transmissions,
+            listens,
+            solved,
+            channels,
+            ..
+        } = self.tally;
         RunRecord {
             seed,
-            solved_round: self.solved_round,
-            solver: self.solver,
-            rounds: self.rounds,
-            transmissions: self.transmissions,
-            listens: self.listens,
+            solved_round: solved.map(|(round, _)| round),
+            solver: solved.map(|(_, solver)| solver.0 as u64),
+            rounds,
+            transmissions,
+            listens,
             max_node_transmissions: self.node_tx.iter().copied().max().unwrap_or(0),
             wall_ns,
             spans,
@@ -559,31 +539,30 @@ impl RunRecorder {
 impl EventSink for RunRecorder {
     fn on_transmission(
         &mut self,
-        _round: u64,
+        round: u64,
         node: NodeId,
-        _channel: ChannelId,
+        channel: ChannelId,
         phase: &'static str,
     ) {
-        self.transmissions += 1;
+        self.tally.on_transmission(round, node, channel, phase);
         self.bump_node(node.0);
         self.round_acts.bump(phase, 1, 0);
         *self.phase_node_rounds.entry(phase).or_insert(0) += 1;
         *self.phase_transmissions.entry(phase).or_insert(0) += 1;
     }
 
-    fn on_listen(&mut self, _round: u64, _node: NodeId, _channel: ChannelId, phase: &'static str) {
-        self.listens += 1;
+    fn on_listen(&mut self, round: u64, node: NodeId, channel: ChannelId, phase: &'static str) {
+        self.tally.on_listen(round, node, channel, phase);
         self.round_acts.bump(phase, 0, 1);
         *self.phase_node_rounds.entry(phase).or_insert(0) += 1;
     }
 
     fn on_solved(&mut self, round: u64, solver: NodeId) {
-        self.solved_round = Some(round);
-        self.solver = Some(solver.0 as u64);
+        self.tally.on_solved(round, solver);
     }
 
     fn on_round(&mut self, round: u64, phase: &'static str, outcomes: &[ChannelOutcome]) {
-        self.rounds += 1;
+        self.tally.on_round(round, phase, outcomes);
         // A round with no acting node at all (everyone asleep or
         // terminated) is attributed to the engine's representative label,
         // typically "idle".
@@ -626,16 +605,6 @@ impl EventSink for RunRecorder {
         self.round_acts.by_label = acts;
         self.round_acts.by_label.clear();
         self.close_stale_spans(round);
-        for outcome in outcomes {
-            let tally = self.channel_tally(outcome.channel.get());
-            match outcome.kind {
-                OutcomeKind::Silence => tally.silences += 1,
-                OutcomeKind::Message => tally.messages += 1,
-                OutcomeKind::Collision => tally.collisions += 1,
-            }
-            tally.transmissions += outcome.transmitters as u64;
-            tally.listens += outcome.listeners as u64;
-        }
     }
 
     fn on_finished(&mut self, _rounds_executed: u64) {
@@ -819,8 +788,9 @@ mod tests {
     use crate::protocol::{Protocol, RoundContext, Status};
     use rand::rngs::SmallRng;
 
-    /// Transmits for `tx_rounds` rounds in phase "early", then listens for
-    /// `rx_rounds` in phase "late", then retires.
+    /// Transmits on channel 3 for `tx_rounds` rounds in phase "early",
+    /// then listens on channel 1 for `rx_rounds` in phase "late", then
+    /// retires.
     struct TwoPhase {
         acted: u64,
         tx_rounds: u64,
@@ -832,7 +802,7 @@ mod tests {
         fn act(&mut self, _ctx: &RoundContext, _rng: &mut SmallRng) -> Action<u8> {
             self.acted += 1;
             if self.acted <= self.tx_rounds {
-                Action::transmit(ChannelId::new(2), 0)
+                Action::transmit(ChannelId::new(3), 0)
             } else {
                 Action::listen(ChannelId::PRIMARY)
             }
@@ -895,14 +865,50 @@ mod tests {
     #[test]
     fn recorder_tallies_channels() {
         let record = recorded_run();
-        // Channel 2 carried 3 lone transmissions; channel 1 heard 2
+        // Channel 3 carried 3 lone transmissions; channel 1 heard 2
         // silent listens.
-        let ch2 = record.channels.iter().find(|t| t.channel == 2).unwrap();
-        assert_eq!(ch2.messages, 3);
-        assert_eq!(ch2.transmissions, 3);
+        let ch3 = record.channels.iter().find(|t| t.channel == 3).unwrap();
+        assert_eq!(ch3.messages, 3);
+        assert_eq!(ch3.transmissions, 3);
         let ch1 = record.channels.iter().find(|t| t.channel == 1).unwrap();
         assert_eq!(ch1.silences, 2);
         assert_eq!(ch1.listens, 2);
+    }
+
+    #[test]
+    fn channels_below_the_highest_active_one_get_zero_rows() {
+        let cfg = SimConfig::new(4)
+            .stop_when(StopWhen::AllTerminated)
+            .max_rounds(10);
+        let mut engine = Engine::new(cfg);
+        engine.add_node(TwoPhase {
+            acted: 0,
+            tx_rounds: 2,
+            rx_rounds: 0,
+        });
+        let mut sinks = (RunRecorder::new(), TelemetrySink::new());
+        engine.run_observed(&mut sinks).unwrap();
+        let (recorder, mut sink) = sinks;
+        let row = |channel, messages| ChannelTally {
+            channel,
+            messages,
+            transmissions: messages,
+            ..ChannelTally::default()
+        };
+        let channels = recorder.into_record(0).channels;
+        assert_eq!(channels, [row(1, 0), row(2, 0), row(3, 2)]);
+        let mut reg = Registry::new();
+        sink.flush_into(&mut reg);
+        let channel_keys: Vec<&str> = reg
+            .counters()
+            .keys()
+            .filter(|name| name.starts_with("engine_channel_outcomes_total"))
+            .map(String::as_str)
+            .collect();
+        assert_eq!(
+            channel_keys,
+            ["engine_channel_outcomes_total{channel=\"3\",kind=\"message\"}"]
+        );
     }
 
     #[test]

@@ -35,7 +35,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use super::{Json, SCHEMA_VERSION};
+use super::{ChannelTally, Json, SCHEMA_VERSION};
 use crate::channel::{ChannelId, ChannelOutcome, OutcomeKind};
 use crate::engine::{NodeId, SlotState};
 use crate::sink::EventSink;
@@ -272,7 +272,7 @@ impl<const CAP: usize> PowHistogram<CAP> {
 ///
 /// Names follow Prometheus conventions (`snake_case`, unit-suffixed,
 /// `_total` for counters) and may embed a label set verbatim, e.g.
-/// `fault_injections_total{kind="flip"}` — the registry treats the whole
+/// `engine_retired_total{state="crashed"}` — the registry treats the whole
 /// string as the key, which keeps merging trivially deterministic.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Registry {
@@ -608,22 +608,25 @@ thread_local! {
 /// allocation on the per-event path beyond the per-channel vector's
 /// one-time growth — and nothing is shared until [`flush_into`] /
 /// [`flush_to`] runs after the engine stops. Composable with any other
-/// sink through the `(A, B)` pair impl.
+/// sink through the `(A, B)` pair impl. A [`super::RunRecorder`] counts
+/// through one too, so a run's totals and channel rows have one tally.
 ///
 /// [`flush_into`]: TelemetrySink::flush_into
 /// [`flush_to`]: TelemetrySink::flush_to
 #[derive(Debug, Default)]
 pub struct TelemetrySink {
-    rounds: u64,
-    transmissions: u64,
-    listens: u64,
-    solved: u64,
+    pub(super) rounds: u64,
+    pub(super) transmissions: u64,
+    pub(super) listens: u64,
+    /// The first solve, `(round, solver)`.
+    pub(super) solved: Option<(u64, NodeId)>,
     retired_terminated: u64,
     retired_crashed: u64,
     round_acts: u64,
     acts_per_round: PowHistogram,
-    /// `[silences, messages, collisions]` per channel, index = channel − 1.
-    channels: Vec<[u64; 3]>,
+    /// One row per channel, index = channel − 1, up to the highest
+    /// channel that saw a participant.
+    pub(super) channels: Vec<ChannelTally>,
 }
 
 impl TelemetrySink {
@@ -633,30 +636,6 @@ impl TelemetrySink {
         TelemetrySink::default()
     }
 
-    /// Rounds observed so far.
-    #[must_use]
-    pub fn rounds(&self) -> u64 {
-        self.rounds
-    }
-
-    /// Transmissions observed so far.
-    #[must_use]
-    pub fn transmissions(&self) -> u64 {
-        self.transmissions
-    }
-
-    /// Listen actions observed so far.
-    #[must_use]
-    pub fn listens(&self) -> u64 {
-        self.listens
-    }
-
-    /// Retirements observed so far, `(terminated, crashed)`.
-    #[must_use]
-    pub fn retirements(&self) -> (u64, u64) {
-        (self.retired_terminated, self.retired_crashed)
-    }
-
     /// Adds this run's tallies to `reg` under the `engine_*` metric
     /// family and resets the sink for reuse.
     pub fn flush_into(&mut self, reg: &mut Registry) {
@@ -664,7 +643,7 @@ impl TelemetrySink {
         reg.count("engine_rounds_total", self.rounds);
         reg.count("engine_transmissions_total", self.transmissions);
         reg.count("engine_listens_total", self.listens);
-        reg.count("engine_solved_total", self.solved);
+        reg.count("engine_solved_total", u64::from(self.solved.is_some()));
         reg.count(
             "engine_retired_total{state=\"terminated\"}",
             self.retired_terminated,
@@ -680,8 +659,8 @@ impl TelemetrySink {
                     format!("engine_channel_outcomes_total{{channel=\"{ch}\",kind=\"{kind}\"}}")
                 }));
             }
-            for (keys, tallies) in keys.iter().zip(&self.channels) {
-                for (key, &n) in keys.iter().zip(tallies) {
+            for (keys, t) in keys.iter().zip(&self.channels) {
+                for (key, n) in keys.iter().zip([t.silences, t.messages, t.collisions]) {
                     reg.count(key, n);
                 }
             }
@@ -714,8 +693,8 @@ impl EventSink for TelemetrySink {
         self.round_acts += 1;
     }
 
-    fn on_solved(&mut self, _round: u64, _solver: NodeId) {
-        self.solved += 1;
+    fn on_solved(&mut self, round: u64, solver: NodeId) {
+        self.solved.get_or_insert((round, solver));
     }
 
     fn on_round(&mut self, _round: u64, _phase: &'static str, outcomes: &[ChannelOutcome]) {
@@ -723,16 +702,23 @@ impl EventSink for TelemetrySink {
         self.acts_per_round.record(self.round_acts);
         self.round_acts = 0;
         for outcome in outcomes {
-            let idx = outcome.channel.get().saturating_sub(1) as usize;
+            let idx = outcome.channel.index();
             if self.channels.len() <= idx {
-                self.channels.resize(idx + 1, [0; 3]);
+                let next = self.channels.len() as u32 + 1;
+                self.channels
+                    .extend((next..=outcome.channel.get()).map(|channel| ChannelTally {
+                        channel,
+                        ..ChannelTally::default()
+                    }));
             }
-            let slot = match outcome.kind {
-                OutcomeKind::Silence => 0,
-                OutcomeKind::Message => 1,
-                OutcomeKind::Collision => 2,
-            };
-            self.channels[idx][slot] += 1;
+            let tally = &mut self.channels[idx];
+            match outcome.kind {
+                OutcomeKind::Silence => tally.silences += 1,
+                OutcomeKind::Message => tally.messages += 1,
+                OutcomeKind::Collision => tally.collisions += 1,
+            }
+            tally.transmissions += outcome.transmitters as u64;
+            tally.listens += outcome.listeners as u64;
         }
     }
 
@@ -977,9 +963,9 @@ mod tests {
         engine.add_node(Chirp { left: 3 });
         let mut sink = TelemetrySink::new();
         let report = engine.run_observed(&mut sink).unwrap();
-        assert_eq!(sink.rounds(), report.rounds_executed);
-        assert_eq!(sink.transmissions(), report.metrics.transmissions);
-        assert_eq!(sink.retirements(), (1, 0));
+        assert_eq!(sink.rounds, report.rounds_executed);
+        assert_eq!(sink.transmissions, report.metrics.transmissions);
+        assert_eq!((sink.retired_terminated, sink.retired_crashed), (1, 0));
 
         let hub = MetricsHub::new(1);
         sink.flush_to(&hub, 0);
@@ -997,7 +983,19 @@ mod tests {
             3
         );
         // The sink reset on flush.
-        assert_eq!(sink.rounds(), 0);
+        assert_eq!(sink.rounds, 0);
+    }
+
+    #[test]
+    fn a_run_counts_its_first_solve_once() {
+        // Under continuous delivery every delivery reports a solve.
+        let mut sink = TelemetrySink::new();
+        sink.on_solved(3, NodeId(4));
+        sink.on_solved(7, NodeId(1));
+        assert_eq!(sink.solved, Some((3, NodeId(4))));
+        let mut reg = Registry::new();
+        sink.flush_into(&mut reg);
+        assert_eq!(reg.counter("engine_solved_total"), 1);
     }
 
     #[test]
@@ -1005,7 +1003,15 @@ mod tests {
         let mut reg = Registry::new();
         for width in [2, 3, 1] {
             let mut sink = TelemetrySink::new();
-            sink.channels = (1..=width).map(|ch| [ch, 10 * ch, 100 * ch]).collect();
+            sink.channels = (1..=width)
+                .map(|ch| ChannelTally {
+                    channel: ch as u32,
+                    silences: ch,
+                    messages: 10 * ch,
+                    collisions: 100 * ch,
+                    ..ChannelTally::default()
+                })
+                .collect();
             sink.flush_into(&mut reg);
         }
         let mut want = BTreeMap::new();

@@ -18,8 +18,8 @@
 use contention::{FullAlgorithm, FullStats, Params, TwoActive};
 use mac_sim::obs::{RunRecord, RunRecorder};
 use mac_sim::{
-    CdMode, Engine, Protocol, Registry, RunReport, SimConfig, SimError, Status, StopWhen,
-    TelemetrySink,
+    CdMode, Engine, EventSink, Protocol, Registry, RunReport, SimConfig, SimError, Status,
+    StopWhen, TelemetrySink,
 };
 
 const MODES: [CdMode; 3] = [CdMode::Strong, CdMode::ReceiverOnly, CdMode::None];
@@ -32,6 +32,29 @@ fn finish<P: Protocol>(result: Result<RunReport, SimError>, exec: &Engine<P>) ->
         Err(SimError::Timeout { .. }) => exec.report(),
         Err(e) => panic!("unexpected simulation error: {e}"),
     }
+}
+
+/// One run of the configuration with `sink` attached (`&mut ()` for a bare
+/// run): the report and every node's final status.
+fn observed_run<P: Protocol, S: EventSink>(
+    c: u32,
+    seed: u64,
+    mode: CdMode,
+    build: impl Fn() -> P,
+    count: usize,
+    sink: &mut S,
+) -> (RunReport, Vec<Status>) {
+    let cfg = SimConfig::new(c)
+        .seed(seed)
+        .cd_mode(mode)
+        .stop_when(StopWhen::Solved)
+        .max_rounds(2_000);
+    let mut engine = Engine::new(cfg);
+    for _ in 0..count {
+        engine.add_node(build());
+    }
+    let report = finish(engine.run_observed(sink), &engine);
+    (report, engine.iter_nodes().map(Protocol::status).collect())
 }
 
 /// Runs the same configuration twice — bare, then with a recorder — and
@@ -48,31 +71,10 @@ fn bare_and_recorded<P: Protocol>(
     (RunReport, Vec<Status>),
     RunRecord,
 ) {
-    let cfg = || {
-        SimConfig::new(c)
-            .seed(seed)
-            .cd_mode(mode)
-            .stop_when(StopWhen::Solved)
-            .max_rounds(2_000)
-    };
-    let mut bare = Engine::new(cfg());
-    for _ in 0..count {
-        bare.add_node(build());
-    }
-    let bare_report = finish(bare.run(), &bare);
-    let bare_statuses: Vec<Status> = bare.iter_nodes().map(Protocol::status).collect();
-
-    let mut observed = Engine::new(cfg());
-    for _ in 0..count {
-        observed.add_node(build());
-    }
     let mut recorder = RunRecorder::new();
-    let observed_report = finish(observed.run_observed(&mut recorder), &observed);
-    let observed_statuses: Vec<Status> = observed.iter_nodes().map(Protocol::status).collect();
-
     (
-        (bare_report, bare_statuses),
-        (observed_report, observed_statuses),
+        observed_run(c, seed, mode, &build, count, &mut ()),
+        observed_run(c, seed, mode, &build, count, &mut recorder),
         recorder.into_record(seed),
     )
 }
@@ -122,35 +124,12 @@ fn bare_and_metered<P: Protocol>(
     build: impl Fn() -> P,
     count: usize,
 ) -> ((RunReport, Vec<Status>), (RunReport, Vec<Status>), Registry) {
-    let cfg = || {
-        SimConfig::new(c)
-            .seed(seed)
-            .cd_mode(mode)
-            .stop_when(StopWhen::Solved)
-            .max_rounds(2_000)
-    };
-    let mut bare = Engine::new(cfg());
-    for _ in 0..count {
-        bare.add_node(build());
-    }
-    let bare_report = finish(bare.run(), &bare);
-    let bare_statuses: Vec<Status> = bare.iter_nodes().map(Protocol::status).collect();
-
-    let mut observed = Engine::new(cfg());
-    for _ in 0..count {
-        observed.add_node(build());
-    }
     let mut sink = TelemetrySink::new();
-    let observed_report = finish(observed.run_observed(&mut sink), &observed);
-    let observed_statuses: Vec<Status> = observed.iter_nodes().map(Protocol::status).collect();
+    let bare = observed_run(c, seed, mode, &build, count, &mut ());
+    let observed = observed_run(c, seed, mode, &build, count, &mut sink);
     let mut registry = Registry::new();
     sink.flush_into(&mut registry);
-
-    (
-        (bare_report, bare_statuses),
-        (observed_report, observed_statuses),
-        registry,
-    )
+    (bare, observed, registry)
 }
 
 /// The telemetry counters must agree with the run they observed, for the
@@ -276,6 +255,53 @@ fn phase_equivalence_grid_is_telemetry_free() {
         }
     }
     assert_eq!(cases, 42, "the phase-equivalence grid is 42 cases");
+}
+
+/// One run watched by both observers at once: the record's totals, solve
+/// and per-channel rows must equal the flushed telemetry counters.
+#[test]
+fn recorder_and_telemetry_agree_on_every_tally() {
+    let (c, n, active) = (16u32, 1u64 << 10, 60usize);
+    let params = Params::practical();
+    for mode in MODES {
+        for seed in [11u64, 22, 33, 44, 55] {
+            let label = format!("full cd={mode:?} seed={seed}");
+            let mut sinks = (RunRecorder::new(), TelemetrySink::new());
+            let build = || FullAlgorithm::new(params, c, n);
+            observed_run(c, seed, mode, build, active, &mut sinks);
+            let (recorder, mut sink) = sinks;
+            let record = recorder.into_record(seed);
+            let mut registry = Registry::new();
+            sink.flush_into(&mut registry);
+            let flushed = [
+                "engine_rounds_total",
+                "engine_transmissions_total",
+                "engine_listens_total",
+                "engine_solved_total",
+            ]
+            .map(|name| registry.counter(name));
+            let solved = u64::from(record.solved_round.is_some());
+            assert_eq!(
+                [record.rounds, record.transmissions, record.listens, solved],
+                flushed,
+                "{label}: rounds, tx, rx, solve"
+            );
+            assert!(!record.channels.is_empty(), "{label}: no channel rows");
+            for t in &record.channels {
+                let ch = t.channel;
+                for (kind, count) in [
+                    ("silence", t.silences),
+                    ("message", t.messages),
+                    ("collision", t.collisions),
+                ] {
+                    let key = format!(
+                        "engine_channel_outcomes_total{{channel=\"{ch}\",kind=\"{kind}\"}}"
+                    );
+                    assert_eq!(registry.counter(&key), count, "{label}: {key}");
+                }
+            }
+        }
+    }
 }
 
 #[test]
