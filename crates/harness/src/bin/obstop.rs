@@ -94,15 +94,14 @@ fn load_snapshots(path: &std::path::Path) -> Vec<MetricsSnapshot> {
 /// shape survives at any scale.
 fn sparkline(h: &PowHistogram, width: usize) -> String {
     const BARS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
-    let buckets = h.buckets();
-    let (Some(&lo), Some(&hi)) = (buckets.keys().min(), buckets.keys().max()) else {
+    let (Some((lo, _)), Some((hi, _))) = (h.buckets().next(), h.buckets().last()) else {
         return "—".to_string();
     };
     let span = (hi - lo + 1) as usize;
     let per_cell = span.div_ceil(width).max(1);
     let cells = span.div_ceil(per_cell);
     let mut counts = vec![0u64; cells];
-    for (&bucket, &count) in buckets {
+    for (bucket, count) in h.buckets() {
         counts[(bucket - lo) as usize / per_cell] += count;
     }
     let peak = counts.iter().copied().max().unwrap_or(1).max(1);

@@ -103,7 +103,7 @@ impl Samples {
         let frac = rank - lo as f64;
         let (mut lo_val, mut hi_val) = (None, None);
         let mut cumulative = 0u64;
-        for (&bucket, &count) in self.0.buckets() {
+        for (bucket, count) in self.0.buckets() {
             let value = (bucket << shift) as f64;
             cumulative += count;
             if lo_val.is_none() && cumulative > lo {

@@ -30,7 +30,8 @@
 //! round). Per-round cost is `O(|live| + dirty channels)` regardless of
 //! how many slots were ever added, and a round in which no slot is live
 //! after the wake-ups (an *idle round*) skips the act, resolve and
-//! deliver passes altogether; see `docs/MODEL.md` for the complexity
+//! deliver passes altogether (the traffic driver runs a gap of them in
+//! one call, an *idle span*); see `docs/MODEL.md` for the complexity
 //! table and [`crate::dense`] for the O(n) reference scheduler the
 //! equivalence suite pins this against.
 //!
@@ -631,13 +632,68 @@ impl<P: Protocol, F: FeedbackModel> Engine<P, F> {
         stepped
     }
 
-    fn step_round<S: EventSink>(&mut self, sink: &mut S) -> Result<StepStatus, SimError> {
-        if self.nodes.is_empty() {
-            return Err(SimError::NoNodes);
+    /// Steps from a round with nothing live up to round `until`: runs the
+    /// consecutive idle rounds in one loop, each exactly as
+    /// [`Engine::step_observed`] would, then steps the round that ends
+    /// the span in full if it comes before `until`.
+    ///
+    /// A round is idle when no slot is live and no agenda run is due in
+    /// it. The loop stops before round `until`, before the round in which
+    /// a slot wakes, after a round that changed the pending count (a
+    /// pending slot crashed) and once the stop condition latches; only a
+    /// span that stopped at a wake-up goes on to step that round. Called
+    /// with a live slot, it steps one round. The built-in [`Metrics`]
+    /// count only transmissions and listens, which an idle round has none
+    /// of, so the loop does not pair them in.
+    ///
+    /// # Errors
+    ///
+    /// Those of [`Engine::step`]; [`SimError::BudgetExhausted`] when the
+    /// round budget trips inside the span, after the rounds before it.
+    pub(crate) fn step_idle<S: EventSink>(
+        &mut self,
+        until: u64,
+        sink: &mut S,
+    ) -> Result<StepStatus, SimError> {
+        if !self.run.finished && !self.nodes.is_empty() && self.live.is_empty() {
+            // Nothing is added during the span, so it ends before the
+            // agenda's front run (a stale one included) wakes.
+            let end = until.min(self.next_wake().unwrap_or(u64::MAX));
+            let pending = self.unwoken;
+            while self.run.round < end {
+                let round = self.open_round(sink)?;
+                let status = self.close_idle_round(round, sink);
+                if status == StepStatus::Finished || self.unwoken != pending {
+                    return Ok(status);
+                }
+            }
         }
-        if self.run.finished {
-            return Ok(StepStatus::Finished);
+        if self.run.round < until {
+            self.step_observed(sink)
+        } else {
+            Ok(StepStatus::Running)
         }
+    }
+
+    /// The round of the agenda's front run, if a slot is still pending;
+    /// sorts the agenda first if an add left it unsorted.
+    fn next_wake(&mut self) -> Option<u64> {
+        if self.unwoken == 0 {
+            return None;
+        }
+        if self.agenda_unsorted {
+            // Runs are disjoint slot ranges, so unstable is exact.
+            self.agenda.make_contiguous().sort_unstable();
+            self.agenda_unsorted = false;
+        }
+        self.agenda.front().map(|&(at, _, _)| at)
+    }
+
+    /// Opens the current round, busy or idle: the round-budget watchdog,
+    /// the fault layer's `begin_round`, and its crash-stop retirements.
+    /// Returns the round number.
+    #[inline]
+    fn open_round<S: EventSink>(&mut self, sink: &mut S) -> Result<u64, SimError> {
         // The round-budget watchdog: enforced here (not only in `run`'s
         // loop) so fault-injected runs driven manually via `step` also
         // terminate with a structured error instead of spinning.
@@ -658,8 +714,17 @@ impl<P: Protocol, F: FeedbackModel> Engine<P, F> {
         // before) its wake round never enters the live set, and a live
         // victim stops being scheduled from this round on — exactly when
         // its actions used to start being filtered to `Sleep`.
+        self.feedback.drain_crashed(&mut self.crash_buf);
+        if !self.crash_buf.is_empty() {
+            self.retire_crashed(round, sink);
+        }
+        Ok(round)
+    }
+
+    /// Retires the slots the fault layer reported crashed in `round`.
+    #[cold]
+    fn retire_crashed<S: EventSink>(&mut self, round: u64, sink: &mut S) {
         let mut crash_buf = std::mem::take(&mut self.crash_buf);
-        self.feedback.drain_crashed(&mut crash_buf);
         for id in crash_buf.drain(..) {
             if self.retire(id.0, SlotState::Crashed) {
                 sink.on_retired(round, id, SlotState::Crashed);
@@ -669,17 +734,32 @@ impl<P: Protocol, F: FeedbackModel> Engine<P, F> {
         if self.retired_this_round {
             self.compact_live();
         }
+    }
+
+    /// Ends a round in which nothing is live: there is nothing to act,
+    /// resolve or deliver, so the round only reports itself. The channel
+    /// scratch the last busy round dirtied stays dirty until the next busy
+    /// round resets it, before its first use.
+    #[inline]
+    fn close_idle_round<S: EventSink>(&mut self, round: u64, sink: &mut S) -> StepStatus {
+        sink.on_round(round, "idle", &[]);
+        self.close_round(sink)
+    }
+
+    fn step_round<S: EventSink>(&mut self, sink: &mut S) -> Result<StepStatus, SimError> {
+        if self.nodes.is_empty() {
+            return Err(SimError::NoNodes);
+        }
+        if self.run.finished {
+            return Ok(StepStatus::Finished);
+        }
+        let round = self.open_round(sink)?;
 
         // Wake-ups scheduled for this round: whole runs popped off the
         // agenda's front, touching only the slots that actually wake now.
         // A run for a round already past (slots added with a stale start
         // round) is dropped unwoken, so it can never fire late.
-        if self.unwoken > 0 {
-            if self.agenda_unsorted {
-                // Runs are disjoint slot ranges, so unstable is exact.
-                self.agenda.make_contiguous().sort_unstable();
-                self.agenda_unsorted = false;
-            }
+        if self.next_wake().is_some_and(|at| at <= round) {
             let mut appended = 0usize;
             while let Some(&(at, first, count)) = self.agenda.front() {
                 if at > round {
@@ -725,13 +805,8 @@ impl<P: Protocol, F: FeedbackModel> Engine<P, F> {
             }
         }
 
-        // The idle-round guard: with no live slot there is nothing to act,
-        // resolve or deliver, so the round only reports itself. The channel
-        // scratch the last busy round dirtied stays dirty until the next
-        // busy round resets it, before its first use.
         if self.live.is_empty() {
-            sink.on_round(round, "idle", &[]);
-            return Ok(self.close_round(sink));
+            return Ok(self.close_idle_round(round, sink));
         }
 
         // Phase accounting: the paper's algorithms keep all active nodes
@@ -999,7 +1074,7 @@ impl<P: Protocol, F: FeedbackModel> Engine<P, F> {
 mod tests {
     use super::*;
     use crate::action::Feedback;
-    use crate::fault::{CrashStop, Layered};
+    use crate::fault::{CrashStop, Layered, LossyChannel};
     use crate::sink::EventSink;
 
     /// What a test node does every round.
@@ -1291,6 +1366,79 @@ mod tests {
                 "deliver"
             ]
         );
+    }
+
+    #[test]
+    fn an_idle_span_matches_the_same_rounds_stepped_one_by_one() {
+        // A lossy radio draws every channel's erasure in every round, idle
+        // or not; the crash schedule retires pending node 2 inside the
+        // first idle gap, which must end the span that runs round 30.
+        type Radio = Layered<LossyChannel, Layered<CrashStop, CdMode>>;
+        let feedback = || -> Radio {
+            Layered::new(
+                LossyChannel::new(0.5),
+                Layered::new(CrashStop::schedule(vec![(NodeId(2), 30)]), CdMode::Strong),
+            )
+        };
+        let config = all_terminated().seed(5).continuous_delivery(true);
+        let build = || {
+            let mut engine = Engine::with_feedback(config.clone(), feedback());
+            engine.add_node_at(Rig::tx(ChannelId::PRIMARY, 1), 0);
+            engine.add_node_at(Rig::tx(ChannelId::PRIMARY, 2), 40);
+            engine.add_node_at(Rig::tx(ChannelId::PRIMARY, 3), 60);
+            engine.add_node_at(Rig::tx(ChannelId::PRIMARY, 4), 80);
+            engine.add_node_at(Rig::rx(ChannelId::PRIMARY), 80);
+            engine
+        };
+        let (mut stepped, mut spanned) = (build(), build());
+        let (mut stepped_log, mut spanned_log) = (Log::default(), Log::default());
+        for _ in 0..120 {
+            stepped.step_observed(&mut stepped_log).unwrap();
+        }
+        // Each call's (first round, rounds run).
+        let mut spans = Vec::new();
+        while spanned.current_round() < 120 {
+            let start = spanned.current_round();
+            spanned.step_idle(120, &mut spanned_log).unwrap();
+            spans.push((start, spanned.current_round() - start));
+        }
+        assert_eq!(spanned_log.0, stepped_log.0);
+        let idle_lines: Vec<u64> = stepped_log
+            .0
+            .iter()
+            .filter_map(|line| line.strip_suffix(": idle round, 0 outcomes"))
+            .map(|round| round.parse().unwrap())
+            .collect();
+        assert!(
+            idle_lines.windows(2).all(|w| w[0] < w[1]),
+            "one line per idle round"
+        );
+        assert!(
+            spans.iter().filter(|&&(_, ran)| ran > 10).count() >= 2,
+            "the gaps ran as spans: {spans:?}"
+        );
+        assert!(
+            spans
+                .iter()
+                .any(|&(start, ran)| start < 30 && start + ran == 31),
+            "the pending crash in round 30 ends its span: {spans:?}"
+        );
+        assert!(stepped_log.0.contains(&"30: 2 crashed".to_string()));
+        let erasures = |engine: &Engine<Rig, Radio>| engine.feedback().layer().erasures();
+        assert_eq!(erasures(&spanned), erasures(&stepped));
+
+        // The span drew the same erasures: the listener keeps hearing the
+        // same rounds erased afterwards.
+        for engine in [&mut stepped, &mut spanned] {
+            engine.add_node_at(Rig::tx(ChannelId::PRIMARY, 5), 130);
+            for _ in 0..40 {
+                engine.step().unwrap();
+            }
+        }
+        assert!(erasures(&stepped) > 0);
+        assert_eq!(erasures(&spanned), erasures(&stepped));
+        let heard = |engine: &Engine<Rig, Radio>| engine.node(NodeId(4)).heard.clone();
+        assert_eq!(heard(&spanned), heard(&stepped));
     }
 
     #[test]

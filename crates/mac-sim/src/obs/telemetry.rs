@@ -18,9 +18,13 @@
 //!   fields and flushes once at end of run.
 //!
 //! Every merge operation is associative and commutative over exact
-//! integers, and the merged registry is held in `BTreeMap`s, so **a
-//! snapshot merged from k worker shards renders byte-identically for any
-//! k and any partition of the same events**. The harness's
+//! integers, the merged registry is held in `BTreeMap`s, and a histogram
+//! lists its buckets in ascending order, so **a snapshot merged from k
+//! worker shards renders byte-identically for any k and any partition of
+//! the same events**. A [`PowHistogram`] stores its buckets flat (a fixed
+//! array below bucket 64, a sorted vector above), so its memory is
+//! bounded by its distinct buckets and recording a small value is one
+//! indexed add. The harness's
 //! `contention_harness::Samples` cell aggregate is the same
 //! [`PowHistogram`] at a 4096-bucket cap, so experiment cells and the
 //! metrics plane share one bucket scheme and one mergeability contract.
@@ -47,6 +51,11 @@ use crate::sink::EventSink;
 /// line.
 pub const TELEMETRY_BUCKET_CAP: usize = 512;
 
+/// Buckets `0..HEAD` of a [`PowHistogram`] are counted in a fixed array;
+/// higher buckets in a sorted vector. Small values (latencies in rounds,
+/// acts per round) then record with one indexed add.
+const HEAD: usize = 64;
+
 /// A power-of-two-bucket histogram over `u64` samples, keeping at most
 /// `CAP` distinct buckets.
 ///
@@ -58,14 +67,41 @@ pub const TELEMETRY_BUCKET_CAP: usize = 512;
 /// counts, so merge is exactly associative and commutative: any
 /// partition of the same samples over any number of shards produces the
 /// same histogram. Telemetry uses the default [`TELEMETRY_BUCKET_CAP`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+///
+/// Storage is flat: buckets below 64 sit in a fixed inline array, the
+/// rest in a vector of `(bucket, count)` pairs sorted by bucket. The heap
+/// part holds one pair per nonempty high bucket, so memory stays bounded
+/// by the distinct-bucket count (at most `CAP`), never by the values'
+/// span. Equality compares the canonical state: count, sum, extremes,
+/// shift and the nonempty buckets.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PowHistogram<const CAP: usize = TELEMETRY_BUCKET_CAP> {
     n: u64,
     sum: u64,
     min: u64,
     max: u64,
     shift: u32,
-    buckets: BTreeMap<u64, u64>,
+    /// Counts of buckets `0..HEAD`, zero where empty.
+    head: [u64; HEAD],
+    /// Nonzero entries of `head`.
+    head_len: usize,
+    /// Buckets `≥ HEAD` as `(bucket, count)`: ascending, counts nonzero.
+    tail: Vec<(u64, u64)>,
+}
+
+impl<const CAP: usize> Default for PowHistogram<CAP> {
+    fn default() -> Self {
+        PowHistogram {
+            n: 0,
+            sum: 0,
+            min: 0,
+            max: 0,
+            shift: 0,
+            head: [0; HEAD],
+            head_len: 0,
+            tail: Vec::new(),
+        }
+    }
 }
 
 impl PowHistogram {
@@ -74,6 +110,12 @@ impl PowHistogram {
     pub fn new() -> Self {
         PowHistogram::default()
     }
+}
+
+/// `bucket`'s index in the dense head, if it has one.
+#[inline]
+fn head_index(bucket: u64) -> Option<usize> {
+    usize::try_from(bucket).ok().filter(|&i| i < HEAD)
 }
 
 impl<const CAP: usize> PowHistogram<CAP> {
@@ -89,8 +131,23 @@ impl<const CAP: usize> PowHistogram<CAP> {
         }
         self.n += 1;
         self.sum = self.sum.saturating_add(value);
-        *self.buckets.entry(value >> self.shift).or_insert(0) += 1;
+        self.add(value >> self.shift, 1);
         self.shrink_to_cap();
+    }
+
+    /// Adds `count` (≥ 1) samples to `bucket`.
+    #[inline]
+    fn add(&mut self, bucket: u64, count: u64) {
+        match head_index(bucket) {
+            Some(i) => {
+                self.head_len += usize::from(self.head[i] == 0);
+                self.head[i] += count;
+            }
+            None => match self.tail.binary_search_by_key(&bucket, |&(b, _)| b) {
+                Ok(i) => self.tail[i].1 += count,
+                Err(i) => self.tail.insert(i, (bucket, count)),
+            },
+        }
     }
 
     /// Folds `other` into `self`. Exactly associative and commutative.
@@ -110,23 +167,31 @@ impl<const CAP: usize> PowHistogram<CAP> {
             self.coarsen();
         }
         let delta = self.shift - other.shift;
-        for (&bucket, &count) in &other.buckets {
-            *self.buckets.entry(bucket >> delta).or_insert(0) += count;
+        for (bucket, count) in other.buckets() {
+            self.add(bucket >> delta, count);
         }
         self.shrink_to_cap();
     }
 
     fn coarsen(&mut self) {
         self.shift += 1;
-        let old = std::mem::take(&mut self.buckets);
-        for (bucket, count) in old {
-            *self.buckets.entry(bucket >> 1).or_insert(0) += count;
+        let mut head_len = 0;
+        for i in 0..HEAD / 2 {
+            self.head[i] = self.head[2 * i] + self.head[2 * i + 1];
+            head_len += usize::from(self.head[i] > 0);
+        }
+        self.head[HEAD / 2..].fill(0);
+        self.head_len = head_len;
+        let tail = std::mem::take(&mut self.tail);
+        self.tail.reserve(tail.len());
+        for (bucket, count) in tail {
+            self.add(bucket >> 1, count);
         }
     }
 
     #[inline]
     fn shrink_to_cap(&mut self) {
-        while self.buckets.len() > CAP {
+        while self.head_len + self.tail.len() > CAP {
             self.coarsen();
         }
     }
@@ -169,10 +234,13 @@ impl<const CAP: usize> PowHistogram<CAP> {
         self.shift
     }
 
-    /// The buckets, keyed by `value >> shift`.
-    #[must_use]
-    pub fn buckets(&self) -> &BTreeMap<u64, u64> {
-        &self.buckets
+    /// The nonempty buckets as `(value >> shift, count)`, in ascending
+    /// bucket order.
+    pub fn buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        (0u64..)
+            .zip(self.head.iter().copied())
+            .filter(|&(_, count)| count > 0)
+            .chain(self.tail.iter().copied())
     }
 
     /// Mean sample value, or 0.0 when empty.
@@ -201,7 +269,7 @@ impl<const CAP: usize> PowHistogram<CAP> {
         }
         let rank = ((q.clamp(0.0, 1.0) * self.n as f64).ceil() as u64).max(1);
         let mut seen = 0u64;
-        for (&bucket, &count) in &self.buckets {
+        for (bucket, count) in self.buckets() {
             seen += count;
             if seen >= rank {
                 // Upper edge of this bucket (inclusive), clamped to the
@@ -223,9 +291,8 @@ impl<const CAP: usize> PowHistogram<CAP> {
             (
                 "buckets".into(),
                 Json::Arr(
-                    self.buckets
-                        .iter()
-                        .map(|(&b, &c)| Json::Arr(vec![b.into(), c.into()]))
+                    self.buckets()
+                        .map(|(b, c)| Json::Arr(vec![b.into(), c.into()]))
                         .collect(),
                 ),
             ),
@@ -240,30 +307,34 @@ impl<const CAP: usize> PowHistogram<CAP> {
                 .ok_or_else(|| format!("histogram field '{key}' missing or mistyped"))
         };
         let n = field("n")?;
-        let buckets = value
-            .get("buckets")
-            .and_then(Json::as_arr)
-            .ok_or("histogram missing 'buckets' array")?
-            .iter()
-            .map(|pair| {
-                let pair = pair.as_arr().ok_or("histogram bucket is not a pair")?;
-                match pair {
-                    [b, c] => Ok((
-                        b.as_u64().ok_or("bucket key is not a u64")?,
-                        c.as_u64().ok_or("bucket count is not a u64")?,
-                    )),
-                    _ => Err("histogram bucket is not a pair".to_string()),
-                }
-            })
-            .collect::<Result<BTreeMap<u64, u64>, String>>()?;
-        Ok(Self {
+        let mut h = Self {
             n,
             sum: field("sum")?,
             min: if n == 0 { 0 } else { field("min")? },
             max: field("max")?,
             shift: u32::try_from(field("shift")?).map_err(|_| "shift overflows u32")?,
-            buckets,
-        })
+            ..Self::default()
+        };
+        let pairs = value
+            .get("buckets")
+            .and_then(Json::as_arr)
+            .ok_or("histogram missing 'buckets' array")?;
+        let mut last = None;
+        for pair in pairs {
+            let (bucket, count) = match pair.as_arr().ok_or("histogram bucket is not a pair")? {
+                [b, c] => (
+                    b.as_u64().ok_or("bucket key is not a u64")?,
+                    c.as_u64().ok_or("bucket count is not a u64")?,
+                ),
+                _ => return Err("histogram bucket is not a pair".to_string()),
+            };
+            if count == 0 || last.is_some_and(|last| bucket <= last) {
+                return Err("histogram buckets must ascend, with nonzero counts".to_string());
+            }
+            last = Some(bucket);
+            h.add(bucket, count);
+        }
+        Ok(h)
     }
 }
 
@@ -581,7 +652,7 @@ impl MetricsSnapshot {
         for (name, h) in self.registry.histograms() {
             type_line(&mut out, name, "histogram");
             let mut cumulative = 0u64;
-            for (&bucket, &count) in h.buckets() {
+            for (bucket, count) in h.buckets() {
                 cumulative += count;
                 let le = (bucket + 1) << h.shift();
                 let _ = writeln!(out, "{name}_bucket{{le=\"{le}\"}} {cumulative}");
@@ -761,7 +832,7 @@ mod tests {
         assert_eq!(h.sum(), 39);
         assert_eq!(h.min(), 1);
         assert_eq!(h.max(), 16);
-        let total: u64 = h.buckets().values().sum();
+        let total: u64 = h.buckets().map(|(_, count)| count).sum();
         assert_eq!(total, 5);
     }
 
@@ -771,9 +842,9 @@ mod tests {
         for v in 0..(TELEMETRY_BUCKET_CAP as u64 * 4) {
             h.record(v);
         }
-        assert!(h.buckets().len() <= TELEMETRY_BUCKET_CAP);
+        assert!(h.buckets().count() <= TELEMETRY_BUCKET_CAP);
         assert!(h.shift() >= 1);
-        let total: u64 = h.buckets().values().sum();
+        let total: u64 = h.buckets().map(|(_, count)| count).sum();
         assert_eq!(total, TELEMETRY_BUCKET_CAP as u64 * 4);
     }
 
@@ -825,7 +896,7 @@ mod tests {
         );
         let over = filled::<CAP>(0..=cap);
         assert_eq!(over.shift(), 1, "cap {CAP} did not coarsen");
-        assert!(over.buckets().len() <= CAP);
+        assert!(over.buckets().count() <= CAP);
     }
 
     #[test]
@@ -836,6 +907,219 @@ mod tests {
         // experiment-cell cap keeps them exact.
         assert!(filled::<TELEMETRY_BUCKET_CAP>(samples()).shift() > 0);
         assert_eq!(filled::<4096>(samples()).shift(), 0);
+    }
+
+    /// The histogram as it was stored before the flat layout: one
+    /// `BTreeMap` of buckets. The reference model for the flat storage.
+    #[derive(Debug, Clone, Default, PartialEq)]
+    struct Model {
+        n: u64,
+        sum: u64,
+        min: u64,
+        max: u64,
+        shift: u32,
+        buckets: BTreeMap<u64, u64>,
+    }
+
+    impl Model {
+        fn record(&mut self, value: u64, cap: usize) {
+            (self.min, self.max) = if self.n == 0 {
+                (value, value)
+            } else {
+                (self.min.min(value), self.max.max(value))
+            };
+            self.n += 1;
+            self.sum = self.sum.saturating_add(value);
+            *self.buckets.entry(value >> self.shift).or_insert(0) += 1;
+            self.shrink(cap);
+        }
+
+        fn merge(&mut self, other: &Model, cap: usize) {
+            if other.n == 0 {
+                return;
+            }
+            if self.n == 0 {
+                *self = other.clone();
+                return;
+            }
+            self.min = self.min.min(other.min);
+            self.max = self.max.max(other.max);
+            self.n += other.n;
+            self.sum = self.sum.saturating_add(other.sum);
+            while self.shift < other.shift {
+                self.coarsen();
+            }
+            let delta = self.shift - other.shift;
+            for (&bucket, &count) in &other.buckets {
+                *self.buckets.entry(bucket >> delta).or_insert(0) += count;
+            }
+            self.shrink(cap);
+        }
+
+        fn coarsen(&mut self) {
+            self.shift += 1;
+            for (bucket, count) in std::mem::take(&mut self.buckets) {
+                *self.buckets.entry(bucket >> 1).or_insert(0) += count;
+            }
+        }
+
+        fn shrink(&mut self, cap: usize) {
+            while self.buckets.len() > cap {
+                self.coarsen();
+            }
+        }
+
+        #[allow(clippy::cast_precision_loss, clippy::cast_sign_loss)]
+        #[allow(clippy::cast_possible_truncation)]
+        fn quantile(&self, q: f64) -> u64 {
+            if self.n == 0 {
+                return 0;
+            }
+            let rank = ((q * self.n as f64).ceil() as u64).max(1);
+            let mut seen = 0;
+            for (&bucket, &count) in &self.buckets {
+                seen += count;
+                if seen >= rank {
+                    return (((bucket + 1) << self.shift).saturating_sub(1))
+                        .clamp(self.min, self.max);
+                }
+            }
+            self.max
+        }
+
+        fn json_line(&self) -> String {
+            let buckets: Vec<String> = self
+                .buckets
+                .iter()
+                .map(|(b, c)| format!("[{b},{c}]"))
+                .collect();
+            format!(
+                "{{\"n\":{},\"sum\":{},\"min\":{},\"max\":{},\"shift\":{},\"buckets\":[{}]}}",
+                self.n,
+                self.sum,
+                self.min,
+                self.max,
+                self.shift,
+                buckets.join(",")
+            )
+        }
+    }
+
+    /// Checks every observable of `h` against `model`, and the JSON round
+    /// trip.
+    fn assert_matches_model<const CAP: usize>(h: &PowHistogram<CAP>, model: &Model) {
+        assert_eq!(
+            (h.count(), h.sum(), h.min(), h.max(), h.shift()),
+            (model.n, model.sum, model.min, model.max, model.shift)
+        );
+        let buckets: Vec<_> = h.buckets().collect();
+        let expected: Vec<_> = model.buckets.iter().map(|(&b, &c)| (b, c)).collect();
+        assert_eq!(buckets, expected);
+        for q in [0.0, 0.01, 0.25, 0.5, 0.9, 0.99, 1.0] {
+            assert_eq!(h.quantile(q), model.quantile(q), "q = {q}");
+        }
+        let line = h.to_json().render();
+        assert_eq!(line, model.json_line());
+        let parsed = PowHistogram::<CAP>::from_json(&Json::parse(&line).unwrap()).unwrap();
+        assert_eq!(&parsed, h, "JSON round trip");
+    }
+
+    /// Records `values` whole and split over `shards` shards (chosen per
+    /// value from `salt`), in the flat histogram and in the model.
+    fn check_against_model<const CAP: usize>(values: &[u64], shards: usize, salt: u64) {
+        let mut whole = PowHistogram::<CAP>::default();
+        let mut model = Model::default();
+        let mut parts = vec![(PowHistogram::<CAP>::default(), Model::default()); shards];
+        for (i, &v) in values.iter().enumerate() {
+            whole.record(v);
+            model.record(v, CAP);
+            let shard = (crate::derive_stream_seed(salt, i as u64) % shards as u64) as usize;
+            parts[shard].0.record(v);
+            parts[shard].1.record(v, CAP);
+        }
+        assert_matches_model(&whole, &model);
+        let (mut forward, mut backward) = (PowHistogram::<CAP>::default(), Model::default());
+        for (h, m) in &parts {
+            assert_matches_model(h, m);
+            forward.merge(h);
+            backward.merge(m, CAP);
+        }
+        assert_matches_model(&forward, &backward);
+        assert_eq!(forward, whole, "merged shards equal the whole");
+        let mut reversed = PowHistogram::<CAP>::default();
+        for (h, _) in parts.iter().rev() {
+            reversed.merge(h);
+        }
+        assert_eq!(reversed, whole, "merge order does not matter");
+        if let Some(&v) = values.first() {
+            let mut more = whole.clone();
+            more.record(v);
+            assert_ne!(more, whole, "one more sample is a different histogram");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn flat_histogram_matches_the_btreemap_model(
+            values in proptest::collection::vec(
+                proptest::prop_oneof![
+                    0u64..64,
+                    64u64..6_000,
+                    (1u64 << 30)..(1u64 << 40),
+                    proptest::arbitrary::any::<u64>(),
+                ],
+                0..9_000,
+            ),
+            shards in 1usize..6,
+            salt in proptest::arbitrary::any::<u64>(),
+        ) {
+            check_against_model::<TELEMETRY_BUCKET_CAP>(&values, shards, salt);
+            check_against_model::<4096>(&values, shards, salt);
+        }
+    }
+
+    #[test]
+    fn malformed_bucket_lists_are_rejected() {
+        for buckets in ["[[3,1],[3,1]]", "[[5,1],[2,1]]", "[[70,0]]"] {
+            let line = format!(
+                "{{\"n\":2,\"sum\":8,\"min\":3,\"max\":5,\"shift\":0,\"buckets\":{buckets}}}"
+            );
+            let parsed =
+                PowHistogram::<TELEMETRY_BUCKET_CAP>::from_json(&Json::parse(&line).unwrap());
+            assert!(parsed.is_err(), "{buckets} parsed");
+        }
+    }
+
+    /// Storage, in count slots, stays within a constant of twice the most
+    /// distinct buckets the histogram has held (at most `CAP + 1`).
+    fn assert_storage_tracks_distinct_buckets<const CAP: usize>() {
+        let mut h = PowHistogram::<CAP>::default();
+        let mut peak = 0;
+        for i in 0..10_000u64 {
+            // The first sample is 2^60 itself; the rest spread over [0, 2^60).
+            let v = if i == 0 {
+                1 << 60
+            } else {
+                i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 4
+            };
+            h.record(v);
+            peak = peak.max(h.buckets().count());
+            assert!(
+                h.tail.capacity() <= 2 * peak.max(2),
+                "cap {CAP}: {} tail slots for at most {peak} buckets",
+                h.tail.capacity()
+            );
+        }
+        assert!(peak <= CAP + 1);
+        assert!(h.shift() > 0, "the samples crossed the cap");
+    }
+
+    #[test]
+    fn storage_stays_proportional_to_the_distinct_buckets() {
+        assert_storage_tracks_distinct_buckets::<TELEMETRY_BUCKET_CAP>();
+        assert_storage_tracks_distinct_buckets::<4096>();
     }
 
     #[test]

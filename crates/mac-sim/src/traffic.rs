@@ -33,7 +33,7 @@
 //! stacks.
 
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 
 use crate::action::{Action, Feedback};
 use crate::channel::ChannelId;
@@ -114,7 +114,14 @@ pub struct ArrivalStream {
     /// `exp(-rate)` of the Poisson (or bursty on-phase) rate: the
     /// sampler's stopping threshold, computed once per stream.
     poisson_limit: f64,
+    /// `floor(poisson_limit · 2^53)`: the sampler's first stopping test as
+    /// an integer compare (see [`ArrivalStream::poisson`]).
+    poisson_cut: u64,
 }
+
+/// `2^53`: a `gen_range(0.0..1.0)` draw is `m / 2^53` for the top 53 bits
+/// `m` of one `next_u64`.
+const UNIT_SCALE: f64 = (1u64 << 53) as f64;
 
 impl ArrivalStream {
     /// A stream over `[0, window)` seeded from `master_seed` (salted, so
@@ -140,28 +147,45 @@ impl ArrivalStream {
             }
             ArrivalProcess::FixedRate { .. } | ArrivalProcess::Batch { .. } => 0.0,
         };
+        let poisson_limit = (-rate).exp();
+        // Exact: scaling by a power of two loses no bits, and for a rate
+        // ≥ 0 the floor is at most 2^53 (a rate ≤ 0 never samples).
+        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+        let poisson_cut = (poisson_limit * UNIT_SCALE).floor() as u64;
         ArrivalStream {
             process,
             rng: SmallRng::seed_from_u64(derive_stream_seed(master_seed, ARRIVAL_STREAM)),
             window,
             next_round: 0,
             on: true,
-            poisson_limit: (-rate).exp(),
+            poisson_limit,
+            poisson_cut,
         }
     }
 
     /// Knuth's product-of-uniforms Poisson sampler, stopping at
     /// `limit = exp(-rate)`; fine for the per-round rates traffic sweeps
     /// use (λ ≲ 30).
-    fn poisson(rng: &mut SmallRng, rate: f64, limit: f64) -> u32 {
+    ///
+    /// Each factor is a `gen_range(0.0..1.0)` draw, `m / 2^53` with
+    /// `m = next_u64() >> 11`. The product starts at 1, so the first test
+    /// `m / 2^53 ≤ limit` is exactly `m ≤ floor(limit · 2^53)`: most rounds
+    /// at low rates end there on one integer compare, and the draws, and
+    /// so the counts, are those of the float product.
+    #[allow(clippy::cast_precision_loss)]
+    fn poisson(&mut self, rate: f64) -> u32 {
         if rate <= 0.0 {
             return 0;
         }
-        let mut k = 0u32;
-        let mut p = 1.0f64;
+        let m = self.rng.next_u64() >> 11;
+        if m <= self.poisson_cut {
+            return 0;
+        }
+        let mut k = 1u32;
+        let mut p = m as f64 / UNIT_SCALE;
         loop {
-            p *= rng.gen_range(0.0..1.0);
-            if p <= limit {
+            p *= self.rng.gen_range(0.0..1.0);
+            if p <= self.poisson_limit {
                 return k;
             }
             k += 1;
@@ -172,19 +196,13 @@ impl ArrivalStream {
     /// rounds — [`ArrivalStream::next_batch`] does.
     fn count_at(&mut self, round: u64) -> u32 {
         match self.process {
-            ArrivalProcess::Poisson { rate } => {
-                Self::poisson(&mut self.rng, rate, self.poisson_limit)
-            }
+            ArrivalProcess::Poisson { rate } => self.poisson(rate),
             ArrivalProcess::Bursty {
                 burst_rate,
                 on_to_off,
                 off_to_on,
             } => {
-                let count = if self.on {
-                    Self::poisson(&mut self.rng, burst_rate, self.poisson_limit)
-                } else {
-                    0
-                };
+                let count = if self.on { self.poisson(burst_rate) } else { 0 };
                 let flip_p = if self.on { on_to_off } else { off_to_on };
                 if self.rng.gen_bool(flip_p.clamp(0.0, 1.0)) {
                     self.on = !self.on;
@@ -353,6 +371,12 @@ impl TrafficReport {
 trait TrafficEngine<P: Protocol> {
     fn add_node_at(&mut self, protocol: P, start_round: u64) -> NodeId;
     fn step_observed<S: EventSink>(&mut self, sink: &mut S) -> Result<StepStatus, SimError>;
+    /// Steps from a round with nothing live: the idle rounds before round
+    /// `until`, then the round that wakes a slot (see
+    /// `Engine::step_idle`). Runs at least one round when the current one
+    /// is before `until`.
+    fn step_idle<S: EventSink>(&mut self, until: u64, sink: &mut S)
+        -> Result<StepStatus, SimError>;
     fn current_round(&self) -> u64;
     fn live_len(&self) -> usize;
     fn pending_len(&self) -> usize;
@@ -366,6 +390,13 @@ impl<P: Protocol, F: FeedbackModel> TrafficEngine<P> for Engine<P, F> {
     }
     fn step_observed<S: EventSink>(&mut self, sink: &mut S) -> Result<StepStatus, SimError> {
         Engine::step_observed(self, sink)
+    }
+    fn step_idle<S: EventSink>(
+        &mut self,
+        until: u64,
+        sink: &mut S,
+    ) -> Result<StepStatus, SimError> {
+        Engine::step_idle(self, until, sink)
     }
     fn current_round(&self) -> u64 {
         Engine::current_round(self)
@@ -386,6 +417,16 @@ impl<P: Protocol, F: FeedbackModel> TrafficEngine<P> for DenseEngine<P, F> {
         DenseEngine::add_node_at(self, protocol, start_round)
     }
     fn step_observed<S: EventSink>(&mut self, sink: &mut S) -> Result<StepStatus, SimError> {
+        DenseEngine::step_observed(self, sink)
+    }
+    /// The reference runs no span: it steps one full round, so the driver
+    /// steps it one round at a time and the equivalence suite pins the
+    /// spans and where the driver ends them.
+    fn step_idle<S: EventSink>(
+        &mut self,
+        _until: u64,
+        sink: &mut S,
+    ) -> Result<StepStatus, SimError> {
         DenseEngine::step_observed(self, sink)
     }
     fn current_round(&self) -> u64 {
@@ -556,7 +597,21 @@ where
             return Err(SimError::Timeout { max_rounds });
         }
 
-        match eng.step_observed(&mut sink) {
+        // Nothing live: the engine runs the idle rounds up to the next
+        // injection, the horizon or `max_rounds` in one call, and the round
+        // that wakes a slot before then. Until that bound the checks above
+        // cannot fire, and an idle round delivers nothing and leaves no
+        // backlog, so the accounting below stays exact.
+        let stepped = if eng.live_len() == 0 {
+            let until = next_batch
+                .map_or(u64::MAX, |(round, _)| round - 1)
+                .min(spec.horizon.unwrap_or(u64::MAX))
+                .min(max_rounds);
+            eng.step_idle(until, &mut sink)
+        } else {
+            eng.step_observed(&mut sink)
+        };
+        match stepped {
             Ok(_) => {}
             Err(SimError::BudgetExhausted { .. }) => break StopCause::BudgetExhausted,
             Err(e) => return Err(e),
@@ -797,6 +852,124 @@ mod tests {
         assert!(a.windows(2).all(|w| w[0].0 < w[1].0), "rounds increase");
         let c = drain(ArrivalStream::new(p, 200, 43));
         assert_ne!(a, c, "different seeds, different schedules");
+    }
+
+    /// The float-product sampler the integer first compare replaced: every
+    /// factor, the first one too, is a `gen_range(0.0..1.0)` draw.
+    fn reference_poisson(rng: &mut SmallRng, limit: f64) -> u32 {
+        let mut k = 0u32;
+        let mut p = 1.0f64;
+        loop {
+            p *= rng.gen_range(0.0..1.0);
+            if p <= limit {
+                return k;
+            }
+            k += 1;
+        }
+    }
+
+    /// `ArrivalStream`'s batches for a Poisson or bursty process, drawn
+    /// with [`reference_poisson`] from the same RNG stream.
+    fn reference_batches(process: ArrivalProcess, window: u64, seed: u64) -> Vec<(u64, u32)> {
+        let mut rng = SmallRng::seed_from_u64(derive_stream_seed(seed, ARRIVAL_STREAM));
+        let mut on = true;
+        let mut out = Vec::new();
+        for round in 0..window {
+            let count = match process {
+                ArrivalProcess::Poisson { rate } => reference_poisson(&mut rng, (-rate).exp()),
+                ArrivalProcess::Bursty {
+                    burst_rate,
+                    on_to_off,
+                    off_to_on,
+                } => {
+                    let count = if on {
+                        reference_poisson(&mut rng, (-burst_rate).exp())
+                    } else {
+                        0
+                    };
+                    if rng.gen_bool(if on { on_to_off } else { off_to_on }) {
+                        on = !on;
+                    }
+                    count
+                }
+                _ => unreachable!("only the Poisson sampler is referenced"),
+            };
+            if count > 0 {
+                out.push((round, count));
+            }
+        }
+        out
+    }
+
+    /// Asserts that the stream of a Poisson and a bursty source at `rate`
+    /// equals the reference over `window` rounds.
+    fn assert_matches_reference(rate: f64, window: u64, seed: u64) {
+        let processes = [
+            ArrivalProcess::Poisson { rate },
+            ArrivalProcess::Bursty {
+                burst_rate: rate,
+                on_to_off: 0.05,
+                off_to_on: 0.1,
+            },
+        ];
+        for process in processes {
+            let mut stream = ArrivalStream::new(process, window, seed);
+            let got: Vec<_> = std::iter::from_fn(|| stream.next_batch()).collect();
+            assert_eq!(
+                got,
+                reference_batches(process, window, seed),
+                "{process:?}, seed {seed}"
+            );
+        }
+    }
+
+    #[test]
+    fn poisson_first_compare_matches_the_float_product() {
+        for rate in [1e-9, 0.05, 0.2, 1.0, 5.0, 30.0] {
+            for seed in 0..64 {
+                assert_matches_reference(rate, 10_000, seed);
+            }
+        }
+    }
+
+    #[test]
+    #[allow(clippy::cast_precision_loss, clippy::float_cmp)]
+    fn poisson_first_compare_keeps_a_draw_equal_to_the_limit() {
+        // A random draw equals the limit with probability 2^-53, so pick
+        // the rate instead: one whose `exp(-rate)` is exactly the seed's
+        // first draw `m / 2^53`. For m ≥ 2^52 the limit sits in [0.5, 1),
+        // where one step of the rate moves `exp(-rate)` by less than the
+        // limit's own spacing, so stepping the rate finds it.
+        let mut hits = 0;
+        for seed in 0..64 {
+            let mut rng = SmallRng::seed_from_u64(derive_stream_seed(seed, ARRIVAL_STREAM));
+            let m = rng.next_u64() >> 11;
+            if m < 1 << 52 {
+                continue;
+            }
+            let target = m as f64 / UNIT_SCALE;
+            let mut rate = -target.ln();
+            for _ in 0..64 {
+                let limit = (-rate).exp();
+                if limit == target {
+                    break;
+                }
+                rate = if limit > target {
+                    rate.next_up()
+                } else {
+                    rate.next_down()
+                };
+            }
+            if (-rate).exp() != target {
+                continue;
+            }
+            // Round 0 draws exactly the limit: `p ≤ limit` holds, no arrival.
+            let mut stream = ArrivalStream::new(ArrivalProcess::Poisson { rate }, 1, seed);
+            assert_eq!(stream.next_batch(), None, "seed {seed}");
+            assert_matches_reference(rate, 100, seed);
+            hits += 1;
+        }
+        assert!(hits >= 16, "only {hits} seeds drew a reachable limit");
     }
 
     #[test]

@@ -14,8 +14,8 @@
 
 use mac_sim::fault::{CrashStop, JamBudget, Layered, LossyChannel, NoisyCd};
 use mac_sim::{
-    run_traffic, run_traffic_dense, ArrivalProcess, BackoffMac, CdMode, FeedbackModel, SimConfig,
-    SlottedAloha, TrafficReport, TrafficSpec,
+    run_traffic, run_traffic_dense, ArrivalProcess, BackoffMac, CdMode, FeedbackModel, NodeId,
+    SimConfig, SlottedAloha, StopCause, TrafficReport, TrafficSpec,
 };
 use proptest::prelude::*;
 
@@ -31,6 +31,7 @@ struct Workload {
     protocol: ProtoChoice,
     cd_mode: CdMode,
     faults: FaultChoice,
+    round_budget: u64,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -47,10 +48,22 @@ enum ProtoChoice {
 #[derive(Debug, Clone, Copy)]
 enum FaultChoice {
     Clean,
-    CrashRandom { f: usize, window: u64 },
-    Assassin { kills: u64 },
-    JamBudget { budget: u64 },
+    CrashRandom {
+        f: usize,
+        window: u64,
+    },
+    Assassin {
+        kills: u64,
+    },
+    JamBudget {
+        budget: u64,
+    },
     Stacked,
+    /// `CrashStop::schedule` crashing one node at one round.
+    CrashAt {
+        node: usize,
+        round: u64,
+    },
 }
 
 fn config(w: &Workload) -> SimConfig {
@@ -58,7 +71,7 @@ fn config(w: &Workload) -> SimConfig {
         .seed(w.seed)
         .cd_mode(w.cd_mode)
         .max_rounds(200_000)
-        .round_budget(5_000)
+        .round_budget(w.round_budget)
 }
 
 fn spec(w: &Workload) -> TrafficSpec {
@@ -116,6 +129,11 @@ fn run_workload(w: &Workload, dense: bool) -> Result<TrafficReport, String> {
             dense,
         ),
         FaultChoice::JamBudget { budget } => drive(w, JamBudget::new(w.cd_mode, budget), dense),
+        FaultChoice::CrashAt { node, round } => drive(
+            w,
+            Layered::new(CrashStop::schedule(vec![(NodeId(node), round)]), w.cd_mode),
+            dense,
+        ),
         FaultChoice::Stacked => drive(
             w,
             Layered::new(
@@ -198,6 +216,7 @@ fn workload_strategy() -> impl Strategy<Value = Workload> {
                     protocol,
                     cd_mode,
                     faults,
+                    round_budget: 5_000,
                 }
             },
         )
@@ -218,8 +237,9 @@ proptest! {
 
 /// Deterministic spot-checks of corners the random strategy can miss:
 /// a long idle gap between batches (stop-latch re-arming), an overload
-/// that only the budget stops, a crash schedule racing the drain, and a
-/// closed-loop rearm workload.
+/// that only the budget stops, a crash schedule racing the drain, a
+/// closed-loop rearm workload, and three ends of an idle span inside the
+/// gap: a pending packet's crash, the round budget and the horizon.
 #[test]
 fn corner_cases_match_dense_reference() {
     let base = Workload {
@@ -236,6 +256,7 @@ fn corner_cases_match_dense_reference() {
         protocol: ProtoChoice::Backoff { cw_max: 32 },
         cd_mode: CdMode::Strong,
         faults: FaultChoice::Clean,
+        round_budget: 5_000,
     };
     // Idle gap: batch at 0, batch at 300 — the driver idles across the gap.
     assert_eq!(run_workload(&base, false), run_workload(&base, true));
@@ -253,7 +274,7 @@ fn corner_cases_match_dense_reference() {
     assert_eq!(report, run_workload(&jammed, true));
     assert_eq!(
         report.unwrap().stop,
-        mac_sim::StopCause::BudgetExhausted,
+        StopCause::BudgetExhausted,
         "overload past the budget must stop cleanly"
     );
 
@@ -267,6 +288,53 @@ fn corner_cases_match_dense_reference() {
     crashed.window = 1;
     crashed.faults = FaultChoice::CrashRandom { f: 2, window: 8 };
     assert_eq!(run_workload(&crashed, false), run_workload(&crashed, true));
+
+    // The packet of the batch at 300 waits pending through the gap after
+    // the first delivery; its crash in round 150 empties the system, so
+    // the driver injects the batch at 600 at once...
+    let mut pending_crash = base.clone();
+    pending_crash.window = 601;
+    pending_crash.faults = FaultChoice::CrashAt {
+        node: 1,
+        round: 150,
+    };
+    let report = run_workload(&pending_crash, false);
+    assert_eq!(report, run_workload(&pending_crash, true));
+    let report = report.unwrap();
+    assert_eq!(
+        (report.offered, report.delivered, report.dropped),
+        (3, 2, 1)
+    );
+    assert!(report.first_delivery().unwrap() < 150);
+    // ...and with no batch left, the run drains in the round after it.
+    let mut last_crash = pending_crash.clone();
+    last_crash.window = 301;
+    let report = run_workload(&last_crash, false);
+    assert_eq!(report, run_workload(&last_crash, true));
+    let report = report.unwrap();
+    assert_eq!((report.stop, report.rounds), (StopCause::Drained, 151));
+
+    // The round budget trips inside the gap.
+    let mut budget = base.clone();
+    budget.round_budget = 150;
+    let report = run_workload(&budget, false);
+    assert_eq!(report, run_workload(&budget, true));
+    let report = report.unwrap();
+    assert_eq!(
+        (report.stop, report.rounds),
+        (StopCause::BudgetExhausted, 150)
+    );
+
+    // The horizon falls inside the gap, with the next packet pending.
+    let mut horizon = base.clone();
+    horizon.horizon = Some(200);
+    let report = run_workload(&horizon, false);
+    assert_eq!(report, run_workload(&horizon, true));
+    let report = report.unwrap();
+    assert_eq!(
+        (report.stop, report.rounds, report.backlog_final),
+        (StopCause::Horizon, 200, 1)
+    );
 
     // Closed loop: every delivery inside the window re-arms a packet.
     let mut saturated = base;
