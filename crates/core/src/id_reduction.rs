@@ -49,7 +49,8 @@ pub struct IdReductionStats {
     pub rename_rounds: u64,
     /// Number of reduction rounds participated in.
     pub reduction_rounds: u64,
-    /// Total rounds (renames + reports + reductions).
+    /// Total rounds (renames + reports + reductions), read from the
+    /// node's phase meter.
     pub total_rounds: u64,
 }
 
@@ -149,7 +150,10 @@ impl IdReduction {
     /// Round counters for experiments.
     #[must_use]
     pub fn stats(&self) -> IdReductionStats {
-        self.stats
+        IdReductionStats {
+            total_rounds: self.meter.rounds(),
+            ..self.stats
+        }
     }
 }
 
@@ -158,8 +162,7 @@ impl Protocol for IdReduction {
 
     fn act(&mut self, _ctx: &RoundContext, rng: &mut SmallRng) -> Action<u32> {
         debug_assert!(self.outcome.is_none(), "terminated node must not act");
-        self.stats.total_rounds += 1;
-        match self.sub {
+        let action = match self.sub {
             SubRound::Rename => {
                 self.stats.rename_rounds += 1;
                 let pick = rng.gen_range(1..=self.c_half);
@@ -185,7 +188,9 @@ impl Protocol for IdReduction {
                     Action::listen(ChannelId::PRIMARY)
                 }
             }
-        }
+        };
+        self.meter.on_act(&action);
+        action
     }
 
     fn observe(&mut self, _ctx: &RoundContext, feedback: Feedback<u32>, _rng: &mut SmallRng) {
@@ -244,9 +249,7 @@ impl Phase for IdReduction {
     type Output = u32;
 
     fn act(&mut self, ctx: &RoundContext, rng: &mut SmallRng) -> Action<u32> {
-        let action = Protocol::act(self, ctx, rng);
-        self.meter.on_act(&action);
-        action
+        Protocol::act(self, ctx, rng)
     }
 
     fn observe(

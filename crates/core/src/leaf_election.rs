@@ -44,8 +44,6 @@ pub struct LeafElectionStats {
     pub phases: u32,
     /// Rounds spent inside `SplitSearch`, per phase.
     pub search_rounds_by_phase: Vec<u64>,
-    /// Total rounds participated in.
-    pub total_rounds: u64,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -287,8 +285,7 @@ impl Protocol for LeafElection {
     type Msg = u32;
 
     fn act(&mut self, _ctx: &RoundContext, _rng: &mut SmallRng) -> Action<u32> {
-        self.stats.total_rounds += 1;
-        match &self.stage {
+        let action = match &self.stage {
             Stage::RootCheck => {
                 if self.is_master() {
                     Action::transmit(self.tree.root().channel(), 0)
@@ -350,7 +347,9 @@ impl Protocol for LeafElection {
                 }
             }
             Stage::Done => Action::Sleep,
-        }
+        };
+        self.meter.on_act(&action);
+        action
     }
 
     fn observe(&mut self, _ctx: &RoundContext, feedback: Feedback<u32>, _rng: &mut SmallRng) {
@@ -477,9 +476,7 @@ impl Phase for LeafElection {
     type Output = ();
 
     fn act(&mut self, ctx: &RoundContext, rng: &mut SmallRng) -> Action<u32> {
-        let action = Protocol::act(self, ctx, rng);
-        self.meter.on_act(&action);
-        action
+        Protocol::act(self, ctx, rng)
     }
 
     fn observe(

@@ -267,12 +267,12 @@ impl RunCtx {
         run: impl Fn(u64) -> T + Sync,
     ) -> Vec<T> {
         let run = &run;
-        let cell = CellSpec {
+        let cell = self.cell(
             trials,
-            seeds: SeedStream::Offset(base_seed),
-            make: Box::new(Collect::default),
-            run: Box::new(move |seed, acc: &mut Collect<T>| acc.0.push(run(seed))),
-        };
+            SeedStream::Offset(base_seed),
+            Collect::default,
+            move |seed, acc: &mut Collect<T>| acc.0.push(run(seed)),
+        );
         let mut results = None;
         let outcome = self.run_campaign(vec![cell], |_, acc| results = Some(acc.0));
         let quarantined: Vec<(usize, &Quarantined)> =
@@ -281,14 +281,32 @@ impl RunCtx {
         results.unwrap_or_else(|| std::panic::panic_any(SweepCancelled))
     }
 
+    /// A campaign cell whose trials run under this context's chaos seed:
+    /// the trial at that seed panics instead of running.
+    fn cell<'a, A>(
+        &self,
+        trials: usize,
+        seeds: SeedStream,
+        make: impl Fn() -> A + Send + Sync + 'a,
+        run: impl Fn(u64, &mut A) + Send + Sync + 'a,
+    ) -> Cell<'a, A> {
+        let chaos = self.chaos_panic_seed;
+        Cell::new(trials, seeds, make, move |seed, acc: &mut A| {
+            if chaos == Some(seed) {
+                panic!("chaos: injected panic at seed {seed}");
+            }
+            run(seed, acc);
+        })
+    }
+
     /// Schedules `cells` as one campaign under this context: its worker
     /// count, cancellation token, self-healing, progress hub and metrics
-    /// hub, with the chaos seed injected into every trial. Each finished
-    /// cell's aggregate streams to `on_cell`, in cell order; once the
-    /// campaign returns, one metrics snapshot is checkpointed.
+    /// hub. Each finished cell's aggregate streams to `on_cell`, in cell
+    /// order; once the campaign returns, one metrics snapshot is
+    /// checkpointed.
     fn run_campaign<'a, A: Aggregate>(
         &self,
-        cells: Vec<CellSpec<'a, A>>,
+        cells: Vec<Cell<'a, A>>,
         on_cell: impl FnMut(usize, A) + Send,
     ) -> CampaignOutcome {
         let mut campaign = Campaign::new()
@@ -303,20 +321,8 @@ impl RunCtx {
         if let Some(hub) = &self.metrics {
             campaign = campaign.telemetry(hub.clone());
         }
-        let chaos = self.chaos_panic_seed;
         for cell in cells {
-            let run = cell.run;
-            campaign.push(Cell::new(
-                cell.trials,
-                cell.seeds,
-                cell.make,
-                move |seed, acc: &mut A| {
-                    if chaos == Some(seed) {
-                        panic!("chaos: injected panic at seed {seed}");
-                    }
-                    run(seed, acc);
-                },
-            ));
+            campaign.push(cell);
         }
         let outcome = match &self.hub {
             Some(hub) => hub.tick_beside(|| campaign.progress(hub.counts.clone()).run(on_cell)),
@@ -528,16 +534,6 @@ fn default_shard_size(scale: Scale) -> usize {
 }
 
 type RenderFn<'a, A> = Box<dyn FnOnce(A) -> Vec<String> + Send + 'a>;
-type TrialFn<'a, A> = Box<dyn Fn(u64, &mut A) + Send + Sync + 'a>;
-
-/// One declared campaign cell, before [`RunCtx::run_campaign`] schedules
-/// it: a trial count, a seed stream, and the aggregate and trial closures.
-struct CellSpec<'a, A> {
-    trials: usize,
-    seeds: SeedStream,
-    make: Box<dyn Fn() -> A + Send + Sync + 'a>,
-    run: TrialFn<'a, A>,
-}
 
 /// One table's worth of measurements, scheduled as a single campaign.
 ///
@@ -548,7 +544,7 @@ pub struct Sweep<'ctx, 'a, A: Aggregate> {
     ctx: &'ctx RunCtx,
     section: String,
     headers: Vec<String>,
-    cells: Vec<CellSpec<'a, A>>,
+    cells: Vec<Cell<'a, A>>,
     rows: Vec<Option<Vec<String>>>,
     renders: Vec<(usize, Option<RenderFn<'a, A>>)>,
 }
@@ -571,12 +567,7 @@ impl<'ctx, 'a, A: Aggregate> Sweep<'ctx, 'a, A> {
             return;
         }
         self.rows.push(None);
-        self.cells.push(CellSpec {
-            trials,
-            seeds,
-            make: Box::new(make),
-            run: Box::new(run),
-        });
+        self.cells.push(self.ctx.cell(trials, seeds, make, run));
         self.renders.push((row_idx, Some(Box::new(render))));
     }
 

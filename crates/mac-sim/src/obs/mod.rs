@@ -127,9 +127,12 @@ pub struct RunRecord {
     /// Exact node-round accounting per phase label: each acting node
     /// contributes one count per round to *its own* phase. This is the
     /// breakdown that stays correct when nodes are in different phases
-    /// simultaneously.
+    /// simultaneously. Summed from the label's spans (transmissions plus
+    /// listens), in label order; a zero total is left out.
     pub phase_node_rounds: Vec<(String, u64)>,
-    /// Transmissions per phase label, attributed per acting node.
+    /// Transmissions per phase label, attributed per acting node: the sum
+    /// of the label's span transmissions, in label order; a zero total is
+    /// left out.
     pub phase_transmissions: Vec<(String, u64)>,
 }
 
@@ -381,26 +384,7 @@ impl RunRecord {
 #[derive(Debug)]
 struct OpenSpan {
     span: PhaseSpan,
-    last_round: u64,
     opened: Instant,
-}
-
-/// Per-round scratch: activity per phase label this round.
-#[derive(Debug, Default)]
-struct RoundActs {
-    /// `(label, transmissions, listens)`; a handful of entries at most.
-    by_label: Vec<(&'static str, u64, u64)>,
-}
-
-impl RoundActs {
-    fn bump(&mut self, label: &'static str, tx: u64, rx: u64) {
-        if let Some(entry) = self.by_label.iter_mut().find(|(l, _, _)| *l == label) {
-            entry.1 += tx;
-            entry.2 += rx;
-        } else {
-            self.by_label.push((label, tx, rx));
-        }
-    }
 }
 
 /// An [`EventSink`] that assembles a run into a [`RunRecord`].
@@ -435,13 +419,13 @@ impl RoundActs {
 #[derive(Debug)]
 pub struct RunRecorder {
     started: Instant,
-    round_acts: RoundActs,
+    /// This round's `(label, transmissions, listens)`; a handful of
+    /// entries at most.
+    round_acts: Vec<(&'static str, u64, u64)>,
     open: Vec<OpenSpan>,
     closed: Vec<PhaseSpan>,
     node_tx: Vec<u64>,
-    phase_node_rounds: BTreeMap<&'static str, u64>,
-    phase_transmissions: BTreeMap<&'static str, u64>,
-    /// The run's rounds, actions, solve and channel rows.
+    /// The run's rounds, solve and channel rows, and so its totals.
     tally: TelemetrySink,
     wall_ns: Option<u64>,
 }
@@ -458,28 +442,29 @@ impl RunRecorder {
     pub fn new() -> Self {
         RunRecorder {
             started: Instant::now(),
-            round_acts: RoundActs::default(),
+            round_acts: Vec::new(),
             open: Vec::new(),
             closed: Vec::new(),
             node_tx: Vec::new(),
-            phase_node_rounds: BTreeMap::new(),
-            phase_transmissions: BTreeMap::new(),
             tally: TelemetrySink::new(),
             wall_ns: None,
         }
     }
 
-    fn bump_node(&mut self, node: usize) {
-        if self.node_tx.len() <= node {
-            self.node_tx.resize(node + 1, 0);
+    fn bump_phase(&mut self, label: &'static str, tx: u64, rx: u64) {
+        match self.round_acts.iter_mut().find(|(l, _, _)| *l == label) {
+            Some(entry) => {
+                entry.1 += tx;
+                entry.2 += rx;
+            }
+            None => self.round_acts.push((label, tx, rx)),
         }
-        self.node_tx[node] += 1;
     }
 
     fn close_stale_spans(&mut self, round: u64) {
         let mut i = 0;
         while i < self.open.len() {
-            if self.open[i].last_round < round {
+            if self.open[i].span.end_round < round {
                 let done = self.open.swap_remove(i);
                 let mut span = done.span;
                 span.wall_ns = u64::try_from(done.opened.elapsed().as_nanos()).unwrap_or(u64::MAX);
@@ -503,35 +488,37 @@ impl RunRecorder {
         });
         let mut spans = self.closed;
         spans.sort_by(|a, b| (a.start_round, &a.label).cmp(&(b.start_round, &b.label)));
-        let TelemetrySink {
-            rounds,
-            transmissions,
-            listens,
-            solved,
-            channels,
-            ..
-        } = self.tally;
+        // Per-phase totals are sums over each label's spans; a label with
+        // a zero total gets no entry.
+        let mut per_label: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
+        for s in &spans {
+            let (acts, tx) = per_label.entry(&s.label).or_default();
+            *acts += s.transmissions + s.listens;
+            *tx += s.transmissions;
+        }
+        let (mut phase_node_rounds, mut phase_transmissions) = (Vec::new(), Vec::new());
+        for (label, (acts, tx)) in per_label {
+            if acts > 0 {
+                phase_node_rounds.push((label.to_string(), acts));
+            }
+            if tx > 0 {
+                phase_transmissions.push((label.to_string(), tx));
+            }
+        }
+        let tally = self.tally;
         RunRecord {
             seed,
-            solved_round: solved.map(|(round, _)| round),
-            solver: solved.map(|(_, solver)| solver.0 as u64),
-            rounds,
-            transmissions,
-            listens,
+            solved_round: tally.solved.map(|(round, _)| round),
+            solver: tally.solved.map(|(_, solver)| solver.0 as u64),
+            rounds: tally.rounds,
+            transmissions: tally.transmissions(),
+            listens: tally.listens(),
             max_node_transmissions: self.node_tx.iter().copied().max().unwrap_or(0),
             wall_ns,
+            channels: tally.channels,
+            phase_node_rounds,
+            phase_transmissions,
             spans,
-            channels,
-            phase_node_rounds: self
-                .phase_node_rounds
-                .into_iter()
-                .map(|(l, v)| (l.to_string(), v))
-                .collect(),
-            phase_transmissions: self
-                .phase_transmissions
-                .into_iter()
-                .map(|(l, v)| (l.to_string(), v))
-                .collect(),
         }
     }
 }
@@ -539,22 +526,20 @@ impl RunRecorder {
 impl EventSink for RunRecorder {
     fn on_transmission(
         &mut self,
-        round: u64,
+        _round: u64,
         node: NodeId,
-        channel: ChannelId,
+        _channel: ChannelId,
         phase: &'static str,
     ) {
-        self.tally.on_transmission(round, node, channel, phase);
-        self.bump_node(node.0);
-        self.round_acts.bump(phase, 1, 0);
-        *self.phase_node_rounds.entry(phase).or_insert(0) += 1;
-        *self.phase_transmissions.entry(phase).or_insert(0) += 1;
+        if self.node_tx.len() <= node.0 {
+            self.node_tx.resize(node.0 + 1, 0);
+        }
+        self.node_tx[node.0] += 1;
+        self.bump_phase(phase, 1, 0);
     }
 
-    fn on_listen(&mut self, round: u64, node: NodeId, channel: ChannelId, phase: &'static str) {
-        self.tally.on_listen(round, node, channel, phase);
-        self.round_acts.bump(phase, 0, 1);
-        *self.phase_node_rounds.entry(phase).or_insert(0) += 1;
+    fn on_listen(&mut self, _round: u64, _node: NodeId, _channel: ChannelId, phase: &'static str) {
+        self.bump_phase(phase, 0, 1);
     }
 
     fn on_solved(&mut self, round: u64, solver: NodeId) {
@@ -562,28 +547,27 @@ impl EventSink for RunRecorder {
     }
 
     fn on_round(&mut self, round: u64, phase: &'static str, outcomes: &[ChannelOutcome]) {
-        self.tally.on_round(round, phase, outcomes);
+        // Rows and rounds only: a record holds no acts-per-round histogram.
+        self.tally.tally_round(outcomes);
         // A round with no acting node at all (everyone asleep or
         // terminated) is attributed to the engine's representative label,
         // typically "idle".
-        if self.round_acts.by_label.is_empty() {
-            self.round_acts.by_label.push((phase, 0, 0));
+        if self.round_acts.is_empty() {
+            self.round_acts.push((phase, 0, 0));
         }
-        let acts = std::mem::take(&mut self.round_acts.by_label);
-        for &(label, tx, rx) in &acts {
-            // `last_round + 1 == round` never matches in round 0, so the
+        for &(label, tx, rx) in &self.round_acts {
+            // `end_round + 1 == round` never matches in round 0, so the
             // very first round always opens fresh spans.
             match self
                 .open
                 .iter_mut()
-                .find(|o| o.span.label == label && o.last_round + 1 == round)
+                .find(|o| o.span.label == label && o.span.end_round + 1 == round)
             {
                 Some(open) => {
                     open.span.end_round = round;
                     open.span.rounds += 1;
                     open.span.transmissions += tx;
                     open.span.listens += rx;
-                    open.last_round = round;
                 }
                 None => {
                     self.open.push(OpenSpan {
@@ -596,14 +580,12 @@ impl EventSink for RunRecorder {
                             listens: rx,
                             wall_ns: 0,
                         },
-                        last_round: round,
                         opened: Instant::now(),
                     });
                 }
             }
         }
-        self.round_acts.by_label = acts;
-        self.round_acts.by_label.clear();
+        self.round_acts.clear();
         self.close_stale_spans(round);
     }
 
@@ -824,19 +806,28 @@ mod tests {
         }
     }
 
-    fn recorded_run() -> RunRecord {
-        let cfg = SimConfig::new(4)
-            .seed(3)
-            .stop_when(StopWhen::AllTerminated)
-            .max_rounds(100);
-        let mut engine = Engine::new(cfg);
-        engine.add_node(TwoPhase {
+    fn two_phase(tx_rounds: u64, rx_rounds: u64) -> TwoPhase {
+        TwoPhase {
             acted: 0,
-            tx_rounds: 3,
-            rx_rounds: 2,
-        });
+            tx_rounds,
+            rx_rounds,
+        }
+    }
+
+    /// A `channels`-channel engine that runs until every node retires,
+    /// holding one [`TwoPhase`] node.
+    fn engine(channels: u32, tx_rounds: u64, rx_rounds: u64) -> Engine<TwoPhase> {
+        let cfg = SimConfig::new(channels)
+            .stop_when(StopWhen::AllTerminated)
+            .max_rounds(10);
+        let mut engine = Engine::new(cfg);
+        engine.add_node(two_phase(tx_rounds, rx_rounds));
+        engine
+    }
+
+    fn recorded_run() -> RunRecord {
         let mut recorder = RunRecorder::new();
-        engine.run_observed(&mut recorder).unwrap();
+        engine(4, 3, 2).run_observed(&mut recorder).unwrap();
         recorder.into_record(3)
     }
 
@@ -877,17 +868,8 @@ mod tests {
 
     #[test]
     fn channels_below_the_highest_active_one_get_zero_rows() {
-        let cfg = SimConfig::new(4)
-            .stop_when(StopWhen::AllTerminated)
-            .max_rounds(10);
-        let mut engine = Engine::new(cfg);
-        engine.add_node(TwoPhase {
-            acted: 0,
-            tx_rounds: 2,
-            rx_rounds: 0,
-        });
         let mut sinks = (RunRecorder::new(), TelemetrySink::new());
-        engine.run_observed(&mut sinks).unwrap();
+        engine(4, 2, 0).run_observed(&mut sinks).unwrap();
         let (recorder, mut sink) = sinks;
         let row = |channel, messages| ChannelTally {
             channel,
@@ -909,6 +891,41 @@ mod tests {
             channel_keys,
             ["engine_channel_outcomes_total{channel=\"3\",kind=\"message\"}"]
         );
+    }
+
+    #[test]
+    fn a_round_that_fails_adds_nothing_to_the_totals() {
+        // Node 0 listens in rounds 0 and 1. Node 1 wakes in round 1 and
+        // transmits on channel 3 of 2, so round 1 fails after node 0's
+        // listen.
+        let mut engine = engine(2, 0, 2);
+        engine.add_node_at(two_phase(1, 0), 1);
+        let mut sinks = (RunRecorder::new(), TelemetrySink::new());
+        let err = engine.run_observed(&mut sinks).unwrap_err();
+        assert!(matches!(
+            err,
+            crate::SimError::ChannelOutOfRange { round: 1, .. }
+        ));
+        let (recorder, mut sink) = sinks;
+        let mut reg = Registry::new();
+        sink.flush_into(&mut reg);
+        let totals = ["engine_rounds_total", "engine_listens_total"].map(|name| reg.counter(name));
+        assert_eq!(totals, [1, 1]);
+        let record = recorder.into_record(0);
+        assert_eq!((record.rounds, record.listens), (1, 1));
+        assert_eq!(record.phase_node_rounds, [("late".to_string(), 1)]);
+    }
+
+    #[test]
+    fn a_recorders_tally_fills_no_acts_histogram() {
+        let mut sinks = (RunRecorder::new(), TelemetrySink::new());
+        engine(4, 3, 2).run_observed(&mut sinks).unwrap();
+        let [mut recorded, mut sunk] = [Registry::new(), Registry::new()];
+        sinks.0.tally.flush_into(&mut recorded);
+        sinks.1.flush_into(&mut sunk);
+        assert_eq!(recorded.counter("engine_rounds_total"), 5);
+        assert!(recorded.histograms().is_empty());
+        assert_eq!(sunk.histograms()["engine_round_acts"].count(), 5);
     }
 
     #[test]
@@ -958,17 +975,8 @@ mod tests {
 
     #[test]
     fn unsolved_record_serializes_nulls() {
-        let cfg = SimConfig::new(2)
-            .stop_when(StopWhen::AllTerminated)
-            .max_rounds(10);
-        let mut engine = Engine::new(cfg);
-        engine.add_node(TwoPhase {
-            acted: 0,
-            tx_rounds: 0,
-            rx_rounds: 1,
-        });
         let mut recorder = RunRecorder::new();
-        engine.run_observed(&mut recorder).unwrap();
+        engine(2, 0, 1).run_observed(&mut recorder).unwrap();
         let record = recorder.into_record(0);
         assert_eq!(record.solved_round, None);
         let line = record.to_jsonl_line();

@@ -40,7 +40,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use super::{ChannelTally, Json, SCHEMA_VERSION};
-use crate::channel::{ChannelId, ChannelOutcome, OutcomeKind};
+use crate::channel::{ChannelOutcome, OutcomeKind};
 use crate::engine::{NodeId, SlotState};
 use crate::sink::EventSink;
 
@@ -362,20 +362,19 @@ impl Registry {
     /// Adds `delta` to the counter `name` (merge = sum).
     pub fn count(&mut self, name: &str, delta: u64) {
         if delta > 0 {
-            *slot(&mut self.counters, name) += delta;
+            update(&mut self.counters, name, |n| *n += delta);
         }
     }
 
     /// Raises the gauge `name` to `value` if larger (merge = max, so the
     /// merged value is partition-independent).
     pub fn gauge_max(&mut self, name: &str, value: u64) {
-        let slot = slot(&mut self.gauges, name);
-        *slot = (*slot).max(value);
+        update(&mut self.gauges, name, |g| *g = (*g).max(value));
     }
 
     /// Records `value` into the histogram `name`.
     pub fn observe(&mut self, name: &str, value: u64) {
-        slot(&mut self.histograms, name).record(value);
+        update(&mut self.histograms, name, |h| h.record(value));
     }
 
     /// Folds a whole pre-built histogram into the histogram `name` — how
@@ -383,21 +382,20 @@ impl Registry {
     /// a shard registry without being replayed sample by sample.
     pub fn merge_histogram(&mut self, name: &str, h: &PowHistogram) {
         if h.count() > 0 {
-            slot(&mut self.histograms, name).merge(h);
+            update(&mut self.histograms, name, |mine| mine.merge(h));
         }
     }
 
     /// Folds another registry into this one.
     pub fn merge(&mut self, other: &Registry) {
         for (name, &v) in &other.counters {
-            *slot(&mut self.counters, name) += v;
+            update(&mut self.counters, name, |n| *n += v);
         }
         for (name, &v) in &other.gauges {
-            let slot = slot(&mut self.gauges, name);
-            *slot = (*slot).max(v);
+            update(&mut self.gauges, name, |g| *g = (*g).max(v));
         }
         for (name, h) in &other.histograms {
-            slot(&mut self.histograms, name).merge(h);
+            update(&mut self.histograms, name, |mine| mine.merge(h));
         }
     }
 
@@ -432,14 +430,18 @@ impl Registry {
     }
 }
 
-/// The value under `name` in `map`, inserted as the default first if
-/// absent. The key is looked up by `&str`, so a name the map already holds
-/// costs no allocation.
-fn slot<'m, V: Default>(map: &'m mut BTreeMap<String, V>, name: &str) -> &'m mut V {
-    if !map.contains_key(name) {
-        map.insert(name.to_owned(), V::default());
+/// Applies `f` to the value under `name` in `map`, starting a new entry
+/// from the default if absent: one descent when the key exists, two when
+/// it is new. The key is looked up by `&str`, so a name the map already
+/// holds costs no allocation.
+fn update<V: Default>(map: &mut BTreeMap<String, V>, name: &str, f: impl FnOnce(&mut V)) {
+    if let Some(value) = map.get_mut(name) {
+        f(value);
+    } else {
+        let mut value = V::default();
+        f(&mut value);
+        map.insert(name.to_owned(), value);
     }
-    map.get_mut(name).expect("inserted above")
 }
 
 /// The sharded hub: one [`Registry`] per worker, merged only at snapshot
@@ -675,25 +677,26 @@ thread_local! {
 
 /// An [`EventSink`] that tallies engine activity for the hub.
 ///
-/// All accumulation happens in plain local fields — no locks, no
-/// allocation on the per-event path beyond the per-channel vector's
-/// one-time growth — and nothing is shared until [`flush_into`] /
-/// [`flush_to`] runs after the engine stops. Composable with any other
-/// sink through the `(A, B)` pair impl. A [`super::RunRecorder`] counts
-/// through one too, so a run's totals and channel rows have one tally.
+/// The sink reads each finished round's channel outcomes once: they feed
+/// the per-channel rows, whose sums are the run's transmission and listen
+/// totals, and the round's acts. It has no per-event hooks, so a round
+/// that fails before it finishes adds nothing. All accumulation happens
+/// in plain local fields — no locks, no allocation per round beyond the
+/// per-channel vector's one-time growth — and nothing is shared until
+/// [`flush_into`] / [`flush_to`] runs after the engine stops. Composable
+/// with any other sink through the `(A, B)` pair impl. A
+/// [`super::RunRecorder`] counts through one too, so a run's totals and
+/// channel rows have one tally.
 ///
 /// [`flush_into`]: TelemetrySink::flush_into
 /// [`flush_to`]: TelemetrySink::flush_to
 #[derive(Debug, Default)]
 pub struct TelemetrySink {
     pub(super) rounds: u64,
-    pub(super) transmissions: u64,
-    pub(super) listens: u64,
     /// The first solve, `(round, solver)`.
     pub(super) solved: Option<(u64, NodeId)>,
     retired_terminated: u64,
     retired_crashed: u64,
-    round_acts: u64,
     acts_per_round: PowHistogram,
     /// One row per channel, index = channel − 1, up to the highest
     /// channel that saw a participant.
@@ -707,13 +710,55 @@ impl TelemetrySink {
         TelemetrySink::default()
     }
 
+    /// Transmissions over the run's finished rounds: the sum of the
+    /// channel rows.
+    pub(super) fn transmissions(&self) -> u64 {
+        self.channels.iter().map(|t| t.transmissions).sum()
+    }
+
+    /// Listens over the run's finished rounds: the sum of the channel
+    /// rows.
+    pub(super) fn listens(&self) -> u64 {
+        self.channels.iter().map(|t| t.listens).sum()
+    }
+
+    /// Counts one finished round and adds its outcomes to the channel
+    /// rows; returns the round's acts, Σ(transmitters + listeners) over
+    /// its outcomes.
+    pub(super) fn tally_round(&mut self, outcomes: &[ChannelOutcome]) -> u64 {
+        self.rounds += 1;
+        let mut acts = 0;
+        for outcome in outcomes {
+            let idx = outcome.channel.index();
+            if self.channels.len() <= idx {
+                let next = self.channels.len() as u32 + 1;
+                self.channels
+                    .extend((next..=outcome.channel.get()).map(|channel| ChannelTally {
+                        channel,
+                        ..ChannelTally::default()
+                    }));
+            }
+            let tally = &mut self.channels[idx];
+            match outcome.kind {
+                OutcomeKind::Silence => tally.silences += 1,
+                OutcomeKind::Message => tally.messages += 1,
+                OutcomeKind::Collision => tally.collisions += 1,
+            }
+            let (tx, rx) = (outcome.transmitters as u64, outcome.listeners as u64);
+            tally.transmissions += tx;
+            tally.listens += rx;
+            acts += tx + rx;
+        }
+        acts
+    }
+
     /// Adds this run's tallies to `reg` under the `engine_*` metric
     /// family and resets the sink for reuse.
     pub fn flush_into(&mut self, reg: &mut Registry) {
         reg.count("engine_runs_total", 1);
         reg.count("engine_rounds_total", self.rounds);
-        reg.count("engine_transmissions_total", self.transmissions);
-        reg.count("engine_listens_total", self.listens);
+        reg.count("engine_transmissions_total", self.transmissions());
+        reg.count("engine_listens_total", self.listens());
         reg.count("engine_solved_total", u64::from(self.solved.is_some()));
         reg.count(
             "engine_retired_total{state=\"terminated\"}",
@@ -748,49 +793,13 @@ impl TelemetrySink {
 }
 
 impl EventSink for TelemetrySink {
-    fn on_transmission(
-        &mut self,
-        _round: u64,
-        _node: NodeId,
-        _channel: ChannelId,
-        _phase: &'static str,
-    ) {
-        self.transmissions += 1;
-        self.round_acts += 1;
-    }
-
-    fn on_listen(&mut self, _round: u64, _node: NodeId, _channel: ChannelId, _phase: &'static str) {
-        self.listens += 1;
-        self.round_acts += 1;
-    }
-
     fn on_solved(&mut self, round: u64, solver: NodeId) {
         self.solved.get_or_insert((round, solver));
     }
 
     fn on_round(&mut self, _round: u64, _phase: &'static str, outcomes: &[ChannelOutcome]) {
-        self.rounds += 1;
-        self.acts_per_round.record(self.round_acts);
-        self.round_acts = 0;
-        for outcome in outcomes {
-            let idx = outcome.channel.index();
-            if self.channels.len() <= idx {
-                let next = self.channels.len() as u32 + 1;
-                self.channels
-                    .extend((next..=outcome.channel.get()).map(|channel| ChannelTally {
-                        channel,
-                        ..ChannelTally::default()
-                    }));
-            }
-            let tally = &mut self.channels[idx];
-            match outcome.kind {
-                OutcomeKind::Silence => tally.silences += 1,
-                OutcomeKind::Message => tally.messages += 1,
-                OutcomeKind::Collision => tally.collisions += 1,
-            }
-            tally.transmissions += outcome.transmitters as u64;
-            tally.listens += outcome.listeners as u64;
-        }
+        let acts = self.tally_round(outcomes);
+        self.acts_per_round.record(acts);
     }
 
     fn on_retired(&mut self, _round: u64, _node: NodeId, state: SlotState) {
@@ -813,6 +822,7 @@ impl EventSink for TelemetrySink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::channel::ChannelId;
 
     /// A deterministic pseudo-random-ish sample stream (no RNG: telemetry
     /// tests must not disturb seed accounting anywhere).
@@ -1248,7 +1258,7 @@ mod tests {
         let mut sink = TelemetrySink::new();
         let report = engine.run_observed(&mut sink).unwrap();
         assert_eq!(sink.rounds, report.rounds_executed);
-        assert_eq!(sink.transmissions, report.metrics.transmissions);
+        assert_eq!(sink.transmissions(), report.metrics.transmissions);
         assert_eq!((sink.retired_terminated, sink.retired_crashed), (1, 0));
 
         let hub = MetricsHub::new(1);

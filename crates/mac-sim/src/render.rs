@@ -90,28 +90,6 @@ pub fn activity_chart(trace: &Trace, max_rounds: usize) -> String {
     out
 }
 
-/// Per-channel activity counts over a trace: `(channel, messages,
-/// collisions, silences)`, sorted by channel. The utilization summary the
-/// energy experiments report.
-#[must_use]
-pub fn channel_utilization(trace: &Trace) -> Vec<(u32, u64, u64, u64)> {
-    let mut map: std::collections::BTreeMap<u32, (u64, u64, u64)> =
-        std::collections::BTreeMap::new();
-    for rt in trace.rounds() {
-        for oc in &rt.outcomes {
-            let entry = map.entry(oc.channel.get()).or_insert((0, 0, 0));
-            match oc.kind {
-                OutcomeKind::Message => entry.0 += 1,
-                OutcomeKind::Collision => entry.1 += 1,
-                OutcomeKind::Silence => entry.2 += 1,
-            }
-        }
-    }
-    map.into_iter()
-        .map(|(ch, (m, x, s))| (ch, m, x, s))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -169,11 +147,5 @@ mod tests {
     #[test]
     fn empty_trace_renders_empty() {
         assert_eq!(activity_chart(&Trace::new(), 10), "");
-    }
-
-    #[test]
-    fn utilization_counts() {
-        let util = channel_utilization(&sample_trace());
-        assert_eq!(util, vec![(1, 0, 1, 1), (3, 1, 0, 0)]);
     }
 }

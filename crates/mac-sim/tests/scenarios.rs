@@ -1,7 +1,8 @@
 //! Simulator scenario tests: heterogeneous populations, staggered
 //! wake-ups, trace rendering, and feedback-model edge cases.
 
-use mac_sim::render::{activity_chart, channel_utilization};
+use mac_sim::obs::{ChannelTally, RunRecorder};
+use mac_sim::render::activity_chart;
 use mac_sim::{
     Action, CdMode, ChannelId, Engine, Feedback, Protocol, RoundContext, SimConfig, Status,
     StopWhen, Trace,
@@ -152,12 +153,24 @@ fn trace_chart_reflects_execution() {
         Action::Sleep,
         Action::transmit(ChannelId::new(2), 2),
     ]));
-    let mut trace = Trace::new();
-    exec.run_observed(&mut trace).expect("finishes");
+    let mut sinks = (Trace::new(), RunRecorder::new());
+    exec.run_observed(&mut sinks).expect("finishes");
+    let (trace, recorder) = sinks;
     let chart = activity_chart(&trace, 50);
     assert!(chart.contains("ch    2 |MX"), "chart was:\n{chart}");
-    let util = channel_utilization(&trace);
-    assert_eq!(util, vec![(2, 1, 1, 0)]);
+    let channels = recorder.into_record(0).channels;
+    let idle = ChannelTally {
+        channel: 1,
+        ..ChannelTally::default()
+    };
+    let busy = ChannelTally {
+        channel: 2,
+        messages: 1,
+        collisions: 1,
+        transmissions: 3,
+        ..ChannelTally::default()
+    };
+    assert_eq!(channels, [idle, busy]);
 }
 
 #[test]
