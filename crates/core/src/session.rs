@@ -7,7 +7,10 @@
 //! bookkeeping (no-collision-detection algorithms are automatically run
 //! under [`CdMode::None`]).
 
-use mac_sim::{CdMode, Engine, EventSink, Registry, RunReport, SimConfig, SimError, StopWhen};
+use mac_sim::{
+    CdMode, Counter, Engine, EventSink, Histogram, Registry, RunReport, SimConfig, SimError,
+    StopWhen,
+};
 use std::error::Error;
 use std::fmt;
 
@@ -174,18 +177,18 @@ impl Resolution {
     /// already-finished report and spine, so calling it can never perturb
     /// a run.
     pub fn record_telemetry(&self, reg: &mut Registry) {
-        reg.count("session_runs_total", 1);
-        reg.count("session_rounds_total", self.report.rounds_executed);
+        reg.count(Counter::SessionRuns, 1);
+        reg.count(Counter::SessionRounds, self.report.rounds_executed);
         reg.count(
-            "session_transmissions_total",
+            Counter::SessionTransmissions,
             self.report.metrics.transmissions,
         );
         if let Some(rounds) = self.rounds() {
-            reg.count("session_solved_total", 1);
-            reg.observe("session_solve_rounds", rounds);
+            reg.count(Counter::SessionSolved, 1);
+            reg.observe(Histogram::SessionSolveRounds, rounds);
         }
-        reg.count("supervised_restarts_total", self.restarts());
-        reg.count("supervised_restart_rounds_total", self.restart_rounds());
+        reg.count(Counter::SupervisedRestarts, self.restarts());
+        reg.count(Counter::SupervisedRestartRounds, self.restart_rounds());
     }
 }
 
@@ -520,17 +523,14 @@ mod tests {
         let res = Session::new(64, 1 << 12).seed(2).run(200).expect("solves");
         let mut reg = Registry::new();
         res.record_telemetry(&mut reg);
-        assert_eq!(reg.counter("session_runs_total"), 1);
-        assert_eq!(reg.counter("session_solved_total"), 1);
+        assert_eq!(reg.counter(Counter::SessionRuns), 1);
+        assert_eq!(reg.counter(Counter::SessionSolved), 1);
         assert_eq!(
-            reg.counter("session_rounds_total"),
+            reg.counter(Counter::SessionRounds),
             res.report.rounds_executed
         );
-        assert_eq!(reg.counter("supervised_restarts_total"), 0);
-        let solve = reg
-            .histograms()
-            .get("session_solve_rounds")
-            .expect("histogram");
+        assert_eq!(reg.counter(Counter::SupervisedRestarts), 0);
+        let solve = reg.histogram(Histogram::SessionSolveRounds);
         assert_eq!(solve.count(), 1);
         assert_eq!(solve.sum(), res.rounds().unwrap());
     }

@@ -22,7 +22,7 @@
 //! Exit codes: 0 clean, 1 stream missing/empty under `--once`, 2 usage.
 
 use mac_sim::obs::Json;
-use mac_sim::{MetricsSnapshot, PowHistogram};
+use mac_sim::{Counter, Gauge, Histogram, MetricsSnapshot, PowHistogram};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -135,8 +135,8 @@ fn fmt_ns(ns: f64) -> String {
 /// trials-per-second estimate from the previous frame, when one exists.
 fn render(snap: &MetricsSnapshot, stream_len: usize, rate: Option<f64>, source: &str) -> String {
     let reg = &snap.registry;
-    let counter = |name: &str| reg.counter(name);
-    let gauge = |name: &str| reg.gauges().get(name).copied().unwrap_or(0);
+    let counter = |counter: Counter| reg.counter(counter);
+    let gauge = |gauge: Gauge| reg.gauge(gauge).unwrap_or(0);
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -146,18 +146,15 @@ fn render(snap: &MetricsSnapshot, stream_len: usize, rate: Option<f64>, source: 
     let _ = writeln!(
         out,
         "campaign   trials {}  cells {}  shards {}  queue {}  workers {}",
-        counter("campaign_trials_done_total"),
-        counter("campaign_cells_delivered_total"),
-        counter("campaign_shards_claimed_total"),
-        gauge("campaign_queue_depth"),
-        gauge("campaign_workers"),
+        counter(Counter::CampaignTrialsDone),
+        counter(Counter::CampaignCellsDelivered),
+        counter(Counter::CampaignShardsClaimed),
+        gauge(Gauge::CampaignQueueDepth),
+        gauge(Gauge::CampaignWorkers),
     );
-    let queue = gauge("campaign_queue_depth");
-    let workers = gauge("campaign_workers").max(1);
-    let mean_shard_ns = reg
-        .histograms()
-        .get("campaign_shard_wall_ns")
-        .map_or(0.0, PowHistogram::mean);
+    let queue = gauge(Gauge::CampaignQueueDepth);
+    let workers = gauge(Gauge::CampaignWorkers).max(1);
+    let mean_shard_ns = reg.histogram(Histogram::CampaignShardWallNs).mean();
     #[allow(clippy::cast_precision_loss)]
     let eta = queue as f64 * mean_shard_ns / workers as f64 / 1e9;
     // A fresh or idle stream has no queue or no completed shard yet: there
@@ -181,25 +178,22 @@ fn render(snap: &MetricsSnapshot, stream_len: usize, rate: Option<f64>, source: 
     let _ = writeln!(
         out,
         "heal       retried {}  quarantined {}",
-        counter("campaign_trials_retried_total"),
-        counter("campaign_trials_quarantined_total"),
+        counter(Counter::CampaignTrialsRetried),
+        counter(Counter::CampaignTrialsQuarantined),
     );
     // Everything the summary lines above did not consume, grouped so the
     // engine/session/fault layers read as their own blocks.
     let shown = [
-        "campaign_trials_done_total",
-        "campaign_cells_delivered_total",
-        "campaign_shards_claimed_total",
-        "campaign_trials_retried_total",
-        "campaign_trials_quarantined_total",
-        "campaign_worker_busy_ns_total",
+        Counter::CampaignTrialsDone,
+        Counter::CampaignCellsDelivered,
+        Counter::CampaignShardsClaimed,
+        Counter::CampaignTrialsRetried,
+        Counter::CampaignTrialsQuarantined,
+        Counter::CampaignWorkerBusyNs,
     ];
-    let rest: Vec<(&String, &u64)> = reg
-        .counters()
-        .iter()
-        .filter(|(name, _)| !shown.contains(&name.as_str()))
-        .collect();
-    let busy = counter("campaign_worker_busy_ns_total");
+    let mut rest = reg.counters();
+    rest.retain(|name, _| !shown.iter().any(|c| c.name() == name));
+    let busy = counter(Counter::CampaignWorkerBusyNs);
     if !rest.is_empty() || busy > 0 {
         let _ = writeln!(out, "counters");
         for (name, value) in rest {
@@ -210,14 +204,15 @@ fn render(snap: &MetricsSnapshot, stream_len: usize, rate: Option<f64>, source: 
             let _ = writeln!(
                 out,
                 "  {:<44} {}",
-                "campaign_worker_busy_ns_total",
+                Counter::CampaignWorkerBusyNs.name(),
                 fmt_ns(busy as f64)
             );
         }
     }
-    if !reg.histograms().is_empty() {
+    let histograms = reg.histograms();
+    if !histograms.is_empty() {
         let _ = writeln!(out, "histograms");
-        for (name, h) in reg.histograms() {
+        for (name, h) in histograms {
             let mean = if h.count() == 0 {
                 "—".to_string()
             } else if name.contains("_ns") {
@@ -250,7 +245,7 @@ fn main() {
         let snapshots = load_snapshots(&args.path);
         match snapshots.last() {
             Some(snap) => {
-                let done = snap.registry.counter("campaign_trials_done_total");
+                let done = snap.registry.counter(Counter::CampaignTrialsDone);
                 #[allow(clippy::cast_precision_loss)]
                 let rate = prev.map(|(at, was)| {
                     let dt = at.elapsed().as_secs_f64().max(1e-9);

@@ -300,8 +300,6 @@ mod tests {
             assert_eq!(record.rounds, report.rounds_executed);
             let phase_tx: u64 = record.phase_transmissions.iter().map(|(_, v)| v).sum();
             assert_eq!(phase_tx, report.metrics.transmissions);
-            let channel_tx: u64 = record.channels.iter().map(|t| t.transmissions).sum();
-            assert_eq!(channel_tx, report.metrics.transmissions);
         }
     }
 }

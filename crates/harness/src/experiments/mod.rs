@@ -312,7 +312,7 @@ mod tests {
         let trials = hub
             .snapshot()
             .registry
-            .counter("campaign_trials_done_total");
+            .counter(mac_sim::Counter::CampaignTrialsDone);
         assert_eq!(trials, crate::Scale::Quick.trials() as u64);
     }
 

@@ -791,8 +791,8 @@ mod tests {
         use mac_sim::MetricsHub;
         let hub = MetricsHub::new(2);
         hub.with_shard(0, |reg| {
-            reg.count("engine_rounds_total", 41);
-            reg.observe("engine_round_acts", 7);
+            reg.count(mac_sim::Counter::EngineRounds, 41);
+            reg.observe(mac_sim::Histogram::EngineRoundActs, 7);
         });
         let snap = hub.snapshot();
         validate_line(&snap.to_jsonl_line()).unwrap();
@@ -959,12 +959,12 @@ mod tests {
         let dir = std::env::temp_dir().join("contention-store-test-metrics");
         let _ = std::fs::remove_dir_all(&dir);
         let hub = MetricsHub::new(2);
-        hub.with_shard(0, |reg| reg.count("campaign_trials_done_total", 5));
+        hub.with_shard(0, |reg| reg.count(mac_sim::Counter::CampaignTrialsDone, 5));
 
         let mut store = RecordStore::create(&dir).unwrap();
         store.begin_experiment("e95", Scale::Quick).unwrap();
         store.record_snapshot(&hub.snapshot()).unwrap();
-        hub.with_shard(1, |reg| reg.count("campaign_trials_done_total", 3));
+        hub.with_shard(1, |reg| reg.count(mac_sim::Counter::CampaignTrialsDone, 3));
         store.record_snapshot(&hub.snapshot()).unwrap();
         assert_eq!(store.snapshot_count(), 2);
 

@@ -891,9 +891,16 @@ mod tests {
         let observed = render(Some(hub.clone()));
         assert_eq!(bare, observed, "attaching the hub changed the table");
         let snapshot = hub.snapshot();
-        assert_eq!(snapshot.registry.counter("campaign_trials_done_total"), 60);
         assert_eq!(
-            snapshot.registry.counter("campaign_cells_delivered_total"),
+            snapshot
+                .registry
+                .counter(mac_sim::Counter::CampaignTrialsDone),
+            60
+        );
+        assert_eq!(
+            snapshot
+                .registry
+                .counter(mac_sim::Counter::CampaignCellsDelivered),
             3
         );
     }
@@ -929,7 +936,10 @@ mod tests {
             assert_eq!(snap.seq, i as u64, "snapshots are numbered in order");
         }
         let last = mac_sim::MetricsSnapshot::from_json(&Json::parse(lines[1]).unwrap()).unwrap();
-        assert_eq!(last.registry.counter("campaign_trials_done_total"), 16);
+        assert_eq!(
+            last.registry.counter(mac_sim::Counter::CampaignTrialsDone),
+            16
+        );
         assert!(!ctx.is_degraded());
         let _ = std::fs::remove_dir_all(&dir);
     }

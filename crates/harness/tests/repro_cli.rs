@@ -62,7 +62,9 @@ fn batch_experiment_checkpoints_a_metrics_snapshot() {
     let snapshot = MetricsSnapshot::from_json(last).expect("snapshot parses");
     assert!(exported > 0);
     assert_eq!(
-        snapshot.registry.counter("campaign_trials_done_total"),
+        snapshot
+            .registry
+            .counter(mac_sim::Counter::CampaignTrialsDone),
         exported
     );
     let _ = fs::remove_dir_all(&dir);

@@ -60,7 +60,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::obs::telemetry::{MetricsHub, PowHistogram, Registry};
+use crate::obs::telemetry::{Counter, Gauge, Histogram, MetricsHub, PowHistogram, Registry};
 use crate::rng::derive_stream_seed;
 
 /// Name prefix of campaign worker threads (`campaign-worker-0`, …), so a
@@ -709,7 +709,7 @@ impl<'a, A: Aggregate> Campaign<'a, A> {
                                                         .quarantined
                                                         .fetch_add(1, Ordering::Relaxed);
                                                 }
-                                                local.count("campaign_trials_quarantined_total", 1);
+                                                local.count(Counter::CampaignTrialsQuarantined, 1);
                                                 break;
                                             }
                                             Err(_) => {
@@ -718,7 +718,7 @@ impl<'a, A: Aggregate> Campaign<'a, A> {
                                                         .retried
                                                         .fetch_add(1, Ordering::Relaxed);
                                                 }
-                                                local.count("campaign_trials_retried_total", 1);
+                                                local.count(Counter::CampaignTrialsRetried, 1);
                                             }
                                         }
                                     }
@@ -727,13 +727,13 @@ impl<'a, A: Aggregate> Campaign<'a, A> {
                             if let Some(progress) = progress {
                                 progress.done.fetch_add(1, Ordering::Relaxed);
                             }
-                            local.count("campaign_trials_done_total", 1);
+                            local.count(Counter::CampaignTrialsDone, 1);
                         }
                         let shard_ns =
                             u64::try_from(shard_started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                        local.count("campaign_shards_claimed_total", 1);
-                        local.count("campaign_worker_busy_ns_total", shard_ns);
-                        local.observe("campaign_shard_wall_ns", shard_ns);
+                        local.count(Counter::CampaignShardsClaimed, 1);
+                        local.count(Counter::CampaignWorkerBusyNs, shard_ns);
+                        local.observe(Histogram::CampaignShardWallNs, shard_ns);
                         if abandoned {
                             break;
                         }
@@ -757,16 +757,16 @@ impl<'a, A: Aggregate> Campaign<'a, A> {
         // the per-worker trial/shard counters).
         if let Some(hub) = &telemetry {
             let mut tail = Registry::new();
-            tail.gauge_max("campaign_workers", worker_count as u64);
-            tail.gauge_max("campaign_cells_total", cells.len() as u64);
-            tail.gauge_max("campaign_shards_total", shards.len() as u64);
+            tail.gauge_max(Gauge::CampaignWorkers, worker_count as u64);
+            tail.gauge_max(Gauge::CampaignCellsTotal, cells.len() as u64);
+            tail.gauge_max(Gauge::CampaignShardsTotal, shards.len() as u64);
             tail.gauge_max(
-                "campaign_queue_depth",
+                Gauge::CampaignQueueDepth,
                 shards.len().saturating_sub(next_shard.into_inner()) as u64,
             );
-            tail.count("campaign_cells_delivered_total", delivery.next_cell as u64);
+            tail.count(Counter::CampaignCellsDelivered, delivery.next_cell as u64);
             if was_cancelled {
-                tail.count("campaign_cancelled_total", 1);
+                tail.count(Counter::CampaignCancelled, 1);
             }
             hub.absorb(0, &tail);
         }
@@ -1107,20 +1107,17 @@ mod tests {
             .run(|_, _| {});
         let snap = hub.snapshot();
         let reg = &snap.registry;
-        assert_eq!(reg.counter("campaign_trials_done_total"), 51);
-        assert_eq!(reg.counter("campaign_cells_delivered_total"), 3);
+        assert_eq!(reg.counter(Counter::CampaignTrialsDone), 51);
+        assert_eq!(reg.counter(Counter::CampaignCellsDelivered), 3);
         // 3 cells × ceil(17/4) = 15 shards, all claimed exactly once.
-        assert_eq!(reg.counter("campaign_shards_claimed_total"), 15);
-        assert_eq!(reg.gauges().get("campaign_workers"), Some(&4));
-        assert_eq!(reg.gauges().get("campaign_cells_total"), Some(&3));
-        assert_eq!(reg.gauges().get("campaign_shards_total"), Some(&15));
-        assert_eq!(reg.gauges().get("campaign_queue_depth"), Some(&0));
-        let wall = reg
-            .histograms()
-            .get("campaign_shard_wall_ns")
-            .expect("histogram");
+        assert_eq!(reg.counter(Counter::CampaignShardsClaimed), 15);
+        assert_eq!(reg.gauge(Gauge::CampaignWorkers), Some(4));
+        assert_eq!(reg.gauge(Gauge::CampaignCellsTotal), Some(3));
+        assert_eq!(reg.gauge(Gauge::CampaignShardsTotal), Some(15));
+        assert_eq!(reg.gauge(Gauge::CampaignQueueDepth), Some(0));
+        let wall = reg.histogram(Histogram::CampaignShardWallNs);
         assert_eq!(wall.count(), 15, "one latency sample per shard");
-        assert!(reg.counter("campaign_worker_busy_ns_total") >= wall.sum());
+        assert!(reg.counter(Counter::CampaignWorkerBusyNs) >= wall.sum());
     }
 
     #[test]

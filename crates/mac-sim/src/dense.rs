@@ -55,6 +55,8 @@ pub struct DenseEngine<P: Protocol, F: FeedbackModel = CdMode> {
     deliveries: u64,
     round: u64,
     finished: bool,
+    /// The latched error of a round that failed part-way.
+    failed: Option<SimError>,
     latest_wake: u64,
     crash_buf: Vec<NodeId>,
     actions: Vec<(usize, Action<P::Msg>)>,
@@ -91,6 +93,7 @@ impl<P: Protocol, F: FeedbackModel> DenseEngine<P, F> {
             deliveries: 0,
             round: 0,
             finished: false,
+            failed: None,
             latest_wake: 0,
             crash_buf: Vec::new(),
             actions: Vec::new(),
@@ -249,6 +252,9 @@ impl<P: Protocol, F: FeedbackModel> DenseEngine<P, F> {
         if self.nodes.is_empty() {
             return Err(SimError::NoNodes);
         }
+        if let Some(failed) = &self.failed {
+            return Err(failed.clone());
+        }
         if self.finished {
             return Ok(StepStatus::Finished);
         }
@@ -314,12 +320,14 @@ impl<P: Protocol, F: FeedbackModel> DenseEngine<P, F> {
             let action = slot.protocol.act(&ctx, &mut slot.rng);
             if let Some(channel) = action.channel() {
                 if channel.get() > self.config.channels {
-                    return Err(SimError::ChannelOutOfRange {
+                    let failed = SimError::ChannelOutOfRange {
                         node: NodeId(idx),
                         round,
                         channel,
                         channels: self.config.channels,
-                    });
+                    };
+                    self.failed = Some(failed.clone());
+                    return Err(failed);
                 }
             }
             let action = self.feedback.filter_action(NodeId(idx), action);

@@ -230,6 +230,9 @@ struct RunState {
     deliveries: u64,
     round: u64,
     finished: bool,
+    /// The error of a round that failed part-way, returned again by every
+    /// later step so that the round is never run twice.
+    failed: Option<SimError>,
 }
 
 /// Runs a population of [`Protocol`] state machines over shared channels.
@@ -329,6 +332,7 @@ impl<P: Protocol, F: FeedbackModel> Engine<P, F> {
                 deliveries: 0,
                 round: 0,
                 finished: false,
+                failed: None,
             },
             latest_wake: 0,
             unwoken: 0,
@@ -610,7 +614,10 @@ impl<P: Protocol, F: FeedbackModel> Engine<P, F> {
     ///   emitted as soon as it is counted, so by then an attached sink has
     ///   seen the round's `on_transmission`/`on_listen` events of every
     ///   node before the failing one (and nothing else of the round); the
-    ///   round is not completed and the clock does not advance.
+    ///   round is not completed and the clock does not advance. The error
+    ///   latches: every later call returns it again and runs nothing, so
+    ///   neither the built-in [`Metrics`] nor a sink sees the round's
+    ///   first acts twice.
     pub fn step(&mut self) -> Result<StepStatus, SimError> {
         self.step_observed(&mut ())
     }
@@ -750,6 +757,9 @@ impl<P: Protocol, F: FeedbackModel> Engine<P, F> {
         if self.nodes.is_empty() {
             return Err(SimError::NoNodes);
         }
+        if let Some(failed) = &self.run.failed {
+            return Err(failed.clone());
+        }
         if self.run.finished {
             return Ok(StepStatus::Finished);
         }
@@ -844,12 +854,14 @@ impl<P: Protocol, F: FeedbackModel> Engine<P, F> {
             let action = slot.protocol.act(&ctx, &mut slot.rng);
             if let Some(channel) = action.channel() {
                 if channel.get() > self.config.channels {
-                    return Err(SimError::ChannelOutOfRange {
+                    let failed = SimError::ChannelOutOfRange {
                         node: NodeId(idx),
                         round,
                         channel,
                         channels: self.config.channels,
-                    });
+                    };
+                    self.run.failed = Some(failed.clone());
+                    return Err(failed);
                 }
             }
             // The fault layer's physical hook: jamming/erasure models may

@@ -143,7 +143,9 @@ pub use engine::{Engine, NodeId, RunReport, RunSummary, SlotState, StepStatus};
 pub use error::SimError;
 pub use feedback::{ChannelState, FeedbackModel};
 pub use metrics::Metrics;
-pub use obs::telemetry::{MetricsHub, MetricsSnapshot, PowHistogram, Registry, TelemetrySink};
+pub use obs::telemetry::{
+    Counter, Gauge, Histogram, MetricsHub, MetricsSnapshot, PowHistogram, Registry, TelemetrySink,
+};
 pub use population::{Member, SparsePopulation};
 pub use protocol::{Protocol, RoundContext, Status};
 pub use rng::{derive_fault_seed, derive_node_seed, derive_stream_seed};

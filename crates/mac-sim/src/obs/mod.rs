@@ -35,7 +35,9 @@ mod json;
 pub mod telemetry;
 
 pub use json::Json;
-pub use telemetry::{MetricsHub, MetricsSnapshot, PowHistogram, Registry, TelemetrySink};
+pub use telemetry::{
+    Counter, Gauge, Histogram, MetricsHub, MetricsSnapshot, PowHistogram, Registry, TelemetrySink,
+};
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -881,11 +883,10 @@ mod tests {
         assert_eq!(channels, [row(1, 0), row(2, 0), row(3, 2)]);
         let mut reg = Registry::new();
         sink.flush_into(&mut reg);
-        let channel_keys: Vec<&str> = reg
+        let channel_keys: Vec<String> = reg
             .counters()
-            .keys()
+            .into_keys()
             .filter(|name| name.starts_with("engine_channel_outcomes_total"))
-            .map(String::as_str)
             .collect();
         assert_eq!(
             channel_keys,
@@ -909,11 +910,40 @@ mod tests {
         let (recorder, mut sink) = sinks;
         let mut reg = Registry::new();
         sink.flush_into(&mut reg);
-        let totals = ["engine_rounds_total", "engine_listens_total"].map(|name| reg.counter(name));
+        let totals = [Counter::EngineRounds, Counter::EngineListens].map(|c| reg.counter(c));
         assert_eq!(totals, [1, 1]);
         let record = recorder.into_record(0);
         assert_eq!((record.rounds, record.listens), (1, 1));
         assert_eq!(record.phase_node_rounds, [("late".to_string(), 1)]);
+    }
+
+    #[test]
+    fn a_failed_round_latches_and_is_never_run_again() {
+        // As above, with node 0 listening in rounds 0 to 2, and the driver
+        // stepping on after the error.
+        let mut engine = engine(2, 0, 3);
+        engine.add_node_at(two_phase(1, 0), 1);
+        let mut sinks = (RunRecorder::new(), TelemetrySink::new());
+        let err = engine.run_observed(&mut sinks).unwrap_err();
+        let metrics = engine.report().metrics;
+        for _ in 0..2 {
+            assert_eq!(engine.step_observed(&mut sinks), Err(err.clone()));
+        }
+        assert_eq!(
+            engine.report().metrics,
+            metrics,
+            "the failed round ran again"
+        );
+        let (recorder, mut sink) = sinks;
+        let record = recorder.into_record(0);
+        let spans = record.spans.iter().fold((0, 0, 0), |(r, tx, rx), s| {
+            (r + s.rounds, tx + s.transmissions, rx + s.listens)
+        });
+        assert_eq!(spans, (record.rounds, record.transmissions, record.listens));
+        assert_eq!(spans, (1, 0, 1));
+        let mut reg = Registry::new();
+        sink.flush_into(&mut reg);
+        assert_eq!(reg.counter(Counter::EngineListens), 1);
     }
 
     #[test]
@@ -923,9 +953,9 @@ mod tests {
         let [mut recorded, mut sunk] = [Registry::new(), Registry::new()];
         sinks.0.tally.flush_into(&mut recorded);
         sinks.1.flush_into(&mut sunk);
-        assert_eq!(recorded.counter("engine_rounds_total"), 5);
+        assert_eq!(recorded.counter(Counter::EngineRounds), 5);
         assert!(recorded.histograms().is_empty());
-        assert_eq!(sunk.histograms()["engine_round_acts"].count(), 5);
+        assert_eq!(sunk.histogram(Histogram::EngineRoundActs).count(), 5);
     }
 
     #[test]

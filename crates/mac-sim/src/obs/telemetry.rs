@@ -4,8 +4,10 @@
 //! The run-record layer ([`crate::obs`]) is exact but *post hoc* — a
 //! sweep in flight is a black box. This module adds the in-flight view:
 //!
-//! * [`Registry`] — a plain bag of counters (merge = sum), gauges
-//!   (merge = max), and [`PowHistogram`]s (merge = bucket-wise sum);
+//! * [`Registry`] — one fixed slot per series of the closed series
+//!   table ([`Counter`]s, merge = sum; [`Gauge`]s, merge = max;
+//!   [`Histogram`]s, [`PowHistogram`]s with merge = bucket-wise sum) plus
+//!   the per-channel outcome rows;
 //! * [`MetricsHub`] — per-worker shards, each behind its own lock, merged
 //!   only at snapshot time. Workers accumulate locally (one lock per
 //!   *run*, not per round) so the engine hot loop never takes a shared
@@ -18,7 +20,7 @@
 //!   fields and flushes once at end of run.
 //!
 //! Every merge operation is associative and commutative over exact
-//! integers, the merged registry is held in `BTreeMap`s, and a histogram
+//! integers, a snapshot lists its series in name order, and a histogram
 //! lists its buckets in ascending order, so **a snapshot merged from k
 //! worker shards renders byte-identically for any k and any partition of
 //! the same events**. A [`PowHistogram`] stores its buckets flat (a fixed
@@ -34,7 +36,6 @@
 //! hub attached is bit-identical to a bare run (pinned by the
 //! `observer_effect` suite).
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -338,18 +339,140 @@ impl<const CAP: usize> PowHistogram<CAP> {
     }
 }
 
-/// One shard's worth of metrics: counters, gauges, and histograms, all
-/// keyed by metric name.
+/// Declares one kind of series: an enum whose variants are the series,
+/// each with its exposition name (labels included).
+macro_rules! series {
+    ($(#[$doc:meta])* $kind:ident { $($variant:ident => $name:literal,)* }) => {
+        $(#[$doc])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum $kind {
+            $(#[doc = concat!("`", $name, "`")] $variant,)*
+        }
+
+        impl $kind {
+            /// Every series of this kind, in declaration order.
+            pub const ALL: [$kind; [$($name),*].len()] = [$($kind::$variant),*];
+
+            /// The series' exposition name.
+            #[must_use]
+            pub const fn name(self) -> &'static str {
+                match self {
+                    $($kind::$variant => $name,)*
+                }
+            }
+
+            fn from_name(name: &str) -> Option<$kind> {
+                $kind::ALL.into_iter().find(|series| series.name() == name)
+            }
+        }
+    };
+}
+
+series! {
+    /// A counter series (merge = sum). With the channel rows of
+    /// `engine_channel_outcomes_total`, these are every counter there is.
+    Counter {
+        EngineRuns => "engine_runs_total",
+        EngineRounds => "engine_rounds_total",
+        EngineTransmissions => "engine_transmissions_total",
+        EngineListens => "engine_listens_total",
+        EngineSolved => "engine_solved_total",
+        EngineRetiredTerminated => "engine_retired_total{state=\"terminated\"}",
+        EngineRetiredCrashed => "engine_retired_total{state=\"crashed\"}",
+        SessionRuns => "session_runs_total",
+        SessionRounds => "session_rounds_total",
+        SessionTransmissions => "session_transmissions_total",
+        SessionSolved => "session_solved_total",
+        SupervisedRestarts => "supervised_restarts_total",
+        SupervisedRestartRounds => "supervised_restart_rounds_total",
+        CampaignTrialsDone => "campaign_trials_done_total",
+        CampaignTrialsRetried => "campaign_trials_retried_total",
+        CampaignTrialsQuarantined => "campaign_trials_quarantined_total",
+        CampaignShardsClaimed => "campaign_shards_claimed_total",
+        CampaignWorkerBusyNs => "campaign_worker_busy_ns_total",
+        CampaignCellsDelivered => "campaign_cells_delivered_total",
+        CampaignCancelled => "campaign_cancelled_total",
+    }
+}
+
+series! {
+    /// A gauge series (merge = max).
+    Gauge {
+        CampaignWorkers => "campaign_workers",
+        CampaignCellsTotal => "campaign_cells_total",
+        CampaignShardsTotal => "campaign_shards_total",
+        CampaignQueueDepth => "campaign_queue_depth",
+    }
+}
+
+series! {
+    /// A histogram series (merge = bucket-wise sum).
+    Histogram {
+        EngineRoundActs => "engine_round_acts",
+        SessionSolveRounds => "session_solve_rounds",
+        CampaignShardWallNs => "campaign_shard_wall_ns",
+    }
+}
+
+/// The counter family of the per-channel outcome rows; a row's series
+/// are labelled by channel number and outcome kind.
+const CHANNEL_FAMILY: &str = "engine_channel_outcomes_total";
+
+/// The `kind` labels of a channel row, in row order.
+const CHANNEL_KINDS: [&str; 3] = ["silence", "message", "collision"];
+
+/// The highest channel number [`MetricsSnapshot::from_json`] accepts:
+/// the rows are dense, so a parsed channel number sizes an allocation.
+const MAX_PARSED_CHANNEL: usize = 1 << 20;
+
+/// The name of channel `channel`'s series of outcome `kind`.
+fn channel_series(channel: usize, kind: &str) -> String {
+    format!("{CHANNEL_FAMILY}{{channel=\"{channel}\",kind=\"{kind}\"}}")
+}
+
+/// The (row index, kind index) of a channel series name in its canonical
+/// spelling.
+fn parse_channel_series(name: &str) -> Option<(usize, usize)> {
+    let (channel, kind) = name
+        .strip_prefix(CHANNEL_FAMILY)?
+        .strip_prefix("{channel=\"")?
+        .strip_suffix("\"}")?
+        .split_once("\",kind=\"")?;
+    let channel: usize = channel.parse().ok()?;
+    let kind = CHANNEL_KINDS.iter().position(|&k| k == kind)?;
+    if channel == 0
+        || channel > MAX_PARSED_CHANNEL
+        || channel_series(channel, CHANNEL_KINDS[kind]) != name
+    {
+        return None;
+    }
+    Some((channel - 1, kind))
+}
+
+/// Adds `delta` to `row`, kind by kind.
+fn add_row(row: &mut [u64; 3], delta: [u64; 3]) {
+    for (n, d) in row.iter_mut().zip(delta) {
+        *n += d;
+    }
+}
+
+/// One shard's worth of metrics: every [`Counter`], [`Gauge`] and
+/// [`Histogram`] in a fixed slot, plus the `engine_channel_outcomes_total`
+/// rows.
 ///
-/// Names follow Prometheus conventions (`snake_case`, unit-suffixed,
-/// `_total` for counters) and may embed a label set verbatim, e.g.
-/// `engine_retired_total{state="crashed"}` — the registry treats the whole
-/// string as the key, which keeps merging trivially deterministic.
+/// The set of series is closed: a series is named by its enum variant,
+/// and names are made only where text is (the snapshot JSON and the
+/// Prometheus exposition). A counter at 0 and an empty histogram are
+/// absent from both; a gauge is absent until first set, and renders
+/// at 0.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Registry {
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, u64>,
-    histograms: BTreeMap<String, PowHistogram>,
+    counters: [u64; Counter::ALL.len()],
+    gauges: [Option<u64>; Gauge::ALL.len()],
+    histograms: [PowHistogram; Histogram::ALL.len()],
+    /// `engine_channel_outcomes_total` counts: index = channel − 1, one
+    /// count per [`CHANNEL_KINDS`] entry.
+    channels: Vec<[u64; 3]>,
 }
 
 impl Registry {
@@ -359,88 +482,120 @@ impl Registry {
         Registry::default()
     }
 
-    /// Adds `delta` to the counter `name` (merge = sum).
-    pub fn count(&mut self, name: &str, delta: u64) {
-        if delta > 0 {
-            update(&mut self.counters, name, |n| *n += delta);
+    /// Adds `delta` to `counter`.
+    pub fn count(&mut self, counter: Counter, delta: u64) {
+        self.counters[counter as usize] += delta;
+    }
+
+    /// Raises `gauge` to `value` if larger (merge = max, so the merged
+    /// value is partition-independent).
+    pub fn gauge_max(&mut self, gauge: Gauge, value: u64) {
+        let slot = &mut self.gauges[gauge as usize];
+        *slot = (*slot).max(Some(value));
+    }
+
+    /// Records `value` into `histogram`.
+    pub fn observe(&mut self, histogram: Histogram, value: u64) {
+        self.histograms[histogram as usize].record(value);
+    }
+
+    /// Folds a whole pre-built histogram into `histogram` — how per-run
+    /// histograms (e.g. [`TelemetrySink`]'s acts per round) land in a
+    /// shard registry without being replayed sample by sample.
+    pub fn merge_histogram(&mut self, histogram: Histogram, h: &PowHistogram) {
+        self.histograms[histogram as usize].merge(h);
+    }
+
+    /// Adds `rows` to the `engine_channel_outcomes_total` counts.
+    fn count_channels(&mut self, rows: &[ChannelTally]) {
+        for t in rows {
+            let row = self.channel_row(t.channel as usize - 1);
+            add_row(row, [t.silences, t.messages, t.collisions]);
         }
     }
 
-    /// Raises the gauge `name` to `value` if larger (merge = max, so the
-    /// merged value is partition-independent).
-    pub fn gauge_max(&mut self, name: &str, value: u64) {
-        update(&mut self.gauges, name, |g| *g = (*g).max(value));
-    }
-
-    /// Records `value` into the histogram `name`.
-    pub fn observe(&mut self, name: &str, value: u64) {
-        update(&mut self.histograms, name, |h| h.record(value));
-    }
-
-    /// Folds a whole pre-built histogram into the histogram `name` — how
-    /// per-run histograms (e.g. [`TelemetrySink`]'s acts per round) land in
-    /// a shard registry without being replayed sample by sample.
-    pub fn merge_histogram(&mut self, name: &str, h: &PowHistogram) {
-        if h.count() > 0 {
-            update(&mut self.histograms, name, |mine| mine.merge(h));
+    /// The counts of row `index`, growing the rows to reach it.
+    fn channel_row(&mut self, index: usize) -> &mut [u64; 3] {
+        if self.channels.len() <= index {
+            self.channels.resize(index + 1, [0; 3]);
         }
+        &mut self.channels[index]
     }
 
     /// Folds another registry into this one.
     pub fn merge(&mut self, other: &Registry) {
-        for (name, &v) in &other.counters {
-            update(&mut self.counters, name, |n| *n += v);
+        for (mine, theirs) in self.counters.iter_mut().zip(other.counters) {
+            *mine += theirs;
         }
-        for (name, &v) in &other.gauges {
-            update(&mut self.gauges, name, |g| *g = (*g).max(v));
+        for (mine, theirs) in self.gauges.iter_mut().zip(other.gauges) {
+            *mine = (*mine).max(theirs);
         }
-        for (name, h) in &other.histograms {
-            update(&mut self.histograms, name, |mine| mine.merge(h));
+        for (mine, theirs) in self.histograms.iter_mut().zip(&other.histograms) {
+            mine.merge(theirs);
+        }
+        for (index, &theirs) in other.channels.iter().enumerate() {
+            add_row(self.channel_row(index), theirs);
         }
     }
 
-    /// Current value of counter `name` (0 when absent).
+    /// Current value of `counter`.
     #[must_use]
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
+    pub fn counter(&self, counter: Counter) -> u64 {
+        self.counters[counter as usize]
     }
 
-    /// All counters, sorted by name.
+    /// Current value of `gauge`, or `None` if it was never set.
     #[must_use]
-    pub fn counters(&self) -> &BTreeMap<String, u64> {
-        &self.counters
+    pub fn gauge(&self, gauge: Gauge) -> Option<u64> {
+        self.gauges[gauge as usize]
     }
 
-    /// All gauges, sorted by name.
+    /// The histogram `histogram` (empty if nothing was recorded).
     #[must_use]
-    pub fn gauges(&self) -> &BTreeMap<String, u64> {
-        &self.gauges
+    pub fn histogram(&self, histogram: Histogram) -> &PowHistogram {
+        &self.histograms[histogram as usize]
     }
 
-    /// All histograms, sorted by name.
+    /// Every nonzero counter, channel series included, by name.
     #[must_use]
-    pub fn histograms(&self) -> &BTreeMap<String, PowHistogram> {
-        &self.histograms
+    pub fn counters(&self) -> BTreeMap<String, u64> {
+        let scalars = Counter::ALL.map(|c| (c.name().to_owned(), self.counter(c)));
+        let channels = self.channels.iter().enumerate().flat_map(|(index, row)| {
+            CHANNEL_KINDS
+                .iter()
+                .zip(row)
+                .map(move |(kind, &n)| (channel_series(index + 1, kind), n))
+        });
+        scalars
+            .into_iter()
+            .chain(channels)
+            .filter(|&(_, n)| n > 0)
+            .collect()
+    }
+
+    /// Every gauge that was set, by name.
+    #[must_use]
+    pub fn gauges(&self) -> BTreeMap<String, u64> {
+        Gauge::ALL
+            .into_iter()
+            .filter_map(|g| Some((g.name().to_owned(), self.gauge(g)?)))
+            .collect()
+    }
+
+    /// Every nonempty histogram, by name.
+    #[must_use]
+    pub fn histograms(&self) -> BTreeMap<String, &PowHistogram> {
+        Histogram::ALL
+            .into_iter()
+            .map(|h| (h.name().to_owned(), self.histogram(h)))
+            .filter(|(_, h)| h.count() > 0)
+            .collect()
     }
 
     /// Whether nothing has been recorded.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
-    }
-}
-
-/// Applies `f` to the value under `name` in `map`, starting a new entry
-/// from the default if absent: one descent when the key exists, two when
-/// it is new. The key is looked up by `&str`, so a name the map already
-/// holds costs no allocation.
-fn update<V: Default>(map: &mut BTreeMap<String, V>, name: &str, f: impl FnOnce(&mut V)) {
-    if let Some(value) = map.get_mut(name) {
-        f(value);
-    } else {
-        let mut value = V::default();
-        f(&mut value);
-        map.insert(name.to_owned(), value);
+        *self == Registry::default()
     }
 }
 
@@ -537,26 +692,26 @@ impl MetricsSnapshot {
     /// This snapshot as a JSON value (`kind: "snapshot"`).
     #[must_use]
     pub fn to_json(&self) -> Json {
-        let scalar_obj = |map: &BTreeMap<String, u64>| {
+        let scalar_obj = |map: BTreeMap<String, u64>| {
             Json::Obj(
-                map.iter()
-                    .map(|(name, &v)| (name.clone(), Json::UInt(v)))
+                map.into_iter()
+                    .map(|(name, v)| (name, Json::UInt(v)))
                     .collect(),
             )
         };
+        let reg = &self.registry;
         Json::obj(vec![
             ("schema_version".into(), SCHEMA_VERSION.into()),
             ("kind".into(), "snapshot".into()),
             ("seq".into(), self.seq.into()),
-            ("counters".into(), scalar_obj(self.registry.counters())),
-            ("gauges".into(), scalar_obj(self.registry.gauges())),
+            ("counters".into(), scalar_obj(reg.counters())),
+            ("gauges".into(), scalar_obj(reg.gauges())),
             (
                 "histograms".into(),
                 Json::Obj(
-                    self.registry
-                        .histograms()
-                        .iter()
-                        .map(|(name, h)| (name.clone(), h.to_json()))
+                    reg.histograms()
+                        .into_iter()
+                        .map(|(name, h)| (name, h.to_json()))
                         .collect(),
                 ),
             ),
@@ -573,8 +728,9 @@ impl MetricsSnapshot {
     ///
     /// # Errors
     ///
-    /// Returns a message naming the first missing or mistyped field, or a
-    /// schema-version mismatch.
+    /// Returns a message naming the first missing or mistyped field, the
+    /// first series name outside the series table, or a schema-version
+    /// mismatch.
     pub fn from_json(value: &Json) -> Result<MetricsSnapshot, String> {
         let version = value
             .get("schema_version")
@@ -588,32 +744,38 @@ impl MetricsSnapshot {
         if value.get("kind").and_then(Json::as_str) != Some("snapshot") {
             return Err("record kind is not 'snapshot'".to_string());
         }
-        let scalar_map = |key: &str| -> Result<BTreeMap<String, u64>, String> {
+        let section = |key: &str| {
             value
                 .get(key)
                 .and_then(Json::as_obj)
-                .ok_or_else(|| format!("snapshot missing '{key}' object"))?
-                .iter()
-                .map(|(name, v)| {
-                    v.as_u64()
-                        .map(|v| (name.clone(), v))
-                        .ok_or_else(|| format!("'{key}.{name}' is not a u64"))
-                })
-                .collect()
+                .ok_or_else(|| format!("snapshot missing '{key}' object"))
         };
-        let mut registry = Registry {
-            counters: scalar_map("counters")?,
-            gauges: scalar_map("gauges")?,
-            histograms: BTreeMap::new(),
+        let scalar = |key: &str, name: &str, v: &Json| {
+            v.as_u64()
+                .ok_or_else(|| format!("'{key}.{name}' is not a u64"))
         };
-        for (name, h) in value
-            .get("histograms")
-            .and_then(Json::as_obj)
-            .ok_or("snapshot missing 'histograms' object")?
-        {
-            registry
-                .histograms
-                .insert(name.clone(), PowHistogram::from_json(h)?);
+        let unknown = |key: &str, name: &str| format!("'{key}.{name}' is not a known series");
+        let mut registry = Registry::new();
+        for (name, v) in section("counters")? {
+            let n = scalar("counters", name, v)?;
+            if let Some(counter) = Counter::from_name(name) {
+                registry.count(counter, n);
+            } else if let Some((index, kind)) = parse_channel_series(name) {
+                if n > 0 {
+                    registry.channel_row(index)[kind] += n;
+                }
+            } else {
+                return Err(unknown("counters", name));
+            }
+        }
+        for (name, v) in section("gauges")? {
+            let gauge = Gauge::from_name(name).ok_or_else(|| unknown("gauges", name))?;
+            registry.gauge_max(gauge, scalar("gauges", name, v)?);
+        }
+        for (name, h) in section("histograms")? {
+            let histogram =
+                Histogram::from_name(name).ok_or_else(|| unknown("histograms", name))?;
+            registry.merge_histogram(histogram, &PowHistogram::from_json(h)?);
         }
         Ok(MetricsSnapshot {
             seq: value
@@ -643,16 +805,16 @@ impl MetricsSnapshot {
                 last_family = family.to_string();
             }
         };
-        for (name, &v) in self.registry.counters() {
-            type_line(&mut out, name, "counter");
+        for (name, v) in self.registry.counters() {
+            type_line(&mut out, &name, "counter");
             let _ = writeln!(out, "{name} {v}");
         }
-        for (name, &v) in self.registry.gauges() {
-            type_line(&mut out, name, "gauge");
+        for (name, v) in self.registry.gauges() {
+            type_line(&mut out, &name, "gauge");
             let _ = writeln!(out, "{name} {v}");
         }
         for (name, h) in self.registry.histograms() {
-            type_line(&mut out, name, "histogram");
+            type_line(&mut out, &name, "histogram");
             let mut cumulative = 0u64;
             for (bucket, count) in h.buckets() {
                 cumulative += count;
@@ -665,14 +827,6 @@ impl MetricsSnapshot {
         }
         out
     }
-}
-
-thread_local! {
-    /// The `engine_channel_outcomes_total` keys of channels 1, 2, …, as
-    /// `[silence, message, collision]`: formatted once per thread, when a
-    /// flush first sees the channel, so every later flush only looks its
-    /// keys up.
-    static CHANNEL_KEYS: RefCell<Vec<[String; 3]>> = const { RefCell::new(Vec::new()) };
 }
 
 /// An [`EventSink`] that tallies engine activity for the hub.
@@ -753,36 +907,23 @@ impl TelemetrySink {
     }
 
     /// Adds this run's tallies to `reg` under the `engine_*` metric
-    /// family and resets the sink for reuse.
+    /// family and resets the sink for reuse, keeping its allocations.
     pub fn flush_into(&mut self, reg: &mut Registry) {
-        reg.count("engine_runs_total", 1);
-        reg.count("engine_rounds_total", self.rounds);
-        reg.count("engine_transmissions_total", self.transmissions());
-        reg.count("engine_listens_total", self.listens());
-        reg.count("engine_solved_total", u64::from(self.solved.is_some()));
-        reg.count(
-            "engine_retired_total{state=\"terminated\"}",
-            self.retired_terminated,
-        );
-        reg.count(
-            "engine_retired_total{state=\"crashed\"}",
-            self.retired_crashed,
-        );
-        CHANNEL_KEYS.with_borrow_mut(|keys| {
-            while keys.len() < self.channels.len() {
-                let ch = keys.len() + 1;
-                keys.push(["silence", "message", "collision"].map(|kind| {
-                    format!("engine_channel_outcomes_total{{channel=\"{ch}\",kind=\"{kind}\"}}")
-                }));
-            }
-            for (keys, t) in keys.iter().zip(&self.channels) {
-                for (key, n) in keys.iter().zip([t.silences, t.messages, t.collisions]) {
-                    reg.count(key, n);
-                }
-            }
-        });
-        reg.merge_histogram("engine_round_acts", &self.acts_per_round);
-        *self = TelemetrySink::default();
+        reg.count(Counter::EngineRuns, 1);
+        reg.count(Counter::EngineRounds, self.rounds);
+        reg.count(Counter::EngineTransmissions, self.transmissions());
+        reg.count(Counter::EngineListens, self.listens());
+        reg.count(Counter::EngineSolved, u64::from(self.solved.is_some()));
+        reg.count(Counter::EngineRetiredTerminated, self.retired_terminated);
+        reg.count(Counter::EngineRetiredCrashed, self.retired_crashed);
+        reg.count_channels(&self.channels);
+        reg.merge_histogram(Histogram::EngineRoundActs, &self.acts_per_round);
+        let mut channels = std::mem::take(&mut self.channels);
+        channels.clear();
+        *self = TelemetrySink {
+            channels,
+            ..TelemetrySink::default()
+        };
     }
 
     /// Flushes into hub shard `shard` under its one lock acquisition,
@@ -1151,13 +1292,20 @@ mod tests {
         let hub = MetricsHub::new(k);
         for (i, &v) in samples().iter().enumerate() {
             let mut local = Registry::new();
-            local.count("campaign_trials_done_total", 1);
-            local.count(
-                &format!("fault_injections_total{{kind=\"k{}\"}}", i % 3),
-                v % 5,
-            );
-            local.gauge_max("campaign_queue_depth", v % 97);
-            local.observe("campaign_shard_wall_ns", v);
+            local.count(Counter::CampaignTrialsDone, 1);
+            let labelled = [
+                Counter::EngineRetiredTerminated,
+                Counter::EngineRetiredCrashed,
+            ];
+            local.count(labelled[i % 2], v % 5);
+            local.count_channels(&[ChannelTally {
+                channel: (i % 11 + 1) as u32,
+                silences: v % 3,
+                collisions: v % 7,
+                ..ChannelTally::default()
+            }]);
+            local.gauge_max(Gauge::CampaignQueueDepth, v % 97);
+            local.observe(Histogram::CampaignShardWallNs, v);
             hub.absorb(i % k, &local);
         }
         let snap = hub.snapshot();
@@ -1169,19 +1317,19 @@ mod tests {
     fn snapshot_roundtrips_through_json() {
         let hub = MetricsHub::new(2);
         hub.with_shard(0, |reg| {
-            reg.count("engine_rounds_total", 41);
-            reg.gauge_max("campaign_workers", 4);
-            reg.observe("engine_round_acts", 17);
-            reg.observe("engine_round_acts", 3);
+            reg.count(Counter::EngineRounds, 41);
+            reg.gauge_max(Gauge::CampaignWorkers, 4);
+            reg.observe(Histogram::EngineRoundActs, 17);
+            reg.observe(Histogram::EngineRoundActs, 3);
         });
-        hub.with_shard(1, |reg| reg.count("engine_rounds_total", 1));
+        hub.with_shard(1, |reg| reg.count(Counter::EngineRounds, 1));
         let snap = hub.snapshot();
         let line = snap.to_jsonl_line();
         assert!(line.contains("\"kind\":\"snapshot\""));
         assert!(line.contains(&format!("\"schema_version\":{SCHEMA_VERSION}")));
         let parsed = MetricsSnapshot::from_json(&Json::parse(&line).unwrap()).unwrap();
         assert_eq!(parsed, snap);
-        assert_eq!(parsed.registry.counter("engine_rounds_total"), 42);
+        assert_eq!(parsed.registry.counter(Counter::EngineRounds), 42);
     }
 
     #[test]
@@ -1197,16 +1345,16 @@ mod tests {
     fn prometheus_exposition_is_well_formed() {
         let hub = MetricsHub::new(1);
         hub.with_shard(0, |reg| {
-            reg.count("engine_rounds_total", 7);
-            reg.count("fault_injections_total{kind=\"flip\"}", 2);
-            reg.count("fault_injections_total{kind=\"jam\"}", 1);
-            reg.gauge_max("campaign_workers", 3);
-            reg.observe("campaign_shard_wall_ns", 1000);
-            reg.observe("campaign_shard_wall_ns", 3000);
+            reg.count(Counter::EngineRounds, 7);
+            reg.count(Counter::EngineRetiredTerminated, 2);
+            reg.count(Counter::EngineRetiredCrashed, 1);
+            reg.gauge_max(Gauge::CampaignWorkers, 3);
+            reg.observe(Histogram::CampaignShardWallNs, 1000);
+            reg.observe(Histogram::CampaignShardWallNs, 3000);
         });
         let text = hub.snapshot().render_prometheus();
         // One TYPE line per family even with multiple label sets.
-        assert_eq!(text.matches("# TYPE fault_injections_total").count(), 1);
+        assert_eq!(text.matches("# TYPE engine_retired_total").count(), 1);
         assert!(text.contains("# TYPE campaign_workers gauge"));
         assert!(text.contains("# TYPE campaign_shard_wall_ns histogram"));
         assert!(text.contains("campaign_shard_wall_ns_bucket{le=\"+Inf\"} 2"));
@@ -1264,16 +1412,12 @@ mod tests {
         let hub = MetricsHub::new(1);
         sink.flush_to(&hub, 0);
         let snap = hub.snapshot();
-        assert_eq!(snap.registry.counter("engine_runs_total"), 1);
-        assert_eq!(snap.registry.counter("engine_rounds_total"), 3);
+        assert_eq!(snap.registry.counter(Counter::EngineRuns), 1);
+        assert_eq!(snap.registry.counter(Counter::EngineRounds), 3);
+        assert_eq!(snap.registry.counter(Counter::EngineRetiredTerminated), 1);
         assert_eq!(
-            snap.registry
-                .counter("engine_retired_total{state=\"terminated\"}"),
-            1
-        );
-        assert_eq!(
-            snap.registry
-                .counter("engine_channel_outcomes_total{channel=\"1\",kind=\"message\"}"),
+            snap.registry.counters()
+                ["engine_channel_outcomes_total{channel=\"1\",kind=\"message\"}"],
             3
         );
         // The sink reset on flush.
@@ -1289,7 +1433,7 @@ mod tests {
         assert_eq!(sink.solved, Some((3, NodeId(4))));
         let mut reg = Registry::new();
         sink.flush_into(&mut reg);
-        assert_eq!(reg.counter("engine_solved_total"), 1);
+        assert_eq!(reg.counter(Counter::EngineSolved), 1);
     }
 
     #[test]
@@ -1316,12 +1460,292 @@ mod tests {
                 want.insert(key, unit * ch * flushes);
             }
         }
-        let got: BTreeMap<String, u64> = reg
-            .counters()
-            .iter()
-            .filter(|(name, _)| name.starts_with("engine_channel_outcomes_total"))
-            .map(|(name, &n)| (name.clone(), n))
-            .collect();
+        let mut got = reg.counters();
+        got.retain(|name, _| name.starts_with(CHANNEL_FAMILY));
         assert_eq!(got, want);
+    }
+
+    /// Every series in the table, channel rows 1–12 (with one zero
+    /// count), a gauge at 0 and both `engine_retired_total` labels. The
+    /// literals below are the output of the string-keyed registry this
+    /// one replaced.
+    #[test]
+    fn exposition_is_pinned_byte_for_byte() {
+        let mut reg = Registry::new();
+        for (i, counter) in Counter::ALL.into_iter().enumerate() {
+            reg.count(counter, 100 + i as u64);
+        }
+        let rows: Vec<ChannelTally> = (1..=12u64)
+            .map(|ch| ChannelTally {
+                channel: ch as u32,
+                silences: ch * 10,
+                messages: if ch == 5 { 0 } else { ch * 10 + 1 },
+                collisions: ch * 10 + 2,
+                ..ChannelTally::default()
+            })
+            .collect();
+        reg.count_channels(&rows);
+        for (gauge, value) in Gauge::ALL.into_iter().zip([4, 3, 15, 0]) {
+            reg.gauge_max(gauge, value);
+        }
+        for v in [3, 17, 17, 64, 200] {
+            reg.observe(Histogram::EngineRoundActs, v);
+        }
+        reg.observe(Histogram::SessionSolveRounds, 41);
+        for v in [1000, 3000, 1 << 40] {
+            reg.observe(Histogram::CampaignShardWallNs, v);
+        }
+        let snap = MetricsSnapshot {
+            seq: 7,
+            registry: reg,
+        };
+        assert_eq!(snap.to_jsonl_line(), JSONL);
+        assert_eq!(snap.render_prometheus(), PROM);
+        let parsed = MetricsSnapshot::from_json(&Json::parse(JSONL).unwrap()).unwrap();
+        assert_eq!(parsed, snap);
+    }
+
+    const JSONL: &str = "\
+        {\"schema_version\":2,\"kind\":\"snapshot\",\"seq\":7,\
+        \"counters\":{\"campaign_cancelled_total\":119,\
+        \"campaign_cells_delivered_total\":118,\"campaign_shards_claimed_total\":116,\
+        \"campaign_trials_done_total\":113,\"campaign_trials_quarantined_total\":115,\
+        \"campaign_trials_retried_total\":114,\"campaign_worker_busy_ns_total\":117,\
+        \"engine_channel_outcomes_total{channel=\\\"1\\\",kind=\\\"collision\\\"}\":12,\
+        \"engine_channel_outcomes_total{channel=\\\"1\\\",kind=\\\"message\\\"}\":11,\
+        \"engine_channel_outcomes_total{channel=\\\"1\\\",kind=\\\"silence\\\"}\":10,\
+        \"engine_channel_outcomes_total{channel=\\\"10\\\",kind=\\\"collision\\\"}\":102,\
+        \"engine_channel_outcomes_total{channel=\\\"10\\\",kind=\\\"message\\\"}\":101,\
+        \"engine_channel_outcomes_total{channel=\\\"10\\\",kind=\\\"silence\\\"}\":100,\
+        \"engine_channel_outcomes_total{channel=\\\"11\\\",kind=\\\"collision\\\"}\":112,\
+        \"engine_channel_outcomes_total{channel=\\\"11\\\",kind=\\\"message\\\"}\":111,\
+        \"engine_channel_outcomes_total{channel=\\\"11\\\",kind=\\\"silence\\\"}\":110,\
+        \"engine_channel_outcomes_total{channel=\\\"12\\\",kind=\\\"collision\\\"}\":122,\
+        \"engine_channel_outcomes_total{channel=\\\"12\\\",kind=\\\"message\\\"}\":121,\
+        \"engine_channel_outcomes_total{channel=\\\"12\\\",kind=\\\"silence\\\"}\":120,\
+        \"engine_channel_outcomes_total{channel=\\\"2\\\",kind=\\\"collision\\\"}\":22,\
+        \"engine_channel_outcomes_total{channel=\\\"2\\\",kind=\\\"message\\\"}\":21,\
+        \"engine_channel_outcomes_total{channel=\\\"2\\\",kind=\\\"silence\\\"}\":20,\
+        \"engine_channel_outcomes_total{channel=\\\"3\\\",kind=\\\"collision\\\"}\":32,\
+        \"engine_channel_outcomes_total{channel=\\\"3\\\",kind=\\\"message\\\"}\":31,\
+        \"engine_channel_outcomes_total{channel=\\\"3\\\",kind=\\\"silence\\\"}\":30,\
+        \"engine_channel_outcomes_total{channel=\\\"4\\\",kind=\\\"collision\\\"}\":42,\
+        \"engine_channel_outcomes_total{channel=\\\"4\\\",kind=\\\"message\\\"}\":41,\
+        \"engine_channel_outcomes_total{channel=\\\"4\\\",kind=\\\"silence\\\"}\":40,\
+        \"engine_channel_outcomes_total{channel=\\\"5\\\",kind=\\\"collision\\\"}\":52,\
+        \"engine_channel_outcomes_total{channel=\\\"5\\\",kind=\\\"silence\\\"}\":50,\
+        \"engine_channel_outcomes_total{channel=\\\"6\\\",kind=\\\"collision\\\"}\":62,\
+        \"engine_channel_outcomes_total{channel=\\\"6\\\",kind=\\\"message\\\"}\":61,\
+        \"engine_channel_outcomes_total{channel=\\\"6\\\",kind=\\\"silence\\\"}\":60,\
+        \"engine_channel_outcomes_total{channel=\\\"7\\\",kind=\\\"collision\\\"}\":72,\
+        \"engine_channel_outcomes_total{channel=\\\"7\\\",kind=\\\"message\\\"}\":71,\
+        \"engine_channel_outcomes_total{channel=\\\"7\\\",kind=\\\"silence\\\"}\":70,\
+        \"engine_channel_outcomes_total{channel=\\\"8\\\",kind=\\\"collision\\\"}\":82,\
+        \"engine_channel_outcomes_total{channel=\\\"8\\\",kind=\\\"message\\\"}\":81,\
+        \"engine_channel_outcomes_total{channel=\\\"8\\\",kind=\\\"silence\\\"}\":80,\
+        \"engine_channel_outcomes_total{channel=\\\"9\\\",kind=\\\"collision\\\"}\":92,\
+        \"engine_channel_outcomes_total{channel=\\\"9\\\",kind=\\\"message\\\"}\":91,\
+        \"engine_channel_outcomes_total{channel=\\\"9\\\",kind=\\\"silence\\\"}\":90,\
+        \"engine_listens_total\":103,\"engine_retired_total{state=\\\"crashed\\\"}\":106,\
+        \"engine_retired_total{state=\\\"terminated\\\"}\":105,\"engine_rounds_total\":101,\
+        \"engine_runs_total\":100,\"engine_solved_total\":104,\
+        \"engine_transmissions_total\":102,\"session_rounds_total\":108,\
+        \"session_runs_total\":107,\"session_solved_total\":110,\
+        \"session_transmissions_total\":109,\"supervised_restart_rounds_total\":112,\
+        \"supervised_restarts_total\":111},\"gauges\":{\"campaign_cells_total\":3,\
+        \"campaign_queue_depth\":0,\"campaign_shards_total\":15,\"campaign_workers\":4},\
+        \"histograms\":{\"campaign_shard_wall_ns\":{\"n\":3,\"sum\":1099511631776,\
+        \"min\":1000,\"max\":1099511627776,\"shift\":0,\"buckets\":[[1000,1],[3000,1],\
+        [1099511627776,1]]},\"engine_round_acts\":{\"n\":5,\"sum\":301,\"min\":3,\"max\":200,\
+        \"shift\":0,\"buckets\":[[3,1],[17,2],[64,1],[200,1]]},\
+        \"session_solve_rounds\":{\"n\":1,\"sum\":41,\"min\":41,\"max\":41,\"shift\":0,\
+        \"buckets\":[[41,1]]}}}";
+    const PROM: &str = r#"# TYPE campaign_cancelled_total counter
+campaign_cancelled_total 119
+# TYPE campaign_cells_delivered_total counter
+campaign_cells_delivered_total 118
+# TYPE campaign_shards_claimed_total counter
+campaign_shards_claimed_total 116
+# TYPE campaign_trials_done_total counter
+campaign_trials_done_total 113
+# TYPE campaign_trials_quarantined_total counter
+campaign_trials_quarantined_total 115
+# TYPE campaign_trials_retried_total counter
+campaign_trials_retried_total 114
+# TYPE campaign_worker_busy_ns_total counter
+campaign_worker_busy_ns_total 117
+# TYPE engine_channel_outcomes_total counter
+engine_channel_outcomes_total{channel="1",kind="collision"} 12
+engine_channel_outcomes_total{channel="1",kind="message"} 11
+engine_channel_outcomes_total{channel="1",kind="silence"} 10
+engine_channel_outcomes_total{channel="10",kind="collision"} 102
+engine_channel_outcomes_total{channel="10",kind="message"} 101
+engine_channel_outcomes_total{channel="10",kind="silence"} 100
+engine_channel_outcomes_total{channel="11",kind="collision"} 112
+engine_channel_outcomes_total{channel="11",kind="message"} 111
+engine_channel_outcomes_total{channel="11",kind="silence"} 110
+engine_channel_outcomes_total{channel="12",kind="collision"} 122
+engine_channel_outcomes_total{channel="12",kind="message"} 121
+engine_channel_outcomes_total{channel="12",kind="silence"} 120
+engine_channel_outcomes_total{channel="2",kind="collision"} 22
+engine_channel_outcomes_total{channel="2",kind="message"} 21
+engine_channel_outcomes_total{channel="2",kind="silence"} 20
+engine_channel_outcomes_total{channel="3",kind="collision"} 32
+engine_channel_outcomes_total{channel="3",kind="message"} 31
+engine_channel_outcomes_total{channel="3",kind="silence"} 30
+engine_channel_outcomes_total{channel="4",kind="collision"} 42
+engine_channel_outcomes_total{channel="4",kind="message"} 41
+engine_channel_outcomes_total{channel="4",kind="silence"} 40
+engine_channel_outcomes_total{channel="5",kind="collision"} 52
+engine_channel_outcomes_total{channel="5",kind="silence"} 50
+engine_channel_outcomes_total{channel="6",kind="collision"} 62
+engine_channel_outcomes_total{channel="6",kind="message"} 61
+engine_channel_outcomes_total{channel="6",kind="silence"} 60
+engine_channel_outcomes_total{channel="7",kind="collision"} 72
+engine_channel_outcomes_total{channel="7",kind="message"} 71
+engine_channel_outcomes_total{channel="7",kind="silence"} 70
+engine_channel_outcomes_total{channel="8",kind="collision"} 82
+engine_channel_outcomes_total{channel="8",kind="message"} 81
+engine_channel_outcomes_total{channel="8",kind="silence"} 80
+engine_channel_outcomes_total{channel="9",kind="collision"} 92
+engine_channel_outcomes_total{channel="9",kind="message"} 91
+engine_channel_outcomes_total{channel="9",kind="silence"} 90
+# TYPE engine_listens_total counter
+engine_listens_total 103
+# TYPE engine_retired_total counter
+engine_retired_total{state="crashed"} 106
+engine_retired_total{state="terminated"} 105
+# TYPE engine_rounds_total counter
+engine_rounds_total 101
+# TYPE engine_runs_total counter
+engine_runs_total 100
+# TYPE engine_solved_total counter
+engine_solved_total 104
+# TYPE engine_transmissions_total counter
+engine_transmissions_total 102
+# TYPE session_rounds_total counter
+session_rounds_total 108
+# TYPE session_runs_total counter
+session_runs_total 107
+# TYPE session_solved_total counter
+session_solved_total 110
+# TYPE session_transmissions_total counter
+session_transmissions_total 109
+# TYPE supervised_restart_rounds_total counter
+supervised_restart_rounds_total 112
+# TYPE supervised_restarts_total counter
+supervised_restarts_total 111
+# TYPE campaign_cells_total gauge
+campaign_cells_total 3
+# TYPE campaign_queue_depth gauge
+campaign_queue_depth 0
+# TYPE campaign_shards_total gauge
+campaign_shards_total 15
+# TYPE campaign_workers gauge
+campaign_workers 4
+# TYPE campaign_shard_wall_ns histogram
+campaign_shard_wall_ns_bucket{le="1001"} 1
+campaign_shard_wall_ns_bucket{le="3001"} 2
+campaign_shard_wall_ns_bucket{le="1099511627777"} 3
+campaign_shard_wall_ns_bucket{le="+Inf"} 3
+campaign_shard_wall_ns_sum 1099511631776
+campaign_shard_wall_ns_count 3
+# TYPE engine_round_acts histogram
+engine_round_acts_bucket{le="4"} 1
+engine_round_acts_bucket{le="18"} 3
+engine_round_acts_bucket{le="65"} 4
+engine_round_acts_bucket{le="201"} 5
+engine_round_acts_bucket{le="+Inf"} 5
+engine_round_acts_sum 301
+engine_round_acts_count 5
+# TYPE session_solve_rounds histogram
+session_solve_rounds_bucket{le="42"} 1
+session_solve_rounds_bucket{le="+Inf"} 1
+session_solve_rounds_sum 41
+session_solve_rounds_count 1
+"#;
+
+    #[test]
+    fn a_snapshot_naming_an_unknown_series_is_rejected() {
+        let mut reg = Registry::new();
+        reg.count(Counter::EngineRounds, 5);
+        reg.count_channels(&[ChannelTally {
+            channel: 3,
+            messages: 2,
+            ..ChannelTally::default()
+        }]);
+        reg.gauge_max(Gauge::CampaignWorkers, 2);
+        reg.observe(Histogram::EngineRoundActs, 4);
+        let line = MetricsSnapshot {
+            seq: 0,
+            registry: reg,
+        }
+        .to_jsonl_line();
+        let parse = |line: &str| MetricsSnapshot::from_json(&Json::parse(line).unwrap());
+        assert!(parse(&line).is_ok());
+        for (known, unknown) in [
+            ("\"engine_rounds_total\"", "\"engine_round_total\""),
+            (
+                "\"engine_rounds_total\"",
+                "\"fault_injections_total{kind=\\\"k0\\\"}\"",
+            ),
+            ("\"engine_rounds_total\"", "\"campaign_workers\""),
+            ("\"campaign_workers\"", "\"engine_rounds_total\""),
+            ("\"engine_round_acts\"", "\"session_solve_round\""),
+            ("channel=\\\"3\\\"", "channel=\\\"03\\\""),
+            ("channel=\\\"3\\\"", "channel=\\\"0\\\""),
+            ("channel=\\\"3\\\"", "channel=\\\"4294967296\\\""),
+            ("kind=\\\"message", "kind=\\\"messages"),
+        ] {
+            assert!(line.contains(known), "{known} not in {line}");
+            let err = parse(&line.replacen(known, unknown, 1)).unwrap_err();
+            assert!(err.contains("not a known series"), "{unknown}: {err}");
+        }
+    }
+
+    #[test]
+    fn a_flush_keeps_the_channel_rows_allocation() {
+        let mut sink = TelemetrySink::new();
+        sink.channels = (1..=9)
+            .map(|channel| ChannelTally {
+                channel,
+                messages: 1,
+                ..ChannelTally::default()
+            })
+            .collect();
+        let capacity = sink.channels.capacity();
+        sink.flush_into(&mut Registry::new());
+        assert!(sink.channels.is_empty());
+        assert_eq!(sink.channels.capacity(), capacity);
+    }
+
+    /// Every family of the series table with its kind, and every family
+    /// of the metric table in `docs/OBSERVABILITY.md`, are the same set.
+    #[test]
+    fn the_docs_metric_table_lists_exactly_the_series_table() {
+        let family = |name: &'static str| name.split('{').next().unwrap_or(name);
+        let table: std::collections::BTreeSet<(&str, &str)> = Counter::ALL
+            .into_iter()
+            .map(|c| (family(c.name()), "counter"))
+            .chain([(CHANNEL_FAMILY, "counter")])
+            .chain(Gauge::ALL.into_iter().map(|g| (g.name(), "gauge")))
+            .chain(Histogram::ALL.into_iter().map(|h| (h.name(), "histogram")))
+            .collect();
+        let doc = include_str!("../../../../docs/OBSERVABILITY.md");
+        let documented: std::collections::BTreeSet<(&str, &str)> = doc
+            .lines()
+            .skip_while(|line| !line.starts_with("| metric | type |"))
+            .skip(2)
+            .take_while(|line| line.starts_with('|'))
+            .map(|line| {
+                let (name, rest) = line
+                    .strip_prefix("| `")
+                    .and_then(|row| row.split_once("` | "))
+                    .unwrap_or_else(|| panic!("metric row {line:?}"));
+                let kind = rest.split_whitespace().next().unwrap_or_default();
+                (name.split('{').next().unwrap_or(name), kind)
+            })
+            .collect();
+        assert_eq!(documented, table);
     }
 }

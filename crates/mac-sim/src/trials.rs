@@ -192,6 +192,7 @@ mod tests {
 
     #[test]
     fn observed_trials_match_bare_and_tally_into_the_hub() {
+        use crate::Counter;
         let hub = MetricsHub::new(3);
         let observed = fan_out(6, 42, None, |seed| {
             let mut sink = TelemetrySink::new();
@@ -203,10 +204,10 @@ mod tests {
         let bare_summaries: Vec<_> = bare.iter().map(RunReport::summary).collect();
         assert_eq!(bare_summaries, observed, "telemetry perturbed the runs");
         let snap = hub.snapshot();
-        assert_eq!(snap.registry.counter("engine_runs_total"), 6);
-        assert_eq!(snap.registry.counter("engine_solved_total"), 6);
+        assert_eq!(snap.registry.counter(Counter::EngineRuns), 6);
+        assert_eq!(snap.registry.counter(Counter::EngineSolved), 6);
         let rounds: u64 = bare.iter().map(|r| r.rounds_executed).sum();
-        assert_eq!(snap.registry.counter("engine_rounds_total"), rounds);
+        assert_eq!(snap.registry.counter(Counter::EngineRounds), rounds);
     }
 
     // The seed-carrying message is printed by the worker thread; the scope

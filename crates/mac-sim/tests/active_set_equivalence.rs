@@ -17,7 +17,7 @@ use mac_sim::fault::{CrashStop, JamBudget, Layered, LossyChannel, NoisyCd};
 use mac_sim::obs::{RunRecord, RunRecorder};
 use mac_sim::{
     Action, CdMode, ChannelId, Engine, EventSink, Feedback, FeedbackModel, Metrics, NodeId,
-    Protocol, RoundContext, RunReport, SimConfig, SlotState, Status, StopWhen,
+    Protocol, RoundContext, RunReport, SimConfig, SimError, SlotState, Status, StopWhen,
 };
 use proptest::collection::vec as prop_vec;
 use proptest::prelude::*;
@@ -362,6 +362,43 @@ fn mid_run_injection_below_queued_wake_fires_on_time() {
     let (_, _, _, at_nine) = &rounds[9];
     assert_ne!(at_nine[2], SlotState::Pending, "node 2 wakes in round 9");
     assert_ne!(at_nine[4], SlotState::Pending, "node 4 wakes in round 9");
+}
+
+/// A round that fails with `ChannelOutOfRange` latches in both engines:
+/// the steps after it return the same error and run nothing.
+#[test]
+fn a_channel_out_of_range_error_latches_in_both_engines() {
+    macro_rules! failed_run {
+        ($engine:ident) => {{
+            let cfg = SimConfig::new(2).seed(3).stop_when(StopWhen::AllTerminated);
+            let mut engine = $engine::new(cfg.max_rounds(50));
+            for _ in 0..5 {
+                engine.add_node(Backoff::new(2));
+            }
+            // Picks from 64 channels, from round 3 on.
+            engine.add_node_at(Backoff::new(64), 3);
+            let mut recorder = RunRecorder::new();
+            let err = engine.run_observed(&mut recorder).unwrap_err();
+            let metrics = engine.report().metrics;
+            for _ in 0..2 {
+                assert_eq!(engine.step_observed(&mut recorder), Err(err.clone()));
+            }
+            assert_eq!(engine.report().metrics, metrics, "a failed round ran again");
+            let mut record = recorder.into_record(3);
+            record.wall_ns = 0;
+            for span in &mut record.spans {
+                span.wall_ns = 0;
+            }
+            (err, record)
+        }};
+    }
+    let active = failed_run!(Engine);
+    assert!(matches!(
+        active.0,
+        SimError::ChannelOutOfRange { round: 3.., .. }
+    ));
+    assert!(active.1.rounds >= 3);
+    assert_eq!(active, failed_run!(DenseEngine));
 }
 
 /// A fully scripted node for retirement-order checks: transmits on the

@@ -18,7 +18,7 @@
 use contention::{FullAlgorithm, FullStats, Params, TwoActive};
 use mac_sim::obs::{RunRecord, RunRecorder};
 use mac_sim::{
-    CdMode, Engine, EventSink, Protocol, Registry, RunReport, SimConfig, SimError, Status,
+    CdMode, Counter, Engine, EventSink, Protocol, Registry, RunReport, SimConfig, SimError, Status,
     StopWhen, TelemetrySink,
 };
 
@@ -136,24 +136,24 @@ fn bare_and_metered<P: Protocol>(
 /// same reason `assert_record_consistent` exists: an inert-but-wrong
 /// observer would pass the identity checks alone.
 fn assert_registry_consistent(label: &str, report: &RunReport, registry: &Registry) {
-    assert_eq!(registry.counter("engine_runs_total"), 1, "{label}: runs");
+    assert_eq!(registry.counter(Counter::EngineRuns), 1, "{label}: runs");
     assert_eq!(
-        registry.counter("engine_rounds_total"),
+        registry.counter(Counter::EngineRounds),
         report.rounds_executed,
         "{label}: registry rounds"
     );
     assert_eq!(
-        registry.counter("engine_transmissions_total"),
+        registry.counter(Counter::EngineTransmissions),
         report.metrics.transmissions,
         "{label}: registry tx"
     );
     assert_eq!(
-        registry.counter("engine_listens_total"),
+        registry.counter(Counter::EngineListens),
         report.metrics.listens,
         "{label}: registry rx"
     );
     assert_eq!(
-        registry.counter("engine_solved_total"),
+        registry.counter(Counter::EngineSolved),
         u64::from(report.solved_round.is_some()),
         "{label}: registry solve"
     );
@@ -274,12 +274,12 @@ fn recorder_and_telemetry_agree_on_every_tally() {
             let mut registry = Registry::new();
             sink.flush_into(&mut registry);
             let flushed = [
-                "engine_rounds_total",
-                "engine_transmissions_total",
-                "engine_listens_total",
-                "engine_solved_total",
+                Counter::EngineRounds,
+                Counter::EngineTransmissions,
+                Counter::EngineListens,
+                Counter::EngineSolved,
             ]
-            .map(|name| registry.counter(name));
+            .map(|counter| registry.counter(counter));
             let solved = u64::from(record.solved_round.is_some());
             assert_eq!(
                 [record.rounds, record.transmissions, record.listens, solved],
@@ -287,6 +287,7 @@ fn recorder_and_telemetry_agree_on_every_tally() {
                 "{label}: rounds, tx, rx, solve"
             );
             assert!(!record.channels.is_empty(), "{label}: no channel rows");
+            let counters = registry.counters();
             for t in &record.channels {
                 let ch = t.channel;
                 for (kind, count) in [
@@ -297,7 +298,8 @@ fn recorder_and_telemetry_agree_on_every_tally() {
                     let key = format!(
                         "engine_channel_outcomes_total{{channel=\"{ch}\",kind=\"{kind}\"}}"
                     );
-                    assert_eq!(registry.counter(&key), count, "{label}: {key}");
+                    let flushed = counters.get(&key).copied().unwrap_or(0);
+                    assert_eq!(flushed, count, "{label}: {key}");
                 }
             }
         }
