@@ -17,6 +17,13 @@
 //!
 //! perfbench's lock file must record exactly the dependencies of the
 //! workspace crates it builds, or its `--locked` build fails only in CI.
+//!
+//! Every `tests/*.rs` and `examples/*.rs` file at the repo root must be a
+//! `[[test]]` or `[[example]]` target of the bench crate; an unlisted
+//! file is never built.
+//!
+//! Every backticked `module::item` in the Modules column of DESIGN.md's
+//! experiment table must name an item defined in that module's source.
 
 use std::path::{Path, PathBuf};
 
@@ -28,20 +35,27 @@ fn read(root: &Path, file: &str) -> String {
     std::fs::read_to_string(root.join(file)).unwrap_or_else(|e| panic!("{file}: {e}"))
 }
 
-/// The `name` of every `[[example]]` in the bench crate's manifest.
-fn examples(manifest: &str) -> Vec<String> {
-    let mut names = Vec::new();
+/// The `key` value of every `header` table (`[[example]]`, `[[test]]`)
+/// in a manifest.
+fn target_values(manifest: &str, header: &str, key: &str) -> Vec<String> {
+    let prefix = format!("{key} = ");
+    let mut values = Vec::new();
     let mut in_table = false;
     for line in manifest.lines().map(str::trim) {
         if line.starts_with('[') {
-            in_table = line == "[[example]]";
+            in_table = line == header;
         } else if in_table {
-            if let Some(value) = line.strip_prefix("name = ") {
-                names.push(value.trim_matches('"').to_owned());
+            if let Some(value) = line.strip_prefix(&prefix) {
+                values.push(value.trim_matches('"').to_owned());
             }
         }
     }
-    names
+    values
+}
+
+/// The `name` of every `[[example]]` in the bench crate's manifest.
+fn examples(manifest: &str) -> Vec<String> {
+    target_values(manifest, "[[example]]", "name")
 }
 
 /// The example named by every `cargo run … --example <name>` line of `ci`.
@@ -87,6 +101,122 @@ fn every_ci_example_exists() {
     assert!(
         missing.is_empty(),
         "CI runs examples with no [[example]] in crates/bench/Cargo.toml: {missing:?}"
+    );
+}
+
+#[test]
+fn every_root_test_and_example_is_a_bench_target() {
+    let root = workspace_root();
+    let manifest = read(&root, "crates/bench/Cargo.toml");
+    for (dir, header) in [("tests", "[[test]]"), ("examples", "[[example]]")] {
+        let listed = target_values(&manifest, header, "path");
+        let mut sources = 0;
+        let mut unlisted = Vec::new();
+        for entry in std::fs::read_dir(root.join(dir)).expect("root directory") {
+            let name = entry.expect("directory entry").file_name();
+            let name = name.to_str().expect("UTF-8 file name").to_owned();
+            if name.ends_with(".rs") {
+                sources += 1;
+                if !listed.contains(&format!("../../{dir}/{name}")) {
+                    unlisted.push(name);
+                }
+            }
+        }
+        assert!(sources > 0, "no {dir}/*.rs found");
+        unlisted.sort();
+        assert!(
+            unlisted.is_empty(),
+            "{dir}/ files with no {header} in crates/bench/Cargo.toml, so never built: {unlisted:?}"
+        );
+    }
+}
+
+/// The directory of a path's first segment in DESIGN.md's Modules column:
+/// a crate, or else a module of the `contention` crate.
+fn crate_src(root: &Path, first: &str) -> (PathBuf, Option<String>) {
+    match first {
+        "mac_sim" => (root.join("crates/mac-sim/src"), None),
+        "contention" => (root.join("crates/core/src"), None),
+        "analysis" => (root.join("crates/analysis/src"), None),
+        module => (root.join("crates/core/src"), Some(module.to_owned())),
+    }
+}
+
+/// The source of module `path` (its segments after the crate) under `src`.
+fn module_source(src: &Path, path: &[String]) -> Option<String> {
+    let mut dir = src.to_path_buf();
+    let mut file = src.join("lib.rs");
+    for module in path {
+        file = [
+            dir.join(format!("{module}.rs")),
+            dir.join(module).join("mod.rs"),
+        ]
+        .into_iter()
+        .find(|candidate| candidate.is_file())?;
+        dir = dir.join(module);
+    }
+    std::fs::read_to_string(file).ok()
+}
+
+/// Whether `source` defines `item`, or re-exports it with `pub use`.
+fn defines(source: &str, item: &str) -> bool {
+    let is_ident = |c: char| c.is_alphanumeric() || c == '_';
+    source.lines().map(str::trim_start).any(|line| {
+        let (public, line) = match line.strip_prefix("pub ") {
+            Some(rest) => (true, rest),
+            None => (false, line),
+        };
+        if let Some(rest) = line.strip_prefix("use ") {
+            return public && rest.split(|c| !is_ident(c)).any(|word| word == item);
+        }
+        [
+            "mod ", "struct ", "enum ", "fn ", "trait ", "type ", "const ",
+        ]
+        .iter()
+        .filter_map(|keyword| line.strip_prefix(keyword))
+        .any(|rest| rest.split(|c| !is_ident(c)).next() == Some(item))
+    })
+}
+
+#[test]
+fn the_design_experiment_table_names_only_defined_items() {
+    let root = workspace_root();
+    let design = read(&root, "DESIGN.md");
+    let rows: Vec<&str> = design
+        .lines()
+        .skip_while(|line| !line.starts_with("| Exp | Claim exercised |"))
+        .skip(2)
+        .take_while(|line| line.starts_with('|'))
+        .collect();
+    assert!(rows.len() >= 20, "experiment table not found in DESIGN.md");
+    let mut checked = 0;
+    let mut undefined = Vec::new();
+    for row in rows {
+        let (_, modules) = row
+            .trim_end()
+            .trim_end_matches('|')
+            .rsplit_once(" | ")
+            .unwrap_or_else(|| panic!("table row {row:?}"));
+        for path in modules.split('`').skip(1).step_by(2) {
+            let Some((module, item)) = path.rsplit_once("::") else {
+                continue;
+            };
+            let mut segments = module.split("::");
+            let (src, first) = crate_src(&root, segments.next().unwrap_or_default());
+            let modules: Vec<String> = first
+                .into_iter()
+                .chain(segments.map(str::to_owned))
+                .collect();
+            checked += 1;
+            if !module_source(&src, &modules).is_some_and(|source| defines(&source, item)) {
+                undefined.push(path.to_owned());
+            }
+        }
+    }
+    assert!(checked >= 10, "only {checked} `module::item` paths found");
+    assert!(
+        undefined.is_empty(),
+        "DESIGN.md's experiment table names items its modules do not define: {undefined:?}"
     );
 }
 

@@ -70,10 +70,10 @@ pub struct SimConfig {
     /// [`crate::SimError::BudgetExhausted`] — an *expected outcome* that
     /// breakdown sweeps catch and count. `None` (the default) disables it.
     pub round_budget: Option<u64>,
-    /// Whether the engine's built-in [`crate::Metrics`] observer records
-    /// transmissions and listens (on by default). Turning it
-    /// off removes that bookkeeping from the hot loop; the metrics in the
-    /// final [`crate::RunReport`] stay zeroed.
+    /// Whether the engine counts its built-in [`crate::Metrics`], the
+    /// transmissions and listens of every completed round (on by
+    /// default). Turning it off removes that bookkeeping from the hot
+    /// loop; the metrics in the final [`crate::RunReport`] stay zeroed.
     pub record_metrics: bool,
     /// Continuous-delivery ("traffic") mode, off by default. In one-shot
     /// mode a lone primary-channel transmission is detected once and
@@ -147,7 +147,7 @@ impl SimConfig {
         self
     }
 
-    /// Enables or disables the built-in metrics observer.
+    /// Enables or disables the engine's built-in [`crate::Metrics`] count.
     #[must_use]
     pub fn record_metrics(mut self, record_metrics: bool) -> Self {
         self.record_metrics = record_metrics;

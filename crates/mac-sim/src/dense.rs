@@ -87,7 +87,7 @@ impl<P: Protocol, F: FeedbackModel> DenseEngine<P, F> {
             config,
             feedback,
             nodes: Vec::new(),
-            metrics: Metrics::new(0),
+            metrics: Metrics::default(),
             solved_round: None,
             solver: None,
             deliveries: 0,
@@ -235,20 +235,8 @@ impl<P: Protocol, F: FeedbackModel> DenseEngine<P, F> {
     /// # Errors
     ///
     /// Same as [`Engine::step`](crate::Engine::step).
-    pub fn step_observed<S: EventSink>(&mut self, sink: &mut S) -> Result<StepStatus, SimError> {
-        // The built-in metrics ride along as one more sink, as in the
-        // active-set engine.
-        if !self.config.record_metrics {
-            return self.step_round(sink);
-        }
-        let mut metrics = std::mem::take(&mut self.metrics);
-        let stepped = self.step_round(&mut (&mut metrics, &mut *sink));
-        self.metrics = metrics;
-        stepped
-    }
-
     #[allow(clippy::too_many_lines)]
-    fn step_round<S: EventSink>(&mut self, sink: &mut S) -> Result<StepStatus, SimError> {
+    pub fn step_observed<S: EventSink>(&mut self, sink: &mut S) -> Result<StepStatus, SimError> {
         if self.nodes.is_empty() {
             return Err(SimError::NoNodes);
         }
@@ -334,7 +322,10 @@ impl<P: Protocol, F: FeedbackModel> DenseEngine<P, F> {
             self.actions.push((idx, action));
         }
 
-        // Channel resolution — identical to the active-set engine.
+        // Channel resolution — identical to the active-set engine — with
+        // each action counted for the built-in metrics and reported as it
+        // is resolved: every action is in, so the round can no longer fail.
+        let record_metrics = self.config.record_metrics;
         for &d in &self.dirty {
             self.tx_count[d] = 0;
             self.rx_count[d] = 0;
@@ -354,6 +345,10 @@ impl<P: Protocol, F: FeedbackModel> DenseEngine<P, F> {
                     } else {
                         usize::MAX
                     };
+                    if record_metrics {
+                        self.metrics.transmissions += 1;
+                        self.metrics.transmissions_per_node[*idx] += 1;
+                    }
                     let label = if node_phases {
                         self.nodes[*idx].protocol.phase()
                     } else {
@@ -367,6 +362,9 @@ impl<P: Protocol, F: FeedbackModel> DenseEngine<P, F> {
                         self.dirty.push(ci);
                     }
                     self.rx_count[ci] += 1;
+                    if record_metrics {
+                        self.metrics.listens += 1;
+                    }
                     let label = if node_phases {
                         self.nodes[*idx].protocol.phase()
                     } else {

@@ -13,8 +13,9 @@
 //!   decides what each node hears; the paper's collision-detection modes
 //!   ([`CdMode`]) are the default model;
 //! * **observation** ([`crate::sink`]) — [`EventSink`] observers
-//!   ([`Metrics`], [`crate::Trace`], or anything user-supplied via
-//!   [`Engine::run_observed`]) record what happened.
+//!   ([`crate::Trace`], or anything user-supplied via
+//!   [`Engine::run_observed`]) record what happened; the engine counts
+//!   its own [`Metrics`] from each finished round.
 //!
 //! # Active-set scheduling
 //!
@@ -287,6 +288,10 @@ pub struct Engine<P: Protocol, F: FeedbackModel = CdMode> {
     retired_this_round: bool,
     /// Reusable buffer for [`FeedbackModel::drain_crashed`].
     crash_buf: Vec<NodeId>,
+    /// The retirements of the current round's opening (crash-stop victims,
+    /// nodes terminating on wake), held back until the round can no longer
+    /// fail.
+    opening: Vec<(NodeId, SlotState)>,
     actions: Vec<(usize, Action<P::Msg>)>,
     // Reusable per-channel scratch, indexed by `ChannelId::index()`.
     tx_count: Vec<u32>,
@@ -326,7 +331,7 @@ impl<P: Protocol, F: FeedbackModel> Engine<P, F> {
             feedback,
             nodes: Vec::new(),
             run: RunState {
-                metrics: Metrics::new(0),
+                metrics: Metrics::default(),
                 solved_round: None,
                 solver: None,
                 deliveries: 0,
@@ -342,6 +347,7 @@ impl<P: Protocol, F: FeedbackModel> Engine<P, F> {
             crashed_count: 0,
             retired_this_round: false,
             crash_buf: Vec::new(),
+            opening: Vec::new(),
             actions: Vec::new(),
             tx_count: vec![0; c],
             rx_count: vec![0; c],
@@ -575,8 +581,8 @@ impl<P: Protocol, F: FeedbackModel> Engine<P, F> {
     }
 
     /// Like [`Engine::run`], but streams events into `sink` as the run
-    /// executes (in addition to the built-in metrics observer). Attach a
-    /// [`crate::Trace`] here to record every round's channel outcomes.
+    /// executes. Attach a [`crate::Trace`] here to record every round's
+    /// channel outcomes.
     ///
     /// # Errors
     ///
@@ -610,33 +616,12 @@ impl<P: Protocol, F: FeedbackModel> Engine<P, F> {
     ///
     /// * [`SimError::NoNodes`] if no node was added;
     /// * [`SimError::ChannelOutOfRange`] if a protocol picks an invalid
-    ///   channel. Nodes act in [`NodeId`] order and each action's event is
-    ///   emitted as soon as it is counted, so by then an attached sink has
-    ///   seen the round's `on_transmission`/`on_listen` events of every
-    ///   node before the failing one (and nothing else of the round); the
-    ///   round is not completed and the clock does not advance. The error
-    ///   latches: every later call returns it again and runs nothing, so
-    ///   neither the built-in [`Metrics`] nor a sink sees the round's
-    ///   first acts twice.
+    ///   channel. A failed round is not observed: neither a sink nor the
+    ///   built-in [`Metrics`] sees anything of it, and the clock does not
+    ///   advance. The error latches: every later call returns it again and
+    ///   runs nothing.
     pub fn step(&mut self) -> Result<StepStatus, SimError> {
         self.step_observed(&mut ())
-    }
-
-    /// Like [`Engine::step`], but streams the round's events into `sink`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Engine::step`].
-    pub fn step_observed<S: EventSink>(&mut self, sink: &mut S) -> Result<StepStatus, SimError> {
-        // The built-in metrics are one more sink: paired with the caller's
-        // for this round while `record_metrics` is on, then put back.
-        if !self.config.record_metrics {
-            return self.step_round(sink);
-        }
-        let mut metrics = std::mem::take(&mut self.run.metrics);
-        let stepped = self.step_round(&mut (&mut metrics, &mut *sink));
-        self.run.metrics = metrics;
-        stepped
     }
 
     /// Steps from a round with nothing live up to round `until`: runs the
@@ -649,9 +634,8 @@ impl<P: Protocol, F: FeedbackModel> Engine<P, F> {
     /// a slot wakes, after a round that changed the pending count (a
     /// pending slot crashed) and once the stop condition latches; only a
     /// span that stopped at a wake-up goes on to step that round. Called
-    /// with a live slot, it steps one round. The built-in [`Metrics`]
-    /// count only transmissions and listens, which an idle round has none
-    /// of, so the loop does not pair them in.
+    /// with a live slot, it steps one round. An idle round has no
+    /// transmission or listen for the built-in [`Metrics`] to count.
     ///
     /// # Errors
     ///
@@ -668,7 +652,7 @@ impl<P: Protocol, F: FeedbackModel> Engine<P, F> {
             let end = until.min(self.next_wake().unwrap_or(u64::MAX));
             let pending = self.unwoken;
             while self.run.round < end {
-                let round = self.open_round(sink)?;
+                let round = self.open_round()?;
                 let status = self.close_idle_round(round, sink);
                 if status == StepStatus::Finished || self.unwoken != pending {
                     return Ok(status);
@@ -700,7 +684,7 @@ impl<P: Protocol, F: FeedbackModel> Engine<P, F> {
     /// the fault layer's `begin_round`, and its crash-stop retirements.
     /// Returns the round number.
     #[inline]
-    fn open_round<S: EventSink>(&mut self, sink: &mut S) -> Result<u64, SimError> {
+    fn open_round(&mut self) -> Result<u64, SimError> {
         // The round-budget watchdog: enforced here (not only in `run`'s
         // loop) so fault-injected runs driven manually via `step` also
         // terminate with a structured error instead of spinning.
@@ -723,18 +707,18 @@ impl<P: Protocol, F: FeedbackModel> Engine<P, F> {
         // its actions used to start being filtered to `Sleep`.
         self.feedback.drain_crashed(&mut self.crash_buf);
         if !self.crash_buf.is_empty() {
-            self.retire_crashed(round, sink);
+            self.retire_crashed();
         }
         Ok(round)
     }
 
-    /// Retires the slots the fault layer reported crashed in `round`.
+    /// Retires the slots the fault layer reported crashed this round.
     #[cold]
-    fn retire_crashed<S: EventSink>(&mut self, round: u64, sink: &mut S) {
+    fn retire_crashed(&mut self) {
         let mut crash_buf = std::mem::take(&mut self.crash_buf);
         for id in crash_buf.drain(..) {
             if self.retire(id.0, SlotState::Crashed) {
-                sink.on_retired(round, id, SlotState::Crashed);
+                self.opening.push((id, SlotState::Crashed));
             }
         }
         self.crash_buf = crash_buf;
@@ -749,11 +733,25 @@ impl<P: Protocol, F: FeedbackModel> Engine<P, F> {
     /// round resets it, before its first use.
     #[inline]
     fn close_idle_round<S: EventSink>(&mut self, round: u64, sink: &mut S) -> StepStatus {
+        self.report_opening(round, sink);
         sink.on_round(round, "idle", &[]);
         self.close_round(sink)
     }
 
-    fn step_round<S: EventSink>(&mut self, sink: &mut S) -> Result<StepStatus, SimError> {
+    /// Reports the retirements of the round's opening, once the round can
+    /// no longer fail.
+    fn report_opening<S: EventSink>(&mut self, round: u64, sink: &mut S) {
+        for (id, state) in self.opening.drain(..) {
+            sink.on_retired(round, id, state);
+        }
+    }
+
+    /// Like [`Engine::step`], but streams the round's events into `sink`.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Engine::step`].
+    pub fn step_observed<S: EventSink>(&mut self, sink: &mut S) -> Result<StepStatus, SimError> {
         if self.nodes.is_empty() {
             return Err(SimError::NoNodes);
         }
@@ -763,7 +761,7 @@ impl<P: Protocol, F: FeedbackModel> Engine<P, F> {
         if self.run.finished {
             return Ok(StepStatus::Finished);
         }
-        let round = self.open_round(sink)?;
+        let round = self.open_round()?;
 
         // Wake-ups scheduled for this round: whole runs popped off the
         // agenda's front, touching only the slots that actually wake now.
@@ -797,7 +795,7 @@ impl<P: Protocol, F: FeedbackModel> Engine<P, F> {
                         // Terminated inside on_wake: park without ever
                         // entering the live set.
                         slot.state = SlotState::Terminated;
-                        sink.on_retired(round, NodeId(idx), SlotState::Terminated);
+                        self.opening.push((NodeId(idx), SlotState::Terminated));
                         continue;
                     }
                     self.live.push(idx);
@@ -831,10 +829,9 @@ impl<P: Protocol, F: FeedbackModel> Engine<P, F> {
         // The first pass, act-and-resolve, over the live set only (every
         // live slot is schedulable by invariant, so no per-node status
         // filtering): act, range-check, let the fault layer filter, then
-        // count the action on its channel and emit its event at once. So a
-        // round that fails with `ChannelOutOfRange` has already emitted the
-        // events of the nodes before the failing one. First clear the
-        // channel scratch the previous round dirtied.
+        // count the action on its channel. It reports nothing, so a round
+        // that fails with `ChannelOutOfRange` reaches no observer. First
+        // clear the channel scratch the previous round dirtied.
         for &d in &self.dirty {
             self.tx_count[d] = 0;
             self.rx_count[d] = 0;
@@ -867,14 +864,6 @@ impl<P: Protocol, F: FeedbackModel> Engine<P, F> {
             // The fault layer's physical hook: jamming/erasure models may
             // still rewrite actions (identity for clean models).
             let action = self.feedback.filter_action(NodeId(idx), action);
-            // Per-node labels are read *after* `act`, so the label names
-            // the phase that actually produced the action (matching
-            // `PhaseMeter`'s attribution).
-            let label = if node_phases {
-                slot.protocol.phase()
-            } else {
-                phase
-            };
             match &action {
                 Action::Transmit { channel, .. } => {
                     let ci = channel.index();
@@ -887,7 +876,6 @@ impl<P: Protocol, F: FeedbackModel> Engine<P, F> {
                     } else {
                         usize::MAX
                     };
-                    sink.on_transmission(round, NodeId(idx), *channel, label);
                 }
                 Action::Listen { channel } => {
                     let ci = channel.index();
@@ -895,11 +883,40 @@ impl<P: Protocol, F: FeedbackModel> Engine<P, F> {
                         self.dirty.push(ci);
                     }
                     self.rx_count[ci] += 1;
-                    sink.on_listen(round, NodeId(idx), *channel, label);
                 }
                 Action::Sleep => {}
             }
             self.actions.push((idx, action));
+        }
+
+        // The round can no longer fail, so it is reported from here on:
+        // first the retirements of its opening, then every action in
+        // NodeId order (a pass with an empty body for a sink without
+        // per-event hooks). A per-node label is read here, after `act` and
+        // before `observe`, so it names the phase that produced the action
+        // (matching `PhaseMeter`'s attribution). The built-in metrics take
+        // the round's totals from its channel counts.
+        self.report_opening(round, sink);
+        for (idx, action) in &self.actions {
+            let label = if node_phases {
+                self.nodes[*idx].protocol.phase()
+            } else {
+                phase
+            };
+            match action {
+                Action::Transmit { channel, .. } => {
+                    sink.on_transmission(round, NodeId(*idx), *channel, label);
+                }
+                Action::Listen { channel } => sink.on_listen(round, NodeId(*idx), *channel, label),
+                Action::Sleep => {}
+            }
+        }
+        let record_metrics = self.config.record_metrics;
+        if record_metrics {
+            for &ci in &self.dirty {
+                self.run.metrics.transmissions += u64::from(self.tx_count[ci]);
+                self.run.metrics.listens += u64::from(self.rx_count[ci]);
+            }
         }
 
         // Solve detection: exactly one transmitter on the *physical*
@@ -961,8 +978,9 @@ impl<P: Protocol, F: FeedbackModel> Engine<P, F> {
             }
         }
 
-        // The second and last pass: deliver feedback, and park each live
-        // slot whose protocol terminated on it, so it drops out of the
+        // The last pass: deliver feedback, count each transmitter's own
+        // transmission for the built-in metrics, and park each live slot
+        // whose protocol terminated on it, so it drops out of the
         // per-round loops for good. `actions` holds exactly the live set
         // in NodeId order, so this pass visits every live slot once. The
         // actions buffer is moved out so the borrow checker can see it is
@@ -977,6 +995,9 @@ impl<P: Protocol, F: FeedbackModel> Engine<P, F> {
                 lone_act: &self.lone_act,
             };
             for (idx, action) in &actions {
+                if record_metrics && matches!(action, Action::Transmit { .. }) {
+                    self.run.metrics.transmissions_per_node[*idx] += 1;
+                }
                 let feedback = self.feedback.deliver(action, &state);
                 let slot = &mut self.nodes[*idx];
                 let ctx = RoundContext {
@@ -1580,7 +1601,7 @@ mod tests {
     }
 
     #[test]
-    fn out_of_range_round_emits_only_the_events_before_the_failing_node() {
+    fn an_out_of_range_round_emits_nothing() {
         let mut engine = Engine::new(SimConfig::new(2).max_rounds(5));
         engine.add_node(Rig::tx(ChannelId::PRIMARY, 1));
         engine.add_node(Rig::rx(ChannelId::new(2)));
@@ -1598,8 +1619,8 @@ mod tests {
                 channels: 2,
             }
         );
-        // Round 0 completes; round 1 stops at node 2, after the events of
-        // nodes 0 and 1 and before node 3 acts or the round closes.
+        // Round 0 completes; round 1 fails at node 2, after nodes 0 and 1
+        // have acted, and neither the log nor the metrics see any of it.
         assert_eq!(
             log.0,
             [
@@ -1607,11 +1628,29 @@ mod tests {
                 "0: rx 1 on 2",
                 "0: tx 3 on 1",
                 "0: main round, 2 outcomes",
-                "1: tx 0 on 1",
-                "1: rx 1 on 2",
             ]
         );
+        let metrics = engine.report().metrics;
+        assert_eq!((metrics.transmissions, metrics.listens), (2, 1));
+        assert_eq!(metrics.transmissions_per_node, [1, 0, 0, 1]);
         assert_eq!(engine.current_round(), 1, "the failed round is not counted");
+    }
+
+    #[test]
+    fn a_failed_round_reports_no_retirement_of_its_opening() {
+        // In round 1 node 0 crashes, node 1 terminates on waking, and node 2
+        // wakes and picks channel 3 of 2.
+        let crash = Layered::new(CrashStop::schedule(vec![(NodeId(0), 1)]), CdMode::Strong);
+        let mut engine = Engine::with_feedback(SimConfig::new(2), crash);
+        engine.add_node(Rig::rx(ChannelId::PRIMARY));
+        engine.add_node_at(Rig::quit(Status::Inactive), 1);
+        engine.add_node_at(Rig::tx(ChannelId::new(3), 0), 1);
+        let mut log = Log::default();
+        let err = engine.run_observed(&mut log).unwrap_err();
+        assert!(matches!(err, SimError::ChannelOutOfRange { round: 1, .. }));
+        assert_eq!(log.0, ["0: rx 0 on 1", "0: main round, 1 outcomes"]);
+        assert_eq!(engine.slot_state(NodeId(0)), SlotState::Crashed);
+        assert_eq!(engine.slot_state(NodeId(1)), SlotState::Terminated);
     }
 
     #[test]

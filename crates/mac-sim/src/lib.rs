@@ -34,10 +34,10 @@
 //! * **feedback** — a pluggable [`FeedbackModel`] decides what each node
 //!   hears; [`CdMode`] is the default model, and adversarial radios like
 //!   [`fault::JamBudget`] plug in via [`Engine::with_feedback`];
-//! * **observation** — [`EventSink`] observers ([`Metrics`], [`Trace`], or
-//!   anything user-supplied via [`Engine::run_observed`]) record what
-//!   happened; none are required, and [`Engine::run_summary`] skips them
-//!   entirely.
+//! * **observation** — [`EventSink`] observers ([`Trace`], or anything
+//!   user-supplied via [`Engine::run_observed`]) record what happened;
+//!   none are required, and [`Engine::run_summary`] skips them entirely.
+//!   The engine counts its own [`Metrics`] from each completed round.
 //!
 //! On top sit two scheduling layers: [`trials`], the per-cell fan-out that
 //! runs many seeds of one configuration, and [`campaign`], which schedules

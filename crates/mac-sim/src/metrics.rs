@@ -5,7 +5,9 @@
 //! node's own phase, or a [`crate::Trace`], whose rounds carry the
 //! engine's representative label.
 
-/// Aggregate metrics of one run.
+/// Aggregate metrics of one run, counted by the engine from each round
+/// that completes (a failed round counts nothing) while
+/// [`crate::SimConfig::record_metrics`] is on.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Metrics {
     /// Total transmissions across all nodes and rounds (the TX energy proxy).
@@ -18,29 +20,6 @@ pub struct Metrics {
 }
 
 impl Metrics {
-    /// Creates metrics for `nodes` nodes, all zeroed.
-    #[must_use]
-    pub fn new(nodes: usize) -> Self {
-        Metrics {
-            transmissions: 0,
-            listens: 0,
-            transmissions_per_node: vec![0; nodes],
-        }
-    }
-
-    /// Records one transmission by node `node`.
-    pub fn record_transmission(&mut self, node: usize) {
-        self.transmissions += 1;
-        if let Some(slot) = self.transmissions_per_node.get_mut(node) {
-            *slot += 1;
-        }
-    }
-
-    /// Records one listen action.
-    pub fn record_listen(&mut self) {
-        self.listens += 1;
-    }
-
     /// The maximum number of transmissions made by any single node.
     #[must_use]
     pub fn max_transmissions_per_node(&self) -> u64 {
@@ -58,22 +37,12 @@ mod tests {
 
     #[test]
     fn metrics_transmissions() {
-        let mut m = Metrics::new(3);
-        m.record_transmission(0);
-        m.record_transmission(0);
-        m.record_transmission(2);
-        m.record_listen();
-        assert_eq!(m.transmissions, 3);
-        assert_eq!(m.listens, 1);
-        assert_eq!(m.transmissions_per_node, vec![2, 0, 1]);
+        let m = Metrics {
+            transmissions: 3,
+            listens: 1,
+            transmissions_per_node: vec![2, 0, 1],
+        };
         assert_eq!(m.max_transmissions_per_node(), 2);
-    }
-
-    #[test]
-    fn metrics_out_of_range_node_is_ignored_in_vector() {
-        let mut m = Metrics::new(1);
-        m.record_transmission(5);
-        assert_eq!(m.transmissions, 1);
-        assert_eq!(m.transmissions_per_node, vec![0]);
+        assert_eq!(Metrics::default().max_transmissions_per_node(), 0);
     }
 }

@@ -308,10 +308,13 @@ impl<const CAP: usize> PowHistogram<CAP> {
                 .ok_or_else(|| format!("histogram field '{key}' missing or mistyped"))
         };
         let n = field("n")?;
+        if n == 0 {
+            return Err("histogram is empty (n = 0)".to_string());
+        }
         let mut h = Self {
             n,
             sum: field("sum")?,
-            min: if n == 0 { 0 } else { field("min")? },
+            min: field("min")?,
             max: field("max")?,
             shift: u32::try_from(field("shift")?).map_err(|_| "shift overflows u32")?,
             ..Self::default()
@@ -729,7 +732,9 @@ impl MetricsSnapshot {
     /// # Errors
     ///
     /// Returns a message naming the first missing or mistyped field, the
-    /// first series name outside the series table, or a schema-version
+    /// first series name outside the series table, the first counter at 0
+    /// or empty histogram (a writer leaves both out, so every snapshot
+    /// this accepts renders back the same series), or a schema-version
     /// mismatch.
     pub fn from_json(value: &Json) -> Result<MetricsSnapshot, String> {
         let version = value
@@ -758,12 +763,13 @@ impl MetricsSnapshot {
         let mut registry = Registry::new();
         for (name, v) in section("counters")? {
             let n = scalar("counters", name, v)?;
+            if n == 0 {
+                return Err(format!("'counters.{name}' is 0"));
+            }
             if let Some(counter) = Counter::from_name(name) {
                 registry.count(counter, n);
             } else if let Some((index, kind)) = parse_channel_series(name) {
-                if n > 0 {
-                    registry.channel_row(index)[kind] += n;
-                }
+                registry.channel_row(index)[kind] += n;
             } else {
                 return Err(unknown("counters", name));
             }
@@ -775,7 +781,8 @@ impl MetricsSnapshot {
         for (name, h) in section("histograms")? {
             let histogram =
                 Histogram::from_name(name).ok_or_else(|| unknown("histograms", name))?;
-            registry.merge_histogram(histogram, &PowHistogram::from_json(h)?);
+            let h = PowHistogram::from_json(h).map_err(|e| format!("'histograms.{name}': {e}"))?;
+            registry.merge_histogram(histogram, &h);
         }
         Ok(MetricsSnapshot {
             seq: value
@@ -1701,6 +1708,25 @@ session_solve_rounds_count 1
             let err = parse(&line.replacen(known, unknown, 1)).unwrap_err();
             assert!(err.contains("not a known series"), "{unknown}: {err}");
         }
+    }
+
+    #[test]
+    fn a_snapshot_with_a_zero_counter_or_an_empty_histogram_is_rejected() {
+        let parse = |line: &str| MetricsSnapshot::from_json(&Json::parse(line).unwrap());
+        let golden = include_str!("../../../../tests/fixtures/golden_snapshot.jsonl");
+        for line in golden.lines() {
+            assert_eq!(parse(line).unwrap().to_jsonl_line(), line);
+        }
+        let zero = r#"{"schema_version":2,"kind":"snapshot","seq":0,"counters":{"engine_runs_total":0},"gauges":{},"histograms":{}}"#;
+        assert_eq!(
+            parse(zero).unwrap_err(),
+            "'counters.engine_runs_total' is 0"
+        );
+        let empty = r#"{"schema_version":2,"kind":"snapshot","seq":0,"counters":{},"gauges":{},"histograms":{"engine_round_acts":{"n":0,"sum":0,"min":0,"max":0,"shift":0,"buckets":[]}}}"#;
+        assert_eq!(
+            parse(empty).unwrap_err(),
+            "'histograms.engine_round_acts': histogram is empty (n = 0)"
+        );
     }
 
     #[test]

@@ -4,17 +4,16 @@
 //! The engine core *emits* events, and observers accumulate them. A run's
 //! channel trace is recorded by attaching a [`crate::Trace`] via
 //! [`crate::Engine::run_observed`], exactly like any user-supplied sink.
-//! [`crate::Metrics`] is a sink too: while
-//! [`crate::SimConfig::record_metrics`] is on, the engine pairs its
-//! built-in one with the caller's sink for each round, so that
-//! [`crate::RunReport::metrics`] is filled without a caller.
+//!
+//! A round is reported only once it can no longer fail: a round that
+//! fails (with [`crate::SimError::ChannelOutOfRange`]) is not observed, by
+//! a sink or by the engine's built-in [`crate::Metrics`].
 //!
 //! All methods have no-op defaults, so a sink implements only what it cares
 //! about. `()` is the null sink.
 
 use crate::channel::{ChannelId, ChannelOutcome};
 use crate::engine::{NodeId, SlotState};
-use crate::metrics::Metrics;
 use crate::trace::{RoundTrace, Trace};
 
 /// Receives execution events from the round engine.
@@ -25,6 +24,7 @@ use crate::trace::{RoundTrace, Trace};
 /// primary-channel transmission solved the problem, then
 /// [`on_round`](EventSink::on_round) closing the round. When the stop
 /// condition is met, [`on_finished`](EventSink::on_finished) fires once.
+/// A round that fails reports none of its events.
 pub trait EventSink {
     /// One node transmitted on `channel` this round.
     fn on_transmission(
@@ -90,8 +90,9 @@ pub trait EventSink {
     /// algorithms, and free. Sinks that account per-phase activity under
     /// staggered wake-ups or heterogeneous populations (notably
     /// [`crate::obs::RunRecorder`]) return `true`, and the engine then
-    /// labels each event with the acting node's own phase, read right
-    /// after its `act` call.
+    /// labels each event with the acting node's own phase, read once every
+    /// node of the round has acted and before any observes its feedback,
+    /// so the label names the phase that produced the action.
     fn wants_node_phases(&self) -> bool {
         false
     }
@@ -178,26 +179,6 @@ impl<A: EventSink, B: EventSink> EventSink for (A, B) {
     }
 }
 
-/// [`Metrics`] counts transmissions and listens. It reads neither phase
-/// labels nor channel outcomes.
-impl EventSink for Metrics {
-    fn on_transmission(
-        &mut self,
-        _round: u64,
-        node: NodeId,
-        _channel: ChannelId,
-        _phase: &'static str,
-    ) {
-        self.record_transmission(node.0);
-    }
-    fn on_listen(&mut self, _round: u64, _node: NodeId, _channel: ChannelId, _phase: &'static str) {
-        self.record_listen();
-    }
-    fn wants_outcomes(&self) -> bool {
-        false
-    }
-}
-
 /// [`Trace`] records one [`RoundTrace`] per round, channel outcomes
 /// included.
 impl EventSink for Trace {
@@ -275,24 +256,6 @@ mod tests {
         assert!(!().wants_outcomes());
         assert!(!(Counter::default(), Counter::default()).wants_outcomes());
         assert!((Counter::default(), Trace::new()).wants_outcomes());
-    }
-
-    #[test]
-    fn metrics_as_sink_matches_direct_recording() {
-        let mut via_sink = Metrics::new(2);
-        via_sink.on_transmission(0, NodeId(0), ChannelId::PRIMARY, "a");
-        via_sink.on_transmission(1, NodeId(1), ChannelId::PRIMARY, "b");
-        via_sink.on_listen(1, NodeId(0), ChannelId::PRIMARY, "a");
-        via_sink.on_round(0, "a", &[]);
-        via_sink.on_round(1, "b", &[]);
-        via_sink.on_finished(2);
-
-        let mut direct = Metrics::new(2);
-        direct.record_transmission(0);
-        direct.record_transmission(1);
-        direct.record_listen();
-
-        assert_eq!(via_sink, direct);
     }
 
     #[test]

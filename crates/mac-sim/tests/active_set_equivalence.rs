@@ -365,7 +365,9 @@ fn mid_run_injection_below_queued_wake_fires_on_time() {
 }
 
 /// A round that fails with `ChannelOutOfRange` latches in both engines:
-/// the steps after it return the same error and run nothing.
+/// the steps after it return the same error and run nothing. Neither
+/// engine reports anything of the failed round, so their whole reports,
+/// metrics included, and their records agree.
 #[test]
 fn a_channel_out_of_range_error_latches_in_both_engines() {
     macro_rules! failed_run {
@@ -379,26 +381,35 @@ fn a_channel_out_of_range_error_latches_in_both_engines() {
             engine.add_node_at(Backoff::new(64), 3);
             let mut recorder = RunRecorder::new();
             let err = engine.run_observed(&mut recorder).unwrap_err();
-            let metrics = engine.report().metrics;
+            let report = report_key(&engine.report());
             for _ in 0..2 {
                 assert_eq!(engine.step_observed(&mut recorder), Err(err.clone()));
             }
-            assert_eq!(engine.report().metrics, metrics, "a failed round ran again");
+            assert_eq!(
+                report_key(&engine.report()),
+                report,
+                "a failed round ran again"
+            );
             let mut record = recorder.into_record(3);
             record.wall_ns = 0;
             for span in &mut record.spans {
                 span.wall_ns = 0;
             }
-            (err, record)
+            (err, report, record)
         }};
     }
-    let active = failed_run!(Engine);
+    let (err, report, record) = failed_run!(Engine);
     assert!(matches!(
-        active.0,
+        err,
         SimError::ChannelOutOfRange { round: 3.., .. }
     ));
-    assert!(active.1.rounds >= 3);
-    assert_eq!(active, failed_run!(DenseEngine));
+    assert!(record.rounds >= 3);
+    let metrics = &report.5;
+    assert_eq!(
+        (metrics.transmissions, metrics.listens),
+        (record.transmissions, record.listens)
+    );
+    assert_eq!((err, report, record), failed_run!(DenseEngine));
 }
 
 /// A fully scripted node for retirement-order checks: transmits on the

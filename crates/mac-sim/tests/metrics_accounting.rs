@@ -3,12 +3,14 @@
 //! `Trace` labels every round, and an attached `RunRecorder` books
 //! transmissions to phases.
 
+use mac_sim::fault::{CrashStop, Layered, LossyChannel};
 use mac_sim::obs::{RunRecord, RunRecorder};
 use mac_sim::{
-    Action, ChannelId, Engine, Feedback, Protocol, RoundContext, RunReport, SimConfig, Status,
-    StopWhen, Trace,
+    Action, CdMode, ChannelId, Engine, EventSink, Feedback, NodeId, Protocol, RoundContext,
+    RunReport, SimConfig, SimError, Status, StopWhen, Trace,
 };
 use rand::rngs::SmallRng;
+use rand::Rng;
 
 /// Transmits for `tx_rounds` rounds in phase "alpha", then listens for
 /// `rx_rounds` rounds in phase "beta", then stops. It advances in
@@ -140,4 +142,72 @@ fn mid_run_snapshot_metrics_are_prefixes() {
     assert_eq!(snap.metrics.transmissions, 2);
     let _ = exec.run().expect("finishes");
     assert_eq!(exec.report().metrics.transmissions, 4);
+}
+
+/// Never terminates; each round it sleeps, listens or transmits, on a
+/// random channel of the first four.
+struct Jitter;
+
+impl Protocol for Jitter {
+    type Msg = u8;
+    fn act(&mut self, _ctx: &RoundContext, rng: &mut SmallRng) -> Action<u8> {
+        let channel = ChannelId::new(rng.gen_range(1..=4));
+        match rng.gen_range(0..4) {
+            0 => Action::Sleep,
+            1 => Action::listen(channel),
+            _ => Action::transmit(channel, 0),
+        }
+    }
+    fn observe(&mut self, _ctx: &RoundContext, _fb: Feedback<u8>, _rng: &mut SmallRng) {}
+    fn status(&self) -> Status {
+        Status::Active
+    }
+}
+
+/// Counts every transmission and listen event, per node.
+#[derive(Default)]
+struct PerNode {
+    tx: Vec<u64>,
+    rx: Vec<u64>,
+}
+
+impl EventSink for PerNode {
+    fn on_transmission(&mut self, _round: u64, node: NodeId, _ch: ChannelId, _p: &'static str) {
+        self.tx[node.0] += 1;
+    }
+    fn on_listen(&mut self, _round: u64, node: NodeId, _ch: ChannelId, _p: &'static str) {
+        self.rx[node.0] += 1;
+    }
+    fn wants_outcomes(&self) -> bool {
+        false
+    }
+}
+
+#[test]
+fn a_faulted_runs_events_agree_with_its_metrics() {
+    // Crash-stop victims, scheduled and assassinated, over a lossy radio;
+    // staggered wakes.
+    let crash =
+        CrashStop::schedule(vec![(NodeId(1), 5), (NodeId(4), 0), (NodeId(6), 12)]).with_assassin(2);
+    let radio = Layered::new(crash, Layered::new(LossyChannel::new(0.3), CdMode::Strong));
+    let cfg = SimConfig::new(4)
+        .seed(17)
+        .stop_when(StopWhen::AllTerminated)
+        .max_rounds(40);
+    let mut exec = Engine::with_feedback(cfg, radio);
+    for i in 0..8 {
+        exec.add_node_at(Jitter, i % 3);
+    }
+    let mut events = PerNode {
+        tx: vec![0; 8],
+        rx: vec![0; 8],
+    };
+    let err = exec.run_observed(&mut events).unwrap_err();
+    assert_eq!(err, SimError::Timeout { max_rounds: 40 });
+    assert_eq!(exec.feedback().layer().crash_count(), 5);
+    let metrics = exec.report().metrics;
+    assert_eq!(metrics.transmissions, events.tx.iter().sum::<u64>());
+    assert_eq!(metrics.listens, events.rx.iter().sum::<u64>());
+    assert_eq!(metrics.transmissions_per_node, events.tx);
+    assert!(metrics.transmissions > 0 && metrics.listens > 0);
 }
